@@ -1,9 +1,8 @@
-"""Wall-clock benchmark gate: batched vs paged round execution, the
-zero-copy mmap store, and the multiprocess host backend.
+"""Wall-clock benchmark gate: batched vs paged round execution.
 
 Unlike the ``bench_fig*`` harnesses, which report *simulated* seconds,
-this script measures real host wall-clock for the host-side options of
-:class:`repro.core.engine.GTSEngine` and fails if they do not deliver.
+this script measures real host wall-clock for the ``execution`` option
+of :class:`repro.core.engine.GTSEngine` and fails if it does not deliver.
 It is both the acceptance artifact (``BENCH_wallclock.json`` at the
 repo root, produced by a full run) and a CI smoke gate (``--quick``).
 
@@ -17,23 +16,10 @@ paged path it pays the database scatter-index cache fill), the rest as
 Cold numbers are reported separately rather than mixed in, because the
 plan build amortises across every later run on the same topology.
 
-Two further cells measure the PR-8 host optimisations on a saved copy
-of the dataset (8 KiB pages — wide enough that vectorized decode, not
-per-page Python overhead, dominates):
-
-* ``store_modes`` — a full eager :func:`load_database` versus a
-  ``mode="mmap"`` open plus a complete page scan (what a cold query
-  actually pays before its first round).  Gated by
-  ``--min-mmap-speedup``.
-* ``backends`` — serial versus ``backend="process"`` batched PageRank
-  over the mapped store.  Gated by ``--min-process-speedup``, enforced
-  only on multi-core hosts (a single-core runner records the numbers
-  and marks the gate skipped).
-
 Every pair of runs is also checked for bit-identical simulated time and
 algorithm output — a speedup that changes answers is a bug, not a win.
 
-``--quick`` caches the built databases under
+``--quick`` caches the built database under
 ``benchmarks/.dataset_cache/`` (keyed by generator parameters and page
 size) so repeated CI cells and local reruns skip the RMAT build.
 
@@ -49,7 +35,6 @@ import json
 import os
 import platform
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -60,7 +45,7 @@ from repro.core.kernels.pagerank import PageRankKernel
 from repro.core.kernels.sssp import SSSPKernel
 from repro.core.kernels.wcc import WCCKernel
 from repro.format import PageFormatConfig, build_database
-from repro.format.io import FileBackedDatabase, load_database, save_database
+from repro.format.io import load_database, save_database
 from repro.graphgen import generate_rmat
 from repro.hardware.specs import scaled_workstation
 
@@ -68,10 +53,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_OUT = os.path.join(ROOT, "BENCH_wallclock.json")
 DEFAULT_HISTORY = os.path.join(ROOT, "BENCH_history.jsonl")
 DATASET_CACHE = os.path.join(ROOT, "benchmarks", ".dataset_cache")
-#: Page size for the store/backend cells: large pages amortise the
-#: per-page decode overhead, so the cells measure byte movement and
-#: parse vectorization rather than Python call dispatch.
-STORE_CELL_PAGE_SIZE = 8192
+PAGE_SIZE = 2048
 
 
 def make_kernel(name, iterations):
@@ -92,14 +74,14 @@ def summarize_samples(wall):
     spread instead of hiding it behind the single best sample)."""
     warm = wall[1:] or wall
     ordered = sorted(warm)
-    from repro.obs.metrics import Histogram
+    from repro.obs.metrics import quantile
     return {
         "cold_seconds": round(wall[0], 4),
         "warm_seconds": [round(w, 4) for w in wall[1:]],
         "best_seconds": round(min(warm), 4),
         "mean_seconds": round(sum(warm) / len(warm), 4),
-        "p50_seconds": round(Histogram._quantile(ordered, 0.50), 4),
-        "p95_seconds": round(Histogram._quantile(ordered, 0.95), 4),
+        "p50_seconds": round(quantile(ordered, 0.50), 4),
+        "p95_seconds": round(quantile(ordered, 0.95), 4),
     }
 
 
@@ -134,21 +116,14 @@ def check_equivalent(kernel_name, paged, batched):
     return not problems
 
 
-def dataset_prefix(args, page_size, cache):
+def cached_dataset_prefix(args):
     """A saved ``<prefix>.meta.json``/``.pages`` pair for the requested
-    RMAT dataset, built on demand.
-
-    With ``cache`` (the ``--quick`` default) the pair lives under
-    ``benchmarks/.dataset_cache/`` keyed by every parameter that shapes
-    the bytes, so repeated quick runs skip both the generator and the
-    page build.  Without it the pair goes to a fresh temp directory.
-    """
-    key = "rmat_s%d_f%d_seed%d_ps%d" % (
-        args.scale, args.edge_factor, args.seed, page_size)
-    if cache:
-        directory = os.path.join(DATASET_CACHE, key)
-    else:
-        directory = os.path.join(tempfile.mkdtemp(prefix="bench_wc_"), key)
+    RMAT dataset under ``benchmarks/.dataset_cache/``, built on demand
+    and keyed by every parameter that shapes the bytes, so repeated
+    quick runs skip both the generator and the page build."""
+    directory = os.path.join(
+        DATASET_CACHE, "rmat_s%d_f%d_seed%d_ps%d" % (
+            args.scale, args.edge_factor, args.seed, PAGE_SIZE))
     prefix = os.path.join(directory, "db")
     if (os.path.exists(prefix + ".meta.json")
             and os.path.exists(prefix + ".pages")):
@@ -158,102 +133,9 @@ def dataset_prefix(args, page_size, cache):
     graph = generate_rmat(args.scale, edge_factor=args.edge_factor,
                           seed=args.seed)
     config = PageFormatConfig(page_id_bytes=4, slot_bytes=2,
-                              page_size=page_size)
+                              page_size=PAGE_SIZE)
     save_database(build_database(graph, config), prefix)
     return prefix
-
-
-def bench_store_modes(prefix, repeats):
-    """Cold-open cell: eager :func:`load_database` versus an mmap open
-    plus a full page scan, plus a bit-identity check between runs over
-    the two stores."""
-    eager_wall, mmap_wall = [], []
-    num_pages = None
-    for _ in range(1 + repeats):
-        start = time.perf_counter()
-        eager_db = load_database(prefix)
-        eager_wall.append(time.perf_counter() - start)
-        num_pages = eager_db.num_pages
-    for _ in range(1 + repeats):
-        start = time.perf_counter()
-        db = FileBackedDatabase(prefix, pool_pages=num_pages, mode="mmap")
-        db.prefetch(range(num_pages))
-        mmap_wall.append(time.perf_counter() - start)
-        db.close()
-    machine = scaled_workstation(num_gpus=2, num_ssds=2)
-    eager_result = GTSEngine(eager_db, machine).run(
-        PageRankKernel(iterations=3))
-    mapped = FileBackedDatabase(prefix, pool_pages=num_pages, mode="mmap")
-    mmap_result = GTSEngine(mapped, machine).run(
-        PageRankKernel(iterations=3))
-    identical = (
-        eager_result.elapsed_seconds == mmap_result.elapsed_seconds
-        and all(np.array_equal(eager_result.values[k],
-                               mmap_result.values[k])
-                for k in eager_result.values))
-    mmap_dict = mmap_result.to_dict()
-    mapped.close()
-    eager_times = summarize_samples(eager_wall)
-    mmap_times = summarize_samples(mmap_wall)
-    return {
-        "protocol": "eager load_database vs mmap open + full page scan "
-                    "(1 cold + N warm samples each)",
-        "page_size": STORE_CELL_PAGE_SIZE,
-        "num_pages": int(num_pages),
-        "eager_load": eager_times,
-        "mmap_open_scan": mmap_times,
-        "speedup_cold": round(eager_times["cold_seconds"]
-                              / mmap_times["cold_seconds"], 2),
-        "speedup_best": round(eager_times["best_seconds"]
-                              / mmap_times["best_seconds"], 2),
-        "mmap_hits": mmap_dict["mmap_hits"],
-        "mmap_misses": mmap_dict["mmap_misses"],
-        "simulated_elapsed_seconds": eager_result.elapsed_seconds,
-        "bit_identical": bool(identical),
-    }
-
-
-def bench_backends(prefix, iterations, repeats, workers):
-    """Backend cell: serial versus process-sharded batched PageRank
-    over the mapped store, one engine per backend, pools reused across
-    the warm repeats."""
-    machine = scaled_workstation(num_gpus=2, num_ssds=2)
-    times, results = {}, {}
-    for backend in ("serial", "process"):
-        db = FileBackedDatabase(prefix, pool_pages=4096, mode="mmap")
-        engine = GTSEngine(db, machine, execution="batched",
-                           backend=backend, backend_workers=workers)
-        wall = []
-        try:
-            for _ in range(1 + repeats):
-                start = time.perf_counter()
-                results[backend] = engine.run(
-                    PageRankKernel(iterations=iterations))
-                wall.append(time.perf_counter() - start)
-        finally:
-            engine.close()
-            db.close()
-        times[backend] = summarize_samples(wall)
-    serial, process = results["serial"], results["process"]
-    identical = (
-        serial.elapsed_seconds == process.elapsed_seconds
-        and all(np.array_equal(serial.values[k], process.values[k])
-                for k in serial.values))
-    return {
-        "protocol": "batched PageRank on the mmap store, serial vs "
-                    "backend='process' (1 cold + N warm runs per "
-                    "backend on one engine; the cold process run pays "
-                    "the worker fork)",
-        "cpu_count": os.cpu_count(),
-        "workers": workers,
-        "iterations": iterations,
-        "serial": times["serial"],
-        "process": times["process"],
-        "speedup_best": round(times["serial"]["best_seconds"]
-                              / times["process"]["best_seconds"], 2),
-        "simulated_elapsed_seconds": serial.elapsed_seconds,
-        "bit_identical": bool(identical),
-    }
 
 
 def main(argv=None):
@@ -273,21 +155,6 @@ def main(argv=None):
                         help="fail if the headline kernel's best-of-warm "
                              "speedup is below this (default 1.0: batched "
                              "must not be slower)")
-    parser.add_argument("--min-mmap-speedup", type=float, default=None,
-                        metavar="X",
-                        help="fail if the mmap open+scan is not at least "
-                             "X times faster than the eager load "
-                             "(default: report only; CI passes 3.0)")
-    parser.add_argument("--min-process-speedup", type=float, default=None,
-                        metavar="X",
-                        help="fail if process-backend PageRank is not at "
-                             "least X times faster than serial (default: "
-                             "report only; CI passes 1.8; skipped with a "
-                             "note on single-core hosts)")
-    parser.add_argument("--backend-workers", type=int, default=None,
-                        metavar="N",
-                        help="worker processes for the backend cell "
-                             "(default: cores minus one, capped at 8)")
     parser.add_argument("--out", default=DEFAULT_OUT,
                         help="where to write the JSON report")
     parser.add_argument("--history", default=DEFAULT_HISTORY,
@@ -305,16 +172,15 @@ def main(argv=None):
 
     print("building RMAT%d (edge_factor=%d, seed=%d)..."
           % (args.scale, args.edge_factor, args.seed))
-    # The kernel cells keep their original in-memory database and page
-    # size (history records stay comparable); --quick routes through the
-    # on-disk dataset cache so reruns skip the generator.
+    # --quick routes through the on-disk dataset cache so reruns skip
+    # the generator.
     if args.quick:
-        db = load_database(dataset_prefix(args, 2048, cache=True))
+        db = load_database(cached_dataset_prefix(args))
     else:
         graph = generate_rmat(args.scale, edge_factor=args.edge_factor,
                               seed=args.seed)
         db = build_database(graph, PageFormatConfig(
-            page_id_bytes=4, slot_bytes=2, page_size=2048))
+            page_id_bytes=4, slot_bytes=2, page_size=PAGE_SIZE))
     machine = scaled_workstation(num_gpus=2, num_ssds=2)
     print("  %d vertices, %d edges, %d pages"
           % (db.num_vertices, db.num_edges, db.num_pages))
@@ -381,63 +247,12 @@ def main(argv=None):
             "bit_identical": equivalent,
         }
 
-    print("== store modes (page_size=%d) ==" % STORE_CELL_PAGE_SIZE)
-    store_prefix = dataset_prefix(args, STORE_CELL_PAGE_SIZE,
-                                  cache=args.quick)
-    store_cell = bench_store_modes(store_prefix, args.repeats)
-    ok = ok and store_cell["bit_identical"]
-    print("  eager cold %.2fs best %.2fs | mmap cold %.2fs best %.2fs "
-          "| speedup %.2fx best (%.2fx cold)"
-          % (store_cell["eager_load"]["cold_seconds"],
-             store_cell["eager_load"]["best_seconds"],
-             store_cell["mmap_open_scan"]["cold_seconds"],
-             store_cell["mmap_open_scan"]["best_seconds"],
-             store_cell["speedup_best"], store_cell["speedup_cold"]))
-    report["store_modes"] = store_cell
-
-    print("== backends (serial vs process) ==")
-    from repro.core.parallel import default_workers
-    workers = args.backend_workers or default_workers()
-    backend_cell = bench_backends(store_prefix, args.iterations,
-                                  args.repeats, workers)
-    ok = ok and backend_cell["bit_identical"]
-    print("  serial best %.2fs | process best %.2fs (%d workers, %s "
-          "cpus) | speedup %.2fx"
-          % (backend_cell["serial"]["best_seconds"],
-             backend_cell["process"]["best_seconds"],
-             workers, backend_cell["cpu_count"],
-             backend_cell["speedup_best"]))
-
     report["headline_speedup"] = headline_speedup
     report["min_speedup_gate"] = args.min_speedup
     gate_ok = headline_speedup is not None and (
         headline_speedup >= args.min_speedup)
 
-    store_cell["min_speedup_gate"] = args.min_mmap_speedup
-    mmap_ok = True
-    if args.min_mmap_speedup is not None:
-        mmap_ok = store_cell["speedup_best"] >= args.min_mmap_speedup
-        store_cell["gate"] = "passed" if mmap_ok else "failed"
-    else:
-        store_cell["gate"] = "report only"
-
-    backend_cell["min_speedup_gate"] = args.min_process_speedup
-    process_ok = True
-    single_core = (backend_cell["cpu_count"] or 1) < 2
-    if args.min_process_speedup is None:
-        backend_cell["gate"] = "report only"
-    elif single_core:
-        # Workers timeshare one core with the parent: no speedup is
-        # physically available, so record the numbers without gating.
-        backend_cell["gate"] = "skipped (single core)"
-    else:
-        process_ok = (backend_cell["speedup_best"]
-                      >= args.min_process_speedup)
-        backend_cell["gate"] = "passed" if process_ok else "failed"
-    report["backends"] = backend_cell
-
-    report["gate_passed"] = bool(ok and gate_ok and mmap_ok
-                                 and process_ok)
+    report["gate_passed"] = bool(ok and gate_ok)
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=False)
         handle.write("\n")
@@ -453,25 +268,14 @@ def main(argv=None):
             generated=report["generated"])
         print("appended history record to %s" % args.history)
     if not ok:
-        print("FAIL: a host-side option changed results", file=sys.stderr)
+        print("FAIL: the execution path changed results", file=sys.stderr)
         return 1
     if not gate_ok:
         print("FAIL: headline speedup %sx below gate %.2fx"
               % (headline_speedup, args.min_speedup), file=sys.stderr)
         return 1
-    if not mmap_ok:
-        print("FAIL: mmap open+scan speedup %.2fx below gate %.2fx"
-              % (store_cell["speedup_best"], args.min_mmap_speedup),
-              file=sys.stderr)
-        return 1
-    if not process_ok:
-        print("FAIL: process backend speedup %.2fx below gate %.2fx"
-              % (backend_cell["speedup_best"], args.min_process_speedup),
-              file=sys.stderr)
-        return 1
-    print("gate passed: %.2fx >= %.2fx (mmap %s, process backend %s)"
-          % (headline_speedup, args.min_speedup,
-             store_cell["gate"], backend_cell["gate"]))
+    print("gate passed: %.2fx >= %.2fx"
+          % (headline_speedup, args.min_speedup))
     return 0
 
 

@@ -165,28 +165,11 @@ def build_parser():
                               "without one), 'paged' the per-page loop, "
                               "'auto' picks per kernel")
         sub.add_argument("--no-cache", action="store_true")
-        sub.add_argument("--backend", choices=("serial", "process"),
-                         default="serial",
-                         help="host execution backend: 'process' shards "
-                              "each round's segment reduction across a "
-                              "forked worker pool (results bit-identical "
-                              "to serial; needs a sharded kernel and the "
-                              "batched path)")
-        sub.add_argument("--backend-workers", type=int, default=None,
-                         metavar="N",
-                         help="worker processes for --backend process "
-                              "(default: cores minus one, capped at 8)")
         sub.add_argument("--io-merge", action="store_true",
                          help="coalesce adjacent page misses per round "
                               "into ranged storage fetches; changes the "
                               "simulated I/O plan (latency amortised "
                               "across the run), so off by default")
-        sub.add_argument("--store-mode", choices=("copy", "mmap"),
-                         default="copy",
-                         help="--db page store mode: 'mmap' maps "
-                              "<PREFIX>.pages and serves payloads "
-                              "zero-copy (lazy pool; WAL overlays still "
-                              "use the copy path)")
         sub.add_argument("--page-size", type=int, default=2 * KB)
         sub.add_argument("--faults", default=None, metavar="PLAN.json",
                          help="inject faults from a JSON FaultPlan "
@@ -400,11 +383,6 @@ def build_parser():
     serve.add_argument("--pool-pages", type=int, default=256,
                        help="per-database decoded-page pool for --db "
                             "prefixes")
-    serve.add_argument("--store-mode", choices=("copy", "mmap"),
-                       default="copy",
-                       help="page store mode for --db prefixes: 'mmap' "
-                            "serves base pages zero-copy from the "
-                            "mapped pages file")
     serve.add_argument("--verbose", action="store_true",
                        help="log every HTTP request to stderr")
     serve.add_argument("--stats-out", default=None, metavar="PATH",
@@ -456,12 +434,6 @@ def build_parser():
     query.add_argument("--execution",
                        choices=("auto", "paged", "batched"),
                        default=None)
-    query.add_argument("--backend", choices=("serial", "process"),
-                       default=None,
-                       help="host execution backend for this query "
-                            "(process shards reductions across the "
-                            "service's per-database worker pool)")
-    query.add_argument("--backend-workers", type=int, default=None)
     query.add_argument("--io-merge", action="store_true",
                        help="coalesce adjacent page misses into ranged "
                             "fetches for this query")
@@ -494,13 +466,7 @@ def _load_database(args):
         # re-weighted or symmetrised here, so check it satisfies the
         # algorithm's requirements instead of silently mis-running.
         from repro.dynamic import open_dynamic_database
-        if getattr(args, "store_mode", "copy") == "mmap":
-            # mmap needs the lazy file-backed pool; the WAL overlay
-            # stacks on top and keeps using decoded copies.
-            db = open_dynamic_database(args.db, pool_pages=256,
-                                       store_mode="mmap")
-        else:
-            db = open_dynamic_database(args.db)
+        db = open_dynamic_database(args.db)
         if weighted and db.config.weight_bytes == 0:
             raise ConfigurationError(
                 "algorithm %r needs edge weights, but the database "
@@ -567,18 +533,12 @@ def _execute_run(args, tracing=False):
                        enable_caching=not args.no_cache,
                        tracing=tracing,
                        execution=getattr(args, "execution", "auto"),
-                       backend=getattr(args, "backend", "serial"),
-                       backend_workers=getattr(args, "backend_workers",
-                                               None),
                        io_merge=getattr(args, "io_merge", False),
                        faults=faults,
                        fault_seed=getattr(args, "fault_seed", None),
                        host_profile=profiler if profiler is not None
                        else False)
-    try:
-        result = engine.run(kernel, dataset_name=name)
-    finally:
-        engine.close()  # drains any process-backend worker pools
+    result = engine.run(kernel, dataset_name=name)
     if profiler is not None:
         # The engine snapshotted the externally-owned profiler; stop
         # tracemalloc now that the measurement is over.
@@ -994,8 +954,7 @@ def _command_serve(args):
             raise ConfigurationError(
                 "--db expects NAME=PREFIX, got %r" % item)
         db = service.add_database(name, prefix=prefix,
-                                  pool_pages=args.pool_pages,
-                                  store_mode=args.store_mode)
+                                  pool_pages=args.pool_pages)
         print("serving %r from %s (%d vertices, %d edges)"
               % (name, prefix, db.num_vertices, db.num_edges),
               file=sys.stderr)
@@ -1059,10 +1018,6 @@ def _command_query(args):
         options["num_gpus"] = args.gpus
     if args.execution:
         options["execution"] = args.execution
-    if args.backend:
-        options["backend"] = args.backend
-    if args.backend_workers is not None:
-        options["backend_workers"] = args.backend_workers
     if args.io_merge:
         options["io_merge"] = True
     if args.timeout_ms is not None:

@@ -238,14 +238,14 @@ class SharedPageCache:
     are inserted only after checksum verification succeeds, so an
     injected (or real) corrupt read can never poison the shared state.
 
-    Interaction with the zero-copy (``mode="mmap"``) page store: this
-    cache must never double-cache mmap *views* — an entry aliasing the
+    Interaction with the mapped page store: this cache must never
+    double-cache mmap *views* — an entry aliasing the
     file mapping would pin the mapping alive through the LRU and turn
     into a dangling view once the database handle is closed.  The
     invariant is upheld at decode time, not here: the ``from_buffer``
     parsers materialise every output array fresh (nothing aliases the
-    buffer they decode from), so what the mmap read path inserts is the
-    same self-contained page object the copy path produces, safe to
+    buffer they decode from), so what the mapped read path inserts is
+    the same self-contained page object the copy fallback produces, safe to
     outlive :meth:`~repro.format.io.FileBackedDatabase.close` and
     serving warm queries without touching the mapping at all.
 

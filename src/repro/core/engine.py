@@ -42,10 +42,6 @@ from repro.hardware.machine import MachineRuntime
 #: Valid values of the ``execution`` knob.
 EXECUTION_MODES = ("auto", "paged", "batched")
 
-#: Valid values of the ``backend`` knob (host compute only; every
-#: backend produces bit-identical values and simulated times).
-BACKENDS = ("serial", "process")
-
 
 class GTSEngine:
     """Run graph-algorithm kernels by streaming topology to GPUs.
@@ -131,31 +127,16 @@ class GTSEngine:
         warm hits skip disk reads and parses, while simulated timings
         and outputs stay bit-identical to uncached runs; the run books
         its ``shared_hits`` / ``shared_misses`` deltas into the result.
-    backend:
-        Host execution backend for batched kernel compute.  ``"serial"``
-        (default) runs in-process; ``"process"`` shards each full-scan
-        round's segment ranges across a persistent ``multiprocessing``
-        worker pool (shared-memory WA vectors, workers inheriting the
-        page store's mmap read-only through fork).  Strictly host-side:
-        values AND simulated times stay bit-identical to serial — the
-        per-segment ``reduceat`` sums are computed independently per
-        shard and applied by the parent in the exact serial order.
-        Rounds a kernel cannot shard (or non-full batches) fall back to
-        in-process compute transparently.
-    backend_workers:
-        Worker-process count for ``backend="process"``; ``None`` sizes
-        the pool to the machine's CPU count (minus one for the parent,
-        capped at 8).
     io_merge:
         ``True`` models FlashGraph-style merged ranged I/O: every page a
         round touches is made main-memory-resident up front, with runs
         of adjacent pages per device booked as single ranged fetches
         (:meth:`~repro.hardware.StorageArray.fetch_range`) and the
-        file-backed read path coalescing the same runs into single
-        ``pread`` calls.  This changes the *simulated* I/O model (fewer,
-        larger storage bookings), so it defaults to off; paged, batched
-        and every ``backend`` see identical simulated times under the
-        same ``io_merge`` setting.  Fault-injected and fully-preloaded
+        file-backed store warming its page pool a chunk ahead of the
+        per-page loop.  This changes the *simulated* I/O model (fewer,
+        larger storage bookings), so it defaults to off; paged and
+        batched execution see identical simulated times under the same
+        ``io_merge`` setting.  Fault-injected and fully-preloaded
         runs skip the merge (per-read injection semantics and the
         paper's in-memory path are preserved).
     """
@@ -167,20 +148,13 @@ class GTSEngine:
                  validate_simulation=False, execution="auto",
                  faults=None, fault_seed=None, retry_policy=None,
                  host_profile=False, plan_cache=None, shared_cache=None,
-                 backend="serial", backend_workers=None, io_merge=False,
-                 worker_pools=None):
+                 io_merge=False):
         if num_streams < 1:
             raise ConfigurationError("need at least one stream")
         if execution not in EXECUTION_MODES:
             raise ConfigurationError(
                 "unknown execution mode %r (expected one of %s)"
                 % (execution, ", ".join(EXECUTION_MODES)))
-        if backend not in BACKENDS:
-            raise ConfigurationError(
-                "unknown backend %r (expected one of %s)"
-                % (backend, ", ".join(BACKENDS)))
-        if backend_workers is not None and backend_workers < 1:
-            raise ConfigurationError("backend_workers must be >= 1")
         if faults is not None and not isinstance(faults, FaultPlan):
             faults = FaultPlan.from_dict(faults)
         if retry_policy is not None and not isinstance(retry_policy,
@@ -203,29 +177,11 @@ class GTSEngine:
         self.execution = execution
         self.host_profile = host_profile
         self.shared_cache = shared_cache
-        self.backend = backend
-        self.backend_workers = backend_workers
         self.io_merge = bool(io_merge)
-        #: Worker-pool registry for ``backend="process"``: either the
-        #: service's per-database registry (shared across queries) or a
-        #: private one created lazily on first parallel round.  Pools
-        #: persist across runs and are released by :meth:`close`.
-        self._worker_pools = worker_pools
-        self._owns_worker_pools = worker_pools is None
         self._plan_cache = (plan_cache if plan_cache is not None
                             else RoundPlanCache())
         self._lp_runs = self._index_large_page_runs()
         self._db_topology_version = getattr(db, "topology_version", 0)
-
-    def close(self):
-        """Release resources this engine owns (its private worker pools).
-
-        Service-injected pool registries are left alone — their
-        lifecycle belongs to the database handle that owns them.
-        """
-        if self._owns_worker_pools and self._worker_pools is not None:
-            self._worker_pools.shutdown()
-            self._worker_pools = None
 
     # ------------------------------------------------------------------
     # Setup helpers
@@ -595,11 +551,6 @@ class GTSEngine:
         io_merge_active = (self.io_merge and not preloaded
                            and injector is None
                            and runtime.storage is not None)
-        # The process backend shards full-scan segment reductions; other
-        # rounds fall back to the serial batched path transparently.
-        use_process = (self.backend == "process" and use_batched
-                       and kernel.supports_shard())
-
         # Step 1: copy WA chunks to the GPUs.
         wa_ready = self.strategy.book_wa_broadcast(runtime, wa_total)
         if hp is not None:
@@ -699,61 +650,27 @@ class GTSEngine:
                     hp.pop()
                 else:
                     batch = plan_arrays.round_batch(pids_round)
-                # Process backend: wake the forked workers on the round's
-                # segment reduction *first*, overlap the parent's own
-                # simulated-time booking with their compute, and apply
-                # their partials with the serial path's ordered update —
-                # same bytes in the state vector, same simulated times.
-                job = None
-                if (use_process and batch.num_segments
-                        and len(pids_round) == plan_arrays.num_pages):
-                    pool = self._pool_registry().get(
-                        db, kernel, state, batch,
-                        workers=self.backend_workers)
-                    job = pool.start_round(kernel.round_vector(state))
-                try:
-                    if hp is not None:
-                        hp.push("kernel")
-                    if job is not None:
-                        work = kernel.batch_work(batch, ctx)
-                    else:
-                        work = kernel.process_batch(batch, state, ctx)
-                    if hp is not None:
-                        hp.pop()
-                    stats.pages_dispatched += batch.num_pages
-                    round_edges = int(work.edges_traversed.sum())
-                    stats.edges_traversed += round_edges
-                    stats.active_vertices += int(
-                        work.active_vertices.sum())
-                    total_edges += round_edges
-                    if work.next_pids is not None and len(work.next_pids):
-                        next_pid_chunks.append(work.next_pids)
-                    scheduler.dispatch_round(
-                        pids_round, assignments,
-                        copy_bytes_all[pids_round], work.lane_steps,
-                        kernel.cycles_per_lane_step, caches, wa_ready,
-                        round_start, fetch, stats)
-                except BaseException:
-                    # Leave the pool round-less before propagating so
-                    # later queries sharing it don't block on our
-                    # abandoned round.
-                    if job is not None:
-                        try:
-                            job.collect()
-                        except Exception:
-                            pass
-                    raise
-                if job is not None:
-                    if hp is not None:
-                        hp.push("kernel")
-                    kernel.apply_segment_results(batch, state,
-                                                 job.collect())
-                    if hp is not None:
-                        hp.pop()
+                if hp is not None:
+                    hp.push("kernel")
+                    work = kernel.process_batch(batch, state, ctx)
+                    hp.pop()
+                else:
+                    work = kernel.process_batch(batch, state, ctx)
+                stats.pages_dispatched += batch.num_pages
+                round_edges = int(work.edges_traversed.sum())
+                stats.edges_traversed += round_edges
+                stats.active_vertices += int(work.active_vertices.sum())
+                total_edges += round_edges
+                if work.next_pids is not None and len(work.next_pids):
+                    next_pid_chunks.append(work.next_pids)
+                scheduler.dispatch_round(
+                    pids_round, assignments,
+                    copy_bytes_all[pids_round], work.lane_steps,
+                    kernel.cycles_per_lane_step, caches, wa_ready,
+                    round_start, fetch, stats)
             else:
-                # Merged host I/O: warm the page pool in pool-sized
-                # chunks so consecutive pages coalesce into ranged
-                # preads instead of one read per page() call.
+                # Merged host I/O: warm the page pool a pool-sized chunk
+                # ahead instead of missing once per page() call.
                 db_prefetch = (getattr(db, "prefetch", None)
                                if io_merge_active else None)
                 chunk = max(1, min(64, getattr(db, "pool_capacity", 64)))
@@ -929,7 +846,6 @@ class GTSEngine:
             strategy=self.strategy.name,
             cache_policy=self.cache_policy,
             execution="batched" if use_batched else "paged",
-            backend=self.backend,
             notes="preloaded" if preloaded else "cold storage",
             timeline=timeline,
             trace=recorder,
@@ -940,15 +856,6 @@ class GTSEngine:
         )
 
     # ------------------------------------------------------------------
-    def _pool_registry(self):
-        """The worker-pool registry for ``backend="process"`` (built
-        lazily when the engine owns it; the service injects a shared
-        per-database one via ``worker_pools=``)."""
-        if self._worker_pools is None:
-            from repro.core.parallel import WorkerPoolRegistry
-            self._worker_pools = WorkerPoolRegistry()
-        return self._worker_pools
-
     def _merge_round_io(self, runtime, pids_round, assignments, caches,
                         fetch_ready, round_start, stats):
         """Issue the round's storage misses as merged ranged reads.

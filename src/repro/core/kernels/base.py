@@ -189,74 +189,6 @@ class Kernel:
         return cls.process_batch is not Kernel.process_batch
 
     # ------------------------------------------------------------------
-    # Sharded execution (multiprocess host backend)
-    # ------------------------------------------------------------------
-    #: NumPy dtype of the per-segment partials a shard function returns
-    #: (None for kernels without a sharded path).
-    shard_dtype = None
-
-    @classmethod
-    def supports_shard(cls):
-        """Whether this kernel overrides :meth:`make_shard_fn`.
-
-        A sharded kernel factors :meth:`process_batch` into three pieces
-        so the engine's ``backend="process"`` path can farm the
-        segment-reduction out to worker processes:
-
-        * :meth:`round_vector` — the read-only per-vertex vector the
-          round's reductions gather from (the BSP snapshot);
-        * :meth:`make_shard_fn` — a pure function computing per-segment
-          partials for a contiguous segment range, closing over the
-          batch's immutable arrays (fork-inherited, never pickled);
-        * :meth:`apply_segment_results` — the serial, ordered state
-          update, which stays in the parent so every float/int rounding
-          step matches the serial path bit for bit.
-        """
-        return cls.make_shard_fn is not Kernel.make_shard_fn
-
-    def shard_params(self, state):
-        """Hashable parameters baked into this kernel's shard functions
-        (worker-pool cache key component).  A pool built for one
-        parameter set must not serve a run with another."""
-        return ()
-
-    def round_vector(self, state):
-        """The read-only vector :meth:`make_shard_fn` closures gather
-        from this round (e.g. ``prev`` ranks, previous labels)."""
-        raise NotImplementedError
-
-    def make_shard_fn(self, batch, state):
-        """Return ``fn(vector, s0, s1) -> partials`` computing the
-        per-segment reduction for segments ``[s0, s1)`` of ``batch``.
-
-        ``fn`` must be bit-identical to slicing the serial
-        :meth:`process_batch` reduction at the same segment boundaries:
-        segment reductions are independent left-to-right folds, so a
-        shard-local ``reduceat`` over ``[seg_starts[s0], seg_starts[s1])``
-        reproduces the full-batch result exactly.  The closure may
-        capture batch arrays and scalar parameters but must not touch
-        mutable state — workers inherit it via fork and reuse it every
-        round.
-        """
-        raise NotImplementedError(
-            "%s does not implement make_shard_fn" % type(self).__name__)
-
-    def batch_work(self, batch, ctx):
-        """The :class:`BatchWork` accounting :meth:`process_batch` would
-        return, without mutating state (parent-side, overlapped with
-        worker compute)."""
-        raise NotImplementedError(
-            "%s does not implement batch_work" % type(self).__name__)
-
-    def apply_segment_results(self, batch, state, partials):
-        """Apply per-segment partials to the kernel state in the same
-        sequential order the serial path uses (``np.add.at`` /
-        ``np.minimum.at`` over ``seg_targets``)."""
-        raise NotImplementedError(
-            "%s does not implement apply_segment_results"
-            % type(self).__name__)
-
-    # ------------------------------------------------------------------
     # Memory accounting (drives WABuf sizing and O.O.M. behaviour)
     # ------------------------------------------------------------------
     def wa_bytes(self, num_vertices):

@@ -147,51 +147,3 @@ class PageRankKernel(Kernel):
             edges_traversed=batch.edges_per_page(),
             active_vertices=batch.records_per_page(),
         )
-
-    # ------------------------------------------------------------------
-    # Sharded execution (process backend)
-    # ------------------------------------------------------------------
-    shard_dtype = np.float64
-
-    def shard_params(self, state):
-        return ("damping", float(state.damping))
-
-    def round_vector(self, state):
-        return state.prev
-
-    def make_shard_fn(self, batch, state):
-        scatter_rec = batch.scatter_rec()
-        rec_vids = batch.rec_vids
-        rec_divisor = batch.rec_divisor
-        seg_starts = batch.seg_starts
-        num_segments = batch.num_segments
-        num_edges = batch.num_edges
-        damping = float(state.damping)
-
-        def shard(vector, s0, s1):
-            if s0 >= s1:
-                return np.empty(0, dtype=np.float64)
-            lo = int(seg_starts[s0])
-            hi = int(seg_starts[s1]) if s1 < num_segments else num_edges
-            # Gather first, then the elementwise contribution: same
-            # per-element inputs as the serial path's contribution-then-
-            # gather, so every float matches bit for bit.
-            rec = scatter_rec[lo:hi]
-            div = rec_divisor[rec]
-            contrib = np.where(
-                div > 0,
-                damping * vector[rec_vids[rec]] / np.maximum(div, 1),
-                0.0)
-            return np.add.reduceat(contrib, seg_starts[s0:s1] - lo)
-
-        return shard
-
-    def batch_work(self, batch, ctx):
-        return BatchWork(
-            lane_steps=ctx.segment_lane_steps(batch),
-            edges_traversed=batch.edges_per_page(),
-            active_vertices=batch.records_per_page(),
-        )
-
-    def apply_segment_results(self, batch, state, partials):
-        np.add.at(state.next, batch.seg_targets, partials)

@@ -107,37 +107,3 @@ class WCCKernel(Kernel):
             edges_traversed=batch.edges_per_page(),
             active_vertices=batch.records_per_page(),
         )
-
-    # ------------------------------------------------------------------
-    # Sharded execution (process backend)
-    # ------------------------------------------------------------------
-    shard_dtype = np.int64
-
-    def round_vector(self, state):
-        return state.labels_prev
-
-    def make_shard_fn(self, batch, state):
-        scatter_vids = batch.scatter_vids()
-        seg_starts = batch.seg_starts
-        num_segments = batch.num_segments
-        num_edges = batch.num_edges
-
-        def shard(vector, s0, s1):
-            if s0 >= s1:
-                return np.empty(0, dtype=np.int64)
-            lo = int(seg_starts[s0])
-            hi = int(seg_starts[s1]) if s1 < num_segments else num_edges
-            return np.minimum.reduceat(
-                vector[scatter_vids[lo:hi]], seg_starts[s0:s1] - lo)
-
-        return shard
-
-    def batch_work(self, batch, ctx):
-        return BatchWork(
-            lane_steps=ctx.segment_lane_steps(batch),
-            edges_traversed=batch.edges_per_page(),
-            active_vertices=batch.records_per_page(),
-        )
-
-    def apply_segment_results(self, batch, state, partials):
-        np.minimum.at(state.labels, batch.seg_targets, partials)

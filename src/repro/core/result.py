@@ -68,10 +68,9 @@ class RunResult:
     #: interval attributes the whole shared ledger's movement.
     shared_hits: int = 0
     shared_misses: int = 0
-    #: Zero-copy store traffic (``mode="mmap"`` file-backed databases
-    #: only): a hit decoded straight from an already-verified mapped
-    #: region; a miss paid first-touch verification or fell back to the
-    #: copy read path.
+    #: Mapped page-store traffic (file-backed databases only): a hit
+    #: decoded straight from an already-verified mapped region; a miss
+    #: paid first-touch verification or fell back to the copy read path.
     mmap_hits: int = 0
     mmap_misses: int = 0
     transfer_busy_seconds: float = 0.0
@@ -88,8 +87,6 @@ class RunResult:
     cache_policy: str = "lru"
     #: Which round-execution path actually ran: "paged" or "batched".
     execution: str = "paged"
-    #: Host compute backend the engine ran with: "serial" or "process".
-    backend: str = "serial"
     engine: str = "GTS"
     notes: Optional[str] = None
     #: Figure 4-style ASCII stream timeline (populated when the engine
@@ -252,7 +249,6 @@ class RunResult:
             "query_id": self.query_id,
             "snapshot_version": self.snapshot_version,
             "execution": self.execution,
-            "backend": self.backend,
             "transfer_busy_seconds": self.transfer_busy_seconds,
             "kernel_busy_seconds": self.kernel_busy_seconds,
             "kernel_stream_seconds": self.kernel_stream_seconds,

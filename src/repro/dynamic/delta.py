@@ -751,15 +751,6 @@ class DynamicGraphDatabase(GraphDatabase):
         with self._version_lock:
             return sorted(self._pins)
 
-    def live_versions(self):
-        """Pinned versions plus the head — everything reclamation must
-        keep (the :class:`~repro.core.parallel.WorkerPoolRegistry`
-        eviction hook)."""
-        with self._version_lock:
-            live = set(self._pins)
-            live.add(self.topology_version)
-            return sorted(live)
-
     def _reclaim_locked(self):
         """Drop versions that are neither head nor pinned (epoch-based
         reclamation); prune their scatter entries and retire bases no
@@ -968,7 +959,7 @@ class Snapshot(GraphDatabase):
     the engine runs whole queries against it exactly as against the
     head, and its ``topology_version`` is the pinned version, so every
     version-keyed cache in the stack (shared page cache, round-plan
-    cache, scatter indexes, worker pools) serves versions side by side.
+    cache, scatter indexes) serves versions side by side.
 
     The view holds *references* into the owner's frozen
     :class:`_VersionState` — construction copies nothing but a
@@ -1038,9 +1029,6 @@ class Snapshot(GraphDatabase):
     def pinned_versions(self):
         return self._owner.pinned_versions()
 
-    def live_versions(self):
-        return self._owner.live_versions()
-
     def release(self):
         """Drop this snapshot's pin (idempotent; no-op when unpinned).
 
@@ -1067,7 +1055,7 @@ class Snapshot(GraphDatabase):
 
 
 def open_dynamic_database(prefix, pool_pages=None, fsync=True,
-                          recorder=None, store_mode="copy"):
+                          recorder=None):
     """Open ``<prefix>``'s base + WAL and replay committed batches.
 
     This is the crash-recovery entry point: the base pages come from
@@ -1080,14 +1068,9 @@ def open_dynamic_database(prefix, pool_pages=None, fsync=True,
     its batches are already in the base pages, so it is discarded
     instead of replayed.  A log *ahead* of its base cannot arise from
     any crash ordering and raises :class:`~repro.errors.WALError`.
-
-    ``store_mode="mmap"`` (with ``pool_pages``) serves base pages
-    zero-copy from the mapped pages file; WAL deltas overlay on top as
-    usual, since the overlay rebuilds its own page objects.
     """
     if pool_pages is not None:
-        base = FileBackedDatabase(prefix, pool_pages=pool_pages,
-                                  mode=store_mode)
+        base = FileBackedDatabase(prefix, pool_pages=pool_pages)
     else:
         base = load_database(prefix)
     base_epoch = getattr(base, "wal_epoch", 0)

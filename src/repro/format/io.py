@@ -225,79 +225,43 @@ def _verify_page_bytes(data, page_id, expected_crc, source):
 def load_database(prefix, host_profiler=None):
     """Load a database previously written by :func:`save_database`.
 
+    The resident :class:`GraphDatabase` is derived from the one page
+    store: open a :class:`FileBackedDatabase`, decode every page through
+    its verified read path, close it, validate.
+
     ``host_profiler`` is an optional
     :class:`~repro.obs.host.HostProfiler`; when given, the metadata
     parse and the page deserialization loop report as nested
     ``load/...`` phases (``None``, the default, records nothing).
     """
     hp = host_profiler
-    meta_path = prefix + ".meta.json"
-    pages_path = prefix + ".pages"
     if hp is not None:
         hp.push("load")
         hp.push("load_meta")
-    with open(meta_path) as handle:
-        metadata = json.load(handle)
+    store = FileBackedDatabase(prefix, pool_pages=1)
     if hp is not None:
         hp.pop()
-    if metadata.get("version") != FORMAT_VERSION:
-        raise FormatError(
-            "%s: unsupported database version %r"
-            % (meta_path, metadata.get("version")))
-    config = PageFormatConfig(**metadata["config"])
-    rvt = RecordVertexTable(metadata["rvt"]["start_vids"],
-                            metadata["rvt"]["lp_ranges"])
-    lp_total_degrees = {int(k): v for k, v
-                        in metadata["lp_total_degrees"].items()}
-    checksums = _checksums_from_metadata(metadata, meta_path)
-    _validate_pages_layout(metadata, config, len(metadata["directory"]),
-                           meta_path)
-
-    directory = []
-    pages = []
-    expected = len(metadata["directory"]) * config.page_size
-    actual = os.path.getsize(pages_path)
-    if actual != expected:
-        raise FormatError(
-            "%s: expected %d bytes of pages, found %d"
-            % (pages_path, expected, actual))
-    if hp is not None:
         hp.push("load_pages")
-    with open(pages_path, "rb") as handle:
-        for record in metadata["directory"]:
-            entry = PageDirectoryEntry(**record)
-            directory.append(entry)
-            data = handle.read(config.page_size)
-            if checksums is not None:
-                _verify_page_bytes(data, entry.page_id,
-                                   checksums[entry.page_id], pages_path)
-            if entry.kind == "SP":
-                page = SmallPage.from_bytes(
-                    data, entry.page_id, entry.num_records, config)
-            else:
-                chunk_index = int(rvt.lp_ranges[entry.page_id])
-                page = LargePage.from_bytes(
-                    data, entry.page_id, chunk_index, config,
-                    total_degree=lp_total_degrees.get(entry.page_id))
-            # Re-derive the logical neighbour IDs through the RVT (the
-            # serialized form stores only physical IDs).
-            page.adj_vids = rvt.translate(page.adj_pids, page.adj_slots)
-            pages.append(page)
+    try:
+        pages = [store._parse_page(entry.page_id)
+                 for entry in store.directory]
+    finally:
+        store.close()
     if hp is not None:
         hp.pop()  # load_pages
 
     db = GraphDatabase(
         pages=pages,
-        directory=directory,
-        rvt=rvt,
-        config=config,
-        num_vertices=metadata["num_vertices"],
-        num_edges=metadata["num_edges"],
-        out_degrees=np.asarray(metadata["out_degrees"], dtype=np.int64),
-        vertex_page=np.asarray(metadata["vertex_page"], dtype=np.int64),
-        name=metadata["name"],
+        directory=store.directory,
+        rvt=store.rvt,
+        config=store.config,
+        num_vertices=store.num_vertices,
+        num_edges=store.num_edges,
+        out_degrees=store.out_degrees,
+        vertex_page=store.vertex_page,
+        name=store.name,
     )
-    db.wal_epoch = metadata.get("wal_epoch", 0)
+    db.wal_epoch = store.wal_epoch
     if hp is not None:
         hp.push("load_validate")
         db.validate()
@@ -340,30 +304,24 @@ class FileBackedDatabase(GraphDatabase):
     pages file and populate it after a checksum-verified parse, so warm
     queries skip the disk read and the byte-level decode entirely.
 
-    Store modes (``mode=``):
+    The read path: the pages file is memory-mapped read-only once at
+    open, and misses decode straight from a NumPy view over the mapping
+    with the vectorized ``from_buffer`` parsers.  Each page-sized region
+    is checksum-verified exactly once, on first touch (the ``_verified``
+    bitmap), and that first touch books the host-I/O counters — later
+    touches are zero-copy ``mmap_hits``.  Decoded pages materialise
+    fresh arrays (nothing aliases the mapping), so the shared cache
+    never holds mapped views and cached pages outlive :meth:`close`.
 
-    * ``"copy"`` (default) — every pool/shared miss issues one
-      ``os.pread`` on a persistent descriptor, verifies the bytes, and
-      decodes them with the reference per-byte parsers.
-    * ``"mmap"`` — the pages file is memory-mapped read-only once at
-      open; misses decode straight from a NumPy view over the mapping
-      with the vectorized ``from_buffer`` parsers.  Each page-sized
-      region is checksum-verified exactly once, on first touch (the
-      ``_verified`` bitmap), and that first touch books the host-I/O
-      counters — later touches are zero-copy ``mmap_hits``.  Decoded
-      pages materialise fresh arrays (nothing aliases the mapping), so
-      the shared cache never holds mmap views and cached pages outlive
-      :meth:`close`.  The copy path remains the fallback whenever the
-      mapping cannot be trusted: a fault injector is attached (injected
-      corruption needs mutable bytes), or a mapped region fails its
-      checksum (verified re-read recovers transient damage; persistent
-      damage raises :class:`IntegrityError`, never a poisoned view).
+    A parse falls back to ``os.pread`` plus the reference per-byte
+    ``from_bytes`` parsers on two conditions the store observes itself:
+    a fault injector is attached (injected corruption needs mutable
+    bytes), or a mapped region fails its checksum (a verified re-read
+    recovers transient damage; persistent damage raises
+    :class:`IntegrityError`, never a poisoned view).
     """
 
-    def __init__(self, prefix, pool_pages=256, mode="copy"):
-        if mode not in ("copy", "mmap"):
-            raise ConfigurationError(
-                "unknown store mode %r (expected 'copy' or 'mmap')" % (mode,))
+    def __init__(self, prefix, pool_pages=256):
         metadata = _read_metadata(prefix)
         config = PageFormatConfig(**metadata["config"])
         rvt = RecordVertexTable(metadata["rvt"]["start_vids"],
@@ -409,8 +367,7 @@ class FileBackedDatabase(GraphDatabase):
         #: Guards the pool's probe/refresh/evict/insert and its hit
         #: counters; parses run outside it (see the class docstring).
         self._pool_lock = InstrumentedLock()
-        #: Guards the real-I/O counters below; the reads themselves use
-        #: a per-call file handle and need no serialisation.
+        #: Guards the real-I/O counters and the ``_verified`` bitmap.
         self._io_lock = InstrumentedLock()
         #: Optional :class:`~repro.faults.FaultInjector`; when attached,
         #: host page reads consult its ``host_corrupt_reads`` budget.
@@ -418,41 +375,42 @@ class FileBackedDatabase(GraphDatabase):
         #: Host reads that failed verification and were re-read clean.
         self.integrity_retries = 0
         #: Real-I/O accounting (always on — three integer updates per
-        #: actual file read): bytes read, reads issued, and reads whose
-        #: page immediately follows the previous one (adjacent-read
-        #: opportunities — the sequential-access baseline for a future
-        #: mmap/readahead store).
+        #: first touch or fallback read): bytes read, reads issued, and
+        #: reads whose page immediately follows the previous one.
         self.host_bytes_read = 0
         self.host_reads = 0
         self.host_adjacent_reads = 0
         self._last_read_pid = -2
-        #: Store mode and the zero-copy machinery.  ``mmap_hits`` counts
-        #: parses served zero-copy from an already-verified mapped
-        #: region; ``mmap_misses`` counts parses that paid first-touch
-        #: verification or fell back to the copy path.
-        self.store_mode = mode
+        #: ``mmap_hits`` counts parses served zero-copy from an
+        #: already-verified mapped region; ``mmap_misses`` counts parses
+        #: that paid first-touch verification or fell back to the copy
+        #: path.
         self.mmap_hits = 0
         self.mmap_misses = 0
         self._fd = os.open(self._pages_path, os.O_RDONLY)
         self._mmap = None
         self._mmap_view = None
-        self._verified = None
-        if mode == "mmap" and actual > 0:
+        self._verified = np.zeros(len(directory), dtype=bool)
+        if actual > 0:  # an empty file cannot be mapped (and has no page)
             self._mmap = mmap.mmap(self._fd, 0, access=mmap.ACCESS_READ)
             self._mmap_view = np.frombuffer(self._mmap, dtype=np.uint8)
-            self._verified = np.zeros(len(directory), dtype=bool)
 
     # ------------------------------------------------------------------
     def close(self):
         """Release the mapping and the file descriptor (idempotent).
 
         Pages already decoded (pool, shared cache, plan arrays) hold
-        only materialised arrays, so they stay valid after close.
+        only materialised arrays, so they stay valid after close; a
+        parse attempted afterwards raises :class:`FormatError`.
         """
         self._mmap_view = None
-        self._verified = None
         if self._mmap is not None:
-            self._mmap.close()
+            try:
+                self._mmap.close()
+            except BufferError:
+                # A live traceback still references a mapped view (a
+                # decode raised); the mapping is released with it.
+                pass
             self._mmap = None
         if self._fd is not None:
             os.close(self._fd)
@@ -515,24 +473,17 @@ class FileBackedDatabase(GraphDatabase):
             if shared is not None:
                 # Only verified parses reach this line (_parse_page
                 # raises on persistent checksum mismatch), so injected
-                # or real corruption can never poison the shared cache.
-                # Safe in mmap mode too: from_buffer materialises fresh
-                # arrays, so the cached page never aliases the mapping.
+                # or real corruption can never poison the shared cache;
+                # and the decoded arrays never alias the mapping.
                 shared.put(page_id, self.topology_version, page)
-        with self._pool_lock:
-            racer = self._pool.get(page_id)
-            if racer is not None:
-                # Another thread parsed the same page meanwhile; adopt
-                # the resident instance so callers share one object.
-                self._pool.move_to_end(page_id)
-                return racer
-            while len(self._pool) >= self._pool_pages:
-                self._pool.popitem(last=False)
-            self._pool[page_id] = page
-        return page
+        return self._pool_insert(page_id, page)
 
     def _pool_insert(self, page_id, page):
-        """Insert a parsed page into the pool (evicting LRU entries)."""
+        """Insert a parsed page into the pool (evicting LRU entries).
+
+        Returns the resident instance: when another thread parsed the
+        same page meanwhile, callers adopt its object instead.
+        """
         with self._pool_lock:
             racer = self._pool.get(page_id)
             if racer is not None:
@@ -544,22 +495,14 @@ class FileBackedDatabase(GraphDatabase):
         return page
 
     def prefetch(self, page_ids):
-        """Warm the pool with ``page_ids``, merging adjacent disk reads.
+        """Warm the pool with ``page_ids`` ahead of per-page use.
 
-        Runs of consecutive page IDs (in request order) that miss both
-        the pool and the shared cache are fetched as single ranged
-        reads.  In copy mode each run is one ``pread`` booking one
-        ``host_reads`` plus ``len(run) - 1`` ``host_adjacent_reads`` —
-        the same shape :class:`~repro.hardware.StorageArray` models for
-        its simulated adjacent fetches.  In mmap mode each region's
-        first-touch verification is booked individually, with the
-        adjacency counter tracking the run shape.  Pool hit/miss and
-        shared-cache accounting per page matches what per-page
-        :meth:`page` calls would record.  Returns the number of pages
-        actually read.
-
-        With a fault injector attached the per-page path is used
-        unchanged (injection and retry semantics are per-read).
+        Pages (deduplicated, in request order) that miss both the pool
+        and the shared cache are decoded through the same read path as
+        :meth:`page`, so first-touch verification, fault injection and
+        retry semantics are identical.  Pool hit/miss and shared-cache
+        accounting per page matches what per-page :meth:`page` calls
+        would record.  Returns the number of pages actually read.
         """
         pending = []
         with self._pool_lock:
@@ -573,93 +516,32 @@ class FileBackedDatabase(GraphDatabase):
                 else:
                     self.pool_misses += 1
                     pending.append(pid)
-        if not pending:
-            return 0
-        seen = set()
-        misses = [p for p in pending if not (p in seen or seen.add(p))]
         shared = self.shared_cache
         disk = []
-        for pid in misses:
+        for pid in dict.fromkeys(pending):
             page = shared.get(pid, self.topology_version) \
                 if shared is not None else None
             if page is not None:
                 self._pool_insert(pid, page)
             else:
                 disk.append(pid)
-        if self.fault_injector is not None:
+        if not disk:
+            return 0
+        # Same profiling hook as :meth:`page`: the span covers reads and
+        # decodes only, never the pool/shared-cache dict probes above.
+        hp = self.host_profiler
+        if hp is not None:
+            hp.push("page_parse")
+        try:
             for pid in disk:
                 page = self._parse_page(pid)
                 if shared is not None:
                     shared.put(pid, self.topology_version, page)
                 self._pool_insert(pid, page)
-            return len(disk)
-        # Same profiling hook as :meth:`page`: the span covers reads and
-        # decodes only, never the pool/shared-cache dict probes above.
-        hp = self.host_profiler
-        if hp is not None and disk:
-            hp.push("page_parse")
-        try:
-            self._prefetch_disk(disk, shared)
         finally:
-            if hp is not None and disk:
+            if hp is not None:
                 hp.pop()
         return len(disk)
-
-    def _prefetch_disk(self, disk, shared):
-        """Read + decode ``disk``'s pages (deduped pool/shared misses),
-        coalescing consecutive runs into ranged reads."""
-        size = self.config.page_size
-        start = 0
-        while start < len(disk):
-            stop = start + 1
-            while stop < len(disk) and disk[stop] == disk[stop - 1] + 1:
-                stop += 1
-            run = disk[start:stop]
-            start = stop
-            if self._mmap_view is not None:
-                pages = [self._parse_page_mmap(pid) for pid in run]
-            else:
-                buf = os.pread(self._fd, len(run) * size, run[0] * size)
-                with self._io_lock:
-                    self.host_bytes_read += len(buf)
-                    self.host_reads += 1
-                    if run[0] == self._last_read_pid + 1:
-                        self.host_adjacent_reads += 1
-                    self.host_adjacent_reads += len(run) - 1
-                    self._last_read_pid = run[-1]
-                pages = []
-                for i, pid in enumerate(run):
-                    data = buf[i * size:(i + 1) * size]
-                    try:
-                        pages.append(self._decode_verified(pid, data))
-                    except IntegrityError:
-                        # Damaged slice of the ranged read: retry it as
-                        # a standalone read with the full verify loop.
-                        with self._io_lock:
-                            self.integrity_retries += 1
-                        pages.append(self._parse_page_copy(pid))
-            for pid, page in zip(run, pages):
-                if shared is not None:
-                    shared.put(pid, self.topology_version, page)
-                self._pool_insert(pid, page)
-
-    def _decode_verified(self, page_id, data):
-        """Verify one page's bytes and decode them (copy path)."""
-        if self._page_checksums is not None:
-            _verify_page_bytes(data, page_id,
-                               self._page_checksums[page_id],
-                               self._pages_path)
-        entry = self.directory[page_id]
-        if entry.kind == "SP":
-            page = SmallPage.from_bytes(data, page_id, entry.num_records,
-                                        self.config)
-        else:
-            chunk_index = int(self.rvt.lp_ranges[page_id])
-            page = LargePage.from_bytes(
-                data, page_id, chunk_index, self.config,
-                total_degree=self._lp_total_degrees.get(page_id))
-        page.adj_vids = self.rvt.translate(page.adj_pids, page.adj_slots)
-        return page
 
     def pool_lock_stats(self):
         """Pool and I/O-counter lock contention (service stats)."""
@@ -670,8 +552,7 @@ class FileBackedDatabase(GraphDatabase):
         """One raw page read; a fault injector may corrupt the result.
 
         ``os.pread`` on the persistent descriptor: offset-explicit, so
-        concurrent readers (threads or forked worker processes sharing
-        the descriptor) never race on a seek position.
+        concurrent reader threads never race on a seek position.
         """
         data = os.pread(self._fd, self.config.page_size,
                         page_id * self.config.page_size)
@@ -686,45 +567,53 @@ class FileBackedDatabase(GraphDatabase):
             data = bytes([data[0] ^ 0xFF]) + data[1:]
         return data
 
+    def _decode(self, page_id, data, mapped):
+        """Decode one page's verified bytes: the vectorized
+        ``from_buffer`` parsers over a ``mapped`` view, the reference
+        ``from_bytes`` parsers over a copied read."""
+        entry = self.directory[page_id]
+        if entry.kind == "SP":
+            parse = SmallPage.from_buffer if mapped else SmallPage.from_bytes
+            page = parse(data, page_id, entry.num_records, self.config)
+        else:
+            parse = LargePage.from_buffer if mapped else LargePage.from_bytes
+            page = parse(data, page_id, int(self.rvt.lp_ranges[page_id]),
+                         self.config,
+                         total_degree=self._lp_total_degrees.get(page_id))
+        # Re-derive the logical neighbour IDs through the RVT (the
+        # serialized form stores only physical IDs).
+        page.adj_vids = self.rvt.translate(page.adj_pids, page.adj_slots)
+        return page
+
     def _parse_page(self, page_id):
-        if self._mmap_view is not None and self.fault_injector is None:
-            return self._parse_page_mmap(page_id)
-        if self._mmap_view is not None:
+        """Decode ``page_id`` from the mapping, or through the copy
+        fallback when the mapping cannot serve this parse."""
+        if self._fd is None:
+            raise FormatError("%s: store is closed" % self._pages_path)
+        if self.fault_injector is not None:
             # Injected corruption needs mutable bytes; route this parse
             # through the copy path so the fault model stays intact.
             with self._io_lock:
                 self.mmap_misses += 1
-        return self._parse_page_copy(page_id)
-
-    def _touch_mapped_region(self, page_id):
-        """First-touch verify + I/O booking for one mapped page region.
-
-        Returns ``True`` when the region is (now) verified, ``False``
-        when its bytes fail the checksum — the caller must fall back to
-        a verified copy re-read instead of decoding a damaged view.
-        """
+            return self._parse_page_copy(page_id)
+        size = self.config.page_size
+        view = self._mmap_view[page_id * size:(page_id + 1) * size]
         if self._verified[page_id]:
-            return True
-        size = self.config.page_size
-        if self._page_checksums is not None:
-            view = self._mmap_view[page_id * size:(page_id + 1) * size]
-            if zlib.crc32(view) != self._page_checksums[page_id]:
-                return False
-        with self._io_lock:
-            if not self._verified[page_id]:
-                self._verified[page_id] = True
-                self.host_bytes_read += size
-                self.host_reads += 1
-                if page_id == self._last_read_pid + 1:
-                    self.host_adjacent_reads += 1
-                self._last_read_pid = page_id
-        return True
-
-    def _parse_page_mmap(self, page_id):
-        entry = self.directory[page_id]
-        size = self.config.page_size
-        first_touch = not self._verified[page_id]
-        if not self._touch_mapped_region(page_id):
+            with self._io_lock:
+                self.mmap_hits += 1
+        elif (self._page_checksums is None
+                or zlib.crc32(view) == self._page_checksums[page_id]):
+            # First touch: verify once, book the host I/O once.
+            with self._io_lock:
+                self.mmap_misses += 1
+                if not self._verified[page_id]:
+                    self._verified[page_id] = True
+                    self.host_bytes_read += size
+                    self.host_reads += 1
+                    if page_id == self._last_read_pid + 1:
+                        self.host_adjacent_reads += 1
+                    self._last_read_pid = page_id
+        else:
             # The mapped bytes are damaged.  A copy re-read goes through
             # the kernel read path and may observe clean bytes (transient
             # page-cache damage); persistent file damage raises the typed
@@ -734,25 +623,9 @@ class FileBackedDatabase(GraphDatabase):
                 self.integrity_retries += 1
                 self.mmap_misses += 1
             return self._parse_page_copy(page_id)
-        with self._io_lock:
-            if first_touch:
-                self.mmap_misses += 1
-            else:
-                self.mmap_hits += 1
-        view = self._mmap_view[page_id * size:(page_id + 1) * size]
-        if entry.kind == "SP":
-            page = SmallPage.from_buffer(view, page_id, entry.num_records,
-                                         self.config)
-        else:
-            chunk_index = int(self.rvt.lp_ranges[page_id])
-            page = LargePage.from_buffer(
-                view, page_id, chunk_index, self.config,
-                total_degree=self._lp_total_degrees.get(page_id))
-        page.adj_vids = self.rvt.translate(page.adj_pids, page.adj_slots)
-        return page
+        return self._decode(page_id, view, mapped=True)
 
     def _parse_page_copy(self, page_id):
-        entry = self.directory[page_id]
         data = self._read_page_bytes(page_id)
         if self._page_checksums is not None:
             # Transient corruption on the host read path (bit flips in
@@ -775,16 +648,7 @@ class FileBackedDatabase(GraphDatabase):
                     with self._io_lock:
                         self.integrity_retries += 1
                     data = self._read_page_bytes(page_id)
-        if entry.kind == "SP":
-            page = SmallPage.from_bytes(data, page_id, entry.num_records,
-                                        self.config)
-        else:
-            chunk_index = int(self.rvt.lp_ranges[page_id])
-            page = LargePage.from_bytes(
-                data, page_id, chunk_index, self.config,
-                total_degree=self._lp_total_degrees.get(page_id))
-        page.adj_vids = self.rvt.translate(page.adj_pids, page.adj_slots)
-        return page
+        return self._decode(page_id, data, mapped=False)
 
     def is_small(self, page_id):
         return self.directory[page_id].kind == "SP"

@@ -7,9 +7,7 @@ process actually spends its wall-clock while driving that simulation —
 page parsing in :mod:`repro.format.io`, scatter-index builds in
 :mod:`repro.format.database`, plan construction in
 :mod:`repro.core.plan`, dispatch in :mod:`repro.core.streams`, kernel
-``process_batch`` calls, and the engine's own setup/round loop.  That
-is exactly the axis ROADMAP item 4 (zero-copy mmap store, parallel
-host backend) must optimize, and it needs a measured baseline.
+``process_batch`` calls, and the engine's own setup/round loop.
 
 A :class:`HostProfiler` keeps one stack of nested phase spans timed
 with :func:`time.perf_counter_ns`.  Profiling is strictly pay-for-use:
@@ -27,8 +25,7 @@ The finished :class:`HostProfile` exports three ways:
 
 * ``to_metrics()`` — flat ``host.*`` names (per-phase seconds, counts,
   p50/p95 per-call latencies via the shared
-  :class:`~repro.obs.metrics.Histogram` quantiles, peak memory, I/O
-  counters) so ``repro obs compare`` / ``obs history`` tolerance rules
+  :func:`~repro.obs.metrics.quantile`, peak memory, I/O counters) so ``repro obs compare`` / ``obs history`` tolerance rules
   can gate per-phase wall-clock regressions, not just the end-to-end
   number;
 * ``flamegraph()`` — collapsed-stack text (``a;b;c <self-µs>`` lines,
@@ -52,7 +49,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import ConfigurationError
 from repro.obs.events import PHASE_COMPLETE, TraceEvent, TraceRecorder
 from repro.obs.exporters import MICROSECONDS
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import quantile
 
 #: Module-level indirection so tests can count host-clock reads (the
 #: disabled-path overhead guard patches this symbol).
@@ -361,8 +358,8 @@ class HostProfiler:
         for path, stat in self._stats.items():
             total_ns, count, net_alloc, samples = stat
             ordered = sorted(samples)
-            p50 = Histogram._quantile(ordered, 0.50)
-            p95 = Histogram._quantile(ordered, 0.95)
+            p50 = quantile(ordered, 0.50)
+            p95 = quantile(ordered, 0.95)
             phases.append(HostPhase(
                 path=path,
                 depth=path.count(PATH_SEP) + 1,

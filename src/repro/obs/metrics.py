@@ -65,6 +65,18 @@ class Gauge:
         return self.value
 
 
+def quantile(ordered, q):
+    """Linear-interpolation quantile over a sorted list (``None`` when
+    it is empty)."""
+    if not ordered:
+        return None
+    pos = q * (len(ordered) - 1)
+    lo = int(pos)
+    hi = min(lo + 1, len(ordered) - 1)
+    frac = pos - lo
+    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+
+
 class Histogram:
     """A distribution of observations with quantile snapshots."""
 
@@ -77,16 +89,6 @@ class Histogram:
 
     def observe(self, value):
         self.values.append(float(value))
-
-    @staticmethod
-    def _quantile(ordered, q):
-        if not ordered:
-            return None
-        pos = q * (len(ordered) - 1)
-        lo = int(pos)
-        hi = min(lo + 1, len(ordered) - 1)
-        frac = pos - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
     def snapshot(self):
         ordered = sorted(self.values)
@@ -102,9 +104,9 @@ class Histogram:
             "min": ordered[0],
             "max": ordered[-1],
             "mean": sum(ordered) / len(ordered),
-            "p50": self._quantile(ordered, 0.50),
-            "p95": self._quantile(ordered, 0.95),
-            "p99": self._quantile(ordered, 0.99),
+            "p50": quantile(ordered, 0.50),
+            "p95": quantile(ordered, 0.95),
+            "p99": quantile(ordered, 0.99),
         }
 
 

@@ -43,6 +43,7 @@ from bisect import bisect_right
 from time import perf_counter_ns as _perf_counter_ns
 
 from repro.errors import ConfigurationError
+from repro.obs.metrics import quantile
 
 #: Module-level indirection so tests can count request-clock reads (the
 #: disabled-path-is-free proof patches this symbol, as with
@@ -484,17 +485,6 @@ def load_ring(directory):
     return SlowQueryRing(directory, capacity=1 << 30).records()
 
 
-def _quantile(ordered, q):
-    """Linear-interpolation quantile over a sorted list."""
-    if not ordered:
-        return None
-    pos = q * (len(ordered) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = pos - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
-
-
 def summarize_requests(records):
     """Aggregate ring records: counts by status / error type /
     database, wall-time quantiles and mean phase durations."""
@@ -526,8 +516,8 @@ def summarize_requests(records):
         ordered = sorted(walls)
         summary["wall_ms"] = {
             "min": ordered[0], "max": ordered[-1],
-            "p50": round(_quantile(ordered, 0.50), 6),
-            "p95": round(_quantile(ordered, 0.95), 6),
+            "p50": round(quantile(ordered, 0.50), 6),
+            "p95": round(quantile(ordered, 0.95), 6),
         }
     summary["phase_mean_ms"] = {
         name: round(phase_totals[name] / phase_counts[name], 6)

@@ -66,6 +66,7 @@ from repro.errors import (
     ShutdownError,
 )
 from repro.hardware.specs import scaled_workstation
+from repro.obs.metrics import quantile
 
 #: Service algorithm name -> (kernel factory, needs weighted db).
 #: Factories take (params dict, start vertex); parameters default the
@@ -94,8 +95,6 @@ ENGINE_OPTIONS = {
     "micro_technique": "edge",
     "enable_caching": True,
     "cache_policy": "lru",
-    "backend": "serial",
-    "backend_workers": None,
     "io_merge": False,
     # Per-query deadline in milliseconds (None = unlimited).  The clock
     # starts at submit, so queue wait counts against the budget; the
@@ -161,8 +160,7 @@ class _ServedDatabase:
     """A database handle plus the caches every query on it shares."""
 
     __slots__ = ("name", "db", "shared_cache", "plan_cache", "gate",
-                 "queries", "worker_pools", "owns_db", "writer_lock",
-                 "updates", "prefix")
+                 "queries", "owns_db", "writer_lock", "updates", "prefix")
 
     def __init__(self, name, db, shared_cache_pages=None, owns_db=False,
                  prefix=None):
@@ -173,11 +171,6 @@ class _ServedDatabase:
         self.plan_cache = RoundPlanCache()
         self.gate = ReadWriteGate()
         self.queries = 0
-        # Process-backend worker pools, shared across every query on
-        # this handle (forked workers persist between runs); the service
-        # shuts them down with the handle.
-        from repro.core.parallel import WorkerPoolRegistry
-        self.worker_pools = WorkerPoolRegistry()
         #: True when the service opened the database itself (via
         #: ``prefix=``) and therefore owns closing its file handles.
         self.owns_db = owns_db
@@ -216,7 +209,6 @@ class _ServedDatabase:
         }
         if hasattr(db, "mvcc_stats"):
             out["mvcc"] = db.mvcc_stats()
-        out["worker_pools"] = self.worker_pools.stats()
         if hasattr(db, "scatter_lock_stats"):
             out["scatter_lock"] = db.scatter_lock_stats()
         # Dynamic wrappers keep the page pool on their file-backed base.
@@ -311,17 +303,13 @@ class GraphService:
     # ------------------------------------------------------------------
     # Database registry
     # ------------------------------------------------------------------
-    def add_database(self, name, db=None, prefix=None, pool_pages=256,
-                     store_mode="copy"):
+    def add_database(self, name, db=None, prefix=None, pool_pages=256):
         """Serve ``db`` (or lazily open ``<prefix>.meta.json/.pages``
         through the WAL-aware dynamic opener) under ``name``.
 
-        The handle gets its own shared page cache, plan cache,
-        read/write gate and process-backend worker-pool registry;
-        re-registering a name raises
-        :class:`~repro.errors.ServiceError`.  ``store_mode="mmap"``
-        serves a ``prefix=`` database's base pages zero-copy from the
-        mapped pages file.  Returns the handle.
+        The handle gets its own shared page cache, plan cache and
+        read/write gate; re-registering a name raises
+        :class:`~repro.errors.ServiceError`.  Returns the handle.
         """
         if (db is None) == (prefix is None):
             raise ServiceError(
@@ -329,8 +317,7 @@ class GraphService:
         owns_db = db is None
         if db is None:
             from repro.dynamic import open_dynamic_database
-            db = open_dynamic_database(prefix, pool_pages=pool_pages,
-                                       store_mode=store_mode)
+            db = open_dynamic_database(prefix, pool_pages=pool_pages)
         with self._db_lock:
             if name in self._databases:
                 raise ServiceError(
@@ -341,22 +328,26 @@ class GraphService:
         return db
 
     def remove_database(self, name):
-        """Stop serving ``name`` (in-flight queries on it complete):
-        detach the shared cache, shut the handle's worker pools down,
-        and close the file store if the service opened it."""
+        """Stop serving ``name``: wait for the engines running on it to
+        drain (the handle's gate, taken exclusively), then detach the
+        shared cache and close the file store if the service opened it.
+        A query that reaches the gate afterwards fails with the closed
+        store's typed :class:`~repro.errors.FormatError`."""
         with self._db_lock:
             entry = self._databases.pop(name, None)
         if entry is None:
             raise ServiceError("unknown database %r" % name)
-        for candidate in (entry.db, getattr(entry.db, "_base", None)):
-            if candidate is not None and hasattr(candidate,
-                                                 "detach_shared_cache"):
-                candidate.detach_shared_cache()
-        entry.worker_pools.shutdown()
-        if entry.owns_db:
-            for candidate in (entry.db, getattr(entry.db, "_base", None)):
-                if candidate is not None and hasattr(candidate, "close"):
+        candidates = [c for c in (entry.db, getattr(entry.db, "_base", None))
+                      if c is not None]
+        entry.gate.acquire_write()
+        try:
+            for candidate in candidates:
+                if hasattr(candidate, "detach_shared_cache"):
+                    candidate.detach_shared_cache()
+                if entry.owns_db and hasattr(candidate, "close"):
                     candidate.close()
+        finally:
+            entry.gate.release_write()
 
     def database_names(self):
         """Names currently served, sorted."""
@@ -555,13 +546,10 @@ class GraphService:
             enable_caching=options["enable_caching"],
             cache_policy=options["cache_policy"],
             execution=options["execution"],
-            backend=options["backend"],
-            backend_workers=options["backend_workers"],
             io_merge=options["io_merge"],
             faults=request.faults,
             fault_seed=request.fault_seed,
-            plan_cache=entry.plan_cache,
-            worker_pools=entry.worker_pools)
+            plan_cache=entry.plan_cache)
 
     def _execute(self, request, entry, deadline=None, timeout_ms=None,
                  trace=None):
@@ -707,12 +695,6 @@ class GraphService:
         finished = self._drained.wait(timeout) if wait else True
         if wait and finished:
             self._executor.shutdown(wait=True)
-            # Every query has completed; forked process-backend workers
-            # have no further rounds to serve.
-            with self._db_lock:
-                entries = list(self._databases.values())
-            for entry in entries:
-                entry.worker_pools.shutdown()
         return finished
 
     # ------------------------------------------------------------------
@@ -734,15 +716,9 @@ class GraphService:
         if not ordered:
             out.update({"p50": None, "p95": None, "p99": None})
             return out
-
-        def q(fraction):
-            position = fraction * (len(ordered) - 1)
-            lo = int(position)
-            hi = min(lo + 1, len(ordered) - 1)
-            frac = position - lo
-            return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
-
-        out.update({"p50": q(0.50), "p95": q(0.95), "p99": q(0.99)})
+        out.update({"p50": quantile(ordered, 0.50),
+                    "p95": quantile(ordered, 0.95),
+                    "p99": quantile(ordered, 0.99)})
         return out
 
     def stats(self):

@@ -30,6 +30,15 @@ class TestParser:
             build_parser().parse_args(
                 ["run", "--dataset", "rmat26", "--algorithm", "magic"])
 
+    @pytest.mark.parametrize("flag", [
+        ["--backend", "process"], ["--backend-workers", "2"],
+        ["--store-mode", "mmap"]])
+    def test_removed_host_knobs_rejected(self, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["run", "--dataset", "rmat26", "--algorithm", "bfs"]
+                + flag)
+
 
 class TestDatasetsCommand:
     def test_lists_registry(self, capsys):

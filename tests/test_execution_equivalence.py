@@ -1,7 +1,7 @@
 """Property test: batched and paged execution are indistinguishable.
 
 The vectorized fast path is only allowed to change *wall-clock*, never
-behaviour: for any graph, kernel, strategy, and page-serving backend the
+behaviour: for any graph, kernel, strategy, and page-serving store the
 two paths must produce bit-identical algorithm output, simulated time,
 per-round statistics, and cache counters.  Hypothesis drives random
 graphs and configurations through both paths, including a file-backed
@@ -20,6 +20,7 @@ from repro.core import (
     SSSPKernel,
     WCCKernel,
 )
+from repro.faults import FaultInjector, FaultPlan
 from repro.format import PageFormatConfig, build_database
 from repro.format.io import FileBackedDatabase, save_database
 from repro.graphgen import Graph
@@ -122,14 +123,54 @@ def test_batched_matches_paged_under_pool_eviction(data, tmp_path_factory):
     assert lazy.resident_pages() <= pool_pages
 
 
+#: How a parse reaches the store's bytes: the mapped ``from_buffer``
+#: decode, or the ``pread`` + ``from_bytes`` fallback forced by each of
+#: the two conditions that select it in production.
+STORE_PATHS = ("mapped", "injector", "damaged-mapping")
+
+_COMPARED_COUNTERS = (
+    "cache_hits", "cache_misses", "mm_buffer_hits", "mm_buffer_misses",
+    "storage_bytes_read", "storage_pages_fetched", "pages_streamed",
+    "bytes_to_gpu", "transfer_busy_seconds", "kernel_busy_seconds",
+    "kernel_stream_seconds", "edges_traversed")
+
+
+def _open_store(prefix, pool_pages, store_path):
+    store = FileBackedDatabase(prefix, pool_pages=pool_pages)
+    if store_path == "injector":
+        # An attached injector (even one whose plan injects nothing)
+        # routes every parse through the mutable copy path.
+        store.attach_fault_injector(FaultInjector(FaultPlan()))
+    elif store_path == "damaged-mapping":
+        # Transient damage: every mapped region fails its CRC while the
+        # file itself is clean, so each parse recovers by verified
+        # re-read.
+        damaged = store._mmap_view.copy()
+        damaged[::store.config.page_size] ^= 0xFF
+        store._mmap_view = damaged
+    return store
+
+
+def _assert_store_path_taken(store, store_path):
+    assert store.mmap_hits + store.mmap_misses > 0
+    if store_path == "mapped":
+        assert store.integrity_retries == 0
+    else:
+        assert store.mmap_hits == 0
+        assert store.host_reads == store.mmap_misses
+    if store_path == "damaged-mapping":
+        assert store.integrity_retries == store.mmap_misses
+
+
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
-def test_backend_and_store_mode_never_perturb_results(data,
-                                                      tmp_path_factory):
-    """The full host-side configuration matrix — (execution, backend,
-    store mode) — is indistinguishable from the eager serial baseline:
-    host options may only move host counters, never simulated time,
-    values, or the compared statistics."""
+def test_store_path_never_perturbs_results(data, tmp_path_factory):
+    """{paged, batched} x {mapped decode, copy fallback} is
+    indistinguishable from the eager baseline: which path serves a
+    page's bytes may only move host counters, never simulated time,
+    values, or the compared statistics — so the ``from_buffer`` decode
+    is checked against the ``from_bytes`` reference on every generated
+    graph."""
     kernel_name = data.draw(st.sampled_from(sorted(KERNELS)))
     graph = _random_graph(data, weighted=kernel_name == "sssp")
     if kernel_name == "wcc":
@@ -141,41 +182,32 @@ def test_backend_and_store_mode_never_perturb_results(data,
     start = data.draw(st.integers(0, graph.num_vertices - 1))
     baseline = GTSEngine(db, machine, execution="paged").run(
         KERNELS[kernel_name](start))
+    baseline_dict = baseline.to_dict()
     pool_pages = max(1, db.num_pages // 2)
     for execution in ("paged", "batched"):
-        for backend in ("serial", "process"):
-            for store_mode in ("copy", "mmap"):
-                lazy = FileBackedDatabase(prefix, pool_pages=pool_pages,
-                                          mode=store_mode)
-                engine = GTSEngine(lazy, machine, execution=execution,
-                                   backend=backend, backend_workers=2)
-                try:
-                    result = engine.run(KERNELS[kernel_name](start))
-                finally:
-                    engine.close()
-                    lazy.close()
-                combo = (execution, backend, store_mode)
-                assert result.elapsed_seconds \
-                    == baseline.elapsed_seconds, combo
-                assert result.num_rounds == baseline.num_rounds, combo
-                for key in baseline.values:
-                    np.testing.assert_array_equal(
-                        result.values[key], baseline.values[key],
-                        err_msg=str(combo))
-                result_dict = result.to_dict()
-                baseline_dict = baseline.to_dict()
-                for key in ("cache_hits", "cache_misses",
-                            "mm_buffer_hits", "mm_buffer_misses",
-                            "storage_bytes_read", "storage_pages_fetched",
-                            "pages_streamed", "bytes_to_gpu",
-                            "transfer_busy_seconds", "kernel_busy_seconds",
-                            "kernel_stream_seconds", "edges_traversed"):
-                    assert result_dict.get(key) \
-                        == baseline_dict.get(key), (combo, key)
-                for base_round, this_round in zip(baseline.rounds,
-                                                  result.rounds):
-                    assert (dataclasses.asdict(this_round)
-                            == dataclasses.asdict(base_round)), combo
+        for store_path in STORE_PATHS:
+            lazy = _open_store(prefix, pool_pages, store_path)
+            try:
+                result = GTSEngine(lazy, machine, execution=execution).run(
+                    KERNELS[kernel_name](start))
+            finally:
+                lazy.close()
+            combo = (execution, store_path)
+            _assert_store_path_taken(lazy, store_path)
+            assert result.elapsed_seconds == baseline.elapsed_seconds, combo
+            assert result.num_rounds == baseline.num_rounds, combo
+            for key in baseline.values:
+                np.testing.assert_array_equal(
+                    result.values[key], baseline.values[key],
+                    err_msg=str(combo))
+            result_dict = result.to_dict()
+            for key in _COMPARED_COUNTERS:
+                assert result_dict.get(key) \
+                    == baseline_dict.get(key), (combo, key)
+            for base_round, this_round in zip(baseline.rounds,
+                                              result.rounds):
+                assert (dataclasses.asdict(this_round)
+                        == dataclasses.asdict(base_round)), combo
 
 
 @settings(max_examples=8, deadline=None)
@@ -183,7 +215,7 @@ def test_backend_and_store_mode_never_perturb_results(data,
 def test_io_merge_changes_plan_but_not_results(data, tmp_path_factory):
     """``io_merge`` is the one opt-in host knob allowed to move the
     simulated I/O plan; the algorithm output must stay bit-identical,
-    and under merge the (execution, backend) matrix must still agree
+    and under merge the (execution, store path) matrix must still agree
     with itself."""
     kernel_name = data.draw(st.sampled_from(["pagerank", "bfs"]))
     graph = _random_graph(data, weighted=False)
@@ -192,20 +224,19 @@ def test_io_merge_changes_plan_but_not_results(data, tmp_path_factory):
     save_database(db, prefix)
     machine = scaled_workstation(num_gpus=2, num_ssds=2)
     start = data.draw(st.integers(0, graph.num_vertices - 1))
-    lazy = FileBackedDatabase(prefix, pool_pages=max(1, db.num_pages))
-    plain = GTSEngine(lazy, machine).run(KERNELS[kernel_name](start))
+    plain = GTSEngine(db, machine).run(KERNELS[kernel_name](start))
     merged = {}
     for execution in ("paged", "batched"):
-        for backend in ("serial", "process"):
-            engine = GTSEngine(lazy, machine, execution=execution,
-                               backend=backend, backend_workers=2,
-                               io_merge=True)
+        for store_path in STORE_PATHS:
+            lazy = _open_store(prefix, max(1, db.num_pages), store_path)
             try:
-                merged[(execution, backend)] = engine.run(
-                    KERNELS[kernel_name](start))
+                merged[(execution, store_path)] = GTSEngine(
+                    lazy, machine, execution=execution,
+                    io_merge=True).run(KERNELS[kernel_name](start))
             finally:
-                engine.close()
-    reference = merged[("paged", "serial")]
+                lazy.close()
+            _assert_store_path_taken(lazy, store_path)
+    reference = merged[("paged", "mapped")]
     for key in plain.values:
         np.testing.assert_array_equal(reference.values[key],
                                       plain.values[key])

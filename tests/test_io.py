@@ -206,6 +206,18 @@ class TestFileBackedDatabase:
         with pytest.raises(FormatError):
             lazy.page(10 ** 6)
 
+    def test_closed_store_raises_typed_error(self, rmat_db, tmp_path):
+        lazy = self._open(rmat_db, tmp_path)
+        resident = lazy.page(0)
+        lazy.close()
+        lazy.close()  # idempotent
+        for read in (lambda: lazy.page(1), lambda: lazy.prefetch([1, 2]),
+                     lazy.validate):
+            with pytest.raises(FormatError, match="store is closed"):
+                read()
+        # Pages decoded before the close stay valid and resident.
+        assert lazy.page(0) is resident
+
 
 class TestEnginePagePool:
     """The engine must see identical results through a page pool small

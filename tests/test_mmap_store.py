@@ -1,9 +1,10 @@
-"""Property tests for the zero-copy (``mode="mmap"``) page store.
+"""Property tests for the mapped page store.
 
-The mapped store is only allowed to change *host* costs: for any saved
-database the pages it decodes, the run results they produce, and every
-simulated counter must be bit-identical to the eager
-:func:`~repro.format.io.load_database` path — under dynamic WAL
+The store's read path is only allowed to change *host* costs: for any
+saved database the pages it decodes — from the mapping, or through the
+copy fallback — the run results they produce, and every simulated
+counter must be bit-identical to the database that was saved and to the
+eager :func:`~repro.format.io.load_database` result — under dynamic WAL
 overlays, under pool eviction pressure, and under injected corruption
 (a checksum failure must recover through a verified re-read or raise a
 typed :class:`~repro.errors.IntegrityError`; a damaged view must never
@@ -43,6 +44,15 @@ def _random_database(data, weighted=False):
     return build_database(graph, config, name="mmap-prop"), graph
 
 
+def _open_fallback(prefix, pool_pages):
+    """A store whose every parse takes the ``pread`` + ``from_bytes``
+    fallback: an attached injector (here with an inert plan) is one of
+    the two conditions that select it."""
+    store = FileBackedDatabase(prefix, pool_pages=pool_pages)
+    store.attach_fault_injector(FaultInjector(FaultPlan()))
+    return store
+
+
 def _assert_pages_equal(expected, actual):
     assert type(expected) is type(actual)
     assert expected.page_id == actual.page_id
@@ -66,19 +76,25 @@ def _assert_pages_equal(expected, actual):
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_mmap_pages_match_eager_load(data, tmp_path_factory):
-    """Every page decoded from the mapping equals its eagerly loaded
-    counterpart, field for field, and the decoded arrays never alias
-    the mapping (they survive close())."""
+    """Every page decoded from the mapping equals the page that was
+    saved, its ``from_bytes`` (copy fallback) decode and its eagerly
+    loaded counterpart, field for field, and the decoded arrays never
+    alias the mapping (they survive close())."""
     weighted = data.draw(st.booleans())
     db, _ = _random_database(data, weighted=weighted)
     prefix = str(tmp_path_factory.mktemp("mmap") / "db")
     save_database(db, prefix)
     eager = load_database(prefix)
-    mapped = FileBackedDatabase(prefix, pool_pages=4, mode="mmap")
+    mapped = FileBackedDatabase(prefix, pool_pages=4)
     pages = [mapped.page(pid) for pid in range(mapped.num_pages)]
+    fallback = _open_fallback(prefix, pool_pages=4)
     for pid in range(eager.num_pages):
+        _assert_pages_equal(db.pages[pid], pages[pid])
+        _assert_pages_equal(fallback.page(pid), pages[pid])
         _assert_pages_equal(eager.pages[pid], pages[pid])
     assert mapped.mmap_misses == mapped.num_pages  # first touches
+    assert fallback.mmap_hits == 0
+    fallback.close()
     mapped.close()
     # Materialised arrays must outlive the mapping.
     for pid in range(eager.num_pages):
@@ -103,8 +119,7 @@ def test_mmap_run_results_match_eager(data, tmp_path_factory):
     eager = GTSEngine(load_database(prefix), machine).run(kernel())
     pool_pages = data.draw(st.sampled_from(
         [1, max(1, db.num_pages // 4), 256]))
-    mapped_db = FileBackedDatabase(prefix, pool_pages=pool_pages,
-                                   mode="mmap")
+    mapped_db = FileBackedDatabase(prefix, pool_pages=pool_pages)
     mapped = GTSEngine(mapped_db, machine).run(kernel())
     assert mapped.elapsed_seconds == eager.elapsed_seconds
     assert mapped.num_rounds == eager.num_rounds
@@ -115,7 +130,7 @@ def test_mmap_run_results_match_eager(data, tmp_path_factory):
     for key in ("cache_hits", "cache_misses", "storage_bytes_read",
                 "pages_streamed", "bytes_to_gpu", "edges_traversed"):
         assert mapped_dict.get(key) == eager_dict.get(key), key
-    # The store mode is host-side: only the mmap counters may move.
+    # The store is host-side: only the mmap counters may move.
     assert mapped_dict["mmap_hits"] + mapped_dict["mmap_misses"] > 0
     assert eager_dict["mmap_hits"] == eager_dict["mmap_misses"] == 0
     assert mapped_db.resident_pages() <= pool_pages
@@ -125,9 +140,10 @@ def test_mmap_run_results_match_eager(data, tmp_path_factory):
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_mmap_dynamic_overlay_matches_copy_mode(data, tmp_path_factory):
-    """A WAL overlay on top of a mapped base behaves exactly like one
-    on top of the copy-mode base: overlay pages are rebuilt objects, so
-    only untouched base pages are served from the mapping."""
+    """A WAL overlay behaves the same on every base: the mapped store,
+    the store's copy fallback, and the eager resident load.  Overlay
+    pages are rebuilt objects, so only untouched base pages are served
+    from the mapping."""
     from repro.dynamic import UpdateBatch, open_dynamic_database
 
     db, graph = _random_database(data)
@@ -138,10 +154,13 @@ def test_mmap_dynamic_overlay_matches_copy_mode(data, tmp_path_factory):
               int(rng.integers(0, graph.num_vertices)))
              for _ in range(8)]
     results = []
-    for mode in ("copy", "mmap"):
-        prefix = str(prefix_dir / ("db-" + mode))
+    for base in ("mapped", "fallback", "eager"):
+        prefix = str(prefix_dir / ("db-" + base))
         save_database(db, prefix)
-        dyn = open_dynamic_database(prefix, pool_pages=8, store_mode=mode)
+        dyn = open_dynamic_database(
+            prefix, pool_pages=None if base == "eager" else 8)
+        if base == "fallback":
+            dyn._base.attach_fault_injector(FaultInjector(FaultPlan()))
         batch = UpdateBatch()
         for src, dst in edges:
             batch.insert_edge(src, dst)
@@ -149,10 +168,11 @@ def test_mmap_dynamic_overlay_matches_copy_mode(data, tmp_path_factory):
         machine = scaled_workstation(num_gpus=2, num_ssds=1)
         results.append(GTSEngine(dyn, machine).run(
             PageRankKernel(iterations=3)))
-    copy_run, mmap_run = results
-    assert mmap_run.elapsed_seconds == copy_run.elapsed_seconds
-    np.testing.assert_array_equal(mmap_run.values["rank"],
-                                  copy_run.values["rank"])
+    mapped_run = results[0]
+    for other in results[1:]:
+        assert other.elapsed_seconds == mapped_run.elapsed_seconds
+        np.testing.assert_array_equal(other.values["rank"],
+                                      mapped_run.values["rank"])
 
 
 def _save_small(tmp_path, num_vertices=40, num_edges=160, seed=7):
@@ -169,14 +189,14 @@ def _save_small(tmp_path, num_vertices=40, num_edges=160, seed=7):
 
 
 def test_injected_corruption_recovers_through_copy_path(tmp_path):
-    """With a fault injector attached, mmap parses re-route through the
+    """With a fault injector attached, parses re-route through the
     mutable copy path: the injected corruption is caught by the
     checksum, retried clean, and the decoded page equals the clean
     one — the damaged bytes never decode."""
     prefix, db = _save_small(tmp_path)
-    clean = FileBackedDatabase(prefix, pool_pages=64, mode="mmap")
+    clean = FileBackedDatabase(prefix, pool_pages=64)
     reference = clean.page(0)
-    mapped = FileBackedDatabase(prefix, pool_pages=64, mode="mmap")
+    mapped = FileBackedDatabase(prefix, pool_pages=64)
     mapped.attach_fault_injector(
         FaultInjector(FaultPlan(host_corrupt_reads={0: 1})))
     recovered = mapped.page(0)
@@ -198,7 +218,7 @@ def test_persistent_damage_raises_never_decodes(tmp_path):
         first = handle.read(1)
         handle.seek(0)
         handle.write(bytes([first[0] ^ 0xFF]))
-    mapped = FileBackedDatabase(prefix, pool_pages=64, mode="mmap")
+    mapped = FileBackedDatabase(prefix, pool_pages=64)
     with pytest.raises(IntegrityError) as excinfo:
         mapped.page(0)
     assert excinfo.value.page_id == 0
@@ -208,6 +228,89 @@ def test_persistent_damage_raises_never_decodes(tmp_path):
     assert os.path.getsize(prefix + ".pages") == \
         mapped.num_pages * page_size
     mapped.close()
+
+
+def test_damaged_mapped_region_recovers_by_verified_reread(tmp_path):
+    """Transient damage — the mapped bytes fail their first-touch CRC
+    while the file is clean — recovers through the copy path's verified
+    re-read: the page decodes clean, the retry is booked, and the
+    region is never marked verified."""
+    prefix, db = _save_small(tmp_path)
+    store = FileBackedDatabase(prefix, pool_pages=64)
+    damaged = store._mmap_view.copy()
+    damaged[0] ^= 0xFF
+    store._mmap_view = damaged
+    _assert_pages_equal(db.pages[0], store.page(0))
+    assert store.integrity_retries == 1
+    assert store.mmap_hits == 0 and store.mmap_misses == 1
+    assert not store._verified[0]
+    store.close()
+
+
+def test_all_kernels_bit_identical_on_every_store_path(tmp_path):
+    """Values and simulated time of all 12 kernels on every remaining
+    path — mapped decode, copy fallback, eager ``load_database``, and a
+    dynamic overlay on each — equal the run on the database that was
+    saved."""
+    from repro.core import (BCKernel, BFSKernel, CrossEdgesKernel,
+                            DegreeKernel, InducedSubgraphKernel,
+                            KCoreKernel, NeighborhoodKernel, RadiusKernel,
+                            RWRKernel, WCCKernel)
+    from repro.dynamic import open_dynamic_database
+
+    rng = np.random.default_rng(11)
+    num_vertices = 96
+    graph = Graph.from_edges(
+        num_vertices,
+        rng.integers(0, num_vertices, size=500),
+        rng.integers(0, num_vertices, size=500)
+    ).symmetrised().with_random_weights(seed=11)
+    db = build_database(graph, PageFormatConfig(2, 2, 1 * KB,
+                                                weight_bytes=4))
+    prefix = str(tmp_path / "db")
+    save_database(db, prefix)
+    kernels = {
+        "bfs": lambda: BFSKernel(start_vertex=3),
+        "pagerank": lambda: PageRankKernel(iterations=3),
+        "sssp": lambda: SSSPKernel(start_vertex=3),
+        "wcc": lambda: WCCKernel(),
+        "bc": lambda: BCKernel(sources=(3, 7)),
+        "rwr": lambda: RWRKernel(query_vertex=3, iterations=3),
+        "degree": lambda: DegreeKernel(),
+        "kcore": lambda: KCoreKernel(k=3),
+        "neighborhood": lambda: NeighborhoodKernel(query_vertex=3),
+        "cross_edges": lambda: CrossEdgesKernel(
+            np.arange(num_vertices) % 3),
+        "radius": lambda: RadiusKernel(num_sketches=4, max_hops=6),
+        "induced": lambda: InducedSubgraphKernel(
+            np.arange(0, num_vertices, 2)),
+    }
+
+    def overlay(pool_pages, fallback=False):
+        dyn = open_dynamic_database(prefix, pool_pages=pool_pages)
+        if fallback:
+            dyn._base.attach_fault_injector(FaultInjector(FaultPlan()))
+        return dyn
+
+    stores = {
+        "mapped": lambda: FileBackedDatabase(prefix, pool_pages=3),
+        "fallback": lambda: _open_fallback(prefix, pool_pages=3),
+        "eager": lambda: load_database(prefix),
+        "overlay/mapped": lambda: overlay(3),
+        "overlay/fallback": lambda: overlay(3, fallback=True),
+        "overlay/eager": lambda: overlay(None),
+    }
+    machine = scaled_workstation(num_gpus=2, num_ssds=2)
+    for kernel_name, make_kernel in kernels.items():
+        expected = GTSEngine(db, machine).run(make_kernel())
+        for store_name, open_store in stores.items():
+            result = GTSEngine(open_store(), machine).run(make_kernel())
+            combo = (kernel_name, store_name)
+            assert result.elapsed_seconds == expected.elapsed_seconds, combo
+            assert set(result.values) == set(expected.values), combo
+            for key, array in expected.values.items():
+                np.testing.assert_array_equal(result.values[key], array,
+                                              err_msg=str(combo))
 
 
 def _tamper_layout(prefix, **overrides):
@@ -222,16 +325,14 @@ def _tamper_layout(prefix, **overrides):
 def test_pages_layout_mismatch_refuses_to_map(tmp_path):
     """A wrong ``pages_layout`` stanza (stride, count, checksum algo or
     endianness) raises the typed IntegrityError before any byte of the
-    pages file is interpreted — in both store modes and the eager
-    loader."""
+    pages file is interpreted — by the store and by the eager loader
+    derived from it."""
     prefix, _ = _save_small(tmp_path)
     for overrides in ({"stride": 512}, {"count": 1},
                       {"checksum": "md5"}, {"endianness": "big"}):
         _tamper_layout(prefix, **overrides)
         with pytest.raises(IntegrityError):
-            FileBackedDatabase(prefix, pool_pages=4, mode="mmap")
-        with pytest.raises(IntegrityError):
-            FileBackedDatabase(prefix, pool_pages=4, mode="copy")
+            FileBackedDatabase(prefix, pool_pages=4)
         with pytest.raises(IntegrityError):
             load_database(prefix)
         # Restore the stanza for the next override.
@@ -250,25 +351,26 @@ def test_legacy_metadata_without_layout_still_loads(tmp_path):
     del metadata["pages_layout"]
     with open(meta_path, "w") as handle:
         json.dump(metadata, handle)
-    db = FileBackedDatabase(prefix, pool_pages=4, mode="mmap")
+    db = FileBackedDatabase(prefix, pool_pages=4)
     assert db.page(0) is not None
     db.close()
 
 
 def test_mmap_counters_surface_in_run_summary(tmp_path):
     """RunResult carries the store's hit/miss counters: present in
-    summary() and to_dict(), zero for copy mode, moving for mmap."""
-    prefix, _ = _save_small(tmp_path)
+    summary() and to_dict(), moving for a file-backed run, zero for a
+    resident database."""
+    prefix, db = _save_small(tmp_path)
     machine = scaled_workstation(num_gpus=2, num_ssds=1)
-    mapped_db = FileBackedDatabase(prefix, pool_pages=2, mode="mmap")
+    mapped_db = FileBackedDatabase(prefix, pool_pages=2)
     mapped = GTSEngine(mapped_db, machine).run(PageRankKernel(iterations=3))
-    copy = GTSEngine(FileBackedDatabase(prefix, pool_pages=2),
-                     machine).run(PageRankKernel(iterations=3))
+    resident = GTSEngine(db, machine).run(PageRankKernel(iterations=3))
     assert "mmap" in mapped.summary()
     mapped_dict = mapped.to_dict()
     assert mapped_dict["mmap_hits"] + mapped_dict["mmap_misses"] > 0
     assert 0.0 <= mapped_dict["mmap_hit_rate"] <= 1.0
-    copy_dict = copy.to_dict()
-    assert copy_dict["mmap_hits"] == 0 and copy_dict["mmap_misses"] == 0
-    assert mapped.elapsed_seconds == copy.elapsed_seconds
+    resident_dict = resident.to_dict()
+    assert resident_dict["mmap_hits"] == 0
+    assert resident_dict["mmap_misses"] == 0
+    assert mapped.elapsed_seconds == resident.elapsed_seconds
     mapped_db.close()

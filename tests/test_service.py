@@ -258,6 +258,44 @@ class TestGracefulShutdown:
         assert service.drain(wait=True, timeout=10)
         assert service.drain(wait=True, timeout=10)
 
+    def test_remove_database_waits_for_running_query(self, db_prefix,
+                                                     references):
+        """``remove_database`` closes the store it opened only after
+        the engines running on it drain: a query blocked mid-run while
+        the removal is requested still completes with the reference
+        answer, and the store is closed once it has."""
+        service = GraphService(max_in_flight=2)
+        service.add_database("g", prefix=db_prefix, pool_pages=POOL_PAGES)
+        store = service._entry("g").db._base
+        mid_run = threading.Event()
+        resume = threading.Event()
+        parse = store._parse_page
+
+        def blocking_parse(page_id):
+            mid_run.set()
+            assert resume.wait(timeout=30)
+            return parse(page_id)
+
+        store._parse_page = blocking_parse
+        algorithm, params, options = WORKLOADS[1]  # paged bfs
+        future = service.submit(QueryRequest(
+            "g", algorithm, params=params, options=options))
+        assert mid_run.wait(timeout=30)
+        remover = threading.Thread(target=service.remove_database,
+                                   args=("g",))
+        remover.start()
+        remover.join(timeout=0.3)
+        assert remover.is_alive()  # held at the gate by the reader
+        assert store._fd is not None
+        resume.set()
+        _assert_matches_reference(future.result(timeout=60),
+                                  references[1])
+        remover.join(timeout=30)
+        assert not remover.is_alive()
+        assert store._fd is None
+        assert service.database_names() == []
+        service.drain()
+
 
 class TestRequestValidation:
     def test_unknown_database_is_typed(self, db_prefix):
@@ -292,8 +330,11 @@ class TestRequestValidation:
         with pytest.raises(ServiceError):
             service.submit(QueryRequest("g", "bfs",
                                         params={"start": 10 ** 9}))
-        with pytest.raises(ServiceError):
-            QueryRequest("g", "bfs", options={"warp_speed": True})
+        # Never-known and removed knobs alike are unknown options.
+        for options in ({"warp_speed": True}, {"backend": "process"},
+                        {"backend_workers": 2}):
+            with pytest.raises(ServiceError):
+                QueryRequest("g", "bfs", options=options)
         with pytest.raises(ServiceError):
             QueryRequest.from_dict({"database": "g"})
         with pytest.raises(ServiceError):
@@ -398,6 +439,14 @@ class TestHTTP:
         assert excinfo.value.code == 404
         request = urllib.request.Request(
             base + "/query", data=b"{broken",
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request)
+        assert excinfo.value.code == 400
+        request = urllib.request.Request(
+            base + "/query",
+            data=json.dumps({"database": "g", "algorithm": "bfs",
+                             "options": {"backend": "process"}}).encode(),
             headers={"Content-Type": "application/json"})
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
