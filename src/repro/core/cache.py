@@ -242,9 +242,11 @@ class SharedPageCache:
     double-cache mmap *views* — an entry aliasing the
     file mapping would pin the mapping alive through the LRU and turn
     into a dangling view once the database handle is closed.  The
-    invariant is upheld at decode time, not here: the ``from_buffer``
-    parsers materialise every output array fresh (nothing aliases the
-    buffer they decode from), so what the mapped read path inserts is
+    invariant is upheld at decode time, not here: the bulk decoder
+    (:func:`repro.format.page.decode_pages`) materialises every output
+    array fresh (nothing aliases the buffer it decodes from) and every
+    page split off a chunk owns its arrays, so what the mapped read
+    path inserts is
     the same self-contained page object the copy fallback produces, safe to
     outlive :meth:`~repro.format.io.FileBackedDatabase.close` and
     serving warm queries without touching the mapping at all.

@@ -131,14 +131,15 @@ class GTSEngine:
         ``True`` models FlashGraph-style merged ranged I/O: every page a
         round touches is made main-memory-resident up front, with runs
         of adjacent pages per device booked as single ranged fetches
-        (:meth:`~repro.hardware.StorageArray.fetch_range`) and the
-        file-backed store warming its page pool a chunk ahead of the
-        per-page loop.  This changes the *simulated* I/O model (fewer,
-        larger storage bookings), so it defaults to off; paged and
-        batched execution see identical simulated times under the same
-        ``io_merge`` setting.  Fault-injected and fully-preloaded
-        runs skip the merge (per-read injection semantics and the
-        paper's in-memory path are preserved).
+        (:meth:`~repro.hardware.StorageArray.fetch_range`).  This
+        changes only the *simulated* I/O model (fewer, larger storage
+        bookings), so it defaults to off; paged and batched execution
+        see identical simulated times under the same ``io_merge``
+        setting.  Fault-injected and fully-preloaded runs skip the
+        merge (per-read injection semantics and the paper's in-memory
+        path are preserved).  Host prefetch does not depend on it: the
+        per-page loop always warms the database's page pool a chunk
+        ahead (``db.prefetch``).
     """
 
     def __init__(self, db, machine, strategy="performance", num_streams=16,
@@ -669,16 +670,14 @@ class GTSEngine:
                     kernel.cycles_per_lane_step, caches, wa_ready,
                     round_start, fetch, stats)
             else:
-                # Merged host I/O: warm the page pool a pool-sized chunk
-                # ahead instead of missing once per page() call.
-                db_prefetch = (getattr(db, "prefetch", None)
-                               if io_merge_active else None)
-                chunk = max(1, min(64, getattr(db, "pool_capacity", 64)))
+                # Warm the page pool a pool-sized chunk ahead, so a
+                # lazily decoding store parses the chunk's misses in one
+                # pass instead of once per page() call.
+                chunk = db.prefetch_chunk
                 for i, pid in enumerate(pids_round):
                     pid = int(pid)
-                    if db_prefetch is not None and i % chunk == 0:
-                        db_prefetch(
-                            [int(p) for p in pids_round[i:i + chunk]])
+                    if i % chunk == 0:
+                        db.prefetch(pids_round[i:i + chunk].tolist())
                     page = db.page(pid)
                     if hp is not None:
                         hp.push("kernel")

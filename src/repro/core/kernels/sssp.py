@@ -83,15 +83,14 @@ class SSSPKernel(Kernel):
         # Keep only pages that actually contain an improved vertex; the
         # per-page next_pids over-approximate (a candidate distance may
         # lose the min race to a better one from another page).
+        # ``vertex_page`` names the page a vertex is addressed under —
+        # its small page, or the first of its large pages — which is
+        # the page ID adjacency entries (hence next_pids) carry.
         if len(merged_next_pids):
-            db = state.db
-            keep = []
-            for pid in merged_next_pids:
-                page = db.page(int(pid))
-                vids = page.vids()
-                if improved[vids].any():
-                    keep.append(pid)
-            merged_next_pids = np.asarray(keep, dtype=np.int64)
+            improved_pages = np.unique(
+                state.db.vertex_page[np.flatnonzero(improved)])
+            merged_next_pids = merged_next_pids[
+                np.isin(merged_next_pids, improved_pages)]
         state.frontier_pids = merged_next_pids
 
     def results(self, state):

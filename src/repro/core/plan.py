@@ -21,11 +21,13 @@ metadata into flat, page-major arrays built **once** per topology:
   invalidate the plan and the next run rebuilds it.
 
 Everything here is *derived* data: the plan never mutates kernel state
-and holds only references/copies of arrays the pages already carry, so
-building it costs one pass over the pages plus one global argsort and
-roughly doubles the resident topology footprint — the classic
-space-for-time trade behind GTS's own "prepare once, stream many
-times" design.
+and holds only the flat arrays its database hands it
+(:meth:`~repro.format.database.GraphDatabase.topology_arrays` — the
+page scan is the database's: a resident database walks its pages, a
+file-backed store decodes its mapped bytes in bulk and builds no page
+objects) plus one global argsort over them, and roughly doubles the
+resident topology footprint — the classic space-for-time trade behind
+GTS's own "prepare once, stream many times" design.
 """
 
 import dataclasses
@@ -34,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from repro.concurrency import InstrumentedLock
-from repro.format.page import PageKind, sorted_scatter_index
+from repro.format.page import sorted_scatter_index
 
 
 def take_ranges(starts, counts):
@@ -176,7 +178,13 @@ def segment_sum(values, indptr, dtype=np.int64):
 
 
 class PagePlan:
-    """Flat page-major arrays for one topology snapshot of a database."""
+    """Flat page-major arrays for one topology snapshot of a database.
+
+    Built from ``db.topology_arrays()`` — this constructor reads no page
+    and warms no pool — plus the derived global sorted-scatter index.
+    The arrays never alias a store's mapping, so a plan outlives the
+    handle it was built from.
+    """
 
     def __init__(self, db, host_profiler=None):
         self.topology_version = getattr(db, "topology_version", 0)
@@ -193,62 +201,20 @@ class PagePlan:
             [np.asarray(db.small_page_ids(), dtype=np.int64),
              np.asarray(db.large_page_ids(), dtype=np.int64)])
 
-        deg_parts, vid_parts, div_parts = [], [], []
-        avid_parts, apid_parts, weight_parts = [], [], []
-        rec_counts = np.zeros(self.num_pages, dtype=np.int64)
-        edge_counts = np.zeros(self.num_pages, dtype=np.int64)
-        any_weights = False
-        # File-backed stores expose prefetch(): warm the pool ahead of
-        # the scan in pool-sized chunks so runs of consecutive pages
-        # coalesce into single ranged reads instead of one pread each.
-        prefetch = getattr(db, "prefetch", None)
-        chunk = max(1, min(64, getattr(db, "pool_capacity", 64)))
-        for pid in range(self.num_pages):
-            if prefetch is not None and pid % chunk == 0:
-                prefetch(range(pid, min(pid + chunk, self.num_pages)))
-            page = db.page(pid)
-            degrees = page.degrees()
-            deg_parts.append(degrees)
-            vid_parts.append(page.vids())
-            if page.kind is PageKind.SMALL:
-                div_parts.append(degrees)
-            else:
-                div_parts.append(np.asarray([page.total_degree],
-                                            dtype=np.int64))
-            avid_parts.append(page.adj_vids)
-            apid_parts.append(page.adj_pids)
-            if page.adj_weights is not None:
-                any_weights = True
-                weight_parts.append(page.adj_weights)
-            else:
-                weight_parts.append(None)
-            rec_counts[pid] = page.num_records
-            edge_counts[pid] = page.num_edges
-
-        def _concat(parts, dtype):
-            if not parts:
-                return np.empty(0, dtype=dtype)
-            return np.concatenate(parts).astype(dtype, copy=False)
-
-        self.rec_indptr = _indptr(rec_counts)
-        self.edge_indptr = _indptr(edge_counts)
-        self.rec_counts = rec_counts
-        self.edge_counts = edge_counts
-        self.degrees = _concat(deg_parts, np.int64)
-        self.rec_vids = _concat(vid_parts, np.int64)
-        self.rec_divisor = _concat(div_parts, np.int64)
-        self.adj_vids = _concat(avid_parts, np.int64)
-        self.adj_pids = _concat(apid_parts, np.int64)
-        if any_weights:
-            # A weight-less page among weighted ones contributes unit
-            # weights, mirroring the per-page kernels' fallback.
-            self.adj_weights = np.concatenate([
-                part if part is not None
-                else np.ones(int(edge_counts[pid]), dtype=np.float32)
-                for pid, part in enumerate(weight_parts)
-            ]).astype(np.float32, copy=False)
-        else:
-            self.adj_weights = None
+        # The page scan is the database's: flat page-major arrays, read
+        # through page() by resident and overlay databases and decoded
+        # in bulk off the mapping by a file-backed store.
+        arrays = db.topology_arrays()
+        self.rec_counts = arrays["rec_counts"]
+        self.edge_counts = arrays["edge_counts"]
+        self.rec_indptr = _indptr(self.rec_counts)
+        self.edge_indptr = _indptr(self.edge_counts)
+        self.degrees = arrays["degrees"]
+        self.rec_vids = arrays["rec_vids"]
+        self.rec_divisor = arrays["rec_divisor"]
+        self.adj_vids = arrays["adj_vids"]
+        self.adj_pids = arrays["adj_pids"]
+        self.adj_weights = arrays["adj_weights"]
         if host_profiler is not None:
             host_profiler.pop()  # plan_scan
             host_profiler.push("plan_scatter")

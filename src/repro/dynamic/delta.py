@@ -264,6 +264,26 @@ class DynamicGraphDatabase(GraphDatabase):
     def pool_misses(self):
         return getattr(self._base, "pool_misses", 0)
 
+    @property
+    def prefetch_chunk(self):
+        return self._base.prefetch_chunk
+
+    def prefetch(self, page_ids):
+        """Warm the base store for the base pages among ``page_ids``
+        (extension pages are materialised in memory, never read)."""
+        return self._base.prefetch(
+            [pid for pid in page_ids if pid < self._base_pages])
+
+    def topology_arrays(self):
+        """The base's flat arrays while this version carries no delta
+        (no inserted or deleted edge, no extension page); the generic
+        per-page scan over merged pages once it does."""
+        if (not self._extras and not self._dead
+                and len(self.directory) == self._base_pages):
+            return self._base.topology_arrays()
+        # Named, not super(): Snapshot borrows this method.
+        return GraphDatabase.topology_arrays(self)
+
     def _materialise(self, pid):
         if pid >= self._base_pages:
             return self._extension_page(pid)
@@ -983,6 +1003,9 @@ class Snapshot(GraphDatabase):
     validate = DynamicGraphDatabase.validate
     pool_hits = DynamicGraphDatabase.pool_hits
     pool_misses = DynamicGraphDatabase.pool_misses
+    prefetch_chunk = DynamicGraphDatabase.prefetch_chunk
+    prefetch = DynamicGraphDatabase.prefetch
+    topology_arrays = DynamicGraphDatabase.topology_arrays
 
     def __init__(self, owner, state, pinned=True):
         self._owner = owner

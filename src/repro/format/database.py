@@ -113,6 +113,86 @@ class GraphDatabase:
         """Page ID containing ``vid`` — seeds BFS's initial ``nextPIDSet``."""
         return int(self.vertex_page[vid])
 
+    def prefetch(self, page_ids):
+        """Warm whatever serves :meth:`page` with ``page_ids`` ahead of
+        per-page use; returns the pages read.  Resident pages need no
+        warming — stores that decode lazily override this."""
+        return 0
+
+    @property
+    def prefetch_chunk(self):
+        """How many pages a page loop should :meth:`prefetch` ahead of
+        its :meth:`page` calls: bounded by the page pool (when there is
+        one), so a warm-ahead never evicts its own pages."""
+        return max(1, min(64, getattr(self, "pool_capacity", 64)))
+
+    def topology_arrays(self):
+        """The whole topology as flat page-major arrays — what a
+        :class:`~repro.core.plan.PagePlan` is built from.
+
+        Per page: ``rec_counts`` and ``edge_counts``.  Per record, pages
+        concatenated in page-ID order: ``degrees``, ``rec_vids`` and
+        ``rec_divisor`` (the PageRank divisor: the record's degree on a
+        small page, the vertex's *total* degree on a large-page chunk).
+        Per edge: ``adj_vids``, ``adj_pids`` and ``adj_weights``
+        (``None`` when no page carries weights; a weight-less page among
+        weighted ones contributes unit weights, mirroring the per-page
+        kernels' fallback).
+
+        This generic body walks :meth:`page`, asking :meth:`prefetch`
+        for a pool-sized chunk ahead (so an overlay's base store still
+        decodes in bulk); a store that can hand out the arrays without
+        building pages overrides it.
+        """
+        num_pages = self.num_pages
+        chunk = self.prefetch_chunk
+        deg_parts, vid_parts, div_parts = [], [], []
+        avid_parts, apid_parts, weight_parts = [], [], []
+        rec_counts = np.zeros(num_pages, dtype=np.int64)
+        edge_counts = np.zeros(num_pages, dtype=np.int64)
+        any_weights = False
+        for pid in range(num_pages):
+            if pid % chunk == 0:
+                self.prefetch(range(pid, min(pid + chunk, num_pages)))
+            page = self.page(pid)
+            degrees = page.degrees()
+            deg_parts.append(degrees)
+            vid_parts.append(page.vids())
+            if page.kind is PageKind.SMALL:
+                div_parts.append(degrees)
+            else:
+                div_parts.append(np.asarray([page.total_degree],
+                                            dtype=np.int64))
+            avid_parts.append(page.adj_vids)
+            apid_parts.append(page.adj_pids)
+            if page.adj_weights is not None:
+                any_weights = True
+                weight_parts.append(page.adj_weights)
+            else:
+                weight_parts.append(None)
+            rec_counts[pid] = page.num_records
+            edge_counts[pid] = page.num_edges
+
+        def _concat(parts, dtype):
+            if not parts:
+                return np.empty(0, dtype=dtype)
+            return np.concatenate(parts).astype(dtype, copy=False)
+
+        return {
+            "rec_counts": rec_counts,
+            "edge_counts": edge_counts,
+            "degrees": _concat(deg_parts, np.int64),
+            "rec_vids": _concat(vid_parts, np.int64),
+            "rec_divisor": _concat(div_parts, np.int64),
+            "adj_vids": _concat(avid_parts, np.int64),
+            "adj_pids": _concat(apid_parts, np.int64),
+            "adj_weights": _concat([
+                part if part is not None
+                else np.ones(int(edge_counts[pid]), dtype=np.float32)
+                for pid, part in enumerate(weight_parts)
+            ], np.float32) if any_weights else None,
+        }
+
     def scatter_index(self, page):
         """Database-level sorted-scatter index for ``page``.
 

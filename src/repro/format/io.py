@@ -48,11 +48,21 @@ from repro.concurrency import InstrumentedLock
 from repro.errors import ConfigurationError, FormatError, IntegrityError
 from repro.format.config import PageFormatConfig
 from repro.format.database import GraphDatabase, PageDirectoryEntry
-from repro.format.page import LargePage, SmallPage
+from repro.format.page import (
+    LargePage,
+    PageKind,
+    SmallPage,
+    decode_pages,
+)
 from repro.format.rvt import RecordVertexTable
 
 #: Bumped whenever the on-disk layout changes.
 FORMAT_VERSION = 1
+
+#: Pages per vectorized decode when a caller streams many pages (whole
+#: file scans, large prefetches): big enough to amortise the NumPy call
+#: overhead, small enough that a chunk's temporaries stay cache-sized.
+_CHUNK_PAGES = 64
 
 
 def _fsync_directory(path):
@@ -227,7 +237,8 @@ def load_database(prefix, host_profiler=None):
 
     The resident :class:`GraphDatabase` is derived from the one page
     store: open a :class:`FileBackedDatabase`, decode every page through
-    its verified read path, close it, validate.
+    its verified chunk path (a chunk of regions is checksummed, then
+    decoded in one vectorized pass), close it, validate.
 
     ``host_profiler`` is an optional
     :class:`~repro.obs.host.HostProfiler`; when given, the metadata
@@ -243,8 +254,7 @@ def load_database(prefix, host_profiler=None):
         hp.pop()
         hp.push("load_pages")
     try:
-        pages = [store._parse_page(entry.page_id)
-                 for entry in store.directory]
+        pages = list(store._parse_pages(range(store.num_pages)))
     finally:
         store.close()
     if hp is not None:
@@ -305,20 +315,27 @@ class FileBackedDatabase(GraphDatabase):
     queries skip the disk read and the byte-level decode entirely.
 
     The read path: the pages file is memory-mapped read-only once at
-    open, and misses decode straight from a NumPy view over the mapping
-    with the vectorized ``from_buffer`` parsers.  Each page-sized region
-    is checksum-verified exactly once, on first touch (the ``_verified``
-    bitmap), and that first touch books the host-I/O counters — later
-    touches are zero-copy ``mmap_hits``.  Decoded pages materialise
-    fresh arrays (nothing aliases the mapping), so the shared cache
-    never holds mapped views and cached pages outlive :meth:`close`.
+    open, and pages decode in *chunks* straight from a NumPy view over
+    the mapping — one vectorized
+    :func:`~repro.format.page.decode_pages` pass per chunk, whether the
+    caller wants page objects (:meth:`page`, :meth:`prefetch`,
+    :func:`load_database`, :meth:`validate`) or the flat arrays a plan
+    is built from (:meth:`topology_arrays`).  Each page-sized region is
+    checksum-verified exactly once, on first touch (the ``_verified``
+    bitmap), before any byte of it is interpreted, and that first touch
+    books the host-I/O counters — later touches are zero-copy
+    ``mmap_hits``.  Decoded arrays are fresh (nothing aliases the
+    mapping), so the shared cache never holds mapped views and pages
+    and plans outlive :meth:`close`.
 
-    A parse falls back to ``os.pread`` plus the reference per-byte
-    ``from_bytes`` parsers on two conditions the store observes itself:
-    a fault injector is attached (injected corruption needs mutable
-    bytes), or a mapped region fails its checksum (a verified re-read
-    recovers transient damage; persistent damage raises
-    :class:`IntegrityError`, never a poisoned view).
+    A chunk goes back to page-by-page parsing on two conditions the
+    store observes itself: a fault injector is attached (injected
+    corruption needs mutable bytes, so every page takes ``os.pread``
+    plus the reference per-byte ``from_bytes`` parsers), or one of its
+    mapped regions fails its checksum (that page takes the copy path —
+    a verified re-read recovers transient damage, persistent damage
+    raises :class:`IntegrityError`, never a poisoned view — and its
+    undamaged neighbours decode from the mapping one by one).
     """
 
     def __init__(self, prefix, pool_pages=256):
@@ -351,6 +368,10 @@ class FileBackedDatabase(GraphDatabase):
                 % (self._pages_path, expected, actual))
         self._lp_total_degrees = {
             int(k): v for k, v in metadata["lp_total_degrees"].items()}
+        #: Slots to decode per page (a large page holds exactly one).
+        self._dir_records = np.asarray(
+            [entry.num_records if entry.kind == "SP" else 1
+             for entry in directory], dtype=np.int64)
         self._page_checksums = _checksums_from_metadata(
             metadata, prefix + ".meta.json")
         _validate_pages_layout(metadata, config, len(directory),
@@ -358,8 +379,8 @@ class FileBackedDatabase(GraphDatabase):
         if pool_pages < 1:
             raise FormatError("page pool needs at least one slot")
         self._pool_pages = pool_pages
-        #: Public pool capacity, used by plan builders to size prefetch
-        #: chunks so a warm-ahead never evicts its own pages.
+        #: Public pool capacity; bounds :attr:`prefetch_chunk` so a
+        #: warm-ahead never evicts its own pages.
         self.pool_capacity = pool_pages
         self._pool = OrderedDict()
         self.pool_hits = 0
@@ -498,9 +519,13 @@ class FileBackedDatabase(GraphDatabase):
         """Warm the pool with ``page_ids`` ahead of per-page use.
 
         Pages (deduplicated, in request order) that miss both the pool
-        and the shared cache are decoded through the same read path as
-        :meth:`page`, so first-touch verification, fault injection and
-        retry semantics are identical.  Pool hit/miss and shared-cache
+        and the shared cache are decoded together through the chunk
+        path — one checksum pass over their mapped regions, one
+        vectorized decode, then split into page objects — so a run of
+        misses costs one NumPy pass instead of one parse per page.
+        First-touch verification, fault injection and retry semantics
+        are those of :meth:`page` (a chunk the mapping cannot serve is
+        parsed page by page), and the pool hit/miss and shared-cache
         accounting per page matches what per-page :meth:`page` calls
         would record.  Returns the number of pages actually read.
         """
@@ -533,11 +558,10 @@ class FileBackedDatabase(GraphDatabase):
         if hp is not None:
             hp.push("page_parse")
         try:
-            for pid in disk:
-                page = self._parse_page(pid)
+            for page in self._parse_pages(disk):
                 if shared is not None:
-                    shared.put(pid, self.topology_version, page)
-                self._pool_insert(pid, page)
+                    shared.put(page.page_id, self.topology_version, page)
+                self._pool_insert(page.page_id, page)
         finally:
             if hp is not None:
                 hp.pop()
@@ -567,63 +591,122 @@ class FileBackedDatabase(GraphDatabase):
             data = bytes([data[0] ^ 0xFF]) + data[1:]
         return data
 
-    def _decode(self, page_id, data, mapped):
-        """Decode one page's verified bytes: the vectorized
-        ``from_buffer`` parsers over a ``mapped`` view, the reference
-        ``from_bytes`` parsers over a copied read."""
-        entry = self.directory[page_id]
-        if entry.kind == "SP":
-            parse = SmallPage.from_buffer if mapped else SmallPage.from_bytes
-            page = parse(data, page_id, entry.num_records, self.config)
-        else:
-            parse = LargePage.from_buffer if mapped else LargePage.from_bytes
-            page = parse(data, page_id, int(self.rvt.lp_ranges[page_id]),
-                         self.config,
-                         total_degree=self._lp_total_degrees.get(page_id))
-        # Re-derive the logical neighbour IDs through the RVT (the
-        # serialized form stores only physical IDs).
-        page.adj_vids = self.rvt.translate(page.adj_pids, page.adj_slots)
-        return page
+    def _decode_chunk(self, page_ids):
+        """The chunk path: verify, book and decode ``page_ids`` at once.
 
-    def _parse_page(self, page_id):
-        """Decode ``page_id`` from the mapping, or through the copy
-        fallback when the mapping cannot serve this parse."""
+        ``page_ids`` are distinct.  Every region not yet verified is
+        checked against ``page_checksums`` before a byte of the chunk is
+        interpreted; the counters then move exactly as page-by-page
+        parses would move them (one ``mmap_hit`` per verified region,
+        one ``mmap_miss`` plus one booked host read per first touch,
+        under one ``_io_lock`` hold), and the whole chunk decodes in one
+        :func:`~repro.format.page.decode_pages` pass.
+
+        Returns that function's arrays — or ``None``, having booked
+        nothing, when the mapping cannot serve the chunk: a fault
+        injector is attached, or a region failed its checksum.  The
+        caller then parses page by page (:meth:`_parse_page`).
+        """
         if self._fd is None:
             raise FormatError("%s: store is closed" % self._pages_path)
         if self.fault_injector is not None:
-            # Injected corruption needs mutable bytes; route this parse
-            # through the copy path so the fault model stays intact.
-            with self._io_lock:
-                self.mmap_misses += 1
-            return self._parse_page_copy(page_id)
+            return None
+        pids = np.asarray(page_ids, dtype=np.int64)
         size = self.config.page_size
-        view = self._mmap_view[page_id * size:(page_id + 1) * size]
-        if self._verified[page_id]:
-            with self._io_lock:
-                self.mmap_hits += 1
-        elif (self._page_checksums is None
-                or zlib.crc32(view) == self._page_checksums[page_id]):
-            # First touch: verify once, book the host I/O once.
-            with self._io_lock:
-                self.mmap_misses += 1
-                if not self._verified[page_id]:
-                    self._verified[page_id] = True
-                    self.host_bytes_read += size
-                    self.host_reads += 1
-                    if page_id == self._last_read_pid + 1:
-                        self.host_adjacent_reads += 1
-                    self._last_read_pid = page_id
-        else:
-            # The mapped bytes are damaged.  A copy re-read goes through
-            # the kernel read path and may observe clean bytes (transient
-            # page-cache damage); persistent file damage raises the typed
-            # IntegrityError from the copy path's verify loop.  Either
-            # way no caller ever decodes the poisoned view.
-            with self._io_lock:
+        view = self._mmap_view
+        fresh = pids[~self._verified[pids]]
+        if self._page_checksums is not None:
+            checksums = self._page_checksums
+            for pid in fresh.tolist():
+                if zlib.crc32(view[pid * size:(pid + 1) * size]) \
+                        != checksums[pid]:
+                    return None
+        with self._io_lock:
+            self.mmap_hits += len(pids) - len(fresh)
+            self.mmap_misses += len(fresh)
+            # First touch: verify once, book the host I/O once (a racing
+            # thread may have booked some of these regions meanwhile).
+            booked = fresh[~self._verified[fresh]]
+            if len(booked):
+                self._verified[booked] = True
+                self.host_bytes_read += size * len(booked)
+                self.host_reads += len(booked)
+                previous = np.concatenate(
+                    ([self._last_read_pid], booked[:-1]))
+                self.host_adjacent_reads += int(
+                    np.count_nonzero(booked == previous + 1))
+                self._last_read_pid = int(booked[-1])
+        return decode_pages(view, pids * size, self._dir_records[pids],
+                            self.config)
+
+    def _chunk_pages(self, page_ids, decoded):
+        """Split one :meth:`_decode_chunk` result into page objects."""
+        rec_vids, degrees, adj_pids, adj_slots, adj_weights = decoded
+        # Re-derive the logical neighbour IDs through the RVT (the
+        # serialized form stores only physical IDs).
+        adj_vids = self.rvt.translate(adj_pids, adj_slots)
+        edge_ends = np.concatenate(([0], np.cumsum(degrees)))
+        pages = []
+        rec_lo = 0
+        for pid in page_ids:
+            rec_hi = rec_lo + int(self._dir_records[pid])
+            edge_lo, edge_hi = int(edge_ends[rec_lo]), int(edge_ends[rec_hi])
+            edges = slice(edge_lo, edge_hi)
+            # A page without records reports VID 0, as ``from_bytes`` does.
+            start_vid = int(rec_vids[rec_lo]) if rec_hi > rec_lo else 0
+            # Copies, not views: a page owns its arrays, so evicting it
+            # frees them whatever happened to the rest of its chunk.
+            weights = (None if adj_weights is None
+                       else adj_weights[edges].copy())
+            if self.directory[pid].kind == "SP":
+                page = SmallPage(
+                    pid, start_vid, edge_ends[rec_lo:rec_hi + 1] - edge_lo,
+                    adj_pids[edges].copy(), adj_slots[edges].copy(),
+                    adj_vids[edges].copy(), self.config,
+                    adj_weights=weights)
+            else:
+                page = LargePage(
+                    pid, start_vid, int(self.rvt.lp_ranges[pid]),
+                    adj_pids[edges].copy(), adj_slots[edges].copy(),
+                    adj_vids[edges].copy(), self.config,
+                    adj_weights=weights,
+                    total_degree=self._lp_total_degrees.get(pid))
+            pages.append(page)
+            rec_lo = rec_hi
+        return pages
+
+    def _parse_pages(self, page_ids):
+        """Yield the decoded page for each of ``page_ids`` (distinct),
+        a chunk at a time: the chunk path split into page objects, or
+        page-by-page parses of a chunk the mapping cannot serve."""
+        page_ids = list(page_ids)
+        for lo in range(0, len(page_ids), _CHUNK_PAGES):
+            chunk = page_ids[lo:lo + _CHUNK_PAGES]
+            # A chunk of one is a page parse.
+            decoded = self._decode_chunk(chunk) if len(chunk) > 1 else None
+            if decoded is not None:
+                yield from self._chunk_pages(chunk, decoded)
+            else:
+                for pid in chunk:
+                    yield self._parse_page(pid)
+
+    def _parse_page(self, page_id):
+        """Decode one page: a chunk of one off the mapping, or the copy
+        fallback when the mapping cannot serve it."""
+        decoded = self._decode_chunk([page_id])
+        if decoded is not None:
+            return self._chunk_pages([page_id], decoded)[0]
+        with self._io_lock:
+            self.mmap_misses += 1
+            if self.fault_injector is None:
+                # The mapped bytes are damaged.  A copy re-read goes
+                # through the kernel read path and may observe clean
+                # bytes (transient page-cache damage); persistent file
+                # damage raises the typed IntegrityError from the copy
+                # path's verify loop.  Either way no caller ever decodes
+                # the poisoned view.
                 self.integrity_retries += 1
-                self.mmap_misses += 1
-            return self._parse_page_copy(page_id)
-        return self._decode(page_id, view, mapped=True)
+        return self._parse_page_copy(page_id)
 
     def _parse_page_copy(self, page_id):
         data = self._read_page_bytes(page_id)
@@ -648,19 +731,83 @@ class FileBackedDatabase(GraphDatabase):
                     with self._io_lock:
                         self.integrity_retries += 1
                     data = self._read_page_bytes(page_id)
-        return self._decode(page_id, data, mapped=False)
+        # The copy path decodes with the per-byte reference parsers.
+        if self.directory[page_id].kind == "SP":
+            page = SmallPage.from_bytes(
+                data, page_id, self.directory[page_id].num_records,
+                self.config)
+        else:
+            page = LargePage.from_bytes(
+                data, page_id, int(self.rvt.lp_ranges[page_id]),
+                self.config,
+                total_degree=self._lp_total_degrees.get(page_id))
+        page.adj_vids = self.rvt.translate(page.adj_pids, page.adj_slots)
+        return page
 
     def is_small(self, page_id):
         return self.directory[page_id].kind == "SP"
 
+    def topology_arrays(self):
+        """The flat arrays of :meth:`GraphDatabase.topology_arrays`,
+        decoded chunk by chunk off the mapping.
+
+        No page object is built and the pool is not touched, so a plan
+        build never fills the pool with pages a batched run will not
+        read again.  A chunk the mapping cannot serve (fault injector
+        attached, damaged region) sends the scan to the generic
+        per-page body, whose :meth:`prefetch` / :meth:`page` calls take
+        the copy fallback.
+        """
+        # Same profiling hook as :meth:`page` and :meth:`prefetch`.
+        hp = self.host_profiler
+        if hp is not None:
+            hp.push("page_parse")
+        try:
+            chunks = []
+            for lo in range(0, self.num_pages, _CHUNK_PAGES):
+                decoded = self._decode_chunk(
+                    range(lo, min(lo + _CHUNK_PAGES, self.num_pages)))
+                if decoded is None:
+                    chunks = None
+                    break
+                chunks.append(decoded)
+        finally:
+            if hp is not None:
+                hp.pop()
+        if not chunks:
+            return super().topology_arrays()
+        rec_vids, degrees, adj_pids, adj_slots = (
+            np.concatenate(parts) for parts in list(zip(*chunks))[:4])
+        rec_counts = self._dir_records
+        rec_starts = np.cumsum(rec_counts) - rec_counts
+        edge_ends = np.concatenate(([0], np.cumsum(degrees)))
+        # A large page's one record divides by the vertex's degree
+        # across its whole run of large pages, not by this chunk's.
+        rec_divisor = degrees.copy()
+        lp_pids = np.fromiter(self._lp_total_degrees, dtype=np.int64)
+        rec_divisor[rec_starts[lp_pids]] = np.fromiter(
+            self._lp_total_degrees.values(), dtype=np.int64)
+        return {
+            "rec_counts": rec_counts,
+            "edge_counts": (edge_ends[rec_starts + rec_counts]
+                            - edge_ends[rec_starts]),
+            "degrees": degrees,
+            "rec_vids": rec_vids,
+            "rec_divisor": rec_divisor,
+            "adj_vids": self.rvt.translate(adj_pids, adj_slots),
+            "adj_pids": adj_pids,
+            "adj_weights": (np.concatenate([c[4] for c in chunks])
+                            if self.config.weight_bytes else None),
+        }
+
     def validate(self):
-        """Validate through the lazy loader (every page decodes once)."""
+        """Validate through the lazy loader (every page decodes once,
+        a chunk at a time; nothing is kept)."""
         covered = 0
         total_edges = 0
-        for entry in self.directory:
-            page = self._parse_page(entry.page_id)
-            if entry.kind == "SP":
-                covered += entry.num_records
+        for page in self._parse_pages(range(self.num_pages)):
+            if page.kind is PageKind.SMALL:
+                covered += page.num_records
             elif page.chunk_index == 0:
                 covered += 1
             total_edges += page.num_edges

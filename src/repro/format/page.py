@@ -21,7 +21,6 @@ operate on the real format.
 
 import enum
 import struct
-import sys
 
 import numpy as np
 
@@ -80,36 +79,88 @@ def _decode_le(data, offsets, width):
     little-endian integers — exactly what ``int.from_bytes`` computes in
     the per-byte reference parsers, for any of the format's odd field
     widths (the widest field, a 6-byte VID, fits int64 comfortably).
+    One flat gather per byte position: faster than one two-dimensional
+    gather of all the bytes.
     """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    if not len(offsets):
-        return np.empty(0, dtype=np.int64)
-    columns = offsets[:, None] + np.arange(width, dtype=np.int64)
-    weights = np.int64(256) ** np.arange(width, dtype=np.int64)
-    return data[columns].astype(np.int64) @ weights
+    out = data[offsets].astype(np.int64)
+    for k in range(1, width):
+        out |= data[offsets + k].astype(np.int64) << (8 * k)
+    return out
 
 
-def _decode_f32(data, offsets):
-    """Vectorized ``struct.unpack('<f', ...)`` over ``uint8`` data."""
-    offsets = np.asarray(offsets, dtype=np.int64)
-    if not len(offsets):
-        return np.empty(0, dtype=np.float32)
-    rows = data[offsets[:, None] + np.arange(4, dtype=np.int64)]
-    raw = np.ascontiguousarray(rows).view(np.uint32).ravel()
-    if sys.byteorder != "little":  # pragma: no cover - x86/arm are LE
-        raw = raw.byteswap()
-    return raw.view(np.float32)
+def _ranges(counts):
+    """``(owner, index, first)`` of every item when segment ``i`` owns
+    ``counts[i]`` consecutive items: the owning segment, the item's
+    position inside it, and the position of the segment's first item."""
+    owner = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    first = (np.cumsum(counts) - counts)[owner]
+    return owner, np.arange(len(owner), dtype=np.int64) - first, first
 
 
-def _as_page_u8(data, page_size):
-    """``data`` (bytes or a uint8 view over a mapping) as a uint8 array."""
-    if isinstance(data, np.ndarray):
-        u8 = data
-    else:
-        u8 = np.frombuffer(data, dtype=np.uint8)
-    if len(u8) != page_size:
+def decode_pages(data, page_bases, num_records, config):
+    """Vectorized decode of a *set* of pages off one ``uint8`` view.
+
+    ``data`` is ``bytes`` or a ``uint8`` array (typically the view over
+    a memory-mapped pages file), ``page_bases[i]`` the byte offset of
+    the ``i``-th requested page inside it (any subset, any order) and
+    ``num_records[i]`` its slot count from the page directory.  Every
+    field sits at *page base + in-page offset*, so one pass decodes the
+    whole set; a large page is byte-for-byte a one-record small page
+    whose record starts at offset 0, so there is no kind branch.
+
+    Returns ``(rec_vids, degrees, adj_pids, adj_slots, adj_weights)``:
+    the slot VIDs and ``ADJLIST_SZ`` values per record and the adjacency
+    arrays per edge, all page-major in request order (``adj_weights`` is
+    ``None`` without ``weight_bytes``).  Every array is freshly
+    materialised — nothing aliases ``data`` — so results outlive a
+    mapping that is later closed.
+
+    Makes the checks of the per-byte :meth:`SmallPage.from_bytes`
+    reference plus the two bounds a vectorized gather needs: slot VIDs
+    consecutive within each page, every record's ``ADJLIST_SZ`` field
+    inside its page, every adjacency list inside its page — each a
+    :class:`FormatError`.
+    """
+    cfg = config
+    u8 = (data if isinstance(data, np.ndarray)
+          else np.frombuffer(data, dtype=np.uint8))
+    page_bases = np.asarray(page_bases, dtype=np.int64)
+    num_records = np.asarray(num_records, dtype=np.int64)
+    if len(page_bases) and (
+            int(page_bases.min()) < 0
+            or int(page_bases.max()) + cfg.page_size > len(u8)):
         raise FormatError("serialized page has wrong size")
-    return u8
+    # Slots from the back: slot i lives at page_size - (i + 1) * entry.
+    rec_page, rec_slot, rec_first = _ranges(num_records)
+    rec_base = page_bases[rec_page]
+    slot_pos = rec_base + cfg.page_size - (rec_slot + 1) * cfg.slot_entry_bytes
+    rec_vids = _decode_le(u8, slot_pos, cfg.vid_bytes)
+    offsets = _decode_le(u8, slot_pos + cfg.vid_bytes, cfg.offset_bytes)
+    # Slot i of a page holds the VID of its slot 0, plus i.
+    if not np.array_equal(rec_vids, rec_vids[rec_first] + rec_slot):
+        raise FormatError("slot VIDs are not consecutive")
+    if len(offsets) and int(offsets.max()) + cfg.adjlist_size_bytes > cfg.page_size:
+        raise FormatError("record offset overruns page")
+    degrees = _decode_le(u8, rec_base + offsets, cfg.adjlist_size_bytes)
+    entry = cfg.adjacency_entry_bytes
+    # Checked per record, before any per-edge array is sized from it.
+    if len(degrees) and int(
+            (offsets + degrees * entry).max()
+    ) + cfg.adjlist_size_bytes > cfg.page_size:
+        raise FormatError("adjacency record overruns page")
+    edge_rec, edge_slot, _ = _ranges(degrees)
+    edge_pos = ((rec_base + offsets)[edge_rec] + cfg.adjlist_size_bytes
+                + edge_slot * entry)
+    adj_pids = _decode_le(u8, edge_pos, cfg.page_id_bytes)
+    adj_slots = _decode_le(u8, edge_pos + cfg.page_id_bytes, cfg.slot_bytes)
+    adj_weights = None
+    if cfg.weight_bytes:
+        # ``struct.unpack('<f', ...)``: the little-endian 32-bit pattern
+        # reinterpreted as an IEEE single.
+        adj_weights = _decode_le(
+            u8, edge_pos + cfg.record_id_bytes, 4
+        ).astype(np.uint32).view(np.float32)
+    return rec_vids, degrees, adj_pids, adj_slots, adj_weights
 
 
 class SmallPage:
@@ -294,57 +345,6 @@ class SmallPage:
         return cls(page_id, start_vid, indptr, pids, slots, placeholder_vids,
                    cfg, adj_weights=weights)
 
-    @classmethod
-    def from_buffer(cls, data, page_id, num_records, config):
-        """Vectorized :meth:`from_bytes` over a ``uint8`` buffer view.
-
-        Accepts ``bytes`` or a NumPy ``uint8`` view (e.g. a slice of a
-        memory-mapped pages file) and decodes without Python-level
-        per-edge loops.  Every output array is freshly materialised —
-        nothing aliases ``data`` — so callers may hand in short-lived
-        views over a mapping that can later be closed.
-        """
-        cfg = config
-        u8 = _as_page_u8(data, cfg.page_size)
-        # Slots from the back: slot i lives at page_size-(i+1)*entry.
-        slot_pos = (
-            cfg.page_size
-            - (np.arange(num_records, dtype=np.int64) + 1) * cfg.slot_entry_bytes
-        )
-        vids = _decode_le(u8, slot_pos, cfg.vid_bytes)
-        offsets = _decode_le(u8, slot_pos + cfg.vid_bytes, cfg.offset_bytes)
-        if num_records and not np.array_equal(
-                vids, vids[0] + np.arange(num_records, dtype=np.int64)):
-            raise FormatError("slot VIDs are not consecutive")
-        start_vid = int(vids[0]) if num_records else 0
-        if num_records and int(offsets.max()) + cfg.adjlist_size_bytes > cfg.page_size:
-            raise FormatError("record offset overruns page")
-        degrees = _decode_le(u8, offsets, cfg.adjlist_size_bytes)
-        indptr = np.zeros(num_records + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        num_edges = int(indptr[-1])
-        entry = cfg.adjacency_entry_bytes
-        if num_edges:
-            rec_of_edge = np.repeat(
-                np.arange(num_records, dtype=np.int64), degrees)
-            within = np.arange(num_edges, dtype=np.int64) - indptr[rec_of_edge]
-            base = offsets[rec_of_edge] + cfg.adjlist_size_bytes + within * entry
-            if int(base.max()) + entry > cfg.page_size:
-                raise FormatError("adjacency record overruns page")
-            pids = _decode_le(u8, base, cfg.page_id_bytes)
-            slots = _decode_le(u8, base + cfg.page_id_bytes, cfg.slot_bytes)
-            weights = (
-                _decode_f32(u8, base + cfg.page_id_bytes + cfg.slot_bytes)
-                if cfg.weight_bytes else None
-            )
-        else:
-            pids = np.empty(0, dtype=np.int64)
-            slots = np.empty(0, dtype=np.int64)
-            weights = np.empty(0, dtype=np.float32) if cfg.weight_bytes else None
-        placeholder_vids = np.full(num_edges, -1, dtype=np.int64)
-        return cls(page_id, start_vid, indptr, pids, slots, placeholder_vids,
-                   cfg, adj_weights=weights)
-
 
 class LargePage:
     """One chunk of a single high-degree vertex's adjacency list.
@@ -466,28 +466,5 @@ class LargePage:
                 weights.append(struct.unpack("<f", data[cursor:cursor + 4])[0])
                 cursor += cfg.weight_bytes
         placeholder_vids = np.full(len(pids), -1, dtype=np.int64)
-        return cls(page_id, vid, chunk_index, pids, slots, placeholder_vids,
-                   cfg, adj_weights=weights, total_degree=total_degree)
-
-    @classmethod
-    def from_buffer(cls, data, page_id, chunk_index, config, total_degree=None):
-        """Vectorized :meth:`from_bytes` over a ``uint8`` buffer view."""
-        cfg = config
-        u8 = _as_page_u8(data, cfg.page_size)
-        back = cfg.page_size - cfg.slot_entry_bytes
-        vid = int(_decode_le(u8, np.asarray([back]), cfg.vid_bytes)[0])
-        degree = int(_decode_le(u8, np.asarray([0]), cfg.adjlist_size_bytes)[0])
-        entry = cfg.adjacency_entry_bytes
-        if cfg.adjlist_size_bytes + degree * entry > cfg.page_size:
-            raise FormatError("adjacency record overruns page")
-        base = (cfg.adjlist_size_bytes
-                + np.arange(degree, dtype=np.int64) * entry)
-        pids = _decode_le(u8, base, cfg.page_id_bytes)
-        slots = _decode_le(u8, base + cfg.page_id_bytes, cfg.slot_bytes)
-        if cfg.weight_bytes:
-            weights = _decode_f32(u8, base + cfg.page_id_bytes + cfg.slot_bytes)
-        else:
-            weights = None
-        placeholder_vids = np.full(degree, -1, dtype=np.int64)
         return cls(page_id, vid, chunk_index, pids, slots, placeholder_vids,
                    cfg, adj_weights=weights, total_degree=total_degree)

@@ -22,7 +22,12 @@ from repro.core import (
 )
 from repro.faults import FaultInjector, FaultPlan
 from repro.format import PageFormatConfig, build_database
-from repro.format.io import FileBackedDatabase, save_database
+from repro.core.plan import PagePlan
+from repro.format.io import (
+    FileBackedDatabase,
+    load_database,
+    save_database,
+)
 from repro.graphgen import Graph
 from repro.hardware.specs import scaled_workstation
 from repro.units import KB
@@ -123,9 +128,9 @@ def test_batched_matches_paged_under_pool_eviction(data, tmp_path_factory):
     assert lazy.resident_pages() <= pool_pages
 
 
-#: How a parse reaches the store's bytes: the mapped ``from_buffer``
-#: decode, or the ``pread`` + ``from_bytes`` fallback forced by each of
-#: the two conditions that select it in production.
+#: How a parse reaches the store's bytes: the mapped bulk decode, or
+#: the ``pread`` + ``from_bytes`` fallback forced by each of the two
+#: conditions that select it in production.
 STORE_PATHS = ("mapped", "injector", "damaged-mapping")
 
 _COMPARED_COUNTERS = (
@@ -168,9 +173,10 @@ def test_store_path_never_perturbs_results(data, tmp_path_factory):
     """{paged, batched} x {mapped decode, copy fallback} is
     indistinguishable from the eager baseline: which path serves a
     page's bytes may only move host counters, never simulated time,
-    values, or the compared statistics — so the ``from_buffer`` decode
-    is checked against the ``from_bytes`` reference on every generated
-    graph."""
+    values, or the compared statistics — so the bulk ``decode_pages``
+    decode is checked against the ``from_bytes`` reference on every
+    generated graph — and the flat arrays a plan is built from are the
+    same whichever path decoded them."""
     kernel_name = data.draw(st.sampled_from(sorted(KERNELS)))
     graph = _random_graph(data, weighted=kernel_name == "sssp")
     if kernel_name == "wcc":
@@ -184,16 +190,27 @@ def test_store_path_never_perturbs_results(data, tmp_path_factory):
         KERNELS[kernel_name](start))
     baseline_dict = baseline.to_dict()
     pool_pages = max(1, db.num_pages // 2)
+    # The generic per-page scan over the resident load is the reference
+    # for the flat arrays each store path hands a plan.
+    reference_plan = PagePlan(load_database(prefix))
     for execution in ("paged", "batched"):
         for store_path in STORE_PATHS:
             lazy = _open_store(prefix, pool_pages, store_path)
             try:
                 result = GTSEngine(lazy, machine, execution=execution).run(
                     KERNELS[kernel_name](start))
+                plan = PagePlan(lazy)
             finally:
                 lazy.close()
             combo = (execution, store_path)
             _assert_store_path_taken(lazy, store_path)
+            for name, array in vars(reference_plan).items():
+                if isinstance(array, np.ndarray):
+                    assert getattr(plan, name).dtype == array.dtype, (
+                        combo, name)
+                    np.testing.assert_array_equal(
+                        getattr(plan, name), array,
+                        err_msg=str((combo, name)))
             assert result.elapsed_seconds == baseline.elapsed_seconds, combo
             assert result.num_rounds == baseline.num_rounds, combo
             for key in baseline.values:

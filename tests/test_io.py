@@ -263,10 +263,12 @@ class TestEnginePagePool:
 
     def test_run_result_reports_pool_hit_rate(self, rmat_db, machine,
                                               tmp_path):
-        from repro.core import GTSEngine, PageRankKernel
+        from repro.core import GTSEngine, KCoreKernel
 
+        # k-core runs the per-page loop, the one path that touches the
+        # pool (a batched run reads flat arrays and builds no pages).
         lazy = self._open(rmat_db, tmp_path, pool_pages=16)
-        result = GTSEngine(lazy, machine).run(PageRankKernel(iterations=3))
+        result = GTSEngine(lazy, machine).run(KCoreKernel(k=2))
         assert result.pool_hits + result.pool_misses > 0
         assert 0.0 <= result.pool_hit_rate <= 1.0
         assert "page-pool hit rate" in result.summary()
@@ -275,14 +277,28 @@ class TestEnginePagePool:
         assert payload["pool_misses"] == result.pool_misses
 
     def test_counters_are_per_run_deltas(self, rmat_db, machine, tmp_path):
-        from repro.core import GTSEngine, PageRankKernel
+        from repro.core import GTSEngine, KCoreKernel
 
         lazy = self._open(rmat_db, tmp_path, pool_pages=16)
         engine = GTSEngine(lazy, machine)
-        first = engine.run(PageRankKernel(iterations=2))
-        second = engine.run(PageRankKernel(iterations=2))
+        first = engine.run(KCoreKernel(k=2))
+        second = engine.run(KCoreKernel(k=2))
         # Each RunResult carries only its own run's pool traffic, not
         # the database's cumulative counters.
         assert second.pool_hits + second.pool_misses < (
             lazy.pool_hits + lazy.pool_misses)
         assert first.pool_misses > 0
+
+    def test_batched_run_touches_no_pool(self, rmat_db, machine, tmp_path):
+        from repro.core import GTSEngine, PageRankKernel
+
+        # The plan reads the store's flat arrays: every region is read
+        # and verified once, and no page object is ever pooled.
+        lazy = self._open(rmat_db, tmp_path, pool_pages=16)
+        result = GTSEngine(lazy, machine).run(PageRankKernel(iterations=3))
+        assert result.execution == "batched"
+        assert result.pool_hits == 0 and result.pool_misses == 0
+        assert lazy.resident_pages() == 0
+        assert result.mmap_misses == lazy.num_pages
+        assert result.mmap_hits == 0
+        assert lazy.host_bytes_read == lazy.num_pages * lazy.config.page_size

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import GTSEngine, PageRankKernel, SSSPKernel
+from repro.core.plan import PagePlan
 from repro.errors import IntegrityError
 from repro.faults import FaultInjector, FaultPlan
 from repro.format import PageFormatConfig, build_database
@@ -188,62 +189,131 @@ def _save_small(tmp_path, num_vertices=40, num_edges=160, seed=7):
     return prefix, db
 
 
+#: How a test reads every page of a store: one ``page()`` call each,
+#: one ``prefetch`` of the whole chunk, or the plan's flat-array scan.
+READ_PATHS = ("page", "prefetch", "plan")
+
+
+def _save_chunk(tmp_path, read_path):
+    """A database of a dozen pages, so a page can sit mid-chunk."""
+    (tmp_path / read_path).mkdir()
+    prefix, db = _save_small(tmp_path / read_path, num_vertices=300,
+                             num_edges=2400)
+    assert db.num_pages >= 8
+    return prefix, db, db.num_pages // 2
+
+
+def _assert_reads_clean(store, db, read_path):
+    """Everything ``read_path`` yields from ``store`` equals the
+    database that was saved."""
+    if read_path == "plan":
+        got, want = PagePlan(store), PagePlan(db)
+        for name, array in vars(want).items():
+            if isinstance(array, np.ndarray):
+                np.testing.assert_array_equal(getattr(got, name), array,
+                                              err_msg=name)
+        return
+    if read_path == "prefetch":
+        assert store.prefetch(range(store.num_pages)) == store.num_pages
+    for pid in range(store.num_pages):
+        _assert_pages_equal(db.pages[pid], store.page(pid))
+
+
 def test_injected_corruption_recovers_through_copy_path(tmp_path):
     """With a fault injector attached, parses re-route through the
-    mutable copy path: the injected corruption is caught by the
-    checksum, retried clean, and the decoded page equals the clean
-    one — the damaged bytes never decode."""
-    prefix, db = _save_small(tmp_path)
-    clean = FileBackedDatabase(prefix, pool_pages=64)
-    reference = clean.page(0)
-    mapped = FileBackedDatabase(prefix, pool_pages=64)
-    mapped.attach_fault_injector(
-        FaultInjector(FaultPlan(host_corrupt_reads={0: 1})))
-    recovered = mapped.page(0)
-    _assert_pages_equal(reference, recovered)
-    assert mapped.integrity_retries >= 1
-    assert mapped.mmap_misses >= 1  # the re-route is booked as a miss
-    clean.close()
-    mapped.close()
+    mutable copy path — page by page, even when a whole chunk was asked
+    for: the injected corruption is caught by the checksum, retried
+    clean, and the decoded pages equal the clean ones — the damaged
+    bytes never decode."""
+    for read_path in READ_PATHS:
+        prefix, db, middle = _save_chunk(tmp_path, read_path)
+        mapped = FileBackedDatabase(prefix, pool_pages=64)
+        mapped.attach_fault_injector(
+            FaultInjector(FaultPlan(host_corrupt_reads={middle: 1})))
+        _assert_reads_clean(mapped, db, read_path)
+        assert mapped.integrity_retries == 1
+        assert mapped.fault_injector.host_corrupt_faults == 1
+        # Every re-route is booked as a miss; nothing came off the
+        # mapping.
+        assert mapped.mmap_hits == 0
+        assert mapped.mmap_misses == mapped.num_pages
+        assert not mapped._verified.any()
+        mapped.close()
 
 
 def test_persistent_damage_raises_never_decodes(tmp_path):
     """Bytes damaged on disk fail the mapped region's first-touch
     verification *and* the copy re-read: the typed IntegrityError
-    names the page and no poisoned view is ever decoded."""
-    prefix, db = _save_small(tmp_path)
-    page_size = db.config.page_size
-    with open(prefix + ".pages", "r+b") as handle:
-        handle.seek(0)
-        first = handle.read(1)
-        handle.seek(0)
-        handle.write(bytes([first[0] ^ 0xFF]))
-    mapped = FileBackedDatabase(prefix, pool_pages=64)
-    with pytest.raises(IntegrityError) as excinfo:
-        mapped.page(0)
-    assert excinfo.value.page_id == 0
-    # Undamaged pages keep working through the same handle.
-    if mapped.num_pages > 1:
-        assert mapped.page(1) is not None
-    assert os.path.getsize(prefix + ".pages") == \
-        mapped.num_pages * page_size
-    mapped.close()
+    names the page and no poisoned view is ever decoded — not by a
+    single parse, not inside a prefetched chunk, not inside the plan
+    scan."""
+    for read_path in READ_PATHS:
+        prefix, db, middle = _save_chunk(tmp_path, read_path)
+        page_size = db.config.page_size
+        with open(prefix + ".pages", "r+b") as handle:
+            handle.seek(middle * page_size)
+            first = handle.read(1)
+            handle.seek(middle * page_size)
+            handle.write(bytes([first[0] ^ 0xFF]))
+        mapped = FileBackedDatabase(prefix, pool_pages=64)
+        with pytest.raises(IntegrityError) as excinfo:
+            _assert_reads_clean(mapped, db, read_path)
+        assert excinfo.value.page_id == middle
+        assert not mapped._verified[middle]
+        # Undamaged pages keep working through the same handle.
+        for pid in (middle - 1, middle + 1):
+            _assert_pages_equal(db.pages[pid], mapped.page(pid))
+        assert os.path.getsize(prefix + ".pages") == \
+            mapped.num_pages * page_size
+        mapped.close()
 
 
 def test_damaged_mapped_region_recovers_by_verified_reread(tmp_path):
     """Transient damage — the mapped bytes fail their first-touch CRC
     while the file is clean — recovers through the copy path's verified
     re-read: the page decodes clean, the retry is booked, and the
-    region is never marked verified."""
-    prefix, db = _save_small(tmp_path)
-    store = FileBackedDatabase(prefix, pool_pages=64)
-    damaged = store._mmap_view.copy()
-    damaged[0] ^= 0xFF
-    store._mmap_view = damaged
-    _assert_pages_equal(db.pages[0], store.page(0))
-    assert store.integrity_retries == 1
-    assert store.mmap_hits == 0 and store.mmap_misses == 1
-    assert not store._verified[0]
+    region is never marked verified.  Its chunk mates, handed back to
+    page-by-page parsing with it, still decode from the mapping."""
+    for read_path in READ_PATHS:
+        prefix, db, middle = _save_chunk(tmp_path, read_path)
+        store = FileBackedDatabase(prefix, pool_pages=64)
+        damaged = store._mmap_view.copy()
+        damaged[middle * db.config.page_size] ^= 0xFF
+        store._mmap_view = damaged
+        _assert_reads_clean(store, db, read_path)
+        assert store.integrity_retries == 1
+        assert store.mmap_hits == 0
+        assert store.mmap_misses == store.num_pages
+        assert not store._verified[middle]
+        assert store._verified.sum() == store.num_pages - 1
+        # One copy read for the damaged region, one first touch per
+        # mate.
+        assert store.host_reads == store.num_pages
+        store.close()
+
+
+def test_inert_fault_plan_leaves_a_paged_run_alone(tmp_path):
+    """A fault plan that is attached but never fires sends every page
+    of the engine's prefetched chunks through the copy path, and
+    changes nothing the run reports: values, simulated time and
+    ``fault_stats`` equal the resident database's under the same
+    plan."""
+    from repro.core import KCoreKernel
+
+    prefix, db, _ = _save_chunk(tmp_path, "paged")
+    machine = scaled_workstation(num_gpus=2, num_ssds=2)
+    plan = FaultPlan(seed=3, host_corrupt_reads={0: 0})
+    assert plan.active
+    want = GTSEngine(db, machine, faults=plan).run(KCoreKernel(k=3))
+    store = FileBackedDatabase(prefix, pool_pages=4)
+    got = GTSEngine(store, machine, faults=plan).run(KCoreKernel(k=3))
+    assert got.execution == "paged"
+    assert got.elapsed_seconds == want.elapsed_seconds
+    assert got.fault_stats == want.fault_stats
+    for key, array in want.values.items():
+        np.testing.assert_array_equal(got.values[key], array)
+    assert store.mmap_hits == 0 and store.host_reads == store.mmap_misses
+    assert store.fault_injector is None  # detached after the run
     store.close()
 
 

@@ -6,7 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import FormatError
 from repro.format import PageFormatConfig
-from repro.format.page import LargePage, PageKind, SmallPage
+from repro.format.page import (
+    LargePage,
+    PageKind,
+    SmallPage,
+    decode_pages,
+)
 from repro.units import KB
 
 
@@ -153,3 +158,142 @@ def test_small_page_round_trip_property(data):
     assert np.array_equal(parsed.adj_indptr, page.adj_indptr)
     assert np.array_equal(parsed.adj_pids, page.adj_pids)
     assert np.array_equal(parsed.adj_slots, page.adj_slots)
+
+
+# ----------------------------------------------------------------------
+# The bulk decoder against the per-byte reference
+# ----------------------------------------------------------------------
+def _draw_config(data):
+    """One of the format's width combinations, odd widths included."""
+    return PageFormatConfig(
+        page_id_bytes=data.draw(st.sampled_from([2, 3, 4])),
+        slot_bytes=data.draw(st.sampled_from([2, 3])),
+        page_size=512,
+        vid_bytes=data.draw(st.sampled_from([3, 4, 6])),
+        offset_bytes=data.draw(st.sampled_from([2, 4])),
+        adjlist_size_bytes=data.draw(st.sampled_from([2, 4])),
+        weight_bytes=data.draw(st.sampled_from([0, 4])))
+
+
+def _draw_page(data, page_id, config, min_records=0):
+    """A small page (possibly empty, possibly with zero-degree records)
+    or one large-page chunk, with contents that fit ``config``."""
+    max_pid = config.max_page_id - 1
+    max_slot = config.max_slot_number - 1
+
+    def adjacency(count):
+        pids = data.draw(st.lists(st.integers(0, max_pid),
+                                  min_size=count, max_size=count))
+        slots = data.draw(st.lists(st.integers(0, max_slot),
+                                   min_size=count, max_size=count))
+        weights = None
+        if config.weight_bytes:
+            weights = data.draw(st.lists(
+                st.floats(-1e6, 1e6, width=32),
+                min_size=count, max_size=count))
+        return pids, slots, np.zeros(count, dtype=np.int64), weights
+
+    start_vid = data.draw(st.integers(0, config.max_vertex_id - 16))
+    if min_records == 0 and data.draw(st.booleans(), label="large"):
+        pids, slots, vids, weights = adjacency(
+            data.draw(st.integers(0, 20)))
+        return LargePage(page_id, start_vid, data.draw(st.integers(0, 3)),
+                         pids, slots, vids, config, adj_weights=weights,
+                         total_degree=77)
+    degrees = data.draw(st.lists(st.integers(0, 5), min_size=min_records,
+                                 max_size=6))
+    pids, slots, vids, weights = adjacency(sum(degrees))
+    return SmallPage(page_id, start_vid,
+                     np.concatenate([[0], np.cumsum(degrees)]),
+                     pids, slots, vids, config, adj_weights=weights)
+
+
+def _reference(page, blob, config):
+    """``from_bytes`` of ``page``'s serialized form."""
+    if page.kind is PageKind.SMALL:
+        return SmallPage.from_bytes(blob, page.page_id, page.num_records,
+                                    config)
+    return LargePage.from_bytes(blob, page.page_id, page.chunk_index,
+                                config)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bulk_decode_equals_from_bytes(data):
+    """Property: for pages serialized back to back, the bulk decode of
+    any subset of page IDs in any order equals the per-byte ``from_bytes``
+    reference field by field and dtype by dtype."""
+    config = _draw_config(data)
+    pages = [_draw_page(data, pid, config)
+             for pid in range(data.draw(st.integers(1, 6)))]
+    blobs = [page.to_bytes() for page in pages]
+    image = b"".join(blobs)
+    chosen = data.draw(st.lists(st.integers(0, len(pages) - 1),
+                                unique=True, min_size=1))
+    rec_vids, degrees, adj_pids, adj_slots, adj_weights = decode_pages(
+        image, [pid * config.page_size for pid in chosen],
+        [pages[pid].num_records for pid in chosen], config)
+    for array in (rec_vids, degrees, adj_pids, adj_slots):
+        assert array.dtype == np.int64
+    if config.weight_bytes:
+        assert adj_weights.dtype == np.float32
+    else:
+        assert adj_weights is None
+    rec = edge = 0
+    for pid in chosen:
+        want = _reference(pages[pid], blobs[pid], config)
+        rec_hi = rec + want.num_records
+        edge_hi = edge + want.num_edges
+        np.testing.assert_array_equal(rec_vids[rec:rec_hi], want.vids())
+        np.testing.assert_array_equal(degrees[rec:rec_hi], want.degrees())
+        np.testing.assert_array_equal(adj_pids[edge:edge_hi], want.adj_pids)
+        np.testing.assert_array_equal(adj_slots[edge:edge_hi],
+                                      want.adj_slots)
+        assert want.adj_pids.dtype == want.adj_slots.dtype == np.int64
+        if config.weight_bytes:
+            assert want.adj_weights.dtype == np.float32
+            np.testing.assert_array_equal(adj_weights[edge:edge_hi],
+                                          want.adj_weights)
+        rec, edge = rec_hi, edge_hi
+    assert rec == len(rec_vids) == len(degrees) and edge == len(adj_pids)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_bulk_decode_keeps_the_structural_checks(data):
+    """Each structural check still fires when the bytes it guards are
+    tampered in the *middle* page of a chunk, and the intact chunk
+    decodes."""
+    config = _draw_config(data)
+    pages = [_draw_page(data, pid, config, min_records=2)
+             for pid in range(3)]
+    image = b"".join(page.to_bytes() for page in pages)
+    bases = [pid * config.page_size for pid in range(3)]
+    records = [page.num_records for page in pages]
+    decode_pages(image, bases, records, config)
+
+    middle_end = 2 * config.page_size
+    slot0 = middle_end - config.slot_entry_bytes
+    slot1 = slot0 - config.slot_entry_bytes
+    offset1 = slot1 + config.vid_bytes
+    record1 = config.page_size + int.from_bytes(
+        image[offset1:offset1 + config.offset_bytes], "little")
+    tampered = {
+        # Slot 1's VID no longer follows slot 0's.
+        "slot VIDs are not consecutive": (
+            slot1, bytes([image[slot1] ^ 0x01])),
+        # Slot 1's record offset points past the end of the page.
+        "record offset overruns page": (
+            offset1, b"\xff" * config.offset_bytes),
+        # Record 1 claims more adjacency entries than a page can hold.
+        "adjacency record overruns page": (
+            record1, b"\xff" * config.adjlist_size_bytes),
+    }
+    for message, (position, patch) in tampered.items():
+        damaged = bytearray(image)
+        damaged[position:position + len(patch)] = patch
+        with pytest.raises(FormatError, match=message):
+            decode_pages(bytes(damaged), bases, records, config)
+        # The check is the middle page's: its neighbours still decode.
+        decode_pages(bytes(damaged), [bases[0], bases[2]],
+                     [records[0], records[2]], config)
