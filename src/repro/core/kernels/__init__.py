@@ -3,7 +3,11 @@
 Each kernel mirrors Appendix B's structure: a small-page kernel
 (``process_sp``) and a large-page kernel (``process_lp``), operating on
 attribute vectors split into *updatable* (WA — resident in device memory)
-and *read-only* (RA — streamed alongside topology pages).
+and *read-only* (RA — streamed alongside topology pages).  Every kernel
+also carries one ``process_batch`` — the same round over a
+:class:`~repro.core.plan.RoundBatch` of flat arrays, bit-identical to
+the page pair in values and simulated time — which is what the engine
+runs by default.
 
 The paper's two algorithm families are both represented:
 

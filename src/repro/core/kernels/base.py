@@ -78,6 +78,17 @@ class BatchWork:
     next_pids: Optional[np.ndarray] = None
 
 
+def frontier_batch_work(batch, ctx, active, next_pids=None):
+    """:class:`BatchWork` of a round that walked only the ``active``
+    records' edges (what ``batch.advance(active)`` returned)."""
+    return BatchWork(
+        lane_steps=ctx.segment_lane_steps(batch, active),
+        edges_traversed=batch.active_edges_per_page(active),
+        active_vertices=batch.segment_sum(active),
+        next_pids=next_pids,
+    )
+
+
 class KernelContext:
     """Engine-provided context handed to every page-kernel invocation."""
 
@@ -176,9 +187,10 @@ class Kernel:
         Implementations must be *bit-identical* to running
         :meth:`process_page` over the batch's pages in order — same
         state updates, same per-page lane-steps — so the engine can pick
-        either path without changing results or simulated timing.  The
-        base class leaves it unimplemented; the engine falls back to the
-        per-page loop for kernels that don't override it.
+        either path without changing results or simulated timing.
+        Every kernel under :mod:`repro.core.kernels` overrides it; the
+        engine falls back to the per-page loop for kernels that don't
+        (the incremental relaxers of :mod:`repro.dynamic.incremental`).
         """
         raise NotImplementedError(
             "%s does not implement process_batch" % type(self).__name__)

@@ -23,7 +23,13 @@ paper runs BC in single-node mode only (Appendix D).
 
 import numpy as np
 
-from repro.core.kernels.base import Kernel, PageWork, RoundPlan, edge_expand
+from repro.core.kernels.base import (
+    Kernel,
+    PageWork,
+    RoundPlan,
+    edge_expand,
+    frontier_batch_work,
+)
 from repro.errors import ConfigurationError
 
 UNVISITED = -1
@@ -193,3 +199,37 @@ class BCKernel(Kernel):
             return self._forward(page, state, ctx, active, state.sigma[vids])
         active = state.level[vids] == state.backward_level
         return self._backward(page, state, ctx, active, vids)
+
+    def process_batch(self, batch, state, ctx):
+        if state.phase == "forward":
+            active = state.level[batch.rec_vids] == state.cur_level
+            sources, targets, target_pids, _ = batch.advance(active)
+            # No vertex holds level ``cur_level + 1`` before this round,
+            # so "fresh" against the round-start levels is the union of
+            # the per-page discoveries and "counted" is every frontier
+            # edge into it, as in the page loop.
+            fresh = state.level[targets] == UNVISITED
+            state.level[targets[fresh]] = state.cur_level + 1
+            counted = state.level[targets] == state.cur_level + 1
+            # Sources sit at ``cur_level`` and counted targets one level
+            # down, so reading sigma up front reads what each page would;
+            # ``np.add.at`` adds in edge order, which is page order.
+            np.add.at(state.sigma, targets[counted],
+                      state.sigma[sources[counted]])
+            return frontier_batch_work(
+                batch, ctx, active,
+                next_pids=np.unique(target_pids[fresh]))
+        active = state.level[batch.rec_vids] == state.backward_level
+        sources, targets, _, _ = batch.advance(active)
+        downstream = state.level[targets] == state.backward_level + 1
+        sources = sources[downstream]
+        targets = targets[downstream]
+        ratio = np.zeros(len(targets))
+        valid = state.sigma[targets] > 0
+        ratio[valid] = (state.sigma[sources[valid]]
+                        / state.sigma[targets[valid]])
+        # Reads delta one level down, writes this level: disjoint, and
+        # accumulated in edge order like the page loop.
+        np.add.at(state.delta, sources,
+                  ratio * (1.0 + state.delta[targets]))
+        return frontier_batch_work(batch, ctx, active)

@@ -10,11 +10,11 @@ import numpy as np
 
 from repro.core.kernels.base import (
     ALL_PAGES,
-    BatchWork,
     Kernel,
     PageWork,
     RoundPlan,
     edge_expand,
+    frontier_batch_work,
 )
 from repro.errors import ConfigurationError
 
@@ -99,17 +99,12 @@ class BFSKernel(Kernel):
 
     def process_batch(self, batch, state, ctx):
         active = state.level[batch.rec_vids] == state.cur_level
-        edge_active = active[batch.edge_rec]
-        targets = batch.adj_vids[edge_active]
+        _, targets, target_pids, _ = batch.advance(active)
         # "Unvisited" against the round-start levels: every per-page
         # discoverer writes the same ``cur_level + 1``, so evaluating the
         # mask before any write reproduces the per-page union exactly.
         unvisited = state.level[targets] == UNVISITED
         state.level[targets[unvisited]] = state.cur_level + 1
-        next_pids = np.unique(batch.adj_pids[edge_active][unvisited])
-        return BatchWork(
-            lane_steps=ctx.segment_lane_steps(batch, active),
-            edges_traversed=batch.edge_segment_sum(edge_active),
-            active_vertices=batch.segment_sum(active),
-            next_pids=next_pids,
-        )
+        return frontier_batch_work(
+            batch, ctx, active,
+            next_pids=np.unique(target_pids[unvisited]))

@@ -14,7 +14,13 @@ per-vertex cross counters.
 
 import numpy as np
 
-from repro.core.kernels.base import ALL_PAGES, Kernel, PageWork, RoundPlan
+from repro.core.kernels.base import (
+    ALL_PAGES,
+    BatchWork,
+    Kernel,
+    PageWork,
+    RoundPlan,
+)
 from repro.errors import ConfigurationError
 from repro.format.page import PageKind
 
@@ -99,3 +105,19 @@ class CrossEdgesKernel(Kernel):
         source_parts = np.full(page.num_edges,
                                state.partition[page.vid], dtype=np.int64)
         return self._scan(page, state, ctx, source_parts)
+
+    def process_batch(self, batch, state, ctx):
+        # A full scan needs every edge's source, so it reads the edge
+        # space directly instead of advancing from a frontier.
+        sources = batch.rec_vids[batch.edge_rec]
+        crossing = (state.partition[batch.adj_vids]
+                    != state.partition[sources])
+        state.total_cross += int(crossing.sum())
+        state.total_edges += batch.num_edges
+        state.cross_count += np.bincount(
+            sources[crossing], minlength=len(state.cross_count))
+        return BatchWork(
+            lane_steps=ctx.segment_lane_steps(batch),
+            edges_traversed=batch.edges_per_page(),
+            active_vertices=batch.records_per_page(),
+        )

@@ -10,6 +10,7 @@ import numpy as np
 
 from repro.core.kernels.base import (
     ALL_PAGES,
+    BatchWork,
     Kernel,
     PageWork,
     RoundPlan,
@@ -72,4 +73,16 @@ class DegreeKernel(Kernel):
             active_vertices=1,
             edges_traversed=page.num_edges,
             lane_steps=ctx.lane_steps(page.degrees()),
+        )
+
+    def process_batch(self, batch, state, ctx):
+        # Large-page vertices repeat across their chunks' records.
+        np.add.at(state.out_degree, batch.rec_vids, batch.degrees)
+        # Whole counts add exactly in float64, in any order.
+        state._in_degree_float += np.bincount(
+            batch.adj_vids, minlength=len(state._in_degree_float))
+        return BatchWork(
+            lane_steps=ctx.segment_lane_steps(batch),
+            edges_traversed=batch.edges_per_page(),
+            active_vertices=batch.records_per_page(),
         )

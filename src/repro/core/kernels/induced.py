@@ -19,10 +19,12 @@ import numpy as np
 
 from repro.core.kernels.base import (
     ALL_PAGES,
+    BatchWork,
     Kernel,
     PageWork,
     RoundPlan,
     edge_expand,
+    frontier_batch_work,
 )
 from repro.errors import ConfigurationError
 from repro.format.page import PageKind
@@ -121,6 +123,25 @@ class InducedSubgraphKernel(Kernel):
     def process_lp(self, page, state, ctx):
         return self._scan(page, state, ctx)
 
+    def process_batch(self, batch, state, ctx):
+        active = state.member[batch.rec_vids]
+        sources, targets, _, _ = batch.advance(active)
+        inside = state.member[targets]
+        sources = sources[inside]
+        targets = targets[inside]
+        state.num_edges += len(targets)
+        np.add.at(state.internal_degree, sources, 1)
+        if self.collect_edges:
+            # Batch order is dispatch order, so the list comes out as
+            # the page loop appends it.
+            state.edges.extend(zip(sources.tolist(), targets.tolist()))
+        # The scan is charged for the whole page, members or not.
+        return BatchWork(
+            lane_steps=ctx.segment_lane_steps(batch),
+            edges_traversed=batch.edges_per_page(),
+            active_vertices=batch.segment_sum(active),
+        )
+
 
 class _EgonetState(_InducedState):
     def __init__(self, db, ego):
@@ -190,3 +211,11 @@ class EgonetKernel(InducedSubgraphKernel):
         if state.phase == "expand":
             return self._expand(page, state, ctx)
         return self._scan(page, state, ctx)
+
+    def process_batch(self, batch, state, ctx):
+        if state.phase != "expand":
+            return super().process_batch(batch, state, ctx)
+        active = batch.rec_vids == state.ego
+        _, targets, _, _ = batch.advance(active)
+        state.member[targets] = True
+        return frontier_batch_work(batch, ctx, active)

@@ -18,7 +18,13 @@ widths).
 
 import numpy as np
 
-from repro.core.kernels.base import Kernel, PageWork, RoundPlan, edge_expand
+from repro.core.kernels.base import (
+    Kernel,
+    PageWork,
+    RoundPlan,
+    edge_expand,
+    frontier_batch_work,
+)
 from repro.errors import ConfigurationError
 
 
@@ -95,3 +101,11 @@ class KCoreKernel(Kernel):
     def process_lp(self, page, state, ctx):
         active = np.asarray([state.frontier[page.vid]])
         return self._peel(page, state, ctx, active)
+
+    def process_batch(self, batch, state, ctx):
+        active = state.frontier[batch.rec_vids]
+        _, targets, _, _ = batch.advance(active)
+        # Integer decrements commute, so one unbuffered pass over the
+        # round's edges equals the per-page passes.
+        np.add.at(state.degree, targets, -1)
+        return frontier_batch_work(batch, ctx, active)

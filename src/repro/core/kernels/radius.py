@@ -19,7 +19,13 @@ WA is the sketch array (``4 * num_sketches`` bytes per vertex).
 
 import numpy as np
 
-from repro.core.kernels.base import ALL_PAGES, Kernel, PageWork, RoundPlan
+from repro.core.kernels.base import (
+    ALL_PAGES,
+    BatchWork,
+    Kernel,
+    PageWork,
+    RoundPlan,
+)
 from repro.errors import ConfigurationError
 
 #: Bits per FM sketch (uint32 masks estimate sets up to ~2^30).
@@ -145,6 +151,19 @@ class RadiusKernel(Kernel):
             active_vertices=1,
             edges_traversed=page.num_edges,
             lane_steps=ctx.lane_steps(page.degrees()) * self.num_sketches,
+        )
+
+    def process_batch(self, batch, state, ctx):
+        if batch.num_segments:
+            merged = np.bitwise_or.reduceat(
+                state.prev[batch.scatter_vids()], batch.seg_starts, axis=0)
+            # OR is idempotent and commutative: the order segments of
+            # different pages reach a shared target in cannot matter.
+            np.bitwise_or.at(state.sketches, batch.seg_targets, merged)
+        return BatchWork(
+            lane_steps=ctx.segment_lane_steps(batch) * self.num_sketches,
+            edges_traversed=batch.edges_per_page(),
+            active_vertices=batch.records_per_page(),
         )
 
 

@@ -11,6 +11,7 @@ import numpy as np
 
 from repro.core.kernels.base import (
     ALL_PAGES,
+    BatchWork,
     Kernel,
     PageWork,
     RoundPlan,
@@ -99,4 +100,23 @@ class RWRKernel(Kernel):
             active_vertices=1,
             edges_traversed=page.num_edges,
             lane_steps=ctx.lane_steps(page.degrees()),
+        )
+
+    def process_batch(self, batch, state, ctx):
+        # PageRank's batch body with the walk probability as damping:
+        # segment sums in scatter order, then ``np.add.at`` in page-major
+        # segment order, so every rounding step matches the page loop.
+        contrib = np.where(
+            batch.rec_divisor > 0,
+            (1.0 - state.restart) * state.prev[batch.rec_vids]
+            / np.maximum(batch.rec_divisor, 1),
+            0.0)
+        if batch.num_segments:
+            sums = np.add.reduceat(
+                contrib[batch.scatter_rec()], batch.seg_starts)
+            np.add.at(state.next, batch.seg_targets, sums)
+        return BatchWork(
+            lane_steps=ctx.segment_lane_steps(batch),
+            edges_traversed=batch.edges_per_page(),
+            active_vertices=batch.records_per_page(),
         )

@@ -16,11 +16,11 @@ databases fall back to unit weights, making SSSP coincide with BFS depth.
 import numpy as np
 
 from repro.core.kernels.base import (
-    BatchWork,
     Kernel,
     PageWork,
     RoundPlan,
     edge_expand,
+    frontier_batch_work,
 )
 from repro.errors import ConfigurationError
 
@@ -129,12 +129,8 @@ class SSSPKernel(Kernel):
 
     def process_batch(self, batch, state, ctx):
         active = state.frontier[batch.rec_vids]
-        edge_active = active[batch.edge_rec]
-        sources = batch.rec_vids[batch.edge_rec[edge_active]]
-        targets = batch.adj_vids[edge_active]
-        if batch.adj_weights is not None:
-            weights = batch.adj_weights[edge_active]
-        else:
+        sources, targets, target_pids, weights = batch.advance(active)
+        if weights is None:
             weights = np.ones(len(targets), dtype=np.float32)
         candidates = state.dist_prev[sources] + weights
         # "Better" against the round-start distances.  The per-page loop
@@ -145,10 +141,5 @@ class SSSPKernel(Kernel):
         # same physical page), so next_pids match too.
         better = candidates < state.dist[targets]
         np.minimum.at(state.dist, targets[better], candidates[better])
-        next_pids = np.unique(batch.adj_pids[edge_active][better])
-        return BatchWork(
-            lane_steps=ctx.segment_lane_steps(batch, active),
-            edges_traversed=batch.edge_segment_sum(edge_active),
-            active_vertices=batch.segment_sum(active),
-            next_pids=next_pids,
-        )
+        return frontier_batch_work(
+            batch, ctx, active, next_pids=np.unique(target_pids[better]))

@@ -13,9 +13,11 @@ metadata into flat, page-major arrays built **once** per topology:
   :func:`repro.format.page.sorted_scatter_index`, concatenated) so
   full-scan kernels run ``np.add.reduceat`` / ``np.minimum.reduceat``
   over the entire round in a handful of calls instead of once per page.
-* :class:`RoundBatch` — the slice of the plan covering one round's page
-  set, gathered with vectorized range concatenation (no per-page Python
-  loop), in the exact SP-first order the engine dispatches.
+* :class:`RoundBatch` — a lazy view of the plan over one round's page
+  set, in the exact SP-first order the engine dispatches: each field is
+  gathered with vectorized range concatenation (no per-page Python
+  loop) the first time a kernel reads it, and :meth:`RoundBatch.advance`
+  hands frontier kernels the active records' edges alone.
 * :class:`RoundPlanCache` — keyed by the database's
   ``topology_version`` so dynamic updates (WAL batches, compaction)
   invalidate the plan and the next run rebuilds it.
@@ -30,8 +32,10 @@ resident topology footprint — the classic space-for-time trade behind
 GTS's own "prepare once, stream many times" design.
 """
 
-import dataclasses
-from typing import Optional
+import functools
+import itertools
+import threading
+import weakref
 
 import numpy as np
 
@@ -58,49 +62,141 @@ def _indptr(counts):
     return out
 
 
-@dataclasses.dataclass
 class RoundBatch:
-    """One round's pages as flat page-major arrays.
+    """One round's pages as flat page-major arrays: a lazy view over
+    ``(plan, pids)``.
 
-    Segment boundaries (``rec_indptr`` / ``edge_indptr`` /
-    ``seg_indptr``) are local to the batch; ``scatter_order`` and
-    ``seg_starts`` index into the batch's edge space.  A *segment* is
-    one ``(page, target vertex)`` group of edges — exactly the segments
-    :func:`repro.core.kernels.base.page_scatter_index` produces per
-    page, so segment-wise reductions reproduce the per-page path's
-    arithmetic bit for bit.
+    The batch has three spaces.  Only the record space is gathered up
+    front; every other field is gathered on first read and memoised on
+    the instance, so a kernel pays for what its body reads and nothing
+    else:
+
+    * **record space** — ``rec_indptr`` (len pages+1) delimits each
+      page's records; ``degrees`` / ``rec_vids`` are per record.  Every
+      kernel needs these for its lane steps.  ``rec_divisor`` (the
+      PageRank divisor: the record's degree for SP records, the
+      vertex's *total* degree for LP chunks) is lazy.
+    * **edge space** — ``edge_indptr`` (len pages+1) delimits each
+      page's adjacency entries; ``edge_rec`` maps every edge to its
+      record index *within the batch*; ``adj_vids`` / ``adj_pids`` /
+      ``adj_weights`` are per edge.  Frontier kernels never build it:
+      :meth:`advance` gathers only the active records' edges.
+    * **scatter space** — ``scatter_order`` permutes the batch's edges
+      into per-page stable target order; ``seg_starts`` delimits the
+      ``(page, target vertex)`` *segments* inside that permutation —
+      exactly the segments
+      :func:`repro.core.kernels.base.page_scatter_index` produces per
+      page, so segment-wise reductions reproduce the per-page path's
+      arithmetic bit for bit; ``seg_targets`` / ``seg_pids`` give each
+      segment's target VID and the physical page addressing it;
+      ``seg_indptr`` (len pages+1) delimits each page's segments.
+
+    Segment boundaries are local to the batch; ``scatter_order`` and
+    ``seg_starts`` index into the batch's edge space.  A batch covering
+    every page in pid order takes the plan's own arrays without a copy.
+
+    Concurrent readers may race on a memo (the full batch is shared
+    across service threads), but both compute the same array from
+    immutable inputs and attribute assignment is atomic, so the worst
+    case is one duplicated gather — never a wrong or torn value.
     """
 
-    pids: np.ndarray
-    #: Record space: ``rec_indptr`` (len pages+1) delimits each page's
-    #: records; ``degrees`` / ``rec_vids`` / ``rec_divisor`` are per
-    #: record (``rec_divisor`` is the PageRank divisor: the record's
-    #: degree for SP records, the vertex's *total* degree for LP
-    #: chunks).
-    rec_indptr: np.ndarray
-    degrees: np.ndarray
-    rec_vids: np.ndarray
-    rec_divisor: np.ndarray
-    #: Edge space: ``edge_indptr`` (len pages+1) delimits each page's
-    #: adjacency entries; ``edge_rec`` maps every edge to its record
-    #: index *within the batch*.
-    edge_indptr: np.ndarray
-    edge_rec: np.ndarray
-    adj_vids: np.ndarray
-    adj_pids: np.ndarray
-    adj_weights: Optional[np.ndarray]
-    #: Scatter space: ``scatter_order`` permutes the batch's edges into
-    #: per-page stable target order; ``seg_starts`` delimits the
-    #: (page, target) segments inside that permutation; ``seg_targets``
-    #: / ``seg_pids`` give each segment's target VID and the physical
-    #: page addressing it; ``seg_indptr`` (len pages+1) delimits each
-    #: page's segments.
-    scatter_order: np.ndarray
-    seg_starts: np.ndarray
-    seg_targets: np.ndarray
-    seg_pids: np.ndarray
-    seg_indptr: np.ndarray
+    def __init__(self, plan, pids):
+        self._plan = plan
+        self.pids = pids
+        # Plan-wide record index of each batch record; None when the
+        # batch *is* the plan (every page, in pid order).
+        self._rec_sel = None
+        if len(pids) != plan.num_pages or not np.array_equal(
+                pids, np.arange(plan.num_pages, dtype=np.int64)):
+            self._rec_sel = take_ranges(plan.rec_indptr[pids],
+                                        plan.rec_counts[pids])
+        self.rec_indptr = self._page_indptr(plan.rec_indptr, plan.rec_counts)
+        self.degrees = self._records(plan.degrees)
+        self.rec_vids = self._records(plan.rec_vids)
 
+    # -- gathers -------------------------------------------------------
+    def _page_indptr(self, indptr, counts):
+        return indptr if self._rec_sel is None else _indptr(
+            counts[self.pids])
+
+    def _records(self, per_record):
+        return (per_record if self._rec_sel is None
+                else per_record[self._rec_sel])
+
+    def _edges(self, per_edge):
+        return (per_edge if self._rec_sel is None
+                else per_edge[self._edge_sel])
+
+    def _segments(self, per_segment):
+        return (per_segment if self._rec_sel is None
+                else per_segment[self._seg_sel])
+
+    @functools.cached_property
+    def _edge_sel(self):
+        plan = self._plan
+        return take_ranges(plan.edge_indptr[self.pids],
+                           plan.edge_counts[self.pids])
+
+    @functools.cached_property
+    def _seg_sel(self):
+        plan = self._plan
+        return take_ranges(plan.seg_indptr[self.pids],
+                           plan.seg_counts[self.pids])
+
+    # -- record space (lazy part) --------------------------------------
+    @functools.cached_property
+    def rec_divisor(self):
+        return self._records(self._plan.rec_divisor)
+
+    # -- edge space ----------------------------------------------------
+    @functools.cached_property
+    def edge_indptr(self):
+        return self._page_indptr(self._plan.edge_indptr,
+                                 self._plan.edge_counts)
+
+    @functools.cached_property
+    def edge_rec(self):
+        return np.repeat(
+            np.arange(len(self.degrees), dtype=np.int64), self.degrees)
+
+    @functools.cached_property
+    def adj_vids(self):
+        return self._edges(self._plan.adj_vids)
+
+    @functools.cached_property
+    def adj_pids(self):
+        return self._edges(self._plan.adj_pids)
+
+    @functools.cached_property
+    def adj_weights(self):
+        weights = self._plan.adj_weights
+        return None if weights is None else self._edges(weights)
+
+    # -- scatter space -------------------------------------------------
+    @functools.cached_property
+    def scatter_order(self):
+        return self._edges(self._plan.order_local) + np.repeat(
+            self.edge_indptr[:-1], self.edges_per_page())
+
+    @functools.cached_property
+    def seg_indptr(self):
+        return self._page_indptr(self._plan.seg_indptr, self._plan.seg_counts)
+
+    @functools.cached_property
+    def seg_starts(self):
+        return self._segments(self._plan.seg_starts_local) + np.repeat(
+            self.edge_indptr[:-1], np.diff(self.seg_indptr))
+
+    @functools.cached_property
+    def seg_targets(self):
+        return self._segments(self._plan.seg_targets)
+
+    @functools.cached_property
+    def seg_pids(self):
+        return self._segments(self._plan.seg_pids)
+
+    # ------------------------------------------------------------------
     @property
     def num_pages(self):
         return len(self.pids)
@@ -111,22 +207,16 @@ class RoundBatch:
 
     @property
     def num_edges(self):
-        return len(self.adj_vids)
+        return int(self.edge_indptr[-1])
 
     @property
     def num_segments(self):
-        return len(self.seg_targets)
+        return int(self.seg_indptr[-1])
 
     def scatter_rec(self):
         """Record index feeding each scatter-ordered edge (the memoised
         composition ``edge_rec[scatter_order]``; gathering through it is
-        exactly ``x[edge_rec][scatter_order]`` with one gather).
-
-        Concurrent callers may race on the memo, but both compute the
-        same array from immutable inputs and attribute assignment is
-        atomic, so the worst case is one duplicated gather — never a
-        wrong or torn value.
-        """
+        exactly ``x[edge_rec][scatter_order]`` with one gather)."""
         cached = getattr(self, "_scatter_rec", None)
         if cached is None:
             cached = self.edge_rec[self.scatter_order]
@@ -155,6 +245,35 @@ class RoundBatch:
     def edge_segment_sum(self, per_edge_values, dtype=np.int64):
         """Per-page sums of a per-edge vector."""
         return segment_sum(per_edge_values, self.edge_indptr, dtype)
+
+    # -- advance -------------------------------------------------------
+    def advance(self, active):
+        """The edges leaving the ``active`` records (Gunrock's *advance*
+        over a per-record frontier mask).
+
+        Returns ``(source_vids, targets, target_pids, weights)``, one
+        entry per edge, in page-major record order — bit for bit
+        ``rec_vids[edge_rec[m]]``, ``adj_vids[m]``, ``adj_pids[m]`` and
+        ``adj_weights[m]`` (``None`` on an unweighted plan) with ``m =
+        active[edge_rec]``, but gathered straight off the plan's flat
+        arrays, so the work is proportional to the frontier's edges and
+        the page-wide edge space is never built.
+        """
+        plan = self._plan
+        rows = np.flatnonzero(active)
+        if self._rec_sel is not None:
+            rows = self._rec_sel[rows]
+        counts = plan.degrees[rows]
+        edges = take_ranges(plan.rec_edge_start[rows], counts)
+        weights = plan.adj_weights
+        return (np.repeat(plan.rec_vids[rows], counts),
+                plan.adj_vids[edges], plan.adj_pids[edges],
+                None if weights is None else weights[edges])
+
+    def active_edges_per_page(self, active):
+        """Per-page count of the edges :meth:`advance` returns, from the
+        record space alone."""
+        return self.segment_sum(np.where(active, self.degrees, 0))
 
 
 def segment_sum(values, indptr, dtype=np.int64):
@@ -210,6 +329,8 @@ class PagePlan:
         self.rec_indptr = _indptr(self.rec_counts)
         self.edge_indptr = _indptr(self.edge_counts)
         self.degrees = arrays["degrees"]
+        #: Plan-wide edge offset of each record's adjacency list.
+        self.rec_edge_start = _indptr(self.degrees)[:-1]
         self.rec_vids = arrays["rec_vids"]
         self.rec_divisor = arrays["rec_divisor"]
         self.adj_vids = arrays["adj_vids"]
@@ -314,16 +435,17 @@ class PagePlan:
         return cached
 
     def round_batch(self, pids):
-        """Gather the batch for one round's page set (SP-first order).
+        """The batch for one round's page set (SP-first order).
 
         A round covering every page reuses one cached full-database
-        batch (the PageRank/WCC steady state, where gathering again
-        every iteration would dominate the fast path).
+        batch, so what PageRank/WCC-style kernels memoise on it (the
+        scatter space, lane steps) is built once per plan, not once per
+        iteration.
         """
         pids = np.asarray(pids, dtype=np.int64)
         if len(pids) == self.num_pages:
             return self.full_batch()
-        return self._gather(pids)
+        return RoundBatch(self, pids)
 
     def full_batch(self):
         batch = self._full_batch
@@ -331,78 +453,17 @@ class PagePlan:
             with self._memo_lock:
                 batch = self._full_batch
                 if batch is None:
-                    order = self._full_order
-                    if np.array_equal(
-                            order,
-                            np.arange(self.num_pages, dtype=np.int64)):
-                        # SP-first dispatch order coincides with pid
-                        # order (the builder numbers small pages before
-                        # large ones), so the full-database batch is the
-                        # plan's own arrays — no multi-million-element
-                        # gather needed.
-                        batch = self._identity_batch()
-                    else:
-                        batch = self._gather(order)
+                    # SP-first dispatch order usually coincides with pid
+                    # order (the builder numbers small pages before
+                    # large ones); the batch then *is* the plan's arrays.
+                    # The plan owns this batch, so the batch sees it
+                    # through a proxy: a strong reference would close a
+                    # cycle and leave a dropped plan's arrays to the
+                    # cyclic collector instead of freeing them at once.
+                    batch = RoundBatch(weakref.proxy(self),
+                                       self._full_order)
                     self._full_batch = batch
         return batch
-
-    def _identity_batch(self):
-        edge_starts = self.edge_indptr[:-1]
-        return RoundBatch(
-            pids=self._full_order,
-            rec_indptr=self.rec_indptr,
-            degrees=self.degrees,
-            rec_vids=self.rec_vids,
-            rec_divisor=self.rec_divisor,
-            edge_indptr=self.edge_indptr,
-            edge_rec=np.repeat(
-                np.arange(len(self.degrees), dtype=np.int64),
-                self.degrees),
-            adj_vids=self.adj_vids,
-            adj_pids=self.adj_pids,
-            adj_weights=self.adj_weights,
-            scatter_order=(self.order_local
-                           + np.repeat(edge_starts, self.edge_counts)),
-            seg_starts=(self.seg_starts_local
-                        + np.repeat(edge_starts, self.seg_counts)),
-            seg_targets=self.seg_targets,
-            seg_pids=self.seg_pids,
-            seg_indptr=self.seg_indptr,
-        )
-
-    def _gather(self, pids):
-        rec_counts = self.rec_counts[pids]
-        edge_counts = self.edge_counts[pids]
-        seg_counts = self.seg_counts[pids]
-        rec_sel = take_ranges(self.rec_indptr[pids], rec_counts)
-        edge_sel = take_ranges(self.edge_indptr[pids], edge_counts)
-        seg_sel = take_ranges(self.seg_indptr[pids], seg_counts)
-        rec_indptr = _indptr(rec_counts)
-        edge_indptr = _indptr(edge_counts)
-        seg_indptr = _indptr(seg_counts)
-        degrees = self.degrees[rec_sel]
-        edge_rec = np.repeat(
-            np.arange(len(rec_sel), dtype=np.int64), degrees)
-        return RoundBatch(
-            pids=pids,
-            rec_indptr=rec_indptr,
-            degrees=degrees,
-            rec_vids=self.rec_vids[rec_sel],
-            rec_divisor=self.rec_divisor[rec_sel],
-            edge_indptr=edge_indptr,
-            edge_rec=edge_rec,
-            adj_vids=self.adj_vids[edge_sel],
-            adj_pids=self.adj_pids[edge_sel],
-            adj_weights=(self.adj_weights[edge_sel]
-                         if self.adj_weights is not None else None),
-            scatter_order=(self.order_local[edge_sel]
-                           + np.repeat(edge_indptr[:-1], edge_counts)),
-            seg_starts=(self.seg_starts_local[seg_sel]
-                        + np.repeat(edge_indptr[:-1], seg_counts)),
-            seg_targets=self.seg_targets[seg_sel],
-            seg_pids=self.seg_pids[seg_sel],
-            seg_indptr=seg_indptr,
-        )
 
 
 class RoundPlanCache:
@@ -430,7 +491,22 @@ class RoundPlanCache:
         self._lock = InstrumentedLock()
         self.max_plans = max(1, int(max_plans))
         self.builds = 0
-        self.hits = 0
+        # The hit count must be exact without making warm getters take a
+        # lock: ``next()`` on an ``itertools.count`` is one atomic step.
+        # Reading a count also draws a ticket, so reads are tallied
+        # (under their own lock) and subtracted.
+        self._hit_tickets = itertools.count()
+        self._hit_reads = 0
+        self._hit_read_lock = threading.Lock()
+
+    @property
+    def hits(self):
+        """Exact number of :meth:`get` calls served an already-built
+        plan."""
+        with self._hit_read_lock:
+            reads = self._hit_reads
+            self._hit_reads = reads + 1
+            return next(self._hit_tickets) - reads
 
     @property
     def contended(self):
@@ -443,20 +519,18 @@ class RoundPlanCache:
         The fast path reads the per-version dict without taking the
         lock — dict probes are atomic under the GIL, entries are
         assigned whole, and plans are immutable-after-build — so warm
-        concurrent queries never serialise here.  ``hits`` uses a racy
-        increment on that path, which can undercount by a handful under
-        heavy threading; the service treats it as an aggregate rate,
-        not a ledger.
+        concurrent queries never serialise here, and every one of them
+        is counted (see :attr:`hits`).
         """
         version = getattr(db, "topology_version", 0)
         plan = self._plans.get(version)
         if plan is not None:
-            self.hits += 1
+            next(self._hit_tickets)
             return plan
         with self._lock:
             plan = self._plans.get(version)
             if plan is not None:
-                self.hits += 1
+                next(self._hit_tickets)
                 return plan
             if host_profiler is not None:
                 host_profiler.push("plan")
@@ -475,11 +549,12 @@ class RoundPlanCache:
 
     def stats(self):
         """JSON-ready counter snapshot for the service stats endpoint."""
-        total = self.hits + self.builds
+        hits = self.hits
+        total = hits + self.builds
         return {
-            "hits": self.hits,
+            "hits": hits,
             "builds": self.builds,
-            "hit_rate": self.hits / total if total else 0.0,
+            "hit_rate": hits / total if total else 0.0,
             "cached_plans": len(self._plans),
             "lock": self._lock.stats(),
         }

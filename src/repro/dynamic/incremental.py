@@ -76,6 +76,13 @@ class _IncrementalRelaxKernel(Kernel):
     Subclasses define how a source's value propagates along an edge
     (``_candidates``) and which sources can relax at all
     (``_can_relax``).
+
+    There is deliberately no ``process_batch``: ``_relax`` reads the
+    *live* value vector, so a source an earlier page of the round
+    improved already pushes its improved value from a later page of the
+    same round.  A batch would read round-start values everywhere —
+    same fixpoint, but more rounds and different page sets, hence a
+    different simulated time.  These kernels run the per-page loop.
     """
 
     traversal = True

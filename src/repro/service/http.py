@@ -126,9 +126,12 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 response = self._do_update(service, payload)
             else:
                 request = QueryRequest.from_dict(payload)
-                future = service.submit(request)
                 # Take over completion so the serialize span (measured
-                # around _send_json below) lands inside the trace.
+                # around _send_json below) lands inside the trace —
+                # claimed at submit, or a query quicker than this
+                # thread's next time slice completes its trace first.
+                future = service.submit(request,
+                                        defer_trace=tm is not None)
                 if tm is not None:
                     trace = tm.defer(request.query_id)
                 result = future.result()

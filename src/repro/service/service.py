@@ -366,12 +366,18 @@ class GraphService:
     # ------------------------------------------------------------------
     # Query execution
     # ------------------------------------------------------------------
-    def submit(self, request):
+    def submit(self, request, defer_trace=False):
         """Admit ``request`` and return a Future of its RunResult.
 
         Raises :class:`~repro.errors.ShutdownError` when draining and
         :class:`~repro.errors.AdmissionError` when full — both *before*
         any work is enqueued, so rejected queries cost nothing.
+
+        ``defer_trace`` (the HTTP layer) opens the request's telemetry
+        trace already deferred: the caller, not the worker, completes
+        it, after appending its own spans.  The flag is set before the
+        query is enqueued, so a query that finishes before its caller
+        looks again cannot complete the trace first.
         """
         if not isinstance(request, QueryRequest):
             request = QueryRequest.from_dict(request)
@@ -416,6 +422,7 @@ class GraphService:
         trace = None
         if tm is not None:
             trace = tm.new_trace(request)
+            trace.deferred = defer_trace
             trace.add_phase("admission_wait", admit_ns, trace.submit_ns)
         # The deadline clock starts now — queue wait counts against the
         # caller's budget, so a query stuck behind a full pool times out
@@ -667,10 +674,9 @@ class GraphService:
                 if not self._in_flight and not self._queued:
                     self._drained.set()
             # Completion (windows, log line, tail capture) stays out of
-            # the admission lock.  The HTTP layer may have *deferred*
-            # completion to append its serialize span first; complete()
-            # is idempotent, so the benign race where both sides call it
-            # resolves to whoever got there first.
+            # the admission lock.  The HTTP layer *defers* completion at
+            # submit to append its serialize span first; complete() is
+            # idempotent all the same.
             if trace is not None and not trace.deferred:
                 self.telemetry.complete(trace)
 

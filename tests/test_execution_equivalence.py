@@ -14,9 +14,18 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
+    BCKernel,
     BFSKernel,
+    CrossEdgesKernel,
+    DegreeKernel,
+    EgonetKernel,
     GTSEngine,
+    InducedSubgraphKernel,
+    KCoreKernel,
+    NeighborhoodKernel,
     PageRankKernel,
+    RadiusKernel,
+    RWRKernel,
     SSSPKernel,
     WCCKernel,
 )
@@ -32,12 +41,33 @@ from repro.graphgen import Graph
 from repro.hardware.specs import scaled_workstation
 from repro.units import KB
 
+
+def _rng(start, num_vertices):
+    return np.random.default_rng([start, num_vertices])
+
+
+#: Every kernel, one table: name -> factory(start vertex, |V|).
 KERNELS = {
-    "pagerank": lambda start: PageRankKernel(iterations=4),
-    "bfs": lambda start: BFSKernel(start_vertex=start),
-    "sssp": lambda start: SSSPKernel(start_vertex=start),
-    "wcc": lambda start: WCCKernel(),
+    "pagerank": lambda start, n: PageRankKernel(iterations=4),
+    "bfs": lambda start, n: BFSKernel(start_vertex=start),
+    "sssp": lambda start, n: SSSPKernel(start_vertex=start),
+    "wcc": lambda start, n: WCCKernel(),
+    # Two sources, so the per-source state reset is crossed.
+    "bc": lambda start, n: BCKernel(sources=(start, (start + 1) % n)),
+    "kcore1": lambda start, n: KCoreKernel(k=1),
+    "kcore3": lambda start, n: KCoreKernel(k=3),
+    "rwr": lambda start, n: RWRKernel(query_vertex=start, iterations=3),
+    "radius": lambda start, n: RadiusKernel(num_sketches=4, max_hops=4),
+    "degree": lambda start, n: DegreeKernel(),
+    "cross_edges": lambda start, n: CrossEdgesKernel(
+        _rng(start, n).integers(0, 3, size=n)),
+    "induced": lambda start, n: InducedSubgraphKernel(
+        _rng(start, n).random(n) < 0.5, collect_edges=True),
+    "egonet": lambda start, n: EgonetKernel(start, collect_edges=True),
+    "neighborhood": lambda start, n: NeighborhoodKernel(start, hops=2),
 }
+#: Kernels defined on undirected input.
+SYMMETRISED = {"wcc", "kcore1", "kcore3"}
 
 
 def _random_graph(data, weighted):
@@ -54,12 +84,20 @@ def _random_graph(data, weighted):
     return graph
 
 
+def _kernel_graph(data, kernel_name):
+    graph = _random_graph(data, weighted=kernel_name == "sssp")
+    if kernel_name in SYMMETRISED:
+        graph = graph.symmetrised()
+    return graph
+
+
 def _run_pair(db, machine, strategy, kernel_name, start, caching):
     results = []
     for execution in ("paged", "batched"):
         engine = GTSEngine(db, machine, strategy=strategy,
                            enable_caching=caching, execution=execution)
-        results.append(engine.run(KERNELS[kernel_name](start)))
+        results.append(engine.run(
+            KERNELS[kernel_name](start, db.num_vertices)))
     return results
 
 
@@ -88,20 +126,23 @@ def _assert_identical(paged, batched):
 @settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_batched_matches_paged_on_random_graphs(data):
-    kernel_name = data.draw(st.sampled_from(sorted(KERNELS)))
-    graph = _random_graph(data, weighted=kernel_name == "sssp")
-    if kernel_name == "wcc":
-        graph = graph.symmetrised()
-    db = build_database(graph, PageFormatConfig(2, 2, 1 * KB))
+    """Every kernel of the table on every generated graph (a 1 KB page
+    makes large-page vertices and degree-0 records routine)."""
+    graph = _random_graph(data, weighted=data.draw(st.booleans()))
+    config = PageFormatConfig(2, 2, 1 * KB)
+    db = build_database(graph, config)
+    symmetric_db = build_database(graph.symmetrised(), config)
     machine = scaled_workstation(
         num_gpus=data.draw(st.sampled_from([1, 2, 3])),
         num_ssds=data.draw(st.sampled_from([1, 2])))
     strategy = data.draw(st.sampled_from(["performance", "scalability"]))
     caching = data.draw(st.booleans())
     start = data.draw(st.integers(0, graph.num_vertices - 1))
-    paged, batched = _run_pair(db, machine, strategy, kernel_name, start,
-                               caching)
-    _assert_identical(paged, batched)
+    for kernel_name in sorted(KERNELS):
+        paged, batched = _run_pair(
+            symmetric_db if kernel_name in SYMMETRISED else db,
+            machine, strategy, kernel_name, start, caching)
+        _assert_identical(paged, batched)
 
 
 @settings(max_examples=10, deadline=None)
@@ -112,9 +153,7 @@ def test_batched_matches_paged_under_pool_eviction(data, tmp_path_factory):
     and the paged path re-reads through the pool, yet both must agree
     with each other bit for bit."""
     kernel_name = data.draw(st.sampled_from(sorted(KERNELS)))
-    graph = _random_graph(data, weighted=kernel_name == "sssp")
-    if kernel_name == "wcc":
-        graph = graph.symmetrised()
+    graph = _kernel_graph(data, kernel_name)
     db = build_database(graph, PageFormatConfig(2, 2, 1 * KB))
     prefix = str(tmp_path_factory.mktemp("pooled") / "db")
     save_database(db, prefix)
@@ -178,16 +217,14 @@ def test_store_path_never_perturbs_results(data, tmp_path_factory):
     generated graph — and the flat arrays a plan is built from are the
     same whichever path decoded them."""
     kernel_name = data.draw(st.sampled_from(sorted(KERNELS)))
-    graph = _random_graph(data, weighted=kernel_name == "sssp")
-    if kernel_name == "wcc":
-        graph = graph.symmetrised()
+    graph = _kernel_graph(data, kernel_name)
     db = build_database(graph, PageFormatConfig(2, 2, 1 * KB))
     prefix = str(tmp_path_factory.mktemp("matrix") / "db")
     save_database(db, prefix)
     machine = scaled_workstation(num_gpus=2, num_ssds=2)
     start = data.draw(st.integers(0, graph.num_vertices - 1))
-    baseline = GTSEngine(db, machine, execution="paged").run(
-        KERNELS[kernel_name](start))
+    kernel = lambda: KERNELS[kernel_name](start, db.num_vertices)
+    baseline = GTSEngine(db, machine, execution="paged").run(kernel())
     baseline_dict = baseline.to_dict()
     pool_pages = max(1, db.num_pages // 2)
     # The generic per-page scan over the resident load is the reference
@@ -198,7 +235,7 @@ def test_store_path_never_perturbs_results(data, tmp_path_factory):
             lazy = _open_store(prefix, pool_pages, store_path)
             try:
                 result = GTSEngine(lazy, machine, execution=execution).run(
-                    KERNELS[kernel_name](start))
+                    kernel())
                 plan = PagePlan(lazy)
             finally:
                 lazy.close()
@@ -241,7 +278,8 @@ def test_io_merge_changes_plan_but_not_results(data, tmp_path_factory):
     save_database(db, prefix)
     machine = scaled_workstation(num_gpus=2, num_ssds=2)
     start = data.draw(st.integers(0, graph.num_vertices - 1))
-    plain = GTSEngine(db, machine).run(KERNELS[kernel_name](start))
+    kernel = lambda: KERNELS[kernel_name](start, db.num_vertices)
+    plain = GTSEngine(db, machine).run(kernel())
     merged = {}
     for execution in ("paged", "batched"):
         for store_path in STORE_PATHS:
@@ -249,7 +287,7 @@ def test_io_merge_changes_plan_but_not_results(data, tmp_path_factory):
             try:
                 merged[(execution, store_path)] = GTSEngine(
                     lazy, machine, execution=execution,
-                    io_merge=True).run(KERNELS[kernel_name](start))
+                    io_merge=True).run(kernel())
             finally:
                 lazy.close()
             _assert_store_path_taken(lazy, store_path)
@@ -266,9 +304,35 @@ def test_io_merge_changes_plan_but_not_results(data, tmp_path_factory):
                                           err_msg=str(combo))
 
 
-def test_all_four_kernels_support_batch():
+def test_every_registered_kernel_supports_batch():
+    """The fast path is the default for every kernel a caller can
+    reach: each class ``repro.core.kernels`` exports, each service
+    algorithm, and each entry of the table above."""
+    import repro.core.kernels as kernels
+    from repro.dynamic.incremental import (IncrementalBFSKernel,
+                                           IncrementalWCCKernel)
+    from repro.service import ALGORITHMS
+
+    exported = [getattr(kernels, name) for name in kernels.__all__]
+    classes = [cls for cls in exported
+               if isinstance(cls, type) and issubclass(cls, kernels.Kernel)
+               and cls is not kernels.Kernel]
+    assert {cls.name for cls in classes} >= {
+        "BFS", "PageRank", "SSSP", "CC", "BC", "RWR", "Degree", "KCore",
+        "Neighborhood", "CrossEdges", "Radius", "InducedSubgraph",
+        "Egonet"}
+    for cls in classes:
+        assert cls.supports_batch(), cls.__name__
+    for name, entry in ALGORITHMS.items():
+        assert entry[0]({}, 0).supports_batch(), name
     for name, factory in KERNELS.items():
-        assert factory(0).supports_batch(), name
+        assert factory(0, 8).supports_batch(), name
+    # The incremental relaxers read the *live* value vector across the
+    # pages of a round (a vertex improved by an earlier page relaxes
+    # further within the same round), so one batch per round would
+    # change their round count: they stay on the page loop.
+    assert not IncrementalBFSKernel.supports_batch()
+    assert not IncrementalWCCKernel.supports_batch()
 
 
 def test_traced_runs_agree_with_untraced():

@@ -7,14 +7,20 @@ large-page-run index, and the ``execution`` knob's error handling on
 engine, CLI, and result-reporting surfaces.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
-from repro.core import DegreeKernel, GTSEngine, PageRankKernel
+from repro.core import BFSKernel, DegreeKernel, GTSEngine, PageRankKernel
 from repro.core.cache import PageCache
+from repro.core.kernels import Kernel, KernelContext
 from repro.core.plan import (
     PagePlan,
+    RoundBatch,
     RoundPlanCache,
     segment_sum,
     take_ranges,
@@ -37,6 +43,86 @@ def db():
 @pytest.fixture
 def machine():
     return scaled_workstation(num_gpus=2, num_ssds=2)
+
+
+@pytest.fixture
+def lp_db():
+    """A weighted heavy-tailed R-MAT on 512-byte pages: many large-page
+    runs (interleaved with small pages in pid order), degree-0 records."""
+    graph = generate_rmat(9, edge_factor=12, seed=4).with_random_weights(
+        seed=4)
+    return build_database(graph, PageFormatConfig(2, 2, 512,
+                                                  weight_bytes=4))
+
+
+@pytest.fixture(params=["db", "lp_db"])
+def any_db(request):
+    return request.getfixturevalue(request.param)
+
+
+class PagedOnlyDegree(DegreeKernel):
+    """A kernel without a batch body (what every kernel outside
+    ``repro.core.kernels`` is until it writes one)."""
+
+    process_batch = Kernel.process_batch
+
+
+#: Lazy RoundBatch fields by the space that delimits them.
+RECORD_FIELDS = ("degrees", "rec_vids", "rec_divisor")
+EDGE_FIELDS = ("adj_vids", "adj_pids", "adj_weights")
+SEGMENT_FIELDS = ("seg_targets", "seg_pids")
+LAZY_FIELDS = (("rec_divisor", "edge_indptr", "edge_rec", "scatter_order",
+                "seg_starts", "seg_indptr")
+               + EDGE_FIELDS + SEGMENT_FIELDS)
+
+
+def _page_fields(batch, k):
+    """Every field of ``batch``'s ``k``-th page, indexes made
+    page-local so two batches holding the page at different offsets
+    compare equal."""
+    rlo, rhi = batch.rec_indptr[k], batch.rec_indptr[k + 1]
+    elo, ehi = batch.edge_indptr[k], batch.edge_indptr[k + 1]
+    slo, shi = batch.seg_indptr[k], batch.seg_indptr[k + 1]
+    fields = {name: getattr(batch, name)[rlo:rhi]
+              for name in RECORD_FIELDS}
+    for name in EDGE_FIELDS:
+        array = getattr(batch, name)
+        fields[name] = None if array is None else array[elo:ehi]
+    for name in SEGMENT_FIELDS:
+        fields[name] = getattr(batch, name)[slo:shi]
+    fields["edge_rec"] = batch.edge_rec[elo:ehi] - rlo
+    fields["scatter_order"] = batch.scatter_order[elo:ehi] - elo
+    fields["seg_starts"] = batch.seg_starts[slo:shi] - elo
+    fields["scatter_rec"] = batch.scatter_rec()[elo:ehi] - rlo
+    fields["scatter_vids"] = batch.scatter_vids()[elo:ehi]
+    return fields
+
+
+def _identity_batch(plan):
+    """Every page in pid order: the batch that is the plan's own
+    arrays."""
+    return RoundBatch(plan, np.arange(plan.num_pages, dtype=np.int64))
+
+
+def _assert_pages_match(batch, full):
+    """Each page of ``batch`` equals the same page sliced out of the
+    identity batch, dtype for dtype."""
+    for k, pid in enumerate(batch.pids.tolist()):
+        want = _page_fields(full, pid)
+        for name, got in _page_fields(batch, k).items():
+            if want[name] is None:
+                assert got is None, name
+                continue
+            assert got.dtype == want[name].dtype, (pid, name)
+            np.testing.assert_array_equal(got, want[name],
+                                          err_msg=str((pid, name)))
+
+
+def _sp_first(db, pids):
+    """``pids`` in the engine's dispatch order: small pages, then large."""
+    pids = np.unique(np.asarray(pids, dtype=np.int64))
+    is_large = db.rvt.lp_ranges[pids] >= 0
+    return np.concatenate([pids[~is_large], pids[is_large]])
 
 
 class TestPlanArrays:
@@ -73,19 +159,114 @@ class TestPlanArrays:
             np.testing.assert_array_equal(getattr(slow, name),
                                           getattr(fast, name), err_msg=name)
 
-    def test_full_batch_equals_explicit_gather(self, db):
+    def test_full_batch_equals_explicit_gather(self, db, lp_db):
         """The zero-copy identity batch must agree with a forced gather
-        of every page."""
+        of every page (a batch over a permutation of all of them)."""
+        for database in (db, lp_db):
+            plan = PagePlan(database)
+            identity = _identity_batch(plan)
+            assert identity.adj_vids is plan.adj_vids
+            assert identity.seg_targets is plan.seg_targets
+            shuffled = np.random.default_rng(0).permutation(plan.num_pages)
+            gathered = RoundBatch(plan, shuffled.astype(np.int64))
+            assert gathered.adj_vids is not plan.adj_vids
+            _assert_pages_match(gathered, identity)
+            # The SP-first full batch is the identity one exactly when
+            # the builder numbered every small page before the large.
+            full = plan.full_batch()
+            _assert_pages_match(full, identity)
+            assert plan.round_batch(full.pids) is full
+
+    def test_lazy_fields_equal_full_batch_page_by_page(self, any_db):
+        """Every lazy field of a partial batch is that field of the
+        full batch, page by page, whichever order they are first read
+        in."""
+        plan = PagePlan(any_db)
+        full = _identity_batch(plan)
+        rng = np.random.default_rng(1)
+        for size in (1, 3, plan.num_pages // 2, plan.num_pages - 1):
+            pids = _sp_first(any_db, rng.choice(plan.num_pages, size=size,
+                                                replace=False))
+            batch = plan.round_batch(pids)
+            assert not set(LAZY_FIELDS) & set(vars(batch))
+            for name in rng.permutation(LAZY_FIELDS):
+                getattr(batch, name)
+            _assert_pages_match(batch, full)
+            assert batch.num_edges == len(batch.adj_vids)
+            assert batch.num_segments == len(batch.seg_targets)
+
+    @pytest.mark.parametrize("frontier",
+                             ["none", "all", "random", "large-pages-only"])
+    def test_advance_equals_masked_edge_space(self, any_db, frontier):
+        """``advance`` returns what the mask-expand idiom did —
+        ``active[edge_rec]`` over the page-wide edge space — without
+        building that space."""
+        plan = PagePlan(any_db)
+        rng = np.random.default_rng(2)
+        subset = _sp_first(any_db, rng.choice(
+            plan.num_pages, size=plan.num_pages // 2, replace=False))
+        for pids in (subset, plan.full_batch().pids):
+            batch = plan.round_batch(pids)
+            if frontier == "none":
+                active = np.zeros(batch.num_records, dtype=bool)
+            elif frontier == "all":
+                active = np.ones(batch.num_records, dtype=bool)
+            elif frontier == "random":
+                active = rng.random(batch.num_records) < 0.3
+            else:
+                active = np.repeat(any_db.rvt.lp_ranges[batch.pids] >= 0,
+                                   batch.records_per_page())
+            got = batch.advance(active)
+            got_per_page = batch.active_edges_per_page(active)
+            if len(pids) < plan.num_pages:
+                assert not set(LAZY_FIELDS) & set(vars(batch))
+            m = active[batch.edge_rec]
+            want = (batch.rec_vids[batch.edge_rec[m]], batch.adj_vids[m],
+                    batch.adj_pids[m],
+                    None if batch.adj_weights is None
+                    else batch.adj_weights[m])
+            for got_array, want_array in zip(got, want):
+                if want_array is None:
+                    assert got_array is None
+                    continue
+                assert got_array.dtype == want_array.dtype
+                np.testing.assert_array_equal(got_array, want_array)
+            want_per_page = batch.edge_segment_sum(m)
+            assert got_per_page.dtype == want_per_page.dtype
+            np.testing.assert_array_equal(got_per_page, want_per_page)
+
+    def test_frontier_kernel_gathers_no_edge_or_scatter_space(self,
+                                                              any_db):
+        """A BFS round reads the record space and advances; a regression
+        to eager gathering shows up here, not only in a benchmark."""
+        plan = PagePlan(any_db)
+        start = int(np.argmax(any_db.out_degrees))
+        kernel = BFSKernel(start_vertex=start)
+        state = kernel.init_state(any_db)
+        batch = plan.round_batch(_sp_first(any_db, [
+            any_db.page_for_vertex(start), 0, 1]))
+        work = kernel.process_batch(batch, state, KernelContext(any_db))
+        assert work.edges_traversed.sum() > 0
+        assert not set(LAZY_FIELDS) & set(vars(batch))
+        assert not {"_edge_sel", "_seg_sel"} & set(vars(batch))
+
+    def test_dropped_plan_is_freed_without_the_cyclic_collector(self, db):
+        """The plan memoises its full batch and the batch reads the
+        plan; were both references strong, every dropped plan (one per
+        commit under live updates) would sit in memory until a
+        collection — measured as 4x peak RSS on the service workload."""
+        import gc
+        import weakref
+
         plan = PagePlan(db)
-        identity = plan.full_batch()
-        gathered = plan._gather(identity.pids)
-        for name in ("pids", "rec_indptr", "degrees", "rec_vids",
-                     "rec_divisor", "edge_indptr", "edge_rec", "adj_vids",
-                     "adj_pids", "scatter_order", "seg_starts",
-                     "seg_targets", "seg_pids", "seg_indptr"):
-            np.testing.assert_array_equal(getattr(identity, name),
-                                          getattr(gathered, name),
-                                          err_msg=name)
+        plan.full_batch().scatter_order
+        dropped = weakref.ref(plan)
+        gc.disable()
+        try:
+            del plan
+            assert dropped() is None
+        finally:
+            gc.enable()
 
     def test_round_batch_subset(self, db):
         plan = PagePlan(db)
@@ -142,6 +323,39 @@ class TestRoundPlanCache:
         first = cache.get(db)
         cache.invalidate()
         assert cache.get(db) is not first
+
+    def test_hit_count_is_exact_under_threads(self, db):
+        """Warm getters take no lock, and still none of their hits is
+        lost: ``N`` threads x ``M`` gets on a built plan count ``N*M``."""
+        cache = RoundPlanCache()
+        plan = cache.get(db)
+        num_threads, gets = 8, 2000
+        barrier = threading.Barrier(num_threads)
+        strays = []
+
+        def reader():
+            barrier.wait(timeout=30)
+            for _ in range(gets):
+                if cache.get(db) is not plan:
+                    strays.append(1)
+
+        threads = [threading.Thread(target=reader)
+                   for _ in range(num_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not strays
+        assert cache.builds == 1
+        assert cache.hits == num_threads * gets
+        assert cache.hits == num_threads * gets  # reading is not a hit
+        assert cache.stats()["hits"] == num_threads * gets
 
 
 class TestScatterIndexCache:
@@ -214,13 +428,18 @@ class TestLargePageRunIndex:
 
 class TestExecutionKnob:
     def test_batched_rejected_for_batchless_kernel(self, db, machine):
+        assert not PagedOnlyDegree.supports_batch()
         engine = GTSEngine(db, machine, execution="batched")
         with pytest.raises(ConfigurationError):
-            engine.run(DegreeKernel())
+            engine.run(PagedOnlyDegree())
 
     def test_auto_falls_back_for_batchless_kernel(self, db, machine):
-        result = GTSEngine(db, machine).run(DegreeKernel())
+        result = GTSEngine(db, machine).run(PagedOnlyDegree())
         assert result.execution == "paged"
+        batched = GTSEngine(db, machine).run(DegreeKernel())
+        assert batched.execution == "batched"
+        for key, array in batched.values.items():
+            np.testing.assert_array_equal(result.values[key], array)
 
     def test_auto_prefers_batched(self, db, machine):
         result = GTSEngine(db, machine).run(PageRankKernel(iterations=2))
@@ -256,7 +475,13 @@ class TestCLIExecutionFlag:
                      "--iterations", "2", "--execution", "batched"]) == 0
         assert "PageRank" in capsys.readouterr().out
 
-    def test_batchless_algorithm_fails_gracefully(self, tmp_path, capsys):
+    def test_batchless_algorithm_fails_gracefully(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # Every CLI algorithm has a batch body now; register one that
+        # does not, as an out-of-tree kernel would be.
+        monkeypatch.setitem(
+            repro.cli.ALGORITHMS, "degree",
+            (lambda args, start: PagedOnlyDegree(), False, False))
         graph = generate_rmat(7, edge_factor=4, seed=2)
         path = str(tmp_path / "g.txt")
         write_edge_list(graph, path)

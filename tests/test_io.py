@@ -265,10 +265,11 @@ class TestEnginePagePool:
                                               tmp_path):
         from repro.core import GTSEngine, KCoreKernel
 
-        # k-core runs the per-page loop, the one path that touches the
-        # pool (a batched run reads flat arrays and builds no pages).
+        # The per-page loop is pinned: it is the one path that touches
+        # the pool (a batched run reads flat arrays and builds no pages).
         lazy = self._open(rmat_db, tmp_path, pool_pages=16)
-        result = GTSEngine(lazy, machine).run(KCoreKernel(k=2))
+        result = GTSEngine(lazy, machine, execution="paged").run(
+            KCoreKernel(k=2))
         assert result.pool_hits + result.pool_misses > 0
         assert 0.0 <= result.pool_hit_rate <= 1.0
         assert "page-pool hit rate" in result.summary()
@@ -280,7 +281,7 @@ class TestEnginePagePool:
         from repro.core import GTSEngine, KCoreKernel
 
         lazy = self._open(rmat_db, tmp_path, pool_pages=16)
-        engine = GTSEngine(lazy, machine)
+        engine = GTSEngine(lazy, machine, execution="paged")
         first = engine.run(KCoreKernel(k=2))
         second = engine.run(KCoreKernel(k=2))
         # Each RunResult carries only its own run's pool traffic, not

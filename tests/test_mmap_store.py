@@ -304,9 +304,11 @@ def test_inert_fault_plan_leaves_a_paged_run_alone(tmp_path):
     machine = scaled_workstation(num_gpus=2, num_ssds=2)
     plan = FaultPlan(seed=3, host_corrupt_reads={0: 0})
     assert plan.active
-    want = GTSEngine(db, machine, faults=plan).run(KCoreKernel(k=3))
+    want = GTSEngine(db, machine, faults=plan, execution="paged").run(
+        KCoreKernel(k=3))
     store = FileBackedDatabase(prefix, pool_pages=4)
-    got = GTSEngine(store, machine, faults=plan).run(KCoreKernel(k=3))
+    got = GTSEngine(store, machine, faults=plan, execution="paged").run(
+        KCoreKernel(k=3))
     assert got.execution == "paged"
     assert got.elapsed_seconds == want.elapsed_seconds
     assert got.fault_stats == want.fault_stats
@@ -318,15 +320,17 @@ def test_inert_fault_plan_leaves_a_paged_run_alone(tmp_path):
 
 
 def test_all_kernels_bit_identical_on_every_store_path(tmp_path):
-    """Values and simulated time of all 12 kernels on every remaining
-    path — mapped decode, copy fallback, eager ``load_database``, and a
-    dynamic overlay on each — equal the run on the database that was
-    saved."""
+    """Values and simulated time of all 12 kernels, page loop and batch
+    body alike, on every remaining path — mapped decode, copy fallback,
+    eager ``load_database``, and a dynamic overlay on each — equal the
+    page loop's on the database that was saved; an overlay carrying
+    deltas (a different graph) agrees with its own page loop."""
     from repro.core import (BCKernel, BFSKernel, CrossEdgesKernel,
                             DegreeKernel, InducedSubgraphKernel,
                             KCoreKernel, NeighborhoodKernel, RadiusKernel,
                             RWRKernel, WCCKernel)
-    from repro.dynamic import open_dynamic_database
+    from repro.dynamic import (DynamicGraphDatabase, UpdateBatch,
+                               open_dynamic_database)
 
     rng = np.random.default_rng(11)
     num_vertices = 96
@@ -362,6 +366,16 @@ def test_all_kernels_bit_identical_on_every_store_path(tmp_path):
             dyn._base.attach_fault_injector(FaultInjector(FaultPlan()))
         return dyn
 
+    def overlay_with_deltas():
+        dyn = DynamicGraphDatabase(
+            FileBackedDatabase(prefix, pool_pages=3))
+        batch = UpdateBatch()
+        for u, v in ((3, 90), (90, 3), (7, 7), (40, 41)):
+            batch.insert_edge(u, v, 2.5)
+        batch.delete_edge(3, int(graph.neighbors(3)[0]))
+        dyn.apply(batch)
+        return dyn
+
     stores = {
         "mapped": lambda: FileBackedDatabase(prefix, pool_pages=3),
         "fallback": lambda: _open_fallback(prefix, pool_pages=3),
@@ -369,18 +383,27 @@ def test_all_kernels_bit_identical_on_every_store_path(tmp_path):
         "overlay/mapped": lambda: overlay(3),
         "overlay/fallback": lambda: overlay(3, fallback=True),
         "overlay/eager": lambda: overlay(None),
+        "overlay/deltas": overlay_with_deltas,
     }
     machine = scaled_workstation(num_gpus=2, num_ssds=2)
     for kernel_name, make_kernel in kernels.items():
-        expected = GTSEngine(db, machine).run(make_kernel())
+        expected = GTSEngine(db, machine, execution="paged").run(
+            make_kernel())
         for store_name, open_store in stores.items():
-            result = GTSEngine(open_store(), machine).run(make_kernel())
-            combo = (kernel_name, store_name)
-            assert result.elapsed_seconds == expected.elapsed_seconds, combo
-            assert set(result.values) == set(expected.values), combo
-            for key, array in expected.values.items():
-                np.testing.assert_array_equal(result.values[key], array,
-                                              err_msg=str(combo))
+            runs = {execution: GTSEngine(
+                open_store(), machine, execution=execution).run(
+                    make_kernel()) for execution in ("paged", "batched")}
+            want = (runs["paged"] if store_name == "overlay/deltas"
+                    else expected)
+            for execution, result in runs.items():
+                combo = (kernel_name, store_name, execution)
+                assert result.execution == execution, combo
+                assert result.elapsed_seconds == want.elapsed_seconds, combo
+                assert result.num_rounds == want.num_rounds, combo
+                assert set(result.values) == set(want.values), combo
+                for key, array in want.values.items():
+                    np.testing.assert_array_equal(
+                        result.values[key], array, err_msg=str(combo))
 
 
 def _tamper_layout(prefix, **overrides):

@@ -48,7 +48,8 @@ from repro.obs.telemetry import (
     render_service_metrics,
     summarize_requests,
 )
-from repro.service import GraphService, ServiceClient, make_server
+from repro.service import (GraphService, QueryRequest, ServiceClient,
+                           make_server)
 from repro.units import KB
 
 POOL_PAGES = 8
@@ -528,6 +529,29 @@ class TestHTTPPropagation:
         # The HTTP path appends the serialize span before completion.
         names = [c["name"] for c in by_id["corr-42"]["span"]["children"]]
         assert names[-1] == "serialize"
+
+    def test_trace_deferred_at_submit_outlives_a_finished_query(self,
+                                                               served):
+        """The handler claims completion *at* submit: however quickly
+        the worker finishes, the trace is still open when the handler
+        comes back for it (it used to claim it after ``submit``
+        returned, and a query quicker than the handler thread's next
+        time slice completed its trace without the serialize span)."""
+        service, _, ring_dir = served
+        future = service.submit(
+            QueryRequest("g", "bfs", params={"start": 0}, query_id="d1"),
+            defer_trace=True)
+        future.result()
+        service.submit(QueryRequest("g", "bfs", params={"start": 0},
+                                    query_id="d2")).result()
+        service.drain()
+        trace = service.telemetry.defer("d1")
+        assert trace is not None
+        assert service.telemetry.defer("d2") is None
+        assert [r["query_id"] for r in load_ring(ring_dir)] == ["d2"]
+        service.telemetry.complete(trace)
+        assert sorted(r["query_id"] for r in load_ring(ring_dir)) == [
+            "d1", "d2"]
 
     def test_metrics_endpoint(self, served):
         service, base, _ = served
