@@ -30,7 +30,7 @@ import numpy as np
 from repro.core.cache import PageCache
 from repro.core.kernels.base import ALL_PAGES, KernelContext
 from repro.core.micro import MicroTechnique
-from repro.core.plan import RoundPlanCache
+from repro.core.plan import RoundPlanCache, page_mask, take_ranges
 from repro.core.result import RoundStats, RunResult
 from repro.core.strategies import make_strategy
 from repro.core.streams import StreamScheduler
@@ -188,41 +188,36 @@ class GTSEngine:
     # Setup helpers
     # ------------------------------------------------------------------
     def _index_large_page_runs(self):
-        """Map each first-chunk LP page ID to its vertex's full run.
+        """Every large vertex's page run as ``(firsts, lengths)``: the
+        run's first page ID, ascending, and its page count.
 
         Adjacency entries always address a large vertex through its first
         large page (slot 0); streaming that vertex requires the whole
         consecutive run, which the RVT's LP_RANGE column delimits.
         """
         lp = np.asarray(self.db.large_page_ids(), dtype=np.int64)
-        if len(lp) == 0:
-            return {}
         # A run occupies consecutive pids with chunk indexes 0..k, so
-        # ``pid - LP_RANGE(pid)`` is constant across the run, and with
-        # ``lp`` ascending the groups come out already sorted.
-        firsts = lp - self.db.rvt.lp_ranges[lp]
-        uniques, starts = np.unique(firsts, return_index=True)
-        groups = np.split(lp, starts[1:])
-        return {int(first): group
-                for first, group in zip(uniques, groups)}
+        # its first page is the one whose LP_RANGE is 0, and with ``lp``
+        # ascending the next first (or the end) closes the run.
+        starts = np.flatnonzero(self.db.rvt.lp_ranges[lp] == 0)
+        return lp[starts], np.diff(np.append(starts, len(lp)))
 
     def _expand_pids(self, pids):
         """Normalise a round's page set: dedupe, expand LP runs, and
         split into (small, large) in the SP-first order the paper uses to
-        avoid kernel switching."""
-        pids = np.unique(np.asarray(pids, dtype=np.int64))
-        lp_ranges = self.db.rvt.lp_ranges
-        is_lp = lp_ranges[pids] >= 0
-        small = pids[~is_lp]
-        large_entries = pids[is_lp]
-        if len(large_entries):
-            firsts = large_entries - lp_ranges[large_entries]
-            expanded = [self._lp_runs[int(first)]
-                        for first in np.unique(firsts)]
-            large = np.unique(np.concatenate(expanded))
-        else:
-            large = large_entries
-        return small, large
+        avoid kernel switching.  The set goes through the page bitmap —
+        no sort, whatever order or multiplicity ``pids`` arrives in."""
+        pids = np.asarray(pids, dtype=np.int64)
+        # Name a large page by its run's first page, whichever chunk
+        # was asked for; small pages name themselves.
+        named = page_mask(
+            pids - np.maximum(self.db.rvt.lp_ranges[pids], 0),
+            self.db.num_pages)
+        firsts, lengths = self._lp_runs
+        runs = named[firsts]
+        large = take_ranges(firsts[runs], lengths[runs])
+        named[firsts] = False
+        return np.flatnonzero(named), large
 
     def _resolve_execution(self, kernel):
         """Pick the execution path for ``kernel`` under the knob."""
@@ -599,7 +594,9 @@ class GTSEngine:
             stats = RoundStats(round_index=round_index,
                                description=plan.description,
                                start_time=runtime.now)
-            next_pid_chunks = []
+            # nextPIDSet is a page bitmap; the round's kernels OR into it.
+            next_pages = (np.zeros(db.num_pages, dtype=bool)
+                          if kernel.traversal else None)
             fetch_ready.clear()
             round_start = runtime.now
             fetch = self._make_fetch(runtime, fetch_ready, round_start,
@@ -662,8 +659,8 @@ class GTSEngine:
                 stats.edges_traversed += round_edges
                 stats.active_vertices += int(work.active_vertices.sum())
                 total_edges += round_edges
-                if work.next_pids is not None and len(work.next_pids):
-                    next_pid_chunks.append(work.next_pids)
+                if next_pages is not None and work.next_pids is not None:
+                    next_pages[work.next_pids] = True
                 scheduler.dispatch_round(
                     pids_round, assignments,
                     copy_bytes_all[pids_round], work.lane_steps,
@@ -689,8 +686,9 @@ class GTSEngine:
                     stats.edges_traversed += work.edges_traversed
                     stats.active_vertices += work.active_vertices
                     total_edges += work.edges_traversed
-                    if work.next_pids is not None and len(work.next_pids):
-                        next_pid_chunks.append(work.next_pids)
+                    if (next_pages is not None
+                            and work.next_pids is not None):
+                        next_pages[work.next_pids] = True
                     ra_bytes = db.ra_subvector_bytes(
                         pid, kernel.ra_bytes_per_vertex)
                     gpus = (assignments[i] if assignments is not None
@@ -726,11 +724,9 @@ class GTSEngine:
             runtime.now = max(barrier, sync_end)
             for gpu in runtime.gpus:
                 gpu.advance_to(runtime.now)
-            merged = None
-            if kernel.traversal:
-                merged = (np.unique(np.concatenate(next_pid_chunks))
-                          if next_pid_chunks else np.empty(0, dtype=np.int64))
-            kernel.finish_round(state, merged)
+            kernel.finish_round(
+                state,
+                None if next_pages is None else np.flatnonzero(next_pages))
             if hp is not None:
                 hp.pop()  # sync
             stats.end_time = runtime.now

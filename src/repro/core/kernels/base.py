@@ -78,9 +78,11 @@ class BatchWork:
     next_pids: Optional[np.ndarray] = None
 
 
-def frontier_batch_work(batch, ctx, active, next_pids=None):
-    """:class:`BatchWork` of a round that walked only the ``active``
-    records' edges (what ``batch.advance(active)`` returned)."""
+def frontier_batch_work(frontier, ctx, next_pids=None):
+    """:class:`BatchWork` of a round that walked only the edges of
+    ``frontier`` (what ``batch.advance(active)`` returned; a filtered
+    view charges the same: every advanced edge was inspected)."""
+    batch, active = frontier.batch, frontier.active
     return BatchWork(
         lane_steps=ctx.segment_lane_steps(batch, active),
         edges_traversed=batch.active_edges_per_page(active),
@@ -191,6 +193,13 @@ class Kernel:
         Every kernel under :mod:`repro.core.kernels` overrides it; the
         engine falls back to the per-page loop for kernels that don't
         (the incremental relaxers of :mod:`repro.dynamic.incremental`).
+
+        A frontier-walking body is ``batch.advance(active)`` plus the
+        :class:`~repro.core.plan.Frontier` operators — ``filter(mask)``
+        before gathering what only the survivors need,
+        ``from_sources(vector)`` for a per-source read, ``pages()`` for
+        ``next_pids`` — and returns :func:`frontier_batch_work`; a full
+        scan reduces over the batch's scatter space instead.
         """
         raise NotImplementedError(
             "%s does not implement process_batch" % type(self).__name__)

@@ -203,27 +203,29 @@ class BCKernel(Kernel):
     def process_batch(self, batch, state, ctx):
         if state.phase == "forward":
             active = state.level[batch.rec_vids] == state.cur_level
-            sources, targets, target_pids, _ = batch.advance(active)
+            frontier = batch.advance(active)
+            targets = frontier.targets
             # No vertex holds level ``cur_level + 1`` before this round,
             # so "fresh" against the round-start levels is the union of
             # the per-page discoveries and "counted" is every frontier
             # edge into it, as in the page loop.
-            fresh = state.level[targets] == UNVISITED
-            state.level[targets[fresh]] = state.cur_level + 1
-            counted = state.level[targets] == state.cur_level + 1
+            fresh = frontier.filter(state.level[targets] == UNVISITED)
+            state.level[fresh.targets] = state.cur_level + 1
+            counted = frontier.filter(
+                state.level[targets] == state.cur_level + 1)
             # Sources sit at ``cur_level`` and counted targets one level
             # down, so reading sigma up front reads what each page would;
             # ``np.add.at`` adds in edge order, which is page order.
-            np.add.at(state.sigma, targets[counted],
-                      state.sigma[sources[counted]])
-            return frontier_batch_work(
-                batch, ctx, active,
-                next_pids=np.unique(target_pids[fresh]))
+            np.add.at(state.sigma, counted.targets,
+                      counted.from_sources(state.sigma))
+            return frontier_batch_work(frontier, ctx,
+                                       next_pids=fresh.pages())
         active = state.level[batch.rec_vids] == state.backward_level
-        sources, targets, _, _ = batch.advance(active)
-        downstream = state.level[targets] == state.backward_level + 1
-        sources = sources[downstream]
-        targets = targets[downstream]
+        frontier = batch.advance(active)
+        downstream = frontier.filter(
+            state.level[frontier.targets] == state.backward_level + 1)
+        sources = downstream.sources
+        targets = downstream.targets
         ratio = np.zeros(len(targets))
         valid = state.sigma[targets] > 0
         ratio[valid] = (state.sigma[sources[valid]]
@@ -232,4 +234,4 @@ class BCKernel(Kernel):
         # accumulated in edge order like the page loop.
         np.add.at(state.delta, sources,
                   ratio * (1.0 + state.delta[targets]))
-        return frontier_batch_work(batch, ctx, active)
+        return frontier_batch_work(frontier, ctx)

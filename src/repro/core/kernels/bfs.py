@@ -99,12 +99,12 @@ class BFSKernel(Kernel):
 
     def process_batch(self, batch, state, ctx):
         active = state.level[batch.rec_vids] == state.cur_level
-        _, targets, target_pids, _ = batch.advance(active)
+        frontier = batch.advance(active)
         # "Unvisited" against the round-start levels: every per-page
         # discoverer writes the same ``cur_level + 1``, so evaluating the
         # mask before any write reproduces the per-page union exactly.
-        unvisited = state.level[targets] == UNVISITED
-        state.level[targets[unvisited]] = state.cur_level + 1
-        return frontier_batch_work(
-            batch, ctx, active,
-            next_pids=np.unique(target_pids[unvisited]))
+        # Filtering first means only a discovery's page id is gathered.
+        fresh = frontier.filter(
+            state.level[frontier.targets] == UNVISITED)
+        state.level[fresh.targets] = state.cur_level + 1
+        return frontier_batch_work(frontier, ctx, next_pids=fresh.pages())

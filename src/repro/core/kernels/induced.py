@@ -125,10 +125,10 @@ class InducedSubgraphKernel(Kernel):
 
     def process_batch(self, batch, state, ctx):
         active = state.member[batch.rec_vids]
-        sources, targets, _, _ = batch.advance(active)
-        inside = state.member[targets]
-        sources = sources[inside]
-        targets = targets[inside]
+        frontier = batch.advance(active)
+        inside = frontier.filter(state.member[frontier.targets])
+        sources = inside.sources
+        targets = inside.targets
         state.num_edges += len(targets)
         np.add.at(state.internal_degree, sources, 1)
         if self.collect_edges:
@@ -216,6 +216,6 @@ class EgonetKernel(InducedSubgraphKernel):
         if state.phase != "expand":
             return super().process_batch(batch, state, ctx)
         active = batch.rec_vids == state.ego
-        _, targets, _, _ = batch.advance(active)
-        state.member[targets] = True
-        return frontier_batch_work(batch, ctx, active)
+        frontier = batch.advance(active)
+        state.member[frontier.targets] = True
+        return frontier_batch_work(frontier, ctx)

@@ -25,6 +25,7 @@ from repro.core.kernels.base import (
     edge_expand,
     frontier_batch_work,
 )
+from repro.core.plan import page_set
 from repro.errors import ConfigurationError
 
 
@@ -41,9 +42,7 @@ class _KCoreState:
         self.frontier_pids = self._pages_of(np.flatnonzero(self.frontier))
 
     def _pages_of(self, vids):
-        if len(vids) == 0:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(self.db.vertex_page[vids])
+        return page_set(self.db.vertex_page[vids], self.db.num_pages)
 
 
 class KCoreKernel(Kernel):
@@ -104,8 +103,8 @@ class KCoreKernel(Kernel):
 
     def process_batch(self, batch, state, ctx):
         active = state.frontier[batch.rec_vids]
-        _, targets, _, _ = batch.advance(active)
+        frontier = batch.advance(active)
         # Integer decrements commute, so one unbuffered pass over the
         # round's edges equals the per-page passes.
-        np.add.at(state.degree, targets, -1)
-        return frontier_batch_work(batch, ctx, active)
+        np.add.at(state.degree, frontier.targets, -1)
+        return frontier_batch_work(frontier, ctx)

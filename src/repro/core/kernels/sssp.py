@@ -22,6 +22,7 @@ from repro.core.kernels.base import (
     edge_expand,
     frontier_batch_work,
 )
+from repro.core.plan import page_mask
 from repro.errors import ConfigurationError
 
 INFINITY = np.float32(np.inf)
@@ -87,10 +88,10 @@ class SSSPKernel(Kernel):
         # its small page, or the first of its large pages — which is
         # the page ID adjacency entries (hence next_pids) carry.
         if len(merged_next_pids):
-            improved_pages = np.unique(
-                state.db.vertex_page[np.flatnonzero(improved)])
+            improved_pages = page_mask(state.db.vertex_page[improved],
+                                       state.db.num_pages)
             merged_next_pids = merged_next_pids[
-                np.isin(merged_next_pids, improved_pages)]
+                improved_pages[merged_next_pids]]
         state.frontier_pids = merged_next_pids
 
     def results(self, state):
@@ -129,10 +130,12 @@ class SSSPKernel(Kernel):
 
     def process_batch(self, batch, state, ctx):
         active = state.frontier[batch.rec_vids]
-        sources, targets, target_pids, weights = batch.advance(active)
+        frontier = batch.advance(active)
+        targets = frontier.targets
+        weights = frontier.weights
         if weights is None:
             weights = np.ones(len(targets), dtype=np.float32)
-        candidates = state.dist_prev[sources] + weights
+        candidates = frontier.from_sources(state.dist_prev) + weights
         # "Better" against the round-start distances.  The per-page loop
         # compares against the live vector, so it may skip candidates a
         # previous page already beat — but the min-combine makes the
@@ -140,6 +143,7 @@ class SSSPKernel(Kernel):
         # added to the union by whichever page beat it (same target,
         # same physical page), so next_pids match too.
         better = candidates < state.dist[targets]
-        np.minimum.at(state.dist, targets[better], candidates[better])
-        return frontier_batch_work(
-            batch, ctx, active, next_pids=np.unique(target_pids[better]))
+        relaxed = frontier.filter(better)
+        np.minimum.at(state.dist, relaxed.targets, candidates[better])
+        return frontier_batch_work(frontier, ctx,
+                                   next_pids=relaxed.pages())

@@ -16,8 +16,15 @@ metadata into flat, page-major arrays built **once** per topology:
 * :class:`RoundBatch` — a lazy view of the plan over one round's page
   set, in the exact SP-first order the engine dispatches: each field is
   gathered with vectorized range concatenation (no per-page Python
-  loop) the first time a kernel reads it, and :meth:`RoundBatch.advance`
-  hands frontier kernels the active records' edges alone.
+  loop) the first time a kernel reads it.
+* :class:`Frontier` — what :meth:`RoundBatch.advance` hands a frontier
+  kernel: the active records' edges alone, as one more lazy view, with
+  the traversal step's operators (``filter`` / ``from_sources`` /
+  ``pages``).
+* :func:`page_mask` / :func:`page_set` — ``nextPIDSet`` as a page
+  *bitmap*: kernels, the engine's barrier merge and its large-page-run
+  expansion all name page sets through it, so no round sorts an
+  edge-length array to learn which pages come next.
 * :class:`RoundPlanCache` — keyed by the database's
   ``topology_version`` so dynamic updates (WAL batches, compaction)
   invalidate the plan and the next run rebuilds it.
@@ -249,31 +256,127 @@ class RoundBatch:
     # -- advance -------------------------------------------------------
     def advance(self, active):
         """The edges leaving the ``active`` records (Gunrock's *advance*
-        over a per-record frontier mask).
+        over a per-record frontier mask) as one lazy :class:`Frontier`.
 
-        Returns ``(source_vids, targets, target_pids, weights)``, one
-        entry per edge, in page-major record order — bit for bit
-        ``rec_vids[edge_rec[m]]``, ``adj_vids[m]``, ``adj_pids[m]`` and
-        ``adj_weights[m]`` (``None`` on an unweighted plan) with ``m =
-        active[edge_rec]``, but gathered straight off the plan's flat
-        arrays, so the work is proportional to the frontier's edges and
-        the page-wide edge space is never built.
+        Only the record-proportional part is computed here — the active
+        records' plan-wide rows, their degrees and their edges' plan-wide
+        indices; every per-edge field is gathered straight off the plan's
+        flat arrays the first time the kernel reads it, so the work is
+        proportional to the frontier's edges *and* to what the kernel's
+        body reads, and the page-wide edge space is never built.
         """
         plan = self._plan
         rows = np.flatnonzero(active)
         if self._rec_sel is not None:
             rows = self._rec_sel[rows]
-        counts = plan.degrees[rows]
-        edges = take_ranges(plan.rec_edge_start[rows], counts)
-        weights = plan.adj_weights
-        return (np.repeat(plan.rec_vids[rows], counts),
-                plan.adj_vids[edges], plan.adj_pids[edges],
-                None if weights is None else weights[edges])
+        degrees = plan.degrees[rows]
+        return Frontier(self, active, rows, degrees,
+                        take_ranges(plan.rec_edge_start[rows], degrees))
 
     def active_edges_per_page(self, active):
         """Per-page count of the edges :meth:`advance` returns, from the
         record space alone."""
         return self.segment_sum(np.where(active, self.degrees, 0))
+
+
+class Frontier:
+    """The edges leaving one round's active records: a lazy view.
+
+    ``batch.advance(active)`` builds it.  ``rows`` / ``degrees`` are the
+    active records' plan-wide indices and degrees, ``edges`` the
+    plan-wide index of every edge in the view, in page-major record
+    order.  The per-edge fields are gathered on first read and memoised,
+    like the batch's own spaces, so a kernel pays for what it reads:
+
+    * ``targets`` / ``target_pids`` / ``weights`` (``None`` on an
+      unweighted plan) — bit for bit ``adj_vids[m]``, ``adj_pids[m]``,
+      ``adj_weights[m]`` of the batch with ``m = active[edge_rec]``;
+    * ``sources`` — the source VID of every edge,
+      ``rec_vids[edge_rec[m]]``.
+
+    Three operators (Gunrock's advance / **filter** split, on one view):
+
+    * :meth:`filter` narrows the view to the edges a mask keeps by
+      compressing the edge index once; later gathers cost the survivors
+      only.  Filter *before* reading a field the round needs only for
+      the survivors (BFS never gathers a visited target's page id).
+    * :meth:`from_sources` reads a per-vertex vector at every edge's
+      source by gathering per *record* and repeating by degree.
+    * :meth:`pages` names the pages the (masked) edges point into —
+      the round's ``nextPIDSet`` — through a ``num_pages`` bitmap
+      instead of a sort over an edge-length array.
+    """
+
+    def __init__(self, batch, active, rows, degrees, edges, parent=None,
+                 keep=None):
+        self.batch = batch
+        self._plan = batch._plan
+        #: Per-record mask over the batch this view advanced from.
+        self.active = active
+        self.rows = rows
+        self.degrees = degrees
+        self.edges = edges
+        # A filtered view reads its sources off its parent's, under the
+        # mask; every other field it gathers through ``edges``.
+        self._parent = parent
+        self._keep = keep
+
+    @functools.cached_property
+    def targets(self):
+        return self._plan.adj_vids[self.edges]
+
+    @functools.cached_property
+    def target_pids(self):
+        return self._plan.adj_pids[self.edges]
+
+    @functools.cached_property
+    def weights(self):
+        weights = self._plan.adj_weights
+        return None if weights is None else weights[self.edges]
+
+    @functools.cached_property
+    def _row_vids(self):
+        return self._plan.rec_vids[self.rows]
+
+    @functools.cached_property
+    def sources(self):
+        if self._parent is not None:
+            return self._parent.sources[self._keep]
+        return np.repeat(self._row_vids, self.degrees)
+
+    def from_sources(self, vector):
+        """``vector[sources]``, bit for bit."""
+        if self._parent is not None:
+            return vector[self.sources]
+        return np.repeat(vector[self._row_vids], self.degrees)
+
+    def filter(self, mask):
+        """The view over the edges ``mask`` keeps (every field of the
+        result is that field of this view ``[mask]``)."""
+        return Frontier(self.batch, self.active, self.rows, self.degrees,
+                        self.edges[mask], parent=self, keep=mask)
+
+    def pages(self, mask=None):
+        """Sorted unique ``int64`` ids of the pages the edges (under
+        ``mask``) point into: exactly ``np.unique(target_pids[mask])``."""
+        pids = self.target_pids
+        return page_set(pids if mask is None else pids[mask],
+                        self._plan.num_pages)
+
+
+def page_mask(pids, num_pages):
+    """``nextPIDSet`` as the paper keeps it: a ``num_pages`` bitmap with
+    the bit of every page in ``pids`` set."""
+    mask = np.zeros(num_pages, dtype=bool)
+    mask[pids] = True
+    return mask
+
+
+def page_set(pids, num_pages):
+    """The sorted unique ``int64`` page ids in ``pids`` — what
+    ``np.unique(pids)`` returns, read off the bitmap instead of sorted
+    out of an array that may be edge-length."""
+    return np.flatnonzero(page_mask(pids, num_pages))
 
 
 def segment_sum(values, indptr, dtype=np.int64):

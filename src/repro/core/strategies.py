@@ -19,6 +19,8 @@ page, how much WA each GPU must allocate, and how WA synchronisation is
 booked on the simulated resources at the end of a round.
 """
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 
 
@@ -79,7 +81,10 @@ class PerformanceStrategy(Strategy):
         return (page_id % num_gpus,)
 
     def assign_batch(self, page_ids, num_gpus):
-        return [(int(pid) % num_gpus,) for pid in page_ids]
+        # One ``%`` over the round; every page of a GPU shares its tuple.
+        singles = [(gpu,) for gpu in range(num_gpus)]
+        owners = np.asarray(page_ids, dtype=np.int64) % num_gpus
+        return [singles[gpu] for gpu in owners.tolist()]
 
     def wa_gpu_bytes(self, wa_total_bytes, num_gpus):
         return wa_total_bytes

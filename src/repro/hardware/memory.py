@@ -19,6 +19,7 @@ Two replacement policies are provided:
 * ``"lru"`` — least-recently-used, for workloads with temporal locality.
 """
 
+import itertools
 from collections import OrderedDict
 
 from repro.errors import ConfigurationError
@@ -94,6 +95,13 @@ class MainMemoryBuffer:
 
         Loads as many pages as fit; returns the number admitted.
         """
+        if not self._pages:
+            # Nothing resident to probe: the first ``capacity_pages``
+            # distinct ids, in arrival order, in one insert (the engine
+            # pays this at the start of every run).
+            self._pages = OrderedDict.fromkeys(itertools.islice(
+                dict.fromkeys(page_ids), self.capacity_pages))
+            return len(self._pages)
         admitted = 0
         for page_id in page_ids:
             if len(self._pages) >= self.capacity_pages:

@@ -12,10 +12,19 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.cli
 from repro.cli import build_parser, main
-from repro.core import BFSKernel, DegreeKernel, GTSEngine, PageRankKernel
+from repro.core import (
+    BFSKernel,
+    DegreeKernel,
+    GTSEngine,
+    KCoreKernel,
+    PageRankKernel,
+    SSSPKernel,
+)
 from repro.core.cache import PageCache
 from repro.core.kernels import Kernel, KernelContext
 from repro.core.plan import (
@@ -60,6 +69,17 @@ def any_db(request):
     return request.getfixturevalue(request.param)
 
 
+@pytest.fixture(scope="module")
+def lp_plan():
+    """``lp_db``'s database and plan, built once for the hypothesis
+    property (which cannot take function-scoped fixtures); read-only."""
+    graph = generate_rmat(9, edge_factor=12, seed=4).with_random_weights(
+        seed=4)
+    database = build_database(graph, PageFormatConfig(2, 2, 512,
+                                                      weight_bytes=4))
+    return database, PagePlan(database)
+
+
 class PagedOnlyDegree(DegreeKernel):
     """A kernel without a batch body (what every kernel outside
     ``repro.core.kernels`` is until it writes one)."""
@@ -74,6 +94,8 @@ SEGMENT_FIELDS = ("seg_targets", "seg_pids")
 LAZY_FIELDS = (("rec_divisor", "edge_indptr", "edge_rec", "scatter_order",
                 "seg_starts", "seg_indptr")
                + EDGE_FIELDS + SEGMENT_FIELDS)
+#: Lazy Frontier fields (what ``advance`` used to return eagerly).
+FRONTIER_FIELDS = ("sources", "targets", "target_pids", "weights")
 
 
 def _page_fields(batch, k):
@@ -198,13 +220,17 @@ class TestPlanArrays:
     @pytest.mark.parametrize("frontier",
                              ["none", "all", "random", "large-pages-only"])
     def test_advance_equals_masked_edge_space(self, any_db, frontier):
-        """``advance`` returns what the mask-expand idiom did —
-        ``active[edge_rec]`` over the page-wide edge space — without
-        building that space."""
+        """Every lazy field of the ``Frontier`` is what the mask-expand
+        idiom read — ``active[edge_rec]`` over the page-wide edge space
+        — without building that space; ``filter(m)`` is every field
+        ``[m]``; ``from_sources(v)`` is ``v[sources]`` bit for bit."""
         plan = PagePlan(any_db)
         rng = np.random.default_rng(2)
         subset = _sp_first(any_db, rng.choice(
             plan.num_pages, size=plan.num_pages // 2, replace=False))
+        vectors = [rng.integers(-5, 5, any_db.num_vertices).astype(np.int32),
+                   rng.random(any_db.num_vertices).astype(np.float32),
+                   rng.random(any_db.num_vertices)]
         for pids in (subset, plan.full_batch().pids):
             batch = plan.round_batch(pids)
             if frontier == "none":
@@ -217,38 +243,133 @@ class TestPlanArrays:
                 active = np.repeat(any_db.rvt.lp_ranges[batch.pids] >= 0,
                                    batch.records_per_page())
             got = batch.advance(active)
+            assert not set(FRONTIER_FIELDS) & set(vars(got))
             got_per_page = batch.active_edges_per_page(active)
+            keep = rng.random(len(got.edges)) < 0.4
+            kept = got.filter(keep)
+            for name in rng.permutation(FRONTIER_FIELDS):
+                getattr(kept, name), getattr(got, name)
             if len(pids) < plan.num_pages:
                 assert not set(LAZY_FIELDS) & set(vars(batch))
             m = active[batch.edge_rec]
-            want = (batch.rec_vids[batch.edge_rec[m]], batch.adj_vids[m],
-                    batch.adj_pids[m],
-                    None if batch.adj_weights is None
-                    else batch.adj_weights[m])
-            for got_array, want_array in zip(got, want):
+            want = {"sources": batch.rec_vids[batch.edge_rec[m]],
+                    "targets": batch.adj_vids[m],
+                    "target_pids": batch.adj_pids[m],
+                    "weights": (None if batch.adj_weights is None
+                                else batch.adj_weights[m])}
+            assert len(got.edges) == int(m.sum())
+            assert len(kept.edges) == int(keep.sum())
+            for name, want_array in want.items():
                 if want_array is None:
-                    assert got_array is None
+                    assert getattr(got, name) is None
+                    assert getattr(kept, name) is None
                     continue
-                assert got_array.dtype == want_array.dtype
-                np.testing.assert_array_equal(got_array, want_array)
+                for view, expect in ((got, want_array),
+                                     (kept, want_array[keep])):
+                    assert getattr(view, name).dtype == expect.dtype, name
+                    np.testing.assert_array_equal(getattr(view, name),
+                                                  expect, err_msg=name)
+            for vector in vectors:
+                for view in (got, kept, kept.filter(
+                        rng.random(len(kept.edges)) < 0.5)):
+                    read = view.from_sources(vector)
+                    assert read.dtype == vector.dtype
+                    assert (read.tobytes()
+                            == vector[view.sources].tobytes())
             want_per_page = batch.edge_segment_sum(m)
             assert got_per_page.dtype == want_per_page.dtype
             np.testing.assert_array_equal(got_per_page, want_per_page)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_frontier_pages_equal_unique_of_masked_target_pids(
+            self, lp_plan, data):
+        """``pages(mask)`` is ``np.unique(target_pids[mask])`` — same
+        values, same order, same dtype — for empty, all-duplicate and
+        large-page ids alike."""
+        db, plan = lp_plan
+        is_large = db.rvt.lp_ranges >= 0
+        pids = _sp_first(db, data.draw(st.lists(
+            st.integers(0, plan.num_pages - 1), max_size=12)))
+        batch = plan.round_batch(pids)
+        shape = data.draw(st.sampled_from(
+            ["random", "none", "all", "one-page", "large-only"]))
+        draw = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        frontier = batch.advance(draw.random(batch.num_records) < 0.6)
+        if shape == "random":
+            mask = draw.random(len(frontier.edges)) < 0.5
+        elif shape == "none":
+            mask = np.zeros(len(frontier.edges), dtype=bool)
+        elif shape == "all":
+            mask = None
+        elif shape == "one-page" and len(frontier.edges):
+            mask = frontier.target_pids == frontier.target_pids[0]
+        else:
+            mask = is_large[frontier.target_pids]
+        want = np.unique(frontier.target_pids if mask is None
+                         else frontier.target_pids[mask])
+        for got in (frontier.pages(mask),
+                    (frontier if mask is None
+                     else frontier.filter(mask)).pages()):
+            assert got.dtype == want.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+
     def test_frontier_kernel_gathers_no_edge_or_scatter_space(self,
-                                                              any_db):
-        """A BFS round reads the record space and advances; a regression
-        to eager gathering shows up here, not only in a benchmark."""
+                                                              any_db,
+                                                              monkeypatch):
+        """A frontier round reads the record space and advances, and
+        reads off the frontier only what its body uses; a regression to
+        eager gathering shows up here, not only in a benchmark."""
         plan = PagePlan(any_db)
         start = int(np.argmax(any_db.out_degrees))
-        kernel = BFSKernel(start_vertex=start)
-        state = kernel.init_state(any_db)
-        batch = plan.round_batch(_sp_first(any_db, [
-            any_db.page_for_vertex(start), 0, 1]))
-        work = kernel.process_batch(batch, state, KernelContext(any_db))
-        assert work.edges_traversed.sum() > 0
-        assert not set(LAZY_FIELDS) & set(vars(batch))
-        assert not {"_edge_sel", "_seg_sel"} & set(vars(batch))
+        frontiers = []
+        advance = RoundBatch.advance
+        monkeypatch.setattr(
+            RoundBatch, "advance",
+            lambda batch, active: frontiers.append(
+                advance(batch, active)) or frontiers[-1])
+        pids = _sp_first(any_db, [any_db.page_for_vertex(start), 0, 1])
+        for kernel, unread in (
+                (BFSKernel(start_vertex=start), {"sources", "weights"}),
+                (KCoreKernel(k=int(any_db.out_degrees.max()) + 1),
+                 {"sources", "target_pids", "weights"})):
+            state = kernel.init_state(any_db)
+            batch = plan.round_batch(pids)
+            work = kernel.process_batch(batch, state,
+                                        KernelContext(any_db))
+            assert work.edges_traversed.sum() > 0
+            assert not set(LAZY_FIELDS) & set(vars(batch))
+            assert not {"_edge_sel", "_seg_sel"} & set(vars(batch))
+            frontier = frontiers.pop()
+            assert not frontiers
+            assert "targets" in vars(frontier)
+            assert not unread & set(vars(frontier)), kernel.name
+            # BFS filters before it gathers: the visited targets' page
+            # ids are never read.
+            assert "target_pids" not in vars(frontier)
+
+    @pytest.mark.parametrize("kernel_cls", [BFSKernel, SSSPKernel])
+    def test_batched_traversal_sorts_no_edge_length_array(
+            self, any_db, machine, kernel_cls, monkeypatch):
+        """nextPIDSet is a bitmap from the kernel to the barrier: a
+        batched run hands ``np.unique`` / ``np.isin`` nothing longer
+        than the page count."""
+        longest = {"np.unique": 0, "np.isin": 0}
+
+        def watched(name, function):
+            def wrapper(array, *args, **kwargs):
+                longest[name] = max(longest[name], np.size(array))
+                return function(array, *args, **kwargs)
+            return wrapper
+
+        engine = GTSEngine(any_db, machine, execution="batched")
+        start = int(np.argmax(any_db.out_degrees))
+        monkeypatch.setattr(np, "unique", watched("np.unique", np.unique))
+        monkeypatch.setattr(np, "isin", watched("np.isin", np.isin))
+        result = engine.run(kernel_cls(start_vertex=start))
+        assert result.num_rounds > 2
+        assert result.edges_traversed > any_db.num_pages
+        assert max(longest.values()) <= any_db.num_pages, longest
 
     def test_dropped_plan_is_freed_without_the_cyclic_collector(self, db):
         """The plan memoises its full batch and the batch reads the
@@ -421,9 +542,22 @@ class TestLargePageRunIndex:
         for pid in lp.tolist():
             first = pid - int(db.rvt.lp_ranges[pid])
             expected.setdefault(first, []).append(pid)
-        assert set(engine._lp_runs) == set(expected)
-        for first, run in expected.items():
-            np.testing.assert_array_equal(engine._lp_runs[first], run)
+        firsts, lengths = engine._lp_runs
+        assert firsts.tolist() == sorted(expected)
+        assert lengths.tolist() == [len(expected[f]) for f in sorted(expected)]
+        # Any chunk of a run names the whole run; duplicates and order
+        # in the request do not matter.
+        rng = np.random.default_rng(0)
+        asked = rng.choice(db.num_pages, size=db.num_pages // 3)
+        small, large = engine._expand_pids(asked)
+        want_large = sorted({p for pid in asked.tolist()
+                             if db.rvt.lp_ranges[pid] >= 0
+                             for p in expected[
+                                 pid - int(db.rvt.lp_ranges[pid])]})
+        assert large.tolist() == want_large
+        assert small.tolist() == sorted(
+            {pid for pid in asked.tolist() if db.rvt.lp_ranges[pid] < 0})
+        assert small.dtype == large.dtype == np.int64
 
 
 class TestExecutionKnob:

@@ -114,6 +114,38 @@ class TestMainMemoryBuffer:
         assert buffer.preload(range(10)) == 2
         assert len(buffer) == 2
 
+    @pytest.mark.parametrize("capacity_pages", [0, 3, 9, 10, 64])
+    @pytest.mark.parametrize("policy", ["pin", "lru"])
+    def test_bulk_preload_equals_the_page_loop(self, capacity_pages,
+                                               policy):
+        """An empty buffer preloads in one insert: same resident set,
+        insertion order, return value and counters as admitting the ids
+        one at a time — capacity below, at and above the page count,
+        duplicate ids included."""
+
+        def page_loop(buffer, page_ids):
+            admitted = 0
+            for page_id in page_ids:
+                if len(buffer) >= buffer.capacity_pages:
+                    break
+                if page_id not in buffer:
+                    buffer.admit(page_id)
+                    admitted += 1
+            return admitted
+
+        for page_ids in (range(10), [4, 4, 1, 9, 1, 0, 7, 7, 2, 3, 5]):
+            bulk, loop = (MainMemoryBuffer(capacity_pages * 2 * KB, 2 * KB,
+                                           policy=policy)
+                          for _ in range(2))
+            assert bulk.preload(iter(page_ids)) == page_loop(loop, page_ids)
+            assert list(bulk._pages) == list(loop._pages)
+            # Topping up a partly filled buffer still takes the loop.
+            assert (bulk.preload(range(5, 15))
+                    == page_loop(loop, range(5, 15)))
+            assert list(bulk._pages) == list(loop._pages)
+            assert len(bulk) <= capacity_pages
+            assert (bulk.hits, bulk.misses) == (0, 0)
+
     def test_zero_capacity_never_stores(self):
         buffer = MainMemoryBuffer(0, 2 * KB)
         buffer.admit(0)

@@ -1,5 +1,6 @@
 """Tests for Strategy-P / Strategy-S page assignment and synchronisation."""
 
+import numpy as np
 import pytest
 
 from repro.core.strategies import (
@@ -34,6 +35,19 @@ class TestAssignment:
     def test_scalability_replicates_pages(self):
         strategy = ScalabilityStrategy()
         assert strategy.assign(5, 3) == (0, 1, 2)
+
+
+    @pytest.mark.parametrize("strategy", [PerformanceStrategy(),
+                                          ScalabilityStrategy()])
+    @pytest.mark.parametrize("num_gpus", [1, 2, 3])
+    def test_assign_batch_is_assign_per_page(self, strategy, num_gpus):
+        """The vectorized round assignment is the per-page ``h(j)``,
+        tuple for tuple, for arrays and lists alike."""
+        page_ids = np.asarray([7, 0, 3, 3, 12, 5], dtype=np.int64)
+        want = [strategy.assign(int(pid), num_gpus) for pid in page_ids]
+        assert strategy.assign_batch(page_ids, num_gpus) == want
+        assert strategy.assign_batch(page_ids.tolist(), num_gpus) == want
+        assert strategy.assign_batch(page_ids[:0], num_gpus) == []
 
 
 class TestWASizing:
