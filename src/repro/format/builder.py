@@ -60,13 +60,12 @@ def _plan_placement(graph, config):
         current_records = 0
         current_bytes = 0
 
-    for v in range(graph.num_vertices):
-        degree = int(degrees[v])
-        need = config.vertex_bytes(degree)
+    # Record plus slot bytes of every vertex, as one array expression.
+    for v, need in enumerate(config.vertex_bytes(degrees).tolist()):
         if need > page_budget:
             # Large vertex: close the open SP, emit a run of LPs.
             close_small_page()
-            num_chunks = -(-degree // lp_capacity)  # ceil division
+            num_chunks = -(-int(degrees[v]) // lp_capacity)  # ceil division
             first_pid = plan.num_pages
             for chunk in range(num_chunks):
                 plan.pages.append(("LP", v, chunk))

@@ -35,6 +35,7 @@ Both base files are written to temporaries and moved into place with
 rather than a torn half-write.
 """
 
+import contextlib
 import json
 import mmap
 import os
@@ -53,6 +54,7 @@ from repro.format.page import (
     PageKind,
     SmallPage,
     decode_pages,
+    encode_page_objects,
 )
 from repro.format.rvt import RecordVertexTable
 
@@ -63,6 +65,12 @@ FORMAT_VERSION = 1
 #: file scans, large prefetches): big enough to amortise the NumPy call
 #: overhead, small enough that a chunk's temporaries stay cache-sized.
 _CHUNK_PAGES = 64
+
+#: Bytes of pages per vectorized encode in :func:`save_database`.  A
+#: byte budget, not a page count: ``page_size`` defaults to 64 MB, where
+#: ``_CHUNK_PAGES`` pages would be a 4 GB buffer.  A page larger than
+#: the budget encodes alone.
+_ENCODE_CHUNK_BYTES = 1 << 19
 
 
 def _fsync_directory(path):
@@ -87,15 +95,24 @@ def _fsync_directory(path):
 def save_database(db, prefix, wal_epoch=None):
     """Write ``db`` under ``<prefix>.meta.json`` / ``<prefix>.pages``.
 
-    Returns the pair of paths written.  The write is atomic per file:
-    content goes to ``<path>.tmp`` first and is renamed into place with
-    ``os.replace``, pages before metadata — a crash can leave a stale
-    temp file behind but never a corrupt or mismatched pair (the
-    metadata always describes a fully written pages file).  After both
-    renames the parent directory is fsynced, so a crash immediately
-    after a successful save cannot roll the pair back to the old
-    version (the WAL epoch protocol depends on a saved base staying
-    saved).
+    Returns the pair of paths written.  Pages are serialized a chunk at
+    a time — :func:`~repro.format.page.encode_page_objects` lays up to
+    ``_ENCODE_CHUNK_BYTES`` of pages into one buffer in a vectorized
+    pass, each page region of it is checksummed, and the chunk is
+    written once — so compaction and the CLI, which save through here,
+    pay no per-edge Python work.  Any field that does not fit its
+    configured width, or a page whose contents overflow ``page_size``,
+    raises :class:`~repro.errors.FormatError`.
+
+    The write is atomic per file: content goes to ``<path>.tmp`` first
+    and is renamed into place with ``os.replace``, pages before
+    metadata — a crash can leave a stale temp file behind but never a
+    corrupt or mismatched pair (the metadata always describes a fully
+    written pages file).  A save that *raises* removes its temp files
+    and leaves the live pair as it was.  After both renames the parent
+    directory is fsynced, so a crash immediately after a successful
+    save cannot roll the pair back to the old version (the WAL epoch
+    protocol depends on a saved base staying saved).
 
     Every page's CRC32 is recorded in the metadata
     (``page_checksums``), which readers verify on every page load —
@@ -159,23 +176,38 @@ def save_database(db, prefix, wal_epoch=None):
             "endianness": "little",
         },
     }
+    page_size = config.page_size
+    per_chunk = max(1, _ENCODE_CHUNK_BYTES // page_size)
     checksums = []
-    with open(pages_path + ".tmp", "wb") as handle:
-        for page in db.pages:
-            data = page.to_bytes()
-            checksums.append(zlib.crc32(data))
-            handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    # Index i is the checksum of page i (page IDs are dense, so the
-    # directory index and the page ID coincide).
-    metadata["page_checksums"] = checksums
-    with open(meta_path + ".tmp", "w") as handle:
-        json.dump(metadata, handle)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(pages_path + ".tmp", pages_path)
-    os.replace(meta_path + ".tmp", meta_path)
+    pages_tmp, meta_tmp = pages_path + ".tmp", meta_path + ".tmp"
+    try:
+        with open(pages_tmp, "wb") as handle:
+            for lo in range(0, len(db.pages), per_chunk):
+                chunk = memoryview(encode_page_objects(
+                    db.pages[lo:lo + per_chunk], config))
+                checksums.extend(
+                    zlib.crc32(chunk[base:base + page_size])
+                    for base in range(0, len(chunk), page_size))
+                handle.write(chunk)
+            handle.flush()
+            os.fsync(handle.fileno())
+        # Index i is the checksum of page i (page IDs are dense, so the
+        # directory index and the page ID coincide).
+        metadata["page_checksums"] = checksums
+        with open(meta_tmp, "w") as handle:
+            # One ``dumps``: the C encoder.  ``json.dump`` would stream
+            # the same bytes through the pure-Python ``_iterencode``.
+            handle.write(json.dumps(metadata))
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(pages_tmp, pages_path)
+        os.replace(meta_tmp, meta_path)
+    except BaseException:
+        # Only this call's temp files; the live pair is never touched.
+        for path in (pages_tmp, meta_tmp):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        raise
     _fsync_directory(meta_path)
     return meta_path, pages_path
 

@@ -13,10 +13,15 @@ Adjacency entries are *physical record IDs*: ``(ADJ_PID, ADJ_OFF)`` pairs
 pointing at the page and slot where the neighbour lives.  Kernels translate
 them back to logical vertex IDs through the RVT (Appendix A).
 
-Pages carry their data as NumPy arrays for kernel execution, and can be
-serialized to / parsed from the exact byte layout (records growing forward,
-slots growing backward) so that storage accounting and round-trip tests
-operate on the real format.
+Pages carry their data as NumPy arrays for kernel execution.  The exact
+byte layout (records growing forward, slots growing backward) is written
+once per direction, for a *set* of pages at a time: :func:`encode_pages`
+lays flat per-record / per-edge arrays into one buffer and
+:func:`decode_pages` reads them back, every field at *page base + in-page
+offset*, a large page being a one-record small page; ``to_bytes`` is a
+one-page call of the encoder.  The per-byte ``from_bytes`` parsers stay as
+the tests' reference and the copy fallback's decoder; the per-byte encoder
+they mirror lives in ``tests/reference_pages.py``.
 """
 
 import enum
@@ -64,11 +69,13 @@ def sorted_scatter_index(adj_vids):
     return order, unique_targets, segment_starts
 
 
-def _check_fits(name, value, width_bytes):
-    if value < 0 or value >= (1 << (8 * width_bytes)):
+def _check_fits(name, values, width):
+    """Raise :class:`FormatError` on the first value outside ``width`` bytes."""
+    if len(values) and (int(values.min()) < 0
+                        or int(values.max()) >> (8 * width)):
+        bad = next(v for v in values.tolist() if v < 0 or v >> (8 * width))
         raise FormatError(
-            "%s value %d does not fit in %d byte(s)" % (name, value, width_bytes)
-        )
+            "%s value %d does not fit in %d byte(s)" % (name, bad, width))
 
 
 def _decode_le(data, offsets, width):
@@ -86,6 +93,17 @@ def _decode_le(data, offsets, width):
     for k in range(1, width):
         out |= data[offsets + k].astype(np.int64) << (8 * k)
     return out
+
+
+def _encode_le(buf, pos, values, width, name):
+    """The inverse of :func:`_decode_le`: stores ``values[i]`` as ``width``
+    little-endian bytes at ``buf[pos[i]]``, one strided store per byte
+    position.  The store keeps only the low bytes, so the range check
+    comes first: a value that does not fit is a :class:`FormatError`
+    naming the field, never a silent truncation."""
+    _check_fits(name, values, width)
+    for k in range(width):
+        buf[pos + k] = (values >> (8 * k)).astype(np.uint8)
 
 
 def _ranges(counts):
@@ -161,6 +179,86 @@ def decode_pages(data, page_bases, num_records, config):
             u8, edge_pos + cfg.record_id_bytes, 4
         ).astype(np.uint32).view(np.float32)
     return rec_vids, degrees, adj_pids, adj_slots, adj_weights
+
+
+def encode_pages(rec_vids, degrees, adj_pids, adj_slots, adj_weights,
+                 num_records, config, page_ids=None):
+    """Vectorized encode of a *set* of pages: :func:`decode_pages` reversed.
+
+    Takes the five arrays that function returns plus ``num_records[i]``,
+    the slot count of the ``i``-th page, and returns a fresh ``uint8``
+    array holding the pages back to back, ``page_size`` bytes each — so
+    ``encode_pages(*decode_pages(b, bases, n, cfg), n, cfg)`` is ``b``.
+    A record's offset is the in-page exclusive ``cumsum`` of the record
+    sizes, slots grow backward from the page's end, weights are stored
+    by their ``float32`` bit pattern, and ``adj_weights=None`` under
+    ``weight_bytes`` leaves the weight bytes zero.
+
+    Makes every check of the per-byte reference encoder, each as one
+    array test raising :class:`FormatError`: contents that overflow
+    ``page_size`` (naming the first such page — ``page_ids[i]`` when
+    given, else its position — and its used bytes), and any
+    ``ADJLIST_SZ`` / ``VID`` / ``OFF`` / ``ADJ_PID`` / ``ADJ_OFF`` value
+    that does not fit its configured width.
+    """
+    cfg = config
+    rec_vids, degrees, adj_pids, adj_slots, num_records = (
+        np.asarray(a, dtype=np.int64)
+        for a in (rec_vids, degrees, adj_pids, adj_slots, num_records))
+    # Checked first: the whole layout is computed from the degrees.
+    _check_fits("ADJLIST_SZ", degrees, cfg.adjlist_size_bytes)
+    if not (len(rec_vids) == len(degrees) == int(num_records.sum())
+            and len(adj_pids) == len(adj_slots) == int(degrees.sum())):
+        raise FormatError("page arrays inconsistent with their counts")
+    rec_page, rec_slot, rec_first = _ranges(num_records)
+    rec_bytes = cfg.record_bytes(degrees)
+    rec_ends = np.cumsum(rec_bytes)
+    offsets = rec_ends - rec_bytes
+    offsets -= offsets[rec_first]
+    page_ends = np.concatenate(([0], rec_ends))[np.cumsum(num_records)]
+    used = np.diff(page_ends, prepend=0) + num_records * cfg.slot_entry_bytes
+    over = np.flatnonzero(used > cfg.page_size)
+    if len(over):
+        first = int(over[0])
+        raise FormatError(
+            "page %d contents (%d B) overflow page size %d B"
+            % (first if page_ids is None else page_ids[first],
+               used[first], cfg.page_size))
+    buf = np.zeros(len(num_records) * cfg.page_size, dtype=np.uint8)
+    # Slots from the back: slot i lives at page_size - (i + 1) * entry.
+    rec_base = rec_page * cfg.page_size
+    slot_pos = rec_base + cfg.page_size - (rec_slot + 1) * cfg.slot_entry_bytes
+    _encode_le(buf, slot_pos, rec_vids, cfg.vid_bytes, "VID")
+    _encode_le(buf, slot_pos + cfg.vid_bytes, offsets, cfg.offset_bytes, "OFF")
+    rec_pos = rec_base + offsets
+    _encode_le(buf, rec_pos, degrees, cfg.adjlist_size_bytes, "ADJLIST_SZ")
+    edge_rec, edge_slot, _ = _ranges(degrees)
+    edge_pos = (rec_pos[edge_rec] + cfg.adjlist_size_bytes
+                + edge_slot * cfg.adjacency_entry_bytes)
+    _encode_le(buf, edge_pos, adj_pids, cfg.page_id_bytes, "ADJ_PID")
+    _encode_le(buf, edge_pos + cfg.page_id_bytes, adj_slots, cfg.slot_bytes,
+               "ADJ_OFF")
+    if cfg.weight_bytes and adj_weights is not None:
+        # By bit pattern: the IEEE single's 32 bits, little-endian.
+        bits = np.asarray(adj_weights, dtype=np.float32).view(np.uint32)
+        _encode_le(buf, edge_pos + cfg.record_id_bytes, bits, 4, "WEIGHT")
+    return buf
+
+
+def encode_page_objects(pages, config):
+    """:func:`encode_pages` over a non-empty list of page objects, small
+    and large mixed freely; a page without weights stores zeros."""
+    weights = np.concatenate([
+        page.adj_weights if page.adj_weights is not None
+        else np.zeros(page.num_edges, dtype=np.float32)
+        for page in pages]) if config.weight_bytes else None
+    return encode_pages(
+        np.concatenate([page.vids() for page in pages]),
+        np.concatenate([page.degrees() for page in pages]),
+        np.concatenate([page.adj_pids for page in pages]),
+        np.concatenate([page.adj_slots for page in pages]),
+        weights, [page.num_records for page in pages], config,
+        page_ids=[page.page_id for page in pages])
 
 
 class SmallPage:
@@ -240,57 +338,10 @@ class SmallPage:
     # Byte serialization (records forward, slots backward)
     # ------------------------------------------------------------------
     def to_bytes(self):
-        """Serialize to the on-storage layout, padded to ``page_size``.
-
-        Raises :class:`FormatError` if the contents overflow the page or any
-        field exceeds its configured width.
-        """
-        cfg = self.config
-        if self.used_bytes() > cfg.page_size:
-            raise FormatError(
-                "page %d contents (%d B) overflow page size %d B"
-                % (self.page_id, self.used_bytes(), cfg.page_size)
-            )
-        buf = bytearray(cfg.page_size)
-        degrees = self.degrees()
-        # Records grow forward from offset 0.
-        cursor = 0
-        offsets = []
-        for i in range(self.num_records):
-            offsets.append(cursor)
-            degree = int(degrees[i])
-            _check_fits("ADJLIST_SZ", degree, cfg.adjlist_size_bytes)
-            buf[cursor:cursor + cfg.adjlist_size_bytes] = degree.to_bytes(
-                cfg.adjlist_size_bytes, "little")
-            cursor += cfg.adjlist_size_bytes
-            lo, hi = int(self.adj_indptr[i]), int(self.adj_indptr[i + 1])
-            for j in range(lo, hi):
-                pid = int(self.adj_pids[j])
-                slot = int(self.adj_slots[j])
-                _check_fits("ADJ_PID", pid, cfg.page_id_bytes)
-                _check_fits("ADJ_OFF", slot, cfg.slot_bytes)
-                buf[cursor:cursor + cfg.page_id_bytes] = pid.to_bytes(
-                    cfg.page_id_bytes, "little")
-                cursor += cfg.page_id_bytes
-                buf[cursor:cursor + cfg.slot_bytes] = slot.to_bytes(
-                    cfg.slot_bytes, "little")
-                cursor += cfg.slot_bytes
-                if cfg.weight_bytes:
-                    weight = 0.0 if self.adj_weights is None else float(
-                        self.adj_weights[j])
-                    buf[cursor:cursor + 4] = struct.pack("<f", weight)
-                    cursor += cfg.weight_bytes
-        # Slots grow backward from the end of the page.
-        back = cfg.page_size
-        for i in range(self.num_records):
-            vid = self.start_vid + i
-            _check_fits("VID", vid, cfg.vid_bytes)
-            back -= cfg.slot_entry_bytes
-            buf[back:back + cfg.vid_bytes] = int(vid).to_bytes(
-                cfg.vid_bytes, "little")
-            buf[back + cfg.vid_bytes:back + cfg.slot_entry_bytes] = int(
-                offsets[i]).to_bytes(cfg.offset_bytes, "little")
-        return bytes(buf)
+        """Serialize to the on-storage layout, padded to ``page_size``;
+        :class:`FormatError` if the contents overflow the page or any
+        field exceeds its configured width."""
+        return encode_page_objects([self], self.config).tobytes()
 
     @classmethod
     def from_bytes(cls, data, page_id, num_records, config):
@@ -406,65 +457,13 @@ class LargePage:
 
     def to_bytes(self):
         """Serialize with the same record/slot layout as a small page."""
-        cfg = self.config
-        if self.used_bytes() > cfg.page_size:
-            raise FormatError(
-                "large page %d overflows page size" % self.page_id)
-        buf = bytearray(cfg.page_size)
-        cursor = 0
-        _check_fits("ADJLIST_SZ", self.num_edges, cfg.adjlist_size_bytes)
-        buf[cursor:cursor + cfg.adjlist_size_bytes] = self.num_edges.to_bytes(
-            cfg.adjlist_size_bytes, "little")
-        cursor += cfg.adjlist_size_bytes
-        for j in range(self.num_edges):
-            pid = int(self.adj_pids[j])
-            slot = int(self.adj_slots[j])
-            _check_fits("ADJ_PID", pid, cfg.page_id_bytes)
-            _check_fits("ADJ_OFF", slot, cfg.slot_bytes)
-            buf[cursor:cursor + cfg.page_id_bytes] = pid.to_bytes(
-                cfg.page_id_bytes, "little")
-            cursor += cfg.page_id_bytes
-            buf[cursor:cursor + cfg.slot_bytes] = slot.to_bytes(
-                cfg.slot_bytes, "little")
-            cursor += cfg.slot_bytes
-            if cfg.weight_bytes:
-                weight = 0.0 if self.adj_weights is None else float(
-                    self.adj_weights[j])
-                buf[cursor:cursor + 4] = struct.pack("<f", weight)
-                cursor += cfg.weight_bytes
-        back = cfg.page_size - cfg.slot_entry_bytes
-        _check_fits("VID", self.vid, cfg.vid_bytes)
-        buf[back:back + cfg.vid_bytes] = int(self.vid).to_bytes(
-            cfg.vid_bytes, "little")
-        buf[back + cfg.vid_bytes:back + cfg.slot_entry_bytes] = (0).to_bytes(
-            cfg.offset_bytes, "little")
-        return bytes(buf)
+        return encode_page_objects([self], self.config).tobytes()
 
     @classmethod
     def from_bytes(cls, data, page_id, chunk_index, config, total_degree=None):
-        """Parse a serialized large page back into arrays."""
-        cfg = config
-        if len(data) != cfg.page_size:
-            raise FormatError("serialized page has wrong size")
-        back = cfg.page_size - cfg.slot_entry_bytes
-        vid = int.from_bytes(data[back:back + cfg.vid_bytes], "little")
-        cursor = 0
-        degree = int.from_bytes(
-            data[cursor:cursor + cfg.adjlist_size_bytes], "little")
-        cursor += cfg.adjlist_size_bytes
-        pids = []
-        slots = []
-        weights = [] if cfg.weight_bytes else None
-        for _ in range(degree):
-            pids.append(int.from_bytes(
-                data[cursor:cursor + cfg.page_id_bytes], "little"))
-            cursor += cfg.page_id_bytes
-            slots.append(int.from_bytes(
-                data[cursor:cursor + cfg.slot_bytes], "little"))
-            cursor += cfg.slot_bytes
-            if cfg.weight_bytes:
-                weights.append(struct.unpack("<f", data[cursor:cursor + 4])[0])
-                cursor += cfg.weight_bytes
-        placeholder_vids = np.full(len(pids), -1, dtype=np.int64)
-        return cls(page_id, vid, chunk_index, pids, slots, placeholder_vids,
-                   cfg, adj_weights=weights, total_degree=total_degree)
+        """Parse a serialized large page back into arrays: byte for
+        byte a one-record small page."""
+        record = SmallPage.from_bytes(data, page_id, 1, config)
+        return cls(page_id, record.start_vid, chunk_index, record.adj_pids,
+                   record.adj_slots, record.adj_vids, config,
+                   adj_weights=record.adj_weights, total_degree=total_degree)

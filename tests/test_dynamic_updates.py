@@ -353,6 +353,30 @@ class TestCompaction:
         assert reopened.num_delta_pages == 0
         reopened.validate()
 
+    def test_compact_writes_what_a_fresh_build_saves(self, tmp_path,
+                                                    weighted_db):
+        """Compaction inherits ``save_database``'s write path: its files
+        are byte for byte a save of a from-scratch build of the
+        effective graph at the bumped epoch."""
+        prefix = str(tmp_path / "live")
+        save_database(weighted_db, prefix)
+        dyn = open_dynamic_database(prefix)
+        rng = np.random.default_rng(5)
+        batch = UpdateBatch()
+        for u, v in rng.integers(0, dyn.num_vertices, (40, 2)).tolist():
+            batch.insert_edge(u, v, 0.5)
+        dyn.apply(batch)
+        graph = materialise_graph(dyn)
+        compact(dyn, save_prefix=prefix)
+
+        fresh = str(tmp_path / "fresh")
+        save_database(build_database(graph, dyn.config, name=dyn.name),
+                      fresh, wal_epoch=1)
+        for extension in (".pages", ".meta.json"):
+            with open(prefix + extension, "rb") as got, \
+                    open(fresh + extension, "rb") as want:
+                assert got.read() == want.read()
+
     def test_compact_bumps_epoch_in_base_and_wal(self, tmp_path,
                                                  small_config):
         db = _line_db(small_config)

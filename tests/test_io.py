@@ -1,10 +1,17 @@
 """Tests for graph I/O and database persistence."""
 
+import hashlib
+import io
+import json
+import os
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.errors import FormatError
-from repro.format import build_database
+from repro.format import PageFormatConfig, build_database
+from repro.format import io as format_io
 from repro.format.io import load_database, save_database
 from repro.graphgen import Graph, generate_rmat
 from repro.graphgen.io import (
@@ -13,6 +20,8 @@ from repro.graphgen.io import (
     write_binary,
     write_edge_list,
 )
+
+from .reference_pages import reference_page_bytes
 
 
 @pytest.fixture
@@ -89,6 +98,112 @@ class TestEdgeListBinary:
             read_binary(path)
 
 
+#: The file format is a compatibility contract: sha256 of the two files
+#: :func:`golden_database` saves.  A change here is a format change.
+GOLDEN_SHA256 = {
+    ".pages": "0f8470d977cef2bcb51904b750d51d05d3d68f6af6039931adaf74e9e271b913",
+    ".meta.json": "ac33ccbf09cd59383ddf654f05ca6851da40d4099f9fe2a5918e7fc3f303a6cf",
+}
+
+
+def golden_database():
+    """Weighted rmat10, seed 7, under the benchmark ledger's page format
+    (``benchmarks/ledger/workloads.py``: ``page_format()``, edge factor
+    16): small pages, interleaved large-page runs, 4-byte weights."""
+    graph = generate_rmat(10, edge_factor=16,
+                          seed=7).with_random_weights(seed=7)
+    return build_database(graph, PageFormatConfig(
+        page_id_bytes=4, slot_bytes=2, page_size=2048, weight_bytes=4))
+
+
+def _file_bytes(prefix):
+    contents = []
+    for extension in (".pages", ".meta.json"):
+        with open(prefix + extension, "rb") as handle:
+            contents.append(handle.read())
+    return contents
+
+
+def _unfit_offsets_database():
+    """Builds, but cannot be saved: ``offset_bytes=1`` addresses 256 of
+    a 2 KB page's bytes, and records start beyond that."""
+    rng = np.random.default_rng(0)
+    graph = Graph.from_edges(200, rng.integers(0, 200, 2000),
+                             rng.integers(0, 200, 2000))
+    return build_database(graph, PageFormatConfig(2, 2, 2048,
+                                                  offset_bytes=1))
+
+
+class TestSaveDatabase:
+    def test_golden_bytes(self, tmp_path):
+        db = golden_database()
+        assert db.num_small_pages and db.num_large_pages
+        prefix = str(tmp_path / "golden")
+        save_database(db, prefix)
+        digests = {
+            extension: hashlib.sha256(content).hexdigest()
+            for extension, content in zip(GOLDEN_SHA256,
+                                          _file_bytes(prefix))}
+        assert digests == GOLDEN_SHA256
+
+    def test_pages_file_is_the_reference_encoding(self, weighted_db,
+                                                  tmp_path):
+        """Chunk boundaries leave no trace: the file is every page's
+        per-byte reference encoding back to back, CRC for CRC."""
+        prefix = str(tmp_path / "db")
+        meta_path, _ = save_database(weighted_db, prefix)
+        blobs = [reference_page_bytes(page) for page in weighted_db.pages]
+        assert _file_bytes(prefix)[0] == b"".join(blobs)
+        with open(meta_path) as handle:
+            checksums = json.load(handle)["page_checksums"]
+        assert checksums == [zlib.crc32(blob) for blob in blobs]
+
+    def test_a_page_larger_than_the_chunk_budget_encodes_alone(
+            self, graph, tmp_path, monkeypatch):
+        db = build_database(graph, PageFormatConfig(2, 2, 2048))
+        assert db.num_pages > 1
+        save_database(db, str(tmp_path / "chunked"))
+        monkeypatch.setattr(format_io, "_ENCODE_CHUNK_BYTES", 100)
+        save_database(db, str(tmp_path / "alone"))
+        assert (_file_bytes(str(tmp_path / "alone"))
+                == _file_bytes(str(tmp_path / "chunked")))
+
+    def test_metadata_bytes_are_json_dump_s(self, rmat_db, tmp_path):
+        """``write(json.dumps(...))`` emits what ``json.dump`` streamed."""
+        meta_path, _ = save_database(rmat_db, str(tmp_path / "db"))
+        with open(meta_path) as handle:
+            written = handle.read()
+        streamed = io.StringIO()
+        json.dump(json.loads(written), streamed)
+        assert written == streamed.getvalue()
+
+    def test_unfit_record_offset_is_a_format_error(self, tmp_path):
+        with pytest.raises(FormatError,
+                           match=r"OFF value \d+ does not fit in 1 byte"):
+            save_database(_unfit_offsets_database(), str(tmp_path / "db"))
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("failing_write", ["pages", "metadata"])
+    def test_failed_save_leaves_no_temp_and_the_old_pair(
+            self, rmat_db, tmp_path, monkeypatch, failing_write):
+        prefix = str(tmp_path / "db")
+        save_database(rmat_db, prefix)
+        before = _file_bytes(prefix)
+        if failing_write == "pages":
+            with pytest.raises(FormatError):
+                save_database(_unfit_offsets_database(), prefix)
+        else:
+            def refuse(metadata):
+                raise RuntimeError("disk full")
+            monkeypatch.setattr(format_io.json, "dumps", refuse)
+            with pytest.raises(RuntimeError, match="disk full"):
+                save_database(rmat_db, prefix)
+            monkeypatch.undo()
+        assert sorted(os.listdir(tmp_path)) == ["db.meta.json", "db.pages"]
+        assert _file_bytes(prefix) == before
+        assert load_database(prefix).validate()
+
+
 class TestDatabasePersistence:
     def test_round_trip_validates(self, rmat_db, tmp_path):
         prefix = str(tmp_path / "db")
@@ -136,7 +251,6 @@ class TestDatabasePersistence:
             load_database(prefix)
 
     def test_version_checked(self, rmat_db, tmp_path):
-        import json
         prefix = str(tmp_path / "db")
         meta_path, _ = save_database(rmat_db, prefix)
         with open(meta_path) as handle:

@@ -11,8 +11,12 @@ from repro.format.page import (
     PageKind,
     SmallPage,
     decode_pages,
+    encode_page_objects,
+    encode_pages,
 )
 from repro.units import KB
+
+from .reference_pages import reference_page_bytes
 
 
 def _config(weight_bytes=0, page_size=2 * KB):
@@ -161,16 +165,16 @@ def test_small_page_round_trip_property(data):
 
 
 # ----------------------------------------------------------------------
-# The bulk decoder against the per-byte reference
+# The bulk decoder and encoder against the per-byte references
 # ----------------------------------------------------------------------
 def _draw_config(data):
     """One of the format's width combinations, odd widths included."""
     return PageFormatConfig(
         page_id_bytes=data.draw(st.sampled_from([2, 3, 4])),
-        slot_bytes=data.draw(st.sampled_from([2, 3])),
+        slot_bytes=data.draw(st.sampled_from([1, 2, 3])),
         page_size=512,
-        vid_bytes=data.draw(st.sampled_from([3, 4, 6])),
-        offset_bytes=data.draw(st.sampled_from([2, 4])),
+        vid_bytes=data.draw(st.sampled_from([3, 4, 5, 6])),
+        offset_bytes=data.draw(st.sampled_from([2, 3, 4])),
         adjlist_size_bytes=data.draw(st.sampled_from([2, 4])),
         weight_bytes=data.draw(st.sampled_from([0, 4])))
 
@@ -187,7 +191,8 @@ def _draw_page(data, page_id, config, min_records=0):
         slots = data.draw(st.lists(st.integers(0, max_slot),
                                    min_size=count, max_size=count))
         weights = None
-        if config.weight_bytes:
+        # A page may carry no weights under ``weight_bytes``: zero bytes.
+        if config.weight_bytes and data.draw(st.booleans(), label="weights"):
             weights = data.draw(st.lists(
                 st.floats(-1e6, 1e6, width=32),
                 min_size=count, max_size=count))
@@ -297,3 +302,168 @@ def test_bulk_decode_keeps_the_structural_checks(data):
         # The check is the middle page's: its neighbours still decode.
         decode_pages(bytes(damaged), [bases[0], bases[2]],
                      [records[0], records[2]], config)
+
+
+def _flatten(pages):
+    """The five arrays ``decode_pages`` returns for ``pages``, built from
+    the page objects (absent weights read back as zeros)."""
+    weighted = pages[0].config.weight_bytes
+    return (
+        np.concatenate([page.vids() for page in pages]),
+        np.concatenate([page.degrees() for page in pages]),
+        np.concatenate([page.adj_pids for page in pages]),
+        np.concatenate([page.adj_slots for page in pages]),
+        np.concatenate([
+            page.adj_weights if page.adj_weights is not None
+            else np.zeros(page.num_edges, dtype=np.float32)
+            for page in pages]) if weighted else None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_bulk_encode_equals_reference_and_inverts_decode(data):
+    """Property: the vectorized encode of any subset of pages in any
+    order is the per-byte reference's bytes back to back; decoding those
+    bytes returns the encoder's inputs dtype for dtype, and encoding
+    what was decoded returns the bytes."""
+    config = _draw_config(data)
+    pages = [_draw_page(data, pid, config)
+             for pid in range(data.draw(st.integers(1, 6)))]
+    chosen = [pages[pid] for pid in data.draw(st.lists(
+        st.integers(0, len(pages) - 1), unique=True, min_size=1))]
+    encoded = encode_page_objects(chosen, config)
+    assert encoded.dtype == np.uint8
+    image = encoded.tobytes()
+    assert image == b"".join(reference_page_bytes(page) for page in chosen)
+    for page in chosen:
+        assert page.to_bytes() == reference_page_bytes(page)
+
+    records = [page.num_records for page in chosen]
+    bases = np.arange(len(chosen)) * config.page_size
+    decoded = decode_pages(image, bases, records, config)
+    for got, want in zip(decoded, _flatten(chosen)):
+        if want is None:
+            assert got is None
+        else:
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+    assert encode_pages(*decoded, records, config).tobytes() == image
+    # And from the far side: decode any order, encode, same regions.
+    order = data.draw(st.permutations(range(len(chosen))))
+    shuffled = encode_pages(
+        *decode_pages(image, bases[order], [records[i] for i in order],
+                      config),
+        [records[i] for i in order], config).tobytes()
+    size = config.page_size
+    assert shuffled == b"".join(image[i * size:(i + 1) * size]
+                                for i in order)
+
+
+def _error_of(encode):
+    try:
+        encode()
+    except FormatError as error:
+        return str(error)
+    return None
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_encode_raises_exactly_when_the_reference_does(data):
+    """Property: with field values drawn past their widths (and below
+    zero), record offsets past ``offset_bytes`` and contents past
+    ``page_size``, a page encodes iff the reference encodes it and a
+    chunk encodes iff the reference encodes every page of it — a masked
+    store never truncates silently."""
+    config = PageFormatConfig(
+        page_id_bytes=2, slot_bytes=1,
+        page_size=data.draw(st.sampled_from([256, 2048])),
+        vid_bytes=3, offset_bytes=data.draw(st.sampled_from([1, 2])),
+        adjlist_size_bytes=1,
+        weight_bytes=data.draw(st.sampled_from([0, 4])))
+
+    def field(limit):
+        return st.one_of(st.integers(0, limit - 1),
+                         st.integers(-2, limit + 2))
+
+    pages = []
+    for pid in range(data.draw(st.integers(1, 4))):
+        start_vid = data.draw(field(config.max_vertex_id))
+        degrees = data.draw(st.lists(
+            st.one_of(st.integers(0, 12), st.integers(250, 300)),
+            max_size=5))
+        count = sum(degrees)
+        # Draw the head of a long adjacency list; the tail is zeros.
+        drawn = min(count, 16)
+        adj_pids = data.draw(st.lists(
+            field(config.max_page_id), min_size=drawn, max_size=drawn)
+        ) + [0] * (count - drawn)
+        adj_slots = data.draw(st.lists(
+            field(config.max_slot_number), min_size=drawn, max_size=drawn)
+        ) + [0] * (count - drawn)
+        vids = np.zeros(count, dtype=np.int64)
+        if len(degrees) == 1 and data.draw(st.booleans(), label="large"):
+            pages.append(LargePage(pid, start_vid, 0, adj_pids, adj_slots,
+                                   vids, config))
+        else:
+            pages.append(SmallPage(
+                pid, start_vid, np.concatenate([[0], np.cumsum(degrees)]),
+                adj_pids, adj_slots, vids, config))
+    wanted = [_error_of(lambda: reference_page_bytes(page))
+              for page in pages]
+    # Which of a page's several violations is reported depends on the
+    # order fields are visited in; that one is reported does not.
+    for page, want in zip(pages, wanted):
+        assert (_error_of(page.to_bytes) is None) == (want is None)
+    got = _error_of(lambda: encode_page_objects(pages, config))
+    assert (got is None) == all(want is None for want in wanted)
+
+
+@pytest.mark.parametrize("field, message", [
+    ("ADJLIST_SZ", "ADJLIST_SZ value 256 does not fit in 1 byte"),
+    ("ADJ_PID", "ADJ_PID value 65536 does not fit in 2 byte"),
+    ("ADJ_OFF", "ADJ_OFF value 256 does not fit in 1 byte"),
+    ("VID", "VID value 16777216 does not fit in 3 byte"),
+    ("OFF", "OFF value 257 does not fit in 1 byte"),
+    ("overflow", r"page 1 contents \(2051 B\) overflow page size 2048 B"),
+])
+def test_each_encode_check_names_its_field(field, message):
+    """One case per check, the bad page in the middle of a chunk: the
+    vectorized path and the reference raise the same typed error."""
+    config = PageFormatConfig(page_id_bytes=2, slot_bytes=1, page_size=2048,
+                              vid_bytes=3, offset_bytes=1,
+                              adjlist_size_bytes=1)
+
+    def page(page_id, start_vid=0, degrees=(2, 1), pid=7, slot=7):
+        count = sum(degrees)
+        return SmallPage(page_id, start_vid,
+                         np.concatenate([[0], np.cumsum(degrees)]),
+                         [pid] * count, [slot] * count, [0] * count, config)
+
+    bad = {
+        "ADJLIST_SZ": dict(degrees=(256,)),
+        "ADJ_PID": dict(pid=65536),
+        "ADJ_OFF": dict(slot=256),
+        # The second slot's VID is the first that does not fit.
+        "VID": dict(start_vid=(1 << 24) - 1),
+        # Record 2 starts at 1 + 64 * 3 + 1 + 21 * 3 = 257.
+        "OFF": dict(degrees=(64, 21, 0)),
+        # 4 + 677 * 3 record bytes + 4 * 4 slot bytes = 2051.
+        "overflow": dict(degrees=(200, 200, 200, 77)),
+    }[field]
+    chunk = [page(0), page(1, **bad), page(2)]
+    with pytest.raises(FormatError, match=message):
+        reference_page_bytes(chunk[1])
+    with pytest.raises(FormatError, match=message):
+        chunk[1].to_bytes()
+    with pytest.raises(FormatError, match=message):
+        encode_page_objects(chunk, config)
+    encode_page_objects([chunk[0], chunk[2]], config)
+
+
+def test_encode_rejects_arrays_that_disagree_with_their_counts():
+    config = _config()
+    with pytest.raises(FormatError, match="inconsistent"):
+        encode_pages([1, 2], [1, 1], [0], [0], None, [2], config)
+    with pytest.raises(FormatError, match="inconsistent"):
+        encode_pages([1, 2], [1, 1], [0, 0], [0, 0], None, [3], config)
