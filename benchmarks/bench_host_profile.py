@@ -5,17 +5,18 @@ engine's setup/round loop, the plan builder, the stream scheduler and
 the page stores.  This script verifies two properties:
 
 * **Disabled is free.**  With ``host_profile=False`` (the default) the
-  engine must run the same batched 10-iteration PageRank within a small
-  tolerance of the wall-clock baseline (``BENCH_wallclock.json``,
-  produced on the same host by ``benchmarks/bench_wallclock.py``) —
-  the profiling hooks are ``is not None`` checks and nothing else.
+  engine must run the same 10-iteration PageRank within a small
+  tolerance of the wall-clock baseline (the ``disabled`` figure of the
+  checked-in ``BENCH_host_profile.json``, a full run of this script on
+  the same host) — the profiling hooks are ``is not None`` checks and
+  nothing else.
 * **Enabled is honest.**  A profiled run must (a) leave the simulated
   results bit-identical, and (b) produce a :class:`HostProfile` whose
   top-level phases cover at least ``--min-coverage`` (default 95%) of
   the measured wall-clock — otherwise the timers are missing a hot
   path and the profile lies by omission.
 
-Both configurations use the ``bench_wallclock`` protocol (one engine
+Both configurations use ``bench_fault_overhead``'s protocol (one engine
 per mode, 1 cold + N warm runs, best-of-warm headline, p50/p95 over the
 warm repeats).  The profiled mode's overhead over the disabled mode is
 reported for information — that is the price of *asking* for a profile,
@@ -30,6 +31,10 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_host_profile.py          # full
     PYTHONPATH=src python benchmarks/bench_host_profile.py --quick  # smoke
+    PYTHONPATH=src python benchmarks/bench_host_profile.py --baseline ''  # re-record
+
+The checked-in report is the baseline and is never overwritten by a
+run that gated against it; ``--out`` saves a report elsewhere.
 """
 
 import argparse
@@ -42,6 +47,8 @@ import time
 
 import numpy as np
 
+from bench_fault_overhead import (
+    load_baseline, summarize_samples, write_report)
 from repro.core import GTSEngine
 from repro.core.kernels.pagerank import PageRankKernel
 from repro.format import PageFormatConfig, build_database
@@ -50,16 +57,13 @@ from repro.hardware.specs import scaled_workstation
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_OUT = os.path.join(ROOT, "BENCH_host_profile.json")
-DEFAULT_BASELINE = os.path.join(ROOT, "BENCH_wallclock.json")
+DEFAULT_BASELINE = DEFAULT_OUT
 DEFAULT_HISTORY = os.path.join(ROOT, "BENCH_history.jsonl")
 
 
 def run_mode(db, machine, iterations, repeats, host_profile):
-    """One engine, ``1 + repeats`` batched runs; mirrors bench_wallclock."""
-    from bench_wallclock import summarize_samples
-
-    engine = GTSEngine(db, machine, execution="batched",
-                       host_profile=host_profile)
+    """One engine, ``1 + repeats`` runs; returns (timings, last result)."""
+    engine = GTSEngine(db, machine, host_profile=host_profile)
     wall = []
     result = None
     for _ in range(1 + repeats):
@@ -68,16 +72,6 @@ def run_mode(db, machine, iterations, repeats, host_profile):
         result = engine.run(kernel)
         wall.append(time.perf_counter() - start)
     return summarize_samples(wall), result
-
-
-def load_baseline(path):
-    """The checked-in batched best-of-warm, or None when unavailable."""
-    try:
-        with open(path) as handle:
-            report = json.load(handle)
-        return report["kernels"]["pagerank"]["batched"]["best_seconds"]
-    except (OSError, KeyError, ValueError):
-        return None
 
 
 def main(argv=None):
@@ -96,7 +90,9 @@ def main(argv=None):
                         help="profiled runs: minimum fraction of wall-"
                              "clock inside top-level phases")
     parser.add_argument("--baseline", default=DEFAULT_BASELINE,
-                        help="bench_wallclock report to gate against")
+                        help="full report of this script to gate against "
+                             "(read-only; '' gates against this run and "
+                             "lets --out re-record it)")
     parser.add_argument("--out", default=DEFAULT_OUT)
     parser.add_argument("--flamegraph", default=None, metavar="PATH",
                         help="write the last profiled run's collapsed-"
@@ -151,7 +147,8 @@ def main(argv=None):
 
     # The quick smoke runs a different scale than the checked-in
     # baseline, so it can only gate against itself.
-    baseline_best = None if args.quick else load_baseline(args.baseline)
+    baseline_best = (None if args.quick
+                     else load_baseline(args.baseline, "disabled"))
     gated_against = ("baseline" if baseline_best is not None
                      else "self (no comparable baseline)")
     reference = (baseline_best if baseline_best is not None
@@ -194,7 +191,7 @@ def main(argv=None):
         "machine": "scaled_workstation(num_gpus=2, num_ssds=2)",
         "protocol": {
             "kernel": "pagerank", "iterations": args.iterations,
-            "execution": "batched", "repeats": args.repeats,
+            "repeats": args.repeats,
             "timing": "1 cold + N warm runs per mode on one engine; "
                       "overhead compares best-of-warm",
         },
@@ -210,10 +207,7 @@ def main(argv=None):
         "profile": profile.to_dict(),
         "gate_passed": bool(gate_passed),
     }
-    with open(args.out, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-    print("wrote %s" % args.out)
+    write_report(report, args.out, args.baseline)
     if args.flamegraph:
         from repro.obs.host import write_flamegraph
         write_flamegraph(profile, args.flamegraph)

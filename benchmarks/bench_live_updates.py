@@ -11,7 +11,7 @@ Protocol
 One file-backed dynamic database; two phases with a fresh service each
 (same cache-cold start):
 
-1. **idle** — ``--queries`` mixed paged queries at ``--concurrency``,
+1. **idle** — ``--queries`` mixed queries at ``--concurrency``,
    no writer.  This is the baseline p95.
 2. **live** — the identical query stream while a writer loop applies
    ``--batch-edges``-edge insert batches through
@@ -66,8 +66,9 @@ DEFAULT_HISTORY = os.path.join(ROOT, "BENCH_history.jsonl")
 #: multiple of the idle p95.
 READER_P95_CEILING = 1.5
 
-#: (algorithm, params) round-robin read mix; paged execution so every
-#: query actually reads pages (the path MVCC versioning touches).
+#: (algorithm, params) round-robin read mix; the first query after a
+#: commit rebuilds the page plan over the new version's overlay (the
+#: path MVCC versioning touches).
 WORKLOAD = [
     ("bfs", {"start": 0}),
     ("pagerank", {"iterations": 3}),
@@ -133,11 +134,9 @@ def run_phase(prefix, num_queries, concurrency, writer=False,
 
     def reader(index):
         algorithm, params = WORKLOAD[index % len(WORKLOAD)]
-        options = {"execution": "paged"}
         start = time.perf_counter()
         try:
-            result = service.query("g", algorithm, params=dict(params),
-                                   options=options)
+            result = service.query("g", algorithm, params=dict(params))
         except Exception as exc:
             failures.append(exc)
             return

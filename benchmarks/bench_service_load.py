@@ -2,25 +2,24 @@
 
 Drives a :class:`repro.service.GraphService` the way a tenant mix
 would — many concurrent queries over one shared database handle — and
-measures what the service layer is for: cross-query shared-page-cache
-hit rate, admission behaviour at saturation, and host wall-clock
+measures what the service layer is for: cross-query sharing of the
+page plan, admission behaviour at saturation, and host wall-clock
 latency quantiles (p50/p95/p99) per cell of the matrix.
 
 Protocol
 --------
-Each cell gets a *fresh* service (so its cache starts cold and the hit
+Each cell gets a *fresh* service (so its caches start cold and the hit
 rate is the cell's own), a file-backed handle with a deliberately tiny
-page pool (``--pool-pages``), and ``--queries`` paged-execution queries
-drawn round-robin from the cell's workload with seeded start vertices.
-Paged execution is the point: it reads pages per round, which is the
-path the shared cache serves (the batched path runs off the cached
-round plan and touches no pages when warm).
+page pool (``--pool-pages``), and ``--queries`` queries drawn
+round-robin from the cell's workload with seeded start vertices.  A
+query reads the store only to build the page plan; every later query
+on the same topology version runs off the shared plan and reads
+nothing.
 
-The baseline cells re-run the top-concurrency cell with the shared
-cache in accounting-only mode (``shared_cache_pages=0``): every probe
-misses and every page is re-parsed per query — the per-run-rebuild
-behaviour the service replaces.  The headline gate requires the shared
-hit rate to be *strictly above* that baseline's.
+The headline gate is that sharing: the top-concurrency mixed cell must
+build its plan exactly once, however many queries race for it — a plan
+hit rate of ``(queries - 1) / queries`` against the 0 of one engine
+(and one rebuild) per query, which is what the service replaces.
 
 Three further checks ride along: every query of the top-concurrency
 mixed cell must be bit-identical (simulated time and values) to the
@@ -97,18 +96,15 @@ def make_queries(workload, num_queries, num_vertices, seed):
     rotation = WORKLOADS[workload]
     return [
         {"algorithm": rotation[i % len(rotation)],
-         "params": {"start": int(starts[i]), "iterations": 3},
-         "options": {"execution": "paged"}}
+         "params": {"start": int(starts[i]), "iterations": 3}}
         for i in range(num_queries)
     ]
 
 
-def run_cell(prefix, queries, concurrency, pool_pages,
-             shared_cache_pages=None, telemetry=None):
+def run_cell(prefix, queries, concurrency, pool_pages, telemetry=None):
     """One matrix cell: fresh service, all queries, stats snapshot."""
     service = GraphService(max_in_flight=concurrency,
                            max_queue=len(queries),
-                           shared_cache_pages=shared_cache_pages,
                            telemetry=telemetry)
     service.add_database("g", prefix=prefix, pool_pages=pool_pages)
     wall_start = time.perf_counter()
@@ -130,9 +126,9 @@ def run_cell(prefix, queries, concurrency, pool_pages,
         "peak_in_flight": stats["peak_in_flight"],
         "completed": stats["completed"],
         "failed": stats["failed"],
-        "shared_hits": db["shared_cache"]["hits"],
-        "shared_misses": db["shared_cache"]["misses"],
-        "shared_hit_rate": round(db["shared_cache"]["hit_rate"], 4),
+        "plan_builds": db["plan_cache"]["builds"],
+        "plan_hits": db["plan_cache"]["hits"],
+        "plan_hit_rate": round(db["plan_cache"]["hit_rate"], 4),
         "pool_hits": db.get("pool_hits", 0),
         "pool_misses": db.get("pool_misses", 0),
         # Simulated seconds are deterministic whatever the interleaving,
@@ -205,8 +201,7 @@ def saturation_probe(prefix, pool_pages):
         try:
             futures.append(service.submit({
                 "database": "g", "algorithm": "bfs",
-                "params": {"start": 0},
-                "options": {"execution": "paged"}}))
+                "params": {"start": 0}}))
         except AdmissionError:
             rejected += 1
     completed = sum(1 for f in futures if f.result() is not None)
@@ -229,8 +224,7 @@ def main(argv=None):
     parser.add_argument("--queries", type=int, default=64,
                         help="queries per matrix cell (default 64)")
     parser.add_argument("--pool-pages", type=int, default=8,
-                        help="file pool size; kept far below the page "
-                             "count so reads spill to the shared cache")
+                        help="page-pool size of the served file store")
     parser.add_argument("--out", default=DEFAULT_OUT,
                         help="where to write the JSON report")
     parser.add_argument("--history", default=DEFAULT_HISTORY,
@@ -267,15 +261,12 @@ def main(argv=None):
         "protocol": {
             "queries_per_cell": args.queries,
             "pool_pages": args.pool_pages,
-            "execution": "paged",
-            "baseline": "same cell, shared cache in accounting-only "
-                        "mode (every probe misses, pages re-parsed "
-                        "per query)",
+            "baseline": "one engine, one plan build per query "
+                        "(plan hit rate 0)",
         },
         "quick": args.quick,
         "datasets": {},
         "matrix": {},
-        "baseline": {},
         "scales": {},
     }
 
@@ -302,18 +293,14 @@ def main(argv=None):
                                          concurrency, args.pool_pages)
                 name = "%s.c%d" % (workload, concurrency)
                 report["matrix"][name] = cell
-                print("  %-16s %5.1f q/s  p95 %.3fs  shared hit %.1f%%"
+                print("  %-16s %5.1f q/s  p95 %.3fs  plan hit %.1f%%"
                       % (name, cell["throughput_qps"],
                          cell["p95_seconds"],
-                         100 * cell["shared_hit_rate"]))
+                         100 * cell["plan_hit_rate"]))
                 if workload == "mixed" and concurrency == min(levels):
                     serial_mixed = results
                 if workload == "mixed" and concurrency == top:
                     concurrent_mixed = results
-            baseline_cell, _ = run_cell(base_prefix, queries, top,
-                                        args.pool_pages,
-                                        shared_cache_pages=0)
-            report["baseline"][workload] = baseline_cell
 
         # Scale sweep: the mixed workload at the top width.
         for scale in scales:
@@ -328,14 +315,14 @@ def main(argv=None):
         report["bit_identical"] = equivalent
         ok = ok and equivalent
 
-        # Gate 2: warm sharing must beat the per-run-rebuild baseline.
-        headline = report["matrix"]["mixed.c%d" % top]["shared_hit_rate"]
-        baseline = report["baseline"]["mixed"]["shared_hit_rate"]
-        report["headline_hit_rate"] = headline
-        report["baseline_hit_rate"] = baseline
-        if headline <= baseline:
-            print("FAIL: shared hit rate %.3f not above baseline %.3f"
-                  % (headline, baseline), file=sys.stderr)
+        # Gate 2: one plan build per cell, shared by every query.
+        top_cell = report["matrix"]["mixed.c%d" % top]
+        headline = top_cell["plan_hit_rate"]
+        report["headline_plan_hit_rate"] = headline
+        if top_cell["plan_builds"] != 1 or headline <= 0.0:
+            print("FAIL: %d plan build(s) for %d queries (hit rate %.3f)"
+                  % (top_cell["plan_builds"], top_cell["queries"],
+                     headline), file=sys.stderr)
             ok = False
 
         # Gate 3: saturation rejects typed, completes what it admitted.
@@ -403,9 +390,9 @@ def main(argv=None):
         if not ok:
             print("FAIL: service load gate", file=sys.stderr)
             return 1
-        print("gate passed: hit rate %.3f > baseline %.3f, "
+        print("gate passed: one plan build, plan hit rate %.3f, "
               "saturation at c=%d"
-              % (headline, baseline, report["saturation_concurrency"]))
+              % (headline, report["saturation_concurrency"]))
         return 0
     finally:
         shutil.rmtree(tmp, ignore_errors=True)

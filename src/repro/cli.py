@@ -47,8 +47,8 @@ Examples::
     python -m repro obs analyze trace.json
     python -m repro obs compare before.json after.json
     python -m repro obs compare --history BENCH_history.jsonl \\
-        --benchmark wallclock_batched_vs_paged --match quick=true \\
-        BENCH_wallclock.json
+        --benchmark fault_injection_zero_fault_overhead \\
+        --match quick=true BENCH_faults.json
     python -m repro obs history --path BENCH_history.jsonl
     python -m repro serve --dataset rmat24 --port 8030
     python -m repro serve --db social=/data/social --port 8030
@@ -157,13 +157,6 @@ def build_parser():
         sub.add_argument("--ssds", type=int, default=2)
         sub.add_argument("--micro", choices=("edge", "vertex", "hybrid"),
                          default="edge")
-        sub.add_argument("--execution",
-                         choices=("auto", "paged", "batched"),
-                         default="auto",
-                         help="round execution path: 'batched' forces the "
-                              "vectorized fast path (errors for kernels "
-                              "without one), 'paged' the per-page loop, "
-                              "'auto' picks per kernel")
         sub.add_argument("--no-cache", action="store_true")
         sub.add_argument("--io-merge", action="store_true",
                          help="coalesce adjacent page misses per round "
@@ -431,9 +424,6 @@ def build_parser():
                        default=None)
     query.add_argument("--streams", type=int, default=None)
     query.add_argument("--gpus", type=int, default=None)
-    query.add_argument("--execution",
-                       choices=("auto", "paged", "batched"),
-                       default=None)
     query.add_argument("--io-merge", action="store_true",
                        help="coalesce adjacent page misses into ranged "
                             "fetches for this query")
@@ -532,7 +522,6 @@ def _execute_run(args, tracing=False):
                        micro_technique=args.micro,
                        enable_caching=not args.no_cache,
                        tracing=tracing,
-                       execution=getattr(args, "execution", "auto"),
                        io_merge=getattr(args, "io_merge", False),
                        faults=faults,
                        fault_seed=getattr(args, "fault_seed", None),
@@ -1016,8 +1005,6 @@ def _command_query(args):
         options["num_streams"] = args.streams
     if args.gpus is not None:
         options["num_gpus"] = args.gpus
-    if args.execution:
-        options["execution"] = args.execution
     if args.io_merge:
         options["io_merge"] = True
     if args.timeout_ms is not None:

@@ -1,9 +1,8 @@
 """Instrumented locking primitives shared by the concurrent layers.
 
 PRs 1-6 built a strictly single-threaded system: every cache in the
-stack (the :class:`~repro.core.plan.RoundPlanCache`, the database-level
-scatter-index cache, the :class:`~repro.format.io.FileBackedDatabase`
-page pool) relied on one thread mutating it at a time.  The service
+stack (the :class:`~repro.core.plan.RoundPlanCache`, the
+:class:`~repro.format.io.FileBackedDatabase` page pool) relied on one thread mutating it at a time.  The service
 layer (:mod:`repro.service`) runs many queries concurrently against one
 shared database, so those caches now guard their mutable state with the
 locks defined here.

@@ -99,8 +99,8 @@ class PageCache:
         """Replay one round's lookup/admit sequence in bulk.
 
         Replacement decisions depend only on the probe order and the
-        policy — never on simulated time — so the engine's batched path
-        can resolve a whole round's hits up front and keep the booking
+        policy — never on simulated time — so the scheduler can
+        resolve a whole round's hits up front and keep the booking
         loop free of cache bookkeeping.  Returns a per-page hit list;
         counters and trace instants are identical to interleaved
         :meth:`lookup` / :meth:`admit` calls.  ``assume_distinct``

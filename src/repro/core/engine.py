@@ -13,14 +13,18 @@ One :class:`GTSEngine` ties together every piece the paper describes:
 * a multi-GPU :class:`~repro.core.strategies.Strategy` deciding page
   placement (``h(j)``), WA residency, and synchronisation;
 * a :class:`~repro.core.kernels.base.Kernel` executed **for real** in
-  NumPy page-by-page, with each invocation's measured work driving the
-  simulated kernel duration.
+  NumPy, one ``process_batch`` call per round over the round's pages as
+  flat arrays (:class:`~repro.core.plan.RoundBatch`), with the per-page
+  work it measures driving each page's simulated kernel duration.
 
-Every page dispatch follows Algorithm 1's three-way branch: GPU cache hit
-(kernel only) → main-memory buffer hit (stream copy + kernel) → storage
-fetch (SSD read + stream copy + kernel).  Copies serialize on the GPU's
-copy engine; kernels run concurrently on up to ``min(streams, 32)``
-stream slots; pages are assigned to streams round-robin as in Figure 3.
+Every round is ``plan.round_batch(pids)`` → ``kernel.process_batch`` →
+``scheduler.dispatch_round``; the engine reads the page plan and never a
+page.  Every page dispatch follows Algorithm 1's three-way branch: GPU
+cache hit (kernel only) → main-memory buffer hit (stream copy + kernel)
+→ storage fetch (SSD read + stream copy + kernel).  Copies serialize on
+the GPU's copy engine; kernels run concurrently on up to
+``min(streams, 32)`` stream slots; pages are assigned to streams
+round-robin as in Figure 3.
 """
 
 import time as _time
@@ -38,9 +42,6 @@ from repro.errors import (CapacityError, ConfigurationError,
                           DeadlineError, DeviceLostError, SimulationError)
 from repro.faults import FaultInjector, FaultPlan, RetryPolicy
 from repro.hardware.machine import MachineRuntime
-
-#: Valid values of the ``execution`` knob.
-EXECUTION_MODES = ("auto", "paged", "batched")
 
 
 class GTSEngine:
@@ -83,23 +84,15 @@ class GTSEngine:
         resource overlap, accounting, concurrency caps); implies
         ``tracing``.  Raises :class:`~repro.errors.SimulationError` on
         any violation.
-    execution:
-        ``"auto"`` (default) runs the vectorized batched path for
-        kernels that implement :meth:`Kernel.process_batch` and falls
-        back to the per-page loop otherwise; ``"paged"`` forces the
-        legacy per-page loop; ``"batched"`` forces the fast path and
-        raises :class:`~repro.errors.ConfigurationError` for kernels
-        without a batched implementation.  Both paths produce identical
-        algorithm outputs and identical simulated timings — the knob
-        trades host wall-clock only.
     faults:
         Optional :class:`~repro.faults.FaultPlan` (or its dict form)
         injected into every run.  Recoverable faults cost simulated
         time but leave algorithm outputs bit-identical to the
         fault-free run; unrecoverable ones raise a typed
         :class:`~repro.errors.GTSError` subclass — never a wrong
-        answer.  A batched run degrades any faulted round to the paged
-        path (where per-page injection and retry live) and continues.
+        answer.  A round a fault fires in is *booked* per call (where
+        injection, retry and backoff live); its compute is the same
+        ``process_batch``.
     fault_seed:
         Overrides the plan's seed (the CLI's ``--fault-seed``), letting
         one plan file drive a whole matrix of chaos runs.
@@ -133,29 +126,20 @@ class GTSEngine:
         of adjacent pages per device booked as single ranged fetches
         (:meth:`~repro.hardware.StorageArray.fetch_range`).  This
         changes only the *simulated* I/O model (fewer, larger storage
-        bookings), so it defaults to off; paged and batched execution
-        see identical simulated times under the same ``io_merge``
-        setting.  Fault-injected and fully-preloaded runs skip the
-        merge (per-read injection semantics and the paper's in-memory
-        path are preserved).  Host prefetch does not depend on it: the
-        per-page loop always warms the database's page pool a chunk
-        ahead (``db.prefetch``).
+        bookings), so it defaults to off.  Fault-injected and
+        fully-preloaded runs skip the merge (per-read injection
+        semantics and the paper's in-memory path are preserved).
     """
 
     def __init__(self, db, machine, strategy="performance", num_streams=16,
                  micro_technique=MicroTechnique.EDGE_CENTRIC,
                  enable_caching=True, cache_bytes=None, cache_policy="lru",
                  mm_buffer_bytes=None, tracing=False,
-                 validate_simulation=False, execution="auto",
-                 faults=None, fault_seed=None, retry_policy=None,
-                 host_profile=False, plan_cache=None, shared_cache=None,
-                 io_merge=False):
+                 validate_simulation=False, faults=None, fault_seed=None,
+                 retry_policy=None, host_profile=False, plan_cache=None,
+                 shared_cache=None, io_merge=False):
         if num_streams < 1:
             raise ConfigurationError("need at least one stream")
-        if execution not in EXECUTION_MODES:
-            raise ConfigurationError(
-                "unknown execution mode %r (expected one of %s)"
-                % (execution, ", ".join(EXECUTION_MODES)))
         if faults is not None and not isinstance(faults, FaultPlan):
             faults = FaultPlan.from_dict(faults)
         if retry_policy is not None and not isinstance(retry_policy,
@@ -175,7 +159,6 @@ class GTSEngine:
         self.mm_buffer_bytes = mm_buffer_bytes
         self.validate_simulation = validate_simulation
         self.tracing = tracing or validate_simulation
-        self.execution = execution
         self.host_profile = host_profile
         self.shared_cache = shared_cache
         self.io_merge = bool(io_merge)
@@ -218,20 +201,6 @@ class GTSEngine:
         large = take_ranges(firsts[runs], lengths[runs])
         named[firsts] = False
         return np.flatnonzero(named), large
-
-    def _resolve_execution(self, kernel):
-        """Pick the execution path for ``kernel`` under the knob."""
-        supported = kernel.supports_batch()
-        if self.execution == "batched":
-            if not supported:
-                raise ConfigurationError(
-                    "kernel %s does not implement process_batch; use "
-                    "execution='paged' or 'auto' to run it page-by-page"
-                    % kernel.name)
-            return True
-        if self.execution == "paged":
-            return False
-        return supported
 
     @staticmethod
     def _integrity_retries(db):
@@ -416,8 +385,8 @@ class GTSEngine:
                 hp = HostProfiler()
                 owns_profiler = True
             # Attach to the database (and its base, for dynamic
-            # overlays) so page parsing and scatter-index builds report
-            # into the same span stack — scoped to this run only.
+            # overlays) so page parsing reports into the same span
+            # stack — scoped to this run only.
             for candidate in (self.db, getattr(self.db, "_base", None)):
                 if candidate is not None and hasattr(
                         candidate, "host_profiler"):
@@ -492,15 +461,12 @@ class GTSEngine:
         pool_misses_start = getattr(db, "pool_misses", 0)
         mmap_hits_start, mmap_misses_start = self._mmap_counters(db)
         integrity_retries_start = self._integrity_retries(db)
-        scatter_hits_start = getattr(db, "scatter_hits", 0)
-        scatter_misses_start = getattr(db, "scatter_misses", 0)
         # Shared-cache deltas are exact for serial runs; under the
         # service's concurrency they attribute the whole interval's
         # traffic to this run (the cache is one ledger for all queries).
         shared = self._shared_cache_of(db, self.shared_cache)
         shared_hits_start = shared.hits if shared is not None else 0
         shared_misses_start = shared.misses if shared is not None else 0
-        use_batched = self._resolve_execution(kernel)
         topology = db.topology_bytes()
         recorder = None
         if self.tracing:
@@ -526,15 +492,11 @@ class GTSEngine:
         state = kernel.init_state(db)
         ctx = KernelContext(db, self.micro_technique)
 
-        plan_arrays = None
-        copy_bytes_all = None
-        if use_batched:
-            # Built once per topology version (one pass over the pages
-            # plus one global scatter argsort); every later round gathers
-            # flat array views from it.
-            plan_arrays = self._plan_cache.get(db, host_profiler=hp)
-            copy_bytes_all = plan_arrays.copy_bytes(
-                kernel.ra_bytes_per_vertex)
+        # Built once per topology version (one pass over the pages plus
+        # one global scatter argsort); every round gathers flat array
+        # views from it.
+        plan_arrays = self._plan_cache.get(db, host_profiler=hp)
+        copy_bytes_all = plan_arrays.copy_bytes(kernel.ra_bytes_per_vertex)
 
         # |G| < MMBuf: load the graph up front (Algorithm 1 lines 9-10).
         preloaded = False
@@ -611,108 +573,43 @@ class GTSEngine:
                     full_assignments = None
             pids_round = np.concatenate([small, large])
             # SPs first, then LPs (reduces kernel switching, Section 3.2).
-            run_batched = use_batched
-            assignments = None
-            if use_batched or dead_gpus:
-                if use_batched and len(pids_round) == plan_arrays.num_pages:
-                    # Full-scan rounds dispatch the same SP-first page
-                    # sequence every time; compute its assignment once.
-                    if full_assignments is None:
-                        full_assignments = self._round_assignments(
-                            pids_round, runtime, dead_gpus)
-                    assignments = full_assignments
-                else:
-                    assignments = self._round_assignments(
+            if len(pids_round) == plan_arrays.num_pages:
+                # Full-scan rounds dispatch the same SP-first page
+                # sequence every time; compute its assignment once.
+                if full_assignments is None:
+                    full_assignments = self._round_assignments(
                         pids_round, runtime, dead_gpus)
+                assignments = full_assignments
+            else:
+                assignments = self._round_assignments(
+                    pids_round, runtime, dead_gpus)
             if io_merge_active:
                 self._merge_round_io(runtime, pids_round, assignments,
                                      caches, fetch_ready, round_start,
                                      stats)
-            if (run_batched and injector is not None
-                    and injector.plan.any_rates
-                    and injector.round_faulted(pids_round, assignments)):
-                # Graceful degradation: a fault will fire somewhere in
-                # this round, so take the paged path — where per-page
-                # injection, retry and backoff live — for this round
-                # only.  Clean rounds keep the batched fast path, which
-                # books bit-identically.
-                run_batched = False
-                injector.note_fallback()
-                if recorder is not None:
-                    recorder.instant("fallback", "engine", "rounds",
-                                     round_start, round=round_index)
-            if run_batched:
-                if hp is not None:
-                    hp.push("gather")
-                    batch = plan_arrays.round_batch(pids_round)
-                    hp.pop()
-                else:
-                    batch = plan_arrays.round_batch(pids_round)
-                if hp is not None:
-                    hp.push("kernel")
-                    work = kernel.process_batch(batch, state, ctx)
-                    hp.pop()
-                else:
-                    work = kernel.process_batch(batch, state, ctx)
-                stats.pages_dispatched += batch.num_pages
-                round_edges = int(work.edges_traversed.sum())
-                stats.edges_traversed += round_edges
-                stats.active_vertices += int(work.active_vertices.sum())
-                total_edges += round_edges
-                if next_pages is not None and work.next_pids is not None:
-                    next_pages[work.next_pids] = True
-                scheduler.dispatch_round(
-                    pids_round, assignments,
-                    copy_bytes_all[pids_round], work.lane_steps,
-                    kernel.cycles_per_lane_step, caches, wa_ready,
-                    round_start, fetch, stats)
+            if hp is not None:
+                hp.push("gather")
+                batch = plan_arrays.round_batch(pids_round)
+                hp.pop()
+                hp.push("kernel")
+                work = kernel.process_batch(batch, state, ctx)
+                hp.pop()
             else:
-                # Warm the page pool a pool-sized chunk ahead, so a
-                # lazily decoding store parses the chunk's misses in one
-                # pass instead of once per page() call.
-                chunk = db.prefetch_chunk
-                for i, pid in enumerate(pids_round):
-                    pid = int(pid)
-                    if i % chunk == 0:
-                        db.prefetch(pids_round[i:i + chunk].tolist())
-                    page = db.page(pid)
-                    if hp is not None:
-                        hp.push("kernel")
-                        work = kernel.process_page(page, state, ctx)
-                        hp.pop()
-                    else:
-                        work = kernel.process_page(page, state, ctx)
-                    stats.pages_dispatched += 1
-                    stats.edges_traversed += work.edges_traversed
-                    stats.active_vertices += work.active_vertices
-                    total_edges += work.edges_traversed
-                    if (next_pages is not None
-                            and work.next_pids is not None):
-                        next_pages[work.next_pids] = True
-                    ra_bytes = db.ra_subvector_bytes(
-                        pid, kernel.ra_bytes_per_vertex)
-                    gpus = (assignments[i] if assignments is not None
-                            else self.strategy.assign(pid,
-                                                      runtime.num_gpus))
-                    for g in gpus:
-                        earliest = max(round_start, wa_ready[g])
-                        if caches[g].lookup(pid, ts=earliest):
-                            stats.pages_from_cache += 1
-                            scheduler.dispatch_cached(
-                                g, earliest,
-                                work.lane_steps,
-                                kernel.cycles_per_lane_step,
-                                page_id=pid)
-                        else:
-                            ready = fetch(pid)
-                            copy_bytes = db.page_bytes(pid) + ra_bytes
-                            stats.bytes_streamed += copy_bytes
-                            scheduler.dispatch_streamed(
-                                g, max(ready, wa_ready[g]), copy_bytes,
-                                work.lane_steps,
-                                kernel.cycles_per_lane_step,
-                                page_id=pid)
-                            caches[g].admit(pid, ts=earliest)
+                batch = plan_arrays.round_batch(pids_round)
+                work = kernel.process_batch(batch, state, ctx)
+            stats.pages_dispatched += batch.num_pages
+            round_edges = int(work.edges_traversed.sum())
+            stats.edges_traversed += round_edges
+            stats.active_vertices += int(work.active_vertices.sum())
+            total_edges += round_edges
+            if next_pages is not None and work.next_pids is not None:
+                next_pages[work.next_pids] = True
+            # The scheduler books the round: per call, with injection
+            # and retry, if a fault fires in it; in bulk otherwise.
+            scheduler.dispatch_round(
+                pids_round, assignments, copy_bytes_all[pids_round],
+                work.lane_steps, kernel.cycles_per_lane_step, caches,
+                wa_ready, round_start, fetch, stats)
 
             # Lines 27-30: barrier, WA sync, nextPIDSet merge.
             if hp is not None:
@@ -738,7 +635,6 @@ class GTSEngine:
                     "round", "engine", "rounds",
                     stats.start_time, stats.end_time,
                     round=round_index, description=plan.description,
-                    execution="batched" if run_batched else "paged",
                     pages=stats.pages_dispatched,
                     bytes=stats.bytes_streamed)
             rounds.append(stats)
@@ -817,10 +713,6 @@ class GTSEngine:
             mm_buffer_misses=runtime.mm_buffer.misses,
             pool_hits=getattr(db, "pool_hits", 0) - pool_hits_start,
             pool_misses=getattr(db, "pool_misses", 0) - pool_misses_start,
-            scatter_hits=getattr(db, "scatter_hits", 0)
-            - scatter_hits_start,
-            scatter_misses=getattr(db, "scatter_misses", 0)
-            - scatter_misses_start,
             shared_hits=(shared.hits - shared_hits_start
                          if shared is not None else 0),
             shared_misses=(shared.misses - shared_misses_start
@@ -840,7 +732,6 @@ class GTSEngine:
             num_streams=self.num_streams,
             strategy=self.strategy.name,
             cache_policy=self.cache_policy,
-            execution="batched" if use_batched else "paged",
             notes="preloaded" if preloaded else "cold storage",
             timeline=timeline,
             trace=recorder,
@@ -869,12 +760,9 @@ class GTSEngine:
         nothing can admit it earlier); a page evicted between this scan
         and its probe simply falls back to a lazy single-page fetch.
         """
-        num_gpus = runtime.num_gpus
         mm_buffer = runtime.mm_buffer
         misses = []
-        for i, pid in enumerate(pids_round.tolist()):
-            gpus = (assignments[i] if assignments is not None
-                    else self.strategy.assign(pid, num_gpus))
+        for pid, gpus in zip(pids_round.tolist(), assignments):
             if all(pid in caches[g] for g in gpus):
                 continue
             if mm_buffer.lookup(pid, ts=round_start):

@@ -1,13 +1,10 @@
 """Graph-algorithm kernels for the GTS engine.
 
-Each kernel mirrors Appendix B's structure: a small-page kernel
-(``process_sp``) and a large-page kernel (``process_lp``), operating on
+Each kernel has one body, ``process_batch``: Appendix B's small-page and
+large-page kernels (K_SP / K_LP) as one pass over a round's pages as a
+:class:`~repro.core.plan.RoundBatch` of flat arrays, operating on
 attribute vectors split into *updatable* (WA — resident in device memory)
-and *read-only* (RA — streamed alongside topology pages).  Every kernel
-also carries one ``process_batch`` — the same round over a
-:class:`~repro.core.plan.RoundBatch` of flat arrays, bit-identical to
-the page pair in values and simulated time — which is what the engine
-runs by default.
+and *read-only* (RA — streamed alongside topology pages).
 
 The paper's two algorithm families are both represented:
 
@@ -18,7 +15,7 @@ The paper's two algorithm families are both represented:
   :class:`DegreeKernel`.
 """
 
-from repro.core.kernels.base import Kernel, KernelContext, PageWork, RoundPlan, ALL_PAGES
+from repro.core.kernels.base import Kernel, KernelContext, RoundPlan, ALL_PAGES
 from repro.core.kernels.bfs import BFSKernel
 from repro.core.kernels.pagerank import PageRankKernel
 from repro.core.kernels.sssp import SSSPKernel
@@ -35,7 +32,6 @@ from repro.core.kernels.induced import EgonetKernel, InducedSubgraphKernel
 __all__ = [
     "Kernel",
     "KernelContext",
-    "PageWork",
     "RoundPlan",
     "ALL_PAGES",
     "BFSKernel",

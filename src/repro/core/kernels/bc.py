@@ -1,4 +1,4 @@
-"""Betweenness Centrality kernels (BFS-like family, Appendix D).
+"""Betweenness Centrality kernel (BFS-like family, Appendix D).
 
 Brandes' algorithm over a set of sample sources, expressed as engine
 rounds.  For each source the kernel runs two page-streamed phases:
@@ -25,9 +25,7 @@ import numpy as np
 
 from repro.core.kernels.base import (
     Kernel,
-    PageWork,
     RoundPlan,
-    edge_expand,
     frontier_batch_work,
 )
 from repro.errors import ConfigurationError
@@ -141,81 +139,23 @@ class BCKernel(Kernel):
         return {"centrality": state.centrality.copy()}
 
     # ------------------------------------------------------------------
-    # Page kernels
-    # ------------------------------------------------------------------
-    def _forward(self, page, state, ctx, active_mask, source_sigmas):
-        targets, target_pids, _, sources_idx = edge_expand(page, active_mask)
-        fresh = state.level[targets] == UNVISITED
-        state.level[targets[fresh]] = state.cur_level + 1
-        # Path counting: every frontier edge into a level-(l+1) vertex
-        # contributes the source's sigma.  Duplicate targets need the
-        # unbuffered add.
-        counted = state.level[targets] == state.cur_level + 1
-        np.add.at(state.sigma, targets[counted],
-                  source_sigmas[sources_idx[counted]])
-        next_pids = np.unique(target_pids[fresh])
-        return PageWork(
-            num_records=page.num_records,
-            active_vertices=int(active_mask.sum()),
-            edges_traversed=int(len(targets)),
-            lane_steps=ctx.lane_steps(page.degrees(), active_mask),
-            next_pids=next_pids,
-        )
-
-    def _backward(self, page, state, ctx, active_mask, record_vids):
-        targets, _, _, sources_idx = edge_expand(page, active_mask)
-        downstream = state.level[targets] == state.backward_level + 1
-        idx = sources_idx[downstream]
-        tgt = targets[downstream]
-        ratio = np.zeros(len(tgt))
-        valid = state.sigma[tgt] > 0
-        source_vids = record_vids[idx]
-        ratio[valid] = (state.sigma[source_vids[valid]]
-                        / state.sigma[tgt[valid]])
-        contributions = ratio * (1.0 + state.delta[tgt])
-        # Sum per source record; records live in exactly one small page,
-        # and large-page chunks contribute commutative partial sums.
-        np.add.at(state.delta, source_vids, contributions)
-        return PageWork(
-            num_records=page.num_records,
-            active_vertices=int(active_mask.sum()),
-            edges_traversed=int(len(targets)),
-            lane_steps=ctx.lane_steps(page.degrees(), active_mask),
-            next_pids=np.empty(0, dtype=np.int64),
-        )
-
-    def process_sp(self, page, state, ctx):
-        vids = page.vids()
-        if state.phase == "forward":
-            active = state.level[vids] == state.cur_level
-            return self._forward(page, state, ctx, active, state.sigma[vids])
-        active = state.level[vids] == state.backward_level
-        return self._backward(page, state, ctx, active, vids)
-
-    def process_lp(self, page, state, ctx):
-        vids = np.asarray([page.vid], dtype=np.int64)
-        if state.phase == "forward":
-            active = state.level[vids] == state.cur_level
-            return self._forward(page, state, ctx, active, state.sigma[vids])
-        active = state.level[vids] == state.backward_level
-        return self._backward(page, state, ctx, active, vids)
-
     def process_batch(self, batch, state, ctx):
         if state.phase == "forward":
             active = state.level[batch.rec_vids] == state.cur_level
             frontier = batch.advance(active)
             targets = frontier.targets
             # No vertex holds level ``cur_level + 1`` before this round,
-            # so "fresh" against the round-start levels is the union of
-            # the per-page discoveries and "counted" is every frontier
-            # edge into it, as in the page loop.
+            # so "fresh" is judged against the round-start levels and
+            # "counted" is every frontier edge into a fresh vertex: each
+            # contributes its source's sigma (path counting).
             fresh = frontier.filter(state.level[targets] == UNVISITED)
             state.level[fresh.targets] = state.cur_level + 1
             counted = frontier.filter(
                 state.level[targets] == state.cur_level + 1)
             # Sources sit at ``cur_level`` and counted targets one level
-            # down, so reading sigma up front reads what each page would;
-            # ``np.add.at`` adds in edge order, which is page order.
+            # down, so the sigma read and written are disjoint;
+            # duplicate targets need the unbuffered add, which runs in
+            # edge (page-major) order.
             np.add.at(state.sigma, counted.targets,
                       counted.from_sources(state.sigma))
             return frontier_batch_work(frontier, ctx,
@@ -230,8 +170,9 @@ class BCKernel(Kernel):
         valid = state.sigma[targets] > 0
         ratio[valid] = (state.sigma[sources[valid]]
                         / state.sigma[targets[valid]])
-        # Reads delta one level down, writes this level: disjoint, and
-        # accumulated in edge order like the page loop.
+        # Reads delta one level down, writes this level: disjoint.
+        # Summed per source record in edge order; large-page chunks
+        # contribute commutative partial sums.
         np.add.at(state.delta, sources,
                   ratio * (1.0 + state.delta[targets]))
         return frontier_batch_work(frontier, ctx)

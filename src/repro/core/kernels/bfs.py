@@ -1,4 +1,4 @@
-"""Breadth-First Search kernels (Appendix B.1, Algorithms 2 and 3).
+"""Breadth-First Search kernel (Appendix B.1, Algorithms 2 and 3).
 
 BFS is the paper's archetypal *traversal* algorithm: level-synchronous,
 streaming only the pages named in ``nextPIDSet`` each level, with a single
@@ -11,9 +11,7 @@ import numpy as np
 from repro.core.kernels.base import (
     ALL_PAGES,
     Kernel,
-    PageWork,
     RoundPlan,
-    edge_expand,
     frontier_batch_work,
 )
 from repro.errors import ConfigurationError
@@ -72,37 +70,11 @@ class BFSKernel(Kernel):
         return {"level": state.level}
 
     # ------------------------------------------------------------------
-    def _expand(self, page, state, ctx, active_mask):
-        """Shared body of K_BFS_SP and K_BFS_LP: relax active records."""
-        targets, target_pids, _, _ = edge_expand(page, active_mask)
-        unvisited = state.level[targets] == UNVISITED
-        new_targets = targets[unvisited]
-        # Idempotent write: every discoverer sets the same level value.
-        state.level[new_targets] = state.cur_level + 1
-        next_pids = np.unique(target_pids[unvisited])
-        return PageWork(
-            num_records=page.num_records,
-            active_vertices=int(active_mask.sum()),
-            edges_traversed=int(len(targets)),
-            lane_steps=ctx.lane_steps(page.degrees(), active_mask),
-            next_pids=next_pids,
-        )
-
-    def process_sp(self, page, state, ctx):
-        active = state.level[page.vids()] == state.cur_level
-        return self._expand(page, state, ctx, active)
-
-    def process_lp(self, page, state, ctx):
-        active = np.asarray(
-            [state.level[page.vid] == state.cur_level])
-        return self._expand(page, state, ctx, active)
-
     def process_batch(self, batch, state, ctx):
         active = state.level[batch.rec_vids] == state.cur_level
         frontier = batch.advance(active)
-        # "Unvisited" against the round-start levels: every per-page
-        # discoverer writes the same ``cur_level + 1``, so evaluating the
-        # mask before any write reproduces the per-page union exactly.
+        # "Unvisited" against the round-start levels; the write is
+        # idempotent (every discoverer sets the same ``cur_level + 1``).
         # Filtering first means only a discovery's page id is gathered.
         fresh = frontier.filter(
             state.level[frontier.targets] == UNVISITED)

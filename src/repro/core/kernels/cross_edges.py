@@ -16,13 +16,11 @@ import numpy as np
 
 from repro.core.kernels.base import (
     ALL_PAGES,
-    BatchWork,
     Kernel,
-    PageWork,
     RoundPlan,
+    full_scan_batch_work,
 )
 from repro.errors import ConfigurationError
-from repro.format.page import PageKind
 
 
 class _CrossEdgesState:
@@ -73,39 +71,6 @@ class CrossEdgesKernel(Kernel):
         }
 
     # ------------------------------------------------------------------
-    def _scan(self, page, state, ctx, source_parts):
-        crossing = state.partition[page.adj_vids] != source_parts
-        num_cross = int(crossing.sum())
-        state.total_cross += num_cross
-        state.total_edges += page.num_edges
-        if page.kind is PageKind.SMALL:
-            # Segment-sum per record; np.add.reduceat mishandles empty
-            # segments (degree-0 records), so scatter by edge owner.
-            per_record = np.zeros(page.num_records, dtype=np.int64)
-            edge_owner = np.repeat(
-                np.arange(page.num_records, dtype=np.int64),
-                page.degrees())
-            np.add.at(per_record, edge_owner, crossing.astype(np.int64))
-            state.cross_count[page.vids()] += per_record
-        else:
-            state.cross_count[page.vid] += num_cross
-        return PageWork(
-            num_records=page.num_records,
-            active_vertices=page.num_records,
-            edges_traversed=page.num_edges,
-            lane_steps=ctx.lane_steps(page.degrees()),
-        )
-
-    def process_sp(self, page, state, ctx):
-        source_parts = np.repeat(
-            state.partition[page.vids()], page.degrees())
-        return self._scan(page, state, ctx, source_parts)
-
-    def process_lp(self, page, state, ctx):
-        source_parts = np.full(page.num_edges,
-                               state.partition[page.vid], dtype=np.int64)
-        return self._scan(page, state, ctx, source_parts)
-
     def process_batch(self, batch, state, ctx):
         # A full scan needs every edge's source, so it reads the edge
         # space directly instead of advancing from a frontier.
@@ -116,8 +81,4 @@ class CrossEdgesKernel(Kernel):
         state.total_edges += batch.num_edges
         state.cross_count += np.bincount(
             sources[crossing], minlength=len(state.cross_count))
-        return BatchWork(
-            lane_steps=ctx.segment_lane_steps(batch),
-            edges_traversed=batch.edges_per_page(),
-            active_vertices=batch.records_per_page(),
-        )
+        return full_scan_batch_work(batch, ctx)

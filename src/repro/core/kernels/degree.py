@@ -10,11 +10,9 @@ import numpy as np
 
 from repro.core.kernels.base import (
     ALL_PAGES,
-    BatchWork,
     Kernel,
-    PageWork,
     RoundPlan,
-    scatter_add,
+    full_scan_batch_work,
 )
 
 
@@ -52,37 +50,10 @@ class DegreeKernel(Kernel):
                 "in_degree": state.in_degree.copy()}
 
     # ------------------------------------------------------------------
-    def process_sp(self, page, state, ctx):
-        degrees = page.degrees()
-        state.out_degree[page.vids()] += degrees
-        scatter_add(state._in_degree_float, page,
-                    np.ones(page.num_edges), db=ctx.db)
-        return PageWork(
-            num_records=page.num_records,
-            active_vertices=page.num_records,
-            edges_traversed=page.num_edges,
-            lane_steps=ctx.lane_steps(degrees),
-        )
-
-    def process_lp(self, page, state, ctx):
-        state.out_degree[page.vid] += page.num_edges
-        scatter_add(state._in_degree_float, page,
-                    np.ones(page.num_edges), db=ctx.db)
-        return PageWork(
-            num_records=1,
-            active_vertices=1,
-            edges_traversed=page.num_edges,
-            lane_steps=ctx.lane_steps(page.degrees()),
-        )
-
     def process_batch(self, batch, state, ctx):
         # Large-page vertices repeat across their chunks' records.
         np.add.at(state.out_degree, batch.rec_vids, batch.degrees)
         # Whole counts add exactly in float64, in any order.
         state._in_degree_float += np.bincount(
             batch.adj_vids, minlength=len(state._in_degree_float))
-        return BatchWork(
-            lane_steps=ctx.segment_lane_steps(batch),
-            edges_traversed=batch.edges_per_page(),
-            active_vertices=batch.records_per_page(),
-        )
+        return full_scan_batch_work(batch, ctx)

@@ -19,15 +19,12 @@ import numpy as np
 
 from repro.core.kernels.base import (
     ALL_PAGES,
-    BatchWork,
     Kernel,
-    PageWork,
     RoundPlan,
-    edge_expand,
     frontier_batch_work,
+    full_scan_batch_work,
 )
 from repro.errors import ConfigurationError
-from repro.format.page import PageKind
 
 
 class _InducedState:
@@ -95,34 +92,6 @@ class InducedSubgraphKernel(Kernel):
         return results
 
     # ------------------------------------------------------------------
-    def _scan(self, page, state, ctx):
-        active = state.member[page.vids()]
-        targets, _, _, sources_idx = edge_expand(page, active)
-        inside = state.member[targets]
-        kept_targets = targets[inside]
-        state.num_edges += int(len(kept_targets))
-        if page.kind is PageKind.SMALL:
-            source_vids = page.vids()[sources_idx[inside]]
-        else:
-            source_vids = np.full(len(kept_targets), page.vid,
-                                  dtype=np.int64)
-        np.add.at(state.internal_degree, source_vids, 1)
-        if self.collect_edges:
-            state.edges.extend(zip(source_vids.tolist(),
-                                   kept_targets.tolist()))
-        return PageWork(
-            num_records=page.num_records,
-            active_vertices=int(active.sum()),
-            edges_traversed=page.num_edges,
-            lane_steps=ctx.lane_steps(page.degrees()),
-        )
-
-    def process_sp(self, page, state, ctx):
-        return self._scan(page, state, ctx)
-
-    def process_lp(self, page, state, ctx):
-        return self._scan(page, state, ctx)
-
     def process_batch(self, batch, state, ctx):
         active = state.member[batch.rec_vids]
         frontier = batch.advance(active)
@@ -132,15 +101,10 @@ class InducedSubgraphKernel(Kernel):
         state.num_edges += len(targets)
         np.add.at(state.internal_degree, sources, 1)
         if self.collect_edges:
-            # Batch order is dispatch order, so the list comes out as
-            # the page loop appends it.
+            # Batch order is dispatch order.
             state.edges.extend(zip(sources.tolist(), targets.tolist()))
         # The scan is charged for the whole page, members or not.
-        return BatchWork(
-            lane_steps=ctx.segment_lane_steps(batch),
-            edges_traversed=batch.edges_per_page(),
-            active_vertices=batch.segment_sum(active),
-        )
+        return full_scan_batch_work(batch, ctx, active=active)
 
 
 class _EgonetState(_InducedState):
@@ -190,28 +154,6 @@ class EgonetKernel(InducedSubgraphKernel):
             state.phase = "done"
 
     # ------------------------------------------------------------------
-    def _expand(self, page, state, ctx):
-        active = page.vids() == state.ego
-        targets, _, _, _ = edge_expand(page, active)
-        state.member[targets] = True
-        return PageWork(
-            num_records=page.num_records,
-            active_vertices=int(active.sum()),
-            edges_traversed=int(len(targets)),
-            lane_steps=ctx.lane_steps(page.degrees(), active),
-            next_pids=np.empty(0, dtype=np.int64),
-        )
-
-    def process_sp(self, page, state, ctx):
-        if state.phase == "expand":
-            return self._expand(page, state, ctx)
-        return self._scan(page, state, ctx)
-
-    def process_lp(self, page, state, ctx):
-        if state.phase == "expand":
-            return self._expand(page, state, ctx)
-        return self._scan(page, state, ctx)
-
     def process_batch(self, batch, state, ctx):
         if state.phase != "expand":
             return super().process_batch(batch, state, ctx)

@@ -20,9 +20,7 @@ import numpy as np
 
 from repro.core.kernels.base import (
     Kernel,
-    PageWork,
     RoundPlan,
-    edge_expand,
     frontier_batch_work,
 )
 from repro.core.plan import page_set
@@ -80,31 +78,10 @@ class KCoreKernel(Kernel):
                 "residual_degree": state.degree.copy()}
 
     # ------------------------------------------------------------------
-    def _peel(self, page, state, ctx, active_mask):
-        targets, _, _, _ = edge_expand(page, active_mask)
-        # Removed vertices release one degree unit per incident edge;
-        # duplicates require the unbuffered decrement.
-        np.add.at(state.degree, targets, -1)
-        return PageWork(
-            num_records=page.num_records,
-            active_vertices=int(active_mask.sum()),
-            edges_traversed=int(len(targets)),
-            lane_steps=ctx.lane_steps(page.degrees(), active_mask),
-            next_pids=np.empty(0, dtype=np.int64),
-        )
-
-    def process_sp(self, page, state, ctx):
-        active = state.frontier[page.vids()]
-        return self._peel(page, state, ctx, active)
-
-    def process_lp(self, page, state, ctx):
-        active = np.asarray([state.frontier[page.vid]])
-        return self._peel(page, state, ctx, active)
-
     def process_batch(self, batch, state, ctx):
         active = state.frontier[batch.rec_vids]
         frontier = batch.advance(active)
-        # Integer decrements commute, so one unbuffered pass over the
-        # round's edges equals the per-page passes.
+        # Removed vertices release one degree unit per incident edge;
+        # duplicate targets require the unbuffered decrement.
         np.add.at(state.degree, frontier.targets, -1)
         return frontier_batch_work(frontier, ctx)

@@ -2,7 +2,7 @@
 
 "Neighborhood" in the paper's algorithm list: the set of vertices within
 ``hops`` steps of a query vertex.  Structurally a depth-capped BFS, so
-this kernel reuses the BFS page kernels and stops expanding once the cap
+this kernel reuses the BFS body and stops expanding once the cap
 is reached — only the pages of the first ``hops`` frontiers are ever
 streamed, which is the access pattern that motivates nextPIDSet.
 """

@@ -1,4 +1,4 @@
-"""PageRank kernels (Appendix B.2, Algorithms 4 and 5).
+"""PageRank kernel (Appendix B.2, Algorithms 4 and 5).
 
 PageRank is the paper's archetypal *full-scan* algorithm: every iteration
 streams the entire topology once.  The WA vector is ``nextPR`` (4 bytes
@@ -19,11 +19,9 @@ import numpy as np
 
 from repro.core.kernels.base import (
     ALL_PAGES,
-    BatchWork,
     Kernel,
-    PageWork,
     RoundPlan,
-    scatter_add,
+    full_scan_batch_work,
 )
 from repro.errors import ConfigurationError
 
@@ -92,58 +90,16 @@ class PageRankKernel(Kernel):
         return {"rank": state.prev.copy()}
 
     # ------------------------------------------------------------------
-    def process_sp(self, page, state, ctx):
-        degrees = page.degrees()
-        vids = page.vids()
-        # SP vertices are never split across pages, so the record degree
-        # is the vertex's total out-degree.
-        contrib = np.where(
-            degrees > 0,
-            state.damping * state.prev[vids] / np.maximum(degrees, 1),
-            0.0)
-        per_edge = np.repeat(contrib, degrees)
-        scatter_add(state.next, page, per_edge, db=ctx.db)
-        return PageWork(
-            num_records=page.num_records,
-            active_vertices=page.num_records,
-            edges_traversed=page.num_edges,
-            lane_steps=ctx.lane_steps(degrees),
-        )
-
-    def process_lp(self, page, state, ctx):
-        # Divide by the vertex's degree across all of its large pages.
-        contrib = state.damping * state.prev[page.vid] / max(
-            page.total_degree, 1)
-        per_edge = np.full(page.num_edges, contrib)
-        scatter_add(state.next, page, per_edge, db=ctx.db)
-        return PageWork(
-            num_records=1,
-            active_vertices=1,
-            edges_traversed=page.num_edges,
-            lane_steps=ctx.lane_steps(page.degrees()),
-        )
-
     def process_batch(self, batch, state, ctx):
         # ``rec_divisor`` is the record's degree for SP vertices and the
         # vertex's total degree for LP chunks, so one expression covers
-        # both of the per-page kernels above.
+        # Algorithms 4 and 5.
         contrib = np.where(
             batch.rec_divisor > 0,
             state.damping * state.prev[batch.rec_vids]
             / np.maximum(batch.rec_divisor, 1),
             0.0)
-        if batch.num_segments:
-            # ``contrib[scatter_rec]`` is ``contrib[edge_rec]`` permuted
-            # into scatter order, gathered in one pass.
-            sums = np.add.reduceat(
-                contrib[batch.scatter_rec()], batch.seg_starts)
-            # ``np.add.at`` applies updates sequentially in argument
-            # order; segments are page-major with unique targets inside
-            # a page, so the accumulation order — and therefore every
-            # float rounding step — matches the per-page loop exactly.
-            np.add.at(state.next, batch.seg_targets, sums)
-        return BatchWork(
-            lane_steps=ctx.segment_lane_steps(batch),
-            edges_traversed=batch.edges_per_page(),
-            active_vertices=batch.records_per_page(),
-        )
+        # ``contrib[scatter_rec]`` is ``contrib[edge_rec]`` permuted
+        # into scatter order, gathered in one pass.
+        batch.reduce_into(np.add, state.next, contrib[batch.scatter_rec()])
+        return full_scan_batch_work(batch, ctx)

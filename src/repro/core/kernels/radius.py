@@ -21,10 +21,9 @@ import numpy as np
 
 from repro.core.kernels.base import (
     ALL_PAGES,
-    BatchWork,
     Kernel,
-    PageWork,
     RoundPlan,
+    full_scan_batch_work,
 )
 from repro.errors import ConfigurationError
 
@@ -123,51 +122,12 @@ class RadiusKernel(Kernel):
         }
 
     # ------------------------------------------------------------------
-    def _propagate(self, page, state, source_rows, db=None):
-        """OR each edge's source sketches into its target's sketches."""
-        order, unique_targets, starts = _page_or_index(page, db)
-        if len(unique_targets) == 0:
-            return
-        per_edge = state.prev[source_rows][order]
-        merged = np.bitwise_or.reduceat(per_edge, starts, axis=0)
-        state.sketches[unique_targets] |= merged
-
-    def process_sp(self, page, state, ctx):
-        degrees = page.degrees()
-        source_rows = np.repeat(page.vids(), degrees)
-        self._propagate(page, state, source_rows, db=ctx.db)
-        return PageWork(
-            num_records=page.num_records,
-            active_vertices=page.num_records,
-            edges_traversed=page.num_edges,
-            lane_steps=ctx.lane_steps(degrees) * self.num_sketches,
-        )
-
-    def process_lp(self, page, state, ctx):
-        source_rows = np.full(page.num_edges, page.vid, dtype=np.int64)
-        self._propagate(page, state, source_rows, db=ctx.db)
-        return PageWork(
-            num_records=1,
-            active_vertices=1,
-            edges_traversed=page.num_edges,
-            lane_steps=ctx.lane_steps(page.degrees()) * self.num_sketches,
-        )
-
     def process_batch(self, batch, state, ctx):
-        if batch.num_segments:
-            merged = np.bitwise_or.reduceat(
-                state.prev[batch.scatter_vids()], batch.seg_starts, axis=0)
-            # OR is idempotent and commutative: the order segments of
-            # different pages reach a shared target in cannot matter.
-            np.bitwise_or.at(state.sketches, batch.seg_targets, merged)
-        return BatchWork(
-            lane_steps=ctx.segment_lane_steps(batch) * self.num_sketches,
-            edges_traversed=batch.edges_per_page(),
-            active_vertices=batch.records_per_page(),
-        )
-
-
-def _page_or_index(page, db=None):
-    """Reuse the cached sorted-scatter index from the base helpers."""
-    from repro.core.kernels.base import page_scatter_index
-    return page_scatter_index(page, db)
+        # OR each edge's source sketches into its target's; OR is
+        # idempotent and commutative, so the order segments of
+        # different pages reach a shared target in cannot matter.
+        batch.reduce_into(np.bitwise_or, state.sketches,
+                          state.prev[batch.scatter_vids()])
+        work = full_scan_batch_work(batch, ctx)
+        work.lane_steps = work.lane_steps * self.num_sketches
+        return work

@@ -1,4 +1,4 @@
-"""Single-Source Shortest Path kernels (BFS-like family, Appendix D).
+"""Single-Source Shortest Path kernel (BFS-like family, Appendix D).
 
 Level-synchronous Bellman–Ford: each round relaxes the out-edges of every
 vertex whose distance improved in the previous round, and the next round's
@@ -17,9 +17,7 @@ import numpy as np
 
 from repro.core.kernels.base import (
     Kernel,
-    PageWork,
     RoundPlan,
-    edge_expand,
     frontier_batch_work,
 )
 from repro.core.plan import page_mask
@@ -98,36 +96,6 @@ class SSSPKernel(Kernel):
         return {"distance": state.dist.copy()}
 
     # ------------------------------------------------------------------
-    def _relax(self, page, state, ctx, active_mask, source_dists):
-        targets, target_pids, weights, sources_idx = edge_expand(
-            page, active_mask)
-        if weights is None:
-            weights = np.ones(len(targets), dtype=np.float32)
-        candidates = source_dists[sources_idx] + weights
-        better = candidates < state.dist[targets]
-        # Commutative min update; np.minimum.at handles duplicate targets.
-        np.minimum.at(state.dist, targets[better], candidates[better])
-        next_pids = np.unique(target_pids[better])
-        return PageWork(
-            num_records=page.num_records,
-            active_vertices=int(active_mask.sum()),
-            edges_traversed=int(len(targets)),
-            lane_steps=ctx.lane_steps(page.degrees(), active_mask),
-            next_pids=next_pids,
-        )
-
-    def process_sp(self, page, state, ctx):
-        vids = page.vids()
-        active = state.frontier[vids]
-        source_dists = state.dist_prev[vids]
-        return self._relax(page, state, ctx, active, source_dists)
-
-    def process_lp(self, page, state, ctx):
-        active = np.asarray([state.frontier[page.vid]])
-        source_dists = np.asarray([state.dist_prev[page.vid]],
-                                  dtype=np.float32)
-        return self._relax(page, state, ctx, active, source_dists)
-
     def process_batch(self, batch, state, ctx):
         active = state.frontier[batch.rec_vids]
         frontier = batch.advance(active)
@@ -136,12 +104,9 @@ class SSSPKernel(Kernel):
         if weights is None:
             weights = np.ones(len(targets), dtype=np.float32)
         candidates = frontier.from_sources(state.dist_prev) + weights
-        # "Better" against the round-start distances.  The per-page loop
-        # compares against the live vector, so it may skip candidates a
-        # previous page already beat — but the min-combine makes the
-        # final distances identical, and a beaten candidate's page is
-        # added to the union by whichever page beat it (same target,
-        # same physical page), so next_pids match too.
+        # "Better" against the round-start distances; the min-combine
+        # settles candidates racing for one target, and every racer
+        # names the same physical page for it.
         better = candidates < state.dist[targets]
         relaxed = frontier.filter(better)
         np.minimum.at(state.dist, relaxed.targets, candidates[better])

@@ -1,4 +1,4 @@
-"""Connected Components kernels (PageRank-like family, Appendix D).
+"""Connected Components kernel (PageRank-like family, Appendix D).
 
 Label propagation to a fixpoint: every vertex starts with its own ID as a
 label; each round every vertex pushes its label along its out-edges and a
@@ -20,11 +20,9 @@ import numpy as np
 
 from repro.core.kernels.base import (
     ALL_PAGES,
-    BatchWork,
     Kernel,
-    PageWork,
     RoundPlan,
-    scatter_min,
+    full_scan_batch_work,
 )
 from repro.errors import ConfigurationError
 
@@ -73,37 +71,9 @@ class WCCKernel(Kernel):
         return {"component": state.labels.copy()}
 
     # ------------------------------------------------------------------
-    def process_sp(self, page, state, ctx):
-        degrees = page.degrees()
-        per_edge = np.repeat(state.labels_prev[page.vids()], degrees)
-        scatter_min(state.labels, page, per_edge, db=ctx.db)
-        return PageWork(
-            num_records=page.num_records,
-            active_vertices=page.num_records,
-            edges_traversed=page.num_edges,
-            lane_steps=ctx.lane_steps(degrees),
-        )
-
-    def process_lp(self, page, state, ctx):
-        per_edge = np.full(page.num_edges, state.labels_prev[page.vid],
-                           dtype=np.int64)
-        scatter_min(state.labels, page, per_edge, db=ctx.db)
-        return PageWork(
-            num_records=1,
-            active_vertices=1,
-            edges_traversed=page.num_edges,
-            lane_steps=ctx.lane_steps(page.degrees()),
-        )
-
     def process_batch(self, batch, state, ctx):
-        if batch.num_segments:
-            # One gather: labels_prev[rec_vids][edge_rec][scatter_order]
-            # composed through the memoised scatter-ordered source VIDs.
-            mins = np.minimum.reduceat(
-                state.labels_prev[batch.scatter_vids()], batch.seg_starts)
-            np.minimum.at(state.labels, batch.seg_targets, mins)
-        return BatchWork(
-            lane_steps=ctx.segment_lane_steps(batch),
-            edges_traversed=batch.edges_per_page(),
-            active_vertices=batch.records_per_page(),
-        )
+        # One gather: labels_prev[rec_vids][edge_rec][scatter_order]
+        # composed through the memoised scatter-ordered source VIDs.
+        batch.reduce_into(np.minimum, state.labels,
+                          state.labels_prev[batch.scatter_vids()])
+        return full_scan_batch_work(batch, ctx)

@@ -123,15 +123,14 @@ def lane_steps(technique, degrees, active_mask=None):
 
 
 # ----------------------------------------------------------------------
-# Segment-wise variants: many pages at once for the batched fast path.
+# Segment-wise variants: a round's pages at once (what kernels charge).
 #
 # ``rec_indptr`` delimits each page's records inside flat page-major
 # ``degrees`` / ``active_mask`` arrays; each function returns a float64
 # array of per-page lane-steps.  Every quantity involved is an
 # integer-valued float64 (ceil sums, warp maxima), so the vectorized
 # reductions are bit-identical to calling the per-page functions in a
-# loop — that exactness is what lets the batched execution path report
-# the same simulated timings as the paged one.
+# loop.
 # ----------------------------------------------------------------------
 
 def _segment_float_sum(values, indptr):

@@ -1,18 +1,19 @@
 """Per-run page plans: precomputed arrays for vectorized round execution.
 
-The engine's per-page path re-derives everything it needs from the page
-objects on every dispatch — ``page.degrees()``, RA sizing, the sorted
-scatter index — so host wall-clock scales with *page count* rather than
-with NumPy throughput.  This module hoists all of that page-shaped
-metadata into flat, page-major arrays built **once** per topology:
+A round executed page object by page object would re-derive degrees, RA
+sizing and a sorted scatter order on every dispatch, so host wall-clock
+would scale with *page count* rather than with NumPy throughput.  This
+module hoists all of that page-shaped metadata into flat, page-major
+arrays built **once** per topology — the only thing the engine and the
+kernels read:
 
 * :class:`PagePlan` — the concatenated view of the whole database:
   per-record degrees and vertex IDs, the global adjacency CSR
   (``adj_vids`` / ``adj_pids`` / optional weights), and a *global
-  sorted-scatter index* (the per-page stable argsorts of
-  :func:`repro.format.page.sorted_scatter_index`, concatenated) so
-  full-scan kernels run ``np.add.reduceat`` / ``np.minimum.reduceat``
-  over the entire round in a handful of calls instead of once per page.
+  sorted-scatter index* (every page's stable argsort of its adjacency
+  targets, concatenated) so full-scan kernels run one ``reduceat`` +
+  one ``ufunc.at`` over the entire round
+  (:meth:`RoundBatch.reduce_into`).
 * :class:`RoundBatch` — a lazy view of the plan over one round's page
   set, in the exact SP-first order the engine dispatches: each field is
   gathered with vectorized range concatenation (no per-page Python
@@ -47,7 +48,6 @@ import weakref
 import numpy as np
 
 from repro.concurrency import InstrumentedLock
-from repro.format.page import sorted_scatter_index
 
 
 def take_ranges(starts, counts):
@@ -90,12 +90,11 @@ class RoundBatch:
       :meth:`advance` gathers only the active records' edges.
     * **scatter space** — ``scatter_order`` permutes the batch's edges
       into per-page stable target order; ``seg_starts`` delimits the
-      ``(page, target vertex)`` *segments* inside that permutation —
-      exactly the segments
-      :func:`repro.core.kernels.base.page_scatter_index` produces per
-      page, so segment-wise reductions reproduce the per-page path's
-      arithmetic bit for bit; ``seg_targets`` / ``seg_pids`` give each
-      segment's target VID and the physical page addressing it;
+      ``(page, target vertex)`` *segments* inside that permutation, so
+      a segment-wise reduction followed by a page-major combine
+      accumulates every target page by page; ``seg_targets`` /
+      ``seg_pids`` give each segment's target VID and the physical page
+      addressing it;
       ``seg_indptr`` (len pages+1) delimits each page's segments.
 
     Segment boundaries are local to the batch; ``scatter_order`` and
@@ -238,6 +237,17 @@ class RoundBatch:
             self._scatter_vids = cached
         return cached
 
+    def reduce_into(self, ufunc, out, scatter_values):
+        """Combine one value per edge (given in scatter order, e.g.
+        ``x[batch.scatter_vids()]``) into ``out`` at the edge's target:
+        one ``ufunc.reduceat`` over the ``(page, target)`` segments,
+        then ``ufunc.at`` in page-major segment order — targets are
+        unique inside a page, so a float ``add`` accumulates each
+        target page by page, in the batch's order."""
+        if self.num_segments:
+            ufunc.at(out, self.seg_targets,
+                     ufunc.reduceat(scatter_values, self.seg_starts))
+
     def records_per_page(self):
         return np.diff(self.rec_indptr)
 
@@ -252,6 +262,12 @@ class RoundBatch:
     def edge_segment_sum(self, per_edge_values, dtype=np.int64):
         """Per-page sums of a per-edge vector."""
         return segment_sum(per_edge_values, self.edge_indptr, dtype)
+
+    def one_page_batches(self):
+        """The batch's pages as one-page batches, in batch order: what
+        a kernel that must see its own writes between pages walks."""
+        for k in range(self.num_pages):
+            yield RoundBatch(self._plan, self.pids[k:k + 1])
 
     # -- advance -------------------------------------------------------
     def advance(self, active):
@@ -414,9 +430,9 @@ class PagePlan:
         self.page_size = db.page_bytes()
         if host_profiler is not None:
             host_profiler.push("plan_scan")
-        #: Directory record counts drive RA-subvector sizing (must match
-        #: ``db.ra_subvector_bytes`` exactly, which reads the directory,
-        #: not the served page).
+        #: Directory record counts drive RA-subvector sizing (what
+        #: ``db.ra_subvector_bytes`` reads: the directory, not the
+        #: served page).
         self.dir_records = np.asarray(
             [entry.num_records for entry in db.directory], dtype=np.int64)
         self._full_order = np.concatenate(
@@ -456,77 +472,50 @@ class PagePlan:
     def _build_scatter(self, db):
         """Derive the global sorted-scatter index.
 
-        One stable argsort of the combined ``page * V + target`` key
-        yields, inside each page's block, exactly the permutation of the
-        page's own stable target argsort (same ties, same order), so the
-        result is bit-for-bit the concatenation of
-        :func:`repro.format.page.sorted_scatter_index` over all pages —
-        without the tens of thousands of per-page sorts.
+        One stable sort by ``(page, target)`` yields, inside each page's
+        block, exactly the permutation of the page's own stable target
+        argsort (same ties, same order) — without the tens of thousands
+        of per-page sorts.  The two keys are folded into one int64
+        (``page * V + target``) when that cannot overflow, and sorted
+        as a pair otherwise.
         """
         num_vertices = int(db.num_vertices)
         edge_starts = self.edge_indptr[:-1]
-        combined_ok = (self.num_pages == 0 or num_vertices == 0
-                       or self.num_pages < (1 << 62) // num_vertices)
-        if combined_ok:
-            edge_page = np.repeat(
-                np.arange(self.num_pages, dtype=np.int64),
-                self.edge_counts)
+        edge_page = np.repeat(
+            np.arange(self.num_pages, dtype=np.int64), self.edge_counts)
+        # ``change`` marks the first edge of every (page, target) run
+        # of the sorted order.
+        change = np.ones(len(edge_page), dtype=bool)
+        if (self.num_pages == 0 or num_vertices == 0
+                or self.num_pages < (1 << 62) // num_vertices):
             key = edge_page * max(num_vertices, 1) + self.adj_vids
             order_global = np.argsort(key, kind="stable").astype(
                 np.int64, copy=False)
-            self.order_local = order_global - np.repeat(
-                edge_starts, self.edge_counts)
-            num_edges = len(key)
-            if num_edges:
-                sorted_key = key[order_global]
-                change = np.empty(num_edges, dtype=bool)
-                change[0] = True
-                np.not_equal(sorted_key[1:], sorted_key[:-1],
-                             out=change[1:])
-                seg_global = np.nonzero(change)[0].astype(
-                    np.int64, copy=False)
-            else:
-                seg_global = np.empty(0, dtype=np.int64)
-            seg_page = np.searchsorted(self.edge_indptr, seg_global,
-                                       side="right") - 1
-            self.seg_counts = np.bincount(
-                seg_page, minlength=self.num_pages).astype(np.int64)
-            self.seg_starts_local = seg_global - edge_starts[seg_page]
-            first_edges = order_global[seg_global]
-            self.seg_targets = self.adj_vids[first_edges]
-            self.seg_pids = self.adj_pids[first_edges]
+            sorted_key = key[order_global]
+            np.not_equal(sorted_key[1:], sorted_key[:-1], out=change[1:])
         else:
-            # Combined key would overflow int64: sort page by page.
-            order_parts, segs_parts = [], []
-            segt_parts, segp_parts = [], []
-            seg_counts = np.zeros(self.num_pages, dtype=np.int64)
-            for pid in range(self.num_pages):
-                lo, hi = self.edge_indptr[pid], self.edge_indptr[pid + 1]
-                adj_vids = self.adj_vids[lo:hi]
-                order, _, starts = sorted_scatter_index(adj_vids)
-                order_parts.append(order)
-                segs_parts.append(starts)
-                first = order[starts]
-                segt_parts.append(adj_vids[first])
-                segp_parts.append(self.adj_pids[lo:hi][first])
-                seg_counts[pid] = len(starts)
-            self.seg_counts = seg_counts
-
-            def _concat(parts, dtype):
-                if not parts:
-                    return np.empty(0, dtype=dtype)
-                return np.concatenate(parts).astype(dtype, copy=False)
-
-            self.order_local = _concat(order_parts, np.int64)
-            self.seg_starts_local = _concat(segs_parts, np.int64)
-            self.seg_targets = _concat(segt_parts, np.int64)
-            self.seg_pids = _concat(segp_parts, np.int64)
+            order_global = np.lexsort((self.adj_vids, edge_page)).astype(
+                np.int64, copy=False)
+            pages = edge_page[order_global]
+            targets = self.adj_vids[order_global]
+            change[1:] = ((pages[1:] != pages[:-1])
+                          | (targets[1:] != targets[:-1]))
+        self.order_local = order_global - np.repeat(
+            edge_starts, self.edge_counts)
+        seg_global = np.flatnonzero(change)
+        seg_page = np.searchsorted(self.edge_indptr, seg_global,
+                                   side="right") - 1
+        self.seg_counts = np.bincount(
+            seg_page, minlength=self.num_pages).astype(np.int64)
+        self.seg_starts_local = seg_global - edge_starts[seg_page]
+        first_edges = order_global[seg_global]
+        self.seg_targets = self.adj_vids[first_edges]
+        self.seg_pids = self.adj_pids[first_edges]
         self.seg_indptr = _indptr(self.seg_counts)
 
     # ------------------------------------------------------------------
     def copy_bytes(self, ra_bytes_per_vertex):
-        """Per-page PCI-E copy size: page bytes + the RA subvector
-        (``db.page_bytes(pid) + db.ra_subvector_bytes(pid, b)``)."""
+        """Per-page PCI-E copy size: page bytes + the RA subvector."""
         cached = self._copy_bytes.get(ra_bytes_per_vertex)
         if cached is None:
             with self._memo_lock:

@@ -57,10 +57,6 @@ class RunResult:
     #: for eager in-memory databases).
     pool_hits: int = 0
     pool_misses: int = 0
-    #: Database-level sorted-scatter index counters (full-scan kernels
-    #: and plan builds; a hit means an argsort was skipped).
-    scatter_hits: int = 0
-    scatter_misses: int = 0
     #: Cross-query shared-cache traffic observed during this run (zero
     #: unless a :class:`~repro.core.cache.SharedPageCache` was attached;
     #: a hit means a disk read *and* a byte-level parse were skipped).
@@ -85,8 +81,6 @@ class RunResult:
     num_streams: int = 1
     strategy: str = ""
     cache_policy: str = "lru"
-    #: Which round-execution path actually ran: "paged" or "batched".
-    execution: str = "paged"
     engine: str = "GTS"
     notes: Optional[str] = None
     #: Figure 4-style ASCII stream timeline (populated when the engine
@@ -238,8 +232,6 @@ class RunResult:
             "pool_hits": self.pool_hits,
             "pool_misses": self.pool_misses,
             "pool_hit_rate": self.pool_hit_rate,
-            "scatter_hits": self.scatter_hits,
-            "scatter_misses": self.scatter_misses,
             "shared_hits": self.shared_hits,
             "shared_misses": self.shared_misses,
             "shared_hit_rate": self.shared_hit_rate,
@@ -248,7 +240,6 @@ class RunResult:
             "mmap_hit_rate": self.mmap_hit_rate,
             "query_id": self.query_id,
             "snapshot_version": self.snapshot_version,
-            "execution": self.execution,
             "transfer_busy_seconds": self.transfer_busy_seconds,
             "kernel_busy_seconds": self.kernel_busy_seconds,
             "kernel_stream_seconds": self.kernel_stream_seconds,

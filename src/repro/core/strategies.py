@@ -49,7 +49,7 @@ class Strategy:
         """Per-page GPU assignments for a whole round (a list aligned
         with ``page_ids``).  The default delegates to :meth:`assign`;
         the built-in strategies override it with vectorized versions for
-        the engine's batched dispatch path."""
+        the engine's round dispatch."""
         return [self.assign(int(pid), num_gpus) for pid in page_ids]
 
     def wa_gpu_bytes(self, wa_total_bytes, num_gpus):

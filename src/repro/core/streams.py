@@ -25,8 +25,9 @@ class StreamScheduler:
         Optional :class:`~repro.faults.FaultInjector`.  When installed,
         streamed dispatches consult it for copy-engine errors (absorbed
         by retry + backoff booked on the copy engine) and stream stalls
-        (a fixed kernel-launch delay); ``None`` keeps the fault-free
-        fast path untouched.
+        (a fixed kernel-launch delay), and :meth:`dispatch_round`
+        books any round a fault fires in through those per-call
+        methods; ``None`` keeps the fault-free fast path untouched.
     """
 
     def __init__(self, runtime, fault_injector=None, host_profiler=None):
@@ -148,10 +149,19 @@ class StreamScheduler:
         time, and ``stats`` is the round's :class:`RoundStats`.  Cache
         lookups and admits are resolved in bulk per GPU first (their
         decisions are time-independent); the booking loop then replays
-        pages in exactly the per-page path's order — page-major, GPU
-        inner — so every stateful timeline (copy engines, stream slots,
-        MM buffer, storage channels) books the same intervals and the
-        simulated clock comes out bit-identical.
+        pages page-major, GPU inner.
+
+        *Which* loop books the round is decided here.  A round in which
+        the injector's :meth:`~repro.faults.FaultInjector.round_faulted`
+        probe fires — and any traced round — is booked per call through
+        :meth:`dispatch_cached` / :meth:`dispatch_streamed`, where
+        copy-fault retry, backoff, stalls and trace intervals live; the
+        faulted round is counted in ``fault_stats["fallback_rounds"]``
+        and marked by a ``fallback`` trace instant.  Every other round
+        takes an inlined loop that performs the same float operations
+        in the same order, so every stateful timeline (copy engines,
+        stream slots, MM buffer, storage channels) books the same
+        intervals and the simulated clock comes out bit-identical.
         """
         if self.host_profiler is not None:
             self.host_profiler.push("dispatch")
@@ -186,7 +196,17 @@ class StreamScheduler:
         ]
         steps_arr = np.asarray(lane_steps, dtype=np.float64)
         bytes_arr = np.asarray(copy_bytes, dtype=np.float64)
-        if runtime.recorder is None and not runtime.tracing:
+        injector = self.fault_injector
+        faulted = (injector is not None
+                   and injector.round_faulted(page_ids, assignments))
+        if faulted:
+            injector.note_fallback()
+            if runtime.recorder is not None:
+                runtime.recorder.instant(
+                    "fallback", "engine", "rounds", round_start,
+                    round=stats.round_index)
+        if (not faulted and runtime.recorder is None
+                and not runtime.tracing):
             page_ready, per_page_fetch = self._resolve_fetches(
                 pids, sequences, hit_lists, fetch)
             if per_page_fetch:

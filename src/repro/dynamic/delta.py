@@ -773,8 +773,7 @@ class DynamicGraphDatabase(GraphDatabase):
 
     def _reclaim_locked(self):
         """Drop versions that are neither head nor pinned (epoch-based
-        reclamation); prune their scatter entries and retire bases no
-        retained state references.  Caller holds ``_version_lock``."""
+        reclamation) and retire bases no retained state references.  Caller holds ``_version_lock``."""
         head = self.topology_version
         dead = [v for v in self._versions
                 if v != head and v not in self._pins]
@@ -783,8 +782,6 @@ class DynamicGraphDatabase(GraphDatabase):
         for v in dead:
             del self._versions[v]
         self.reclaimed_versions += len(dead)
-        for v in dead:
-            self.drop_scatter_version(v)
         self._retire_bases_locked()
         if self.recorder is not None:
             self.recorder.instant(
@@ -893,8 +890,8 @@ class DynamicGraphDatabase(GraphDatabase):
         old_base = self._base
         new_head = self.topology_version + 1
         # The folded base gets the new head as its cache-version tag so
-        # (page_id, version) keys in a shared cache and scatter cache
-        # can never collide with entries of the base it replaces.
+        # (page_id, version) keys in a shared cache can never collide
+        # with entries of the base it replaces.
         if getattr(new_base, "topology_version", 0) != new_head:
             new_base.topology_version = new_head
         shared = getattr(old_base, "shared_cache", None)
@@ -979,12 +976,11 @@ class Snapshot(GraphDatabase):
     the engine runs whole queries against it exactly as against the
     head, and its ``topology_version`` is the pinned version, so every
     version-keyed cache in the stack (shared page cache, round-plan
-    cache, scatter indexes) serves versions side by side.
+    cache) serves versions side by side.
 
     The view holds *references* into the owner's frozen
     :class:`_VersionState` — construction copies nothing but a
-    page-count-sized placeholder list — and shares the owner's scatter
-    cache (entries are ``(page_id, version)``-keyed).
+    page-count-sized placeholder list.
     """
 
     # Page merging is identical to the head's — same overlay attribute
@@ -1031,9 +1027,6 @@ class Snapshot(GraphDatabase):
             name=owner.name,
         )
         self.topology_version = state.version
-        # One scatter cache per database, shared across versions.
-        self._scatter_cache = owner._scatter_cache
-        self._scatter_lock = owner._scatter_lock
 
     @property
     def version(self):

@@ -24,10 +24,9 @@ with all its caching, scheduling and observability intact.
 
 import numpy as np
 
-from repro.core.kernels.base import Kernel, PageWork, RoundPlan, edge_expand
+from repro.core.kernels.base import BatchWork, Kernel, RoundPlan
 from repro.core.kernels.bfs import UNVISITED
-from repro.errors import UpdateError
-from repro.format.page import PageKind
+from repro.errors import ConfigurationError, UpdateError
 
 
 def insert_seeds(batches):
@@ -44,13 +43,6 @@ def insert_seeds(batches):
                 "rerun from scratch after deletions")
         seeds.extend(op[1] for op in batch.ops if op[0] == "+")
     return np.unique(np.asarray(seeds, dtype=np.int64))
-
-
-def _record_vids(page, sources_idx):
-    """Logical VIDs of per-edge source records."""
-    if page.kind is PageKind.SMALL:
-        return page.start_vid + sources_idx
-    return np.full(len(sources_idx), page.vid, dtype=np.int64)
 
 
 class _RelaxState:
@@ -77,12 +69,12 @@ class _IncrementalRelaxKernel(Kernel):
     (``_candidates``) and which sources can relax at all
     (``_can_relax``).
 
-    There is deliberately no ``process_batch``: ``_relax`` reads the
-    *live* value vector, so a source an earlier page of the round
-    improved already pushes its improved value from a later page of the
-    same round.  A batch would read round-start values everywhere —
-    same fixpoint, but more rounds and different page sets, hence a
-    different simulated time.  These kernels run the per-page loop.
+    ``process_batch`` walks the round as a sequence of one-page
+    batches, because relaxation reads the *live* value vector: a source
+    an earlier page of the round improved already pushes its improved
+    value from a later page of the same round.  Reading round-start
+    values everywhere would reach the same fixpoint in more rounds over
+    different page sets, hence at a different simulated time.
     """
 
     traversal = True
@@ -103,6 +95,10 @@ class _IncrementalRelaxKernel(Kernel):
 
     # -- kernel protocol ----------------------------------------------
     def init_state(self, db):
+        if len(self.prior) > db.num_vertices:
+            raise ConfigurationError(
+                "prior vector covers %d vertices but the database has %d"
+                % (len(self.prior), db.num_vertices))
         return _RelaxState(db, self._initial_values(db), self.seeds)
 
     def next_round(self, state):
@@ -120,33 +116,32 @@ class _IncrementalRelaxKernel(Kernel):
             merged_next_pids = np.empty(0, dtype=np.int64)
         state.frontier_pids = merged_next_pids
 
-    def _relax(self, page, state, ctx, active_mask):
-        targets, target_pids, _, sources_idx = edge_expand(
-            page, active_mask)
-        src_vids = _record_vids(page, sources_idx)
-        candidates = self._candidates(state.values[src_vids])
-        improved = candidates < state.values[targets]
-        hit_targets = targets[improved]
-        np.minimum.at(state.values, hit_targets, candidates[improved])
-        state.next_pending[hit_targets] = True
-        next_pids = np.unique(target_pids[improved])
-        return PageWork(
-            num_records=page.num_records,
-            active_vertices=int(active_mask.sum()),
-            edges_traversed=int(len(targets)),
-            lane_steps=ctx.lane_steps(page.degrees(), active_mask),
-            next_pids=next_pids,
+    def process_batch(self, batch, state, ctx):
+        values = state.values
+        active = np.zeros(batch.num_records, dtype=bool)
+        next_pages = np.zeros(state.db.num_pages, dtype=bool)
+        bounds = batch.rec_indptr.tolist()
+        for k, page in enumerate(batch.one_page_batches()):
+            vids = page.rec_vids
+            page_active = (state.pending[vids]
+                           & self._can_relax(values[vids]))
+            if not page_active.any():
+                continue
+            active[bounds[k]:bounds[k + 1]] = page_active
+            frontier = page.advance(page_active)
+            candidates = self._candidates(frontier.from_sources(values))
+            better = candidates < values[frontier.targets]
+            improved = frontier.filter(better)
+            np.minimum.at(values, improved.targets, candidates[better])
+            state.next_pending[improved.targets] = True
+            next_pages[improved.target_pids] = True
+        # The round's work is accounted once, from the per-page masks.
+        return BatchWork(
+            lane_steps=ctx.segment_lane_steps(batch, active),
+            edges_traversed=batch.active_edges_per_page(active),
+            active_vertices=batch.segment_sum(active),
+            next_pids=np.flatnonzero(next_pages),
         )
-
-    def process_sp(self, page, state, ctx):
-        active = (state.pending[page.vids()]
-                  & self._can_relax(state.values[page.vids()]))
-        return self._relax(page, state, ctx, active)
-
-    def process_lp(self, page, state, ctx):
-        active = (state.pending[page.vid:page.vid + 1]
-                  & self._can_relax(state.values[page.vid:page.vid + 1]))
-        return self._relax(page, state, ctx, active)
 
 
 class IncrementalBFSKernel(_IncrementalRelaxKernel):

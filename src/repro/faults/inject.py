@@ -9,11 +9,11 @@ tests rely on:
 * **Determinism** — the same plan + seed faults the same operations in
   the same order, every run, on every platform (no RNG stream to drift
   when call order changes).
-* **Probe-ability** — the engine can ask *"will any fault fire in this
-  round?"* (:meth:`FaultInjector.round_faulted`) before committing to
-  the vectorized batched dispatch path, and the answer is guaranteed to
-  agree with what the per-page injection points would actually do,
-  because both evaluate the identical hash on the identical key.
+* **Probe-ability** — the scheduler can ask *"will any fault fire in
+  this round?"* (:meth:`FaultInjector.round_faulted`) before committing
+  to its inlined bulk booking, and the answer is guaranteed to agree
+  with what the per-call injection points would actually do, because
+  both evaluate the identical hash on the identical key.
 
 The injector also carries the run's fault bookkeeping (what fired, what
 was retried, how much simulated backoff was charged), which the engine
@@ -119,7 +119,7 @@ class FaultInjector:
         ``pids`` / ``assignments`` are the round's page IDs and per-page
         GPU tuples.  Evaluates the exact draws the injection points
         would, at attempt 0, so a ``False`` here guarantees the round's
-        dispatch is fault-free and safe for the batched fast path.
+        dispatch is fault-free and safe to book in bulk.
         """
         plan = self.plan
         if not plan.any_rates:
@@ -242,7 +242,8 @@ class FaultInjector:
         self.backoff_seconds += backoff
 
     def note_fallback(self):
-        """Record one batched round degraded to the paged path."""
+        """Record one round booked per call because a fault fires in
+        it."""
         self.fallback_rounds += 1
 
     def note_device_lost(self):

@@ -20,6 +20,16 @@ fault                      injection point                         recovery
 ``host_corrupt_reads``     ``FileBackedDatabase._parse_page``      CRC32-verified re-read; persistent ⇒ :class:`~repro.errors.IntegrityError`
 ========================  ======================================  ============
 
+The four rate faults fire inside a round's booking: the scheduler
+probes the round (:meth:`~repro.faults.FaultInjector.round_faulted`)
+and books it per call when one will, counting it in
+``fault_stats["fallback_rounds"]`` — for every kernel; the round's
+compute is never degraded.  ``host_corrupt_reads`` fires where a host
+read happens, which is the page-plan build and nowhere in a round: a
+run that builds its plan sees the plan's budget consumed (and as many
+``integrity_retries``); a run served a warm shared plan reads nothing
+and sees none.
+
 Plans load from JSON (the CLI's ``run --faults plan.json``)::
 
     {

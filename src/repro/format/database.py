@@ -16,9 +16,8 @@ import dataclasses
 
 import numpy as np
 
-from repro.concurrency import InstrumentedLock
 from repro.errors import FormatError
-from repro.format.page import PageKind, sorted_scatter_index
+from repro.format.page import PageKind
 
 
 @dataclasses.dataclass(frozen=True)
@@ -58,19 +57,9 @@ class GraphDatabase:
             [e.page_id for e in directory if e.kind == "SP"], dtype=np.int64)
         self._large_page_ids = np.array(
             [e.page_id for e in directory if e.kind == "LP"], dtype=np.int64)
-        #: Sorted-scatter indexes keyed by ``(page_id, topology_version)``
-        #: so they survive file-pool evictions (a re-parsed page object
-        #: loses its ``_scatter_index`` attribute, but the argsort only
-        #: depends on the topology, not on the page instance).
-        self._scatter_cache = {}
-        self.scatter_hits = 0
-        self.scatter_misses = 0
-        #: Guards scatter-cache insertion when concurrent service
-        #: queries share one database; the probe stays lock-free.
-        self._scatter_lock = InstrumentedLock()
         #: Optional :class:`~repro.obs.host.HostProfiler` attached by
         #: the engine for the duration of a profiled run; ``None``
-        #: keeps the page/scatter hot paths free of profiling work.
+        #: keeps the page hot path free of profiling work.
         self.host_profiler = None
         #: Optional :class:`~repro.core.cache.SharedPageCache` attached
         #: by the service (or ``GTSEngine(shared_cache=...)``); consulted
@@ -121,7 +110,7 @@ class GraphDatabase:
 
     @property
     def prefetch_chunk(self):
-        """How many pages a page loop should :meth:`prefetch` ahead of
+        """How many pages a page scan should :meth:`prefetch` ahead of
         its :meth:`page` calls: bounded by the page pool (when there is
         one), so a warm-ahead never evicts its own pages."""
         return max(1, min(64, getattr(self, "pool_capacity", 64)))
@@ -192,62 +181,6 @@ class GraphDatabase:
                 for pid, part in enumerate(weight_parts)
             ], np.float32) if any_weights else None,
         }
-
-    def scatter_index(self, page):
-        """Database-level sorted-scatter index for ``page``.
-
-        Keyed by ``(page_id, topology_version)``, so snapshots pinned
-        at different MVCC versions share one cache without thrashing:
-        entries for versions still pinned stay warm side by side, pool
-        evictions in :class:`~repro.format.io.FileBackedDatabase` never
-        force an argsort recompute, and the reclamation path prunes
-        keys of reclaimed versions via :meth:`drop_scatter_version`.
-        ``scatter_hits`` / ``scatter_misses`` feed the engine's per-run
-        counters.
-
-        Thread-safe for the service's concurrent queries: the hit path
-        is a lock-free dict probe (entries are immutable, and a racy
-        hit-counter increment may undercount slightly under heavy
-        threading — the counters are rates, not ledgers); the miss path
-        computes the argsort outside the lock and inserts under it, so
-        two simultaneous missers at worst duplicate one argsort and the
-        last identical value wins.
-        """
-        key = (page.page_id, self.topology_version)
-        cached = self._scatter_cache.get(key)
-        if cached is not None:
-            self.scatter_hits += 1
-            return cached
-        # Profiling hooks live on the miss path only: cache hits stay a
-        # dict probe regardless of profiling.
-        hp = self.host_profiler
-        if hp is not None:
-            hp.push("scatter_build")
-            index = sorted_scatter_index(page.adj_vids)
-            hp.pop()
-        else:
-            index = sorted_scatter_index(page.adj_vids)
-        with self._scatter_lock:
-            self.scatter_misses += 1
-            self._scatter_cache[key] = index
-        return index
-
-    def drop_scatter_version(self, version):
-        """Prune scatter-index entries cached under ``version``.
-
-        Called by the MVCC reclamation path when a topology version
-        loses its last pin; without it, a long-lived dynamic database
-        would accumulate one generation of argsort arrays per batch.
-        """
-        with self._scatter_lock:
-            stale = [k for k in self._scatter_cache if k[1] == version]
-            for k in stale:
-                del self._scatter_cache[k]
-            return len(stale)
-
-    def scatter_lock_stats(self):
-        """Scatter-cache lock contention counters (service stats)."""
-        return self._scatter_lock.stats()
 
     # ------------------------------------------------------------------
     # Cross-query shared cache (service layer)

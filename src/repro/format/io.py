@@ -784,8 +784,8 @@ class FileBackedDatabase(GraphDatabase):
         decoded chunk by chunk off the mapping.
 
         No page object is built and the pool is not touched, so a plan
-        build never fills the pool with pages a batched run will not
-        read again.  A chunk the mapping cannot serve (fault injector
+        build never fills the pool with pages the run will not read
+        again.  A chunk the mapping cannot serve (fault injector
         attached, damaged region) sends the scan to the generic
         per-page body, whose :meth:`prefetch` / :meth:`page` calls take
         the copy fallback.

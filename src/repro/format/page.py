@@ -39,36 +39,6 @@ class PageKind(enum.Enum):
     LARGE = "LP"
 
 
-def sorted_scatter_index(adj_vids):
-    """Sorted-scatter index over a page's target VIDs.
-
-    Full-scan kernels accumulate per-edge contributions into a WA vector
-    indexed by target VID; sorting the targets once lets every round use
-    ``np.add.reduceat`` over contiguous segments instead of ``np.add.at``.
-    Returns ``(order, unique_targets, segment_starts)`` where ``order``
-    is the stable permutation sorting ``adj_vids``, and each segment
-    ``[starts[i], starts[i+1])`` of the permuted edges shares the target
-    ``unique_targets[i]``.
-    """
-    adj_vids = np.asarray(adj_vids)
-    order = np.argsort(adj_vids, kind="stable")
-    if len(order):
-        sorted_targets = adj_vids[order]
-        # Segment boundaries: positions where the sorted target changes
-        # (computed without np.diff's wrapper overhead — this runs once
-        # per page when a plan is built over tens of thousands of pages).
-        change = np.empty(len(order), dtype=bool)
-        change[0] = True
-        np.not_equal(sorted_targets[1:], sorted_targets[:-1],
-                     out=change[1:])
-        segment_starts = np.nonzero(change)[0]
-        unique_targets = sorted_targets[segment_starts]
-    else:
-        segment_starts = np.zeros(0, dtype=np.int64)
-        unique_targets = np.zeros(0, dtype=np.int64)
-    return order, unique_targets, segment_starts
-
-
 def _check_fits(name, values, width):
     """Raise :class:`FormatError` on the first value outside ``width`` bytes."""
     if len(values) and (int(values.min()) < 0

@@ -162,7 +162,6 @@ class RoundProfile:
 
     round_index: int
     description: str
-    execution: str  #: "paged" / "batched" ("" for pre-PR-5 traces)
     start: float
     end: float
     category_seconds: Dict[str, float]
@@ -178,7 +177,6 @@ class RoundProfile:
         return {
             "round_index": self.round_index,
             "description": self.description,
-            "execution": self.execution,
             "start": self.start,
             "end": self.end,
             "elapsed": self.elapsed,
@@ -324,7 +322,8 @@ def analyze_trace(source, time_scale=None) -> TraceAnalysis:
     from the three forms are identical for the same run (timestamps are
     quantized to integer nanoseconds on ingestion).
     """
-    from repro.obs.exporters import MICROSECONDS
+    from repro.obs.exporters import (MICROSECONDS, _natural_key,
+                                     sorted_lanes)
 
     recorder = _load_events(source,
                             MICROSECONDS if time_scale is None
@@ -355,7 +354,10 @@ def analyze_trace(source, time_scale=None) -> TraceAnalysis:
         lane_events[lane] = lane_events.get(lane, 0) + 1
     lanes = []
     span_s = _seconds(end_ns)
-    for lane in recorder.lanes():
+    # Natural-sorted like the exporters, not first-appearance order:
+    # the same booked schedule must serialise the same way whichever
+    # lane happened to emit first.
+    for lane in sorted_lanes(recorder):
         merged = _merge(lane_intervals.get(lane, []))
         busy = _total(merged)
         lanes.append(LaneOccupancy(
@@ -455,7 +457,6 @@ def analyze_trace(source, time_scale=None) -> TraceAnalysis:
         rounds.append(RoundProfile(
             round_index=int(args.get("round", len(rounds))),
             description=str(args.get("description", "")),
-            execution=str(args.get("execution", "")),
             start=_seconds(start), end=_seconds(end),
             category_seconds={c: _seconds(v)
                               for c, v in sorted(per_category.items())},
@@ -486,10 +487,3 @@ def analyze_trace(source, time_scale=None) -> TraceAnalysis:
         critical_path=critical_path,
     )
 
-
-def _natural_key(text):
-    """Sort ``gpu2`` before ``gpu10`` (shared with the exporters)."""
-    import re
-
-    return tuple(int(part) if part.isdigit() else part
-                 for part in re.split(r"(\d+)", text))

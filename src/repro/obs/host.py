@@ -4,8 +4,7 @@ Everything else in :mod:`repro.obs` measures **simulated** time — the
 deterministic discrete-event timeline the engine books GPU kernels and
 SSD fetches on.  This module measures **host** time: where the Python
 process actually spends its wall-clock while driving that simulation —
-page parsing in :mod:`repro.format.io`, scatter-index builds in
-:mod:`repro.format.database`, plan construction in
+page parsing in :mod:`repro.format.io`, plan construction in
 :mod:`repro.core.plan`, dispatch in :mod:`repro.core.streams`, kernel
 ``process_batch`` calls, and the engine's own setup/round loop.
 

@@ -223,9 +223,6 @@ def collect_run_metrics(result, registry=None):
     registry.meta.setdefault("strategy", result.strategy)
     registry.meta.setdefault("num_gpus", result.num_gpus)
     registry.meta.setdefault("num_streams", result.num_streams)
-    # Which round-execution path actually ran — history records must be
-    # self-describing, and paged-vs-batched is a different hot path.
-    registry.meta.setdefault("execution", result.execution)
 
     registry.gauge("run.elapsed_seconds",
                    "simulated wall-clock").set(result.elapsed_seconds)
@@ -259,17 +256,6 @@ def collect_run_metrics(result, registry=None):
                          "host page-pool misses (file-backed DB)"
                          ).inc(result.pool_misses)
         registry.gauge("pool.hit_rate").set(result.pool_hit_rate)
-    if result.scatter_hits or result.scatter_misses:
-        registry.counter("scatter_index.hits",
-                         "db-level sorted-scatter index hits"
-                         ).inc(result.scatter_hits)
-        registry.counter("scatter_index.misses",
-                         "db-level sorted-scatter index misses "
-                         "(argsort recomputed)"
-                         ).inc(result.scatter_misses)
-        total = result.scatter_hits + result.scatter_misses
-        registry.gauge("scatter_index.hit_rate").set(
-            result.scatter_hits / total)
     if result.shared_hits or result.shared_misses:
         registry.counter("shared_cache.hits",
                          "cross-query shared-cache hits (disk read + "
@@ -301,7 +287,7 @@ def collect_run_metrics(result, registry=None):
                          "host reads re-read after checksum mismatch"
                          ).inc(fs.get("integrity_retries", 0))
         registry.counter("faults.fallback_rounds",
-                         "batched rounds degraded to the paged path"
+                         "rounds booked per call because a fault fires"
                          ).inc(fs.get("fallback_rounds", 0))
         registry.counter("faults.devices_lost").inc(
             fs.get("devices_lost", 0))

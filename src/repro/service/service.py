@@ -9,11 +9,10 @@ host-side caches that PRs 1-6 rebuilt per run:
   the byte-level parse (host wall-clock only; simulated timings and
   outputs stay bit-identical to a cold one-shot run);
 * one :class:`~repro.core.plan.RoundPlanCache` per database — the
-  batched execution path's flat-array plan is built once per topology
-  version instead of once per engine;
-* the database's own scatter-index cache and (for file-backed handles)
-  page pool, which the :mod:`repro.concurrency` locks made safe to
-  share.
+  flat-array plan every round reads is built once per topology version
+  instead of once per engine;
+* (for file-backed handles) the database's own page pool, which the
+  :mod:`repro.concurrency` locks made safe to share.
 
 Admission control keeps the service honest under load: at most
 ``max_in_flight`` queries execute at once on a thread pool, at most
@@ -91,7 +90,6 @@ ENGINE_OPTIONS = {
     "num_streams": 16,
     "num_gpus": 2,
     "num_ssds": 2,
-    "execution": "auto",
     "micro_technique": "edge",
     "enable_caching": True,
     "cache_policy": "lru",
@@ -209,8 +207,6 @@ class _ServedDatabase:
         }
         if hasattr(db, "mvcc_stats"):
             out["mvcc"] = db.mvcc_stats()
-        if hasattr(db, "scatter_lock_stats"):
-            out["scatter_lock"] = db.scatter_lock_stats()
         # Dynamic wrappers keep the page pool on their file-backed base.
         pooled = (db if hasattr(db, "pool_lock_stats")
                   else getattr(db, "_base", None))
@@ -552,7 +548,6 @@ class GraphService:
             micro_technique=options["micro_technique"],
             enable_caching=options["enable_caching"],
             cache_policy=options["cache_policy"],
-            execution=options["execution"],
             io_merge=options["io_merge"],
             faults=request.faults,
             fault_seed=request.fault_seed,

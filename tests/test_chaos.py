@@ -93,13 +93,16 @@ class TestBatchedDegradation:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_faulted_rounds_fall_back_to_paged(self, rmat_db, machine,
                                                seed):
-        clean = _run(rmat_db, machine, PageRankKernel(iterations=3),
-                     execution="batched")
+        """Only the *booking* of a faulted round degrades (to the
+        per-call loop, where injection and retry live); its compute is
+        the same ``process_batch``."""
+        clean = _run(rmat_db, machine, PageRankKernel(iterations=3))
         faulted = _run(rmat_db, machine, PageRankKernel(iterations=3),
-                       execution="batched", faults=RECOVERABLE,
-                       fault_seed=seed)
+                       faults=RECOVERABLE, fault_seed=seed, tracing=True)
         _assert_same_values(faulted, clean)
-        assert faulted.fault_stats["fallback_rounds"] > 0
+        fallbacks = faulted.fault_stats["fallback_rounds"]
+        assert 0 < fallbacks <= faulted.num_rounds
+        assert faulted.trace.counts()["fallback"] == fallbacks
         assert faulted.elapsed_seconds > clean.elapsed_seconds
 
 

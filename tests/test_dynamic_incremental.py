@@ -13,7 +13,7 @@ from repro.dynamic import (
     incremental_wcc,
     insert_seeds,
 )
-from repro.errors import UpdateError
+from repro.errors import ConfigurationError, UpdateError
 from repro.format import build_database
 from repro.graphgen import Graph
 
@@ -36,6 +36,19 @@ class TestSeeds:
         with pytest.raises(UpdateError):
             incremental_bfs(None, np.zeros(4, dtype=np.int32),
                             [UpdateBatch().delete_edge(0, 1)])
+
+
+class TestPriorVector:
+    @pytest.mark.parametrize("make, dtype", [(incremental_bfs, np.int32),
+                                             (incremental_wcc, np.int64)])
+    def test_prior_longer_than_the_database_is_a_typed_error(
+            self, small_config, machine, make, dtype):
+        db = _path_db(small_config, num_vertices=9)
+        batch = UpdateBatch().insert_edge(0, 5)
+        db.apply(batch)
+        kernel = make(db, np.zeros(50, dtype=dtype), [batch])
+        with pytest.raises(ConfigurationError, match="50.*9"):
+            GTSEngine(db, machine).run(kernel)
 
 
 class TestIncrementalBFS:

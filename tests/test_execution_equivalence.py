@@ -1,37 +1,31 @@
-"""Property test: batched and paged execution are indistinguishable.
+"""Property tests: one executor, checked against the references.
 
-The vectorized fast path is only allowed to change *wall-clock*, never
-behaviour: for any graph, kernel, strategy, and page-serving store the
-two paths must produce bit-identical algorithm output, simulated time,
-per-round statistics, and cache counters.  Hypothesis drives random
-graphs and configurations through both paths, including a file-backed
-database whose page pool is small enough to force constant eviction.
+Every kernel has one body (``process_batch``), so there is no second
+implementation inside the engine to compare it with: hypothesis drives
+random graphs and configurations through every entry of the kernel
+table and checks the answers against ``repro.baselines.reference``
+(exact for integer outputs, ``allclose`` for float) or, where no
+reference exists, against a brute-force count over the edge list.
+Values *and simulated times* frozen from the deleted per-page executor
+are pinned separately (``tests/golden_runs.py``).  What may still vary
+— which store path serves a page's bytes, tracing — must never move a
+value or a simulated time.
 """
 
 import dataclasses
+import importlib
+import os
+import pkgutil
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core import (
-    BCKernel,
-    BFSKernel,
-    CrossEdgesKernel,
-    DegreeKernel,
-    EgonetKernel,
-    GTSEngine,
-    InducedSubgraphKernel,
-    KCoreKernel,
-    NeighborhoodKernel,
-    PageRankKernel,
-    RadiusKernel,
-    RWRKernel,
-    SSSPKernel,
-    WCCKernel,
-)
+import repro.core
+from repro.baselines import reference
+from repro.core import GTSEngine, PageRankKernel
+from repro.core.plan import PagePlan
 from repro.faults import FaultInjector, FaultPlan
 from repro.format import PageFormatConfig, build_database
-from repro.core.plan import PagePlan
 from repro.format.io import (
     FileBackedDatabase,
     load_database,
@@ -41,46 +35,15 @@ from repro.graphgen import Graph
 from repro.hardware.specs import scaled_workstation
 from repro.units import KB
 
-
-def _rng(start, num_vertices):
-    return np.random.default_rng([start, num_vertices])
-
-
-#: Every kernel, one table: name -> factory(start vertex, |V|).
-KERNELS = {
-    "pagerank": lambda start, n: PageRankKernel(iterations=4),
-    "bfs": lambda start, n: BFSKernel(start_vertex=start),
-    "sssp": lambda start, n: SSSPKernel(start_vertex=start),
-    "wcc": lambda start, n: WCCKernel(),
-    # Two sources, so the per-source state reset is crossed.
-    "bc": lambda start, n: BCKernel(sources=(start, (start + 1) % n)),
-    "kcore1": lambda start, n: KCoreKernel(k=1),
-    "kcore3": lambda start, n: KCoreKernel(k=3),
-    "rwr": lambda start, n: RWRKernel(query_vertex=start, iterations=3),
-    "radius": lambda start, n: RadiusKernel(num_sketches=4, max_hops=4),
-    "degree": lambda start, n: DegreeKernel(),
-    "cross_edges": lambda start, n: CrossEdgesKernel(
-        _rng(start, n).integers(0, 3, size=n)),
-    "induced": lambda start, n: InducedSubgraphKernel(
-        _rng(start, n).random(n) < 0.5, collect_edges=True),
-    "egonet": lambda start, n: EgonetKernel(start, collect_edges=True),
-    "neighborhood": lambda start, n: NeighborhoodKernel(start, hops=2),
-}
-#: Kernels defined on undirected input.
-SYMMETRISED = {"wcc", "kcore1", "kcore3"}
+from . import test_properties as properties
+from .golden_runs import KERNELS, SYMMETRISED, _rng
+from .test_extended_kernels import _naive_kcore
 
 
 def _random_graph(data, weighted):
-    num_vertices = data.draw(st.integers(2, 120))
-    num_edges = data.draw(st.integers(0, 400))
-    seed = data.draw(st.integers(0, 10 ** 6))
-    rng = np.random.default_rng(seed)
-    graph = Graph.from_edges(
-        num_vertices,
-        rng.integers(0, num_vertices, size=num_edges),
-        rng.integers(0, num_vertices, size=num_edges))
+    graph = properties._random_graph(data)
     if weighted:
-        graph = graph.with_random_weights(seed=seed)
+        graph = graph.with_random_weights(seed=graph.num_edges)
     return graph
 
 
@@ -91,80 +54,118 @@ def _kernel_graph(data, kernel_name):
     return graph
 
 
-def _run_pair(db, machine, strategy, kernel_name, start, caching):
-    results = []
-    for execution in ("paged", "batched"):
-        engine = GTSEngine(db, machine, strategy=strategy,
-                           enable_caching=caching, execution=execution)
-        results.append(engine.run(
-            KERNELS[kernel_name](start, db.num_vertices)))
-    return results
+_equal = np.testing.assert_array_equal
 
 
-def _assert_identical(paged, batched):
-    assert paged.execution == "paged"
-    assert batched.execution == "batched"
-    assert batched.elapsed_seconds == paged.elapsed_seconds
-    assert batched.num_rounds == paged.num_rounds
-    for key in paged.values:
-        np.testing.assert_array_equal(batched.values[key],
-                                      paged.values[key])
-    paged_dict = paged.to_dict()
-    batched_dict = batched.to_dict()
-    for key in ("cache_hits", "cache_misses", "cache_hit_rate",
-                "mm_buffer_hits", "mm_buffer_misses",
-                "storage_bytes_read", "storage_pages_fetched",
-                "pages_streamed", "bytes_to_gpu",
-                "transfer_busy_seconds", "kernel_busy_seconds",
-                "kernel_stream_seconds", "edges_traversed"):
-        assert batched_dict.get(key) == paged_dict.get(key), key
-    for round_paged, round_batched in zip(paged.rounds, batched.rounds):
-        assert (dataclasses.asdict(round_batched)
-                == dataclasses.asdict(round_paged))
+def _close(got, want, rtol=1e-9):
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=1e-9)
+
+
+def _check_radius(graph, start, values):
+    sizes = values["neighbourhood_sizes"]
+    assert np.all(np.diff(sizes, axis=0) >= 0)
+    radius = values["effective_radius"]
+    assert radius.min() >= 0 and radius.max() <= len(sizes) - 1
+    assert values["estimated_diameter"][0] == radius.max()
+
+
+def _check_cross_edges(graph, start, values):
+    partition = _rng(start, graph.num_vertices).integers(
+        0, 3, size=graph.num_vertices)
+    sources, targets = graph.edge_list()
+    crossing = partition[sources] != partition[targets]
+    assert values["total_cross_edges"][0] == crossing.sum()
+    _equal(values["cross_count"],
+           np.bincount(sources[crossing], minlength=graph.num_vertices))
+
+
+def _check_induced_edges(graph, member, values):
+    sources, targets = graph.edge_list()
+    inside = member[sources] & member[targets]
+    _equal(values["member"], member)
+    assert values["num_induced_edges"][0] == inside.sum()
+    _equal(values["internal_degree"],
+           np.bincount(sources[inside], minlength=graph.num_vertices))
+    assert (sorted(map(tuple, values["edges"].tolist()))
+            == sorted(zip(sources[inside].tolist(),
+                          targets[inside].tolist())))
+
+
+def _check_induced(graph, start, values):
+    member = _rng(start, graph.num_vertices).random(
+        graph.num_vertices) < 0.5
+    _check_induced_edges(graph, member, values)
+
+
+def _check_egonet(graph, start, values):
+    member = np.zeros(graph.num_vertices, dtype=bool)
+    member[start] = True
+    member[graph.neighbors(start)] = True
+    _check_induced_edges(graph, member, values)
+
+
+def _check_neighborhood(graph, start, values):
+    levels = reference.bfs_levels(graph, start)
+    member = (levels >= 0) & (levels <= 2)
+    _equal(values["member"], member)
+    _equal(values["hop"][member], levels[member])
+
+
+#: How each table entry's answer is checked: name -> check(graph,
+#: start, values).
+CHECKS = {
+    "pagerank": lambda graph, start, values: _close(
+        values["rank"], reference.pagerank(graph, iterations=4)),
+    "bfs": lambda graph, start, values: _equal(
+        values["level"], reference.bfs_levels(graph, start)),
+    "sssp": lambda graph, start, values: _close(
+        values["distance"], reference.sssp_distances(graph, start),
+        rtol=1e-5),
+    "wcc": lambda graph, start, values: _equal(
+        values["component"],
+        reference.weakly_connected_components(graph)),
+    "bc": lambda graph, start, values: _close(
+        values["centrality"], reference.betweenness_centrality(
+            graph, (start, (start + 1) % graph.num_vertices))),
+    "kcore1": lambda graph, start, values: _equal(
+        values["in_kcore"], _naive_kcore(graph, 1)),
+    "kcore3": lambda graph, start, values: _equal(
+        values["in_kcore"], _naive_kcore(graph, 3)),
+    "rwr": lambda graph, start, values: _close(
+        values["proximity"], reference.random_walk_with_restart(
+            graph, start, iterations=3)),
+    "radius": _check_radius,
+    "degree": lambda graph, start, values: (
+        _equal(values["out_degree"], graph.out_degrees()),
+        _equal(values["in_degree"], graph.in_degrees())),
+    "cross_edges": _check_cross_edges,
+    "induced": _check_induced,
+    "egonet": _check_egonet,
+    "neighborhood": _check_neighborhood,
+}
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.data())
-def test_batched_matches_paged_on_random_graphs(data):
+def test_every_kernel_matches_its_reference_on_random_graphs(data):
     """Every kernel of the table on every generated graph (a 1 KB page
-    makes large-page vertices and degree-0 records routine)."""
-    graph = _random_graph(data, weighted=data.draw(st.booleans()))
-    config = PageFormatConfig(2, 2, 1 * KB)
-    db = build_database(graph, config)
-    symmetric_db = build_database(graph.symmetrised(), config)
-    machine = scaled_workstation(
-        num_gpus=data.draw(st.sampled_from([1, 2, 3])),
-        num_ssds=data.draw(st.sampled_from([1, 2])))
-    strategy = data.draw(st.sampled_from(["performance", "scalability"]))
-    caching = data.draw(st.booleans())
+    makes large-page vertices and degree-0 records routine), each under
+    a drawn machine, strategy, stream count, micro technique and cache
+    setting."""
+    assert set(CHECKS) == set(KERNELS)
+    weighted = data.draw(st.booleans())
+    graph = _random_graph(data, weighted)
+    config = PageFormatConfig(2, 2, 1 * KB,
+                              weight_bytes=4 if weighted else 0)
+    inputs = {False: (graph, build_database(graph, config))}
+    inputs[True] = (graph.symmetrised(),
+                    build_database(graph.symmetrised(), config))
     start = data.draw(st.integers(0, graph.num_vertices - 1))
     for kernel_name in sorted(KERNELS):
-        paged, batched = _run_pair(
-            symmetric_db if kernel_name in SYMMETRISED else db,
-            machine, strategy, kernel_name, start, caching)
-        _assert_identical(paged, batched)
-
-
-@settings(max_examples=10, deadline=None)
-@given(data=st.data())
-def test_batched_matches_paged_under_pool_eviction(data, tmp_path_factory):
-    """A file-backed page pool too small for the database must not
-    perturb either path: the plan is built from one pass over the pages
-    and the paged path re-reads through the pool, yet both must agree
-    with each other bit for bit."""
-    kernel_name = data.draw(st.sampled_from(sorted(KERNELS)))
-    graph = _kernel_graph(data, kernel_name)
-    db = build_database(graph, PageFormatConfig(2, 2, 1 * KB))
-    prefix = str(tmp_path_factory.mktemp("pooled") / "db")
-    save_database(db, prefix)
-    pool_pages = max(1, db.num_pages // 4)
-    lazy = FileBackedDatabase(prefix, pool_pages=pool_pages)
-    machine = scaled_workstation(num_gpus=2, num_ssds=2)
-    start = data.draw(st.integers(0, graph.num_vertices - 1))
-    paged, batched = _run_pair(lazy, machine, "performance", kernel_name,
-                               start, True)
-    _assert_identical(paged, batched)
-    assert lazy.resident_pages() <= pool_pages
+        kernel_graph, db = inputs[kernel_name in SYMMETRISED]
+        result = properties._engine(db, data).run(
+            KERNELS[kernel_name](start, graph.num_vertices))
+        CHECKS[kernel_name](kernel_graph, start, result.values)
 
 
 #: How a parse reaches the store's bytes: the mapped bulk decode, or
@@ -172,10 +173,12 @@ def test_batched_matches_paged_under_pool_eviction(data, tmp_path_factory):
 #: conditions that select it in production.
 STORE_PATHS = ("mapped", "injector", "damaged-mapping")
 
+#: ``RunResult.to_dict()`` statistics that must match the resident
+#: baseline whichever path served the bytes.
 _COMPARED_COUNTERS = (
     "cache_hits", "cache_misses", "mm_buffer_hits", "mm_buffer_misses",
-    "storage_bytes_read", "storage_pages_fetched", "pages_streamed",
-    "bytes_to_gpu", "transfer_busy_seconds", "kernel_busy_seconds",
+    "storage_bytes_read", "pages_streamed", "bytes_streamed",
+    "kernel_invocations", "transfer_busy_seconds", "kernel_busy_seconds",
     "kernel_stream_seconds", "edges_traversed")
 
 
@@ -209,13 +212,13 @@ def _assert_store_path_taken(store, store_path):
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_store_path_never_perturbs_results(data, tmp_path_factory):
-    """{paged, batched} x {mapped decode, copy fallback} is
-    indistinguishable from the eager baseline: which path serves a
-    page's bytes may only move host counters, never simulated time,
-    values, or the compared statistics — so the bulk ``decode_pages``
-    decode is checked against the ``from_bytes`` reference on every
-    generated graph — and the flat arrays a plan is built from are the
-    same whichever path decoded them."""
+    """{mapped decode, copy fallback} under a pool too small for the
+    database is indistinguishable from the resident baseline: which
+    path serves a page's bytes may only move host counters, never
+    simulated time, values, or the compared statistics — so the bulk
+    ``decode_pages`` decode is checked against the ``from_bytes``
+    reference on every generated graph — and the flat arrays a plan is
+    built from are the same whichever path decoded them."""
     kernel_name = data.draw(st.sampled_from(sorted(KERNELS)))
     graph = _kernel_graph(data, kernel_name)
     db = build_database(graph, PageFormatConfig(2, 2, 1 * KB))
@@ -224,44 +227,39 @@ def test_store_path_never_perturbs_results(data, tmp_path_factory):
     machine = scaled_workstation(num_gpus=2, num_ssds=2)
     start = data.draw(st.integers(0, graph.num_vertices - 1))
     kernel = lambda: KERNELS[kernel_name](start, db.num_vertices)
-    baseline = GTSEngine(db, machine, execution="paged").run(kernel())
+    baseline = GTSEngine(db, machine).run(kernel())
     baseline_dict = baseline.to_dict()
     pool_pages = max(1, db.num_pages // 2)
     # The generic per-page scan over the resident load is the reference
     # for the flat arrays each store path hands a plan.
     reference_plan = PagePlan(load_database(prefix))
-    for execution in ("paged", "batched"):
-        for store_path in STORE_PATHS:
-            lazy = _open_store(prefix, pool_pages, store_path)
-            try:
-                result = GTSEngine(lazy, machine, execution=execution).run(
-                    kernel())
-                plan = PagePlan(lazy)
-            finally:
-                lazy.close()
-            combo = (execution, store_path)
-            _assert_store_path_taken(lazy, store_path)
-            for name, array in vars(reference_plan).items():
-                if isinstance(array, np.ndarray):
-                    assert getattr(plan, name).dtype == array.dtype, (
-                        combo, name)
-                    np.testing.assert_array_equal(
-                        getattr(plan, name), array,
-                        err_msg=str((combo, name)))
-            assert result.elapsed_seconds == baseline.elapsed_seconds, combo
-            assert result.num_rounds == baseline.num_rounds, combo
-            for key in baseline.values:
+    for store_path in STORE_PATHS:
+        lazy = _open_store(prefix, pool_pages, store_path)
+        try:
+            result = GTSEngine(lazy, machine).run(kernel())
+            plan = PagePlan(lazy)
+        finally:
+            lazy.close()
+        _assert_store_path_taken(lazy, store_path)
+        assert lazy.resident_pages() <= pool_pages
+        for name, array in vars(reference_plan).items():
+            if isinstance(array, np.ndarray):
+                assert getattr(plan, name).dtype == array.dtype, (
+                    store_path, name)
                 np.testing.assert_array_equal(
-                    result.values[key], baseline.values[key],
-                    err_msg=str(combo))
-            result_dict = result.to_dict()
-            for key in _COMPARED_COUNTERS:
-                assert result_dict.get(key) \
-                    == baseline_dict.get(key), (combo, key)
-            for base_round, this_round in zip(baseline.rounds,
-                                              result.rounds):
-                assert (dataclasses.asdict(this_round)
-                        == dataclasses.asdict(base_round)), combo
+                    getattr(plan, name), array,
+                    err_msg=str((store_path, name)))
+        assert result.elapsed_seconds == baseline.elapsed_seconds, store_path
+        assert result.num_rounds == baseline.num_rounds, store_path
+        for key in baseline.values:
+            np.testing.assert_array_equal(
+                result.values[key], baseline.values[key],
+                err_msg=store_path)
+        result_dict = result.to_dict()
+        for key in _COMPARED_COUNTERS:
+            assert result_dict[key] == baseline_dict[key], (store_path, key)
+        assert ([dataclasses.asdict(r) for r in result.rounds]
+                == [dataclasses.asdict(r) for r in baseline.rounds])
 
 
 @settings(max_examples=8, deadline=None)
@@ -269,8 +267,7 @@ def test_store_path_never_perturbs_results(data, tmp_path_factory):
 def test_io_merge_changes_plan_but_not_results(data, tmp_path_factory):
     """``io_merge`` is the one opt-in host knob allowed to move the
     simulated I/O plan; the algorithm output must stay bit-identical,
-    and under merge the (execution, store path) matrix must still agree
-    with itself."""
+    and under merge the store paths must still agree with each other."""
     kernel_name = data.draw(st.sampled_from(["pagerank", "bfs"]))
     graph = _random_graph(data, weighted=False)
     db = build_database(graph, PageFormatConfig(2, 2, 1 * KB))
@@ -280,59 +277,60 @@ def test_io_merge_changes_plan_but_not_results(data, tmp_path_factory):
     start = data.draw(st.integers(0, graph.num_vertices - 1))
     kernel = lambda: KERNELS[kernel_name](start, db.num_vertices)
     plain = GTSEngine(db, machine).run(kernel())
-    merged = {}
-    for execution in ("paged", "batched"):
-        for store_path in STORE_PATHS:
-            lazy = _open_store(prefix, max(1, db.num_pages), store_path)
-            try:
-                merged[(execution, store_path)] = GTSEngine(
-                    lazy, machine, execution=execution,
-                    io_merge=True).run(kernel())
-            finally:
-                lazy.close()
-            _assert_store_path_taken(lazy, store_path)
-    reference = merged[("paged", "mapped")]
-    for key in plain.values:
-        np.testing.assert_array_equal(reference.values[key],
-                                      plain.values[key])
-    for combo, result in merged.items():
-        assert result.elapsed_seconds \
-            == reference.elapsed_seconds, combo
-        for key in reference.values:
+    merged = GTSEngine(db, machine, io_merge=True).run(kernel())
+    for store_path in STORE_PATHS:
+        lazy = _open_store(prefix, max(1, db.num_pages), store_path)
+        try:
+            result = GTSEngine(lazy, machine, io_merge=True).run(kernel())
+        finally:
+            lazy.close()
+        _assert_store_path_taken(lazy, store_path)
+        assert result.elapsed_seconds == merged.elapsed_seconds, store_path
+        for key in plain.values:
             np.testing.assert_array_equal(result.values[key],
-                                          reference.values[key],
-                                          err_msg=str(combo))
+                                          plain.values[key],
+                                          err_msg=store_path)
 
 
-def test_every_registered_kernel_supports_batch():
-    """The fast path is the default for every kernel a caller can
-    reach: each class ``repro.core.kernels`` exports, each service
-    algorithm, and each entry of the table above."""
+def test_every_kernel_has_one_body_and_the_core_reads_no_page():
+    """The structure that makes bit-identity a property instead of a
+    test burden: every kernel a caller can reach — each class
+    ``repro.core.kernels`` exports, the incremental relaxers, each
+    service algorithm, each entry of the table above — defines
+    ``process_batch`` and carries no page kernel, and no module under
+    ``repro.core`` calls ``.page(``."""
     import repro.core.kernels as kernels
-    from repro.dynamic.incremental import (IncrementalBFSKernel,
-                                           IncrementalWCCKernel)
+    from repro.dynamic import incremental
     from repro.service import ALGORITHMS
 
-    exported = [getattr(kernels, name) for name in kernels.__all__]
-    classes = [cls for cls in exported
-               if isinstance(cls, type) and issubclass(cls, kernels.Kernel)
-               and cls is not kernels.Kernel]
+    def kernel_classes(module, names):
+        exported = [getattr(module, name) for name in names]
+        return [cls for cls in exported
+                if isinstance(cls, type) and issubclass(cls, kernels.Kernel)
+                and cls is not kernels.Kernel]
+
+    classes = kernel_classes(kernels, kernels.__all__)
     assert {cls.name for cls in classes} >= {
         "BFS", "PageRank", "SSSP", "CC", "BC", "RWR", "Degree", "KCore",
         "Neighborhood", "CrossEdges", "Radius", "InducedSubgraph",
         "Egonet"}
+    relaxers = kernel_classes(incremental, ("IncrementalBFSKernel",
+                                            "IncrementalWCCKernel"))
+    assert len(relaxers) == 2
+    classes += relaxers
+    classes += [type(entry[0]({}, 0)) for entry in ALGORITHMS.values()]
+    classes += [type(factory(0, 8)) for factory in KERNELS.values()]
     for cls in classes:
-        assert cls.supports_batch(), cls.__name__
-    for name, entry in ALGORITHMS.items():
-        assert entry[0]({}, 0).supports_batch(), name
-    for name, factory in KERNELS.items():
-        assert factory(0, 8).supports_batch(), name
-    # The incremental relaxers read the *live* value vector across the
-    # pages of a round (a vertex improved by an earlier page relaxes
-    # further within the same round), so one batch per round would
-    # change their round count: they stay on the page loop.
-    assert not IncrementalBFSKernel.supports_batch()
-    assert not IncrementalWCCKernel.supports_batch()
+        assert cls.process_batch is not kernels.Kernel.process_batch, cls
+        for gone in ("process_sp", "process_lp", "process_page",
+                     "supports_batch"):
+            assert not hasattr(cls, gone), (cls, gone)
+    for info in pkgutil.walk_packages(repro.core.__path__, "repro.core."):
+        path = importlib.import_module(info.name).__file__
+        if os.path.basename(path) == "__init__.py":
+            continue
+        with open(path) as handle:
+            assert ".page(" not in handle.read(), info.name
 
 
 def test_traced_runs_agree_with_untraced():
@@ -344,17 +342,9 @@ def test_traced_runs_agree_with_untraced():
         np.random.default_rng(6).integers(0, 50, size=300))
     db = build_database(graph, PageFormatConfig(2, 2, 1 * KB))
     machine = scaled_workstation(num_gpus=2, num_ssds=2)
-    results = {}
-    for execution in ("paged", "batched"):
-        for tracing in (False, True):
-            engine = GTSEngine(db, machine, tracing=tracing,
-                               execution=execution)
-            results[(execution, tracing)] = engine.run(
-                PageRankKernel(iterations=3))
-    baseline = results[("paged", False)]
-    for key, result in results.items():
-        assert result.elapsed_seconds == baseline.elapsed_seconds, key
-        np.testing.assert_array_equal(result.values["rank"],
-                                      baseline.values["rank"])
-
-
+    plain, traced = (
+        GTSEngine(db, machine, tracing=tracing).run(
+            PageRankKernel(iterations=3)) for tracing in (False, True))
+    assert traced.elapsed_seconds == plain.elapsed_seconds
+    np.testing.assert_array_equal(traced.values["rank"],
+                                  plain.values["rank"])

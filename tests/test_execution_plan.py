@@ -1,10 +1,9 @@
 """Unit tests for the vectorized execution plan and its satellites.
 
 Covers the :mod:`repro.core.plan` arrays (global scatter index, batch
-gathering, the topology-version plan cache), the database-level
-scatter-index cache, the steady-state cache shortcut, the vectorized
-large-page-run index, and the ``execution`` knob's error handling on
-engine, CLI, and result-reporting surfaces.
+gathering, the topology-version plan cache), the steady-state cache
+shortcut, the vectorized large-page-run index, and the rejection of
+the removed ``execution`` knob on the engine and the CLI.
 """
 
 import sys
@@ -15,14 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.cli
-from repro.cli import build_parser, main
+from repro.cli import build_parser
 from repro.core import (
     BFSKernel,
     DegreeKernel,
     GTSEngine,
     KCoreKernel,
-    PageRankKernel,
     SSSPKernel,
 )
 from repro.core.cache import PageCache
@@ -34,12 +31,8 @@ from repro.core.plan import (
     segment_sum,
     take_ranges,
 )
-from repro.errors import ConfigurationError
 from repro.format import PageFormatConfig, build_database
-from repro.format.io import FileBackedDatabase, save_database
-from repro.format.page import sorted_scatter_index
 from repro.graphgen import generate_rmat
-from repro.graphgen.io import write_edge_list
 from repro.hardware.specs import scaled_workstation
 
 
@@ -80,11 +73,13 @@ def lp_plan():
     return database, PagePlan(database)
 
 
-class PagedOnlyDegree(DegreeKernel):
-    """A kernel without a batch body (what every kernel outside
-    ``repro.core.kernels`` is until it writes one)."""
-
-    process_batch = Kernel.process_batch
+def sorted_scatter_index(adj_vids):
+    """One page's reference scatter index: the stable argsort of its
+    adjacency targets, the distinct targets, and where each target's
+    segment starts in the sorted order."""
+    order = np.argsort(adj_vids, kind="stable")
+    targets, starts = np.unique(adj_vids[order], return_index=True)
+    return order, targets, starts
 
 
 #: Lazy RoundBatch fields by the space that delimits them.
@@ -352,7 +347,7 @@ class TestPlanArrays:
     def test_batched_traversal_sorts_no_edge_length_array(
             self, any_db, machine, kernel_cls, monkeypatch):
         """nextPIDSet is a bitmap from the kernel to the barrier: a
-        batched run hands ``np.unique`` / ``np.isin`` nothing longer
+        run hands ``np.unique`` / ``np.isin`` nothing longer
         than the page count."""
         longest = {"np.unique": 0, "np.isin": 0}
 
@@ -362,7 +357,7 @@ class TestPlanArrays:
                 return function(array, *args, **kwargs)
             return wrapper
 
-        engine = GTSEngine(any_db, machine, execution="batched")
+        engine = GTSEngine(any_db, machine)
         start = int(np.argmax(any_db.out_degrees))
         monkeypatch.setattr(np, "unique", watched("np.unique", np.unique))
         monkeypatch.setattr(np, "isin", watched("np.isin", np.isin))
@@ -479,30 +474,6 @@ class TestRoundPlanCache:
         assert cache.stats()["hits"] == num_threads * gets
 
 
-class TestScatterIndexCache:
-    def test_survives_pool_eviction(self, db, tmp_path):
-        """The DB-level scatter cache is keyed by page ID, not by the
-        served page object, so pool evictions must not cost recomputes."""
-        prefix = str(tmp_path / "db")
-        save_database(db, prefix)
-        lazy = FileBackedDatabase(prefix, pool_pages=2)
-        for _ in range(3):
-            for pid in range(lazy.num_pages):
-                lazy.scatter_index(lazy.page(pid))
-        assert lazy.scatter_misses == lazy.num_pages
-        assert lazy.scatter_hits == 2 * lazy.num_pages
-        assert lazy.resident_pages() <= 2
-
-    def test_invalidated_by_topology_version(self, db):
-        page = db.page(0)
-        db.scatter_index(page)
-        hits = db.scatter_hits
-        db.topology_version += 1
-        db.scatter_index(db.page(0))
-        assert db.scatter_hits == hits
-        assert db.scatter_misses >= 2
-
-
 class TestCacheSteadyStateShortcut:
     def _replay(self, policy, rounds, capacity=4, shortcut=False):
         cache = PageCache(capacity, policy=policy)
@@ -561,64 +532,32 @@ class TestLargePageRunIndex:
 
 
 class TestExecutionKnob:
+    """The knob is gone: there is one executor, and a kernel without a
+    body for it cannot run."""
+
     def test_batched_rejected_for_batchless_kernel(self, db, machine):
-        assert not PagedOnlyDegree.supports_batch()
-        engine = GTSEngine(db, machine, execution="batched")
-        with pytest.raises(ConfigurationError):
-            engine.run(PagedOnlyDegree())
+        class NoBody(DegreeKernel):
+            process_batch = Kernel.process_batch
 
-    def test_auto_falls_back_for_batchless_kernel(self, db, machine):
-        result = GTSEngine(db, machine).run(PagedOnlyDegree())
-        assert result.execution == "paged"
-        batched = GTSEngine(db, machine).run(DegreeKernel())
-        assert batched.execution == "batched"
-        for key, array in batched.values.items():
-            np.testing.assert_array_equal(result.values[key], array)
-
-    def test_auto_prefers_batched(self, db, machine):
-        result = GTSEngine(db, machine).run(PageRankKernel(iterations=2))
-        assert result.execution == "batched"
+        with pytest.raises(NotImplementedError, match="process_batch"):
+            GTSEngine(db, machine).run(NoBody())
 
     def test_unknown_mode_rejected(self, db, machine):
-        with pytest.raises(ConfigurationError):
-            GTSEngine(db, machine, execution="warp")
-
-    def test_execution_reported_in_to_dict(self, db, machine):
-        engine = GTSEngine(db, machine, execution="paged")
-        assert engine.run(
-            PageRankKernel(iterations=2)).to_dict()["execution"] == "paged"
+        for mode in ("warp", "auto", "paged", "batched"):
+            with pytest.raises(TypeError):
+                GTSEngine(db, machine, execution=mode)
 
 
 class TestCLIExecutionFlag:
-    def test_parsed_on_run_and_profile(self):
+    def test_rejects_unknown_value(self, capsys):
         for command in ("run", "profile"):
-            args = build_parser().parse_args(
-                [command, "--dataset", "rmat26", "--execution", "batched"])
-            assert args.execution == "batched"
-
-    def test_rejects_unknown_value(self):
+            for value in ("warp", "batched"):
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args(
+                        [command, "--dataset", "rmat26",
+                         "--execution", value])
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["run", "--dataset", "rmat26", "--execution", "warp"])
-
-    def test_batched_run(self, tmp_path, capsys):
-        graph = generate_rmat(7, edge_factor=4, seed=2)
-        path = str(tmp_path / "g.txt")
-        write_edge_list(graph, path)
-        assert main(["run", "--edges", path, "--algorithm", "pagerank",
-                     "--iterations", "2", "--execution", "batched"]) == 0
-        assert "PageRank" in capsys.readouterr().out
-
-    def test_batchless_algorithm_fails_gracefully(self, tmp_path, capsys,
-                                                  monkeypatch):
-        # Every CLI algorithm has a batch body now; register one that
-        # does not, as an out-of-tree kernel would be.
-        monkeypatch.setitem(
-            repro.cli.ALGORITHMS, "degree",
-            (lambda args, start: PagedOnlyDegree(), False, False))
-        graph = generate_rmat(7, edge_factor=4, seed=2)
-        path = str(tmp_path / "g.txt")
-        write_edge_list(graph, path)
-        assert main(["run", "--edges", path, "--algorithm", "degree",
-                     "--execution", "batched"]) == 1
-        assert "error:" in capsys.readouterr().err
+                ["query", "--url", "http://127.0.0.1:1", "--database",
+                 "g", "--algorithm", "bfs", "--execution", "paged"])
+        assert "--execution" in capsys.readouterr().err

@@ -418,3 +418,62 @@ class TestChecksums:
         save_database(rmat_db, str(tmp_path / "db"))
         # pages tmp + meta tmp + the parent directory after the renames.
         assert len(synced) >= 3
+
+
+class TestFaultAccounting:
+    """Who books a faulted round, and where host-read corruption fires."""
+
+    @pytest.mark.parametrize("kernel_name", ["pagerank", "bfs", "kcore"])
+    def test_host_corruption_fires_in_the_plan_build_only(
+            self, rmat_db, machine, tmp_path, kernel_name):
+        """A faulted round is booked per call but reads nothing: the
+        host reads (and their corruption) happen where the plan is
+        built.  Cold plan cache: 3 faults, 3 verified re-reads.  Warm
+        shared plan: none, ``faults_injected`` lower by exactly that
+        count — everything else, values and simulated time included,
+        identical."""
+        from repro import core
+        make = {"pagerank": lambda: core.PageRankKernel(iterations=3),
+                "bfs": lambda: core.BFSKernel(start_vertex=0),
+                "kcore": lambda: core.KCoreKernel(k=2)}[kernel_name]
+        prefix = str(tmp_path / "db")
+        save_database(rmat_db, prefix)
+        plan = FaultPlan(ssd_transient_rate=0.02, copy_error_rate=0.01,
+                         stall_rate=0.03,
+                         host_corrupt_reads={0: 1, 2: 1, 5: 1})
+        engine = core.GTSEngine(
+            FileBackedDatabase(prefix, pool_pages=16), machine,
+            mm_buffer_bytes=64 * 1024, faults=plan, fault_seed=1)
+        cold, warm = (engine.run(make()).to_dict(include_values=True)
+                      for _ in range(2))
+        stats, warm_stats = cold["fault_stats"], warm["fault_stats"]
+        assert stats["host_corrupt_faults"] == 3
+        assert stats["integrity_retries"] == 3
+        assert stats["fallback_rounds"] > 0
+        assert stats == dict(
+            warm_stats, host_corrupt_faults=3, integrity_retries=3,
+            faults_injected=warm_stats["faults_injected"] + 3)
+        assert warm["elapsed_seconds"] == cold["elapsed_seconds"]
+        assert warm["values"] == cold["values"]
+
+    def test_fallback_rounds_count_every_kernel(self, rmat_db, machine):
+        """``fallback_rounds`` is "rounds booked per call because a
+        fault fires in them" for every kernel, the incremental relaxers
+        included, and equals the ``fallback`` instants of the trace."""
+        from repro.core import BFSKernel, GTSEngine
+        from repro.dynamic import (DynamicGraphDatabase, UpdateBatch,
+                                   incremental_bfs)
+        db = DynamicGraphDatabase(rmat_db)
+        prior = GTSEngine(db, machine).run(BFSKernel(0)).values["level"]
+        batch = UpdateBatch()
+        for v in range(0, 200, 7):
+            batch.insert_edge(0, v)
+        db.apply(batch)
+        result = GTSEngine(
+            db, machine, tracing=True, fault_seed=2,
+            faults=FaultPlan(stall_rate=0.2, stall_seconds=1e-4)).run(
+                incremental_bfs(db, prior, [batch]))
+        fallbacks = result.fault_stats["fallback_rounds"]
+        assert 0 < fallbacks <= result.num_rounds
+        assert result.trace.counts()["fallback"] == fallbacks
+        assert result.fault_stats["stream_stalls"] > 0

@@ -335,7 +335,10 @@ class TestFileBackedDatabase:
 
 class TestEnginePagePool:
     """The engine must see identical results through a page pool small
-    enough to force evictions, and surface the pool's hit rate."""
+    enough to force evictions, and surface the pool's hit rate.  What
+    reads the pool is the plan build over a dynamic overlay carrying
+    deltas (it merges base pages); a bare store hands the plan its
+    flat arrays and pools nothing."""
 
     def _open(self, rmat_db, tmp_path, pool_pages):
         from repro.format.io import FileBackedDatabase
@@ -343,32 +346,38 @@ class TestEnginePagePool:
         save_database(rmat_db, prefix)
         return FileBackedDatabase(prefix, pool_pages=pool_pages)
 
+    def _overlay(self, base, edges=((0, 1), (2, 3))):
+        from repro.dynamic import DynamicGraphDatabase, UpdateBatch
+        overlay = DynamicGraphDatabase(base)
+        batch = UpdateBatch()
+        for u, v in edges:
+            batch.insert_edge(u, v)
+        overlay.apply(batch)
+        return overlay
+
     def test_results_identical_under_eviction_pressure(self, rmat_db,
                                                        machine, tmp_path):
         from repro.core import BFSKernel, GTSEngine, PageRankKernel
+        from repro.dynamic import UpdateBatch
 
-        # A pool far smaller than the database forces constant eviction.
-        # The per-page path is pinned because it is the one that touches
-        # the pool every round (the batched path reads each page exactly
-        # once to build its plan, so it cannot generate re-read traffic).
+        # A pool far smaller than the database forces constant eviction
+        # during every plan build; each commit forces a rebuild.
         pool_pages = max(2, rmat_db.num_pages // 8)
         lazy = self._open(rmat_db, tmp_path, pool_pages)
         start = int(np.argmax(rmat_db.out_degrees))
-
-        eager_engine = GTSEngine(rmat_db, machine, execution="paged")
-        lazy_engine = GTSEngine(lazy, machine, execution="paged")
-        batched_engine = GTSEngine(lazy, machine, execution="batched")
+        overlays = [self._overlay(rmat_db), self._overlay(lazy)]
+        eager_engine, lazy_engine = (GTSEngine(overlay, machine)
+                                     for overlay in overlays)
         for kernel_factory in (lambda: BFSKernel(start_vertex=start),
                                lambda: PageRankKernel(iterations=4)):
             want = eager_engine.run(kernel_factory())
             got = lazy_engine.run(kernel_factory())
-            fast = batched_engine.run(kernel_factory())
             for key in want.values:
-                np.testing.assert_allclose(
-                    got.values[key], want.values[key], atol=1e-12)
-                np.testing.assert_array_equal(
-                    fast.values[key], got.values[key])
-            assert fast.elapsed_seconds == got.elapsed_seconds
+                np.testing.assert_array_equal(got.values[key],
+                                              want.values[key])
+            assert got.elapsed_seconds == want.elapsed_seconds
+            for overlay in overlays:
+                overlay.apply(UpdateBatch().insert_edge(start, 5))
 
         # Eviction really happened: the pool stayed at capacity and
         # pages were re-read after being dropped.
@@ -379,10 +388,8 @@ class TestEnginePagePool:
                                               tmp_path):
         from repro.core import GTSEngine, KCoreKernel
 
-        # The per-page loop is pinned: it is the one path that touches
-        # the pool (a batched run reads flat arrays and builds no pages).
         lazy = self._open(rmat_db, tmp_path, pool_pages=16)
-        result = GTSEngine(lazy, machine, execution="paged").run(
+        result = GTSEngine(self._overlay(lazy), machine).run(
             KCoreKernel(k=2))
         assert result.pool_hits + result.pool_misses > 0
         assert 0.0 <= result.pool_hit_rate <= 1.0
@@ -395,7 +402,7 @@ class TestEnginePagePool:
         from repro.core import GTSEngine, KCoreKernel
 
         lazy = self._open(rmat_db, tmp_path, pool_pages=16)
-        engine = GTSEngine(lazy, machine, execution="paged")
+        engine = GTSEngine(self._overlay(lazy), machine)
         first = engine.run(KCoreKernel(k=2))
         second = engine.run(KCoreKernel(k=2))
         # Each RunResult carries only its own run's pool traffic, not
@@ -411,7 +418,6 @@ class TestEnginePagePool:
         # and verified once, and no page object is ever pooled.
         lazy = self._open(rmat_db, tmp_path, pool_pages=16)
         result = GTSEngine(lazy, machine).run(PageRankKernel(iterations=3))
-        assert result.execution == "batched"
         assert result.pool_hits == 0 and result.pool_misses == 0
         assert lazy.resident_pages() == 0
         assert result.mmap_misses == lazy.num_pages

@@ -28,6 +28,8 @@ from repro.graphgen import Graph
 from repro.hardware.specs import scaled_workstation
 from repro.units import KB
 
+from .golden_runs import KERNELS
+
 
 def _random_database(data, weighted=False):
     num_vertices = data.draw(st.integers(2, 120))
@@ -292,24 +294,21 @@ def test_damaged_mapped_region_recovers_by_verified_reread(tmp_path):
         store.close()
 
 
-def test_inert_fault_plan_leaves_a_paged_run_alone(tmp_path):
+def test_inert_fault_plan_leaves_a_run_alone(tmp_path):
     """A fault plan that is attached but never fires sends every page
-    of the engine's prefetched chunks through the copy path, and
+    of the plan build's prefetched chunks through the copy path, and
     changes nothing the run reports: values, simulated time and
     ``fault_stats`` equal the resident database's under the same
     plan."""
     from repro.core import KCoreKernel
 
-    prefix, db, _ = _save_chunk(tmp_path, "paged")
+    prefix, db, _ = _save_chunk(tmp_path, "inert")
     machine = scaled_workstation(num_gpus=2, num_ssds=2)
     plan = FaultPlan(seed=3, host_corrupt_reads={0: 0})
     assert plan.active
-    want = GTSEngine(db, machine, faults=plan, execution="paged").run(
-        KCoreKernel(k=3))
+    want = GTSEngine(db, machine, faults=plan).run(KCoreKernel(k=3))
     store = FileBackedDatabase(prefix, pool_pages=4)
-    got = GTSEngine(store, machine, faults=plan, execution="paged").run(
-        KCoreKernel(k=3))
-    assert got.execution == "paged"
+    got = GTSEngine(store, machine, faults=plan).run(KCoreKernel(k=3))
     assert got.elapsed_seconds == want.elapsed_seconds
     assert got.fault_stats == want.fault_stats
     for key, array in want.values.items():
@@ -320,15 +319,12 @@ def test_inert_fault_plan_leaves_a_paged_run_alone(tmp_path):
 
 
 def test_all_kernels_bit_identical_on_every_store_path(tmp_path):
-    """Values and simulated time of all 12 kernels, page loop and batch
-    body alike, on every remaining path — mapped decode, copy fallback,
-    eager ``load_database``, and a dynamic overlay on each — equal the
-    page loop's on the database that was saved; an overlay carrying
-    deltas (a different graph) agrees with its own page loop."""
-    from repro.core import (BCKernel, BFSKernel, CrossEdgesKernel,
-                            DegreeKernel, InducedSubgraphKernel,
-                            KCoreKernel, NeighborhoodKernel, RadiusKernel,
-                            RWRKernel, WCCKernel)
+    """Values and simulated time of every kernel on every store path
+    — mapped decode, copy fallback, eager ``load_database``, and a
+    dynamic overlay on each — equal the resident baseline's on the
+    database that was saved; an overlay carrying deltas (a different
+    graph) agrees with the resident database built from the same
+    mutated graph."""
     from repro.dynamic import (DynamicGraphDatabase, UpdateBatch,
                                open_dynamic_database)
 
@@ -343,22 +339,8 @@ def test_all_kernels_bit_identical_on_every_store_path(tmp_path):
                                                 weight_bytes=4))
     prefix = str(tmp_path / "db")
     save_database(db, prefix)
-    kernels = {
-        "bfs": lambda: BFSKernel(start_vertex=3),
-        "pagerank": lambda: PageRankKernel(iterations=3),
-        "sssp": lambda: SSSPKernel(start_vertex=3),
-        "wcc": lambda: WCCKernel(),
-        "bc": lambda: BCKernel(sources=(3, 7)),
-        "rwr": lambda: RWRKernel(query_vertex=3, iterations=3),
-        "degree": lambda: DegreeKernel(),
-        "kcore": lambda: KCoreKernel(k=3),
-        "neighborhood": lambda: NeighborhoodKernel(query_vertex=3),
-        "cross_edges": lambda: CrossEdgesKernel(
-            np.arange(num_vertices) % 3),
-        "radius": lambda: RadiusKernel(num_sketches=4, max_hops=6),
-        "induced": lambda: InducedSubgraphKernel(
-            np.arange(0, num_vertices, 2)),
-    }
+    kernels = {name: (lambda make=make: make(3, num_vertices))
+               for name, make in KERNELS.items()}
 
     def overlay(pool_pages, fallback=False):
         dyn = open_dynamic_database(prefix, pool_pages=pool_pages)
@@ -366,14 +348,16 @@ def test_all_kernels_bit_identical_on_every_store_path(tmp_path):
             dyn._base.attach_fault_injector(FaultInjector(FaultPlan()))
         return dyn
 
-    def overlay_with_deltas():
-        dyn = DynamicGraphDatabase(
-            FileBackedDatabase(prefix, pool_pages=3))
+    def delta_batch():
         batch = UpdateBatch()
         for u, v in ((3, 90), (90, 3), (7, 7), (40, 41)):
             batch.insert_edge(u, v, 2.5)
-        batch.delete_edge(3, int(graph.neighbors(3)[0]))
-        dyn.apply(batch)
+        return batch.delete_edge(3, int(graph.neighbors(3)[0]))
+
+    def overlay_with_deltas():
+        dyn = DynamicGraphDatabase(
+            FileBackedDatabase(prefix, pool_pages=3))
+        dyn.apply(delta_batch())
         return dyn
 
     stores = {
@@ -386,24 +370,23 @@ def test_all_kernels_bit_identical_on_every_store_path(tmp_path):
         "overlay/deltas": overlay_with_deltas,
     }
     machine = scaled_workstation(num_gpus=2, num_ssds=2)
+    # The overlay's deltas, applied to a resident copy of the database.
+    mutated = DynamicGraphDatabase(db)
+    mutated.apply(delta_batch())
     for kernel_name, make_kernel in kernels.items():
-        expected = GTSEngine(db, machine, execution="paged").run(
-            make_kernel())
+        expected = GTSEngine(db, machine).run(make_kernel())
+        with_deltas = GTSEngine(mutated, machine).run(make_kernel())
         for store_name, open_store in stores.items():
-            runs = {execution: GTSEngine(
-                open_store(), machine, execution=execution).run(
-                    make_kernel()) for execution in ("paged", "batched")}
-            want = (runs["paged"] if store_name == "overlay/deltas"
+            result = GTSEngine(open_store(), machine).run(make_kernel())
+            want = (with_deltas if store_name == "overlay/deltas"
                     else expected)
-            for execution, result in runs.items():
-                combo = (kernel_name, store_name, execution)
-                assert result.execution == execution, combo
-                assert result.elapsed_seconds == want.elapsed_seconds, combo
-                assert result.num_rounds == want.num_rounds, combo
-                assert set(result.values) == set(want.values), combo
-                for key, array in want.values.items():
-                    np.testing.assert_array_equal(
-                        result.values[key], array, err_msg=str(combo))
+            combo = (kernel_name, store_name)
+            assert result.elapsed_seconds == want.elapsed_seconds, combo
+            assert result.num_rounds == want.num_rounds, combo
+            assert set(result.values) == set(want.values), combo
+            for key, array in want.values.items():
+                np.testing.assert_array_equal(
+                    result.values[key], array, err_msg=str(combo))
 
 
 def _tamper_layout(prefix, **overrides):

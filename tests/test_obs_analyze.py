@@ -100,7 +100,6 @@ class TestAttribution:
         assert [p.round_index for p in profiles] \
             == sorted(p.round_index for p in profiles)
         for profile in profiles:
-            assert profile.execution == multi_stream.execution
             assert profile.end >= profile.start
 
     def test_attribution_conserves_booked_time(self, multi_stream):
@@ -121,8 +120,7 @@ class TestAttribution:
                    for p in analysis.rounds)
 
     def test_cache_traffic_lands_in_rounds(self, rmat_db, machine):
-        engine = GTSEngine(rmat_db, machine, tracing=True,
-                           execution="paged")
+        engine = GTSEngine(rmat_db, machine, tracing=True)
         result = engine.run(PageRankKernel(iterations=3))
         profiles = result.round_profiles()
         assert sum(p.cache_hits for p in profiles) == result.cache_hits
@@ -150,15 +148,8 @@ class TestEquivalence:
         reloaded = analyze_trace(path).to_dict()
         assert live == reloaded
 
-    def test_paged(self, rmat_db, machine, tmp_path):
-        engine = GTSEngine(rmat_db, machine, tracing=True,
-                           execution="paged")
-        self._roundtrip(engine.run(PageRankKernel(iterations=2)),
-                        tmp_path, "paged.json")
-
     def test_batched(self, rmat_db, machine, tmp_path):
-        engine = GTSEngine(rmat_db, machine, tracing=True,
-                           execution="batched")
+        engine = GTSEngine(rmat_db, machine, tracing=True)
         self._roundtrip(engine.run(PageRankKernel(iterations=2)),
                         tmp_path, "batched.json")
 
@@ -194,6 +185,32 @@ class TestDeterministicArtifacts:
             paths.append(path)
         with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
             assert a.read() == b.read()
+
+    def test_emission_order_does_not_change_the_report(self):
+        """The same booked schedule, emitted lane by lane in two
+        different orders (one with the ``execution`` argument old
+        traces carry on their rounds), serialises to the same bytes."""
+        events = [
+            ("round", "engine", "rounds", 0.0, 4.0,
+             {"round": 0, "description": "r"}),
+            ("kernel", "gpu10", "stream[0]", 1.0, 2.0, {}),
+            ("kernel", "gpu2", "stream[0]", 0.5, 3.0, {}),
+            ("h2d_copy", "gpu2", "copy engine", 0.0, 0.5, {}),
+        ]
+        reports = []
+        for order, extra in ((events, {}),
+                             (events[::-1], {"execution": "paged"})):
+            recorder = TraceRecorder()
+            for name, process, thread, start, end, args in order:
+                if name == "round":
+                    args = dict(args, **extra)
+                recorder.interval(name, process, thread, start, end,
+                                  **args)
+            reports.append(analyze_trace(recorder).to_dict())
+        assert json.dumps(reports[0]) == json.dumps(reports[1])
+        assert [lane["process"] for lane in reports[0]["lanes"]] \
+            == ["engine", "gpu2", "gpu2", "gpu10"]
+        assert "execution" not in reports[0]["rounds"][0]
 
 
 class TestInputs:

@@ -187,7 +187,7 @@ class TestCompare:
             __file__)))
         rules = load_rules(os.path.join(root, "benchmarks",
                                         "regression_rules.json"))
-        assert any(r.matches("kernels.pagerank.simulated_elapsed_seconds")
+        assert any(r.matches("matrix.mixed.c8.simulated_total_seconds")
                    for r in rules)
         assert any(r.matches("dormant_overhead") for r in rules)
 

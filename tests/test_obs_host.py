@@ -190,13 +190,10 @@ class TestEngineIntegration:
             PageRankKernel(iterations=3))
         assert result.host_profile.coverage() >= 0.8
 
-    @pytest.mark.parametrize("execution", ["paged", "batched"])
-    def test_profiling_does_not_change_simulation(self, rmat_db, machine,
-                                                  execution):
-        plain = GTSEngine(rmat_db, machine, execution=execution).run(
+    def test_profiling_does_not_change_simulation(self, rmat_db, machine):
+        plain = GTSEngine(rmat_db, machine).run(
             PageRankKernel(iterations=3))
-        profiled = GTSEngine(rmat_db, machine, execution=execution,
-                             host_profile=True).run(
+        profiled = GTSEngine(rmat_db, machine, host_profile=True).run(
             PageRankKernel(iterations=3))
         assert plain.elapsed_seconds == profiled.elapsed_seconds
         assert np.array_equal(plain.values["rank"],

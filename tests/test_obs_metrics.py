@@ -132,8 +132,7 @@ class TestCollectRunMetrics:
         assert registry.meta["algorithm"] == "BFS"
         assert registry.meta["strategy"] == bfs_result.strategy
         assert registry.meta["cache_policy"] == bfs_result.cache_policy
-        assert registry.meta["execution"] == bfs_result.execution
-        assert registry.meta["execution"] in ("paged", "batched")
+        assert "execution" not in registry.meta
 
     def test_registry_round_trips_through_json(self, bfs_result):
         registry = collect_run_metrics(bfs_result)

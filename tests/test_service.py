@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core import GTSEngine
+from repro.dynamic import DynamicGraphDatabase, UpdateBatch
 from repro.errors import (
     AdmissionError,
     ConfigurationError,
@@ -43,16 +44,16 @@ from repro.units import KB
 #: cross-query reuse; every workload below fits the test graph.
 POOL_PAGES = 8
 
-#: (algorithm, params, options) — mixed read workloads, both execution
-#: paths, several start vertices.
+#: (algorithm, params, options) — mixed read workloads, both
+#: strategies, several start vertices.
 WORKLOADS = [
     ("bfs", {"start": 0}, {}),
-    ("bfs", {"start": 17}, {"execution": "paged"}),
+    ("bfs", {"start": 17}, {"strategy": "scalability"}),
     ("pagerank", {"iterations": 4}, {}),
-    ("pagerank", {"iterations": 2}, {"execution": "paged"}),
+    ("pagerank", {"iterations": 2}, {"strategy": "scalability"}),
     ("sssp", {"start": 3}, {}),
     ("cc", {}, {}),
-    ("degree", {}, {"execution": "paged"}),
+    ("degree", {}, {"num_streams": 4}),
 ]
 
 
@@ -73,8 +74,7 @@ def _one_shot(prefix, algorithm, params, options):
     """A cold, serial, private-handle reference run."""
     db = FileBackedDatabase(prefix, pool_pages=POOL_PAGES)
     machine = scaled_workstation(num_gpus=2, num_ssds=2)
-    engine = GTSEngine(db, machine,
-                       execution=options.get("execution", "auto"))
+    engine = GTSEngine(db, machine, **options)
     start = params.get("start")
     start = (int(start) if start is not None
              else int(np.argmax(db.out_degrees)))
@@ -133,41 +133,42 @@ class TestConcurrentEquivalence:
 
     def test_warm_queries_book_identical_simulated_time(self, db_prefix,
                                                         references):
-        """Query #2 runs warm (shared cache populated) yet books the
+        """Query #2 runs warm (off the shared plan) yet books the
         same simulated clock and outputs as the cold reference."""
         service = GraphService(max_in_flight=2)
         service.add_database(
             "g", db=FileBackedDatabase(db_prefix,
                                        pool_pages=POOL_PAGES))
-        algorithm, params, options = WORKLOADS[1]  # paged bfs
+        algorithm, params, options = WORKLOADS[1]
         cold = service.query("g", algorithm, params=params,
                              options=options)
         warm = service.query("g", algorithm, params=params,
                              options=options)
         _assert_matches_reference(cold, references[1])
         _assert_matches_reference(warm, references[1])
-        # The warm run actually exercised the shared cache.
-        assert warm.shared_hits > 0
+        # The warm run was served the plan the cold one built.
+        plans = service.stats()["databases"]["g"]["plan_cache"]
+        assert (plans["builds"], plans["hits"]) == (1, 1)
         service.drain()
 
     def test_shared_cache_beats_per_run_rebuild_baseline(self,
                                                          db_prefix):
         """Acceptance gate: the shared cache's hit rate is strictly
         above the per-run-rebuild baseline (capacity 0: identical code
-        path, accounting only, every probe a miss)."""
-        workload = [("bfs", {"start": s}, {"execution": "paged"})
-                    for s in (0, 3, 17, 29)]
-
+        path, accounting only, every probe a miss).  What reads pages
+        is the plan build over an overlay carrying deltas — one per
+        commit — and every rebuild after the first finds the base
+        pages it merges already decoded."""
         def run(shared_cache_pages):
             service = GraphService(max_in_flight=4,
                                    shared_cache_pages=shared_cache_pages)
             service.add_database(
-                "g", db=FileBackedDatabase(db_prefix,
-                                           pool_pages=POOL_PAGES))
-            for _ in range(3):
-                for algorithm, params, options in workload:
-                    service.query("g", algorithm, params=params,
-                                  options=options)
+                "g", db=DynamicGraphDatabase(FileBackedDatabase(
+                    db_prefix, pool_pages=POOL_PAGES)))
+            for start in (0, 3, 17, 29):
+                service.update("g", UpdateBatch().insert_edge(
+                    start, start + 1, 1.0))
+                service.query("g", "bfs", params={"start": start})
             stats = service.stats()["databases"]["g"]["shared_cache"]
             service.drain()
             return stats
@@ -269,15 +270,16 @@ class TestGracefulShutdown:
         store = service._entry("g").db._base
         mid_run = threading.Event()
         resume = threading.Event()
-        parse = store._parse_page
+        scan = store.topology_arrays
 
-        def blocking_parse(page_id):
+        def blocking_scan():
             mid_run.set()
             assert resume.wait(timeout=30)
-            return parse(page_id)
+            return scan()
 
-        store._parse_page = blocking_parse
-        algorithm, params, options = WORKLOADS[1]  # paged bfs
+        # The plan build is the run's one read of the store.
+        store.topology_arrays = blocking_scan
+        algorithm, params, options = WORKLOADS[1]
         future = service.submit(QueryRequest(
             "g", algorithm, params=params, options=options))
         assert mid_run.wait(timeout=30)
@@ -332,7 +334,8 @@ class TestRequestValidation:
                                         params={"start": 10 ** 9}))
         # Never-known and removed knobs alike are unknown options.
         for options in ({"warp_speed": True}, {"backend": "process"},
-                        {"backend_workers": 2}):
+                        {"backend_workers": 2}, {"execution": "paged"},
+                        {"execution": "auto"}):
             with pytest.raises(ServiceError):
                 QueryRequest("g", "bfs", options=options)
         with pytest.raises(ServiceError):
@@ -372,7 +375,7 @@ class TestFaultIsolation:
         service.add_database(
             "g", db=FileBackedDatabase(db_prefix,
                                        pool_pages=POOL_PAGES))
-        algorithm, params, options = WORKLOADS[1]  # paged bfs
+        algorithm, params, options = WORKLOADS[1]
         faulted = service.query(
             "g", algorithm, params=params, options=options,
             faults={"host_corrupt_reads": {"0": 1, "2": 1}})
@@ -443,14 +446,15 @@ class TestHTTP:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 400
-        request = urllib.request.Request(
-            base + "/query",
-            data=json.dumps({"database": "g", "algorithm": "bfs",
-                             "options": {"backend": "process"}}).encode(),
-            headers={"Content-Type": "application/json"})
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request)
-        assert excinfo.value.code == 400
+        for removed in ({"backend": "process"}, {"execution": "paged"}):
+            request = urllib.request.Request(
+                base + "/query",
+                data=json.dumps({"database": "g", "algorithm": "bfs",
+                                 "options": removed}).encode(),
+                headers={"Content-Type": "application/json"})
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request)
+            assert excinfo.value.code == 400
 
     def test_draining_server_returns_503(self, server):
         server.service.drain(wait=True, timeout=30)
@@ -479,7 +483,6 @@ class TestObservability:
         assert latency["p50"] is not None
         assert latency["p99"] >= latency["p50"]
         assert stats["databases"]["g"]["plan_cache"]["builds"] >= 1
-        assert "scatter_lock" in stats["databases"]["g"]
         assert "pool_locks" in stats["databases"]["g"]
         json.dumps(stats)  # snapshot must be JSON-clean
         registry = collect_service_metrics(service)
