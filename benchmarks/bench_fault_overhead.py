@@ -16,7 +16,7 @@ Two configurations are measured with one protocol (one engine per mode,
   ``--tolerance`` (default 3%) of the baseline's best.
 * ``inert-plan`` — an *active* plan whose only entry is a device loss
   scheduled far beyond the end of the run: an injector is attached,
-  the generic fetch path is forced and every per-round loss check
+  storage reads are booked per call and every per-round loss check
   runs, but no fault ever fires.  Reported for information (this is
   the price of arming the injector, not of carrying the hooks) and
   checked for bit-identical output against ``dormant``.
@@ -25,10 +25,10 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_fault_overhead.py          # full
     PYTHONPATH=src python benchmarks/bench_fault_overhead.py --quick  # smoke
-    PYTHONPATH=src python benchmarks/bench_fault_overhead.py --baseline ''  # re-record
 
-The checked-in report is the baseline and is never overwritten by a
-run that gated against it; ``--out`` saves a report elsewhere.
+The checked-in ``BENCH_faults.json`` is the baseline: a run writes
+``BENCH_faults_fresh.json`` beside it, and replaces the baseline only
+when ``--out`` names it.
 """
 
 import argparse
@@ -49,8 +49,8 @@ from repro.graphgen import generate_rmat
 from repro.hardware.specs import scaled_workstation
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DEFAULT_OUT = os.path.join(ROOT, "BENCH_faults.json")
-DEFAULT_BASELINE = DEFAULT_OUT
+DEFAULT_BASELINE = os.path.join(ROOT, "BENCH_faults.json")
+DEFAULT_OUT = os.path.join(ROOT, "BENCH_faults_fresh.json")
 DEFAULT_HISTORY = os.path.join(ROOT, "BENCH_history.jsonl")
 
 #: Active plan that never fires: one GPU loss a simulated week away.
@@ -101,18 +101,11 @@ def load_baseline(path, mode):
         return None
 
 
-def write_report(report, out, baseline):
-    """Write ``report`` to ``out`` -- unless ``out`` is the existing
-    baseline file, which stays read-only: a run that passes within the
-    tolerance must not become the next run's reference, or slow
-    regressions ratchet through the gate (and a ``--quick`` smoke must
-    not replace the full figure).  Re-record a baseline on purpose with
-    ``--baseline ''``: the run gates against itself and is written."""
-    if os.path.exists(out) and os.path.abspath(out) == os.path.abspath(
-            baseline):
-        print("kept %s: it is the baseline (--out elsewhere to save "
-              "this report, --baseline '' to re-record it)" % out)
-        return
+def write_report(report, out):
+    """Write ``report`` to ``out``.  The default ``out`` is not the
+    baseline: a run that passes within the tolerance must not become
+    the next run's reference, or slow regressions ratchet through the
+    gate (and a ``--quick`` smoke must not replace the full figure)."""
     with open(out, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=False)
         handle.write("\n")
@@ -132,9 +125,10 @@ def main(argv=None):
                              "config vs the baseline (default 0.03)")
     parser.add_argument("--baseline", default=DEFAULT_BASELINE,
                         help="full report of this script to gate against "
-                             "(read-only; '' gates against this run and "
-                             "lets --out re-record it)")
-    parser.add_argument("--out", default=DEFAULT_OUT)
+                             "('' gates against this run)")
+    parser.add_argument("--out", default=DEFAULT_OUT,
+                        help="where the report goes (default: a fresh "
+                             "file beside the baseline)")
     parser.add_argument("--history", default=DEFAULT_HISTORY,
                         metavar="JSONL",
                         help="append a schema-versioned record to this "
@@ -230,7 +224,7 @@ def main(argv=None):
             inert_result.fault_stats["faults_injected"],
         "gate_passed": bool(gate_passed),
     }
-    write_report(report, args.out, args.baseline)
+    write_report(report, args.out)
     if args.history:
         from repro.obs.history import append_history
         append_history(

@@ -31,10 +31,10 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_host_profile.py          # full
     PYTHONPATH=src python benchmarks/bench_host_profile.py --quick  # smoke
-    PYTHONPATH=src python benchmarks/bench_host_profile.py --baseline ''  # re-record
 
-The checked-in report is the baseline and is never overwritten by a
-run that gated against it; ``--out`` saves a report elsewhere.
+The checked-in ``BENCH_host_profile.json`` is the baseline: a run writes
+``BENCH_host_profile_fresh.json`` beside it, and replaces the baseline only
+when ``--out`` names it.
 """
 
 import argparse
@@ -56,8 +56,8 @@ from repro.graphgen import generate_rmat
 from repro.hardware.specs import scaled_workstation
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DEFAULT_OUT = os.path.join(ROOT, "BENCH_host_profile.json")
-DEFAULT_BASELINE = DEFAULT_OUT
+DEFAULT_BASELINE = os.path.join(ROOT, "BENCH_host_profile.json")
+DEFAULT_OUT = os.path.join(ROOT, "BENCH_host_profile_fresh.json")
 DEFAULT_HISTORY = os.path.join(ROOT, "BENCH_history.jsonl")
 
 
@@ -91,9 +91,10 @@ def main(argv=None):
                              "clock inside top-level phases")
     parser.add_argument("--baseline", default=DEFAULT_BASELINE,
                         help="full report of this script to gate against "
-                             "(read-only; '' gates against this run and "
-                             "lets --out re-record it)")
-    parser.add_argument("--out", default=DEFAULT_OUT)
+                             "('' gates against this run)")
+    parser.add_argument("--out", default=DEFAULT_OUT,
+                        help="where the report goes (default: a fresh "
+                             "file beside the baseline)")
     parser.add_argument("--flamegraph", default=None, metavar="PATH",
                         help="write the last profiled run's collapsed-"
                              "stack flamegraph here")
@@ -207,7 +208,7 @@ def main(argv=None):
         "profile": profile.to_dict(),
         "gate_passed": bool(gate_passed),
     }
-    write_report(report, args.out, args.baseline)
+    write_report(report, args.out)
     if args.flamegraph:
         from repro.obs.host import write_flamegraph
         write_flamegraph(profile, args.flamegraph)

@@ -158,11 +158,6 @@ def build_parser():
         sub.add_argument("--micro", choices=("edge", "vertex", "hybrid"),
                          default="edge")
         sub.add_argument("--no-cache", action="store_true")
-        sub.add_argument("--io-merge", action="store_true",
-                         help="coalesce adjacent page misses per round "
-                              "into ranged storage fetches; changes the "
-                              "simulated I/O plan (latency amortised "
-                              "across the run), so off by default")
         sub.add_argument("--page-size", type=int, default=2 * KB)
         sub.add_argument("--faults", default=None, metavar="PLAN.json",
                          help="inject faults from a JSON FaultPlan "
@@ -424,9 +419,6 @@ def build_parser():
                        default=None)
     query.add_argument("--streams", type=int, default=None)
     query.add_argument("--gpus", type=int, default=None)
-    query.add_argument("--io-merge", action="store_true",
-                       help="coalesce adjacent page misses into ranged "
-                            "fetches for this query")
     query.add_argument("--query-id", default=None,
                        help="tag for traces/metrics (default: "
                             "server-assigned)")
@@ -522,7 +514,6 @@ def _execute_run(args, tracing=False):
                        micro_technique=args.micro,
                        enable_caching=not args.no_cache,
                        tracing=tracing,
-                       io_merge=getattr(args, "io_merge", False),
                        faults=faults,
                        fault_seed=getattr(args, "fault_seed", None),
                        host_profile=profiler if profiler is not None
@@ -1005,8 +996,6 @@ def _command_query(args):
         options["num_streams"] = args.streams
     if args.gpus is not None:
         options["num_gpus"] = args.gpus
-    if args.io_merge:
-        options["io_merge"] = True
     if args.timeout_ms is not None:
         options["timeout_ms"] = args.timeout_ms
     try:

@@ -39,7 +39,7 @@ from repro.core.result import RoundStats, RunResult
 from repro.core.strategies import make_strategy
 from repro.core.streams import StreamScheduler
 from repro.errors import (CapacityError, ConfigurationError,
-                          DeadlineError, DeviceLostError, SimulationError)
+                          DeadlineError, DeviceLostError)
 from repro.faults import FaultInjector, FaultPlan, RetryPolicy
 from repro.hardware.machine import MachineRuntime
 
@@ -120,15 +120,6 @@ class GTSEngine:
         warm hits skip disk reads and parses, while simulated timings
         and outputs stay bit-identical to uncached runs; the run books
         its ``shared_hits`` / ``shared_misses`` deltas into the result.
-    io_merge:
-        ``True`` models FlashGraph-style merged ranged I/O: every page a
-        round touches is made main-memory-resident up front, with runs
-        of adjacent pages per device booked as single ranged fetches
-        (:meth:`~repro.hardware.StorageArray.fetch_range`).  This
-        changes only the *simulated* I/O model (fewer, larger storage
-        bookings), so it defaults to off.  Fault-injected and
-        fully-preloaded runs skip the merge (per-read injection
-        semantics and the paper's in-memory path are preserved).
     """
 
     def __init__(self, db, machine, strategy="performance", num_streams=16,
@@ -137,7 +128,7 @@ class GTSEngine:
                  mm_buffer_bytes=None, tracing=False,
                  validate_simulation=False, faults=None, fault_seed=None,
                  retry_policy=None, host_profile=False, plan_cache=None,
-                 shared_cache=None, io_merge=False):
+                 shared_cache=None):
         if num_streams < 1:
             raise ConfigurationError("need at least one stream")
         if faults is not None and not isinstance(faults, FaultPlan):
@@ -161,7 +152,6 @@ class GTSEngine:
         self.tracing = tracing or validate_simulation
         self.host_profile = host_profile
         self.shared_cache = shared_cache
-        self.io_merge = bool(io_merge)
         self._plan_cache = (plan_cache if plan_cache is not None
                             else RoundPlanCache())
         self._lp_runs = self._index_large_page_runs()
@@ -504,21 +494,14 @@ class GTSEngine:
             runtime.mm_buffer.preload(range(db.num_pages))
             preloaded = True
 
-        # Merged ranged I/O applies when rounds actually hit storage and
-        # no fault injector needs per-read injection points.
-        io_merge_active = (self.io_merge and not preloaded
-                           and injector is None
-                           and runtime.storage is not None)
         # Step 1: copy WA chunks to the GPUs.
         wa_ready = self.strategy.book_wa_broadcast(runtime, wa_total)
         if hp is not None:
             hp.pop()  # setup
 
         rounds = []
-        scheduler = StreamScheduler(runtime, fault_injector=injector,
-                                    host_profiler=hp)
+        scheduler = StreamScheduler(runtime, fault_injector=injector)
         total_edges = 0
-        fetch_ready = {}
         full_assignments = None
         dead_gpus = set()
 
@@ -559,11 +542,7 @@ class GTSEngine:
             # nextPIDSet is a page bitmap; the round's kernels OR into it.
             next_pages = (np.zeros(db.num_pages, dtype=bool)
                           if kernel.traversal else None)
-            fetch_ready.clear()
             round_start = runtime.now
-            fetch = self._make_fetch(runtime, fetch_ready, round_start,
-                                     stats, host_profiler=hp,
-                                     force_generic=io_merge_active)
             if injector is not None:
                 injector.begin_round(round_index)
                 if injector.plan.gpu_loss and self._absorb_gpu_losses(
@@ -583,10 +562,6 @@ class GTSEngine:
             else:
                 assignments = self._round_assignments(
                     pids_round, runtime, dead_gpus)
-            if io_merge_active:
-                self._merge_round_io(runtime, pids_round, assignments,
-                                     caches, fetch_ready, round_start,
-                                     stats)
             if hp is not None:
                 hp.push("gather")
                 batch = plan_arrays.round_batch(pids_round)
@@ -606,10 +581,14 @@ class GTSEngine:
                 next_pages[work.next_pids] = True
             # The scheduler books the round: per call, with injection
             # and retry, if a fault fires in it; in bulk otherwise.
+            if hp is not None:
+                hp.push("dispatch")
             scheduler.dispatch_round(
                 pids_round, assignments, copy_bytes_all[pids_round],
                 work.lane_steps, kernel.cycles_per_lane_step, caches,
-                wa_ready, round_start, fetch, stats)
+                wa_ready, round_start, stats)
+            if hp is not None:
+                hp.pop()  # dispatch
 
             # Lines 27-30: barrier, WA sync, nextPIDSet merge.
             if hp is not None:
@@ -687,8 +666,6 @@ class GTSEngine:
                                runtime.storage.pages_fetched)
                 hp.add_counter("io.sim_bytes_read",
                                runtime.storage.bytes_read)
-                hp.add_counter("io.sim_adjacent_fetches",
-                               runtime.storage.adjacent_fetches)
             # An engine-created profiler is finished here (releasing
             # tracemalloc); an externally-owned one is snapshotted
             # non-destructively so its owner can keep measuring.
@@ -740,203 +717,3 @@ class GTSEngine:
             query_id=query_id,
             snapshot_version=getattr(db, "topology_version", 0),
         )
-
-    # ------------------------------------------------------------------
-    def _merge_round_io(self, runtime, pids_round, assignments, caches,
-                        fetch_ready, round_start, stats):
-        """Issue the round's storage misses as merged ranged reads.
-
-        The lazy fetch path reads one page per :meth:`StorageArray.fetch`
-        command; with ``io_merge`` the engine resolves the round's I/O
-        plan up front — every page some assigned GPU will actually have
-        to stream and the MM buffer does not hold — and books it through
-        :meth:`StorageArray.fetch_range`, which coalesces adjacent pages
-        per device into single ranged commands.  Ready times land in
-        ``fetch_ready``, which the per-round fetch closure consults
-        first, so dispatch proceeds unchanged.
-
-        The predicted miss set is exact for pages absent from a GPU
-        cache at round start (a page is probed once per round, so
-        nothing can admit it earlier); a page evicted between this scan
-        and its probe simply falls back to a lazy single-page fetch.
-        """
-        mm_buffer = runtime.mm_buffer
-        misses = []
-        for pid, gpus in zip(pids_round.tolist(), assignments):
-            if all(pid in caches[g] for g in gpus):
-                continue
-            if mm_buffer.lookup(pid, ts=round_start):
-                stats.pages_from_buffer += 1
-                fetch_ready[pid] = round_start
-            else:
-                stats.pages_from_storage += 1
-                misses.append(pid)
-        if not misses:
-            return
-        times = runtime.storage.fetch_range(
-            misses, self.db.page_bytes(), round_start)
-        for pid in misses:
-            mm_buffer.admit(pid)
-            fetch_ready[pid] = times[pid][1]
-
-    def _fetch(self, runtime, fetch_ready, pid, round_start, stats):
-        """Make a page available in main memory; returns its ready time.
-
-        Memoised per round so Strategy-S's replicated dispatch fetches a
-        page from storage only once (both GPUs then copy it from MMBuf).
-        """
-        if pid in fetch_ready:
-            return fetch_ready[pid]
-        if runtime.mm_buffer.lookup(pid, ts=round_start):
-            stats.pages_from_buffer += 1
-            ready = round_start
-        else:
-            stats.pages_from_storage += 1
-            _, ready = runtime.storage.fetch(
-                pid, self.db.page_bytes(pid), round_start)
-            runtime.mm_buffer.admit(pid)
-        fetch_ready[pid] = ready
-        return ready
-
-    def _make_fetch(self, runtime, fetch_ready, round_start, stats,
-                    host_profiler=None, force_generic=False):
-        """Build one round's ``fetch(pid) -> ready time`` closure.
-
-        Untraced runs with the default pinned MM buffer get an inlined
-        variant of :meth:`_fetch` — the same lookups, channel bookings
-        and counters without the per-page method-call chain, so a round
-        that misses the buffer thousands of times does not pay Python
-        dispatch for every miss.  Traced, LRU-buffered, fault-injected
-        or host-profiled runs (and machines without storage) use the
-        generic method, whose :meth:`StorageArray.fetch` call is where
-        SSD fault injection and adjacent-fetch accounting live.  Both
-        variants book identical simulated times.
-        """
-        # ``force_generic`` (io_merge rounds): the inlined closure's
-        # ``bulk_ready`` replays misses against storage without checking
-        # ``fetch_ready`` first, which would double-book reads the merge
-        # pass already issued — the generic method honours the memo.
-        if (force_generic
-                or runtime.recorder is not None or runtime.storage is None
-                or runtime.storage.fault_injector is not None
-                or host_profiler is not None
-                or runtime.mm_buffer.policy != "pin"):
-            return lambda pid: self._fetch(runtime, fetch_ready, pid,
-                                           round_start, stats)
-        mm_buffer = runtime.mm_buffer
-        mm_pages = mm_buffer._pages
-        mm_capacity = mm_buffer.capacity_pages
-        storage = runtime.storage
-        hash_function = storage._hash
-        default_striping = getattr(storage, "default_striping", False)
-        specs = storage.specs
-        channels = storage.channels
-        num_devices = len(specs)
-        page_bytes = self.db.page_bytes
-        read_times = {}
-
-        def fetch(pid):
-            ready = fetch_ready.get(pid)
-            if ready is not None:
-                return ready
-            if pid in mm_pages:
-                mm_buffer.hits += 1
-                stats.pages_from_buffer += 1
-                ready = round_start
-            else:
-                mm_buffer.misses += 1
-                stats.pages_from_storage += 1
-                if default_striping:
-                    device = pid % num_devices
-                else:
-                    device = hash_function(pid)
-                    if device < 0 or device >= num_devices:
-                        raise SimulationError(
-                            "hash function returned bad device index")
-                num_bytes = page_bytes(pid)
-                key = (device, num_bytes)
-                duration = read_times.get(key)
-                if duration is None:
-                    duration = specs[device].read_time(num_bytes)
-                    read_times[key] = duration
-                channel = channels[device]
-                available = channel.available_at
-                start = (round_start if round_start > available
-                         else available)
-                ready = start + duration
-                channel.available_at = ready
-                channel.busy_time += duration
-                channel.num_activities += 1
-                storage.bytes_read += num_bytes
-                storage.pages_fetched += 1
-                # MM-buffer admit, pin policy: pages past capacity pass
-                # through unbuffered.
-                if mm_capacity and len(mm_pages) < mm_capacity:
-                    mm_pages[pid] = None
-            fetch_ready[pid] = ready
-            return ready
-
-        num_bytes = page_bytes()  # all pages are fixed-size
-        durations = [spec.read_time(num_bytes) for spec in specs]
-        num_db_pages = self.db.num_pages
-
-        def bulk_ready(miss_pids):
-            """Vectorized replay of ``fetch`` over one round's first-miss
-            pages, given in page (dispatch) order.
-
-            Returns their ready times as a float64 array, or ``None``
-            when the closed form doesn't apply.  It applies when the
-            pinned buffer is in steady state (at capacity, so admits are
-            no-ops and the resident set is frozen) and pages stripe with
-            the default mod function: each channel then books its misses
-            back to back, ``end_i = max(seed, end_{i-1}) + duration``
-            with a constant duration, which ``np.add.accumulate``
-            reproduces with the exact floating-point fold of the
-            per-call loop.
-            """
-            if not default_striping:
-                return None
-            if mm_capacity and len(mm_pages) < mm_capacity:
-                return None  # still filling: admits would shift residency
-            miss_pids = np.asarray(miss_pids, dtype=np.int64)
-            resident = np.zeros(num_db_pages, dtype=bool)
-            if mm_pages:
-                resident[np.fromiter(mm_pages, dtype=np.int64,
-                                     count=len(mm_pages))] = True
-            in_buffer = resident[miss_pids]
-            storage_pids = miss_pids[~in_buffer]
-            buffered = len(miss_pids) - len(storage_pids)
-            mm_buffer.hits += buffered
-            mm_buffer.misses += len(storage_pids)
-            stats.pages_from_buffer += buffered
-            stats.pages_from_storage += len(storage_pids)
-            ready = np.full(len(miss_pids), round_start, dtype=np.float64)
-            if len(storage_pids):
-                devices = storage_pids % num_devices
-                ends_all = np.empty(len(storage_pids), dtype=np.float64)
-                for device in range(num_devices):
-                    selected = devices == device
-                    count = int(selected.sum())
-                    if not count:
-                        continue
-                    channel = channels[device]
-                    duration = durations[device]
-                    available = channel.available_at
-                    chain = np.full(count + 1, duration, dtype=np.float64)
-                    chain[0] = (round_start if round_start > available
-                                else available)
-                    ends = np.add.accumulate(chain)[1:]
-                    ends_all[selected] = ends
-                    channel.available_at = float(ends[-1])
-                    chain[0] = channel.busy_time
-                    channel.busy_time = float(
-                        np.add.accumulate(chain)[-1])
-                    channel.num_activities += count
-                storage.bytes_read += num_bytes * len(storage_pids)
-                storage.pages_fetched += len(storage_pids)
-                ready[~in_buffer] = ends_all
-            fetch_ready.update(zip(miss_pids.tolist(), ready.tolist()))
-            return ready
-
-        fetch.bulk_ready = bulk_ready
-        return fetch

@@ -10,7 +10,8 @@ exactly that booking logic, so the engine's round loop stays about
 
 import numpy as np
 
-from repro.errors import ConfigurationError, RetryExhaustedError
+from repro.errors import (ConfigurationError, RetryExhaustedError,
+                          SimulationError)
 
 
 class StreamScheduler:
@@ -27,13 +28,12 @@ class StreamScheduler:
         by retry + backoff booked on the copy engine) and stream stalls
         (a fixed kernel-launch delay), and :meth:`dispatch_round`
         books any round a fault fires in through those per-call
-        methods; ``None`` keeps the fault-free fast path untouched.
+        methods; with ``None`` no round is.
     """
 
-    def __init__(self, runtime, fault_injector=None, host_profiler=None):
+    def __init__(self, runtime, fault_injector=None):
         self.runtime = runtime
         self.fault_injector = fault_injector
-        self.host_profiler = host_profiler
         self._dispatch_count = [0] * runtime.num_gpus
 
     def _next_slot(self, gpu):
@@ -139,52 +139,36 @@ class StreamScheduler:
 
     def dispatch_round(self, page_ids, assignments, copy_bytes, lane_steps,
                        cycles_per_lane_step, caches, wa_ready, round_start,
-                       fetch, stats):
+                       stats):
         """Book a whole round of pages from precomputed per-page arrays.
 
         ``assignments`` is the strategy's per-page GPU tuple list,
         ``copy_bytes`` / ``lane_steps`` are arrays aligned with
         ``page_ids`` (which must be duplicate-free — the engine's rounds
-        are deduped), ``fetch(pid)`` resolves a page's main-memory ready
-        time, and ``stats`` is the round's :class:`RoundStats`.  Cache
-        lookups and admits are resolved in bulk per GPU first (their
-        decisions are time-independent); the booking loop then replays
-        pages page-major, GPU inner.
+        are deduped) and ``stats`` is the round's :class:`RoundStats`.
+        Cache lookups and admits are resolved in bulk per GPU first
+        (their decisions are time-independent).
 
-        *Which* loop books the round is decided here.  A round in which
-        the injector's :meth:`~repro.faults.FaultInjector.round_faulted`
-        probe fires — and any traced round — is booked per call through
-        :meth:`dispatch_cached` / :meth:`dispatch_streamed`, where
-        copy-fault retry, backoff, stalls and trace intervals live; the
-        faulted round is counted in ``fault_stats["fallback_rounds"]``
-        and marked by a ``fallback`` trace instant.  Every other round
-        takes an inlined loop that performs the same float operations
-        in the same order, so every stateful timeline (copy engines,
-        stream slots, MM buffer, storage channels) books the same
-        intervals and the simulated clock comes out bit-identical.
+        There are two ways to book, chosen by one observation.  A round
+        in which the injector's
+        :meth:`~repro.faults.FaultInjector.round_faulted` probe fires is
+        booked per call through :meth:`dispatch_cached` /
+        :meth:`dispatch_streamed`, page-major with each page made
+        main-memory ready as it is reached — copy-fault retry, backoff
+        and stalls live there; it is counted in
+        ``fault_stats["fallback_rounds"]`` and marked by a ``fallback``
+        trace instant.  Every other round — traced, profiled, validated
+        or bare — has its missed pages made ready first
+        (:meth:`~repro.hardware.machine.MachineRuntime.page_ready`) and
+        is booked by :meth:`_book_round`, which performs the per-call
+        float operations in the per-call order on each timeline, so the
+        simulated clock comes out bit-identical.
         """
-        if self.host_profiler is not None:
-            self.host_profiler.push("dispatch")
-            try:
-                return self._dispatch_round(
-                    page_ids, assignments, copy_bytes, lane_steps,
-                    cycles_per_lane_step, caches, wa_ready, round_start,
-                    fetch, stats)
-            finally:
-                self.host_profiler.pop()
-        return self._dispatch_round(
-            page_ids, assignments, copy_bytes, lane_steps,
-            cycles_per_lane_step, caches, wa_ready, round_start, fetch,
-            stats)
-
-    def _dispatch_round(self, page_ids, assignments, copy_bytes,
-                        lane_steps, cycles_per_lane_step, caches,
-                        wa_ready, round_start, fetch, stats):
         runtime = self.runtime
         num_gpus = runtime.num_gpus
         earliest = [max(round_start, wa_ready[g]) for g in range(num_gpus)]
-        pids = (page_ids.tolist() if hasattr(page_ids, "tolist")
-                else [int(pid) for pid in page_ids])
+        page_ids = np.asarray(page_ids, dtype=np.int64)
+        pids = page_ids.tolist()
         sequences = [[] for _ in range(num_gpus)]
         for j, gpus in enumerate(assignments):
             for g in gpus:
@@ -197,100 +181,101 @@ class StreamScheduler:
         steps_arr = np.asarray(lane_steps, dtype=np.float64)
         bytes_arr = np.asarray(copy_bytes, dtype=np.float64)
         injector = self.fault_injector
-        faulted = (injector is not None
-                   and injector.round_faulted(page_ids, assignments))
-        if faulted:
+        if (injector is not None
+                and injector.round_faulted(page_ids, assignments)):
             injector.note_fallback()
             if runtime.recorder is not None:
                 runtime.recorder.instant(
                     "fallback", "engine", "rounds", round_start,
                     round=stats.round_index)
-        if (not faulted and runtime.recorder is None
-                and not runtime.tracing):
-            page_ready, per_page_fetch = self._resolve_fetches(
-                pids, sequences, hit_lists, fetch)
-            if per_page_fetch:
-                hits = [dict(zip(seq, hit_list))
-                        for seq, hit_list in zip(sequences, hit_lists)]
-                self._book_round_paged_order(
-                    pids, assignments, bytes_arr, steps_arr,
-                    cycles_per_lane_step, hits, earliest, wa_ready,
-                    fetch, stats)
-            else:
-                self._book_round_fast(
-                    pids, sequences, hit_lists, bytes_arr, steps_arr,
-                    cycles_per_lane_step, earliest, wa_ready, page_ready,
-                    stats)
+            self._book_round_per_call(
+                pids, assignments, sequences, hit_lists,
+                bytes_arr.astype(np.int64).tolist(), steps_arr.tolist(),
+                cycles_per_lane_step, earliest, wa_ready, round_start,
+                stats)
             return
+        # The per-call methods validate each booking; this loop checks
+        # the round once and raises the same typed errors.
+        if pids and bytes_arr.min() < 0:
+            raise ConfigurationError("copy_bytes cannot be negative")
+        if pids and (steps_arr * cycles_per_lane_step).min() < 0:
+            raise SimulationError("negative kernel duration in round %d"
+                                  % stats.round_index)
+        missed = np.zeros(len(pids), dtype=bool)
+        for seq, hit_list in zip(sequences, hit_lists):
+            if seq:
+                seq_arr = np.asarray(seq, dtype=np.int64)
+                missed[seq_arr[~np.asarray(hit_list, dtype=bool)]] = True
+        ready_at = None
+        if missed.any():
+            # First cache miss on any GPU, in page order: exactly the
+            # sequence the per-call path makes ready.
+            ready, from_buffer, from_storage = runtime.page_ready(
+                page_ids[missed], round_start)
+            stats.pages_from_buffer += from_buffer
+            stats.pages_from_storage += from_storage
+            ready_at = np.zeros(len(pids), dtype=np.float64)
+            ready_at[missed] = ready
+            ready_at = ready_at.tolist()
+        self._book_round(pids, sequences, hit_lists, bytes_arr, steps_arr,
+                         cycles_per_lane_step, earliest, wa_ready,
+                         ready_at, stats)
+
+    def _book_round_per_call(self, pids, assignments, sequences, hit_lists,
+                             copy_bytes, lane_steps, cycles_per_lane_step,
+                             earliest, wa_ready, round_start, stats):
+        """A faulted round: page-major, GPU inner, one public dispatch
+        call per booking, a page made ready when its first miss is
+        reached (once per round: Strategy-S's second GPU copies it from
+        MMBuf)."""
         hits = [dict(zip(seq, hit_list))
                 for seq, hit_list in zip(sequences, hit_lists)]
-        copy_bytes = [int(b) for b in copy_bytes]
-        lane_steps = [float(s) for s in lane_steps]
+        ready_memo = {}
         for j, pid in enumerate(pids):
-            steps = lane_steps[j]
             for g in assignments[j]:
                 if hits[g][j]:
                     stats.pages_from_cache += 1
                     self.dispatch_cached(
-                        g, earliest[g], steps, cycles_per_lane_step,
-                        page_id=pid)
-                else:
-                    ready = fetch(pid)
-                    stats.bytes_streamed += copy_bytes[j]
-                    self.dispatch_streamed(
-                        g, max(ready, wa_ready[g]), copy_bytes[j],
-                        steps, cycles_per_lane_step, page_id=pid)
+                        g, earliest[g], lane_steps[j],
+                        cycles_per_lane_step, page_id=pid)
+                    continue
+                ready = ready_memo.get(pid)
+                if ready is None:
+                    (ready,), from_buffer, from_storage = (
+                        self.runtime.page_ready([pid], round_start))
+                    stats.pages_from_buffer += from_buffer
+                    stats.pages_from_storage += from_storage
+                    ready_memo[pid] = ready = float(ready)
+                stats.bytes_streamed += copy_bytes[j]
+                self.dispatch_streamed(
+                    g, max(ready, wa_ready[g]), copy_bytes[j],
+                    lane_steps[j], cycles_per_lane_step, page_id=pid)
 
-    def _resolve_fetches(self, pids, sequences, hit_lists, fetch):
-        """Resolve every cache-missed page's main-memory ready time in
-        bulk, when the engine's fetch closure supports it.
+    def _book_round(self, pids, sequences, hit_lists, bytes_arr, steps_arr,
+                    cycles_per_lane_step, earliest, wa_ready, ready_at,
+                    stats):
+        """GPU-major inlined booking of a round whose missed pages are
+        already main-memory ready (at ``ready_at[j]``).
 
-        Returns ``(page_ready, per_page_fetch)``: a per-page list of
-        ready times (entries for cache-hit pages are meaningless) with
-        ``per_page_fetch=False``, or ``(None, False)`` when no page
-        misses at all, or ``(None, True)`` when misses exist but the
-        closure cannot resolve them in bulk.  The set of pages needing a
-        fetch — first cache miss on any GPU, in page order — is exactly
-        the sequence the per-call path would fetch, so the bulk replay
-        books the storage channels identically.
-        """
-        miss_any = np.zeros(len(pids), dtype=bool)
-        for seq, hit_list in zip(sequences, hit_lists):
-            if seq:
-                seq_arr = np.asarray(seq, dtype=np.int64)
-                miss_any[seq_arr[~np.asarray(hit_list, dtype=bool)]] = True
-        positions = np.nonzero(miss_any)[0]
-        if not len(positions):
-            return None, False
-        bulk = getattr(fetch, "bulk_ready", None)
-        if bulk is None:
-            return None, True
-        readies = bulk(np.asarray(pids, dtype=np.int64)[positions])
-        if readies is None:
-            return None, True
-        page_ready = np.zeros(len(pids), dtype=np.float64)
-        page_ready[positions] = readies
-        return page_ready.tolist(), False
-
-    def _book_round_fast(self, pids, sequences, hit_lists, bytes_arr,
-                         steps_arr, cycles_per_lane_step, earliest,
-                         wa_ready, page_ready, stats):
-        """GPU-major inlined booking for untraced rounds whose misses
-        were all resolved up front.
-
-        Once every miss's main-memory ready time is known, the per-GPU
-        timelines (copy engine, compute capacity, stream slots) share no
-        state across GPUs, so each GPU's bookings replay in one tight
-        loop over plain locals.  Within a GPU the pages keep their
-        page-major order, so the floating-point operations happen in
-        exactly the per-call path's sequence and the simulated clock
-        comes out bit-identical; per-page durations are precomputed with
-        the same elementwise arithmetic the per-call helpers use.
+        With readiness known, the per-GPU timelines (copy engine,
+        compute capacity, stream slots) share no state across GPUs, so
+        each GPU's bookings replay in one tight loop over plain locals.
+        Within a GPU the pages keep their page-major order, so the
+        floating-point operations happen in exactly the sequence of
+        :meth:`dispatch_cached` / :meth:`dispatch_streamed` /
+        ``GPURuntime.book_kernel`` / ``Resource.book`` and the simulated
+        clock comes out bit-identical; per-page durations are
+        precomputed with the same elementwise arithmetic those helpers
+        use.  A traced run records the same ``Resource.events`` and
+        emits the same ``h2d_copy`` / ``kernel`` intervals from here.
         """
         runtime = self.runtime
         pcie = runtime.pcie
+        recorder = runtime.recorder
+        traced = runtime.tracing or recorder is not None
         ct_all = (pcie.latency + bytes_arr / pcie.stream_bandwidth).tolist()
         bytes_list = bytes_arr.astype(np.int64).tolist()
+        steps_list = steps_arr.tolist() if traced else None
         from_cache = 0
         bytes_streamed = 0
         for g, gpu in enumerate(runtime.gpus):
@@ -335,7 +320,7 @@ class StreamScheduler:
                     from_cache += 1
                     kernel_earliest = early if early > sa else sa
                 else:
-                    ready = page_ready[j]
+                    ready = ready_at[j]
                     rt = ready if ready > wa else wa
                     copy_earliest = rt if rt > sa else sa
                     copy_start = (copy_earliest
@@ -349,6 +334,13 @@ class StreamScheduler:
                     gbytes += cb
                     bytes_streamed += cb
                     kernel_earliest = copy_end
+                    if traced:
+                        if ce.events is not None:
+                            ce.events.append((copy_start, copy_end))
+                        if recorder is not None:
+                            recorder.interval(
+                                "h2d_copy", gpu.lane, "copy engine",
+                                copy_start, copy_end, bytes=cb)
                 # book_kernel: device-capacity booking, then the stream
                 # slot, then both timelines advance to the later end.
                 cap_start = (kernel_earliest
@@ -366,6 +358,15 @@ class StreamScheduler:
                 k_inv += 1
                 k_busy += dd
                 k_stream += sd
+                if traced:
+                    slot = slots[si]
+                    if slot.events is not None:
+                        slot.events.append((stream_start, stream_end))
+                    if recorder is not None:
+                        recorder.interval(
+                            "kernel", gpu.lane, slot.name.split(":")[-1],
+                            stream_start, stream_end,
+                            lane_steps=steps_list[j])
             ce.available_at = ce_avail
             ce.busy_time = ce_busy
             ce.num_activities = ce_n
@@ -382,139 +383,6 @@ class StreamScheduler:
             gpu.kernel_busy_time = k_busy
             gpu.kernel_stream_time = k_stream
             gpu.bytes_received = gbytes
-        stats.pages_from_cache += from_cache
-        stats.bytes_streamed += bytes_streamed
-
-    def _book_round_paged_order(self, pids, assignments, bytes_arr,
-                                steps_arr, cycles_per_lane_step, hits,
-                                earliest, wa_ready, fetch, stats):
-        """Inlined booking loop for untraced runs whose misses still need
-        a per-page ``fetch`` callback (non-bulk closures).
-
-        This performs exactly the arithmetic of :meth:`dispatch_cached` /
-        :meth:`dispatch_streamed` / ``GPURuntime.book_kernel`` /
-        ``Resource.book``, in exactly the same order — page-major, GPU
-        inner, so ``fetch`` fires in the per-call sequence — but with all
-        timeline state hoisted into per-GPU dicts so a round of tens of
-        thousands of bookings does not pay Python call overhead for each.
-        Resource and counter state is written back at the end; because the
-        sequence of floating-point operations is unchanged, every
-        ``available_at`` / ``busy_time`` comes out bit-identical to the
-        per-call path.
-        """
-        runtime = self.runtime
-        pcie = runtime.pcie
-        copy_bytes = bytes_arr.astype(np.int64).tolist()
-        lane_steps = steps_arr.tolist()
-        # Per-GPU hoisted timeline state:
-        # [copy_avail, copy_busy, copy_n, comp_avail, comp_busy, comp_n,
-        #  slot_avail, slot_busy, slot_n, stream_durs, device_durs,
-        #  n_slots, dispatch_count, kernel counters..., bytes_received]
-        gstate = []
-        for gpu in runtime.gpus:
-            spec = gpu.spec
-            stream_rate = spec.effective_hz * spec.single_stream_fraction
-            overhead = spec.kernel_launch_overhead
-            hz = spec.effective_hz
-            stream_durs = [overhead + s * cycles_per_lane_step / stream_rate
-                           for s in lane_steps]
-            device_durs = [s * cycles_per_lane_step / hz
-                           for s in lane_steps]
-            copy_times = [pcie.latency + b / pcie.stream_bandwidth
-                          for b in copy_bytes]
-            ce = gpu.copy_engine
-            comp = gpu.compute
-            slots = gpu.streams.slots
-            gstate.append({
-                "gpu": gpu,
-                "ce": ce, "ce_avail": ce.available_at,
-                "ce_busy": ce.busy_time, "ce_n": ce.num_activities,
-                "comp": comp, "comp_avail": comp.available_at,
-                "comp_busy": comp.busy_time, "comp_n": comp.num_activities,
-                "slots": slots,
-                "slot_avail": [s.available_at for s in slots],
-                "slot_busy": [s.busy_time for s in slots],
-                "slot_n": [s.num_activities for s in slots],
-                "n_slots": len(slots),
-                "dc": self._dispatch_count[gpu.index],
-                "sd": stream_durs, "dd": device_durs, "ct": copy_times,
-                "k_inv": gpu.kernel_invocations,
-                "k_busy": gpu.kernel_busy_time,
-                "k_stream": gpu.kernel_stream_time,
-                "bytes": gpu.bytes_received,
-                "early": earliest[gpu.index],
-                "wa": wa_ready[gpu.index],
-            })
-        from_cache = 0
-        bytes_streamed = 0
-        for j, pid in enumerate(pids):
-            for g in assignments[j]:
-                st = gstate[g]
-                slot_avail = st["slot_avail"]
-                si = st["dc"] % st["n_slots"]
-                st["dc"] += 1
-                sa = slot_avail[si]
-                sd = st["sd"][j]
-                dd = st["dd"][j]
-                if hits[g][j]:
-                    from_cache += 1
-                    early = st["early"]
-                    kernel_earliest = early if early > sa else sa
-                else:
-                    ready = fetch(pid)
-                    wa = st["wa"]
-                    rt = ready if ready > wa else wa
-                    copy_earliest = rt if rt > sa else sa
-                    ce_avail = st["ce_avail"]
-                    copy_start = (copy_earliest if copy_earliest > ce_avail
-                                  else ce_avail)
-                    ct = st["ct"][j]
-                    copy_end = copy_start + ct
-                    st["ce_avail"] = copy_end
-                    st["ce_busy"] += ct
-                    st["ce_n"] += 1
-                    st["bytes"] += copy_bytes[j]
-                    bytes_streamed += copy_bytes[j]
-                    kernel_earliest = copy_end
-                # book_kernel: device-capacity booking, then the stream
-                # slot, then both timelines advance to the later end.
-                comp_avail = st["comp_avail"]
-                cap_start = (kernel_earliest if kernel_earliest > comp_avail
-                             else comp_avail)
-                cap_end = cap_start + dd
-                st["comp_avail"] = cap_end
-                st["comp_busy"] += dd
-                st["comp_n"] += 1
-                stream_start = (kernel_earliest if kernel_earliest > sa
-                                else sa)
-                stream_end = stream_start + sd
-                st["slot_busy"][si] += sd
-                st["slot_n"][si] += 1
-                end = cap_end if cap_end > stream_end else stream_end
-                slot_avail[si] = end
-                st["k_inv"] += 1
-                st["k_busy"] += dd
-                st["k_stream"] += sd
-        for st in gstate:
-            gpu = st["gpu"]
-            ce = st["ce"]
-            ce.available_at = st["ce_avail"]
-            ce.busy_time = st["ce_busy"]
-            ce.num_activities = st["ce_n"]
-            comp = st["comp"]
-            comp.available_at = st["comp_avail"]
-            comp.busy_time = st["comp_busy"]
-            comp.num_activities = st["comp_n"]
-            for slot, avail, busy, n in zip(st["slots"], st["slot_avail"],
-                                            st["slot_busy"], st["slot_n"]):
-                slot.available_at = avail
-                slot.busy_time = busy
-                slot.num_activities = n
-            self._dispatch_count[gpu.index] = st["dc"]
-            gpu.kernel_invocations = st["k_inv"]
-            gpu.kernel_busy_time = st["k_busy"]
-            gpu.kernel_stream_time = st["k_stream"]
-            gpu.bytes_received = st["bytes"]
         stats.pages_from_cache += from_cache
         stats.bytes_streamed += bytes_streamed
 

@@ -6,6 +6,8 @@ timelines per GPU, storage channels, the main-memory buffer — plus the
 counters the result object reports.
 """
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.hardware.clock import Resource, SlotPool
 from repro.hardware.memory import MainMemoryBuffer
@@ -123,11 +125,12 @@ class MachineRuntime:
                      for i, gpu_spec in enumerate(spec.gpus)]
         self.storage = (StorageArray(spec.storages, recorder=recorder)
                         if spec.storages else None)
-        page_bytes = page_bytes or 1
+        #: On-storage size of one topology page (pages are fixed-size).
+        self.page_bytes = page_bytes or 1
         buffer_bytes = (mm_buffer_bytes if mm_buffer_bytes is not None
                         else spec.main_memory)
         buffer_bytes = min(buffer_bytes, spec.main_memory)
-        self.mm_buffer = MainMemoryBuffer(buffer_bytes, page_bytes,
+        self.mm_buffer = MainMemoryBuffer(buffer_bytes, self.page_bytes,
                                           recorder=recorder)
         #: Serialized host-side staging: copies of WA back to main memory.
         self.host_bus = Resource("host:bus")
@@ -136,6 +139,29 @@ class MachineRuntime:
     @property
     def num_gpus(self):
         return len(self.gpus)
+
+    def page_ready(self, page_ids, round_start):
+        """Make a round's pages main-memory ready (Algorithm 1 lines
+        18-19 / 23-24); returns ``(ready, from_buffer, from_storage)``.
+
+        ``page_ids`` are the distinct pages some GPU has to stream this
+        round, in dispatch order.  A page MMBuf holds is ready at
+        ``round_start``; any other is read from its storage device,
+        queued behind that channel's earlier reads, and then admitted.
+        Readiness depends only on channel and buffer state — never on a
+        GPU timeline — so a round resolves it before booking any copy;
+        and since the buffer pins, admitting after all the lookups
+        decides the same residency as interleaving them would.
+        """
+        page_ids = np.asarray(page_ids, dtype=np.int64)
+        resident = self.mm_buffer.lookup_many(page_ids, ts=round_start)
+        ready = np.full(len(page_ids), round_start, dtype=np.float64)
+        missed = page_ids[~resident]
+        if len(missed):
+            ready[~resident] = self.storage.fetch_many(
+                missed, self.page_bytes, round_start)
+            self.mm_buffer.preload(missed.tolist())
+        return ready, len(page_ids) - len(missed), len(missed)
 
     def barrier(self):
         """Global synchronisation: advance ``now`` past all queued work."""

@@ -7,42 +7,33 @@ the run; otherwise pages fetched from SSD are kept in the buffer
 read — this "page buffering mechanism" is the paper's explanation for
 measured times beating the naive bandwidth arithmetic in Section 7.5.
 
-Two replacement policies are provided:
-
-* ``"pin"`` (default) — first-fetched pages stay resident; once full,
-  later pages pass through unbuffered.  Full-scan algorithms stream pages
-  in the same ascending order every iteration, which makes plain LRU
-  evict each page moments before its next use (classic sequential
-  flooding) and deliver zero hits at any buffer size below 100 %.
-  Pinning a stable prefix yields the ``capacity / topology`` hit fraction
-  per iteration that the paper's arithmetic implies.
-* ``"lru"`` — least-recently-used, for workloads with temporal locality.
+The buffer *pins*: first-fetched pages stay resident, and once it is
+full later pages pass through unbuffered.  Full-scan algorithms stream
+pages in the same ascending order every iteration, which makes plain LRU
+evict each page moments before its next use (classic sequential
+flooding) and deliver zero hits at any buffer size below 100 %.  Pinning
+a stable prefix yields the ``capacity / topology`` hit fraction per
+iteration that the paper's arithmetic implies.  Because nothing is ever
+evicted, admitting one page never changes whether another is resident.
 """
 
 import itertools
-from collections import OrderedDict
+
+import numpy as np
 
 from repro.errors import ConfigurationError
-
-_POLICIES = ("pin", "lru")
 
 
 class MainMemoryBuffer:
     """Page buffer of a fixed byte capacity (see module docstring)."""
 
-    def __init__(self, capacity_bytes, page_bytes, policy="pin",
-                 recorder=None):
+    def __init__(self, capacity_bytes, page_bytes, recorder=None):
         if page_bytes <= 0:
             raise ConfigurationError("page size must be positive")
-        if policy not in _POLICIES:
-            raise ConfigurationError(
-                "unknown buffer policy %r (expected one of %s)"
-                % (policy, ", ".join(_POLICIES)))
         self.capacity_bytes = capacity_bytes
         self.page_bytes = page_bytes
-        self.policy = policy
         self.capacity_pages = max(0, int(capacity_bytes // page_bytes))
-        self._pages = OrderedDict()  # page_id -> None, LRU order
+        self._pages = {}  # page_id -> None, in admission order
         #: Optional TraceRecorder; probes with a known simulated time
         #: become ``mm_buffer_hit`` / ``mm_buffer_miss`` instants.
         self.recorder = recorder
@@ -56,14 +47,12 @@ class MainMemoryBuffer:
         return len(self._pages)
 
     def lookup(self, page_id, ts=None):
-        """Check residency, update recency and hit/miss counters.
+        """Check residency and update the hit/miss counters.
 
         ``ts`` is the simulated time of the probe; when tracing is on it
         timestamps the emitted hit/miss instant.
         """
         if page_id in self._pages:
-            if self.policy == "lru":
-                self._pages.move_to_end(page_id)
             self.hits += 1
             if self.recorder is not None and ts is not None:
                 self.recorder.instant("mm_buffer_hit", "host", "mm buffer",
@@ -75,20 +64,34 @@ class MainMemoryBuffer:
                                   ts, page=page_id)
         return False
 
+    def lookup_many(self, page_ids, ts=None):
+        """:meth:`lookup` over an int64 array of page ids; returns their
+        residency as a boolean array.
+
+        With no recorder asking for the per-page instants this is one
+        bitmap probe instead of a Python-level lookup per page.
+        """
+        if self.recorder is not None:
+            return np.fromiter(
+                (self.lookup(pid, ts) for pid in page_ids.tolist()),
+                dtype=bool, count=len(page_ids))
+        if not (self._pages and len(page_ids)):
+            self.misses += len(page_ids)
+            return np.zeros(len(page_ids), dtype=bool)
+        pages = np.fromiter(self._pages, dtype=np.int64,
+                            count=len(self._pages))
+        bitmap = np.zeros(max(pages.max(), page_ids.max()) + 1, dtype=bool)
+        bitmap[pages] = True
+        resident = bitmap[page_ids]
+        hits = int(np.count_nonzero(resident))
+        self.hits += hits
+        self.misses += len(page_ids) - hits
+        return resident
+
     def admit(self, page_id):
-        """Insert a fetched page, subject to the replacement policy."""
-        if self.capacity_pages == 0:
-            return
-        if page_id in self._pages:
-            if self.policy == "lru":
-                self._pages.move_to_end(page_id)
-            return
-        if len(self._pages) >= self.capacity_pages:
-            if self.policy == "pin":
-                return  # resident set is stable once full
-            while len(self._pages) >= self.capacity_pages:
-                self._pages.popitem(last=False)
-        self._pages[page_id] = None
+        """Insert a fetched page; a full buffer lets it pass through."""
+        if len(self._pages) < self.capacity_pages:
+            self._pages[page_id] = None
 
     def preload(self, page_ids):
         """Bulk-load pages (the ``|G| < MMBuf`` full-load path).
@@ -99,7 +102,7 @@ class MainMemoryBuffer:
             # Nothing resident to probe: the first ``capacity_pages``
             # distinct ids, in arrival order, in one insert (the engine
             # pays this at the start of every run).
-            self._pages = OrderedDict.fromkeys(itertools.islice(
+            self._pages = dict.fromkeys(itertools.islice(
                 dict.fromkeys(page_ids), self.capacity_pages))
             return len(self._pages)
         admitted = 0

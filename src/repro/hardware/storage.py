@@ -18,6 +18,8 @@ device the plan has killed raises :class:`~repro.errors.DeviceLostError`
 (a dead SSD takes its stripe of pages with it — unrecoverable).
 """
 
+import numpy as np
+
 from repro.errors import (CapacityError, DeviceLostError,
                           RetryExhaustedError, SimulationError)
 from repro.faults.inject import READ_CORRUPT, READ_OK
@@ -33,8 +35,8 @@ class StorageArray:
         self.specs = list(specs)
         self.channels = [Resource("storage:%s" % spec.name) for spec in specs]
         self._hash = hash_function or (lambda pid: pid % len(self.specs))
-        #: True when pages stripe with the default mod function, letting
-        #: hot paths compute the device index inline.
+        #: True when pages stripe with the default mod function, which
+        #: :meth:`fetch_many` evaluates for a whole round at once.
         self.default_striping = hash_function is None
         #: Optional TraceRecorder; each fetch becomes an ``ssd_fetch``
         #: interval on the device's lane.
@@ -44,15 +46,6 @@ class StorageArray:
         self.fault_injector = None
         self.bytes_read = 0
         self.pages_fetched = 0
-        #: Fetches whose page immediately follows the previous fetch on
-        #: the same device — the adjacent-read opportunities a
-        #: sequential/readahead store could coalesce.  Counted on the
-        #: generic fetch path (traced, fault-injected or host-profiled
-        #: runs); the engine's inlined bulk replay bypasses it.
-        self.adjacent_fetches = 0
-        #: Ranged (multi-page) reads booked by :meth:`fetch_range`.
-        self.ranged_fetches = 0
-        self._last_fetch_pid = [None] * len(self.specs)
         #: Per-device fault bookkeeping (parallel to ``specs``).
         self.fetch_retries = [0] * len(self.specs)
         self.faults_injected = [0] * len(self.specs)
@@ -80,16 +73,6 @@ class StorageArray:
                 % (num_bytes, capacity),
                 required_bytes=num_bytes, available_bytes=capacity)
 
-    def _note_fetch(self, device, page_id):
-        """Adjacent-read accounting: a fetch whose page is the next one
-        in the device's stripe order could have been coalesced into the
-        previous read by a sequential/readahead store."""
-        last = self._last_fetch_pid[device]
-        stride = len(self.specs) if self.default_striping else 1
-        if last is not None and page_id == last + stride:
-            self.adjacent_fetches += 1
-        self._last_fetch_pid[device] = page_id
-
     def fetch(self, page_id, num_bytes, earliest):
         """Book a page read; returns ``(start, end)`` simulated times."""
         if num_bytes < 0:
@@ -104,69 +87,50 @@ class StorageArray:
         start, end = self.channels[device].book(earliest, duration)
         self.bytes_read += num_bytes
         self.pages_fetched += 1
-        self._note_fetch(device, page_id)
         if self.recorder is not None:
             self.recorder.interval(
                 "ssd_fetch", "storage", self.specs[device].name,
                 start, end, page=page_id, bytes=num_bytes)
         return start, end
 
-    def fetch_range(self, page_ids, num_bytes, earliest):
-        """Book reads for ``page_ids``, merging adjacent pages per device.
+    def fetch_many(self, page_ids, num_bytes, earliest):
+        """:meth:`fetch` for each of ``page_ids`` (an int64 array) in
+        order; returns their end times as a float64 array.
 
-        Pages are grouped by their device in arrival order; maximal runs
-        of stride-consecutive page IDs (stride = the striping interval,
-        so consecutive *global* page IDs land in one run under default
-        striping) are booked as a single ranged read of
-        ``num_bytes * len(run)`` on the device channel.  Every page in a
-        run becomes ready at the run's end time — the model FlashGraph
-        uses for merged I/O requests: one command, the whole range pays
-        one transfer.  Each run past its first page counts one
-        ``adjacent_fetches`` (the same opportunities :meth:`fetch`
-        merely *observes*), and each booked run counts one
-        ``ranged_fetches``.
-
-        Returns ``{page_id: (start, end)}``.  With a fault injector
-        installed, falls back to per-page :meth:`fetch` so injection
-        and retry semantics stay per-read.
+        A recorder, a fault injector or a custom hash function needs the
+        per-page call.  Without them each channel books its pages back
+        to back, ``end_i = max(earliest, end_{i-1}) + duration`` with a
+        constant duration, which ``np.add.accumulate`` reproduces with
+        the exact floating-point fold of the per-call loop.
         """
-        if self.fault_injector is not None:
-            return {pid: self.fetch(pid, num_bytes, earliest)
-                    for pid in page_ids}
-        times = {}
-        per_device = {}
-        for pid in page_ids:
-            per_device.setdefault(self.device_for_page(pid), []).append(pid)
-        stride = len(self.specs) if self.default_striping else 1
-        for device, pids in per_device.items():
-            spec = self.specs[device]
-            channel = self.channels[device]
-            start_idx = 0
-            while start_idx < len(pids):
-                stop_idx = start_idx + 1
-                while (stop_idx < len(pids)
-                       and pids[stop_idx] == pids[stop_idx - 1] + stride):
-                    stop_idx += 1
-                run = pids[start_idx:stop_idx]
-                start_idx = stop_idx
-                duration = spec.read_time(num_bytes * len(run))
-                start, end = channel.book(earliest, duration)
-                self.bytes_read += num_bytes * len(run)
-                self.pages_fetched += len(run)
-                last = self._last_fetch_pid[device]
-                if last is not None and run[0] == last + stride:
-                    self.adjacent_fetches += 1
-                self.adjacent_fetches += len(run) - 1
-                self._last_fetch_pid[device] = run[-1]
-                self.ranged_fetches += 1
-                if self.recorder is not None:
-                    self.recorder.interval(
-                        "ssd_fetch", "storage", spec.name, start, end,
-                        page=run[0], pages=len(run),
-                        bytes=num_bytes * len(run))
-                for pid in run:
-                    times[pid] = (start, end)
-        return times
+        if (self.recorder is not None or self.fault_injector is not None
+                or not self.default_striping):
+            return np.array([self.fetch(pid, num_bytes, earliest)[1]
+                             for pid in page_ids.tolist()],
+                            dtype=np.float64)
+        if num_bytes < 0 or earliest < 0:
+            raise SimulationError(
+                "cannot fetch %d bytes at time %r (negative)"
+                % (num_bytes, earliest))
+        devices = page_ids % len(self.specs)
+        ends = np.empty(len(page_ids), dtype=np.float64)
+        for device, channel in enumerate(self.channels):
+            selected = devices == device
+            count = int(np.count_nonzero(selected))
+            if not count:
+                continue
+            chain = np.full(count + 1, self.specs[device].read_time(
+                num_bytes), dtype=np.float64)
+            chain[0] = max(earliest, channel.available_at)
+            device_ends = np.add.accumulate(chain)[1:]
+            ends[selected] = device_ends
+            channel.available_at = float(device_ends[-1])
+            chain[0] = channel.busy_time
+            channel.busy_time = float(np.add.accumulate(chain)[-1])
+            channel.num_activities += count
+        self.bytes_read += num_bytes * len(page_ids)
+        self.pages_fetched += len(page_ids)
+        return ends
 
     def _fetch_faulted(self, device, page_id, num_bytes, earliest):
         """The fetch path under an installed fault injector.
@@ -201,7 +165,6 @@ class StorageArray:
             if outcome is READ_OK:
                 self.bytes_read += num_bytes
                 self.pages_fetched += 1
-                self._note_fetch(device, page_id)
                 if self.recorder is not None:
                     self.recorder.interval(
                         "ssd_fetch", "storage", name, start, end,
@@ -238,8 +201,5 @@ class StorageArray:
             channel.reset()
         self.bytes_read = 0
         self.pages_fetched = 0
-        self.adjacent_fetches = 0
-        self.ranged_fetches = 0
-        self._last_fetch_pid = [None] * len(self.specs)
         self.fetch_retries = [0] * len(self.specs)
         self.faults_injected = [0] * len(self.specs)

@@ -139,17 +139,17 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 if result.query_id is not None:
                     headers = {"X-Query-Id": result.query_id}
         except AdmissionError as error:
-            self._send_json(429, {
+            failure = (429, {
                 "error": str(error),
                 "type": "AdmissionError",
                 "queue_depth": error.queue_depth,
                 "in_flight": error.in_flight,
                 "max_in_flight": error.max_in_flight,
                 "max_queue": error.max_queue,
-            }, extra_headers={"Retry-After": "1"})
+            }, {"Retry-After": "1"})
         except ShutdownError as error:
-            self._send_json(503, {"error": str(error),
-                                  "type": "ShutdownError"})
+            failure = (503, {"error": str(error),
+                             "type": "ShutdownError"})
         except DeadlineError as error:
             # 504: the query ran, but past its caller-supplied budget.
             body = {
@@ -161,35 +161,37 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             }
             if request is not None and request.query_id is not None:
                 body["query_id"] = request.query_id
-            self._send_json(504, body)
+            failure = (504, body)
         except ServiceError as error:
-            self._send_json(400, {"error": str(error),
-                                  "type": "ServiceError"})
+            failure = (400, {"error": str(error), "type": "ServiceError"})
         except GTSError as error:
-            self._send_json(400, {"error": str(error),
-                                  "type": type(error).__name__})
+            failure = (400, {"error": str(error),
+                             "type": type(error).__name__})
         except Exception as error:  # pragma: no cover - defensive
-            self._send_json(500, {"error": str(error),
-                                  "type": type(error).__name__})
+            failure = (500, {"error": str(error),
+                             "type": type(error).__name__})
         else:
-            if trace is not None:
-                start_ns = trace.now()
-                self._send_json(200, response, extra_headers=headers)
-                trace.add_phase("serialize", start_ns, trace.now())
-                trace = self._complete(tm, trace)
-                return
-            self._send_json(200, response, extra_headers=headers)
-        finally:
-            # Error paths (and the defensive case where _send_json
-            # itself raised) still finalize the deferred trace.
-            self._complete(tm, trace)
+            try:
+                if trace is not None:
+                    start_ns = trace.now()
+                    self._send_json(200, response, extra_headers=headers)
+                    trace.add_phase("serialize", start_ns, trace.now())
+                else:
+                    self._send_json(200, response, extra_headers=headers)
+            finally:
+                self._complete(tm, trace)
+            return
+        # An error has no serialize span to wait for, and a client that
+        # holds its answer may read the tail-capture ring at once: the
+        # record is written before the response.
+        self._complete(tm, trace)
+        self._send_json(*failure)
 
     @staticmethod
     def _complete(tm, trace):
-        """Finalize a deferred trace (idempotent); returns ``None``."""
+        """Finalize a deferred trace, if there is one."""
         if trace is not None:
             tm.complete(trace)
-        return None
 
     @staticmethod
     def _do_update(service, payload):

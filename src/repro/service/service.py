@@ -93,7 +93,6 @@ ENGINE_OPTIONS = {
     "micro_technique": "edge",
     "enable_caching": True,
     "cache_policy": "lru",
-    "io_merge": False,
     # Per-query deadline in milliseconds (None = unlimited).  The clock
     # starts at submit, so queue wait counts against the budget; the
     # engine checks it cooperatively between rounds and raises
@@ -548,7 +547,6 @@ class GraphService:
             micro_technique=options["micro_technique"],
             enable_caching=options["enable_caching"],
             cache_policy=options["cache_policy"],
-            io_merge=options["io_merge"],
             faults=request.faults,
             fault_seed=request.fault_seed,
             plan_cache=entry.plan_cache)

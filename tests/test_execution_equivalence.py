@@ -14,8 +14,10 @@ value or a simulated time.
 
 import dataclasses
 import importlib
+import inspect
 import os
 import pkgutil
+import re
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,7 @@ import repro.core
 from repro.baselines import reference
 from repro.core import GTSEngine, PageRankKernel
 from repro.core.plan import PagePlan
+from repro.core.streams import StreamScheduler
 from repro.faults import FaultInjector, FaultPlan
 from repro.format import PageFormatConfig, build_database
 from repro.format.io import (
@@ -36,7 +39,7 @@ from repro.hardware.specs import scaled_workstation
 from repro.units import KB
 
 from . import test_properties as properties
-from .golden_runs import KERNELS, SYMMETRISED, _rng
+from .golden_runs import KERNELS, RECOVERABLE, SYMMETRISED, _rng
 from .test_extended_kernels import _naive_kcore
 
 
@@ -262,43 +265,15 @@ def test_store_path_never_perturbs_results(data, tmp_path_factory):
                 == [dataclasses.asdict(r) for r in baseline.rounds])
 
 
-@settings(max_examples=8, deadline=None)
-@given(data=st.data())
-def test_io_merge_changes_plan_but_not_results(data, tmp_path_factory):
-    """``io_merge`` is the one opt-in host knob allowed to move the
-    simulated I/O plan; the algorithm output must stay bit-identical,
-    and under merge the store paths must still agree with each other."""
-    kernel_name = data.draw(st.sampled_from(["pagerank", "bfs"]))
-    graph = _random_graph(data, weighted=False)
-    db = build_database(graph, PageFormatConfig(2, 2, 1 * KB))
-    prefix = str(tmp_path_factory.mktemp("merge") / "db")
-    save_database(db, prefix)
-    machine = scaled_workstation(num_gpus=2, num_ssds=2)
-    start = data.draw(st.integers(0, graph.num_vertices - 1))
-    kernel = lambda: KERNELS[kernel_name](start, db.num_vertices)
-    plain = GTSEngine(db, machine).run(kernel())
-    merged = GTSEngine(db, machine, io_merge=True).run(kernel())
-    for store_path in STORE_PATHS:
-        lazy = _open_store(prefix, max(1, db.num_pages), store_path)
-        try:
-            result = GTSEngine(lazy, machine, io_merge=True).run(kernel())
-        finally:
-            lazy.close()
-        _assert_store_path_taken(lazy, store_path)
-        assert result.elapsed_seconds == merged.elapsed_seconds, store_path
-        for key in plain.values:
-            np.testing.assert_array_equal(result.values[key],
-                                          plain.values[key],
-                                          err_msg=store_path)
-
-
 def test_every_kernel_has_one_body_and_the_core_reads_no_page():
     """The structure that makes bit-identity a property instead of a
     test burden: every kernel a caller can reach — each class
     ``repro.core.kernels`` exports, the incremental relaxers, each
     service algorithm, each entry of the table above — defines
-    ``process_batch`` and carries no page kernel, and no module under
-    ``repro.core`` calls ``.page(``."""
+    ``process_batch`` and carries no page kernel; no module under
+    ``repro.core`` calls ``.page(`` or reaches into the buffer's or the
+    storage array's state; and no module anywhere names a deleted
+    booking variant."""
     import repro.core.kernels as kernels
     from repro.dynamic import incremental
     from repro.service import ALGORITHMS
@@ -325,26 +300,62 @@ def test_every_kernel_has_one_body_and_the_core_reads_no_page():
         for gone in ("process_sp", "process_lp", "process_page",
                      "supports_batch"):
             assert not hasattr(cls, gone), (cls, gone)
-    for info in pkgutil.walk_packages(repro.core.__path__, "repro.core."):
+    gone = re.compile(
+        "_book_round_paged_order|per_page_fetch|bulk_ready|force_generic"
+        "|_merge_round_io|_make_fetch|io_merge|fetch_range|ranged_fetches"
+        "|adjacent_fetches")
+    core_only = re.compile(
+        r"\.page\(|mm_buffer\._pages|storage\.channels|storage\._hash")
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
         path = importlib.import_module(info.name).__file__
-        if os.path.basename(path) == "__init__.py":
-            continue
         with open(path) as handle:
-            assert ".page(" not in handle.read(), info.name
+            source = handle.read()
+        assert not gone.search(source), info.name
+        if (info.name.startswith("repro.core.")
+                and os.path.basename(path) != "__init__.py"):
+            assert not core_only.search(source), info.name
+    assert "host_profiler" not in inspect.signature(
+        StreamScheduler.__init__).parameters
+    assert "fetch" not in inspect.signature(
+        StreamScheduler.dispatch_round).parameters
 
 
-def test_traced_runs_agree_with_untraced():
-    """Tracing disables the inlined booking loops; the simulated clock
-    must not notice."""
+def test_traced_runs_agree_with_untraced(monkeypatch):
+    """Every unfaulted round takes the one booking loop, whatever is
+    watching: a traced, host-profiled, validated or injector-armed run
+    makes no per-call booking and reads the bare run's clock; a run
+    with faults books per call in its fallback rounds only."""
     graph = Graph.from_edges(
         50,
         np.random.default_rng(5).integers(0, 50, size=300),
         np.random.default_rng(6).integers(0, 50, size=300))
     db = build_database(graph, PageFormatConfig(2, 2, 1 * KB))
     machine = scaled_workstation(num_gpus=2, num_ssds=2)
-    plain, traced = (
-        GTSEngine(db, machine, tracing=tracing).run(
-            PageRankKernel(iterations=3)) for tracing in (False, True))
-    assert traced.elapsed_seconds == plain.elapsed_seconds
-    np.testing.assert_array_equal(traced.values["rank"],
-                                  plain.values["rank"])
+    calls = []
+    for name in ("dispatch_cached", "dispatch_streamed"):
+        def spy(self, *args, _booked=getattr(StreamScheduler, name), **kw):
+            calls.append(self)
+            return _booked(self, *args, **kw)
+        monkeypatch.setattr(StreamScheduler, name, spy)
+
+    def run(**options):
+        del calls[:]
+        return GTSEngine(db, machine, mm_buffer_bytes=8 * KB,
+                         **options).run(PageRankKernel(iterations=3))
+
+    plain = run()
+    assert not calls
+    for options in ({"tracing": True}, {"host_profile": True},
+                    {"validate_simulation": True},
+                    {"faults": FaultPlan(stall_rate=1e-12)}):
+        watched = run(**options)
+        assert not calls, options
+        assert repr(watched.elapsed_seconds) == repr(plain.elapsed_seconds)
+        np.testing.assert_array_equal(watched.values["rank"],
+                                      plain.values["rank"])
+    assert watched.fault_stats["fallback_rounds"] == 0
+    faulted = run(faults=RECOVERABLE, fault_seed=0)
+    fallbacks = faulted.fault_stats["fallback_rounds"]
+    assert 0 < fallbacks < faulted.num_rounds
+    # Strategy-P books each page of a full-scan round on one GPU.
+    assert len(calls) == db.num_pages * fallbacks

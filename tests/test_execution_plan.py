@@ -31,9 +31,16 @@ from repro.core.plan import (
     segment_sum,
     take_ranges,
 )
+from repro.core.result import RoundStats
+from repro.core.strategies import make_strategy
+from repro.core.streams import StreamScheduler
+from repro.errors import ConfigurationError, ServiceError, SimulationError
 from repro.format import PageFormatConfig, build_database
 from repro.graphgen import generate_rmat
+from repro.hardware.machine import MachineRuntime
 from repro.hardware.specs import scaled_workstation
+from repro.obs.events import TraceRecorder
+from repro.service import QueryRequest
 
 
 @pytest.fixture
@@ -531,6 +538,120 @@ class TestLargePageRunIndex:
         assert small.dtype == large.dtype == np.int64
 
 
+def _per_call_round(scheduler, pids, assignments, copy_bytes, lane_steps,
+                    cycles, caches, wa_ready, start, stats):
+    """The reference ``dispatch_round`` (same arguments) must equal:
+    page-major, GPU inner, one public dispatch call per booking, a page
+    made ready from the scalar buffer / storage primitives when its
+    first miss is reached."""
+    runtime = scheduler.runtime
+    ready = {}
+    for j, pid in enumerate(pids):
+        nbytes, steps = int(copy_bytes[j]), float(lane_steps[j])
+        for g in assignments[j]:
+            early = max(start, wa_ready[g])
+            if caches[g].resolve_round([pid], ts=early)[0]:
+                stats.pages_from_cache += 1
+                scheduler.dispatch_cached(g, early, steps, cycles)
+                continue
+            if pid not in ready and runtime.mm_buffer.lookup(pid, ts=start):
+                stats.pages_from_buffer += 1
+                ready[pid] = start
+            elif pid not in ready:
+                stats.pages_from_storage += 1
+                ready[pid] = runtime.storage.fetch(
+                    pid, runtime.page_bytes, start)[1]
+                runtime.mm_buffer.admit(pid)
+            stats.bytes_streamed += nbytes
+            scheduler.dispatch_streamed(g, max(ready[pid], wa_ready[g]),
+                                        nbytes, steps, cycles)
+
+
+class TestBookingLoop:
+    NUM_PAGES = 24
+
+    def _machine_run(self, num_ssds, buffer_pages, tracing):
+        recorder = TraceRecorder() if tracing else None
+        runtime = MachineRuntime(
+            scaled_workstation(num_gpus=2, num_ssds=num_ssds),
+            num_streams=3, page_bytes=1024,
+            mm_buffer_bytes=buffer_pages * 1024, tracing=tracing,
+            recorder=recorder)
+        if not num_ssds:
+            runtime.mm_buffer.preload(range(self.NUM_PAGES))
+        caches = [PageCache(5, recorder=recorder, gpu_index=g)
+                  for g in range(2)]
+        return runtime, StreamScheduler(runtime), caches
+
+    @staticmethod
+    def _state(runtime, caches, stats):
+        resources = [r for gpu in runtime.gpus for r in (
+            gpu.copy_engine, gpu.compute, *gpu.streams.slots)]
+        resources += runtime.storage.channels if runtime.storage else []
+        return (
+            [vars(r) for r in resources],
+            [(g.kernel_invocations, g.kernel_busy_time,
+              g.kernel_stream_time, g.bytes_received)
+             for g in runtime.gpus],
+            [(c.hits, c.misses) for c in caches + [runtime.mm_buffer]],
+            # Stable: each lane keeps its order, lanes may interleave.
+            sorted(runtime.recorder or (), key=lambda event: event.lane),
+            runtime.now, stats)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rounds=st.lists(st.lists(st.integers(0, NUM_PAGES - 1),
+                                    unique=True, min_size=1),
+                           min_size=1, max_size=4),
+           strategy=st.sampled_from(["performance", "scalability"]),
+           num_ssds=st.sampled_from([0, 2]),
+           buffer_pages=st.integers(0, NUM_PAGES), tracing=st.booleans())
+    def test_dispatch_round_equals_the_per_call_loop(
+            self, rounds, strategy, num_ssds, buffer_pages, tracing):
+        """Random rounds — Strategy-P / -S assignments, cache hits from
+        repeated pages, in-memory and SSD machines, the buffer empty,
+        filling and full — leave every timeline, counter, ``RoundStats``
+        and (traced) per-lane event sequence exactly where the per-call
+        reference leaves them."""
+        if not num_ssds:
+            buffer_pages = self.NUM_PAGES
+        rng = np.random.default_rng(len(rounds))
+        work = [(make_strategy(strategy).assign_batch(pids, 2),
+                 rng.integers(0, 4096, size=len(pids)),
+                 rng.random(len(pids)) * 1e5) for pids in rounds]
+        states = []
+        for per_call in (False, True):
+            runtime, scheduler, caches = self._machine_run(
+                num_ssds, buffer_pages, tracing)
+            stats = [RoundStats(index, "r") for index in range(len(rounds))]
+            for pids, round_work, round_stats in zip(rounds, work, stats):
+                args = round_work + (24.0, caches, [0.0, 1e-5],
+                                     runtime.now, round_stats)
+                if per_call:
+                    _per_call_round(scheduler, pids, *args)
+                else:
+                    scheduler.dispatch_round(np.asarray(pids), *args)
+                runtime.barrier()
+            states.append(self._state(runtime, caches, stats))
+        assert states[0] == states[1]
+
+    @pytest.mark.parametrize("bad, error", [
+        ({"copy_bytes": [8, -1]}, ConfigurationError),
+        ({"lane_steps": [1.0, -1.0]}, SimulationError),
+        ({"round_start": -1.0}, SimulationError)])
+    def test_round_is_validated_like_the_per_call_methods(self, bad,
+                                                          error):
+        """The typed errors of ``dispatch_streamed`` / ``Resource.book``
+        (negative bytes, duration, start), checked once per round."""
+        runtime, scheduler, caches = self._machine_run(2, 0, False)
+        args = dict(page_ids=np.arange(2), assignments=[(0,), (1,)],
+                    copy_bytes=[8, 8], lane_steps=[1.0, 1.0],
+                    cycles_per_lane_step=24.0, caches=caches,
+                    wa_ready=[0.0, 0.0], round_start=0.0,
+                    stats=RoundStats(0, "r"))
+        with pytest.raises(error):
+            scheduler.dispatch_round(**dict(args, **bad))
+
+
 class TestExecutionKnob:
     """The knob is gone: there is one executor, and a kernel without a
     body for it cannot run."""
@@ -546,6 +667,10 @@ class TestExecutionKnob:
         for mode in ("warp", "auto", "paged", "batched"):
             with pytest.raises(TypeError):
                 GTSEngine(db, machine, execution=mode)
+        with pytest.raises(TypeError):
+            GTSEngine(db, machine, io_merge=True)
+        with pytest.raises(ServiceError, match="io_merge"):
+            QueryRequest("g", "bfs", options={"io_merge": True})
 
 
 class TestCLIExecutionFlag:
@@ -561,3 +686,9 @@ class TestCLIExecutionFlag:
                 ["query", "--url", "http://127.0.0.1:1", "--database",
                  "g", "--algorithm", "bfs", "--execution", "paged"])
         assert "--execution" in capsys.readouterr().err
+        for argv in (["run", "--dataset", "rmat26"],
+                     ["query", "--url", "http://127.0.0.1:1",
+                      "--database", "g", "--algorithm", "bfs"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv + ["--io-merge"])
+            assert "--io-merge" in capsys.readouterr().err

@@ -79,7 +79,7 @@ class TestMainMemoryBuffer:
         assert buffer.misses == 1
 
     def test_pin_policy_keeps_first_pages(self):
-        buffer = MainMemoryBuffer(4 * KB, 2 * KB, policy="pin")
+        buffer = MainMemoryBuffer(4 * KB, 2 * KB)
         buffer.admit(0)
         buffer.admit(1)
         buffer.admit(2)  # no space: passes through
@@ -87,37 +87,20 @@ class TestMainMemoryBuffer:
         assert 1 in buffer
         assert 2 not in buffer
 
-    def test_lru_policy_evicts_oldest(self):
-        buffer = MainMemoryBuffer(4 * KB, 2 * KB, policy="lru")
-        buffer.admit(0)
-        buffer.admit(1)
-        buffer.admit(2)
-        assert 0 not in buffer
-        assert 1 in buffer
-        assert 2 in buffer
-
-    def test_lru_lookup_refreshes_recency(self):
-        buffer = MainMemoryBuffer(4 * KB, 2 * KB, policy="lru")
-        buffer.admit(0)
-        buffer.admit(1)
-        buffer.lookup(0)
-        buffer.admit(2)  # evicts 1, not the freshly-touched 0
-        assert 0 in buffer
-        assert 1 not in buffer
-
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MainMemoryBuffer(4 * KB, 2 * KB, policy="mru")
+        """Pinning is a constant, not a parameter."""
+        for policy in ("pin", "lru"):
+            with pytest.raises(TypeError):
+                MainMemoryBuffer(4 * KB, 2 * KB, policy=policy)
 
     def test_preload_respects_capacity(self):
         buffer = MainMemoryBuffer(4 * KB, 2 * KB)
         assert buffer.preload(range(10)) == 2
         assert len(buffer) == 2
 
-    @pytest.mark.parametrize("capacity_pages", [0, 3, 9, 10, 64])
-    @pytest.mark.parametrize("policy", ["pin", "lru"])
-    def test_bulk_preload_equals_the_page_loop(self, capacity_pages,
-                                               policy):
+    @pytest.mark.parametrize("capacity_pages", [0, 3, 9, 10, 64],
+                             ids="pin-{}".format)
+    def test_bulk_preload_equals_the_page_loop(self, capacity_pages):
         """An empty buffer preloads in one insert: same resident set,
         insertion order, return value and counters as admitting the ids
         one at a time — capacity below, at and above the page count,
@@ -134,8 +117,7 @@ class TestMainMemoryBuffer:
             return admitted
 
         for page_ids in (range(10), [4, 4, 1, 9, 1, 0, 7, 7, 2, 3, 5]):
-            bulk, loop = (MainMemoryBuffer(capacity_pages * 2 * KB, 2 * KB,
-                                           policy=policy)
+            bulk, loop = (MainMemoryBuffer(capacity_pages * 2 * KB, 2 * KB)
                           for _ in range(2))
             assert bulk.preload(iter(page_ids)) == page_loop(loop, page_ids)
             assert list(bulk._pages) == list(loop._pages)

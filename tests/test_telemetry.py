@@ -568,24 +568,27 @@ class TestHTTPPropagation:
         assert "gts_service_window_latency_seconds" in parsed
 
     def test_deadline_body_carries_query_id(self, served):
+        """...and the ring record is written before the 504 is sent: a
+        client holding the answer finds it with no ``drain()`` between
+        (the handler used to complete the trace after responding)."""
         service, base, ring_dir = served
-        request = urllib.request.Request(
-            base + "/query",
-            data=json.dumps({
-                "database": "g", "algorithm": "pagerank",
-                "params": {"iterations": 50},
-                "options": {"timeout_ms": 0.0001},
-                "query_id": "doomed"}).encode(),
-            headers={"Content-Type": "application/json"})
-        with pytest.raises(urllib.error.HTTPError) as info:
-            urllib.request.urlopen(request, timeout=30)
-        assert info.value.code == 504
-        body = json.loads(info.value.read())
-        assert body["query_id"] == "doomed"
-        service.drain()
-        records = load_ring(ring_dir)
-        doomed = [r for r in records if r["query_id"] == "doomed"]
-        assert doomed and doomed[0]["status"] == "deadline"
+        for attempt in range(50):
+            query_id = "doomed-%d" % attempt
+            request = urllib.request.Request(
+                base + "/query",
+                data=json.dumps({
+                    "database": "g", "algorithm": "pagerank",
+                    "params": {"iterations": 50},
+                    "options": {"timeout_ms": 0.0001},
+                    "query_id": query_id}).encode(),
+                headers={"Content-Type": "application/json"})
+            with pytest.raises(urllib.error.HTTPError) as info:
+                urllib.request.urlopen(request, timeout=30)
+            assert info.value.code == 504
+            assert json.loads(info.value.read())["query_id"] == query_id
+            doomed = [r for r in load_ring(ring_dir)
+                      if r["query_id"] == query_id]
+            assert doomed and doomed[0]["status"] == "deadline", attempt
 
 
 # ----------------------------------------------------------------------
