@@ -85,6 +85,7 @@ from repro.errors import ConfigurationError, GTSError
 from repro.format import PageFormatConfig, build_database
 from repro.graphgen.io import read_edge_list
 from repro.hardware.specs import scaled_workstation
+from repro.spans import activate, span
 from repro.units import KB
 
 #: CLI algorithm name -> (kernel factory, needs weighted db, needs
@@ -178,8 +179,8 @@ def build_parser():
                               "histograms, cost-model drift) as JSON")
         sub.add_argument("--host-profile", action="store_true",
                          help="profile the *host* runtime (not the "
-                              "simulation): phase wall-clock timers, "
-                              "tracemalloc peak and real I/O counters; "
+                              "simulation): nested wall-clock spans "
+                              "and real I/O counters; "
                               "prints a phase table after the summary")
         sub.add_argument("--flamegraph", default=None, metavar="PATH",
                          help="write host phases as collapsed-stack "
@@ -484,54 +485,52 @@ def _wants_host_profile(args):
 
 
 def _execute_run(args, tracing=False):
-    """Shared by ``run`` and ``profile``: build everything and run."""
+    """Shared by ``run`` and ``profile``: build everything and run.
+
+    Returns ``(result, db, machine, kernel, host_profile)``; the last
+    is ``None`` unless a host-profile flag was given.
+    """
     profiler = None
     if _wants_host_profile(args):
-        # One CLI-owned profiler spans load *and* run: the engine
-        # snapshots it non-destructively, so ``result.host_profile``
-        # covers the whole command, database load included.
+        # One CLI-owned profiler, this thread's recorder for load *and*
+        # run, so the profile covers the whole command.
         from repro.obs.host import HostProfiler
         profiler = HostProfiler()
-        profiler.push("load")
-    graph, db, name = _load_database(args)
-    if profiler is not None:
-        profiler.pop()  # load
-    if args.start is not None:
-        start = args.start
-    elif graph is not None:
-        start = default_start_vertex(graph)
-    else:
-        # No Graph object for --db sources; seed from the busiest vertex.
-        start = int(np.argmax(db.out_degrees))
-    kernel = ALGORITHMS[args.algorithm][0](args, start)
-    machine = scaled_workstation(num_gpus=args.gpus, num_ssds=args.ssds)
-    faults = None
-    if getattr(args, "faults", None):
-        from repro.faults import FaultPlan
-        faults = FaultPlan.from_json_file(args.faults)
-    engine = GTSEngine(db, machine, strategy=args.strategy,
-                       num_streams=args.streams,
-                       micro_technique=args.micro,
-                       enable_caching=not args.no_cache,
-                       tracing=tracing,
-                       faults=faults,
-                       fault_seed=getattr(args, "fault_seed", None),
-                       host_profile=profiler if profiler is not None
-                       else False)
-    result = engine.run(kernel, dataset_name=name)
-    if profiler is not None:
-        # The engine snapshotted the externally-owned profiler; stop
-        # tracemalloc now that the measurement is over.
-        profiler.finish()
-    return result, db, machine, kernel
+    with activate(profiler):
+        with span("load"):
+            graph, db, name = _load_database(args)
+        if args.start is not None:
+            start = args.start
+        elif graph is not None:
+            start = default_start_vertex(graph)
+        else:
+            # No Graph object for --db sources; seed from the busiest
+            # vertex.
+            start = int(np.argmax(db.out_degrees))
+        kernel = ALGORITHMS[args.algorithm][0](args, start)
+        machine = scaled_workstation(num_gpus=args.gpus,
+                                     num_ssds=args.ssds)
+        faults = None
+        if getattr(args, "faults", None):
+            from repro.faults import FaultPlan
+            faults = FaultPlan.from_json_file(args.faults)
+        engine = GTSEngine(db, machine, strategy=args.strategy,
+                           num_streams=args.streams,
+                           micro_technique=args.micro,
+                           enable_caching=not args.no_cache,
+                           tracing=tracing,
+                           faults=faults,
+                           fault_seed=getattr(args, "fault_seed", None))
+        result = engine.run(kernel, dataset_name=name)
+    profile = profiler.finish() if profiler is not None else None
+    return result, db, machine, kernel, profile
 
 
-def _write_artifacts(args, result, db, machine, kernel):
+def _write_artifacts(args, result, db, machine, kernel, profile):
     """Handle ``--trace-out`` / ``--metrics-out`` and the host-profile
     artifacts (``--flamegraph`` / ``--host-profile-out``) for run and
     profile."""
     written = []
-    profile = result.host_profile
     if args.trace_out:
         from repro.obs import write_chrome_trace
         trace = result.trace
@@ -556,7 +555,7 @@ def _write_artifacts(args, result, db, machine, kernel):
             cost_model_drift,
             record_drift,
         )
-        registry = collect_run_metrics(result)
+        registry = collect_run_metrics(result, host_profile=profile)
         record_drift(cost_model_drift(result, db, machine, kernel),
                      registry)
         if hasattr(db, "dynamic_stats"):
@@ -568,7 +567,7 @@ def _write_artifacts(args, result, db, machine, kernel):
 
 
 def _command_run(args):
-    result, db, machine, kernel = _execute_run(
+    result, db, machine, kernel, profile = _execute_run(
         args, tracing=bool(args.trace_out))
     if args.json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
@@ -585,28 +584,29 @@ def _command_run(args):
             else:
                 print("  %s: min %s  max %s" % (key, values.min(),
                                                 values.max()))
-        if result.host_profile is not None:
+        if profile is not None:
             print()
-            print(result.host_profile.summary())
+            print(profile.summary())
     for label, path in _write_artifacts(args, result, db, machine,
-                                        kernel):
+                                        kernel, profile):
         print("wrote %s to %s" % (label, path), file=sys.stderr)
     return 0
 
 
 def _command_profile(args):
     from repro.obs import ascii_timeline, cost_model_drift
-    result, db, machine, kernel = _execute_run(args, tracing=True)
+    result, db, machine, kernel, profile = _execute_run(args,
+                                                        tracing=True)
     print(result.summary())
     print()
     print(ascii_timeline(result.trace, width=args.width))
     print()
     print(cost_model_drift(result, db, machine, kernel).summary())
-    if result.host_profile is not None:
+    if profile is not None:
         print()
-        print(result.host_profile.summary())
+        print(profile.summary())
     for label, path in _write_artifacts(args, result, db, machine,
-                                        kernel):
+                                        kernel, profile):
         print("wrote %s to %s" % (label, path), file=sys.stderr)
     return 0
 

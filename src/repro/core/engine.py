@@ -17,9 +17,10 @@ One :class:`GTSEngine` ties together every piece the paper describes:
   flat arrays (:class:`~repro.core.plan.RoundBatch`), with the per-page
   work it measures driving each page's simulated kernel duration.
 
-Every round is ``plan.round_batch(pids)`` → ``kernel.process_batch`` →
-``scheduler.dispatch_round``; the engine reads the page plan and never a
-page.  Every page dispatch follows Algorithm 1's three-way branch: GPU
+Every round is ``PagePlan.round_batch`` → ``Kernel.process_batch`` →
+``StreamScheduler.dispatch_round``, each written once under its
+host-clock span (:mod:`repro.spans`); the engine reads the page plan and
+never a page.  Every page dispatch follows Algorithm 1's three-way branch: GPU
 cache hit (kernel only) → main-memory buffer hit (stream copy + kernel)
 → storage fetch (SSD read + stream copy + kernel).  Copies serialize on
 the GPU's copy engine; kernels run concurrently on up to
@@ -42,6 +43,7 @@ from repro.errors import (CapacityError, ConfigurationError,
                           DeadlineError, DeviceLostError)
 from repro.faults import FaultInjector, FaultPlan, RetryPolicy
 from repro.hardware.machine import MachineRuntime
+from repro.spans import count, span
 
 
 class GTSEngine:
@@ -99,15 +101,6 @@ class GTSEngine:
     retry_policy:
         Overrides the plan's :class:`~repro.faults.RetryPolicy` for
         transient-fault recovery.
-    host_profile:
-        ``True`` records a host-runtime profile of every run — nested
-        wall-clock phase spans through setup, plan build, page parsing,
-        kernels and dispatch, plus tracemalloc peak and real I/O
-        counters — attached as ``RunResult.host_profile``.  Pass a
-        :class:`~repro.obs.host.HostProfiler` instance to share one
-        measurement across load + run (the CLI does); the engine then
-        snapshots without finishing it.  ``False`` (default) keeps the
-        host hot paths free of any profiling work.
     plan_cache:
         Optional :class:`~repro.core.plan.RoundPlanCache` to share
         across engines (the service keys one per database so every
@@ -127,8 +120,7 @@ class GTSEngine:
                  enable_caching=True, cache_bytes=None, cache_policy="lru",
                  mm_buffer_bytes=None, tracing=False,
                  validate_simulation=False, faults=None, fault_seed=None,
-                 retry_policy=None, host_profile=False, plan_cache=None,
-                 shared_cache=None):
+                 retry_policy=None, plan_cache=None, shared_cache=None):
         if num_streams < 1:
             raise ConfigurationError("need at least one stream")
         if faults is not None and not isinstance(faults, FaultPlan):
@@ -150,7 +142,6 @@ class GTSEngine:
         self.mm_buffer_bytes = mm_buffer_bytes
         self.validate_simulation = validate_simulation
         self.tracing = tracing or validate_simulation
-        self.host_profile = host_profile
         self.shared_cache = shared_cache
         self._plan_cache = (plan_cache if plan_cache is not None
                             else RoundPlanCache())
@@ -313,7 +304,7 @@ class GTSEngine:
     # The run loop (Algorithm 1)
     # ------------------------------------------------------------------
     def run(self, kernel, dataset_name=None, query_id=None,
-            deadline=None, timeout_ms=None, round_observer=None):
+            deadline=None, timeout_ms=None):
         """Execute ``kernel`` over the database; returns a
         :class:`~repro.core.result.RunResult` with the algorithm output
         and the simulated performance counters.
@@ -339,11 +330,10 @@ class GTSEngine:
         pin promptly.  ``timeout_ms`` only annotates that error with
         the caller's configured budget.
 
-        ``round_observer`` (service telemetry) is called with the
-        1-based round index after each completed round; ``None`` (the
-        default) costs the loop one pointer comparison and no host
-        clock reads — the same pay-for-use contract as
-        ``host_profile``.
+        The run's host-clock spans (``core.engine.run`` > ``setup`` /
+        ``round`` / ``finalize``, see :mod:`repro.spans`) land in the
+        calling thread's active recorder; with none active they are
+        no-ops that read no clock.
         """
         injector = None
         attached = []
@@ -364,34 +354,14 @@ class GTSEngine:
                         candidate, "attach_fault_injector"):
                     candidate.attach_fault_injector(injector)
                     attached.append(candidate)
-        hp = None
-        owns_profiler = False
-        hp_hosts = []
-        if self.host_profile:
-            from repro.obs.host import HostProfiler
-            if isinstance(self.host_profile, HostProfiler):
-                hp = self.host_profile
-            else:
-                hp = HostProfiler()
-                owns_profiler = True
-            # Attach to the database (and its base, for dynamic
-            # overlays) so page parsing reports into the same span
-            # stack — scoped to this run only.
-            for candidate in (self.db, getattr(self.db, "_base", None)):
-                if candidate is not None and hasattr(
-                        candidate, "host_profiler"):
-                    candidate.host_profiler = hp
-                    hp_hosts.append(candidate)
         try:
-            return self._run(kernel, dataset_name, injector, hp,
-                             owns_profiler, query_id=query_id,
-                             deadline=deadline, timeout_ms=timeout_ms,
-                             round_observer=round_observer)
+            with span("core.engine.run"):
+                return self._run(kernel, dataset_name, injector,
+                                 query_id=query_id, deadline=deadline,
+                                 timeout_ms=timeout_ms)
         finally:
             for candidate in attached:
                 candidate.detach_fault_injector()
-            for candidate in hp_hosts:
-                candidate.host_profiler = None
             for candidate in shared_attached:
                 candidate.detach_shared_cache()
 
@@ -432,72 +402,74 @@ class GTSEngine:
                 shared = getattr(base, "shared_cache", None)
         return shared if shared is not None else fallback
 
-    def _run(self, kernel, dataset_name, injector, hp=None,
-             owns_profiler=False, query_id=None, deadline=None,
-             timeout_ms=None, round_observer=None):
+    def _run(self, kernel, dataset_name, injector, query_id=None,
+             deadline=None, timeout_ms=None):
         wall_start = _time.perf_counter()
         db = self.db
-        if hp is not None:
+        with span("setup"):
             host_io_start = self._host_io_counters(db)
-            hp.push("run")
-            hp.push("setup")
-        # A mutated topology (dynamic updates, compaction) invalidates
-        # the large-page run index built at construction time.
-        version = getattr(db, "topology_version", 0)
-        if version != self._db_topology_version:
-            self._lp_runs = self._index_large_page_runs()
-            self._db_topology_version = version
-        pool_hits_start = getattr(db, "pool_hits", 0)
-        pool_misses_start = getattr(db, "pool_misses", 0)
-        mmap_hits_start, mmap_misses_start = self._mmap_counters(db)
-        integrity_retries_start = self._integrity_retries(db)
-        # Shared-cache deltas are exact for serial runs; under the
-        # service's concurrency they attribute the whole interval's
-        # traffic to this run (the cache is one ledger for all queries).
-        shared = self._shared_cache_of(db, self.shared_cache)
-        shared_hits_start = shared.hits if shared is not None else 0
-        shared_misses_start = shared.misses if shared is not None else 0
-        topology = db.topology_bytes()
-        recorder = None
-        if self.tracing:
-            from repro.obs.events import TraceRecorder
-            recorder = TraceRecorder()
-        runtime = MachineRuntime(
-            self.machine, num_streams=self.num_streams,
-            page_bytes=db.config.page_size,
-            mm_buffer_bytes=self._mm_buffer_capacity(),
-            tracing=self.tracing, recorder=recorder)
-        if runtime.storage is not None:
-            runtime.storage.check_fits(topology)
-            runtime.storage.fault_injector = injector
-        elif topology > runtime.mm_buffer.capacity_bytes:
-            raise CapacityError(
-                "graph of %d bytes exceeds main memory %d and the machine "
-                "has no secondary storage" % (
-                    topology, runtime.mm_buffer.capacity_bytes),
-                required_bytes=topology,
-                available_bytes=runtime.mm_buffer.capacity_bytes)
+            # A mutated topology (dynamic updates, compaction)
+            # invalidates the large-page run index built at
+            # construction time.
+            version = getattr(db, "topology_version", 0)
+            if version != self._db_topology_version:
+                self._lp_runs = self._index_large_page_runs()
+                self._db_topology_version = version
+            pool_hits_start = getattr(db, "pool_hits", 0)
+            pool_misses_start = getattr(db, "pool_misses", 0)
+            mmap_hits_start, mmap_misses_start = self._mmap_counters(db)
+            integrity_retries_start = self._integrity_retries(db)
+            # Shared-cache deltas are exact for serial runs; under the
+            # service's concurrency they attribute the whole interval's
+            # traffic to this run (the cache is one ledger for all
+            # queries).
+            shared = self._shared_cache_of(db, self.shared_cache)
+            shared_hits_start = shared.hits if shared is not None else 0
+            shared_misses_start = (shared.misses if shared is not None
+                                   else 0)
+            topology = db.topology_bytes()
+            recorder = None
+            if self.tracing:
+                from repro.obs.events import TraceRecorder
+                recorder = TraceRecorder()
+            runtime = MachineRuntime(
+                self.machine, num_streams=self.num_streams,
+                page_bytes=db.config.page_size,
+                mm_buffer_bytes=self._mm_buffer_capacity(),
+                tracing=self.tracing, recorder=recorder)
+            if runtime.storage is not None:
+                runtime.storage.check_fits(topology)
+                runtime.storage.fault_injector = injector
+            elif topology > runtime.mm_buffer.capacity_bytes:
+                raise CapacityError(
+                    "graph of %d bytes exceeds main memory %d and the "
+                    "machine has no secondary storage" % (
+                        topology, runtime.mm_buffer.capacity_bytes),
+                    required_bytes=topology,
+                    available_bytes=runtime.mm_buffer.capacity_bytes)
 
-        wa_total, caches = self._allocate_device_buffers(runtime, kernel)
-        state = kernel.init_state(db)
-        ctx = KernelContext(db, self.micro_technique)
+            wa_total, caches = self._allocate_device_buffers(runtime,
+                                                             kernel)
+            state = kernel.init_state(db)
+            ctx = KernelContext(db, self.micro_technique)
 
-        # Built once per topology version (one pass over the pages plus
-        # one global scatter argsort); every round gathers flat array
-        # views from it.
-        plan_arrays = self._plan_cache.get(db, host_profiler=hp)
-        copy_bytes_all = plan_arrays.copy_bytes(kernel.ra_bytes_per_vertex)
+            # Built once per topology version (one pass over the pages
+            # plus one global scatter argsort); every round gathers
+            # flat array views from it.
+            with span("core.plan.get"):
+                plan_arrays = self._plan_cache.get(db)
+            copy_bytes_all = plan_arrays.copy_bytes(
+                kernel.ra_bytes_per_vertex)
 
-        # |G| < MMBuf: load the graph up front (Algorithm 1 lines 9-10).
-        preloaded = False
-        if topology <= runtime.mm_buffer.capacity_bytes:
-            runtime.mm_buffer.preload(range(db.num_pages))
-            preloaded = True
+            # |G| < MMBuf: load the graph up front (Algorithm 1 lines
+            # 9-10).
+            preloaded = False
+            if topology <= runtime.mm_buffer.capacity_bytes:
+                runtime.mm_buffer.preload(range(db.num_pages))
+                preloaded = True
 
-        # Step 1: copy WA chunks to the GPUs.
-        wa_ready = self.strategy.book_wa_broadcast(runtime, wa_total)
-        if hp is not None:
-            hp.pop()  # setup
+            # Step 1: copy WA chunks to the GPUs.
+            wa_ready = self.strategy.book_wa_broadcast(runtime, wa_total)
 
         rounds = []
         scheduler = StreamScheduler(runtime, fault_injector=injector)
@@ -521,156 +493,122 @@ class GTSEngine:
                         timeout_ms=timeout_ms,
                         elapsed_seconds=elapsed,
                         rounds_completed=round_index)
-            if hp is not None:
-                hp.push("frontier")
-                plan = kernel.next_round(state)
-                hp.pop()
-                if plan is not None:
-                    hp.push("round")
-            else:
+            with span("frontier"):
                 plan = kernel.next_round(state)
             if plan is None:
                 break
-            if isinstance(plan.pids, str) and plan.pids == ALL_PAGES:
-                small = db.small_page_ids()
-                large = db.large_page_ids()
-            else:
-                small, large = self._expand_pids(plan.pids)
-            stats = RoundStats(round_index=round_index,
-                               description=plan.description,
-                               start_time=runtime.now)
-            # nextPIDSet is a page bitmap; the round's kernels OR into it.
-            next_pages = (np.zeros(db.num_pages, dtype=bool)
-                          if kernel.traversal else None)
-            round_start = runtime.now
-            if injector is not None:
-                injector.begin_round(round_index)
-                if injector.plan.gpu_loss and self._absorb_gpu_losses(
-                        runtime, injector, dead_gpus, recorder):
-                    # The survivor set changed; cached full-scan
-                    # assignments no longer reflect it.
-                    full_assignments = None
-            pids_round = np.concatenate([small, large])
-            # SPs first, then LPs (reduces kernel switching, Section 3.2).
-            if len(pids_round) == plan_arrays.num_pages:
-                # Full-scan rounds dispatch the same SP-first page
-                # sequence every time; compute its assignment once.
-                if full_assignments is None:
-                    full_assignments = self._round_assignments(
+            with span("round"):
+                if isinstance(plan.pids, str) and plan.pids == ALL_PAGES:
+                    small = db.small_page_ids()
+                    large = db.large_page_ids()
+                else:
+                    small, large = self._expand_pids(plan.pids)
+                stats = RoundStats(round_index=round_index,
+                                   description=plan.description,
+                                   start_time=runtime.now)
+                # nextPIDSet is a page bitmap; the round's kernels OR
+                # into it.
+                next_pages = (np.zeros(db.num_pages, dtype=bool)
+                              if kernel.traversal else None)
+                round_start = runtime.now
+                if injector is not None:
+                    injector.begin_round(round_index)
+                    if injector.plan.gpu_loss and self._absorb_gpu_losses(
+                            runtime, injector, dead_gpus, recorder):
+                        # The survivor set changed; cached full-scan
+                        # assignments no longer reflect it.
+                        full_assignments = None
+                pids_round = np.concatenate([small, large])
+                # SPs first, then LPs (reduces kernel switching,
+                # Section 3.2).
+                if len(pids_round) == plan_arrays.num_pages:
+                    # Full-scan rounds dispatch the same SP-first page
+                    # sequence every time; compute its assignment once.
+                    if full_assignments is None:
+                        full_assignments = self._round_assignments(
+                            pids_round, runtime, dead_gpus)
+                    assignments = full_assignments
+                else:
+                    assignments = self._round_assignments(
                         pids_round, runtime, dead_gpus)
-                assignments = full_assignments
-            else:
-                assignments = self._round_assignments(
-                    pids_round, runtime, dead_gpus)
-            if hp is not None:
-                hp.push("gather")
-                batch = plan_arrays.round_batch(pids_round)
-                hp.pop()
-                hp.push("kernel")
-                work = kernel.process_batch(batch, state, ctx)
-                hp.pop()
-            else:
-                batch = plan_arrays.round_batch(pids_round)
-                work = kernel.process_batch(batch, state, ctx)
-            stats.pages_dispatched += batch.num_pages
-            round_edges = int(work.edges_traversed.sum())
-            stats.edges_traversed += round_edges
-            stats.active_vertices += int(work.active_vertices.sum())
-            total_edges += round_edges
-            if next_pages is not None and work.next_pids is not None:
-                next_pages[work.next_pids] = True
-            # The scheduler books the round: per call, with injection
-            # and retry, if a fault fires in it; in bulk otherwise.
-            if hp is not None:
-                hp.push("dispatch")
-            scheduler.dispatch_round(
-                pids_round, assignments, copy_bytes_all[pids_round],
-                work.lane_steps, kernel.cycles_per_lane_step, caches,
-                wa_ready, round_start, stats)
-            if hp is not None:
-                hp.pop()  # dispatch
+                with span("core.plan.gather"):
+                    batch = plan_arrays.round_batch(pids_round)
+                with span("core.kernels.batch"):
+                    work = kernel.process_batch(batch, state, ctx)
+                stats.pages_dispatched += batch.num_pages
+                round_edges = int(work.edges_traversed.sum())
+                stats.edges_traversed += round_edges
+                stats.active_vertices += int(work.active_vertices.sum())
+                total_edges += round_edges
+                if next_pages is not None and work.next_pids is not None:
+                    next_pages[work.next_pids] = True
+                # The scheduler books the round: per call, with
+                # injection and retry, if a fault fires in it; in bulk
+                # otherwise.
+                with span("core.streams.booking"):
+                    scheduler.dispatch_round(
+                        pids_round, assignments,
+                        copy_bytes_all[pids_round], work.lane_steps,
+                        kernel.cycles_per_lane_step, caches, wa_ready,
+                        round_start, stats)
 
-            # Lines 27-30: barrier, WA sync, nextPIDSet merge.
-            if hp is not None:
-                hp.push("sync")
-            barrier = max(gpu.done_at() for gpu in runtime.gpus)
-            sync_end = self.strategy.book_sync(
-                runtime, wa_total, barrier,
-                sync_full_wa=not kernel.traversal)
-            runtime.now = max(barrier, sync_end)
-            for gpu in runtime.gpus:
-                gpu.advance_to(runtime.now)
-            kernel.finish_round(
-                state,
-                None if next_pages is None else np.flatnonzero(next_pages))
-            if hp is not None:
-                hp.pop()  # sync
-            stats.end_time = runtime.now
-            if recorder is not None:
-                recorder.instant(
-                    "round_barrier", "engine", "rounds", barrier,
-                    round=round_index)
-                recorder.interval(
-                    "round", "engine", "rounds",
-                    stats.start_time, stats.end_time,
-                    round=round_index, description=plan.description,
-                    pages=stats.pages_dispatched,
-                    bytes=stats.bytes_streamed)
-            rounds.append(stats)
-            round_index += 1
-            # Service telemetry's per-round marks.  Disabled runs pay
-            # one `is None` branch here and zero clock reads — the
-            # observer, not the engine, owns the host clock.
-            if round_observer is not None:
-                round_observer(round_index)
-            if hp is not None:
-                hp.pop()  # round
+                # Lines 27-30: barrier, WA sync, nextPIDSet merge.
+                with span("sync"):
+                    barrier = max(gpu.done_at() for gpu in runtime.gpus)
+                    sync_end = self.strategy.book_sync(
+                        runtime, wa_total, barrier,
+                        sync_full_wa=not kernel.traversal)
+                    runtime.now = max(barrier, sync_end)
+                    for gpu in runtime.gpus:
+                        gpu.advance_to(runtime.now)
+                    kernel.finish_round(
+                        state,
+                        None if next_pages is None
+                        else np.flatnonzero(next_pages))
+                stats.end_time = runtime.now
+                if recorder is not None:
+                    recorder.instant(
+                        "round_barrier", "engine", "rounds", barrier,
+                        round=round_index)
+                    recorder.interval(
+                        "round", "engine", "rounds",
+                        stats.start_time, stats.end_time,
+                        round=round_index, description=plan.description,
+                        pages=stats.pages_dispatched,
+                        bytes=stats.bytes_streamed)
+                rounds.append(stats)
+                round_index += 1
 
-        if hp is not None:
-            hp.push("finalize")
-        values = kernel.results(state)
-        fault_stats = None
-        if injector is not None:
-            fault_stats = injector.stats()
-            fault_stats["dead_gpus"] = sorted(dead_gpus)
-            fault_stats["integrity_retries"] = (
-                self._integrity_retries(db) - integrity_retries_start)
-            if runtime.storage is not None:
-                fault_stats["fetch_retries"] = list(
-                    runtime.storage.fetch_retries)
-                fault_stats["device_faults"] = list(
-                    runtime.storage.faults_injected)
-        if self.validate_simulation:
-            from repro.hardware.validation import check_runtime
-            check_runtime(runtime)
-        timeline = None
-        if self.tracing:
-            from repro.hardware.trace import render_gpu_timeline
-            timeline = "\n\n".join(
-                render_gpu_timeline(gpu, 0.0, runtime.now)
-                for gpu in runtime.gpus)
+        with span("finalize"):
+            values = kernel.results(state)
+            fault_stats = None
+            if injector is not None:
+                fault_stats = injector.stats()
+                fault_stats["dead_gpus"] = sorted(dead_gpus)
+                fault_stats["integrity_retries"] = (
+                    self._integrity_retries(db) - integrity_retries_start)
+                if runtime.storage is not None:
+                    fault_stats["fetch_retries"] = list(
+                        runtime.storage.fetch_retries)
+                    fault_stats["device_faults"] = list(
+                        runtime.storage.faults_injected)
+            if self.validate_simulation:
+                from repro.hardware.validation import check_runtime
+                check_runtime(runtime)
+            timeline = None
+            if self.tracing:
+                from repro.hardware.trace import render_gpu_timeline
+                timeline = "\n\n".join(
+                    render_gpu_timeline(gpu, 0.0, runtime.now)
+                    for gpu in runtime.gpus)
         wall = _time.perf_counter() - wall_start
-        host_profile = None
-        if hp is not None:
-            hp.pop()  # finalize
-            hp.pop()  # run
-            io_now = self._host_io_counters(db)
-            hp.add_counter("io.file_bytes_read",
-                           io_now[0] - host_io_start[0])
-            hp.add_counter("io.file_reads",
-                           io_now[1] - host_io_start[1])
-            hp.add_counter("io.file_adjacent_reads",
-                           io_now[2] - host_io_start[2])
-            if runtime.storage is not None:
-                hp.add_counter("io.sim_pages_fetched",
-                               runtime.storage.pages_fetched)
-                hp.add_counter("io.sim_bytes_read",
-                               runtime.storage.bytes_read)
-            # An engine-created profiler is finished here (releasing
-            # tracemalloc); an externally-owned one is snapshotted
-            # non-destructively so its owner can keep measuring.
-            host_profile = (hp.finish() if owns_profiler
-                            else hp.profile())
+        io_now = self._host_io_counters(db)
+        count("io.file_bytes_read", io_now[0] - host_io_start[0])
+        count("io.file_reads", io_now[1] - host_io_start[1])
+        count("io.file_adjacent_reads", io_now[2] - host_io_start[2])
+        if runtime.storage is not None:
+            count("io.sim_pages_fetched", runtime.storage.pages_fetched)
+            count("io.sim_bytes_read", runtime.storage.bytes_read)
         mmap_hits_now, mmap_misses_now = self._mmap_counters(db)
         return RunResult(
             algorithm=kernel.name,
@@ -713,7 +651,6 @@ class GTSEngine:
             timeline=timeline,
             trace=recorder,
             fault_stats=fault_stats,
-            host_profile=host_profile,
             query_id=query_id,
             snapshot_version=getattr(db, "topology_version", 0),
         )

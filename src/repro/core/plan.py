@@ -48,6 +48,7 @@ import weakref
 import numpy as np
 
 from repro.concurrency import InstrumentedLock
+from repro.spans import span
 
 
 def take_ranges(starts, counts):
@@ -424,43 +425,38 @@ class PagePlan:
     handle it was built from.
     """
 
-    def __init__(self, db, host_profiler=None):
+    def __init__(self, db):
         self.topology_version = getattr(db, "topology_version", 0)
         self.num_pages = db.num_pages
         self.page_size = db.page_bytes()
-        if host_profiler is not None:
-            host_profiler.push("plan_scan")
-        #: Directory record counts drive RA-subvector sizing (what
-        #: ``db.ra_subvector_bytes`` reads: the directory, not the
-        #: served page).
-        self.dir_records = np.asarray(
-            [entry.num_records for entry in db.directory], dtype=np.int64)
-        self._full_order = np.concatenate(
-            [np.asarray(db.small_page_ids(), dtype=np.int64),
-             np.asarray(db.large_page_ids(), dtype=np.int64)])
+        with span("scan"):
+            #: Directory record counts drive RA-subvector sizing (what
+            #: ``db.ra_subvector_bytes`` reads: the directory, not the
+            #: served page).
+            self.dir_records = np.asarray(
+                [entry.num_records for entry in db.directory],
+                dtype=np.int64)
+            self._full_order = np.concatenate(
+                [np.asarray(db.small_page_ids(), dtype=np.int64),
+                 np.asarray(db.large_page_ids(), dtype=np.int64)])
 
-        # The page scan is the database's: flat page-major arrays, read
-        # through page() by resident and overlay databases and decoded
-        # in bulk off the mapping by a file-backed store.
-        arrays = db.topology_arrays()
-        self.rec_counts = arrays["rec_counts"]
-        self.edge_counts = arrays["edge_counts"]
-        self.rec_indptr = _indptr(self.rec_counts)
-        self.edge_indptr = _indptr(self.edge_counts)
-        self.degrees = arrays["degrees"]
-        #: Plan-wide edge offset of each record's adjacency list.
-        self.rec_edge_start = _indptr(self.degrees)[:-1]
-        self.rec_vids = arrays["rec_vids"]
-        self.rec_divisor = arrays["rec_divisor"]
-        self.adj_vids = arrays["adj_vids"]
-        self.adj_pids = arrays["adj_pids"]
-        self.adj_weights = arrays["adj_weights"]
-        if host_profiler is not None:
-            host_profiler.pop()  # plan_scan
-            host_profiler.push("plan_scatter")
-            self._build_scatter(db)
-            host_profiler.pop()
-        else:
+            # The page scan is the database's: flat page-major arrays,
+            # read through page() by resident and overlay databases and
+            # decoded in bulk off the mapping by a file-backed store.
+            arrays = db.topology_arrays()
+            self.rec_counts = arrays["rec_counts"]
+            self.edge_counts = arrays["edge_counts"]
+            self.rec_indptr = _indptr(self.rec_counts)
+            self.edge_indptr = _indptr(self.edge_counts)
+            self.degrees = arrays["degrees"]
+            #: Plan-wide edge offset of each record's adjacency list.
+            self.rec_edge_start = _indptr(self.degrees)[:-1]
+            self.rec_vids = arrays["rec_vids"]
+            self.rec_divisor = arrays["rec_divisor"]
+            self.adj_vids = arrays["adj_vids"]
+            self.adj_pids = arrays["adj_pids"]
+            self.adj_weights = arrays["adj_weights"]
+        with span("scatter"):
             self._build_scatter(db)
         self._full_batch = None
         self._copy_bytes = {}
@@ -605,7 +601,7 @@ class RoundPlanCache:
         """Lock acquisitions that had to wait (build-vs-build races)."""
         return self._lock.contended
 
-    def get(self, db, host_profiler=None):
+    def get(self, db):
         """The plan for ``db``'s current topology (built on miss).
 
         The fast path reads the per-version dict without taking the
@@ -624,13 +620,7 @@ class RoundPlanCache:
             if plan is not None:
                 next(self._hit_tickets)
                 return plan
-            if host_profiler is not None:
-                host_profiler.push("plan")
-                try:
-                    plan = PagePlan(db, host_profiler=host_profiler)
-                finally:
-                    host_profiler.pop()
-            else:
+            with span("core.plan.build"):
                 plan = PagePlan(db)
             self._plans[version] = plan
             self._order.append(version)

@@ -94,10 +94,6 @@ class RunResult:
     #: plus per-device counters) when the run had a fault plan; ``None``
     #: for fault-free runs.
     fault_stats: Optional[Dict] = None
-    #: Host-runtime profile (a :class:`repro.obs.host.HostProfile`) when
-    #: the engine ran with ``host_profile=True``: per-phase wall-clock,
-    #: tracemalloc peak and real I/O counters.  ``None`` otherwise.
-    host_profile: Optional[object] = None
     #: Caller-supplied identifier when the run was submitted through the
     #: service layer (``None`` for one-shot runs); tags traces, metrics
     #: and the ``--json`` payload.

@@ -57,10 +57,6 @@ class GraphDatabase:
             [e.page_id for e in directory if e.kind == "SP"], dtype=np.int64)
         self._large_page_ids = np.array(
             [e.page_id for e in directory if e.kind == "LP"], dtype=np.int64)
-        #: Optional :class:`~repro.obs.host.HostProfiler` attached by
-        #: the engine for the duration of a profiled run; ``None``
-        #: keeps the page hot path free of profiling work.
-        self.host_profiler = None
         #: Optional :class:`~repro.core.cache.SharedPageCache` attached
         #: by the service (or ``GTSEngine(shared_cache=...)``); consulted
         #: only by the file-backed loader's miss path, so eager

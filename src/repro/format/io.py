@@ -57,6 +57,7 @@ from repro.format.page import (
     encode_page_objects,
 )
 from repro.format.rvt import RecordVertexTable
+from repro.spans import span
 
 #: Bumped whenever the on-disk layout changes.
 FORMAT_VERSION = 1
@@ -264,33 +265,23 @@ def _verify_page_bytes(data, page_id, expected_crc, source):
             actual_crc=actual)
 
 
-def load_database(prefix, host_profiler=None):
+def load_database(prefix):
     """Load a database previously written by :func:`save_database`.
 
     The resident :class:`GraphDatabase` is derived from the one page
     store: open a :class:`FileBackedDatabase`, decode every page through
     its verified chunk path (a chunk of regions is checksummed, then
-    decoded in one vectorized pass), close it, validate.
-
-    ``host_profiler`` is an optional
-    :class:`~repro.obs.host.HostProfiler`; when given, the metadata
-    parse and the page deserialization loop report as nested
-    ``load/...`` phases (``None``, the default, records nothing).
+    decoded in one vectorized pass), close it, validate.  The three
+    steps report as ``load_meta`` / ``load_pages`` / ``load_validate``
+    spans (:mod:`repro.spans`).
     """
-    hp = host_profiler
-    if hp is not None:
-        hp.push("load")
-        hp.push("load_meta")
-    store = FileBackedDatabase(prefix, pool_pages=1)
-    if hp is not None:
-        hp.pop()
-        hp.push("load_pages")
-    try:
-        pages = list(store._parse_pages(range(store.num_pages)))
-    finally:
-        store.close()
-    if hp is not None:
-        hp.pop()  # load_pages
+    with span("load_meta"):
+        store = FileBackedDatabase(prefix, pool_pages=1)
+    with span("load_pages"):
+        try:
+            pages = list(store._parse_pages(range(store.num_pages)))
+        finally:
+            store.close()
 
     db = GraphDatabase(
         pages=pages,
@@ -304,12 +295,7 @@ def load_database(prefix, host_profiler=None):
         name=store.name,
     )
     db.wal_epoch = store.wal_epoch
-    if hp is not None:
-        hp.push("load_validate")
-        db.validate()
-        hp.pop()
-        hp.pop()  # load
-    else:
+    with span("load_validate"):
         db.validate()
     return db
 
@@ -514,14 +500,9 @@ class FileBackedDatabase(GraphDatabase):
         page = shared.get(page_id, self.topology_version) \
             if shared is not None else None
         if page is None:
-            # The profiling hook sits on the parse path only; pool and
+            # The span sits on the parse path only; pool and
             # shared-cache hits stay dict probes no matter what.
-            hp = self.host_profiler
-            if hp is not None:
-                hp.push("page_parse")
-                page = self._parse_page(page_id)
-                hp.pop()
-            else:
+            with span("format.io.page"):
                 page = self._parse_page(page_id)
             if shared is not None:
                 # Only verified parses reach this line (_parse_page
@@ -584,19 +565,13 @@ class FileBackedDatabase(GraphDatabase):
                 disk.append(pid)
         if not disk:
             return 0
-        # Same profiling hook as :meth:`page`: the span covers reads and
-        # decodes only, never the pool/shared-cache dict probes above.
-        hp = self.host_profiler
-        if hp is not None:
-            hp.push("page_parse")
-        try:
+        # Same span as :meth:`page`: it covers reads and decodes only,
+        # never the pool/shared-cache dict probes above.
+        with span("format.io.page"):
             for page in self._parse_pages(disk):
                 if shared is not None:
                     shared.put(page.page_id, self.topology_version, page)
                 self._pool_insert(page.page_id, page)
-        finally:
-            if hp is not None:
-                hp.pop()
         return len(disk)
 
     def pool_lock_stats(self):
@@ -790,11 +765,8 @@ class FileBackedDatabase(GraphDatabase):
         per-page body, whose :meth:`prefetch` / :meth:`page` calls take
         the copy fallback.
         """
-        # Same profiling hook as :meth:`page` and :meth:`prefetch`.
-        hp = self.host_profiler
-        if hp is not None:
-            hp.push("page_parse")
-        try:
+        # Same span as :meth:`page` and :meth:`prefetch`.
+        with span("format.io.page"):
             chunks = []
             for lo in range(0, self.num_pages, _CHUNK_PAGES):
                 decoded = self._decode_chunk(
@@ -803,9 +775,6 @@ class FileBackedDatabase(GraphDatabase):
                     chunks = None
                     break
                 chunks.append(decoded)
-        finally:
-            if hp is not None:
-                hp.pop()
         if not chunks:
             return super().topology_arrays()
         rec_vids, degrees, adj_pids, adj_slots = (

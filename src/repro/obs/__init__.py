@@ -23,21 +23,28 @@ Three layers over one event stream:
   (improved/unchanged/regressed) and the append-only, schema-versioned
   ``BENCH_history.jsonl`` benchmark trajectory the CI regression gate
   diffs against.
-* :mod:`repro.obs.host` — the *host-runtime* profiler: phase-scoped
-  wall-clock spans, tracemalloc accounting and real I/O counters over
-  the process's own clock (everything else in ``repro.obs`` measures
-  the *simulated* machine).  Exports collapsed-stack flamegraphs and
-  ``host/*`` lanes merged into the Chrome trace.
+* :mod:`repro.obs.host` — the *host-runtime* profiler: the one
+  recorder of nested wall-clock spans (plus real I/O counters) over the
+  process's own clock (everything else in ``repro.obs`` measures the
+  *simulated* machine).  The program opens spans with
+  ``with repro.spans.span(name):``; they land in the
+  :class:`HostProfiler` that :func:`repro.spans.activate` made the
+  calling thread's, and read no clock when there is none.  Exports
+  collapsed-stack flamegraphs and ``host/*`` lanes merged into the
+  Chrome trace.
 
 * :mod:`repro.obs.telemetry` — *service-scale* request telemetry:
-  per-request lifecycle span trees correlated by ``query_id``,
+  per-request span trees (lifecycle phases with the engine's own spans
+  under ``engine``, on one :class:`HostProfiler` per request)
+  correlated by ``query_id``,
   structured JSON logging, rolling-window (1m/5m) latency/throughput
   histograms, the bounded slow-query ring with head-sampling and
   tail-capture, and the Prometheus ``/metrics`` family builders.
 
 Observability is pay-for-use: with ``tracing=False`` nothing is
 recorded and the dispatch hot path takes no measurable overhead; the
-same holds for ``host_profile=False`` and an untelemetered service.
+same holds for a thread with no active host recorder and an
+untelemetered service.
 """
 
 from repro.obs.analyze import (
@@ -100,7 +107,6 @@ from repro.obs.host import (
     HostPhase,
     HostProfile,
     HostProfiler,
-    collect_host_metrics,
     host_chrome_trace,
     load_host_profile,
     merge_host_lanes,
@@ -203,7 +209,6 @@ __all__ = [
     "HostPhase",
     "HostProfile",
     "HostProfiler",
-    "collect_host_metrics",
     "host_chrome_trace",
     "load_host_profile",
     "merge_host_lanes",

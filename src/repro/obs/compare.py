@@ -115,17 +115,15 @@ DEFAULT_RULES = (
     ToleranceRule("total_seconds", "lower", rel_tol=1e-9,
                   name="trace span"),
     ToleranceRule("critical_path_seconds", "lower", rel_tol=1e-9),
-    # Host-profile metrics (repro.obs.host): real wall-clock and memory,
-    # so bands are wide; phase *fractions* are the host-independent
-    # signal and get a tighter absolute band.
+    # Host-profile metrics (repro.obs.host): real wall-clock, so bands
+    # are wide; phase *fractions* are the host-independent signal and
+    # get a tighter absolute band.
     ToleranceRule("host.wall_seconds", "lower", rel_tol=0.5,
                   name="host profile wall (noisy)"),
     ToleranceRule("host.phase.*.seconds", "lower", rel_tol=0.75,
                   abs_tol=0.005, name="host phase wall (noisy)"),
     ToleranceRule("host.phase.*.fraction", "lower", abs_tol=0.10,
                   name="host phase share of wall"),
-    ToleranceRule("host.tracemalloc_peak_bytes", "lower", rel_tol=0.25,
-                  abs_tol=1 << 20, name="host peak allocation"),
     ToleranceRule("host.coverage", "higher", abs_tol=0.05,
                   name="profiled share of wall"),
 )

@@ -4,29 +4,32 @@ Everything else in :mod:`repro.obs` measures **simulated** time — the
 deterministic discrete-event timeline the engine books GPU kernels and
 SSD fetches on.  This module measures **host** time: where the Python
 process actually spends its wall-clock while driving that simulation —
-page parsing in :mod:`repro.format.io`, plan construction in
-:mod:`repro.core.plan`, dispatch in :mod:`repro.core.streams`, kernel
-``process_batch`` calls, and the engine's own setup/round loop.
+page decoding in :mod:`repro.format.io`, plan construction and gathers
+in :mod:`repro.core.plan`, kernel ``process_batch`` calls, DES booking
+in :mod:`repro.core.streams`, and the engine's own setup/round loop.
 
-A :class:`HostProfiler` keeps one stack of nested phase spans timed
-with :func:`time.perf_counter_ns`.  Profiling is strictly pay-for-use:
-components hold ``host_profiler=None`` by default and guard every
-``push``/``pop`` behind an ``is not None`` check, mirroring the
-``recorder=None`` convention — a disabled run never constructs a
-profiler and never reads the host clock.  When enabled, the profiler
-also tracks memory via :mod:`tracemalloc` (peak traced bytes plus
-per-phase net allocation deltas — NumPy buffers are tracemalloc-visible)
-and carries real I/O counters (bytes read, reads issued, adjacent-read
-opportunities) snapshotted from the file-backed database and the
-storage array.
+A :class:`HostProfiler` is the one host-clock recorder: a stack of
+nested spans timed with :func:`time.perf_counter_ns`, and nothing else —
+no allocator hook, so a recorded run is the program that runs bare (see
+ARCHITECTURE, "Simulated vs. host time").  The program opens spans with
+``with repro.spans.span(name):``, which records into the profiler
+:func:`repro.spans.activate` made current on the calling thread and is
+a no-op that reads no clock otherwise.  A span that brackets exactly a
+boundary the benchmark ledger traces carries the ledger's layer name
+(``core.engine.run``, ``core.plan.get``, ``core.plan.gather``,
+``core.kernels.batch``, ``core.streams.booking``, ``format.io.page``),
+so the two instruments compare by name.  Service telemetry records each
+request's lifecycle on one of these too (:mod:`repro.obs.telemetry`),
+so a slow-query record reads from the HTTP handler down to a page
+decode.
 
 The finished :class:`HostProfile` exports three ways:
 
 * ``to_metrics()`` — flat ``host.*`` names (per-phase seconds, counts,
   p50/p95 per-call latencies via the shared
-  :func:`~repro.obs.metrics.quantile`, peak memory, I/O counters) so ``repro obs compare`` / ``obs history`` tolerance rules
-  can gate per-phase wall-clock regressions, not just the end-to-end
-  number;
+  :func:`~repro.obs.metrics.quantile`, I/O counters) so ``repro obs
+  compare`` / ``obs history`` tolerance rules can gate per-phase
+  wall-clock regressions, not just the end-to-end number;
 * ``flamegraph()`` — collapsed-stack text (``a;b;c <self-µs>`` lines,
   the format Brendan Gregg's ``flamegraph.pl`` and speedscope read);
 * ``trace_events()`` / :func:`merge_host_lanes` — host spans as extra
@@ -40,8 +43,6 @@ Both text exporters are byte-deterministic given a frozen profile.
 import dataclasses
 import json
 import os
-import tracemalloc
-from contextlib import contextmanager
 from time import perf_counter_ns as _perf_counter_ns
 from typing import Dict, List, Optional, Tuple
 
@@ -50,8 +51,8 @@ from repro.obs.events import PHASE_COMPLETE, TraceEvent, TraceRecorder
 from repro.obs.exporters import MICROSECONDS
 from repro.obs.metrics import quantile
 
-#: Module-level indirection so tests can count host-clock reads (the
-#: disabled-path overhead guard patches this symbol).
+#: Module-level indirection so tests can count host-clock reads: every
+#: read a span makes goes through this symbol.
 perf_counter_ns = _perf_counter_ns
 
 #: Separator inside phase paths (``run/round/kernel``).
@@ -65,7 +66,8 @@ HOST_THREAD = "wall"
 
 #: ``kind`` stamp on serialized profiles.
 PROFILE_KIND = "gts-host-profile"
-PROFILE_SCHEMA = 1
+#: v2 dropped the allocator-hook fields (peak and per-phase net bytes).
+PROFILE_SCHEMA = 2
 
 _NS = 1e-9
 
@@ -76,10 +78,7 @@ class HostPhase:
 
     ``seconds`` is inclusive (children counted); ``self_seconds``
     subtracts direct children.  ``p50_seconds`` / ``p95_seconds`` are
-    per-call latency quantiles over the phase's recorded samples.
-    ``net_alloc_bytes`` is the net tracemalloc delta across the
-    phase's calls (negative when the phase frees more than it
-    allocates); ``None`` when memory tracking was off.
+    per-call latency quantiles over the phase's recorded spans.
     """
 
     path: str
@@ -89,7 +88,6 @@ class HostPhase:
     count: int
     p50_seconds: Optional[float]
     p95_seconds: Optional[float]
-    net_alloc_bytes: Optional[int]
 
     @property
     def name(self):
@@ -103,7 +101,6 @@ class HostProfile:
     """Frozen snapshot of one profiled run's host-side behavior."""
 
     def __init__(self, wall_seconds, phases, counters=None,
-                 tracemalloc_peak_bytes=None,
                  events=(), dropped_events=0):
         self.wall_seconds = float(wall_seconds)
         #: Sorted by path — every consumer below relies on this order
@@ -111,7 +108,6 @@ class HostProfile:
         self.phases: List[HostPhase] = sorted(
             phases, key=lambda p: p.path)
         self.counters: Dict[str, float] = dict(counters or {})
-        self.tracemalloc_peak_bytes = tracemalloc_peak_bytes
         #: Raw closed spans ``(path, rel_start_ns, duration_ns)`` for
         #: the Chrome-lane export (capped at record time).
         self.events: List[Tuple[str, int, int]] = list(events)
@@ -148,9 +144,6 @@ class HostProfile:
             "host.coverage": self.coverage(),
             "host.dropped_events": float(self.dropped_events),
         }
-        if self.tracemalloc_peak_bytes is not None:
-            metrics["host.tracemalloc_peak_bytes"] = \
-                float(self.tracemalloc_peak_bytes)
         for name in sorted(self.counters):
             metrics["host.%s" % name] = float(self.counters[name])
         for entry in self.phases:
@@ -165,9 +158,6 @@ class HostProfile:
                 metrics[base + ".p50_seconds"] = entry.p50_seconds
             if entry.p95_seconds is not None:
                 metrics[base + ".p95_seconds"] = entry.p95_seconds
-            if entry.net_alloc_bytes is not None:
-                metrics[base + ".net_alloc_bytes"] = \
-                    float(entry.net_alloc_bytes)
         return metrics
 
     def flamegraph(self) -> str:
@@ -205,7 +195,6 @@ class HostProfile:
             "schema": PROFILE_SCHEMA,
             "wall_seconds": self.wall_seconds,
             "coverage": self.coverage(),
-            "tracemalloc_peak_bytes": self.tracemalloc_peak_bytes,
             "dropped_events": self.dropped_events,
             "counters": dict(self.counters),
             "phases": [entry.to_dict() for entry in self.phases],
@@ -221,17 +210,15 @@ class HostProfile:
                 payload.get("kind") != PROFILE_KIND:
             raise ConfigurationError(
                 "not a %s payload" % PROFILE_KIND)
-        if payload.get("schema", 0) > PROFILE_SCHEMA:
+        if payload.get("schema") != PROFILE_SCHEMA:
             raise ConfigurationError(
-                "host profile schema v%s is newer than this reader "
-                "(v%d)" % (payload.get("schema"), PROFILE_SCHEMA))
+                "host profile schema v%s is not this reader's (v%d)"
+                % (payload.get("schema"), PROFILE_SCHEMA))
         phases = [HostPhase(**entry) for entry in
                   payload.get("phases", [])]
         events = [tuple(event) for event in payload.get("events", [])]
         return cls(payload.get("wall_seconds", 0.0), phases,
                    counters=payload.get("counters"),
-                   tracemalloc_peak_bytes=payload.get(
-                       "tracemalloc_peak_bytes"),
                    events=events,
                    dropped_events=payload.get("dropped_events", 0))
 
@@ -239,9 +226,6 @@ class HostProfile:
         """Compact plain-text table for the CLI."""
         lines = ["host profile: %.4fs wall, coverage %.1f%%"
                  % (self.wall_seconds, 100.0 * self.coverage())]
-        if self.tracemalloc_peak_bytes is not None:
-            lines[0] += ", peak traced %.1f MiB" % (
-                self.tracemalloc_peak_bytes / (1024.0 * 1024.0))
         for entry in self.phases:
             indent = "  " * entry.depth
             lines.append(
@@ -254,76 +238,60 @@ class HostProfile:
 
 
 class HostProfiler:
-    """Records nested host-clock spans for one profiled run.
+    """Records nested host-clock spans: one run, or one request.
 
     One instance is one measurement: the wall-clock starts at
     construction and ends at :meth:`finish` (or at each
-    :meth:`profile` snapshot).  ``push``/``pop`` must pair; the
-    :meth:`phase` context manager is the safe spelling.  The profiler
-    is intentionally not thread-safe — the engine's host loop is
-    single-threaded, and keeping the hot path to two perf-counter
-    reads per span is the point.
+    :meth:`profile` snapshot).  The program reaches it through
+    ``with repro.spans.span(name):`` on a thread that
+    :func:`repro.spans.activate` gave it to; :meth:`push` /
+    :meth:`pop` are that block's two halves, and :meth:`record` files a
+    span whose timestamps the caller already holds.  One stack, no
+    lock: a profiler is active on one thread at a time, and a span
+    costs exactly two clock reads.
     """
 
-    def __init__(self, track_memory=True, max_events=200_000,
-                 max_samples_per_phase=65_536):
+    def __init__(self, max_events=200_000):
         self.max_events = max_events
-        self.max_samples = max_samples_per_phase
-        self._stack = []  # (path, start_ns, mem0_bytes)
-        # path -> [total_ns, count, net_alloc_bytes, samples_ns]
-        self._stats = {}
-        self._events = []
+        self._stack = []  # (path, start_ns)
+        self._stats = {}  # path -> [total_ns, count]
+        #: Closed spans ``(path, start_ns - start_ns of self,
+        #: duration_ns)`` in closing order: children before their parent.
+        self.events = []
         self.dropped_events = 0
         self._counters = {}
-        self._finished = False
-        self._memory = bool(track_memory)
-        self._started_tracemalloc = False
-        if self._memory:
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-                self._started_tracemalloc = True
-            else:
-                tracemalloc.reset_peak()
-        self._start_ns = perf_counter_ns()
+        self.start_ns = perf_counter_ns()
 
     # -- span recording ----------------------------------------------------
+    def _path(self, name):
+        if self._stack:
+            return self._stack[-1][0] + PATH_SEP + name
+        return name
+
     def push(self, name):
         """Open a nested span; its path is the stack joined with ``/``."""
-        if self._stack:
-            path = self._stack[-1][0] + PATH_SEP + name
-        else:
-            path = name
-        mem0 = tracemalloc.get_traced_memory()[0] if self._memory else 0
-        self._stack.append((path, perf_counter_ns(), mem0))
+        self._stack.append((self._path(name), perf_counter_ns()))
 
     def pop(self):
         """Close the innermost open span and record it."""
-        path, start_ns, mem0 = self._stack.pop()
-        duration_ns = perf_counter_ns() - start_ns
+        path, start_ns = self._stack.pop()
+        self._close(path, start_ns, perf_counter_ns())
+
+    def record(self, name, start_ns, end_ns):
+        """File an already-timed span under the innermost open one."""
+        self._close(self._path(name), start_ns, end_ns)
+
+    def _close(self, path, start_ns, end_ns):
         stat = self._stats.get(path)
         if stat is None:
-            stat = self._stats[path] = [0, 0, 0, []]
-        stat[0] += duration_ns
+            stat = self._stats[path] = [0, 0]
+        stat[0] += end_ns - start_ns
         stat[1] += 1
-        if self._memory:
-            stat[2] += tracemalloc.get_traced_memory()[0] - mem0
-        if len(stat[3]) < self.max_samples:
-            stat[3].append(duration_ns)
-        if len(self._events) < self.max_events:
-            self._events.append(
-                (path, start_ns - self._start_ns, duration_ns))
+        if len(self.events) < self.max_events:
+            self.events.append(
+                (path, start_ns - self.start_ns, end_ns - start_ns))
         else:
             self.dropped_events += 1
-
-    @contextmanager
-    def phase(self, name):
-        """``with profiler.phase("setup"): ...`` — push/pop, exception
-        safe."""
-        self.push(name)
-        try:
-            yield self
-        finally:
-            self.pop()
 
     def add_counter(self, name, amount):
         """Accumulate a named resource counter (I/O bytes, reads, ...)."""
@@ -333,30 +301,33 @@ class HostProfiler:
     def depth(self):
         return len(self._stack)
 
-    # -- snapshotting ------------------------------------------------------
-    def _peak_bytes(self):
-        if not self._memory or not tracemalloc.is_tracing():
-            return None
-        return tracemalloc.get_traced_memory()[1]
+    def calls(self, name):
+        """How many spans named ``name`` have closed, at any depth."""
+        return sum(stat[1] for path, stat in self._stats.items()
+                   if path.rsplit(PATH_SEP, 1)[-1] == name)
 
+    # -- snapshotting ------------------------------------------------------
     def profile(self) -> HostProfile:
         """Non-destructive snapshot of everything recorded so far.
 
         Open spans are not counted (only closed ones carry a
-        duration); the engine closes its spans before snapshotting, so
-        an externally-owned profiler can keep running afterwards.
+        duration), so a profiler can keep recording afterwards.
+        Per-call quantiles come from the retained events; totals and
+        counts are never capped.
         """
-        wall_ns = perf_counter_ns() - self._start_ns
+        wall_ns = perf_counter_ns() - self.start_ns
         child_total = {}
         for path, stat in self._stats.items():
             if PATH_SEP in path:
                 parent = path.rsplit(PATH_SEP, 1)[0]
                 child_total[parent] = \
                     child_total.get(parent, 0) + stat[0]
+        samples = {}
+        for path, _start_ns, duration_ns in self.events:
+            samples.setdefault(path, []).append(duration_ns)
         phases = []
-        for path, stat in self._stats.items():
-            total_ns, count, net_alloc, samples = stat
-            ordered = sorted(samples)
+        for path, (total_ns, count) in self._stats.items():
+            ordered = sorted(samples.get(path, ()))
             p50 = quantile(ordered, 0.50)
             p95 = quantile(ordered, 0.95)
             phases.append(HostPhase(
@@ -367,25 +338,31 @@ class HostProfiler:
                     0, total_ns - child_total.get(path, 0)) * _NS,
                 count=count,
                 p50_seconds=None if p50 is None else p50 * _NS,
-                p95_seconds=None if p95 is None else p95 * _NS,
-                net_alloc_bytes=net_alloc if self._memory else None))
+                p95_seconds=None if p95 is None else p95 * _NS))
         return HostProfile(
             wall_ns * _NS, phases, counters=self._counters,
-            tracemalloc_peak_bytes=self._peak_bytes(),
-            events=self._events, dropped_events=self.dropped_events)
+            events=self.events, dropped_events=self.dropped_events)
 
     def finish(self) -> HostProfile:
-        """Close any dangling spans, snapshot, and release tracemalloc
-        (only if this profiler started it).  Idempotent-safe: a second
-        call just re-snapshots."""
+        """Close any dangling spans and snapshot."""
         while self._stack:
             self.pop()
-        result = self.profile()
-        if self._started_tracemalloc and tracemalloc.is_tracing():
-            tracemalloc.stop()
-            self._started_tracemalloc = False
-        self._finished = True
-        return result
+        return self.profile()
+
+
+def span_tree(events):
+    """Nest closed spans ``(path, start_ns, duration_ns)`` — in the
+    order a :class:`HostProfiler` appends them, children before their
+    parent — into ``{"name", "start_ns", "duration_ns", "children"}``
+    nodes; returns the top-level ones."""
+    waiting = {}  # depth -> closed spans whose parent is still open
+    for path, start_ns, duration_ns in events:
+        depth = path.count(PATH_SEP)
+        waiting.setdefault(depth, []).append({
+            "name": path.rsplit(PATH_SEP, 1)[-1],
+            "start_ns": start_ns, "duration_ns": duration_ns,
+            "children": waiting.pop(depth + 1, [])})
+    return waiting.get(0, [])
 
 
 def merge_host_lanes(recorder, profile) -> TraceRecorder:
@@ -442,11 +419,3 @@ def load_host_profile(path) -> HostProfile:
     with open(path) as handle:
         return HostProfile.from_dict(json.load(handle))
 
-
-def collect_host_metrics(profile, registry):
-    """Populate ``registry`` gauges from a :class:`HostProfile` — the
-    hook :func:`repro.obs.metrics.collect_run_metrics` uses when a run
-    carried a host profile."""
-    for name, value in sorted(profile.to_metrics().items()):
-        registry.gauge(name).set(value)
-    return registry

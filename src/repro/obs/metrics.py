@@ -209,8 +209,10 @@ def _jsonable(value):
     return str(value)
 
 
-def collect_run_metrics(result, registry=None):
-    """Populate a registry from a :class:`~repro.core.result.RunResult`.
+def collect_run_metrics(result, registry=None, host_profile=None):
+    """Populate a registry from a :class:`~repro.core.result.RunResult`
+    (and, when the caller recorded one around the run, its
+    :class:`~repro.obs.host.HostProfile` as ``host.*`` gauges).
 
     Returns the registry (a fresh one when none is given).  Metric names
     are stable: changing them breaks the bench trajectory files.
@@ -315,10 +317,9 @@ def collect_run_metrics(result, registry=None):
         round_bytes.observe(stats.bytes_streamed)
         round_pages.observe(stats.pages_dispatched)
 
-    if result.host_profile is not None:
-        from repro.obs.host import collect_host_metrics
-
-        collect_host_metrics(result.host_profile, registry)
+    if host_profile is not None:
+        for name, value in sorted(host_profile.to_metrics().items()):
+            registry.gauge(name).set(value)
     return registry
 
 

@@ -5,11 +5,17 @@ Everything else in :mod:`repro.obs` observes a *run*; this module
 observes a *request* as it crosses the whole service path.  A
 :class:`RequestTrace` records one span per lifecycle stage —
 ``admission_wait`` (the submit-side admission lock), ``queue_wait``
-(admitted but waiting for a worker), ``gate_acquire`` (the database's
-:class:`~repro.concurrency.ReadWriteGate`), ``snapshot_pin`` (MVCC
-version pinning), ``engine`` (the actual run, with per-round marks) and
-``serialize`` (HTTP response rendering) — correlated end to end by the
-request's ``query_id``.
+(admitted but waiting for a worker), ``snapshot_pin`` (MVCC version
+pinning), ``gate_acquire`` (the database's
+:class:`~repro.concurrency.ReadWriteGate`), ``engine`` (the actual run),
+``service.http.serialize`` (``RunResult.to_dict``) and ``serialize``
+(JSON encoding and the socket write) — correlated end to end by the
+request's ``query_id``.  The spans live on the request's own
+:class:`~repro.obs.host.HostProfiler`, which the worker thread makes
+its active recorder around ``engine.run``: the ``engine`` span's
+children are the engine's real spans (setup > plan build > page decode;
+round > gather, kernel, booking, sync; finalize), so one record reads
+from the HTTP handler down to a page decode.
 
 On top of the spans sit three service-wide layers, all owned by
 :class:`ServiceTelemetry`:
@@ -27,10 +33,9 @@ On top of the spans sit three service-wide layers, all owned by
   ring the ``obs requests`` CLI tails, filters and summarizes.
 
 Telemetry is strictly **pay-for-use**, the :mod:`repro.obs.host`
-contract: a service built without it never calls this module's clock
-(the test suite patches :data:`perf_counter_ns` and counts), the engine
-hot loop sees only an ``is None`` check per round, and no simulated
-time or output bit ever depends on whether telemetry is on.
+contract: a service built without it never calls this module's clock or
+the span clock (the test suite patches both and counts), and no
+simulated time or output bit ever depends on whether telemetry is on.
 """
 
 import itertools
@@ -43,6 +48,7 @@ from bisect import bisect_right
 from time import perf_counter_ns as _perf_counter_ns
 
 from repro.errors import ConfigurationError
+from repro.obs.host import PATH_SEP, HostProfiler, span_tree
 from repro.obs.metrics import quantile
 
 #: Module-level indirection so tests can count request-clock reads (the
@@ -150,35 +156,43 @@ class StructuredLogger:
 # ----------------------------------------------------------------------
 # Per-request lifecycle spans
 # ----------------------------------------------------------------------
+def _render(node):
+    """One :func:`~repro.obs.host.span_tree` node (nanoseconds since
+    submit) as the ring's JSON span (milliseconds)."""
+    span = {"name": node["name"],
+            "start_ms": round(node["start_ns"] * _MS, 6),
+            "duration_ms": round(node["duration_ns"] * _MS, 6)}
+    if node.get("attrs"):
+        span["attrs"] = dict(node["attrs"])
+    if node["children"]:
+        span["children"] = [_render(child) for child in node["children"]]
+    return span
+
+
 class RequestTrace:
     """The lifecycle span record of one service request.
 
-    Phases are disjoint measured intervals inside the request's wall
-    time (``submit_ns`` .. ``end_ns``), recorded by the service and the
-    HTTP layer via :meth:`add_phase`; :meth:`observe_round` is handed
-    to the engine as its ``round_observer`` so the ``engine`` phase
-    carries per-round child spans.  ``to_dict`` renders the span tree
-    the slow-query ring persists.
+    Phases are disjoint top-level spans on :attr:`recorder` inside the
+    request's wall time (``submit_ns`` .. ``end_ns``): the service and
+    the HTTP layer open them with ``with span(name):`` while the
+    recorder is their thread's active one, or file an interval they
+    already timed with :meth:`add_phase`.  ``to_dict`` renders the span
+    tree the slow-query ring persists.
     """
 
     __slots__ = ("query_id", "database", "algorithm", "sampled",
-                 "submit_ns", "end_ns", "phases", "round_marks",
-                 "rounds", "status", "error_type", "error",
-                 "snapshot_version", "simulated_seconds", "deferred",
-                 "chrome", "_completed", "engine_start_ns")
+                 "recorder", "end_ns", "attrs", "status", "error_type",
+                 "error", "snapshot_version", "simulated_seconds",
+                 "deferred", "chrome", "_completed")
 
-    def __init__(self, query_id, database, algorithm, sampled=False,
-                 submit_ns=None):
+    def __init__(self, query_id, database, algorithm, sampled=False):
         self.query_id = query_id
         self.database = database
         self.algorithm = algorithm
         self.sampled = sampled
-        self.submit_ns = (submit_ns if submit_ns is not None
-                          else perf_counter_ns())
+        self.recorder = HostProfiler()
         self.end_ns = None
-        self.phases = []        # (name, start_ns, end_ns, attrs|None)
-        self.round_marks = []   # (round_index, ns)
-        self.rounds = None
+        self.attrs = {}         # phase name -> attributes
         self.status = None
         self.error_type = None
         self.error = None
@@ -190,20 +204,22 @@ class RequestTrace:
         #: Chrome trace object of the sampled engine run, if any.
         self.chrome = None
         self._completed = False
-        self.engine_start_ns = None
 
-    @staticmethod
-    def now():
-        """This module's request clock (patchable for the free proof)."""
-        return perf_counter_ns()
+    @property
+    def submit_ns(self):
+        """When the request was admitted: the recorder's origin."""
+        return self.recorder.start_ns
+
+    @property
+    def rounds(self):
+        """Engine rounds that ran to completion (0 before the engine)."""
+        return self.recorder.calls("round")
 
     def add_phase(self, name, start_ns, end_ns, **attrs):
-        """Record one completed lifecycle phase."""
-        self.phases.append((name, start_ns, end_ns, attrs or None))
-
-    def observe_round(self, round_index):
-        """Engine ``round_observer`` hook: timestamp a finished round."""
-        self.round_marks.append((round_index, perf_counter_ns()))
+        """Record one lifecycle phase from timestamps already taken."""
+        self.recorder.record(name, start_ns, end_ns)
+        if attrs:
+            self.attrs[name] = attrs
 
     def set_status(self, status, error=None):
         """Record the service-side outcome (``ok`` or a typed error)."""
@@ -224,42 +240,23 @@ class RequestTrace:
             return None
         return (self.end_ns - self.submit_ns) * _NS
 
-    def _span(self, name, start_ns, end_ns, attrs=None, children=None):
-        span = {"name": name,
-                "start_ms": round((start_ns - self.submit_ns) * _MS, 6),
-                "duration_ms": round((end_ns - start_ns) * _MS, 6)}
-        if attrs:
-            span["attrs"] = dict(attrs)
-        if children:
-            span["children"] = children
-        return span
-
     def span_tree(self):
         """The request's span tree: a ``request`` root whose children
-        are the lifecycle phases; the ``engine`` phase carries one
-        child span per completed round."""
-        end_ns = self.end_ns if self.end_ns is not None \
-            else (self.phases[-1][2] if self.phases else self.submit_ns)
+        are the lifecycle phases, each with whatever ran inside it."""
+        phases = span_tree(self.recorder.events)
+        for phase in phases:
+            phase["attrs"] = self.attrs.get(phase["name"])
         # The admission_wait phase starts at the pre-admission clock
         # read, before the trace object (and submit_ns) exists — the
         # root must stretch back to cover it.
-        start_ns = self.submit_ns
-        if self.phases:
-            start_ns = min(start_ns, min(p[1] for p in self.phases))
-        children = []
-        for name, start, end, attrs in self.phases:
-            rounds = None
-            if name == "engine" and self.round_marks:
-                rounds = []
-                previous = start
-                for round_index, mark in self.round_marks:
-                    rounds.append(self._span(
-                        "round%d" % round_index, previous, mark))
-                    previous = mark
-            children.append(self._span(name, start, end, attrs,
-                                       children=rounds))
-        return self._span("request", start_ns, end_ns,
-                          children=children)
+        start = min([0] + [phase["start_ns"] for phase in phases])
+        if self.end_ns is not None:
+            end = self.end_ns - self.submit_ns
+        else:
+            end = max([0] + [phase["start_ns"] + phase["duration_ns"]
+                             for phase in phases])
+        return _render({"name": "request", "start_ns": start,
+                        "duration_ns": end - start, "children": phases})
 
     def to_dict(self):
         """JSON-ready record (the slow-query ring's on-disk format)."""
@@ -290,9 +287,10 @@ class RequestTrace:
     def phase_ms(self):
         """``{phase name: duration_ms}`` for the structured log line."""
         out = {}
-        for name, start, end, _attrs in self.phases:
-            out[name] = round((end - start) * _MS, 6) \
-                + out.get(name, 0.0)
+        for path, _start_ns, duration_ns in self.recorder.events:
+            if PATH_SEP not in path:
+                out[path] = round(duration_ns * _MS, 6) \
+                    + out.get(path, 0.0)
         return out
 
     def __repr__(self):
@@ -593,7 +591,7 @@ class ServiceTelemetry:
         """This module's request clock (patchable in tests)."""
         return perf_counter_ns()
 
-    def new_trace(self, request, submit_ns=None):
+    def new_trace(self, request):
         """Open the lifecycle trace for an admitted request."""
         every = self.config.sample_every
         with self._lock:
@@ -602,8 +600,7 @@ class ServiceTelemetry:
             if sampled:
                 self.sampled += 1
         trace = RequestTrace(request.query_id, request.database,
-                             request.algorithm, sampled=sampled,
-                             submit_ns=submit_ns)
+                             request.algorithm, sampled=sampled)
         with self._lock:
             self._pending[trace.query_id] = trace
         return trace
@@ -653,9 +650,8 @@ class ServiceTelemetry:
             "sampled": trace.sampled,
             "captured": captured,
             "phases_ms": trace.phase_ms(),
+            "rounds": trace.rounds,
         }
-        if trace.rounds is not None:
-            fields["rounds"] = trace.rounds
         if trace.error_type is not None:
             fields["error_type"] = trace.error_type
         if trace.snapshot_version is not None:

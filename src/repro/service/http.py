@@ -36,9 +36,10 @@ back-pressure comes from the service, not from the socket listener.
 With telemetry enabled, successful query responses carry an
 ``X-Query-Id`` correlation header, the handler *defers* trace
 completion so the response-rendering time lands in the request's
-``serialize`` span, and 504 bodies include the ``query_id`` so a
-timed-out request can be matched to its tail-captured trace in the
-slow-query ring.
+``service.http.serialize`` (``RunResult.to_dict``) and ``serialize``
+(JSON encoding + socket write) spans, and 504 bodies include the
+``query_id`` so a timed-out request can be matched to its tail-captured
+trace in the slow-query ring.
 """
 
 import json
@@ -52,6 +53,7 @@ from repro.errors import (
     ShutdownError,
 )
 from repro.service.service import QueryRequest
+from repro.spans import activate, span
 
 #: Largest accepted request body; queries are small JSON documents and
 #: an oversized body is rejected before being read into memory.
@@ -119,6 +121,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         service = self.server.service
         tm = service.telemetry
         trace = None
+        recorder = None
         request = None
         headers = None
         try:
@@ -134,8 +137,13 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                                         defer_trace=tm is not None)
                 if tm is not None:
                     trace = tm.defer(request.query_id)
+                    recorder = getattr(trace, "recorder", None)
                 result = future.result()
-                response = result.to_dict(include_values=include_values)
+                # The worker is done with the request's recorder; the
+                # rest of its spans are this thread's.
+                with activate(recorder), span("service.http.serialize"):
+                    response = result.to_dict(
+                        include_values=include_values)
                 if result.query_id is not None:
                     headers = {"X-Query-Id": result.query_id}
         except AdmissionError as error:
@@ -172,11 +180,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                              "type": type(error).__name__})
         else:
             try:
-                if trace is not None:
-                    start_ns = trace.now()
-                    self._send_json(200, response, extra_headers=headers)
-                    trace.add_phase("serialize", start_ns, trace.now())
-                else:
+                with activate(recorder), span("serialize"):
                     self._send_json(200, response, extra_headers=headers)
             finally:
                 self._complete(tm, trace)

@@ -66,6 +66,7 @@ from repro.errors import (
 )
 from repro.hardware.specs import scaled_workstation
 from repro.obs.metrics import quantile
+from repro.spans import activate, span
 
 #: Service algorithm name -> (kernel factory, needs weighted db).
 #: Factories take (params dict, start vertex); parameters default the
@@ -553,45 +554,87 @@ class GraphService:
 
     def _execute(self, request, entry, deadline=None, timeout_ms=None,
                  trace=None):
+        recorder = None
         if trace is not None:
             # A worker picked the request up: everything since submit
             # was queueing.
-            trace.add_phase("queue_wait", trace.submit_ns, trace.now())
+            trace.add_phase("queue_wait", trace.submit_ns,
+                            self.telemetry.now())
+            recorder = trace.recorder
         with self._lock:
             self._queued -= 1
             self._in_flight += 1
             if self._in_flight > self.peak_in_flight:
                 self.peak_in_flight = self._in_flight
-        exclusive = request.faults is not None
-        failed = False
-        timed_out = False
+        status, error = "ok", None
         wall_start = _time.perf_counter()
-        snapshot = None
         try:
-            if deadline is not None and _time.perf_counter() > deadline:
-                # Queued past the whole budget; fail before doing work.
-                timed_out = True
-                elapsed = (_time.perf_counter()
-                           - (deadline - timeout_ms / 1000.0))
-                raise DeadlineError(
-                    "query spent its whole %.0f ms budget queued "
-                    "(%.1f ms elapsed)" % (timeout_ms, elapsed * 1000.0),
-                    timeout_ms=timeout_ms, elapsed_seconds=elapsed,
-                    rounds_completed=0)
-            # Pin the topology version for the whole run: concurrent
-            # update batches commit new versions without disturbing this
-            # query's view, and the pin keeps the version's state (and
-            # retired base, if compaction swapped one out mid-run) from
-            # being reclaimed until the query releases it.
-            if not exclusive and hasattr(entry.db, "pin"):
-                if trace is not None:
-                    pin_ns = trace.now()
-                    snapshot = entry.db.pin()
-                    trace.add_phase("snapshot_pin", pin_ns, trace.now())
-                    trace.snapshot_version = getattr(
-                        snapshot, "topology_version", None)
+            # The request's recorder is this worker's for the length of
+            # the query: the lifecycle spans below and the engine's own
+            # land in it (no trace, no recorder: they are no-ops).
+            with activate(recorder):
+                result = self._run_query(request, entry, deadline,
+                                         timeout_ms, trace)
+            if trace is not None:
+                trace.simulated_seconds = result.elapsed_seconds
+                if trace.sampled and result.trace is not None:
+                    from repro.obs.exporters import chrome_trace
+                    trace.chrome = chrome_trace(result.trace)
+            return result
+        except DeadlineError as exc:
+            status, error = "deadline", exc
+            raise
+        except BaseException as exc:
+            status, error = "error", exc
+            raise
+        finally:
+            wall = _time.perf_counter() - wall_start
+            with self._lock:
+                self._in_flight -= 1
+                entry.queries += 1
+                if status == "ok":
+                    self.completed += 1
                 else:
-                    snapshot = entry.db.pin()
+                    self.failed += 1
+                if status == "deadline":
+                    self.deadline_exceeded += 1
+                self._wall_latencies.append(wall)
+                if not self._in_flight and not self._queued:
+                    self._drained.set()
+            # Completion (windows, log line, tail capture) stays out of
+            # the admission lock.  The HTTP layer *defers* completion at
+            # submit to append its serialize span first; complete() is
+            # idempotent all the same.
+            if trace is not None:
+                trace.set_status(status, error)
+                if not trace.deferred:
+                    self.telemetry.complete(trace)
+
+    def _run_query(self, request, entry, deadline, timeout_ms, trace):
+        """Pin, take the gate, run: each step once, under its span."""
+        if deadline is not None and _time.perf_counter() > deadline:
+            # Queued past the whole budget; fail before doing work.
+            elapsed = (_time.perf_counter()
+                       - (deadline - timeout_ms / 1000.0))
+            raise DeadlineError(
+                "query spent its whole %.0f ms budget queued "
+                "(%.1f ms elapsed)" % (timeout_ms, elapsed * 1000.0),
+                timeout_ms=timeout_ms, elapsed_seconds=elapsed,
+                rounds_completed=0)
+        # Fault plans attach process-global state (a corrupting
+        # injector) to the shared database; run those alone so the
+        # injected budget can never leak into a neighbour's reads.
+        exclusive = request.faults is not None
+        # Pin the topology version for the whole run: concurrent
+        # update batches commit new versions without disturbing this
+        # query's view, and the pin keeps the version's state (and
+        # retired base, if compaction swapped one out mid-run) from
+        # being reclaimed until the query releases it.
+        snapshot = None
+        if not exclusive and hasattr(entry.db, "pin"):
+            with span("snapshot_pin"):
+                snapshot = entry.db.pin()
+        try:
             view = snapshot if snapshot is not None else entry.db
             start = request.params.get("start")
             start = (int(start) if start is not None
@@ -600,78 +643,30 @@ class GraphService:
                                                       start)
             engine = self._build_engine(
                 request, entry, db=view,
-                tracing=trace.sampled if trace is not None else False)
-            # Fault plans attach process-global state (a corrupting
-            # injector) to the shared database; run those alone so the
-            # injected budget can never leak into a neighbour's reads.
-            gate_ns = trace.now() if trace is not None else None
-            if exclusive:
-                waited = entry.gate.acquire_write()
-            else:
-                waited = entry.gate.acquire_read()
+                tracing=trace is not None and trace.sampled)
+            with span("gate_acquire"):
+                waited = (entry.gate.acquire_write() if exclusive
+                          else entry.gate.acquire_read())
             if trace is not None:
-                trace.add_phase(
-                    "gate_acquire", gate_ns, trace.now(),
-                    mode="write" if exclusive else "read",
-                    waited_seconds=round(waited, 9))
-                engine_ns = trace.now()
+                trace.snapshot_version = getattr(
+                    snapshot, "topology_version", None)
+                trace.attrs["gate_acquire"] = {
+                    "mode": "write" if exclusive else "read",
+                    "waited_seconds": round(waited, 9)}
             try:
-                result = engine.run(
-                    kernel, dataset_name=entry.name,
-                    query_id=request.query_id,
-                    deadline=deadline, timeout_ms=timeout_ms,
-                    round_observer=(trace.observe_round
-                                    if trace is not None else None))
+                with span("engine"):
+                    return engine.run(
+                        kernel, dataset_name=entry.name,
+                        query_id=request.query_id,
+                        deadline=deadline, timeout_ms=timeout_ms)
             finally:
                 if exclusive:
                     entry.gate.release_write()
                 else:
                     entry.gate.release_read()
-                if trace is not None:
-                    trace.rounds = len(trace.round_marks)
-                    trace.add_phase("engine", engine_ns, trace.now(),
-                                    rounds=trace.rounds)
-            if trace is not None:
-                trace.set_status("ok")
-                trace.rounds = result.num_rounds
-                trace.simulated_seconds = result.elapsed_seconds
-                if trace.sampled and result.trace is not None:
-                    from repro.obs.exporters import chrome_trace
-                    trace.chrome = chrome_trace(result.trace)
-            return result
-        except DeadlineError as error:
-            failed = True
-            timed_out = True
-            if trace is not None:
-                trace.set_status("deadline", error)
-            raise
-        except BaseException as error:
-            failed = True
-            if trace is not None:
-                trace.set_status("error", error)
-            raise
         finally:
             if snapshot is not None:
                 snapshot.release()
-            wall = _time.perf_counter() - wall_start
-            with self._lock:
-                self._in_flight -= 1
-                entry.queries += 1
-                if failed:
-                    self.failed += 1
-                if timed_out:
-                    self.deadline_exceeded += 1
-                if not failed:
-                    self.completed += 1
-                self._wall_latencies.append(wall)
-                if not self._in_flight and not self._queued:
-                    self._drained.set()
-            # Completion (windows, log line, tail capture) stays out of
-            # the admission lock.  The HTTP layer *defers* completion at
-            # submit to append its serialize span first; complete() is
-            # idempotent all the same.
-            if trace is not None and not trace.deferred:
-                self.telemetry.complete(trace)
 
     # ------------------------------------------------------------------
     # Lifecycle

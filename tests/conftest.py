@@ -72,3 +72,19 @@ def diamond_graph():
     sources = np.asarray([0, 0, 1, 2])
     targets = np.asarray([1, 2, 3, 3])
     return Graph.from_edges(4, sources, targets)
+
+
+@pytest.fixture
+def clock_reads(monkeypatch):
+    """``clock_reads(module, ...)`` patches each module's
+    ``perf_counter_ns`` indirection to count; returns the one-item
+    tally every read bumps."""
+    def install(*modules):
+        tally = [0]
+        for module in modules:
+            def counting(real=module.perf_counter_ns):
+                tally[0] += 1
+                return real()
+            monkeypatch.setattr(module, "perf_counter_ns", counting)
+        return tally
+    return install

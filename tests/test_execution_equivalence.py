@@ -36,6 +36,8 @@ from repro.format.io import (
 )
 from repro.graphgen import Graph
 from repro.hardware.specs import scaled_workstation
+from repro.obs.host import HostProfiler
+from repro.spans import activate
 from repro.units import KB
 
 from . import test_properties as properties
@@ -303,7 +305,11 @@ def test_every_kernel_has_one_body_and_the_core_reads_no_page():
     gone = re.compile(
         "_book_round_paged_order|per_page_fetch|bulk_ready|force_generic"
         "|_merge_round_io|_make_fetch|io_merge|fetch_range|ranged_fetches"
-        "|adjacent_fetches")
+        "|adjacent_fetches"
+        # One host-clock recorder, reached through repro.spans only.
+        "|tracemalloc|track_memory|net_alloc_bytes|max_samples_per_phase"
+        "|round_observer|round_marks|observe_round|host_profiler"
+        r"|hp is not None|hp\.push|hp\.pop")
     core_only = re.compile(
         r"\.page\(|mm_buffer\._pages|storage\.channels|storage\._hash")
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
@@ -314,8 +320,6 @@ def test_every_kernel_has_one_body_and_the_core_reads_no_page():
         if (info.name.startswith("repro.core.")
                 and os.path.basename(path) != "__init__.py"):
             assert not core_only.search(source), info.name
-    assert "host_profiler" not in inspect.signature(
-        StreamScheduler.__init__).parameters
     assert "fetch" not in inspect.signature(
         StreamScheduler.dispatch_round).parameters
 
@@ -338,14 +342,15 @@ def test_traced_runs_agree_with_untraced(monkeypatch):
             return _booked(self, *args, **kw)
         monkeypatch.setattr(StreamScheduler, name, spy)
 
-    def run(**options):
+    def run(recorder=None, **options):
         del calls[:]
-        return GTSEngine(db, machine, mm_buffer_bytes=8 * KB,
-                         **options).run(PageRankKernel(iterations=3))
+        with activate(recorder):
+            return GTSEngine(db, machine, mm_buffer_bytes=8 * KB,
+                             **options).run(PageRankKernel(iterations=3))
 
     plain = run()
     assert not calls
-    for options in ({"tracing": True}, {"host_profile": True},
+    for options in ({"tracing": True}, {"recorder": HostProfiler()},
                     {"validate_simulation": True},
                     {"faults": FaultPlan(stall_rate=1e-12)}):
         watched = run(**options)

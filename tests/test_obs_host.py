@@ -1,27 +1,31 @@
-"""Host-runtime profiling layer (:mod:`repro.obs.host`).
+"""Host-runtime profiling layer (:mod:`repro.obs.host` over
+:mod:`repro.spans`).
 
-Covers the profiler's span algebra (nesting, conservation, dangling
-spans), the engine integration (phase tree, coverage, bit-identical
-simulated results, I/O counters), the pay-for-use guarantee of the
-disabled path (structurally zero profiler work — the wall-clock <1%
-gate lives in ``benchmarks/bench_host_profile.py`` where repeats make
-it stable), byte-determinism of the exporters, gating host profiles
-under the default tolerance rules, and the no-baseline behaviour of the
-history loader.
+Covers the recorder's span algebra (nesting, conservation, dangling and
+raising spans), the engine integration (span tree, coverage, bit-identical
+simulated results, I/O counters, per-thread activation), the counts that
+make a recorded run the program that runs bare (no clock read without a
+recorder, two per span with one, spans per round and never per page),
+byte-determinism of the exporters, gating host profiles under the default
+tolerance rules, and the no-baseline behaviour of the history loader.
 """
 
 import json
 import os
-import sys
-import tracemalloc
+import threading
+import time
 
 import numpy as np
 import pytest
 
 import repro.obs.host as host_module
+import repro.spans as spans_module
 from repro.core import BFSKernel, GTSEngine, PageRankKernel
-from repro.errors import ConfigurationError
-from repro.format.io import load_database, save_database
+from repro.core.plan import PagePlan, RoundPlanCache
+from repro.errors import ConfigurationError, DeadlineError
+from repro.format import build_database
+from repro.format.io import FileBackedDatabase, load_database, save_database
+from repro.graphgen import generate_rmat
 from repro.obs import compare_metrics, validate_chrome_trace
 from repro.obs.host import (
     HostPhase,
@@ -33,6 +37,17 @@ from repro.obs.host import (
     write_flamegraph,
     write_host_profile,
 )
+from repro.spans import activate, span
+
+RUN = "core.engine.run"
+
+
+def recorded(engine, kernel, hp=None, **run_options):
+    """``engine.run(kernel)`` under a recorder: ``(result, profile)``."""
+    hp = hp if hp is not None else HostProfiler()
+    with activate(hp):
+        result = engine.run(kernel, **run_options)
+    return result, hp.finish()
 
 
 def _assert_conservation(profile):
@@ -53,11 +68,11 @@ def _assert_conservation(profile):
 
 class TestHostProfiler:
     def test_nested_paths_and_counts(self):
-        hp = HostProfiler(track_memory=False)
-        with hp.phase("a"):
-            with hp.phase("b"):
+        hp = HostProfiler()
+        with activate(hp), span("a"):
+            with span("b"):
                 pass
-            with hp.phase("b"):
+            with span("b"):
                 pass
         profile = hp.finish()
         paths = [p.path for p in profile.phases]
@@ -67,20 +82,20 @@ class TestHostProfiler:
         assert profile.phase("a/b").name == "b"
         assert profile.phase("a").depth == 1
         assert profile.phase("a/b").depth == 2
+        assert hp.calls("b") == 2
 
     def test_conservation_child_within_parent(self):
-        hp = HostProfiler(track_memory=False)
-        with hp.phase("outer"):
+        hp = HostProfiler()
+        with activate(hp), span("outer"):
             for _ in range(5):
-                with hp.phase("inner"):
+                with span("inner"):
                     sum(range(200))
         _assert_conservation(hp.finish())
 
     def test_self_seconds_subtract_children(self):
-        hp = HostProfiler(track_memory=False)
-        with hp.phase("outer"):
-            with hp.phase("inner"):
-                pass
+        hp = HostProfiler()
+        with activate(hp), span("outer"), span("inner"):
+            pass
         profile = hp.finish()
         outer = profile.phase("outer")
         inner = profile.phase("outer/inner")
@@ -89,7 +104,7 @@ class TestHostProfiler:
         assert outer.self_seconds >= 0.0
 
     def test_finish_closes_dangling_spans(self):
-        hp = HostProfiler(track_memory=False)
+        hp = HostProfiler()
         hp.push("a")
         hp.push("b")
         assert hp.depth == 2
@@ -98,71 +113,69 @@ class TestHostProfiler:
         assert [p.path for p in profile.phases] == ["a", "a/b"]
 
     def test_counters_accumulate(self):
-        hp = HostProfiler(track_memory=False)
-        hp.add_counter("io.bytes", 10)
-        hp.add_counter("io.bytes", 5)
+        hp = HostProfiler()
+        with activate(hp):
+            spans_module.count("io.bytes", 10)
+            spans_module.count("io.bytes", 5)
+        spans_module.count("io.bytes", 99)  # no recorder: dropped
         assert hp.finish().counters == {"io.bytes": 15}
 
+    @staticmethod
+    def _capped(spans):
+        hp = HostProfiler(max_events=2)
+        with activate(hp):
+            for _ in range(spans):
+                with span("x"):
+                    pass
+        return hp.finish()
+
     def test_event_cap_counts_drops(self):
-        hp = HostProfiler(track_memory=False, max_events=2)
-        for _ in range(5):
-            with hp.phase("x"):
-                pass
-        profile = hp.finish()
+        profile = self._capped(5)
         assert len(profile.events) == 2
         assert profile.dropped_events == 3
         assert profile.phase("x").count == 5  # stats are never dropped
 
     def test_sample_cap_keeps_totals(self):
-        hp = HostProfiler(track_memory=False, max_samples_per_phase=2)
-        for _ in range(4):
-            with hp.phase("x"):
-                pass
-        phase = hp.finish().phase("x")
+        """Quantiles come from the retained events; totals do not."""
+        phase = self._capped(4).phase("x")
         assert phase.count == 4
         assert phase.p50_seconds is not None
 
-    def test_memory_tracking_off_reports_none(self):
-        hp = HostProfiler(track_memory=False)
-        with hp.phase("a"):
-            pass
-        profile = hp.finish()
-        assert profile.tracemalloc_peak_bytes is None
-        assert profile.phase("a").net_alloc_bytes is None
-
-    def test_memory_tracking_on_reports_peak(self):
+    def test_removed_names_are_rejected(self, rmat_db, machine, tmp_path):
+        """The allocator hook, the second observer hook and every
+        profiler-passing parameter are gone, not ignored."""
         hp = HostProfiler()
-        with hp.phase("alloc"):
-            blob = np.zeros(1 << 16, dtype=np.uint8)  # noqa: F841
-        profile = hp.finish()
-        assert profile.tracemalloc_peak_bytes is not None
-        assert profile.tracemalloc_peak_bytes > 0
-        assert profile.phase("alloc").net_alloc_bytes is not None
-
-    def test_does_not_stop_foreign_tracemalloc(self):
-        already = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            HostProfiler().finish()
-            assert tracemalloc.is_tracing()
-        finally:
-            if not already:
-                tracemalloc.stop()
+        for call in (
+                lambda: HostProfiler(track_memory=False),
+                lambda: HostProfiler(max_samples_per_phase=8),
+                lambda: GTSEngine(rmat_db, machine, host_profile=True),
+                lambda: GTSEngine(rmat_db, machine).run(
+                    BFSKernel(0), round_observer=print),
+                lambda: load_database(str(tmp_path / "g"),
+                                      host_profiler=hp),
+                lambda: PagePlan(rmat_db, host_profiler=hp),
+                lambda: RoundPlanCache().get(rmat_db, host_profiler=hp)):
+            with pytest.raises(TypeError):
+                call()
+        assert not hasattr(hp, "phase")
+        assert not hasattr(HostProfiler().finish(),
+                           "tracemalloc_peak_bytes")
 
     def test_profile_snapshot_is_non_destructive(self):
-        hp = HostProfiler(track_memory=False)
-        with hp.phase("first"):
-            pass
-        snap = hp.profile()
-        assert snap.phase("first") is not None
-        with hp.phase("second"):
-            pass
+        hp = HostProfiler()
+        with activate(hp):
+            with span("first"):
+                pass
+            snap = hp.profile()
+            assert snap.phase("first") is not None
+            with span("second"):
+                pass
         final = hp.finish()
         assert [p.path for p in final.phases] == ["first", "second"]
 
     def test_coverage_of_top_level_phases(self):
-        hp = HostProfiler(track_memory=False)
-        with hp.phase("everything"):
+        hp = HostProfiler()
+        with activate(hp), span("everything"):
             sum(range(50_000))
         profile = hp.finish()
         assert 0.9 <= profile.coverage() <= 1.0
@@ -170,82 +183,165 @@ class TestHostProfiler:
 
 class TestEngineIntegration:
     def test_disabled_by_default(self, rmat_db, machine):
+        """A recorder nobody activated hears nothing, and a result
+        carries no profile: the profile is its owner's."""
+        hp = HostProfiler()
         result = GTSEngine(rmat_db, machine).run(BFSKernel(0))
-        assert result.host_profile is None
+        with activate(hp), activate(None):  # masked: still nobody's
+            GTSEngine(rmat_db, machine).run(BFSKernel(0))
+        assert not hasattr(result, "host_profile")
+        assert hp.finish().phases == []
 
     def test_profiled_run_has_phase_tree(self, rmat_db, machine):
-        result = GTSEngine(rmat_db, machine, host_profile=True).run(
-            PageRankKernel(iterations=3))
-        profile = result.host_profile
-        assert profile is not None
+        result, profile = recorded(GTSEngine(rmat_db, machine),
+                                   PageRankKernel(iterations=3))
         paths = {p.path for p in profile.phases}
-        assert {"run", "run/setup", "run/round", "run/round/kernel",
-                "run/round/dispatch", "run/finalize"} <= paths
-        assert profile.phase("run").count == 1
-        assert profile.phase("run/round").count == result.num_rounds
+        assert {RUN, RUN + "/setup", RUN + "/setup/core.plan.get",
+                RUN + "/setup/core.plan.get/core.plan.build",
+                RUN + "/round", RUN + "/round/core.plan.gather",
+                RUN + "/round/core.kernels.batch",
+                RUN + "/round/core.streams.booking",
+                RUN + "/finalize"} <= paths
+        assert profile.phase(RUN).count == 1
+        assert profile.phase(RUN + "/round").count == result.num_rounds
         _assert_conservation(profile)
 
     def test_coverage_meets_bar(self, rmat_db, machine):
-        result = GTSEngine(rmat_db, machine, host_profile=True).run(
-            PageRankKernel(iterations=3))
-        assert result.host_profile.coverage() >= 0.8
+        engine = GTSEngine(rmat_db, machine)
+        for kernel in (PageRankKernel(iterations=3), BFSKernel(0)):
+            assert recorded(engine, kernel)[1].coverage() >= 0.95
 
     def test_profiling_does_not_change_simulation(self, rmat_db, machine):
         plain = GTSEngine(rmat_db, machine).run(
             PageRankKernel(iterations=3))
-        profiled = GTSEngine(rmat_db, machine, host_profile=True).run(
-            PageRankKernel(iterations=3))
-        assert plain.elapsed_seconds == profiled.elapsed_seconds
+        profiled, _ = recorded(GTSEngine(rmat_db, machine),
+                               PageRankKernel(iterations=3))
+        assert repr(plain.elapsed_seconds) == repr(
+            profiled.elapsed_seconds)
         assert np.array_equal(plain.values["rank"],
                               profiled.values["rank"])
 
     def test_external_profiler_spans_load_and_run(self, rmat_db, machine):
-        hp = HostProfiler(track_memory=False)
-        with hp.phase("load"):
-            pass
-        result = GTSEngine(rmat_db, machine, host_profile=hp).run(
-            BFSKernel(0))
-        profile = result.host_profile
-        assert profile.phase("load") is not None
-        assert profile.phase("run") is not None
-        # Snapshot is non-destructive: the owner keeps measuring.
-        with hp.phase("after"):
-            pass
+        hp = HostProfiler()
+        with activate(hp):
+            with span("load"):
+                pass
+            GTSEngine(rmat_db, machine).run(BFSKernel(0))
+            snap = hp.profile()
+            # Snapshot is non-destructive: the owner keeps measuring.
+            with span("after"):
+                pass
+        assert snap.phase("load") and snap.phase(RUN)
         assert hp.finish().phase("after") is not None
 
     def test_profiler_detached_after_run(self, rmat_db, machine):
-        GTSEngine(rmat_db, machine, host_profile=True).run(BFSKernel(0))
-        assert rmat_db.host_profiler is None
+        """Nothing outlives the ``with``: no recorder on the thread,
+        none parked on the (shared) database."""
+        recorded(GTSEngine(rmat_db, machine), BFSKernel(0))
+        assert spans_module._active.recorder is None
+        assert not hasattr(rmat_db, "host_profiler")
+
+    def test_deadline_mid_run_leaves_no_open_span(self, rmat_db, machine):
+        """A run that raises closes its spans: the next run on the same
+        recorder files under the same paths as on a fresh one."""
+        engine = GTSEngine(rmat_db, machine)
+        engine.run(BFSKernel(0))  # warm plan
+        hp = HostProfiler()
+        with activate(hp), pytest.raises(DeadlineError):
+            engine.run(PageRankKernel(iterations=50),
+                       deadline=time.perf_counter() + 0.002)
+        assert hp.depth == 0
+        completed = hp.calls("round")
+        assert hp.profile().phase(RUN).count == 1
+        _, again = recorded(engine, PageRankKernel(iterations=2), hp=hp)
+        _, fresh = recorded(engine, PageRankKernel(iterations=2))
+        assert ({p.path for p in again.phases}
+                == {p.path for p in fresh.phases})
+        assert again.phase(RUN + "/round").count == completed + 2
+        assert again.coverage() <= 1.0
+
+    def test_recorder_belongs_to_its_thread(self, rmat_db, machine,
+                                            tmp_path):
+        """Two threads decode the same file-backed handle for their own
+        plans; only one records, and it hears only itself."""
+        prefix = str(tmp_path / "g")
+        save_database(rmat_db, prefix)
+        db = FileBackedDatabase(prefix, pool_pages=8)
+        hp = HostProfiler()
+        barrier = threading.Barrier(2, timeout=30)
+        done = []
+
+        def worker(recorder):
+            with activate(recorder):
+                barrier.wait()
+                for _ in range(3):
+                    GTSEngine(db, machine,
+                              plan_cache=RoundPlanCache()).run(BFSKernel(0))
+            done.append(recorder)
+
+        threads = [threading.Thread(target=worker, args=(recorder,))
+                   for recorder in (hp, None)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        db.close()
+        assert len(done) == 2 and hp.depth == 0
+        profile = hp.finish()
+        assert profile.phase(RUN).count == 3
+        decode = profile.phase(
+            RUN + "/setup/core.plan.get/core.plan.build/scan"
+            "/format.io.page")
+        assert decode is not None and decode.count == 3
+        _assert_conservation(profile)
+
+    def test_spans_per_round_never_per_page(self, small_config, machine,
+                                            clock_reads):
+        """On a warm plan a recorded run opens the same spans whatever
+        the page count, and reads the clock exactly twice per span."""
+        reads = clock_reads(host_module)
+        spans, pages = [], []
+        for scale in (8, 12):
+            db = build_database(generate_rmat(scale, edge_factor=16,
+                                              seed=3), small_config)
+            engine = GTSEngine(db, machine)
+            engine.run(PageRankKernel(iterations=3))
+            hp = HostProfiler()
+            reads[0] = 0
+            with activate(hp):
+                engine.run(PageRankKernel(iterations=3))
+            assert reads[0] == 2 * len(hp.events)
+            spans.append(len(hp.events))
+            pages.append(db.num_pages)
+        assert spans[0] == spans[1] and pages[1] > 4 * pages[0]
 
     def test_sim_io_counters(self, rmat_db, machine):
-        result = GTSEngine(
-            rmat_db, machine, host_profile=True,
-            mm_buffer_bytes=2 * rmat_db.config.page_size,
-        ).run(PageRankKernel(iterations=2))
-        counters = result.host_profile.counters
+        result, profile = recorded(
+            GTSEngine(rmat_db, machine,
+                      mm_buffer_bytes=2 * rmat_db.config.page_size),
+            PageRankKernel(iterations=2))
+        counters = profile.counters
         assert counters["io.sim_pages_fetched"] > 0
         assert counters["io.sim_bytes_read"] == result.storage_bytes_read
         assert "io.sim_adjacent_fetches" not in counters
 
     def test_file_backed_io_counters(self, rmat_db, machine, tmp_path):
-        from repro.format.io import FileBackedDatabase
         prefix = str(tmp_path / "g")
         save_database(rmat_db, prefix)
         db = FileBackedDatabase(prefix)
-        result = GTSEngine(db, machine, host_profile=True).run(
-            BFSKernel(0))
-        counters = result.host_profile.counters
+        _, profile = recorded(GTSEngine(db, machine), BFSKernel(0))
+        counters = profile.counters
         assert counters["io.file_reads"] > 0
         assert counters["io.file_bytes_read"] >= (
             counters["io.file_reads"] * db.config.page_size)
-        paths = {p.path for p in result.host_profile.phases}
-        assert any(p.endswith("page_parse") for p in paths)
+        assert any(p.name == "format.io.page" for p in profile.phases)
 
     def test_load_database_spans(self, rmat_db, tmp_path):
         prefix = str(tmp_path / "g")
         save_database(rmat_db, prefix)
-        hp = HostProfiler(track_memory=False)
-        load_database(prefix, host_profiler=hp)
+        hp = HostProfiler()
+        with activate(hp), span("load"):
+            load_database(prefix)
         profile = hp.finish()
         paths = {p.path for p in profile.phases}
         assert {"load", "load/load_meta", "load/load_pages"} <= paths
@@ -253,21 +349,10 @@ class TestEngineIntegration:
 
 
 class TestDisabledPathIsFree:
-    """The structural overhead guard: a disabled run must never import
-    the profiler module, construct a profiler, or read the host clock.
-    (The <1% wall-clock gate runs in ``bench_host_profile.py`` where
-    warm repeats keep it stable.)"""
-
-    def test_disabled_run_never_imports_host_module(self, rmat_db,
-                                                    machine):
-        saved = sys.modules.pop("repro.obs.host", None)
-        try:
-            result = GTSEngine(rmat_db, machine).run(BFSKernel(0))
-            assert "repro.obs.host" not in sys.modules
-            assert result.host_profile is None
-        finally:
-            if saved is not None:
-                sys.modules["repro.obs.host"] = saved
+    """The structural overhead guard: a run with no recorder active
+    never constructs a profiler or reads the host clock through a span.
+    (What a *recorded* run costs is counted in
+    ``test_spans_per_round_never_per_page``.)"""
 
     def test_disabled_run_survives_broken_profiler(self, rmat_db,
                                                    machine, monkeypatch):
@@ -276,20 +361,13 @@ class TestDisabledPathIsFree:
 
         monkeypatch.setattr(host_module, "HostProfiler", boom)
         result = GTSEngine(rmat_db, machine).run(BFSKernel(0))
-        assert result.host_profile is None
+        assert result.num_rounds > 0
 
-    def test_host_clock_reads(self, rmat_db, machine, monkeypatch):
-        calls = [0]
-        real = host_module.perf_counter_ns
-
-        def counting():
-            calls[0] += 1
-            return real()
-
-        monkeypatch.setattr(host_module, "perf_counter_ns", counting)
+    def test_host_clock_reads(self, rmat_db, machine, clock_reads):
+        calls = clock_reads(host_module)
         GTSEngine(rmat_db, machine).run(BFSKernel(0))
         assert calls[0] == 0, "disabled run read the host clock"
-        GTSEngine(rmat_db, machine, host_profile=True).run(BFSKernel(0))
+        recorded(GTSEngine(rmat_db, machine), BFSKernel(0))
         assert calls[0] > 0
 
 
@@ -298,12 +376,11 @@ def _frozen_profile():
     return HostProfile(
         wall_seconds=2.0,
         phases=[
-            HostPhase("run", 1, 1.5, 0.5, 1, 1.5, 1.5, 1024),
-            HostPhase("run/kernel", 2, 1.0, 1.0, 4, 0.25, 0.4, -16),
-            HostPhase("load", 1, 0.4, 0.4, 1, 0.4, 0.4, 2048),
+            HostPhase("run", 1, 1.5, 0.5, 1, 1.5, 1.5),
+            HostPhase("run/kernel", 2, 1.0, 1.0, 4, 0.25, 0.4),
+            HostPhase("load", 1, 0.4, 0.4, 1, 0.4, 0.4),
         ],
         counters={"io.file_reads": 7, "io.file_bytes_read": 14336},
-        tracemalloc_peak_bytes=1 << 20,
         events=[("run", 0, 1_500_000_000),
                 ("run/kernel", 100, 250_000_000)],
         dropped_events=0)
@@ -377,17 +454,17 @@ class TestExporters:
         assert "host/profile" in names
 
     def test_merge_leaves_recorder_untouched(self, rmat_db, machine):
-        result = GTSEngine(rmat_db, machine, tracing=True,
-                           host_profile=True).run(BFSKernel(0))
+        result, profile = recorded(
+            GTSEngine(rmat_db, machine, tracing=True), BFSKernel(0))
         before = len(list(result.trace))
-        merged = merge_host_lanes(result.trace, result.host_profile)
+        merged = merge_host_lanes(result.trace, profile)
         assert len(list(result.trace)) == before
         merged_events = list(merged)
         assert len(merged_events) > before
         assert any(event.process == "host/profile"
                    for event in merged_events)
         validate_chrome_trace(host_chrome_trace(
-            result.host_profile, recorder=result.trace))
+            profile, recorder=result.trace))
 
 
 class TestGating:
@@ -401,36 +478,26 @@ class TestGating:
         after = HostProfile(
             wall_seconds=4.0,
             phases=[
-                HostPhase("run", 1, 3.5, 2.5, 1, 3.5, 3.5, 1024),
-                HostPhase("run/kernel", 2, 1.0, 1.0, 4, 0.25, 0.4, -16),
-                HostPhase("load", 1, 0.4, 0.4, 1, 0.4, 0.4, 2048),
+                HostPhase("run", 1, 3.5, 2.5, 1, 3.5, 3.5),
+                HostPhase("run/kernel", 2, 1.0, 1.0, 4, 0.25, 0.4),
+                HostPhase("load", 1, 0.4, 0.4, 1, 0.4, 0.4),
             ],
-            counters=dict(before.counters),
-            tracemalloc_peak_bytes=1 << 20)
+            counters=dict(before.counters))
         report = compare_metrics(before.to_dict(), after.to_dict())
         assert report.verdict == "regressed"
         regressed = {delta.name for delta in report.regressions()}
         assert "host.wall_seconds" in regressed
         assert "host.phase.run.seconds" in regressed
 
-    def test_memory_spike_regresses(self):
-        before = _frozen_profile()
-        after_payload = before.to_dict()
-        after_payload["metrics"] = dict(after_payload["metrics"])
-        after_payload["metrics"]["host.tracemalloc_peak_bytes"] = float(
-            8 << 20)
-        report = compare_metrics(before.to_dict(), after_payload)
-        assert "host.tracemalloc_peak_bytes" in {
-            delta.name for delta in report.regressions()}
-
     def test_collect_run_metrics_includes_host(self, rmat_db, machine):
         from repro.obs import collect_run_metrics
-        result = GTSEngine(rmat_db, machine, host_profile=True).run(
-            BFSKernel(0))
-        registry = collect_run_metrics(result)
+        result, profile = recorded(GTSEngine(rmat_db, machine),
+                                   BFSKernel(0))
+        assert "host.wall_seconds" not in collect_run_metrics(result)
+        registry = collect_run_metrics(result, host_profile=profile)
         assert "host.wall_seconds" in registry
         assert "host.coverage" in registry
-        assert "host.phase.run.seconds" in registry
+        assert "host.phase.%s.seconds" % RUN in registry
 
 
 class TestHistoryNoBaseline:
@@ -496,7 +563,7 @@ class TestCLIHostProfile:
                    for line in text.splitlines())
         profile = load_host_profile(str(profile_json))
         assert profile.phase("load") is not None
-        assert profile.phase("run") is not None
+        assert profile.phase(RUN) is not None
         payload = json.loads(trace.read_text())
         validate_chrome_trace(payload)
         names = {event.get("args", {}).get("name")

@@ -3,10 +3,11 @@
 The load-bearing properties:
 
 * **disabled path is free** — a service built without telemetry never
-  reads the telemetry clock (proved by counting, the HostProfiler
-  idiom), and results are bit-identical with telemetry on or off;
+  reads the telemetry clock or the span clock (proved by counting), and
+  results are bit-identical with telemetry on or off;
 * **span trees conserve time** — child spans sum to no more than the
-  parent's wall time and stay inside its bounds;
+  parent's wall time and stay inside its bounds, from the HTTP handler
+  down to the engine's kernel and booking spans;
 * **/metrics is byte-deterministic** — the same stats snapshot renders
   identical exposition bytes regardless of dict construction order,
   and the rendering validates against the format grammar;
@@ -15,6 +16,7 @@ The load-bearing properties:
 * **query_id propagates** HTTP → service → RunResult → trace record.
 """
 
+import contextlib
 import io
 import json
 import os
@@ -26,6 +28,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
+import repro.obs.host as host_module
 import repro.obs.telemetry as telemetry_module
 from repro.errors import (
     AdmissionError,
@@ -34,7 +37,7 @@ from repro.errors import (
     ShutdownError,
 )
 from repro.format import PageFormatConfig, build_database
-from repro.format.io import FileBackedDatabase, save_database
+from repro.format.io import FileBackedDatabase, load_database, save_database
 from repro.graphgen import generate_rmat
 from repro.obs.exporters import render_prometheus, validate_prometheus_text
 from repro.obs.telemetry import (
@@ -65,6 +68,17 @@ def db_prefix(tmp_path_factory):
     return prefix
 
 
+@contextlib.contextmanager
+def serving(server):
+    """Run ``server`` on a daemon thread; yields its base URL."""
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        yield "http://127.0.0.1:%d" % server.server_address[1]
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def make_service(db_prefix, telemetry=None, **kwargs):
     service = GraphService(max_in_flight=2, telemetry=telemetry,
                            **kwargs)
@@ -78,41 +92,25 @@ def make_service(db_prefix, telemetry=None, **kwargs):
 # ----------------------------------------------------------------------
 class TestDisabledPathIsFree:
     def test_no_clock_reads_without_telemetry(self, db_prefix,
-                                              monkeypatch):
-        calls = {"n": 0}
-        real = telemetry_module.perf_counter_ns
-
-        def counting():
-            calls["n"] += 1
-            return real()
-
-        monkeypatch.setattr(telemetry_module, "perf_counter_ns",
-                            counting)
+                                              clock_reads):
+        calls = clock_reads(telemetry_module, host_module)
         service = make_service(db_prefix)
         assert service.telemetry is None
         result = service.query("g", "bfs", params={"start": 0})
         service.stats()
         service.drain()
         assert result.num_rounds > 0
-        assert calls["n"] == 0, (
-            "telemetry=None service read the telemetry clock %d "
-            "time(s)" % calls["n"])
+        assert calls[0] == 0, (
+            "telemetry=None service read a telemetry or span clock %d "
+            "time(s)" % calls[0])
 
     def test_enabled_path_does_read_the_clock(self, db_prefix,
-                                              monkeypatch):
-        calls = {"n": 0}
-        real = telemetry_module.perf_counter_ns
-
-        def counting():
-            calls["n"] += 1
-            return real()
-
-        monkeypatch.setattr(telemetry_module, "perf_counter_ns",
-                            counting)
+                                              clock_reads):
+        calls = clock_reads(telemetry_module)
         service = make_service(db_prefix, telemetry=True)
         service.query("g", "bfs", params={"start": 0})
         service.drain()
-        assert calls["n"] > 0
+        assert calls[0] > 0
 
     def test_results_bit_identical_on_off(self, db_prefix):
         off = make_service(db_prefix)
@@ -123,7 +121,7 @@ class TestDisabledPathIsFree:
                                       ("pagerank", {"iterations": 5})):
                 a = off.query("g", algorithm, params=params)
                 b = on.query("g", algorithm, params=params)
-                assert a.elapsed_seconds == b.elapsed_seconds
+                assert repr(a.elapsed_seconds) == repr(b.elapsed_seconds)
                 assert a.num_rounds == b.num_rounds
                 assert set(a.values) == set(b.values)
                 for key in a.values:
@@ -137,6 +135,30 @@ class TestDisabledPathIsFree:
 # ----------------------------------------------------------------------
 # Span trees
 # ----------------------------------------------------------------------
+def check_engine_span(engine, rounds):
+    """``engine`` > ``core.engine.run`` > setup (with the plan lookup),
+    one closed ``round`` per completed round — kernel and booking
+    inside, no longer than it — and nothing of the setup in a round."""
+    assert engine["name"] == "engine"
+    (run,) = engine["children"]
+    assert run["name"] == "core.engine.run"
+    assert run["duration_ms"] <= engine["duration_ms"] + 1e-6
+    by_name = {}
+    for child in run["children"]:
+        by_name.setdefault(child["name"], []).append(child)
+    (setup,) = by_name["setup"]
+    (get,) = [c for c in setup["children"] if c["name"] == "core.plan.get"]
+    assert len(by_name.get("round", [])) == rounds
+    for span in by_name.get("round", []):
+        assert span["start_ms"] >= setup["start_ms"] + setup["duration_ms"]
+        inner = {c["name"]: c for c in span["children"]}
+        assert {"core.kernels.batch", "core.streams.booking"} <= set(inner)
+        assert "core.plan.get" not in inner
+        assert sum(c["duration_ms"] for c in span["children"]) \
+            <= span["duration_ms"] + 1e-6
+    return get
+
+
 class TestSpanTree:
     def test_children_conserve_parent_wall(self, db_prefix, tmp_path):
         ring_dir = str(tmp_path / "ring")
@@ -161,12 +183,8 @@ class TestSpanTree:
                 assert (child["start_ms"] + child["duration_ms"]
                         <= root["start_ms"] + root["duration_ms"]
                         + 1e-6)
-            engine = children[-1]
-            assert engine["attrs"]["rounds"] == record["rounds"] > 0
-            rounds = engine["children"]
-            assert len(rounds) == record["rounds"]
-            assert sum(r["duration_ms"] for r in rounds) \
-                <= engine["duration_ms"] + 1e-6
+            check_engine_span(children[-1], record["rounds"])
+            assert record["rounds"] > 0
 
     def test_deadline_capture_records_error(self, db_prefix, tmp_path):
         ring_dir = str(tmp_path / "ring")
@@ -183,15 +201,39 @@ class TestSpanTree:
         assert records[0]["status"] == "deadline"
         assert records[0]["error_type"] == "DeadlineError"
 
+    def test_deadline_mid_run_closes_engine_span(self, db_prefix,
+                                                 tmp_path):
+        """The run raises out of its spans and every one closes: the
+        record's engine span holds exactly the rounds that completed."""
+        ring_dir = str(tmp_path / "ring")
+        service = make_service(db_prefix, telemetry=TelemetryConfig(
+            slow_ms=1e9, ring_dir=ring_dir))
+        for timeout_ms in (0.5, 1, 2, 4, 8, 16, 32, 64):
+            with pytest.raises(DeadlineError) as info:
+                service.query("g", "pagerank",
+                              params={"iterations": 5000},
+                              options={"timeout_ms": timeout_ms})
+            if info.value.rounds_completed:
+                break
+        service.drain()
+        record = load_ring(ring_dir)[-1]
+        assert record["rounds"] == info.value.rounds_completed > 0
+        check_engine_span(record["span"]["children"][-1],
+                          record["rounds"])
+
     def test_phase_accounting_and_repr(self):
-        trace = RequestTrace("q1", "g", "bfs", submit_ns=1000)
-        trace.add_phase("queue_wait", 1000, 3000)
-        trace.add_phase("engine", 3000, 9000, rounds=2)
-        trace.end_ns = 10000
+        trace = RequestTrace("q1", "g", "bfs")
+        t0 = trace.submit_ns
+        trace.add_phase("queue_wait", t0, t0 + 2000)
+        trace.add_phase("engine", t0 + 2000, t0 + 8000, rounds=2)
+        trace.end_ns = t0 + 9000
         assert trace.phase_ms() == {"queue_wait": 0.002,
                                     "engine": 0.006}
         assert trace.wall_seconds == pytest.approx(9e-6)
         assert "q1" in repr(trace)
+        tree = trace.span_tree()
+        assert tree["duration_ms"] == 0.009
+        assert tree["children"][1]["attrs"] == {"rounds": 2}
 
 
 # ----------------------------------------------------------------------
@@ -492,14 +534,8 @@ class TestHTTPPropagation:
         ring_dir = str(tmp_path / "ring")
         service = make_service(db_prefix, telemetry=TelemetryConfig(
             slow_ms=0.0, ring_dir=ring_dir))
-        server = make_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever,
-                                  daemon=True)
-        thread.start()
-        base = "http://127.0.0.1:%d" % server.server_address[1]
-        yield service, base, ring_dir
-        server.shutdown()
-        server.server_close()
+        with serving(make_server(service, port=0)) as base:
+            yield service, base, ring_dir
         service.drain()
 
     def post(self, base, payload):
@@ -529,6 +565,38 @@ class TestHTTPPropagation:
         # The HTTP path appends the serialize span before completion.
         names = [c["name"] for c in by_id["corr-42"]["span"]["children"]]
         assert names[-1] == "serialize"
+
+    def test_post_commit_rebuild_is_filed_under_setup(self, db_prefix,
+                                                      tmp_path):
+        """A commit, then a query, over HTTP: the ring record reads
+        from the handler down to the page decode of the plan rebuild,
+        and the rebuild sits in ``setup`` — not in the first round."""
+        prefix = str(tmp_path / "live")
+        save_database(load_database(db_prefix), prefix)
+        ring_dir = str(tmp_path / "ring")
+        service = GraphService(max_in_flight=2, telemetry=TelemetryConfig(
+            slow_ms=0.0, ring_dir=ring_dir))
+        service.add_database("live", prefix=prefix)
+        with serving(make_server(service, port=0)) as base:
+            client = ServiceClient(base)
+            client.query("live", "pagerank", params={"iterations": 3})
+            client.update("live", {"ops": [["+", 0, 1, 1.0]]})
+            body = client.query("live", "pagerank",
+                                params={"iterations": 3}, query_id="pc")
+        service.drain()
+        record = {r["query_id"]: r for r in load_ring(ring_dir)}["pc"]
+        assert record["snapshot_version"] == body["snapshot_version"] == 1
+        phases = record["span"]["children"]
+        assert [p["name"] for p in phases] == [
+            "admission_wait", "queue_wait", "snapshot_pin",
+            "gate_acquire", "engine", "service.http.serialize",
+            "serialize"]
+        get = check_engine_span(phases[4], body["num_rounds"])
+        (build,) = get["children"]
+        assert build["name"] == "core.plan.build"
+        scan = {c["name"]: c for c in build["children"]}["scan"]
+        assert any(c["name"] == "format.io.page"
+                   for c in scan.get("children", []))
 
     def test_trace_deferred_at_submit_outlives_a_finished_query(self,
                                                                served):
@@ -622,11 +690,8 @@ def stub_server():
     handler = type("Stub", (_StubHandler,), {"script": [], "seen": []})
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     server.daemon_threads = True
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield handler, "http://127.0.0.1:%d" % server.server_address[1]
-    server.shutdown()
-    server.server_close()
+    with serving(server) as base:
+        yield handler, base
 
 
 BUSY = {"error": "busy", "type": "AdmissionError", "queue_depth": 1,
