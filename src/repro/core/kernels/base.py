@@ -177,7 +177,7 @@ class Kernel:
         before gathering what only the survivors need,
         ``from_sources(vector)`` for a per-source read, ``pages()`` for
         ``next_pids`` — and returns :func:`frontier_batch_work`; a full
-        scan reduces over the batch's scatter space
+        scan reduces a per-record vector along the batch's edges
         (:meth:`~repro.core.plan.RoundBatch.reduce_into`) and returns
         :func:`full_scan_batch_work`.
         """

@@ -99,7 +99,7 @@ class PageRankKernel(Kernel):
             state.damping * state.prev[batch.rec_vids]
             / np.maximum(batch.rec_divisor, 1),
             0.0)
-        # ``contrib[scatter_rec]`` is ``contrib[edge_rec]`` permuted
-        # into scatter order, gathered in one pass.
-        batch.reduce_into(np.add, state.next, contrib[batch.scatter_rec()])
+        # One contribution per record; the batch spreads it along the
+        # record's edges.
+        batch.reduce_into(np.add, state.next, contrib)
         return full_scan_batch_work(batch, ctx)

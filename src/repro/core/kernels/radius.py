@@ -123,11 +123,11 @@ class RadiusKernel(Kernel):
 
     # ------------------------------------------------------------------
     def process_batch(self, batch, state, ctx):
-        # OR each edge's source sketches into its target's; OR is
-        # idempotent and commutative, so the order segments of
-        # different pages reach a shared target in cannot matter.
+        # OR each record's sketch row into its targets'; OR is idempotent
+        # and commutative, so the order segments of different pages
+        # reach a shared target in cannot matter.
         batch.reduce_into(np.bitwise_or, state.sketches,
-                          state.prev[batch.scatter_vids()])
+                          state.prev[batch.rec_vids])
         work = full_scan_batch_work(batch, ctx)
         work.lane_steps = work.lane_steps * self.num_sketches
         return work

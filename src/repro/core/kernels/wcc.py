@@ -72,8 +72,8 @@ class WCCKernel(Kernel):
 
     # ------------------------------------------------------------------
     def process_batch(self, batch, state, ctx):
-        # One gather: labels_prev[rec_vids][edge_rec][scatter_order]
-        # composed through the memoised scatter-ordered source VIDs.
+        # One label per record; the batch spreads it along the record's
+        # edges.
         batch.reduce_into(np.minimum, state.labels,
-                          state.labels_prev[batch.scatter_vids()])
+                          state.labels_prev[batch.rec_vids])
         return full_scan_batch_work(batch, ctx)

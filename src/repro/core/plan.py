@@ -11,9 +11,9 @@ kernels read:
   per-record degrees and vertex IDs, the global adjacency CSR
   (``adj_vids`` / ``adj_pids`` / optional weights), and a *global
   sorted-scatter index* (every page's stable argsort of its adjacency
-  targets, concatenated) so full-scan kernels run one ``reduceat`` +
-  one ``ufunc.at`` over the entire round
-  (:meth:`RoundBatch.reduce_into`).
+  targets, concatenated) so full-scan kernels run one ``reduceat`` over
+  the multi-edge ``(page, target)`` segments + one ``ufunc.at`` over
+  the entire round (:meth:`RoundBatch.reduce_into`).
 * :class:`RoundBatch` — a lazy view of the plan over one round's page
   set, in the exact SP-first order the engine dispatches: each field is
   gathered with vectorized range concatenation (no per-page Python
@@ -93,14 +93,16 @@ class RoundBatch:
       into per-page stable target order; ``seg_starts`` delimits the
       ``(page, target vertex)`` *segments* inside that permutation, so
       a segment-wise reduction followed by a page-major combine
-      accumulates every target page by page; ``seg_targets`` /
-      ``seg_pids`` give each segment's target VID and the physical page
-      addressing it;
-      ``seg_indptr`` (len pages+1) delimits each page's segments.
+      accumulates every target page by page; ``seg_targets`` gives each
+      segment's target VID; ``seg_indptr`` (len pages+1) delimits each
+      page's segments.  Kernels reach it through :meth:`reduce_into`,
+      whose index is built on its first call.
 
     Segment boundaries are local to the batch; ``scatter_order`` and
-    ``seg_starts`` index into the batch's edge space.  A batch covering
-    every page in pid order takes the plan's own arrays without a copy.
+    ``seg_starts`` index into the batch's edge space and, with
+    ``edge_rec``, feed only that index, so they are not memoised.  A
+    batch covering every page in pid order takes the plan's own arrays
+    without a copy.
 
     Concurrent readers may race on a memo (the full batch is shared
     across service threads), but both compute the same array from
@@ -162,7 +164,7 @@ class RoundBatch:
         return self._page_indptr(self._plan.edge_indptr,
                                  self._plan.edge_counts)
 
-    @functools.cached_property
+    @property
     def edge_rec(self):
         return np.repeat(
             np.arange(len(self.degrees), dtype=np.int64), self.degrees)
@@ -181,7 +183,7 @@ class RoundBatch:
         return None if weights is None else self._edges(weights)
 
     # -- scatter space -------------------------------------------------
-    @functools.cached_property
+    @property
     def scatter_order(self):
         return self._edges(self._plan.order_local) + np.repeat(
             self.edge_indptr[:-1], self.edges_per_page())
@@ -190,7 +192,7 @@ class RoundBatch:
     def seg_indptr(self):
         return self._page_indptr(self._plan.seg_indptr, self._plan.seg_counts)
 
-    @functools.cached_property
+    @property
     def seg_starts(self):
         return self._segments(self._plan.seg_starts_local) + np.repeat(
             self.edge_indptr[:-1], np.diff(self.seg_indptr))
@@ -200,8 +202,18 @@ class RoundBatch:
         return self._segments(self._plan.seg_targets)
 
     @functools.cached_property
-    def seg_pids(self):
-        return self._segments(self._plan.seg_pids)
+    def _reduce_index(self):
+        """``(seg_src, multi_rec, multi_starts)``: a one-edge segment's
+        source is its edge's record, the ``k``-th multi-edge segment's is
+        ``num_records + k``, reduced over ``multi_rec`` at ``multi_starts``."""
+        starts = self.seg_starts
+        edges = np.diff(starts, append=self.num_edges)
+        sorted_rec = self.edge_rec[self.scatter_order]
+        multi = np.flatnonzero(edges > 1)
+        seg_src = sorted_rec[starts]
+        seg_src[multi] = self.num_records + np.arange(len(multi))
+        multi_rec = sorted_rec[take_ranges(starts[multi], edges[multi])]
+        return seg_src, multi_rec, _indptr(edges[multi])[:-1]
 
     # ------------------------------------------------------------------
     @property
@@ -220,34 +232,22 @@ class RoundBatch:
     def num_segments(self):
         return int(self.seg_indptr[-1])
 
-    def scatter_rec(self):
-        """Record index feeding each scatter-ordered edge (the memoised
-        composition ``edge_rec[scatter_order]``; gathering through it is
-        exactly ``x[edge_rec][scatter_order]`` with one gather)."""
-        cached = getattr(self, "_scatter_rec", None)
-        if cached is None:
-            cached = self.edge_rec[self.scatter_order]
-            self._scatter_rec = cached
-        return cached
+    def reduce_into(self, ufunc, out, per_record):
+        """Combine one value (or row) per record along its edges into
+        ``out`` at their targets: bit for bit ``ufunc.at(out, seg_targets,
+        ufunc.reduceat(per_record[edge_rec][scatter_order], seg_starts))``.
 
-    def scatter_vids(self):
-        """Source VID of each scatter-ordered edge (memoised)."""
-        cached = getattr(self, "_scatter_vids", None)
-        if cached is None:
-            cached = self.rec_vids[self.scatter_rec()]
-            self._scatter_vids = cached
-        return cached
-
-    def reduce_into(self, ufunc, out, scatter_values):
-        """Combine one value per edge (given in scatter order, e.g.
-        ``x[batch.scatter_vids()]``) into ``out`` at the edge's target:
-        one ``ufunc.reduceat`` over the ``(page, target)`` segments,
-        then ``ufunc.at`` in page-major segment order — targets are
-        unique inside a page, so a float ``add`` accumulates each
-        target page by page, in the batch's order."""
+        ``reduceat`` over one element returns it unchanged, so a one-edge
+        segment (~90 % on R-MAT) reads its record's value directly and
+        ``reduceat`` runs over the multi-edge segments alone, each
+        reducing the same elements in the same order.  ``ufunc.at`` gets
+        the same ``(target, value)`` sequence, page-major: a float ``add``
+        accumulates each target page by page, in the batch's order."""
         if self.num_segments:
-            ufunc.at(out, self.seg_targets,
-                     ufunc.reduceat(scatter_values, self.seg_starts))
+            seg_src, multi_rec, multi_starts = self._reduce_index
+            values = np.concatenate([per_record, ufunc.reduceat(
+                per_record[multi_rec], multi_starts)])
+            ufunc.at(out, self.seg_targets, values[seg_src])
 
     def records_per_page(self):
         return np.diff(self.rec_indptr)
@@ -504,9 +504,7 @@ class PagePlan:
         self.seg_counts = np.bincount(
             seg_page, minlength=self.num_pages).astype(np.int64)
         self.seg_starts_local = seg_global - edge_starts[seg_page]
-        first_edges = order_global[seg_global]
-        self.seg_targets = self.adj_vids[first_edges]
-        self.seg_pids = self.adj_pids[first_edges]
+        self.seg_targets = self.adj_vids[order_global[seg_global]]
         self.seg_indptr = _indptr(self.seg_counts)
 
     # ------------------------------------------------------------------
@@ -527,7 +525,7 @@ class PagePlan:
 
         A round covering every page reuses one cached full-database
         batch, so what PageRank/WCC-style kernels memoise on it (the
-        scatter space, lane steps) is built once per plan, not once per
+        reduce index, lane steps) is built once per plan, not once per
         iteration.
         """
         pids = np.asarray(pids, dtype=np.int64)

@@ -1,9 +1,10 @@
 """Unit tests for the vectorized execution plan and its satellites.
 
 Covers the :mod:`repro.core.plan` arrays (global scatter index, batch
-gathering, the topology-version plan cache), the steady-state cache
-shortcut, the vectorized large-page-run index, and the rejection of
-the removed ``execution`` knob on the engine and the CLI.
+gathering, the segment reduce, the topology-version plan cache), the
+steady-state cache shortcut, the vectorized large-page-run index, and
+the rejection of the removed ``execution`` knob on the engine and the
+CLI.
 """
 
 import sys
@@ -20,6 +21,7 @@ from repro.core import (
     DegreeKernel,
     GTSEngine,
     KCoreKernel,
+    PageRankKernel,
     SSSPKernel,
 )
 from repro.core.cache import PageCache
@@ -36,7 +38,7 @@ from repro.core.strategies import make_strategy
 from repro.core.streams import StreamScheduler
 from repro.errors import ConfigurationError, ServiceError, SimulationError
 from repro.format import PageFormatConfig, build_database
-from repro.graphgen import generate_rmat
+from repro.graphgen import Graph, generate_rmat
 from repro.hardware.machine import MachineRuntime
 from repro.hardware.specs import scaled_workstation
 from repro.obs.events import TraceRecorder
@@ -80,6 +82,17 @@ def lp_plan():
     return database, PagePlan(database)
 
 
+@pytest.fixture(scope="module")
+def doubled_plan():
+    """An R-MAT with every edge doubled, on 512-byte pages: each
+    ``(page, target)`` segment holds at least two edges; read-only."""
+    sources, targets = generate_rmat(8, edge_factor=8, seed=5).edge_list()
+    database = build_database(
+        Graph.from_edges(256, np.repeat(sources, 2), np.repeat(targets, 2)),
+        PageFormatConfig(2, 2, 512))
+    return database, PagePlan(database)
+
+
 def sorted_scatter_index(adj_vids):
     """One page's reference scatter index: the stable argsort of its
     adjacency targets, the distinct targets, and where each target's
@@ -92,7 +105,7 @@ def sorted_scatter_index(adj_vids):
 #: Lazy RoundBatch fields by the space that delimits them.
 RECORD_FIELDS = ("degrees", "rec_vids", "rec_divisor")
 EDGE_FIELDS = ("adj_vids", "adj_pids", "adj_weights")
-SEGMENT_FIELDS = ("seg_targets", "seg_pids")
+SEGMENT_FIELDS = ("seg_targets",)
 LAZY_FIELDS = (("rec_divisor", "edge_indptr", "edge_rec", "scatter_order",
                 "seg_starts", "seg_indptr")
                + EDGE_FIELDS + SEGMENT_FIELDS)
@@ -117,8 +130,6 @@ def _page_fields(batch, k):
     fields["edge_rec"] = batch.edge_rec[elo:ehi] - rlo
     fields["scatter_order"] = batch.scatter_order[elo:ehi] - elo
     fields["seg_starts"] = batch.seg_starts[slo:shi] - elo
-    fields["scatter_rec"] = batch.scatter_rec()[elo:ehi] - rlo
-    fields["scatter_vids"] = batch.scatter_vids()[elo:ehi]
     return fields
 
 
@@ -140,6 +151,11 @@ def _assert_pages_match(batch, full):
             assert got.dtype == want[name].dtype, (pid, name)
             np.testing.assert_array_equal(got, want[name],
                                           err_msg=str((pid, name)))
+
+
+def _segment_edges(batch):
+    """How many edges each of ``batch``'s segments holds."""
+    return np.diff(batch.seg_starts, append=batch.num_edges)
 
 
 def _sp_first(db, pids):
@@ -179,7 +195,7 @@ class TestPlanArrays:
         slow.num_pages = db.num_pages
         slow._build_scatter(HugeV)
         for name in ("order_local", "seg_starts_local", "seg_targets",
-                     "seg_pids", "seg_counts", "seg_indptr"):
+                     "seg_counts", "seg_indptr"):
             np.testing.assert_array_equal(getattr(slow, name),
                                           getattr(fast, name), err_msg=name)
 
@@ -341,7 +357,8 @@ class TestPlanArrays:
                                         KernelContext(any_db))
             assert work.edges_traversed.sum() > 0
             assert not set(LAZY_FIELDS) & set(vars(batch))
-            assert not {"_edge_sel", "_seg_sel"} & set(vars(batch))
+            assert not {"_edge_sel", "_seg_sel", "_reduce_index"} & set(
+                vars(batch))
             frontier = frontiers.pop()
             assert not frontiers
             assert "targets" in vars(frontier)
@@ -373,6 +390,74 @@ class TestPlanArrays:
         assert result.edges_traversed > any_db.num_pages
         assert max(longest.values()) <= any_db.num_pages, longest
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_reduce_into_is_the_reference_segment_reduce(
+            self, lp_plan, doubled_plan, data):
+        """``reduce_into(ufunc, out, per_record)`` is byte-equal to the
+        edge-length reference ``ufunc.at(out, seg_targets, ufunc.reduceat(
+        per_record[edge_rec][scatter_order], seg_starts))`` -- float
+        ``add`` across 16 decades (a reassociation shows), int64
+        ``minimum``, 2-D uint32 ``bitwise_or`` -- on the full batch,
+        SP-first partial batches mixing small and large pages, batches
+        with no or only multi-edge segments, and an empty batch;
+        ``reduceat`` runs over the multi-edge segments alone."""
+        shape = data.draw(st.sampled_from(
+            ["full", "partial", "one-edge", "multi-edge", "empty"]))
+        db, plan = doubled_plan if shape == "multi-edge" else lp_plan
+        draw = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        pids = draw.choice(plan.num_pages, size=draw.integers(
+            1, plan.num_pages), replace=False)
+        if shape == "full":
+            pids = np.arange(plan.num_pages)
+        elif shape == "one-edge":
+            identity = _identity_batch(plan)
+            multi = segment_sum(_segment_edges(identity) > 1,
+                                identity.seg_indptr)
+            pids = np.flatnonzero((multi == 0) & (plan.seg_counts > 0))
+        elif shape == "empty":
+            pids = []
+        batch = plan.round_batch(_sp_first(db, pids))
+        ufunc, values = data.draw(st.sampled_from([
+            (np.add, lambda n: draw.choice([-1.0, 1.0], n)
+             * 10.0 ** draw.uniform(-8, 8, n)),
+            (np.minimum, lambda n: draw.integers(-10 ** 6, 10 ** 6, n)),
+            (np.bitwise_or, lambda n: np.uint32(1) << draw.integers(
+                0, 32, (n, 3)).astype(np.uint32))]))
+        per_record, out = values(batch.num_records), values(db.num_vertices)
+        want = out.copy()
+        ufunc.at(want, batch.seg_targets, ufunc.reduceat(
+            per_record[batch.edge_rec][batch.scatter_order],
+            batch.seg_starts))
+        batch.reduce_into(ufunc, out, per_record)
+        assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+        multi = np.count_nonzero(_segment_edges(batch) > 1)
+        assert len(batch._reduce_index[2]) == multi
+        if shape == "one-edge":
+            assert multi == 0 < batch.num_segments
+        elif shape == "multi-edge":
+            assert multi == batch.num_segments
+
+    def test_only_a_full_scan_builds_the_reduce_index(self, lp_db, machine,
+                                                      monkeypatch):
+        """The reduce index is built by the first ``reduce_into``, not
+        with the plan: BFS and SSSP on a fresh plan never build it (a
+        traversal cold start does not pay for it), and PageRank(10)
+        builds it once, on the full batch its rounds share."""
+        batches = []
+        init = RoundBatch.__init__
+        monkeypatch.setattr(RoundBatch, "__init__",
+                            lambda batch, plan, pids: batches.append(batch)
+                            or init(batch, plan, pids))
+        start = int(np.argmax(lp_db.out_degrees))
+        for kernel, builds in ((BFSKernel(start_vertex=start), 0),
+                               (SSSPKernel(start_vertex=start), 0),
+                               (PageRankKernel(iterations=10), 1)):
+            batches.clear()
+            assert GTSEngine(lp_db, machine).run(kernel).num_rounds > 2
+            assert sum("_reduce_index" in vars(batch)
+                       for batch in batches) == builds, kernel.name
+
     def test_dropped_plan_is_freed_without_the_cyclic_collector(self, db):
         """The plan memoises its full batch and the batch reads the
         plan; were both references strong, every dropped plan (one per
@@ -382,7 +467,7 @@ class TestPlanArrays:
         import weakref
 
         plan = PagePlan(db)
-        plan.full_batch().scatter_order
+        plan.full_batch()._reduce_index
         dropped = weakref.ref(plan)
         gc.disable()
         try:
