@@ -38,7 +38,7 @@ from repro.core.micro import MicroTechnique
 from repro.core.plan import RoundPlanCache, page_mask, take_ranges
 from repro.core.result import RoundStats, RunResult
 from repro.core.strategies import make_strategy
-from repro.core.streams import StreamScheduler
+from repro.core.streams import RoundOrder, StreamScheduler
 from repro.errors import (CapacityError, ConfigurationError,
                           DeadlineError, DeviceLostError)
 from repro.faults import FaultInjector, FaultPlan, RetryPolicy
@@ -145,26 +145,32 @@ class GTSEngine:
         self.shared_cache = shared_cache
         self._plan_cache = (plan_cache if plan_cache is not None
                             else RoundPlanCache())
-        self._lp_runs = self._index_large_page_runs()
-        self._db_topology_version = getattr(db, "topology_version", 0)
+        self._index_topology()
 
     # ------------------------------------------------------------------
     # Setup helpers
     # ------------------------------------------------------------------
-    def _index_large_page_runs(self):
-        """Every large vertex's page run as ``(firsts, lengths)``: the
-        run's first page ID, ascending, and its page count.
+    def _index_topology(self):
+        """Derive, once per topology version, what every run reads of
+        the page layout: the largest page's record count (it sizes
+        RABuf) and every large vertex's page run as ``(firsts,
+        lengths)``: the run's first page ID, ascending, and its page
+        count.
 
         Adjacency entries always address a large vertex through its first
         large page (slot 0); streaming that vertex requires the whole
         consecutive run, which the RVT's LP_RANGE column delimits.
         """
-        lp = np.asarray(self.db.large_page_ids(), dtype=np.int64)
+        db = self.db
+        self._db_topology_version = getattr(db, "topology_version", 0)
+        self._max_records = max((e.num_records for e in db.directory),
+                                default=0)
+        lp = np.asarray(db.large_page_ids(), dtype=np.int64)
         # A run occupies consecutive pids with chunk indexes 0..k, so
         # its first page is the one whose LP_RANGE is 0, and with ``lp``
         # ascending the next first (or the end) closes the run.
-        starts = np.flatnonzero(self.db.rvt.lp_ranges[lp] == 0)
-        return lp[starts], np.diff(np.append(starts, len(lp)))
+        starts = np.flatnonzero(db.rvt.lp_ranges[lp] == 0)
+        self._lp_runs = lp[starts], np.diff(np.append(starts, len(lp)))
 
     def _expand_pids(self, pids):
         """Normalise a round's page set: dedupe, expand LP runs, and
@@ -193,13 +199,14 @@ class GTSEngine:
             total += getattr(base, "integrity_retries", 0)
         return total
 
-    def _round_assignments(self, pids_round, runtime, dead_gpus):
-        """Per-page GPU assignments for a round, with dead GPUs' pages
-        redistributed to survivors (Strategy-P degradation)."""
+    def _round_order(self, pids_round, runtime, dead_gpus):
+        """A round's :class:`RoundOrder`: the strategy's per-page GPU
+        assignments, with dead GPUs' pages redistributed to survivors
+        (Strategy-P degradation)."""
         assignments = self.strategy.assign_batch(pids_round,
                                                  runtime.num_gpus)
         if not dead_gpus:
-            return assignments
+            return RoundOrder(pids_round, assignments, runtime.num_gpus)
         survivors = [g for g in range(runtime.num_gpus)
                      if g not in dead_gpus]
         cache = {}
@@ -213,7 +220,7 @@ class GTSEngine:
                     for g in gpus))
                 cache[gpus] = out
             remapped.append(out)
-        return remapped
+        return RoundOrder(pids_round, remapped, runtime.num_gpus)
 
     def _absorb_gpu_losses(self, runtime, injector, dead_gpus, recorder):
         """Handle GPUs whose scheduled loss time has passed.
@@ -272,8 +279,7 @@ class GTSEngine:
         db = self.db
         wa_total = kernel.wa_bytes(db.num_vertices)
         wa_gpu = self.strategy.wa_gpu_bytes(wa_total, runtime.num_gpus)
-        max_records = max((e.num_records for e in db.directory), default=0)
-        ra_buf = (self.num_streams * max_records
+        ra_buf = (self.num_streams * self._max_records
                   * kernel.ra_bytes_per_vertex)
         sp_buf = (self.num_streams * db.config.page_size
                   if db.num_small_pages else 0)
@@ -409,12 +415,11 @@ class GTSEngine:
         with span("setup"):
             host_io_start = self._host_io_counters(db)
             # A mutated topology (dynamic updates, compaction)
-            # invalidates the large-page run index built at
-            # construction time.
+            # invalidates the page-layout index built at construction
+            # time.
             version = getattr(db, "topology_version", 0)
             if version != self._db_topology_version:
-                self._lp_runs = self._index_large_page_runs()
-                self._db_topology_version = version
+                self._index_topology()
             pool_hits_start = getattr(db, "pool_hits", 0)
             pool_misses_start = getattr(db, "pool_misses", 0)
             mmap_hits_start, mmap_misses_start = self._mmap_counters(db)
@@ -474,7 +479,7 @@ class GTSEngine:
         rounds = []
         scheduler = StreamScheduler(runtime, fault_injector=injector)
         total_edges = 0
-        full_assignments = None
+        full_order = None
         dead_gpus = set()
 
         round_index = 0
@@ -515,22 +520,23 @@ class GTSEngine:
                     injector.begin_round(round_index)
                     if injector.plan.gpu_loss and self._absorb_gpu_losses(
                             runtime, injector, dead_gpus, recorder):
-                        # The survivor set changed; cached full-scan
-                        # assignments no longer reflect it.
-                        full_assignments = None
+                        # The survivor set changed; the cached full-scan
+                        # order no longer reflects it.
+                        full_order = None
                 pids_round = np.concatenate([small, large])
                 # SPs first, then LPs (reduces kernel switching,
                 # Section 3.2).
                 if len(pids_round) == plan_arrays.num_pages:
                     # Full-scan rounds dispatch the same SP-first page
-                    # sequence every time; compute its assignment once.
-                    if full_assignments is None:
-                        full_assignments = self._round_assignments(
+                    # sequence every time; its assignment and per-GPU
+                    # split are computed once.
+                    if full_order is None:
+                        full_order = self._round_order(
                             pids_round, runtime, dead_gpus)
-                    assignments = full_assignments
+                    order = full_order
                 else:
-                    assignments = self._round_assignments(
-                        pids_round, runtime, dead_gpus)
+                    order = self._round_order(pids_round, runtime,
+                                              dead_gpus)
                 with span("core.plan.gather"):
                     batch = plan_arrays.round_batch(pids_round)
                 with span("core.kernels.batch"):
@@ -547,8 +553,7 @@ class GTSEngine:
                 # otherwise.
                 with span("core.streams.booking"):
                     scheduler.dispatch_round(
-                        pids_round, assignments,
-                        copy_bytes_all[pids_round], work.lane_steps,
+                        order, copy_bytes_all[pids_round], work.lane_steps,
                         kernel.cycles_per_lane_step, caches, wa_ready,
                         round_start, stats)
 

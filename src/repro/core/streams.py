@@ -8,10 +8,45 @@ exactly that booking logic, so the engine's round loop stays about
 *what* to dispatch and this module about *when* it runs.
 """
 
+from functools import cached_property
+from itertools import chain
+
 import numpy as np
 
 from repro.errors import (ConfigurationError, RetryExhaustedError,
                           SimulationError)
+
+
+class RoundOrder:
+    """One round's dispatch order: ``page_ids`` (duplicate-free, in
+    dispatch order) and the strategy's per-page GPU tuples, split per
+    GPU on first use.  The engine keeps the full-scan order for a whole
+    run, so every full-scan round after the first reuses the split."""
+
+    def __init__(self, page_ids, assignments, num_gpus):
+        self.page_ids = np.asarray(page_ids, dtype=np.int64)
+        self.assignments = assignments
+        self.num_gpus = num_gpus
+
+    @cached_property
+    def per_gpu(self):
+        """``(indices, pids)``: each GPU's positions in the round (an
+        index array) and page IDs (a list), in dispatch order."""
+        gpus = np.fromiter(chain.from_iterable(self.assignments),
+                           dtype=np.int64)
+        positions = np.repeat(
+            np.arange(len(self.assignments)),
+            np.fromiter(map(len, self.assignments), dtype=np.int64,
+                        count=len(self.assignments)))
+        indices = [positions[gpus == g] for g in range(self.num_gpus)]
+        return indices, [self.page_ids[seq].tolist() for seq in indices]
+
+
+def _fold(start, durations):
+    """``start`` plus ``durations`` one at a time, left to right:
+    ``np.add.accumulate`` is a sequential fold (unlike the pairwise
+    ``np.sum``), so this equals ``Resource.book``'s repeated ``+=``."""
+    return float(np.add.accumulate(np.append(start, durations))[-1])
 
 
 class StreamScheduler:
@@ -137,17 +172,16 @@ class StreamScheduler:
                 at_time + stall, page=page_id, kind="stream_stall")
         return stall
 
-    def dispatch_round(self, page_ids, assignments, copy_bytes, lane_steps,
+    def dispatch_round(self, order, copy_bytes, lane_steps,
                        cycles_per_lane_step, caches, wa_ready, round_start,
                        stats):
         """Book a whole round of pages from precomputed per-page arrays.
 
-        ``assignments`` is the strategy's per-page GPU tuple list,
-        ``copy_bytes`` / ``lane_steps`` are arrays aligned with
-        ``page_ids`` (which must be duplicate-free — the engine's rounds
-        are deduped) and ``stats`` is the round's :class:`RoundStats`.
-        Cache lookups and admits are resolved in bulk per GPU first
-        (their decisions are time-independent).
+        ``order`` is the round's :class:`RoundOrder`, ``copy_bytes`` /
+        ``lane_steps`` are arrays aligned with its ``page_ids`` and
+        ``stats`` is the round's :class:`RoundStats`.  Cache lookups and
+        admits are resolved in bulk per GPU first (their decisions are
+        time-independent).
 
         There are two ways to book, chosen by one observation.  A round
         in which the injector's
@@ -165,61 +199,53 @@ class StreamScheduler:
         simulated clock comes out bit-identical.
         """
         runtime = self.runtime
-        num_gpus = runtime.num_gpus
-        earliest = [max(round_start, wa_ready[g]) for g in range(num_gpus)]
-        page_ids = np.asarray(page_ids, dtype=np.int64)
-        pids = page_ids.tolist()
-        sequences = [[] for _ in range(num_gpus)]
-        for j, gpus in enumerate(assignments):
-            for g in gpus:
-                sequences[g].append(j)
+        earliest = [max(round_start, wa_ready[g])
+                    for g in range(runtime.num_gpus)]
+        page_ids = order.page_ids
+        indices, gpu_pids = order.per_gpu
         hit_lists = [
-            caches[g].resolve_round([pids[j] for j in seq], ts=earliest[g],
-                                    assume_distinct=True)
-            for g, seq in enumerate(sequences)
+            cache.resolve_round(pids, ts=early, assume_distinct=True)
+            for cache, pids, early in zip(caches, gpu_pids, earliest)
         ]
         steps_arr = np.asarray(lane_steps, dtype=np.float64)
         bytes_arr = np.asarray(copy_bytes, dtype=np.float64)
         injector = self.fault_injector
         if (injector is not None
-                and injector.round_faulted(page_ids, assignments)):
+                and injector.round_faulted(page_ids, order.assignments)):
             injector.note_fallback()
             if runtime.recorder is not None:
                 runtime.recorder.instant(
                     "fallback", "engine", "rounds", round_start,
                     round=stats.round_index)
             self._book_round_per_call(
-                pids, assignments, sequences, hit_lists,
+                page_ids.tolist(), order.assignments,
+                [seq.tolist() for seq in indices], hit_lists,
                 bytes_arr.astype(np.int64).tolist(), steps_arr.tolist(),
                 cycles_per_lane_step, earliest, wa_ready, round_start,
                 stats)
             return
         # The per-call methods validate each booking; this loop checks
         # the round once and raises the same typed errors.
-        if pids and bytes_arr.min() < 0:
+        if len(page_ids) and bytes_arr.min() < 0:
             raise ConfigurationError("copy_bytes cannot be negative")
-        if pids and (steps_arr * cycles_per_lane_step).min() < 0:
+        if len(page_ids) and (steps_arr * cycles_per_lane_step).min() < 0:
             raise SimulationError("negative kernel duration in round %d"
                                   % stats.round_index)
-        missed = np.zeros(len(pids), dtype=bool)
-        for seq, hit_list in zip(sequences, hit_lists):
-            if seq:
-                seq_arr = np.asarray(seq, dtype=np.int64)
-                missed[seq_arr[~np.asarray(hit_list, dtype=bool)]] = True
-        ready_at = None
+        miss_masks = [~np.asarray(hits, dtype=bool) for hits in hit_lists]
+        missed = np.zeros(len(page_ids), dtype=bool)
+        for seq, miss in zip(indices, miss_masks):
+            missed[seq[miss]] = True
+        ready_at = np.zeros(len(page_ids), dtype=np.float64)
         if missed.any():
             # First cache miss on any GPU, in page order: exactly the
             # sequence the per-call path makes ready.
-            ready, from_buffer, from_storage = runtime.page_ready(
+            ready_at[missed], from_buffer, from_storage = runtime.page_ready(
                 page_ids[missed], round_start)
             stats.pages_from_buffer += from_buffer
             stats.pages_from_storage += from_storage
-            ready_at = np.zeros(len(pids), dtype=np.float64)
-            ready_at[missed] = ready
-            ready_at = ready_at.tolist()
-        self._book_round(pids, sequences, hit_lists, bytes_arr, steps_arr,
-                         cycles_per_lane_step, earliest, wa_ready,
-                         ready_at, stats)
+        self._book_round(indices, hit_lists, miss_masks, bytes_arr,
+                         steps_arr, cycles_per_lane_step, earliest,
+                         wa_ready, ready_at, stats)
 
     def _book_round_per_call(self, pids, assignments, sequences, hit_lists,
                              copy_bytes, lane_steps, cycles_per_lane_step,
@@ -251,140 +277,131 @@ class StreamScheduler:
                     g, max(ready, wa_ready[g]), copy_bytes[j],
                     lane_steps[j], cycles_per_lane_step, page_id=pid)
 
-    def _book_round(self, pids, sequences, hit_lists, bytes_arr, steps_arr,
-                    cycles_per_lane_step, earliest, wa_ready, ready_at,
-                    stats):
-        """GPU-major inlined booking of a round whose missed pages are
-        already main-memory ready (at ``ready_at[j]``).
+    def _book_round(self, indices, hit_lists, miss_masks, bytes_arr,
+                    steps_arr, cycles_per_lane_step, earliest, wa_ready,
+                    ready_at, stats):
+        """GPU-major booking of a round whose missed pages are already
+        main-memory ready (at ``ready_at[j]``).
 
         With readiness known, the per-GPU timelines (copy engine,
-        compute capacity, stream slots) share no state across GPUs, so
-        each GPU's bookings replay in one tight loop over plain locals.
-        Within a GPU the pages keep their page-major order, so the
-        floating-point operations happen in exactly the sequence of
+        compute capacity, stream slots) share no state across GPUs.
+        Within a GPU the pages keep their page-major order, and one
+        Python loop carries the three max-plus chains of
         :meth:`dispatch_cached` / :meth:`dispatch_streamed` /
-        ``GPURuntime.book_kernel`` / ``Resource.book`` and the simulated
-        clock comes out bit-identical; per-page durations are
-        precomputed with the same elementwise arithmetic those helpers
-        use.  A traced run records the same ``Resource.events`` and
-        emits the same ``h2d_copy`` / ``kernel`` intervals from here.
+        ``GPURuntime.book_kernel`` with the same float operations in the
+        same order, so the simulated clock comes out bit-identical:
+
+        - copy: ``start = max(ready, slot, engine)``, ``end = start + ct``;
+        - compute capacity: ``comp = max(k, comp) + dd``;
+        - the page's slot: ``slot = max(comp, k + sd)``,
+
+        where ``k``, the kernel's start on its stream, is the copy end
+        (a copy starts after its slot frees, so its end is the later
+        one) or, for a cache hit, ``max(earliest, slot)``.  Slots are
+        read by position: ``window`` holds the slot values rotated by
+        the dispatch count, page ``i`` reads entry ``i`` and appends its
+        slot's new value, which page ``i + n`` reads.  Durations are
+        precomputed with the helpers' elementwise arithmetic; busy times
+        are :func:`_fold` sums and counts are integer sums, per GPU.
         """
         runtime = self.runtime
         pcie = runtime.pcie
-        recorder = runtime.recorder
-        traced = runtime.tracing or recorder is not None
-        ct_all = (pcie.latency + bytes_arr / pcie.stream_bandwidth).tolist()
-        bytes_list = bytes_arr.astype(np.int64).tolist()
-        steps_list = steps_arr.tolist() if traced else None
-        from_cache = 0
-        bytes_streamed = 0
-        for g, gpu in enumerate(runtime.gpus):
-            seq = sequences[g]
-            if not seq:
+        traced = runtime.tracing or runtime.recorder is not None
+        ct_all = pcie.latency + bytes_arr / pcie.stream_bandwidth
+        for gpu, seq, hits, miss, early, wa in zip(
+                runtime.gpus, indices, hit_lists, miss_masks, earliest,
+                wa_ready):
+            m = len(seq)
+            if not m:
                 continue
-            hit_list = hit_lists[g]
             spec = gpu.spec
-            hz = spec.effective_hz
-            stream_rate = hz * spec.single_stream_fraction
-            sd_all = (spec.kernel_launch_overhead
-                      + steps_arr * cycles_per_lane_step
-                      / stream_rate).tolist()
-            dd_all = (steps_arr * cycles_per_lane_step / hz).tolist()
-            ce = gpu.copy_engine
-            comp = gpu.compute
+            work = steps_arr[seq] * cycles_per_lane_step
+            sd = (spec.kernel_launch_overhead
+                  + work / (spec.effective_hz * spec.single_stream_fraction))
+            dd = work / spec.effective_hz
+            ct = ct_all[seq]
+            rt = np.maximum(ready_at[seq], wa).tolist()
+            ce, comp = gpu.copy_engine, gpu.compute
             slots = gpu.streams.slots
-            ce_avail = ce.available_at
-            ce_busy = ce.busy_time
-            ce_n = ce.num_activities
-            comp_avail = comp.available_at
-            comp_busy = comp.busy_time
-            comp_n = comp.num_activities
-            slot_avail = [s.available_at for s in slots]
-            slot_busy = [s.busy_time for s in slots]
-            slot_n = [s.num_activities for s in slots]
-            n_slots = len(slots)
-            dc = self._dispatch_count[gpu.index]
-            early = earliest[g]
-            wa = wa_ready[g]
-            k_inv = gpu.kernel_invocations
-            k_busy = gpu.kernel_busy_time
-            k_stream = gpu.kernel_stream_time
-            gbytes = gpu.bytes_received
-            for i, j in enumerate(seq):
-                si = dc % n_slots
-                dc += 1
-                sa = slot_avail[si]
-                sd = sd_all[j]
-                dd = dd_all[j]
-                if hit_list[i]:
-                    from_cache += 1
-                    kernel_earliest = early if early > sa else sa
+            n = len(slots)
+            first = self._dispatch_count[gpu.index] % n
+            rotated = slots[first:] + slots[:first]
+            window = [slot.available_at for slot in rotated]
+            append = window.append
+            ce_start = copy_end = ce.available_at
+            comp_at = comp.available_at
+            # ``window`` grows while zip reads it: page i appends entry i + n.
+            for sa, hit, r, c, d, s in zip(window, hits, rt, ct.tolist(),
+                                           dd.tolist(), sd.tolist()):
+                if hit:
+                    k = early if early > sa else sa
                 else:
-                    ready = ready_at[j]
-                    rt = ready if ready > wa else wa
-                    copy_earliest = rt if rt > sa else sa
-                    copy_start = (copy_earliest
-                                  if copy_earliest > ce_avail else ce_avail)
-                    ct = ct_all[j]
-                    copy_end = copy_start + ct
-                    ce_avail = copy_end
-                    ce_busy += ct
-                    ce_n += 1
-                    cb = bytes_list[j]
-                    gbytes += cb
-                    bytes_streamed += cb
-                    kernel_earliest = copy_end
-                    if traced:
-                        if ce.events is not None:
-                            ce.events.append((copy_start, copy_end))
-                        if recorder is not None:
-                            recorder.interval(
-                                "h2d_copy", gpu.lane, "copy engine",
-                                copy_start, copy_end, bytes=cb)
-                # book_kernel: device-capacity booking, then the stream
-                # slot, then both timelines advance to the later end.
-                cap_start = (kernel_earliest
-                             if kernel_earliest > comp_avail else comp_avail)
-                cap_end = cap_start + dd
-                comp_avail = cap_end
-                comp_busy += dd
-                comp_n += 1
-                stream_start = (kernel_earliest
-                                if kernel_earliest > sa else sa)
-                stream_end = stream_start + sd
-                slot_busy[si] += sd
-                slot_n[si] += 1
-                slot_avail[si] = cap_end if cap_end > stream_end else stream_end
-                k_inv += 1
-                k_busy += dd
-                k_stream += sd
-                if traced:
-                    slot = slots[si]
-                    if slot.events is not None:
-                        slot.events.append((stream_start, stream_end))
-                    if recorder is not None:
-                        recorder.interval(
-                            "kernel", gpu.lane, slot.name.split(":")[-1],
-                            stream_start, stream_end,
-                            lane_steps=steps_list[j])
-            ce.available_at = ce_avail
-            ce.busy_time = ce_busy
-            ce.num_activities = ce_n
-            comp.available_at = comp_avail
-            comp.busy_time = comp_busy
-            comp.num_activities = comp_n
-            for slot, avail, busy, n in zip(slots, slot_avail,
-                                            slot_busy, slot_n):
-                slot.available_at = avail
-                slot.busy_time = busy
-                slot.num_activities = n
-            self._dispatch_count[gpu.index] = dc
-            gpu.kernel_invocations = k_inv
-            gpu.kernel_busy_time = k_busy
-            gpu.kernel_stream_time = k_stream
-            gpu.bytes_received = gbytes
-        stats.pages_from_cache += from_cache
-        stats.bytes_streamed += bytes_streamed
+                    k = r if r > sa else sa
+                    if copy_end > k:
+                        k = copy_end
+                    copy_end = k = k + c
+                comp_at = (k if k > comp_at else comp_at) + d
+                k += s
+                append(comp_at if comp_at > k else k)
+            ce.available_at = copy_end
+            comp.available_at = comp_at
+            for i in range(m, m + n):
+                rotated[i % n].available_at = window[i]
+            # One column per slot, in its pages' order; the zero padding
+            # of the last row adds exactly nothing.
+            busy = np.zeros((-(-m // n) + 1, n))
+            busy[0] = [slot.busy_time for slot in rotated]
+            busy.ravel()[n:n + m] = sd
+            for r, (slot, total) in enumerate(
+                    zip(rotated, np.add.accumulate(busy)[-1].tolist())):
+                slot.busy_time = total
+                slot.num_activities += m // n + (r < m % n)
+            num_missed = int(np.count_nonzero(miss))
+            ce.busy_time = _fold(ce.busy_time, ct[miss])
+            ce.num_activities += num_missed
+            comp.busy_time = _fold(comp.busy_time, dd)
+            comp.num_activities += m
+            gpu.kernel_stream_time = _fold(gpu.kernel_stream_time, sd)
+            nbytes = int(bytes_arr[seq[miss]].astype(np.int64).sum())
+            gpu.bytes_received += nbytes
+            stats.bytes_streamed += nbytes
+            stats.pages_from_cache += m - num_missed
+            self._dispatch_count[gpu.index] += m
+            if traced:
+                self._trace_gpu(gpu, rotated, window, hits, rt, ct, sd,
+                                bytes_arr[seq], steps_arr[seq], early,
+                                ce_start)
+
+    def _trace_gpu(self, gpu, rotated, window, hits, rt, ct, sd, nbytes,
+                   steps, early, copy_end):
+        """Record a traced GPU's round as the per-call helpers would:
+        the same ``Resource.events`` and ``h2d_copy`` / ``kernel``
+        intervals, lane by lane in page order.  The loop kept only the
+        slot values it read (``window``); the copy chain is replayed from
+        them to recover each copy's start and each kernel's."""
+        recorder = self.runtime.recorder
+        ce = gpu.copy_engine
+        n = len(rotated)
+        for i, hit in enumerate(hits):
+            sa = window[i]
+            if hit:
+                k = max(early, sa)
+            else:
+                copy_start = max(rt[i], sa, copy_end)
+                k = copy_end = copy_start + float(ct[i])
+                if ce.events is not None:
+                    ce.events.append((copy_start, k))
+                if recorder is not None:
+                    recorder.interval("h2d_copy", gpu.lane, "copy engine",
+                                      copy_start, k, bytes=int(nbytes[i]))
+            slot = rotated[i % n]
+            end = k + float(sd[i])
+            if slot.events is not None:
+                slot.events.append((k, end))
+            if recorder is not None:
+                recorder.interval("kernel", gpu.lane,
+                                  slot.name.split(":")[-1], k, end,
+                                  lane_steps=float(steps[i]))
 
     def dispatched_pages(self, gpu_index=None):
         """How many pages have been dispatched (per GPU or total)."""

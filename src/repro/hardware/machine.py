@@ -39,8 +39,6 @@ class GPURuntime:
         #: Aggregate compute capacity: however many kernels overlap, total
         #: device throughput cannot exceed ``effective_hz``.
         self.compute = Resource("gpu%d:compute" % index)
-        self.kernel_invocations = 0
-        self.kernel_busy_time = 0.0
         self.kernel_stream_time = 0.0
         self.bytes_received = 0
         self.allocated_bytes = 0
@@ -48,6 +46,16 @@ class GPURuntime:
     @property
     def num_streams(self):
         return self.streams.num_slots
+
+    @property
+    def kernel_invocations(self):
+        """Every kernel books the compute capacity exactly once."""
+        return self.compute.num_activities
+
+    @property
+    def kernel_busy_time(self):
+        """Device-capacity seconds, summed in booking order."""
+        return self.compute.busy_time
 
     def allocate(self, num_bytes, what):
         """Account a device-memory allocation; raises on exhaustion."""
@@ -82,8 +90,6 @@ class GPURuntime:
         stream_start, stream_end = slot.book(earliest, stream_duration)
         end = max(capacity_end, stream_end)
         slot.available_at = end
-        self.kernel_invocations += 1
-        self.kernel_busy_time += device_duration
         self.kernel_stream_time += stream_duration
         if self.recorder is not None:
             # The emitted interval mirrors the stream-slot booking

@@ -35,7 +35,7 @@ from repro.core.plan import (
 )
 from repro.core.result import RoundStats
 from repro.core.strategies import make_strategy
-from repro.core.streams import StreamScheduler
+from repro.core.streams import RoundOrder, StreamScheduler
 from repro.errors import ConfigurationError, ServiceError, SimulationError
 from repro.format import PageFormatConfig, build_database
 from repro.graphgen import Graph, generate_rmat
@@ -566,33 +566,6 @@ class TestRoundPlanCache:
         assert cache.stats()["hits"] == num_threads * gets
 
 
-class TestCacheSteadyStateShortcut:
-    def _replay(self, policy, rounds, capacity=4, shortcut=False):
-        cache = PageCache(capacity, policy=policy)
-        results = []
-        for pids in rounds:
-            results.append(
-                cache.resolve_round(list(pids), assume_distinct=shortcut))
-        return cache, results
-
-    @pytest.mark.parametrize("policy", ["lru", "fifo"])
-    def test_matches_generic_replay(self, policy):
-        rounds = [list(range(10))] * 4 + [list(range(3, 13))]
-        slow_cache, slow = self._replay(policy, rounds, shortcut=False)
-        fast_cache, fast = self._replay(policy, rounds, shortcut=True)
-        assert slow == fast
-        assert slow_cache.hits == fast_cache.hits
-        assert slow_cache.misses == fast_cache.misses
-        assert list(slow_cache._pages) == list(fast_cache._pages)
-
-    def test_not_taken_when_round_fits(self):
-        cache = PageCache(16, policy="lru")
-        first = cache.resolve_round(list(range(8)), assume_distinct=True)
-        second = cache.resolve_round(list(range(8)), assume_distinct=True)
-        assert first == [False] * 8
-        assert second == [True] * 8
-
-
 class TestLargePageRunIndex:
     def test_matches_bruteforce(self, machine):
         # Heavy-tailed RMAT with a small page size yields many LP runs.
@@ -653,19 +626,20 @@ def _per_call_round(scheduler, pids, assignments, copy_bytes, lane_steps,
 
 
 class TestBookingLoop:
-    NUM_PAGES = 24
+    NUM_PAGES = 40
 
-    def _machine_run(self, num_ssds, buffer_pages, tracing):
+    def _machine_run(self, num_ssds, buffer_pages, tracing, num_streams=3,
+                     policy="lru"):
         recorder = TraceRecorder() if tracing else None
         runtime = MachineRuntime(
             scaled_workstation(num_gpus=2, num_ssds=num_ssds),
-            num_streams=3, page_bytes=1024,
+            num_streams=num_streams, page_bytes=1024,
             mm_buffer_bytes=buffer_pages * 1024, tracing=tracing,
             recorder=recorder)
         if not num_ssds:
             runtime.mm_buffer.preload(range(self.NUM_PAGES))
-        caches = [PageCache(5, recorder=recorder, gpu_index=g)
-                  for g in range(2)]
+        caches = [PageCache(5, policy=policy, recorder=recorder,
+                            gpu_index=g) for g in range(2)]
         return runtime, StreamScheduler(runtime), caches
 
     @staticmethod
@@ -678,7 +652,8 @@ class TestBookingLoop:
             [(g.kernel_invocations, g.kernel_busy_time,
               g.kernel_stream_time, g.bytes_received)
              for g in runtime.gpus],
-            [(c.hits, c.misses) for c in caches + [runtime.mm_buffer]],
+            [(c.hits, c.misses, list(c._pages)) for c in caches],
+            (runtime.mm_buffer.hits, runtime.mm_buffer.misses),
             # Stable: each lane keeps its order, lanes may interleave.
             sorted(runtime.recorder or (), key=lambda event: event.lane),
             runtime.now, stats)
@@ -689,16 +664,24 @@ class TestBookingLoop:
                            min_size=1, max_size=4),
            strategy=st.sampled_from(["performance", "scalability"]),
            num_ssds=st.sampled_from([0, 2]),
-           buffer_pages=st.integers(0, NUM_PAGES), tracing=st.booleans())
+           buffer_pages=st.integers(0, NUM_PAGES), tracing=st.booleans(),
+           num_streams=st.sampled_from([1, 3, 16]),
+           head_start=st.integers(1, 20), flood=st.booleans(),
+           policy=st.sampled_from(["lru", "fifo"]))
     def test_dispatch_round_equals_the_per_call_loop(
-            self, rounds, strategy, num_ssds, buffer_pages, tracing):
+            self, rounds, strategy, num_ssds, buffer_pages, tracing,
+            num_streams, head_start, flood, policy):
         """Random rounds — Strategy-P / -S assignments, cache hits from
         repeated pages, in-memory and SSD machines, the buffer empty,
-        filling and full — leave every timeline, counter, ``RoundStats``
-        and (traced) per-lane event sequence exactly where the per-call
-        reference leaves them."""
+        filling and full, 1 / 3 / 16 streams entered at a dispatch count
+        off their multiple, and (``flood``) two all-miss full scans
+        longer than twice the streams, the second taking the cache's
+        flooding shortcut when untraced — leave every timeline, counter,
+        resident set, ``RoundStats`` and (traced) per-lane event
+        sequence exactly where the per-call reference leaves them."""
         if not num_ssds:
             buffer_pages = self.NUM_PAGES
+        rounds = rounds + [list(range(self.NUM_PAGES))] * (2 * flood)
         rng = np.random.default_rng(len(rounds))
         work = [(make_strategy(strategy).assign_batch(pids, 2),
                  rng.integers(0, 4096, size=len(pids)),
@@ -706,7 +689,10 @@ class TestBookingLoop:
         states = []
         for per_call in (False, True):
             runtime, scheduler, caches = self._machine_run(
-                num_ssds, buffer_pages, tracing)
+                num_ssds, buffer_pages, tracing, num_streams, policy)
+            for g in range(2):
+                for _ in range(head_start):
+                    scheduler.dispatch_cached(g, 0.0, 10.0, 24.0)
             stats = [RoundStats(index, "r") for index in range(len(rounds))]
             for pids, round_work, round_stats in zip(rounds, work, stats):
                 args = round_work + (24.0, caches, [0.0, 1e-5],
@@ -714,8 +700,10 @@ class TestBookingLoop:
                 if per_call:
                     _per_call_round(scheduler, pids, *args)
                 else:
-                    scheduler.dispatch_round(np.asarray(pids), *args)
-                runtime.barrier()
+                    scheduler.dispatch_round(RoundOrder(pids, args[0], 2),
+                                             *args[1:])
+                if round_stats.round_index % 2:  # else slots carry over
+                    runtime.barrier()
             states.append(self._state(runtime, caches, stats))
         assert states[0] == states[1]
 
@@ -728,7 +716,7 @@ class TestBookingLoop:
         """The typed errors of ``dispatch_streamed`` / ``Resource.book``
         (negative bytes, duration, start), checked once per round."""
         runtime, scheduler, caches = self._machine_run(2, 0, False)
-        args = dict(page_ids=np.arange(2), assignments=[(0,), (1,)],
+        args = dict(order=RoundOrder(np.arange(2), [(0,), (1,)], 2),
                     copy_bytes=[8, 8], lane_steps=[1.0, 1.0],
                     cycles_per_lane_step=24.0, caches=caches,
                     wa_ready=[0.0, 0.0], round_start=0.0,
