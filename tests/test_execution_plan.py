@@ -1,7 +1,7 @@
 """Unit tests for the vectorized execution plan and its satellites.
 
-Covers the :mod:`repro.core.plan` arrays (global scatter index, batch
-gathering, the segment reduce, the topology-version plan cache), the
+Covers the :mod:`repro.core.plan` arrays (batch gathering, the batch's
+reduce index and segment reduce, the topology-version plan cache), the
 steady-state cache shortcut, the vectorized large-page-run index, and
 the rejection of the removed ``execution`` knob on the engine and the
 CLI.
@@ -42,7 +42,9 @@ from repro.graphgen import Graph, generate_rmat
 from repro.hardware.machine import MachineRuntime
 from repro.hardware.specs import scaled_workstation
 from repro.obs.events import TraceRecorder
+from repro.obs.host import HostProfiler
 from repro.service import QueryRequest
+from repro.spans import activate
 
 
 @pytest.fixture
@@ -102,13 +104,21 @@ def sorted_scatter_index(adj_vids):
     return order, targets, starts
 
 
+def _reference_segments(batch):
+    """:func:`sorted_scatter_index` of every page of ``batch``, in batch
+    order and offset into the batch's edge space."""
+    parts = [(np.empty(0, np.int64),) * 3]
+    for k in range(batch.num_pages):
+        lo, hi = batch.edge_indptr[k:k + 2]
+        order, targets, starts = sorted_scatter_index(batch.adj_vids[lo:hi])
+        parts.append((order + lo, targets, starts + lo))
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
 #: Lazy RoundBatch fields by the space that delimits them.
 RECORD_FIELDS = ("degrees", "rec_vids", "rec_divisor")
 EDGE_FIELDS = ("adj_vids", "adj_pids", "adj_weights")
-SEGMENT_FIELDS = ("seg_targets",)
-LAZY_FIELDS = (("rec_divisor", "edge_indptr", "edge_rec", "scatter_order",
-                "seg_starts", "seg_indptr")
-               + EDGE_FIELDS + SEGMENT_FIELDS)
+LAZY_FIELDS = ("rec_divisor", "edge_indptr", "edge_rec") + EDGE_FIELDS
 #: Lazy Frontier fields (what ``advance`` used to return eagerly).
 FRONTIER_FIELDS = ("sources", "targets", "target_pids", "weights")
 
@@ -119,17 +129,12 @@ def _page_fields(batch, k):
     compare equal."""
     rlo, rhi = batch.rec_indptr[k], batch.rec_indptr[k + 1]
     elo, ehi = batch.edge_indptr[k], batch.edge_indptr[k + 1]
-    slo, shi = batch.seg_indptr[k], batch.seg_indptr[k + 1]
     fields = {name: getattr(batch, name)[rlo:rhi]
               for name in RECORD_FIELDS}
     for name in EDGE_FIELDS:
         array = getattr(batch, name)
         fields[name] = None if array is None else array[elo:ehi]
-    for name in SEGMENT_FIELDS:
-        fields[name] = getattr(batch, name)[slo:shi]
     fields["edge_rec"] = batch.edge_rec[elo:ehi] - rlo
-    fields["scatter_order"] = batch.scatter_order[elo:ehi] - elo
-    fields["seg_starts"] = batch.seg_starts[slo:shi] - elo
     return fields
 
 
@@ -153,11 +158,6 @@ def _assert_pages_match(batch, full):
                                           err_msg=str((pid, name)))
 
 
-def _segment_edges(batch):
-    """How many edges each of ``batch``'s segments holds."""
-    return np.diff(batch.seg_starts, append=batch.num_edges)
-
-
 def _sp_first(db, pids):
     """``pids`` in the engine's dispatch order: small pages, then large."""
     pids = np.unique(np.asarray(pids, dtype=np.int64))
@@ -166,38 +166,16 @@ def _sp_first(db, pids):
 
 
 class TestPlanArrays:
-    def test_global_scatter_matches_per_page(self, db):
-        """The combined-key argsort must equal the concatenation of the
-        per-page stable scatter argsorts, bit for bit."""
-        plan = PagePlan(db)
-        for pid in range(db.num_pages):
-            page = db.page(pid)
-            order, targets, starts = sorted_scatter_index(page.adj_vids)
-            lo, hi = plan.edge_indptr[pid], plan.edge_indptr[pid + 1]
-            slo, shi = plan.seg_indptr[pid], plan.seg_indptr[pid + 1]
-            np.testing.assert_array_equal(plan.order_local[lo:hi], order)
-            np.testing.assert_array_equal(
-                plan.seg_starts_local[slo:shi], starts)
-            np.testing.assert_array_equal(
-                plan.seg_targets[slo:shi], targets)
-
     def test_overflow_fallback_matches_combined_key(self, db):
-        """The per-page fallback (combined key would overflow int64)
-        builds the same arrays as the vectorized path."""
-        fast = PagePlan(db)
-        slow = PagePlan.__new__(PagePlan)
-        slow.__dict__.update(fast.__dict__)
-
-        class HugeV:
-            num_vertices = 1 << 60
-            num_pages = db.num_pages
-
-        slow.num_pages = db.num_pages
-        slow._build_scatter(HugeV)
-        for name in ("order_local", "seg_starts_local", "seg_targets",
-                     "seg_counts", "seg_indptr"):
-            np.testing.assert_array_equal(getattr(slow, name),
-                                          getattr(fast, name), err_msg=name)
+        """Where ``position * V + target`` could overflow int64 the batch
+        sorts the pair with ``np.lexsort``: the same reduce index."""
+        plan = PagePlan(db)
+        pids = np.random.default_rng(3).permutation(plan.num_pages)
+        fast = RoundBatch(plan, pids)._reduce_index
+        plan.num_vertices = 1 << 60
+        assert plan.num_pages >= (1 << 62) // plan.num_vertices
+        for got, want in zip(RoundBatch(plan, pids)._reduce_index, fast):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_full_batch_equals_explicit_gather(self, db, lp_db):
         """The zero-copy identity batch must agree with a forced gather
@@ -206,7 +184,6 @@ class TestPlanArrays:
             plan = PagePlan(database)
             identity = _identity_batch(plan)
             assert identity.adj_vids is plan.adj_vids
-            assert identity.seg_targets is plan.seg_targets
             shuffled = np.random.default_rng(0).permutation(plan.num_pages)
             gathered = RoundBatch(plan, shuffled.astype(np.int64))
             assert gathered.adj_vids is not plan.adj_vids
@@ -233,7 +210,6 @@ class TestPlanArrays:
                 getattr(batch, name)
             _assert_pages_match(batch, full)
             assert batch.num_edges == len(batch.adj_vids)
-            assert batch.num_segments == len(batch.seg_targets)
 
     @pytest.mark.parametrize("frontier",
                              ["none", "all", "random", "large-pages-only"])
@@ -357,8 +333,7 @@ class TestPlanArrays:
                                         KernelContext(any_db))
             assert work.edges_traversed.sum() > 0
             assert not set(LAZY_FIELDS) & set(vars(batch))
-            assert not {"_edge_sel", "_seg_sel", "_reduce_index"} & set(
-                vars(batch))
+            assert not {"_edge_sel", "_reduce_index"} & set(vars(batch))
             frontier = frontiers.pop()
             assert not frontiers
             assert "targets" in vars(frontier)
@@ -395,15 +370,15 @@ class TestPlanArrays:
     def test_reduce_into_is_the_reference_segment_reduce(
             self, lp_plan, doubled_plan, data):
         """``reduce_into(ufunc, out, per_record)`` is byte-equal to the
-        edge-length reference ``ufunc.at(out, seg_targets, ufunc.reduceat(
-        per_record[edge_rec][scatter_order], seg_starts))`` -- float
-        ``add`` across 16 decades (a reassociation shows), int64
-        ``minimum``, 2-D uint32 ``bitwise_or`` -- on the full batch,
-        SP-first partial batches mixing small and large pages, batches
-        with no or only multi-edge segments, and an empty batch;
-        ``reduceat`` runs over the multi-edge segments alone."""
-        shape = data.draw(st.sampled_from(
-            ["full", "partial", "one-edge", "multi-edge", "empty"]))
+        per-page reference ``ufunc.at(out, targets, ufunc.reduceat(
+        per_record[edge_rec][order], starts))`` -- float ``add`` across
+        16 decades (a reassociation shows), int64 ``minimum``, 2-D
+        uint32 ``bitwise_or`` -- on the full batch, every page out of
+        pid order, SP-first partial batches, batches with no or only
+        multi-edge segments, and an empty batch; ``reduceat`` runs over
+        the multi-edge segments alone."""
+        shape = data.draw(st.sampled_from(["full", "shuffled", "partial",
+                                           "one-edge", "multi-edge", "empty"]))
         db, plan = doubled_plan if shape == "multi-edge" else lp_plan
         draw = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
         pids = draw.choice(plan.num_pages, size=draw.integers(
@@ -411,13 +386,15 @@ class TestPlanArrays:
         if shape == "full":
             pids = np.arange(plan.num_pages)
         elif shape == "one-edge":
-            identity = _identity_batch(plan)
-            multi = segment_sum(_segment_edges(identity) > 1,
-                                identity.seg_indptr)
-            pids = np.flatnonzero((multi == 0) & (plan.seg_counts > 0))
+            edges = np.diff(plan.edge_indptr)
+            distinct = [len(np.unique(plan.adj_vids[lo:hi])) for lo, hi
+                        in zip(plan.edge_indptr[:-1], plan.edge_indptr[1:])]
+            pids = np.flatnonzero((edges > 0) & (edges == distinct))
         elif shape == "empty":
             pids = []
-        batch = plan.round_batch(_sp_first(db, pids))
+        batch = (RoundBatch(plan, draw.permutation(plan.num_pages))
+                 if shape == "shuffled"
+                 else plan.round_batch(_sp_first(db, pids)))
         ufunc, values = data.draw(st.sampled_from([
             (np.add, lambda n: draw.choice([-1.0, 1.0], n)
              * 10.0 ** draw.uniform(-8, 8, n)),
@@ -426,37 +403,60 @@ class TestPlanArrays:
                 0, 32, (n, 3)).astype(np.uint32))]))
         per_record, out = values(batch.num_records), values(db.num_vertices)
         want = out.copy()
-        ufunc.at(want, batch.seg_targets, ufunc.reduceat(
-            per_record[batch.edge_rec][batch.scatter_order],
-            batch.seg_starts))
+        order, targets, starts = _reference_segments(batch)
+        ufunc.at(want, targets, ufunc.reduceat(
+            per_record[batch.edge_rec][order], starts))
         batch.reduce_into(ufunc, out, per_record)
         assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
-        multi = np.count_nonzero(_segment_edges(batch) > 1)
-        assert len(batch._reduce_index[2]) == multi
+        seg_targets, _, _, multi_starts = batch._reduce_index
+        multi = np.count_nonzero(np.diff(starts, append=batch.num_edges) > 1)
+        assert len(multi_starts) == multi
+        np.testing.assert_array_equal(seg_targets, targets)
         if shape == "one-edge":
-            assert multi == 0 < batch.num_segments
+            assert multi == 0 < len(targets)
         elif shape == "multi-edge":
-            assert multi == batch.num_segments
+            assert multi == len(targets)
 
     def test_only_a_full_scan_builds_the_reduce_index(self, lp_db, machine,
                                                       monkeypatch):
-        """The reduce index is built by the first ``reduce_into``, not
-        with the plan: BFS and SSSP on a fresh plan never build it (a
-        traversal cold start does not pay for it), and PageRank(10)
-        builds it once, on the full batch its rounds share."""
-        batches = []
+        """BFS then SSSP on a fresh plan sort no edge-length array, build
+        no reduce index (no ``scatter`` span) and leave the plan its
+        topology arrays, index pointers and directory columns alone;
+        PageRank(10) builds the index once, on the full batch its rounds
+        share, in one ``scatter`` span under ``core.kernels.batch``."""
+        batches, sorted_lengths = [], [0]
         init = RoundBatch.__init__
         monkeypatch.setattr(RoundBatch, "__init__",
                             lambda batch, plan, pids: batches.append(batch)
                             or init(batch, plan, pids))
+        for name in ("argsort", "lexsort"):
+            def watched(keys, *args, _sort=getattr(np, name), **kwargs):
+                sorted_lengths.append(np.shape(keys)[-1])
+                return _sort(keys, *args, **kwargs)
+            monkeypatch.setattr(np, name, watched)
         start = int(np.argmax(lp_db.out_degrees))
-        for kernel, builds in ((BFSKernel(start_vertex=start), 0),
-                               (SSSPKernel(start_vertex=start), 0),
-                               (PageRankKernel(iterations=10), 1)):
-            batches.clear()
-            assert GTSEngine(lp_db, machine).run(kernel).num_rounds > 2
-            assert sum("_reduce_index" in vars(batch)
-                       for batch in batches) == builds, kernel.name
+        cache = RoundPlanCache()
+        engine = GTSEngine(lp_db, machine, plan_cache=cache)
+        hp = HostProfiler()
+        with activate(hp):
+            for kernel in (BFSKernel(start_vertex=start),
+                           SSSPKernel(start_vertex=start)):
+                assert engine.run(kernel).num_rounds > 2
+        assert max(sorted_lengths) < lp_db.num_edges
+        assert not any("_reduce_index" in vars(batch) for batch in batches)
+        assert hp.calls("scatter") == 0
+        assert {name for name, value in vars(cache.get(lp_db)).items()
+                if isinstance(value, np.ndarray)} == set(
+            lp_db.topology_arrays()) | {"rec_indptr", "edge_indptr",
+                                        "rec_edge_start", "dir_records",
+                                        "_full_order"}
+        batches.clear()
+        hp = HostProfiler()
+        with activate(hp):
+            assert engine.run(PageRankKernel(iterations=10)).num_rounds > 2
+        assert sum("_reduce_index" in vars(batch) for batch in batches) == 1
+        assert hp.calls("scatter") == hp.profile().phase(
+            "core.engine.run/round/core.kernels.batch/scatter").count == 1
 
     def test_dropped_plan_is_freed_without_the_cyclic_collector(self, db):
         """The plan memoises its full batch and the batch reads the
@@ -508,9 +508,8 @@ class TestPlanArrays:
         plan = PagePlan(db)
         first = plan.copy_bytes(4)
         assert plan.copy_bytes(4) is first
-        expected = np.asarray([db.page_bytes(pid) +
-                               db.ra_subvector_bytes(pid, 4)
-                               for pid in range(db.num_pages)])
+        expected = np.asarray([db.page_bytes(pid) + entry.num_records * 4
+                               for pid, entry in enumerate(db.directory)])
         np.testing.assert_array_equal(first, expected)
 
 

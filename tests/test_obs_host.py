@@ -245,7 +245,7 @@ class TestEngineIntegration:
         """A run that raises closes its spans: the next run on the same
         recorder files under the same paths as on a fresh one."""
         engine = GTSEngine(rmat_db, machine)
-        engine.run(BFSKernel(0))  # warm plan
+        engine.run(PageRankKernel(iterations=1))  # warm plan, reduce index
         hp = HostProfiler()
         with activate(hp), pytest.raises(DeadlineError):
             engine.run(PageRankKernel(iterations=50),

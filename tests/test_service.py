@@ -2,7 +2,7 @@
 
 The load-bearing property: N worker threads running mixed algorithms
 against ONE shared database handle (shared page cache, shared plan
-cache, shared scatter indexes, shared file pool) must produce results
+cache, shared reduce indexes, shared file pool) must produce results
 bit-identical — outputs AND simulated timings — to serial one-shot
 ``GTSEngine.run()`` calls against a private cold handle.  Everything
 else here (admission control, graceful drain, typed rejections, the
