@@ -166,6 +166,30 @@ def _sp_first(db, pids):
 
 
 class TestPlanArrays:
+    def test_global_scatter_matches_per_page(self, db):
+        """The full batch's one stable sort must equal the concatenation
+        of the per-page stable scatter argsorts, bit for bit: the segment
+        targets, each one-edge segment's record, and each multi-edge
+        segment's records in sorted order."""
+        batch = _identity_batch(PagePlan(db))
+        seg_targets, seg_src, multi_rec, multi_starts = batch._reduce_index
+        order, targets, starts = _reference_segments(batch)
+        np.testing.assert_array_equal(seg_targets, targets)
+        sorted_rec = batch.edge_rec[order]
+        edges = np.diff(starts, append=batch.num_edges)
+        multi = edges > 1
+        np.testing.assert_array_equal(seg_src[~multi],
+                                      sorted_rec[starts[~multi]])
+        np.testing.assert_array_equal(
+            seg_src[multi],
+            batch.num_records + np.arange(np.count_nonzero(multi)))
+        np.testing.assert_array_equal(multi_rec, np.concatenate(
+            [np.empty(0, np.int64)] + [sorted_rec[lo:lo + n] for lo, n
+                                       in zip(starts[multi], edges[multi])]))
+        np.testing.assert_array_equal(
+            multi_starts, np.cumsum(edges[multi]) - edges[multi])
+        assert 0 < np.count_nonzero(multi) < len(targets)
+
     def test_overflow_fallback_matches_combined_key(self, db):
         """Where ``position * V + target`` could overflow int64 the batch
         sorts the pair with ``np.lexsort``: the same reduce index."""
