@@ -138,8 +138,10 @@ def build_parser():
         source.add_argument("--edges", help="edge-list text file to load")
         source.add_argument("--db", metavar="PREFIX",
                             help="saved database prefix (loads "
-                                 "<PREFIX>.meta.json/.pages and replays "
-                                 "<PREFIX>.wal if present; the topology "
+                                 "<PREFIX>.meta.json/.pages, opening "
+                                 "from <PREFIX>.plan when it matches, "
+                                 "and replays <PREFIX>.wal if present; "
+                                 "the topology "
                                  "is used as-is, so it must already be "
                                  "weighted/symmetrised if the algorithm "
                                  "needs that)")
@@ -718,8 +720,8 @@ def _command_compact(args):
               % (db.delta_bytes, args.threshold))
     else:
         print(outcome.summary())
-        print("saved compacted base to %s.meta.json/.pages and reset "
-              "the WAL" % args.db)
+        print("saved compacted base to %s.meta.json/.pages/.plan and "
+              "reset the WAL" % args.db)
     if args.metrics_out:
         from repro.obs import collect_dynamic_metrics
         collect_dynamic_metrics(db).to_json(args.metrics_out)

@@ -16,8 +16,11 @@ misses hit the SSD.
 
 Layout on disk::
 
-    <prefix>.meta.json   format config, directory, RVT, degrees
+    <prefix>.meta.json   format config, directory, RVT, degrees, page
+                         CRC32s — the authoritative description
     <prefix>.pages       page 0 bytes, page 1 bytes, ... (fixed stride)
+    <prefix>.plan        the same store as flat arrays (see below); a
+                         cache of the other two, never authoritative
     <prefix>.wal         dynamic-update write-ahead log (optional; only
                          present once :mod:`repro.dynamic` has mutated
                          the database).  Layout: 8-byte magic
@@ -30,15 +33,31 @@ Layout on disk::
                          base is stale (crash mid-compaction) and is
                          discarded on open, never replayed.
 
-Both base files are written to temporaries and moved into place with
-``os.replace``, so a crash mid-save leaves the previous pair intact
+The ``.plan`` sidecar lets a fresh process open warm: it holds the
+metadata columns (directory, RVT, degrees, vertex pages, large-page
+total degrees, page CRC32s) and the eight flat arrays of
+:meth:`~repro.format.database.GraphDatabase.topology_arrays`, so an open
+parses no JSON and a plan build decodes no page.  Layout: the magic
+``GTSPLAN1``, the header's length and CRC32 (two LE ``uint32``), the
+header — sorted-key JSON of the scalars, the CRC32 of the ``.meta.json``
+bytes it was written beside, and each field's dtype, length, offset and
+CRC32 — then every field as one 64-byte-aligned region.  The sidecar is
+used only when its header and regions verify and its recorded CRC32
+matches the ``.meta.json`` on disk; a missing, older, damaged, truncated
+or foreign sidecar, or an attached fault injector, sends the store back
+to parsing the JSON and decoding pages, with identical results.
+
+All three files are written to temporaries and moved into place with
+``os.replace``, so a crash mid-save leaves the previous files intact
 rather than a torn half-write.
 """
 
 import contextlib
 import json
 import mmap
+import numbers
 import os
+import struct
 import warnings
 import zlib
 from collections import OrderedDict
@@ -54,7 +73,8 @@ from repro.format.page import (
     PageKind,
     SmallPage,
     decode_pages,
-    encode_page_objects,
+    encode_pages,
+    page_columns,
 )
 from repro.format.rvt import RecordVertexTable
 from repro.spans import span
@@ -72,6 +92,36 @@ _CHUNK_PAGES = 64
 #: ``_CHUNK_PAGES`` pages would be a 4 GB buffer.  A page larger than
 #: the budget encodes alone.
 _ENCODE_CHUNK_BYTES = 1 << 19
+
+#: ``.plan`` sidecar framing: magic, then the header's length and CRC32.
+_PLAN_MAGIC = b"GTSPLAN1"
+_PLAN_PREFIX = struct.Struct("<8sII")
+
+#: Sidecar regions start on this boundary (relative to the first one),
+#: so every field is an aligned view of the buffer it is read into.
+_PLAN_ALIGN = 64
+
+#: Top-level ``.meta.json`` keys the sidecar header carries verbatim
+#: (the last two are absent from older saves).
+_PLAN_SCALARS = ("version", "name", "num_vertices", "num_edges", "config",
+                 "wal_epoch", "pages_layout")
+
+#: :class:`~repro.format.database.PageDirectoryEntry` fields; column
+#: ``"dir_" + field`` of the metadata (``kind``: 1 for a large page).
+_DIRECTORY_FIELDS = ("page_id", "kind", "start_vid", "num_records",
+                     "num_edges", "used_bytes")
+
+#: The metadata columns both sources produce and an open reads.
+_PLAN_META = tuple("dir_" + field for field in _DIRECTORY_FIELDS) + (
+    "rvt_start_vids", "rvt_lp_ranges", "out_degrees", "vertex_page",
+    "lp_pids", "lp_total_degrees", "page_checksums")
+
+#: The :meth:`GraphDatabase.topology_arrays` fields, read by a plan build.
+_PLAN_TOPOLOGY = ("rec_counts", "edge_counts", "degrees", "rec_vids",
+                  "rec_divisor", "adj_vids", "adj_pids", "adj_weights")
+
+#: Sidecar field dtypes other than ``<i8``.
+_PLAN_DTYPES = {"page_checksums": "<u4", "adj_weights": "<f4"}
 
 
 def _fsync_directory(path):
@@ -93,27 +143,129 @@ def _fsync_directory(path):
         os.close(fd)
 
 
+def _align(offset):
+    return -(-offset // _PLAN_ALIGN) * _PLAN_ALIGN
+
+
+def _directory_columns(records):
+    """Directory rows (dicts of :data:`_DIRECTORY_FIELDS`) as ``int64``
+    metadata columns."""
+    return {"dir_" + key: np.array(
+        [record[key] == "LP" if key == "kind" else record[key]
+         for record in records], dtype=np.int64)
+        for key in _DIRECTORY_FIELDS}
+
+
+def _topology_fields(rvt, first_pid, rec_counts, columns, lp_pids,
+                     lp_totals):
+    """The :meth:`GraphDatabase.topology_arrays` of the consecutive pages
+    from ``first_pid`` on (``rec_counts`` holds one slot count each),
+    given their :func:`~repro.format.page.decode_pages` ``columns``.
+
+    One body for both producers: :func:`save_database` streams it per
+    encode chunk into the ``.plan`` sidecar, and the decode fallback of
+    :meth:`FileBackedDatabase.topology_arrays` calls it once for the
+    whole store.  ``lp_pids`` and ``lp_totals`` are the store's
+    large pages and their vertices' total degrees: a large page's one
+    record divides by the vertex's degree across its whole run of large
+    pages, not by this page's share.
+    """
+    rec_vids, degrees, adj_pids, adj_slots, adj_weights = columns
+    rec_starts = np.cumsum(rec_counts) - rec_counts
+    edge_ends = np.concatenate(([0], np.cumsum(degrees)))
+    rec_divisor = degrees.copy()
+    inside = (lp_pids >= first_pid) & (lp_pids < first_pid + len(rec_counts))
+    rec_divisor[rec_starts[lp_pids[inside] - first_pid]] = lp_totals[inside]
+    return {
+        "rec_counts": rec_counts,
+        "edge_counts": (edge_ends[rec_starts + rec_counts]
+                        - edge_ends[rec_starts]),
+        "degrees": degrees,
+        "rec_vids": rec_vids,
+        "rec_divisor": rec_divisor,
+        "adj_vids": rvt.translate(adj_pids, adj_slots),
+        "adj_pids": adj_pids,
+        "adj_weights": adj_weights,
+    }
+
+
+class _PlanWriter:
+    """Streams the ``.plan`` sidecar into an open binary file.
+
+    Every field's region is placed up front from its declared length, so
+    chunks land in place (a seek, a write) and extend the field's CRC32
+    as they arrive; :meth:`finish` checks every region is full and then
+    writes the framed header at the file's start.  CRC32s are fixed-width
+    hex, so the header's length is known before any CRC is.
+    """
+
+    def __init__(self, handle, scalars, lengths):
+        self._handle = handle
+        self._scalars = scalars
+        self._fields, self._at, self._end = {}, {}, {}
+        offset = 0
+        for name, length in lengths.items():
+            dtype = _PLAN_DTYPES.get(name, "<i8")
+            self._fields[name] = {"dtype": dtype, "length": length,
+                                  "offset": offset, "crc32": 0}
+            self._at[name] = offset
+            self._end[name] = offset + length * np.dtype(dtype).itemsize
+            offset = _align(self._end[name])
+        self._base = _align(_PLAN_PREFIX.size + len(self._header(0)))
+
+    def _header(self, meta_crc):
+        return json.dumps({
+            "fields": {name: dict(field, crc32="%08x" % field["crc32"])
+                       for name, field in self._fields.items()},
+            "meta_crc32": "%08x" % meta_crc,
+            "scalars": self._scalars,
+        }, sort_keys=True).encode("ascii")
+
+    def write(self, name, values):
+        """Append ``values`` to field ``name``'s region."""
+        field = self._fields[name]
+        data = np.ascontiguousarray(values, dtype=field["dtype"])
+        self._handle.seek(self._base + self._at[name])
+        self._handle.write(data)
+        field["crc32"] = zlib.crc32(data, field["crc32"])
+        self._at[name] += data.nbytes
+
+    def finish(self, meta_crc):
+        """Write the header binding the regions to ``meta_crc``."""
+        if self._at != self._end:
+            raise FormatError("%s: pages disagree with their directory"
+                              % self._handle.name)
+        header = self._header(meta_crc)
+        self._handle.seek(0)
+        self._handle.write(_PLAN_PREFIX.pack(
+            _PLAN_MAGIC, len(header), zlib.crc32(header)) + header)
+
+
 def save_database(db, prefix, wal_epoch=None):
-    """Write ``db`` under ``<prefix>.meta.json`` / ``<prefix>.pages``.
+    """Write ``db`` under ``<prefix>.meta.json`` / ``.pages`` / ``.plan``.
 
-    Returns the pair of paths written.  Pages are serialized a chunk at
-    a time — :func:`~repro.format.page.encode_page_objects` lays up to
-    ``_ENCODE_CHUNK_BYTES`` of pages into one buffer in a vectorized
-    pass, each page region of it is checksummed, and the chunk is
-    written once — so compaction and the CLI, which save through here,
-    pay no per-edge Python work.  Any field that does not fit its
-    configured width, or a page whose contents overflow ``page_size``,
-    raises :class:`~repro.errors.FormatError`.
+    Returns the ``.meta.json`` and ``.pages`` paths.  Pages are
+    serialized a chunk at a time — :func:`~repro.format.page.encode_pages`
+    lays up to ``_ENCODE_CHUNK_BYTES`` of pages into one buffer in a
+    vectorized pass, each page region of it is checksummed, and the
+    chunk is written once — so compaction and the CLI, which save
+    through here, pay no per-edge Python work.  The same chunk's columns
+    feed the ``.plan`` sidecar's flat arrays (see the module docstring),
+    so the sidecar costs no second walk over the pages.  Any field that
+    does not fit its configured width, or a page whose contents overflow
+    ``page_size``, raises :class:`~repro.errors.FormatError`.
 
-    The write is atomic per file: content goes to ``<path>.tmp`` first
-    and is renamed into place with ``os.replace``, pages before
-    metadata — a crash can leave a stale temp file behind but never a
-    corrupt or mismatched pair (the metadata always describes a fully
-    written pages file).  A save that *raises* removes its temp files
-    and leaves the live pair as it was.  After both renames the parent
-    directory is fsynced, so a crash immediately after a successful
-    save cannot roll the pair back to the old version (the WAL epoch
-    protocol depends on a saved base staying saved).
+    The write is atomic per file: content goes to ``<path>.tmp`` first,
+    is fsynced, and is renamed into place with ``os.replace`` — pages,
+    then metadata, then the sidecar.  A crash can leave a stale temp
+    file behind but never a corrupt or mismatched pair (the metadata
+    always describes a fully written pages file), and a sidecar left
+    over from the previous save is bound to the previous metadata's
+    CRC32, so readers ignore it.  A save that *raises* removes its temp
+    files and leaves the live files as they were.  After the renames the
+    parent directory is fsynced, so a crash immediately after a
+    successful save cannot roll the files back to the old version (the
+    WAL epoch protocol depends on a saved base staying saved).
 
     Every page's CRC32 is recorded in the metadata
     (``page_checksums``), which readers verify on every page load —
@@ -127,9 +279,12 @@ def save_database(db, prefix, wal_epoch=None):
     """
     meta_path = prefix + ".meta.json"
     pages_path = prefix + ".pages"
+    plan_path = prefix + ".plan"
     config = db.config
     if wal_epoch is None:
         wal_epoch = getattr(db, "wal_epoch", 0)
+    lp_total_degrees = {page.page_id: page.total_degree
+                        for page in db.pages if page.kind.value == "LP"}
     metadata = {
         "version": FORMAT_VERSION,
         "wal_epoch": wal_epoch,
@@ -163,9 +318,7 @@ def save_database(db, prefix, wal_epoch=None):
         "out_degrees": db.out_degrees.tolist(),
         "vertex_page": db.vertex_page.tolist(),
         "lp_total_degrees": {
-            str(page.page_id): page.total_degree
-            for page in db.pages if page.kind.value == "LP"
-        },
+            str(pid): total for pid, total in lp_total_degrees.items()},
         # Physical layout contract for the pages file.  Readers validate
         # this before memory-mapping: a stride or endianness mismatch
         # must surface as a typed IntegrityError, never a garbled parse
@@ -177,35 +330,75 @@ def save_database(db, prefix, wal_epoch=None):
             "endianness": "little",
         },
     }
+    # The sidecar's columns known before any page is encoded; the
+    # topology regions are sized off the directory and filled per chunk.
+    known = _directory_columns(metadata["directory"])
+    known.update(
+        rvt_start_vids=db.rvt.start_vids, rvt_lp_ranges=db.rvt.lp_ranges,
+        out_degrees=db.out_degrees, vertex_page=db.vertex_page,
+        lp_pids=np.fromiter(lp_total_degrees, dtype=np.int64),
+        lp_total_degrees=np.fromiter(lp_total_degrees.values(),
+                                     dtype=np.int64))
+    num_pages = len(db.pages)
+    num_records = int(np.where(known["dir_kind"], 1,
+                               known["dir_num_records"]).sum())
+    num_edges = int(known["dir_num_edges"].sum())
+    lengths = {name: len(values) for name, values in known.items()}
+    lengths.update(page_checksums=num_pages, rec_counts=num_pages,
+                   edge_counts=num_pages, degrees=num_records,
+                   rec_vids=num_records, rec_divisor=num_records,
+                   adj_vids=num_edges, adj_pids=num_edges)
+    if config.weight_bytes and num_pages:
+        # Absent without weights, as the decode path returns None.
+        lengths["adj_weights"] = num_edges
     page_size = config.page_size
     per_chunk = max(1, _ENCODE_CHUNK_BYTES // page_size)
     checksums = []
-    pages_tmp, meta_tmp = pages_path + ".tmp", meta_path + ".tmp"
+    temps = [pages_path + ".tmp", meta_path + ".tmp", plan_path + ".tmp"]
     try:
-        with open(pages_tmp, "wb") as handle:
-            for lo in range(0, len(db.pages), per_chunk):
-                chunk = memoryview(encode_page_objects(
-                    db.pages[lo:lo + per_chunk], config))
+        with open(temps[0], "wb") as handle, \
+                open(temps[2], "wb") as plan_handle:
+            plan = _PlanWriter(
+                plan_handle, {key: metadata[key] for key in _PLAN_SCALARS},
+                lengths)
+            for name, values in known.items():
+                plan.write(name, values)
+            for lo in range(0, num_pages, per_chunk):
+                pages = db.pages[lo:lo + per_chunk]
+                *decoded, rec_counts = page_columns(pages, config)
+                chunk = memoryview(encode_pages(
+                    *decoded, rec_counts, config,
+                    page_ids=[page.page_id for page in pages]))
                 checksums.extend(
                     zlib.crc32(chunk[base:base + page_size])
                     for base in range(0, len(chunk), page_size))
                 handle.write(chunk)
-            handle.flush()
-            os.fsync(handle.fileno())
-        # Index i is the checksum of page i (page IDs are dense, so the
-        # directory index and the page ID coincide).
-        metadata["page_checksums"] = checksums
-        with open(meta_tmp, "w") as handle:
+                fields = _topology_fields(
+                    db.rvt, lo, rec_counts, decoded,
+                    known["lp_pids"], known["lp_total_degrees"])
+                for name, values in fields.items():
+                    if values is not None:
+                        plan.write(name, values)
+            # Index i is the checksum of page i (page IDs are dense, so
+            # the directory index and the page ID coincide).
+            metadata["page_checksums"] = checksums
+            plan.write("page_checksums", checksums)
             # One ``dumps``: the C encoder.  ``json.dump`` would stream
             # the same bytes through the pure-Python ``_iterencode``.
-            handle.write(json.dumps(metadata))
+            meta_bytes = json.dumps(metadata).encode("ascii")
+            plan.finish(zlib.crc32(meta_bytes))
+            for out in (handle, plan_handle):
+                out.flush()
+                os.fsync(out.fileno())
+        with open(temps[1], "wb") as handle:
+            handle.write(meta_bytes)
             handle.flush()
             os.fsync(handle.fileno())
-        os.replace(pages_tmp, pages_path)
-        os.replace(meta_tmp, meta_path)
+        for path in (pages_path, meta_path, plan_path):
+            os.replace(path + ".tmp", path)
     except BaseException:
-        # Only this call's temp files; the live pair is never touched.
-        for path in (pages_tmp, meta_tmp):
+        # Only this call's temp files; the live files are never touched.
+        for path in temps:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(path)
         raise
@@ -223,7 +416,7 @@ def _checksums_from_metadata(metadata, source):
             "disabled for this database (re-save it to add checksums)"
             % source, stacklevel=3)
         return None
-    return checksums
+    return checksums.tolist()
 
 
 def _validate_pages_layout(metadata, config, num_pages, source):
@@ -300,21 +493,137 @@ def load_database(prefix):
     return db
 
 
+def _read_regions(fd, base, fields):
+    """Read ``fields`` (header entries) off the sidecar ``fd`` into one
+    private buffer (``preadv``: a positional ``readinto``) and verify
+    each region's CRC32.
+
+    Returns ``(views, bytes read)`` — ``views`` maps each name to an
+    array over the buffer (nothing aliases a mapping or the file) — or
+    ``None`` when the file is short or a region fails its CRC32.
+    """
+    spans = {name: (field["offset"], field["offset"] + field["length"]
+                    * np.dtype(field["dtype"]).itemsize)
+             for name, field in fields.items()}
+    lo = min((start for start, _ in spans.values()), default=0)
+    hi = max((end for _, end in spans.values()), default=0)
+    buffer = np.empty(hi - lo, dtype=np.uint8)
+    got = 0
+    while got < len(buffer):
+        # Positional, like the page reads: threads share the descriptor.
+        count = os.preadv(fd, [buffer[got:]], base + lo + got)
+        if not count:
+            return None
+        got += count
+    views = {}
+    for name, (start, end) in spans.items():
+        region = buffer[start - lo:end - lo]
+        if zlib.crc32(region) != int(fields[name]["crc32"], 16):
+            return None
+        views[name] = region.view(fields[name]["dtype"])
+    return views, len(buffer)
+
+
+def _read_plan(path, meta_crc):
+    """Open the ``.plan`` sidecar at ``path`` if it is bound to
+    ``.meta.json`` bytes of CRC32 ``meta_crc`` and verifies.
+
+    Returns ``(columns, topology)``: the scalars and the verified
+    :data:`_PLAN_META` columns, and ``(handle, base, fields)`` for the
+    :data:`_PLAN_TOPOLOGY` regions, which a plan build reads later
+    through the kept handle.  Returns ``None`` — closing the file — for
+    a sidecar that is missing, from another layout or format version,
+    damaged, truncated, or written beside other metadata.
+    """
+    try:
+        handle = open(path, "rb", buffering=0)
+    except OSError:
+        return None
+    head = handle.read(_PLAN_PREFIX.size)
+    if len(head) == _PLAN_PREFIX.size:
+        magic, length, crc = _PLAN_PREFIX.unpack(head)
+        # Bounded by the file: a damaged length must not size a buffer.
+        header = (handle.read(length) if magic == _PLAN_MAGIC and length
+                  <= os.fstat(handle.fileno()).st_size else b"")
+        # A verified header is the writer's own: its keys are trusted.
+        if len(header) == length and zlib.crc32(header) == crc:
+            header = json.loads(header)
+            fields = header["fields"]
+            base = _align(_PLAN_PREFIX.size + length)
+            meta = None
+            if (int(header["meta_crc32"], 16) == meta_crc
+                    and header["scalars"]["version"] == FORMAT_VERSION):
+                meta = _read_regions(handle.fileno(), base, {
+                    name: fields[name] for name in _PLAN_META})
+            if meta is not None:
+                return dict(header["scalars"], **meta[0]), (
+                    handle, base, {name: fields[name]
+                                   for name in _PLAN_TOPOLOGY
+                                   if name in fields})
+    handle.close()
+    return None
+
+
+def _json_columns(raw, meta_path):
+    """The metadata columns :func:`_read_plan` returns, parsed from the
+    ``.meta.json`` bytes ``raw`` — the fallback source.  Malformed JSON
+    or a missing key raises :class:`FormatError` naming the file."""
+    try:
+        metadata = json.loads(raw)
+        if metadata.get("version") != FORMAT_VERSION:
+            raise FormatError(
+                "%s: unsupported database version %r"
+                % (meta_path, metadata.get("version")))
+        lp_total_degrees = metadata["lp_total_degrees"]
+        checksums = metadata.get("page_checksums")
+        columns = dict(
+            {key: metadata[key] for key in _PLAN_SCALARS[:-2]},
+            wal_epoch=metadata.get("wal_epoch", 0),
+            pages_layout=metadata.get("pages_layout"),
+            rvt_start_vids=np.asarray(metadata["rvt"]["start_vids"],
+                                      dtype=np.int64),
+            rvt_lp_ranges=np.asarray(metadata["rvt"]["lp_ranges"],
+                                     dtype=np.int64),
+            out_degrees=np.asarray(metadata["out_degrees"], dtype=np.int64),
+            vertex_page=np.asarray(metadata["vertex_page"], dtype=np.int64),
+            lp_pids=np.array([int(pid) for pid in lp_total_degrees],
+                             dtype=np.int64),
+            lp_total_degrees=np.array(list(lp_total_degrees.values()),
+                                      dtype=np.int64),
+            page_checksums=(None if checksums is None
+                            else np.asarray(checksums, dtype=np.uint32)),
+            **_directory_columns(metadata["directory"]))
+        return columns
+    except (ArithmeticError, AttributeError, KeyError, TypeError,
+            ValueError) as error:
+        raise FormatError("%s: malformed metadata (%s: %s)"
+                          % (meta_path, type(error).__name__, error)) \
+            from error
+
+
 def _read_metadata(prefix):
+    """The store's metadata: one columns dict — the scalars and the
+    :data:`_PLAN_META` columns — whichever file it comes from, plus the
+    sidecar's topology regions.
+
+    The ``.plan`` sidecar serves it when it is bound to these
+    ``.meta.json`` bytes and verifies; otherwise the JSON is parsed and
+    the topology is ``None`` (plans decode the pages).
+    """
     meta_path = prefix + ".meta.json"
-    with open(meta_path) as handle:
-        metadata = json.load(handle)
-    if metadata.get("version") != FORMAT_VERSION:
-        raise FormatError(
-            "%s: unsupported database version %r"
-            % (meta_path, metadata.get("version")))
-    return metadata
+    with open(meta_path, "rb") as handle:
+        raw = handle.read()
+    return (_read_plan(prefix + ".plan", zlib.crc32(raw))
+            or (_json_columns(raw, meta_path), None))
 
 
 class FileBackedDatabase(GraphDatabase):
     """A GraphDatabase whose pages load lazily from the pages file.
 
-    Metadata (directory, RVT, degrees) is resident; page payloads are
+    Metadata (directory, RVT, degrees) is resident — read from the
+    ``.plan`` sidecar when it verifies against ``.meta.json``, else
+    parsed from the JSON (see :func:`_read_metadata`, and
+    :meth:`topology_arrays` for the plan's arrays); page payloads are
     parsed from disk on first use and cached in an LRU pool of
     ``pool_pages`` entries.  Everything the engine needs —
     :meth:`page`, :meth:`page_for_vertex`, the ID lists, the statistics
@@ -337,8 +646,9 @@ class FileBackedDatabase(GraphDatabase):
     the mapping — one vectorized
     :func:`~repro.format.page.decode_pages` pass per chunk, whether the
     caller wants page objects (:meth:`page`, :meth:`prefetch`,
-    :func:`load_database`, :meth:`validate`) or the flat arrays a plan
-    is built from (:meth:`topology_arrays`).  Each page-sized region is
+    :func:`load_database`, :meth:`validate`) or, without a usable
+    sidecar, the flat arrays a plan is built from
+    (:meth:`topology_arrays`).  Each page-sized region is
     checksum-verified exactly once, on first touch (the ``_verified``
     bitmap), before any byte of it is interpreted, and that first touch
     books the host-I/O counters — later touches are zero-copy
@@ -357,45 +667,49 @@ class FileBackedDatabase(GraphDatabase):
     """
 
     def __init__(self, prefix, pool_pages=256):
-        metadata = _read_metadata(prefix)
-        config = PageFormatConfig(**metadata["config"])
-        rvt = RecordVertexTable(metadata["rvt"]["start_vids"],
-                                metadata["rvt"]["lp_ranges"])
-        directory = [PageDirectoryEntry(**record)
-                     for record in metadata["directory"]]
+        self._pages_path = prefix + ".pages"
+        if not isinstance(pool_pages, numbers.Integral) or pool_pages < 1:
+            raise FormatError(
+                "%s: page pool needs at least one slot, got %r"
+                % (self._pages_path, pool_pages))
+        columns, self._plan_topology = _read_metadata(prefix)
+        config = PageFormatConfig(**columns["config"])
+        rvt = RecordVertexTable(columns["rvt_start_vids"],
+                                columns["rvt_lp_ranges"])
+        kinds = columns["dir_kind"].astype(bool)
+        directory = list(map(PageDirectoryEntry, *(
+            np.where(kinds, "LP", "SP").tolist() if field == "kind"
+            else columns["dir_" + field].tolist()
+            for field in _DIRECTORY_FIELDS)))
         super().__init__(
             pages=[None] * len(directory),
             directory=directory,
             rvt=rvt,
             config=config,
-            num_vertices=metadata["num_vertices"],
-            num_edges=metadata["num_edges"],
-            out_degrees=np.asarray(metadata["out_degrees"],
-                                   dtype=np.int64),
-            vertex_page=np.asarray(metadata["vertex_page"],
-                                   dtype=np.int64),
-            name=metadata["name"],
+            num_vertices=columns["num_vertices"],
+            num_edges=columns["num_edges"],
+            out_degrees=columns["out_degrees"],
+            vertex_page=columns["vertex_page"],
+            name=columns["name"],
         )
-        self.wal_epoch = metadata.get("wal_epoch", 0)
-        self._pages_path = prefix + ".pages"
+        self.wal_epoch = columns["wal_epoch"]
         expected = len(directory) * config.page_size
         actual = os.path.getsize(self._pages_path)
         if actual != expected:
             raise FormatError(
                 "%s: expected %d bytes of pages, found %d"
                 % (self._pages_path, expected, actual))
-        self._lp_total_degrees = {
-            int(k): v for k, v in metadata["lp_total_degrees"].items()}
+        #: Large pages and their vertices' total degrees.
+        self._lp_pids = columns["lp_pids"]
+        self._lp_totals = columns["lp_total_degrees"]
+        self._lp_total_degrees = dict(zip(self._lp_pids.tolist(),
+                                          self._lp_totals.tolist()))
         #: Slots to decode per page (a large page holds exactly one).
-        self._dir_records = np.asarray(
-            [entry.num_records if entry.kind == "SP" else 1
-             for entry in directory], dtype=np.int64)
+        self._dir_records = np.where(kinds, 1, columns["dir_num_records"])
         self._page_checksums = _checksums_from_metadata(
-            metadata, prefix + ".meta.json")
-        _validate_pages_layout(metadata, config, len(directory),
+            columns, prefix + ".meta.json")
+        _validate_pages_layout(columns, config, len(directory),
                                prefix + ".meta.json")
-        if pool_pages < 1:
-            raise FormatError("page pool needs at least one slot")
         self._pool_pages = pool_pages
         #: Public pool capacity; bounds :attr:`prefetch_chunk` so a
         #: warm-ahead never evicts its own pages.
@@ -442,6 +756,9 @@ class FileBackedDatabase(GraphDatabase):
         only materialised arrays, so they stay valid after close; a
         parse attempted afterwards raises :class:`FormatError`.
         """
+        topology = getattr(self, "_plan_topology", None)
+        if topology is not None:  # first: __init__ may not have finished
+            topology[0].close()
         self._mmap_view = None
         if self._mmap is not None:
             try:
@@ -755,18 +1072,37 @@ class FileBackedDatabase(GraphDatabase):
         return self.directory[page_id].kind == "SP"
 
     def topology_arrays(self):
-        """The flat arrays of :meth:`GraphDatabase.topology_arrays`,
-        decoded chunk by chunk off the mapping.
+        """The flat arrays of :meth:`GraphDatabase.topology_arrays`.
 
-        No page object is built and the pool is not touched, so a plan
-        build never fills the pool with pages the run will not read
-        again.  A chunk the mapping cannot serve (fault injector
-        attached, damaged region) sends the scan to the generic
-        per-page body, whose :meth:`prefetch` / :meth:`page` calls take
-        the copy fallback.
+        From the ``.plan`` sidecar when the store opened from one: one
+        host read of its topology regions into a private buffer, each
+        region CRC32-checked, returned as views of that buffer — no page
+        decodes and no page region is booked.  Otherwise — no sidecar,
+        a fault injector attached (fault semantics stay those of the
+        page reads), or a region that fails its CRC32 — decoded chunk by
+        chunk off the mapping.  Either way no page object is built, the
+        pool is not touched, and nothing aliases a mapping, so a plan
+        outlives :meth:`close`.  A chunk the mapping cannot serve
+        (fault injector attached, damaged region) sends the scan to the
+        generic per-page body, whose :meth:`prefetch` / :meth:`page`
+        calls take the copy fallback.
         """
-        # Same span as :meth:`page` and :meth:`prefetch`.
+        if self._fd is None:
+            raise FormatError("%s: store is closed" % self._pages_path)
+        topology = self._plan_topology
+        # Same span as :meth:`page` and :meth:`prefetch`: the store's
+        # host reads, whichever file serves them.
         with span("format.io.page"):
+            read = (_read_regions(topology[0].fileno(), *topology[1:])
+                    if topology is not None and self.fault_injector is None
+                    else None)
+            if read is not None:
+                arrays, nbytes = read
+                with self._io_lock:
+                    self.host_bytes_read += nbytes
+                    self.host_reads += 1
+                arrays.setdefault("adj_weights", None)
+                return arrays
             chunks = []
             for lo in range(0, self.num_pages, _CHUNK_PAGES):
                 decoded = self._decode_chunk(
@@ -777,29 +1113,12 @@ class FileBackedDatabase(GraphDatabase):
                 chunks.append(decoded)
         if not chunks:
             return super().topology_arrays()
-        rec_vids, degrees, adj_pids, adj_slots = (
-            np.concatenate(parts) for parts in list(zip(*chunks))[:4])
-        rec_counts = self._dir_records
-        rec_starts = np.cumsum(rec_counts) - rec_counts
-        edge_ends = np.concatenate(([0], np.cumsum(degrees)))
-        # A large page's one record divides by the vertex's degree
-        # across its whole run of large pages, not by this chunk's.
-        rec_divisor = degrees.copy()
-        lp_pids = np.fromiter(self._lp_total_degrees, dtype=np.int64)
-        rec_divisor[rec_starts[lp_pids]] = np.fromiter(
-            self._lp_total_degrees.values(), dtype=np.int64)
-        return {
-            "rec_counts": rec_counts,
-            "edge_counts": (edge_ends[rec_starts + rec_counts]
-                            - edge_ends[rec_starts]),
-            "degrees": degrees,
-            "rec_vids": rec_vids,
-            "rec_divisor": rec_divisor,
-            "adj_vids": self.rvt.translate(adj_pids, adj_slots),
-            "adj_pids": adj_pids,
-            "adj_weights": (np.concatenate([c[4] for c in chunks])
-                            if self.config.weight_bytes else None),
-        }
+        return _topology_fields(
+            self.rvt, 0, self._dir_records,
+            [np.concatenate(parts) for parts in list(zip(*chunks))[:4]]
+            + [np.concatenate([c[4] for c in chunks])
+               if self.config.weight_bytes else None],
+            self._lp_pids, self._lp_totals)
 
     def validate(self):
         """Validate through the lazy loader (every page decodes once,

@@ -300,8 +300,9 @@ class GraphService:
     # Database registry
     # ------------------------------------------------------------------
     def add_database(self, name, db=None, prefix=None, pool_pages=256):
-        """Serve ``db`` (or lazily open ``<prefix>.meta.json/.pages``
-        through the WAL-aware dynamic opener) under ``name``.
+        """Serve ``db`` (or lazily open ``<prefix>.meta.json/.pages``,
+        from ``<prefix>.plan`` when it matches, through the WAL-aware
+        dynamic opener) under ``name``.
 
         The handle gets its own shared page cache, plan cache and
         read/write gate; re-registering a name raises

@@ -26,8 +26,8 @@ from repro.dynamic import (DynamicGraphDatabase, UpdateBatch,
                            open_dynamic_database)
 from repro.errors import DeviceLostError
 from repro.faults import FaultPlan
-from repro.format import build_database
-from repro.format.io import FileBackedDatabase, save_database
+from repro.format import GraphDatabase, build_database
+from repro.format.io import FileBackedDatabase, load_database, save_database
 from repro.graphgen import Graph
 from repro.obs import collect_run_metrics
 from repro.units import KB
@@ -176,6 +176,18 @@ CRASH_SCRIPT = textwrap.dedent("""\
 """)
 
 
+def _assert_reopens_verified(prefix, from_sidecar):
+    """A save that crashed left a store whose ``.plan`` sidecar either
+    matches its metadata or is ignored, and whose plan arrays equal a
+    page decode's either way."""
+    store = FileBackedDatabase(prefix)
+    assert (store._plan_topology is not None) == from_sidecar
+    want = GraphDatabase.topology_arrays(load_database(prefix))
+    for name, array in store.topology_arrays().items():
+        np.testing.assert_array_equal(array, want[name], err_msg=name)
+    store.close()
+
+
 class TestCrashConsistency:
     def test_crash_during_compaction_save_recovers_via_wal(
             self, tmp_path, small_config):
@@ -199,10 +211,13 @@ class TestCrashConsistency:
                               env=env, capture_output=True, text=True)
         assert proc.returncode == 17, proc.stderr
 
-        # The kill landed before any rename: base files and WAL are the
+        # The kill landed before any rename, after every temp file was
+        # written and fsynced: base files, sidecar and WAL are the
         # pre-compaction ones and the epoch guard replays the log.
+        assert os.path.exists(prefix + ".plan.tmp")
         with open(prefix + ".meta.json") as handle:
             assert json.load(handle).get("wal_epoch", 0) == 0
+        _assert_reopens_verified(prefix, from_sidecar=True)
         recovered = open_dynamic_database(prefix)
         assert 3 in recovered.effective_neighbors(0)
         assert list(recovered.effective_neighbors(6)) == [0]
@@ -221,7 +236,7 @@ CRASH_RECLAIM_SCRIPT = textwrap.dedent("""\
     from repro.dynamic import (UpdateBatch, compact,
                                open_dynamic_database)
 
-    prefix = sys.argv[1]
+    prefix, crash_after = sys.argv[1], int(sys.argv[2])
     db = open_dynamic_database(prefix)
     db.apply(UpdateBatch().insert_edge(0, 3))    # v1
     snap = db.pin()                              # reader pins v1
@@ -233,10 +248,11 @@ CRASH_RECLAIM_SCRIPT = textwrap.dedent("""\
     def crashing_replace(src, dst):
         real_replace(src, dst)
         landed.append(dst)
-        if len(landed) == 2:
-            # Both base files landed durably, but the process dies
-            # before the WAL reset and before version reclamation —
-            # exactly the crash-during-reclaim window, with a live pin.
+        if len(landed) == crash_after:
+            # Both base files (and, at 3, the sidecar) landed durably,
+            # but the process dies before the WAL reset and before
+            # version reclamation — exactly the crash-during-reclaim
+            # window, with a live pin.
             if sorted(snap.effective_neighbors(0)) != [1, 3]:
                 os._exit(18)  # pinned view corrupted pre-crash
             os._exit(17)
@@ -255,12 +271,12 @@ class TestCrashDuringReclaim:
         Pins are in-memory, so recovery owes the dead process nothing:
         the epoch guard discards the stale WAL, the reopened database
         serves the post-commit (compacted) state, and fresh pins
-        isolate correctly against post-recovery commits."""
+        isolate correctly against post-recovery commits.  The crash
+        lands before and after the sidecar's rename: until its own
+        rename lands, the previous save's sidecar is bound to the
+        previous metadata and ignored."""
         vids = np.arange(5)
         graph = Graph.from_edges(6, vids, vids + 1)
-        prefix = str(tmp_path / "reclaim")
-        save_database(build_database(graph, small_config), prefix)
-
         script = tmp_path / "crash_reclaim.py"
         script.write_text(CRASH_RECLAIM_SCRIPT)
         env = dict(os.environ)
@@ -268,27 +284,32 @@ class TestCrashDuringReclaim:
             [os.path.join(os.path.dirname(os.path.dirname(
                 os.path.abspath(__file__))), "src"),
              env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
-        proc = subprocess.run([sys.executable, str(script), prefix],
-                              env=env, capture_output=True, text=True)
-        assert proc.returncode == 17, proc.stderr
+        for renames in (2, 3):
+            prefix = str(tmp_path / ("reclaim%d" % renames))
+            save_database(build_database(graph, small_config), prefix)
+            proc = subprocess.run(
+                [sys.executable, str(script), prefix, str(renames)],
+                env=env, capture_output=True, text=True)
+            assert proc.returncode == 17, proc.stderr
 
-        # The compacted base (epoch 1) is durable; the stale epoch-0
-        # WAL must be discarded, not replayed over it.
-        with open(prefix + ".meta.json") as handle:
-            assert json.load(handle).get("wal_epoch", 0) == 1
-        recovered = open_dynamic_database(prefix)
-        assert sorted(recovered.effective_neighbors(0)) == [1, 3, 4]
-        assert recovered.topology_version == 0
-        assert recovered.mvcc_stats()["pinned_snapshots"] == 0
+            # The compacted base (epoch 1) is durable; the stale epoch-0
+            # WAL must be discarded, not replayed over it.
+            with open(prefix + ".meta.json") as handle:
+                assert json.load(handle).get("wal_epoch", 0) == 1
+            _assert_reopens_verified(prefix, from_sidecar=renames == 3)
+            recovered = open_dynamic_database(prefix)
+            assert sorted(recovered.effective_neighbors(0)) == [1, 3, 4]
+            assert recovered.topology_version == 0
+            assert recovered.mvcc_stats()["pinned_snapshots"] == 0
 
-        # Post-recovery MVCC still isolates: a fresh pin survives a
-        # fresh commit untouched.
-        snap = recovered.pin()
-        recovered.apply(UpdateBatch().insert_edge(0, 5))
-        assert sorted(snap.effective_neighbors(0)) == [1, 3, 4]
-        assert 5 in recovered.effective_neighbors(0)
-        snap.release()
-        recovered.validate()
+            # Post-recovery MVCC still isolates: a fresh pin survives a
+            # fresh commit untouched.
+            snap = recovered.pin()
+            recovered.apply(UpdateBatch().insert_edge(0, 5))
+            assert sorted(snap.effective_neighbors(0)) == [1, 3, 4]
+            assert 5 in recovered.effective_neighbors(0)
+            snap.release()
+            recovered.validate()
 
 
 #: Vertices in the property-test line graph (kept tiny: each hypothesis

@@ -229,6 +229,7 @@ def test_store_path_never_perturbs_results(data, tmp_path_factory):
     db = build_database(graph, PageFormatConfig(2, 2, 1 * KB))
     prefix = str(tmp_path_factory.mktemp("matrix") / "db")
     save_database(db, prefix)
+    os.remove(prefix + ".plan")  # the plan build decodes pages
     machine = scaled_workstation(num_gpus=2, num_ssds=2)
     start = data.draw(st.integers(0, graph.num_vertices - 1))
     kernel = lambda: KERNELS[kernel_name](start, db.num_vertices)

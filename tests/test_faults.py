@@ -410,14 +410,24 @@ class TestChecksums:
 
     def test_save_fsyncs_files_and_directory(self, rmat_db, tmp_path,
                                              monkeypatch):
-        synced = []
-        real_fsync = os.fsync
-        monkeypatch.setattr(os, "fsync",
-                            lambda fd: (synced.append(fd),
-                                        real_fsync(fd))[1])
-        save_database(rmat_db, str(tmp_path / "db"))
-        # pages tmp + meta tmp + the parent directory after the renames.
-        assert len(synced) >= 3
+        """Every temp file is fsynced before any rename; the renames
+        land pages, metadata, sidecar; the directory is synced last."""
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+        monkeypatch.setattr(os, "fsync", lambda fd: (
+            events.append(("fsync", os.fstat(fd).st_ino)), real_fsync(fd)))
+        monkeypatch.setattr(os, "replace", lambda src, dst: (
+            events.append(("replace", os.path.basename(dst))),
+            real_replace(src, dst)))
+        prefix = str(tmp_path / "db")
+        save_database(rmat_db, prefix)
+        inode = {ext: os.stat(prefix + ext).st_ino   # renames keep inodes
+                 for ext in (".pages", ".plan", ".meta.json")}
+        assert events == [
+            ("fsync", inode[".pages"]), ("fsync", inode[".plan"]),
+            ("fsync", inode[".meta.json"]),
+            ("replace", "db.pages"), ("replace", "db.meta.json"),
+            ("replace", "db.plan"), ("fsync", os.stat(tmp_path).st_ino)]
 
 
 class TestFaultAccounting:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import zlib
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from repro.errors import FormatError
 from repro.format import PageFormatConfig, build_database
 from repro.format import io as format_io
-from repro.format.io import load_database, save_database
+from repro.format.io import FileBackedDatabase, load_database, save_database
 from repro.graphgen import Graph, generate_rmat
 from repro.graphgen.io import (
     read_binary,
@@ -98,11 +99,12 @@ class TestEdgeListBinary:
             read_binary(path)
 
 
-#: The file format is a compatibility contract: sha256 of the two files
+#: The file format is a compatibility contract: sha256 of the files
 #: :func:`golden_database` saves.  A change here is a format change.
 GOLDEN_SHA256 = {
     ".pages": "0f8470d977cef2bcb51904b750d51d05d3d68f6af6039931adaf74e9e271b913",
     ".meta.json": "ac33ccbf09cd59383ddf654f05ca6851da40d4099f9fe2a5918e7fc3f303a6cf",
+    ".plan": "b60d1d1a05f8ee83f127a017af2d986e1dde84bfdbfcca4eee6a3574f7478445",
 }
 
 
@@ -118,7 +120,7 @@ def golden_database():
 
 def _file_bytes(prefix):
     contents = []
-    for extension in (".pages", ".meta.json"):
+    for extension in GOLDEN_SHA256:
         with open(prefix + extension, "rb") as handle:
             contents.append(handle.read())
     return contents
@@ -193,13 +195,14 @@ class TestSaveDatabase:
             with pytest.raises(FormatError):
                 save_database(_unfit_offsets_database(), prefix)
         else:
-            def refuse(metadata):
+            def refuse(*args, **kwargs):
                 raise RuntimeError("disk full")
             monkeypatch.setattr(format_io.json, "dumps", refuse)
             with pytest.raises(RuntimeError, match="disk full"):
                 save_database(rmat_db, prefix)
             monkeypatch.undo()
-        assert sorted(os.listdir(tmp_path)) == ["db.meta.json", "db.pages"]
+        assert sorted(os.listdir(tmp_path)) == [
+            "db.meta.json", "db.pages", "db.plan"]
         assert _file_bytes(prefix) == before
         assert load_database(prefix).validate()
 
@@ -242,29 +245,86 @@ class TestDatabasePersistence:
         assert np.array_equal(result.values["level"],
                               reference.bfs_levels(rmat_graph, start))
 
-    def test_truncated_pages_file_rejected(self, rmat_db, tmp_path):
+    @pytest.mark.parametrize("case", [
+        "truncated", "no_vertex_page", "version", "pages_size",
+        "pool_none", "pool_zero"])
+    def test_malformed_store_is_a_typed_error(self, rmat_db, tmp_path,
+                                              case):
+        """Truncated or incomplete metadata, an unknown version, a pages
+        file of the wrong size and a pool size that is not a positive
+        count raise FormatError naming the file — from the store and
+        (the pool aside) from the eager loader."""
         prefix = str(tmp_path / "db")
-        _, pages_path = save_database(rmat_db, prefix)
-        with open(pages_path, "ab") as handle:
-            handle.write(b"\x00")
-        with pytest.raises(FormatError):
-            load_database(prefix)
-
-    def test_version_checked(self, rmat_db, tmp_path):
-        prefix = str(tmp_path / "db")
-        meta_path, _ = save_database(rmat_db, prefix)
+        meta_path, pages_path = save_database(rmat_db, prefix)
         with open(meta_path) as handle:
             metadata = json.load(handle)
-        metadata["version"] = 999
+        if case == "no_vertex_page":
+            del metadata["vertex_page"]
+        metadata["version"] = 999 if case == "version" else 1
+        text = json.dumps(metadata)
         with open(meta_path, "w") as handle:
-            json.dump(metadata, handle)
-        with pytest.raises(FormatError):
-            load_database(prefix)
+            handle.write(text[:len(text) // 2] if case == "truncated"
+                         else text)
+        with open(pages_path, "ab") as handle:
+            handle.write(b"\x00" if case == "pages_size" else b"")
+        pool = {"pool_none": None, "pool_zero": 0}.get(case, 1)
+        opens = [lambda: FileBackedDatabase(prefix, pool_pages=pool)]
+        if pool == 1:
+            opens.append(lambda: load_database(prefix))
+        for open_store in opens:
+            with pytest.raises(FormatError, match=re.escape(
+                    meta_path if pool == 1 and case != "pages_size"
+                    else pages_path)):
+                open_store()
+
+
+def _assert_same(want, got, where):
+    """Equal, and of the same type all the way down (arrays: dtype)."""
+    assert type(got) is type(want), where
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype, where
+        np.testing.assert_array_equal(got, want, err_msg=str(where))
+    elif isinstance(want, (list, dict)):
+        _assert_same(len(want), len(got), where)
+        for key, (w, g) in enumerate(zip(want, got)):
+            if isinstance(want, dict):  # keys, key types and order
+                _assert_same(w, g, where)
+                w, g = want[w], got[g]
+            _assert_same(w, g, (where, key))
+    elif hasattr(want, "__dict__"):
+        _assert_same(vars(want), vars(got), where)
+    else:
+        assert got == want, where
 
 
 class TestFileBackedDatabase:
+    def test_sidecar_open_equals_the_decode_open(self, tmp_path):
+        """A store opened from the ``.plan`` sidecar equals the same
+        store opened by parsing the JSON and decoding pages, field for
+        field and dtype for dtype (directory entries hold Python ints,
+        large-page total degrees are keyed by int), and so do the flat
+        arrays its plans are built from — served by one host read of
+        the sidecar's own bytes that books no page region."""
+        prefix = str(tmp_path / "db")
+        save_database(golden_database(), prefix)
+        warm = FileBackedDatabase(prefix)
+        os.remove(prefix + ".plan")
+        cold = FileBackedDatabase(prefix)
+        skip = {"_plan_topology", "_pool_lock", "_io_lock", "_fd",
+                "_mmap", "_mmap_view"}
+        assert warm._plan_topology is not None
+        assert cold._plan_topology is None
+        _assert_same(*({key: value for key, value in vars(store).items()
+                        if key not in skip} for store in (cold, warm)),
+                     "store")
+        arrays = warm.topology_arrays()
+        _assert_same(cold.topology_arrays(), arrays, "topology")
+        assert not warm._verified.any() and warm.mmap_misses == 0
+        assert warm.host_reads == 1
+        payload = sum(array.nbytes for array in arrays.values())
+        assert payload <= warm.host_bytes_read < payload + 64 * len(arrays)
+
     def _open(self, rmat_db, tmp_path, pool_pages=32):
-        from repro.format.io import FileBackedDatabase
         prefix = str(tmp_path / "db")
         save_database(rmat_db, prefix)
         return FileBackedDatabase(prefix, pool_pages=pool_pages)
@@ -308,13 +368,6 @@ class TestFileBackedDatabase:
         expected = reference.pagerank(rmat_graph, iterations=3)
         assert np.allclose(result.values["rank"], expected, atol=1e-12)
 
-    def test_pool_size_validated(self, rmat_db, tmp_path):
-        from repro.format.io import FileBackedDatabase
-        prefix = str(tmp_path / "db")
-        save_database(rmat_db, prefix)
-        with pytest.raises(FormatError):
-            FileBackedDatabase(prefix, pool_pages=0)
-
     def test_unknown_page_rejected(self, rmat_db, tmp_path):
         lazy = self._open(rmat_db, tmp_path)
         with pytest.raises(FormatError):
@@ -341,9 +394,9 @@ class TestEnginePagePool:
     flat arrays and pools nothing."""
 
     def _open(self, rmat_db, tmp_path, pool_pages):
-        from repro.format.io import FileBackedDatabase
         prefix = str(tmp_path / "pooled")
         save_database(rmat_db, prefix)
+        os.remove(prefix + ".plan")  # plan builds decode pages
         return FileBackedDatabase(prefix, pool_pages=pool_pages)
 
     def _overlay(self, base, edges=((0, 1), (2, 3))):

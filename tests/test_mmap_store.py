@@ -13,6 +13,7 @@ decode).
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -115,6 +116,7 @@ def test_mmap_run_results_match_eager(data, tmp_path_factory):
     db, graph = _random_database(data, weighted=weighted)
     prefix = str(tmp_path_factory.mktemp("mmap") / "db")
     save_database(db, prefix)
+    os.remove(prefix + ".plan")  # the plan build decodes pages
     machine = scaled_workstation(num_gpus=2, num_ssds=2)
     start = data.draw(st.integers(0, graph.num_vertices - 1))
     kernel = (lambda: SSSPKernel(start_vertex=start)) if weighted \
@@ -178,6 +180,70 @@ def test_mmap_dynamic_overlay_matches_copy_mode(data, tmp_path_factory):
                                       mapped_run.values["rank"])
 
 
+def _answers(store, machine, start):
+    """BFS and PageRank on ``store`` (then closed): simulated time and
+    values, bit for bit."""
+    answers = []
+    for name in ("bfs", "pagerank"):
+        result = GTSEngine(store, machine).run(
+            KERNELS[name](start, store.num_vertices))
+        answers.append((repr(result.elapsed_seconds), sorted(
+            (key, value.dtype.str, value.tobytes())
+            for key, value in result.values.items())))
+    store.close()
+    return answers
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_no_sidecar_damage_changes_an_answer(data, tmp_path_factory):
+    """Whatever became of the ``.plan`` sidecar — one flipped byte
+    anywhere, a truncation at any length, a copy from another save,
+    none at all — or with a fault injector attached, BFS and PageRank
+    answers and simulated time equal the page-decode path's bit for
+    bit, and nothing raises."""
+    db, graph = _random_database(data, weighted=data.draw(st.booleans()))
+    root = tmp_path_factory.mktemp("sidecar")
+    prefix = str(root / "db")
+    save_database(db, prefix)
+    with open(prefix + ".plan", "rb") as handle:
+        sidecar = handle.read()
+    os.remove(prefix + ".plan")
+    machine = scaled_workstation(num_gpus=2, num_ssds=2)
+    start = data.draw(st.integers(0, graph.num_vertices - 1))
+    want = _answers(FileBackedDatabase(prefix, pool_pages=4), machine,
+                    start)
+    case = data.draw(st.sampled_from(
+        ["flip", "truncate", "foreign", "missing", "injector"]))
+    if case == "flip":
+        # Anywhere, or inside a field's region (header framing: magic,
+        # header length and CRC32, header, regions from a 64-byte
+        # boundary on).
+        (length,) = struct.unpack_from("<I", sidecar, 8)
+        regions = [
+            (-(-(16 + length) // 64) * 64 + field["offset"],
+             field["length"] * np.dtype(field["dtype"]).itemsize)
+            for field in json.loads(sidecar[16:16 + length])[
+                "fields"].values() if field["length"]]
+        at = data.draw(st.integers(0, len(sidecar) - 1) | st.sampled_from(
+            regions).flatmap(lambda region: st.integers(
+                region[0], region[0] + region[1] - 1)))
+        sidecar = (sidecar[:at] + bytes([sidecar[at] ^ data.draw(
+            st.integers(1, 255))]) + sidecar[at + 1:])
+    elif case == "truncate":
+        sidecar = sidecar[:data.draw(st.integers(0, len(sidecar) - 1))]
+    elif case == "foreign":
+        save_database(_random_database(data)[0], str(root / "other"))
+        os.replace(str(root / "other.plan"), prefix + ".plan")
+    if case not in ("foreign", "missing"):
+        with open(prefix + ".plan", "wb") as handle:
+            handle.write(sidecar)
+    store = FileBackedDatabase(prefix, pool_pages=4)
+    if case == "injector":
+        store.attach_fault_injector(FaultInjector(FaultPlan()))
+    assert _answers(store, machine, start) == want
+
+
 def _save_small(tmp_path, num_vertices=40, num_edges=160, seed=7):
     rng = np.random.default_rng(seed)
     graph = Graph.from_edges(
@@ -188,6 +254,9 @@ def _save_small(tmp_path, num_vertices=40, num_edges=160, seed=7):
                         name="small")
     prefix = str(tmp_path / "db")
     save_database(db, prefix)
+    # Without the sidecar a plan build decodes pages, so these stores'
+    # page-read counters and damage paths cover the plan too.
+    os.remove(prefix + ".plan")
     return prefix, db
 
 
