@@ -64,10 +64,16 @@ import threading
 
 import numpy as np
 
+from repro.core.plan import take_ranges
 from repro.dynamic.batch import OP_DELETE, OP_INSERT, OP_VERTICES, UpdateBatch
 from repro.dynamic.wal import WriteAheadLog
 from repro.errors import FormatError, UpdateError, WALError
-from repro.format.database import GraphDatabase, PageDirectoryEntry
+from repro.format.database import (
+    GraphDatabase,
+    PageDirectoryEntry,
+    page_rows,
+    topology_from_rows,
+)
 from repro.format.io import FileBackedDatabase, load_database
 from repro.format.page import LargePage, SmallPage
 from repro.format.rvt import RecordVertexTable
@@ -97,16 +103,24 @@ class _VersionState:
     snapshots lazily park merged pages in it, which is safe because
     merged pages are immutable and deterministic — concurrent inserters
     can only write identical values.
+
+    The version's flat topology arrays have a lineage: ``arrays`` is
+    the memo, set by the first :meth:`topology_arrays` call; until then
+    ``source`` holds the arrays of the nearest ancestor that built them
+    (``None``: the base's) and ``dirty`` the pages refreshed since that
+    source.  A build splices only those pages' rows into ``source``.
     """
 
     __slots__ = ("version", "base", "base_pages", "base_vertices",
                  "extras", "dead", "merged", "lp_runs", "directory",
                  "num_pages", "rvt", "vertex_page", "out_degrees",
-                 "num_vertices", "num_edges", "_server")
+                 "num_vertices", "num_edges", "arrays", "source", "dirty",
+                 "_server")
 
     def __init__(self, version, base, base_pages, base_vertices, extras,
                  dead, merged, lp_runs, directory, num_pages, rvt,
-                 vertex_page, out_degrees, num_vertices, num_edges):
+                 vertex_page, out_degrees, num_vertices, num_edges, source,
+                 dirty):
         self.version = version
         self.base = base
         self.base_pages = base_pages
@@ -122,6 +136,9 @@ class _VersionState:
         self.out_degrees = out_degrees
         self.num_vertices = num_vertices
         self.num_edges = num_edges
+        self.arrays = None
+        self.source = source
+        self.dirty = dirty
         self._server = None
 
     def server(self, owner):
@@ -132,6 +149,70 @@ class _VersionState:
             srv = Snapshot(owner, self, pinned=False)
             self._server = srv
         return srv
+
+    def lineage(self):
+        """``(source, dirty)`` to build this version's arrays from: the
+        memo with nothing dirty once built, else the recorded pair."""
+        source, dirty = self.source, self.dirty
+        # Read after ``source``: a build publishes ``arrays`` before it
+        # drops ``source``, so a ``None`` memo here means ``source`` was
+        # read live.
+        arrays = self.arrays
+        if arrays is not None:
+            return arrays, frozenset()
+        return source, dirty
+
+    def topology_arrays(self):
+        """This version's :meth:`GraphDatabase.topology_arrays`: the
+        memo, or ``source`` with every dirty page's rows replaced by its
+        merged page's — ``source`` itself when nothing is dirty.  Two
+        threads building at once compute identical arrays."""
+        source, dirty = self.lineage()
+        if source is None:
+            source = self.base.topology_arrays()
+        arrays = (_splice_rows(source, sorted(dirty), self.merged,
+                               self.num_pages) if dirty else source)
+        self.arrays = arrays
+        self.source = None
+        return arrays
+
+
+def _splice_rows(source, dirty, merged, num_pages):
+    """CSR row replacement: ``source``'s arrays with the rows of each
+    ``dirty`` page (sorted; every page past ``source``'s end among them)
+    taken from its ``merged`` page.  Clean runs are slices of ``source``
+    through its ``rec_counts`` / ``edge_counts`` offsets; each field is
+    concatenated once."""
+    rec_at = np.concatenate(([0], np.cumsum(source["rec_counts"])))
+    edge_at = np.concatenate(([0], np.cumsum(source["edge_counts"])))
+    kept = len(source["rec_counts"])
+    rec_counts = np.zeros(num_pages, dtype=np.int64)
+    edge_counts = np.zeros(num_pages, dtype=np.int64)
+    rec_counts[:kept] = source["rec_counts"]
+    edge_counts[:kept] = source["edge_counts"]
+    weights = source["adj_weights"]
+    rows = []
+
+    def clean(lo, hi):
+        recs = slice(rec_at[lo], rec_at[hi])
+        edges = slice(edge_at[lo], edge_at[hi])
+        rows.append((source["degrees"][recs], source["rec_vids"][recs],
+                     source["rec_divisor"][recs], source["adj_vids"][edges],
+                     source["adj_pids"][edges],
+                     None if weights is None else weights[edges]))
+
+    lo = 0
+    for pid in dirty:
+        if lo < pid:
+            clean(lo, pid)
+        page = merged[pid]
+        rows.append(page_rows(page))
+        rec_counts[pid] = page.num_records
+        edge_counts[pid] = page.num_edges
+        lo = pid + 1
+    if lo < kept:
+        clean(lo, kept)
+    return topology_from_rows(rec_counts, edge_counts, rows)
 
 
 class DynamicGraphDatabase(GraphDatabase):
@@ -196,8 +277,8 @@ class DynamicGraphDatabase(GraphDatabase):
         self._base = base
         self._base_pages = base.num_pages
         self._base_vertices = base.num_vertices
-        self._extras = {}      # vid -> ([targets], [weights])
-        self._dead = {}        # vid -> set of deleted base neighbours
+        self._extras = {}      # vid -> ((targets), (weights))
+        self._dead = {}        # vid -> frozenset of deleted base neighbours
         self._merged = {}      # pid -> merged page cache
         self._overlaid_pids = set()
         self._open_ext = None  # pid of the extension page being filled
@@ -238,7 +319,7 @@ class DynamicGraphDatabase(GraphDatabase):
         if page is not None:
             return page
         if page_id >= self._base_pages:
-            page = self._materialise(page_id)
+            page = self._extension_page(page_id)
             self._merged[page_id] = page
             return page
         # Untouched base pages are never memoised here: parking them in
@@ -264,30 +345,14 @@ class DynamicGraphDatabase(GraphDatabase):
     def pool_misses(self):
         return getattr(self._base, "pool_misses", 0)
 
-    @property
-    def prefetch_chunk(self):
-        return self._base.prefetch_chunk
-
-    def prefetch(self, page_ids):
-        """Warm the base store for the base pages among ``page_ids``
-        (extension pages are materialised in memory, never read)."""
-        return self._base.prefetch(
-            [pid for pid in page_ids if pid < self._base_pages])
-
     def topology_arrays(self):
-        """The base's flat arrays while this version carries no delta
-        (no inserted or deleted edge, no extension page); the generic
-        per-page scan over merged pages once it does."""
-        if (not self._extras and not self._dead
-                and len(self.directory) == self._base_pages):
-            return self._base.topology_arrays()
-        # Named, not super(): Snapshot borrows this method.
-        return GraphDatabase.topology_arrays(self)
-
-    def _materialise(self, pid):
-        if pid >= self._base_pages:
-            return self._extension_page(pid)
-        return self._merge_base(pid, self._base.page(pid))
+        """This version's flat arrays, spliced from its lineage (see
+        :class:`_VersionState`): only the pages dirtied since the
+        nearest built ancestor are read, from the merged pages their
+        commits already materialised."""
+        with self._version_lock:
+            state = self._versions[self.topology_version]
+        return state.topology_arrays()
 
     def _merge_base(self, pid, base_page):
         """The overlay-merged view of a base page (``base_page`` itself
@@ -311,50 +376,49 @@ class DynamicGraphDatabase(GraphDatabase):
         return pids, slots
 
     def _merge_small(self, pid, base_page):
-        weighted = base_page.adj_weights is not None
-        indptr = [0]
-        vid_parts, pid_parts, slot_parts, weight_parts = [], [], [], []
+        """Base records minus tombstones (one keep-mask), then each
+        record's delta entries at its end (one scatter per field)."""
+        indptr = base_page.adj_indptr
+        t = base_page.adj_vids
+        keep = np.ones(len(t), dtype=bool)
+        ends, extra_counts, extra_targets, extra_weights = [], [], [], []
         for i in range(base_page.num_records):
             vid = base_page.start_vid + i
-            lo = int(base_page.adj_indptr[i])
-            hi = int(base_page.adj_indptr[i + 1])
-            t = base_page.adj_vids[lo:hi]
-            p = base_page.adj_pids[lo:hi]
-            s = base_page.adj_slots[lo:hi]
-            w = base_page.adj_weights[lo:hi] if weighted else None
             dead = self._dead.get(vid)
             if dead:
-                keep = ~np.isin(t, np.fromiter(dead, dtype=np.int64))
-                t, p, s = t[keep], p[keep], s[keep]
-                if weighted:
-                    w = w[keep]
-            vid_parts.append(t)
-            pid_parts.append(p)
-            slot_parts.append(s)
-            if weighted:
-                weight_parts.append(w)
+                lo, hi = indptr[i], indptr[i + 1]
+                keep[lo:hi] = ~np.isin(
+                    t[lo:hi], np.fromiter(dead, dtype=np.int64))
             extras = self._extras.get(vid)
             if extras and extras[0]:
-                et = np.asarray(extras[0], dtype=np.int64)
-                ep, es = self._physical_ids(et)
-                vid_parts.append(et)
-                pid_parts.append(ep)
-                slot_parts.append(es)
-                if weighted:
-                    weight_parts.append(
-                        np.asarray(extras[1], dtype=np.float32))
-            indptr.append(sum(len(part) for part in vid_parts))
-        merged_vids = np.concatenate(vid_parts) if vid_parts else \
-            np.empty(0, dtype=np.int64)
-        merged_pids = np.concatenate(pid_parts) if pid_parts else \
-            np.empty(0, dtype=np.int64)
-        merged_slots = np.concatenate(slot_parts) if slot_parts else \
-            np.empty(0, dtype=np.int64)
-        merged_weights = (np.concatenate(weight_parts)
-                          if weighted and weight_parts else None)
-        return SmallPage(pid, base_page.start_vid, indptr, merged_pids,
-                         merged_slots, merged_vids, self.config,
-                         adj_weights=merged_weights)
+                ends.append(i + 1)
+                extra_counts.append(len(extras[0]))
+                extra_targets.extend(extras[0])
+                extra_weights.extend(extras[1])
+        growth = np.zeros(len(indptr), dtype=np.int64)
+        growth[ends] = extra_counts
+        merged_indptr = (np.concatenate(([0], np.cumsum(keep)))[indptr]
+                         + np.cumsum(growth))
+        # Slots of the delta entries: the tail of each grown record.
+        is_extra = np.zeros(int(merged_indptr[-1]), dtype=bool)
+        is_extra[take_ranges(merged_indptr[ends] - extra_counts,
+                             extra_counts)] = True
+        et = np.asarray(extra_targets, dtype=np.int64)
+        ep, es = self._physical_ids(et)
+
+        def merge(field, extra):
+            out = np.empty(len(is_extra), dtype=field.dtype)
+            out[~is_extra] = field[keep]
+            out[is_extra] = extra
+            return out
+
+        weights = base_page.adj_weights
+        return SmallPage(pid, base_page.start_vid, merged_indptr,
+                         merge(base_page.adj_pids, ep),
+                         merge(base_page.adj_slots, es), merge(t, et),
+                         self.config,
+                         adj_weights=(None if weights is None
+                                      else merge(weights, extra_weights)))
 
     def _merge_large(self, pid, base_page):
         vid = base_page.vid
@@ -388,35 +452,20 @@ class DynamicGraphDatabase(GraphDatabase):
     def _extension_page(self, pid):
         """Synthesize the slotted page of post-build vertices."""
         entry = self.directory[pid]
-        weighted = self.config.weight_bytes > 0
-        indptr = [0]
-        vid_parts, pid_parts, slot_parts, weight_parts = [], [], [], []
-        for i in range(entry.num_records):
-            vid = entry.start_vid + i
-            extras = self._extras.get(vid)
-            if extras and extras[0]:
-                et = np.asarray(extras[0], dtype=np.int64)
-                ep, es = self._physical_ids(et)
-                vid_parts.append(et)
-                pid_parts.append(ep)
-                slot_parts.append(es)
-                if weighted:
-                    weight_parts.append(
-                        np.asarray(extras[1], dtype=np.float32))
-            indptr.append(sum(len(part) for part in vid_parts))
-        merged_vids = (np.concatenate(vid_parts) if vid_parts
-                       else np.empty(0, dtype=np.int64))
-        merged_pids = (np.concatenate(pid_parts) if pid_parts
-                       else np.empty(0, dtype=np.int64))
-        merged_slots = (np.concatenate(slot_parts) if slot_parts
-                        else np.empty(0, dtype=np.int64))
-        merged_weights = (np.concatenate(weight_parts)
-                          if weighted and weight_parts else
-                          (np.empty(0, dtype=np.float32) if weighted
-                           else None))
-        return SmallPage(pid, entry.start_vid, indptr, merged_pids,
-                         merged_slots, merged_vids, self.config,
-                         adj_weights=merged_weights)
+        counts, targets, weights = [], [], []
+        for vid in range(entry.start_vid, entry.start_vid + entry.num_records):
+            extras = self._extras.get(vid, ((), ()))
+            counts.append(len(extras[0]))
+            targets.extend(extras[0])
+            weights.extend(extras[1])
+        et = np.asarray(targets, dtype=np.int64)
+        ep, es = self._physical_ids(et)
+        return SmallPage(pid, entry.start_vid,
+                         np.concatenate(([0], np.cumsum(counts))), ep, es, et,
+                         self.config,
+                         adj_weights=(np.asarray(weights, dtype=np.float32)
+                                      if self.config.weight_bytes > 0
+                                      else None))
 
     # ------------------------------------------------------------------
     # Base adjacency probes (validation and tombstone accounting)
@@ -481,6 +530,7 @@ class DynamicGraphDatabase(GraphDatabase):
         if not isinstance(batch, UpdateBatch):
             raise UpdateError("apply() expects an UpdateBatch")
         with self._commit_lock:
+            self._prefetch_sources(batch)
             self._check_batch(batch)
             lsn = None
             if log and self.wal is not None:
@@ -490,10 +540,11 @@ class DynamicGraphDatabase(GraphDatabase):
             report.lsn = lsn
             self.applied_batches += 1
             with self._version_lock:
+                parent = self._versions[self.topology_version]
                 self.topology_version += 1
                 report.topology_version = self.topology_version
-                self._versions[self.topology_version] = \
-                    self._freeze_state()
+                self._versions[self.topology_version] = self._freeze_state(
+                    parent, report.affected_pids.tolist())
                 self._reclaim_locked()
         if self.recorder is not None:
             self.recorder.instant(
@@ -506,20 +557,26 @@ class DynamicGraphDatabase(GraphDatabase):
         return report
 
     def _unshare(self):
-        """Copy-on-write step: clone every overlay structure the frozen
-        head state shares before this apply mutates it.  ``_lp_runs``,
-        ``rvt`` and ``vertex_page`` are exempt — mutation only ever
-        *rebinds* them (``np.concatenate``), never edits in place."""
-        self._extras = {vid: (list(t), list(w))
-                        for vid, (t, w) in self._extras.items()}
-        self._dead = {vid: set(s) for vid, s in self._dead.items()}
+        """Copy-on-write step: clone every overlay container the frozen
+        head state shares before this apply mutates it.  Shallow copies
+        suffice: a vertex's extras tuple and tombstone frozenset are
+        replaced, never edited, when a batch mutates them.
+        ``_lp_runs``, ``rvt`` and ``vertex_page`` are exempt — mutation
+        only ever *rebinds* them (``np.concatenate``), never edits in
+        place."""
+        self._extras = dict(self._extras)
+        self._dead = dict(self._dead)
         self._merged = dict(self._merged)
         self.directory = list(self.directory)
         self.out_degrees = self.out_degrees.copy()
 
-    def _freeze_state(self):
+    def _freeze_state(self, parent=None, dirtied=()):
         """Freeze the current head as an immutable :class:`_VersionState`
-        (O(1): shares the working structures; see :meth:`_unshare`)."""
+        (O(1): shares the working structures; see :meth:`_unshare`).
+        Its arrays' lineage continues ``parent``'s with the pages this
+        commit ``dirtied``; with no parent it starts at the base."""
+        source, dirty = (None, frozenset()) if parent is None \
+            else parent.lineage()
         return _VersionState(
             version=self.topology_version,
             base=self._base,
@@ -536,7 +593,20 @@ class DynamicGraphDatabase(GraphDatabase):
             out_degrees=self.out_degrees,
             num_vertices=self.num_vertices,
             num_edges=self.num_edges,
+            source=source,
+            dirty=dirty.union(dirtied),
         )
+
+    def _prefetch_sources(self, batch):
+        """Warm the base pool, in one call, with every base page this
+        batch's validation and refresh will read: the pages of its
+        edges' source vertices, whole large-page runs included."""
+        pids = set()
+        for op in batch.ops:
+            if op[0] != OP_VERTICES and op[1] < self._base_vertices:
+                pids.update(self._pids_of_vertex(op[1]))
+        if pids:
+            self._base.prefetch(sorted(pids))
 
     def _check_batch(self, batch):
         """Trial-run the batch without mutating state; raises on the
@@ -595,9 +665,9 @@ class DynamicGraphDatabase(GraphDatabase):
         return [int(self.vertex_page[vid])]
 
     def _do_insert(self, src, dst, weight, affected):
-        extras = self._extras.setdefault(src, ([], []))
-        extras[0].append(dst)
-        extras[1].append(1.0 if weight is None else float(weight))
+        targets, weights = self._extras.get(src, ((), ()))
+        self._extras[src] = (targets + (dst,), weights + (
+            1.0 if weight is None else float(weight),))
         self.out_degrees[src] += 1
         self.num_edges += 1
         self.delta_bytes += self.config.adjacency_entry_bytes
@@ -609,15 +679,16 @@ class DynamicGraphDatabase(GraphDatabase):
         if extras:
             removed += extras[0].count(dst)
             if removed:
-                keep = [i for i, t in enumerate(extras[0]) if t != dst]
-                extras[0][:] = [extras[0][i] for i in keep]
-                extras[1][:] = [extras[1][i] for i in keep]
+                targets, weights = extras
+                keep = [i for i, t in enumerate(targets) if t != dst]
+                self._extras[src] = (tuple(targets[i] for i in keep),
+                                     tuple(weights[i] for i in keep))
                 self.delta_bytes -= removed * self.config.adjacency_entry_bytes
         dead = self._dead.get(src)
         if not (dead and dst in dead):
             in_base = int(np.count_nonzero(self._base_targets(src) == dst))
             if in_base:
-                self._dead.setdefault(src, set()).add(dst)
+                self._dead[src] = (dead or frozenset()) | {dst}
                 self.tombstoned_edges += 1
                 self.delta_bytes += self.config.record_id_bytes
                 removed += in_base
@@ -688,19 +759,17 @@ class DynamicGraphDatabase(GraphDatabase):
         """Re-materialise updated pages and sync their directory rows —
         the per-PID merged-page cache invalidation the engine sees."""
         for pid in pids:
-            self._merged.pop(pid, None)
-            page = self._materialise(pid)
+            if pid < self._base_pages:
+                base_page = self._base.page(pid)
+                page = self._merge_base(pid, base_page)
+            else:
+                base_page, page = None, self._extension_page(pid)
             self._merged[pid] = page
             self.directory[pid] = dataclasses.replace(
                 self.directory[pid], num_edges=page.num_edges,
                 used_bytes=page.used_bytes())
-            if page is not self._base_page_or_none(pid):
+            if page is not base_page:
                 self._overlaid_pids.add(pid)
-
-    def _base_page_or_none(self, pid):
-        if pid < self._base_pages:
-            return self._base.page(pid)
-        return None
 
     def _refresh_page_index(self):
         self._small_page_ids = np.asarray(
@@ -987,7 +1056,6 @@ class Snapshot(GraphDatabase):
     # names, frozen contents — so the serving methods are shared with
     # DynamicGraphDatabase rather than duplicated.
     _serve_page = DynamicGraphDatabase._serve_page
-    _materialise = DynamicGraphDatabase._materialise
     _merge_base = DynamicGraphDatabase._merge_base
     _merge_small = DynamicGraphDatabase._merge_small
     _merge_large = DynamicGraphDatabase._merge_large
@@ -999,9 +1067,6 @@ class Snapshot(GraphDatabase):
     validate = DynamicGraphDatabase.validate
     pool_hits = DynamicGraphDatabase.pool_hits
     pool_misses = DynamicGraphDatabase.pool_misses
-    prefetch_chunk = DynamicGraphDatabase.prefetch_chunk
-    prefetch = DynamicGraphDatabase.prefetch
-    topology_arrays = DynamicGraphDatabase.topology_arrays
 
     def __init__(self, owner, state, pinned=True):
         self._owner = owner
@@ -1032,6 +1097,9 @@ class Snapshot(GraphDatabase):
     def version(self):
         """The topology version this snapshot serves."""
         return self._state.version
+
+    def topology_arrays(self):
+        return self._state.topology_arrays()
 
     @property
     def released(self):

@@ -32,6 +32,48 @@ class PageDirectoryEntry:
     used_bytes: int
 
 
+def page_rows(page):
+    """One page's rows of :meth:`GraphDatabase.topology_arrays`: the
+    per-record ``degrees``, ``rec_vids`` and ``rec_divisor`` and the
+    per-edge ``adj_vids``, ``adj_pids`` and ``adj_weights`` (``None``
+    for a weight-less page)."""
+    degrees = page.degrees()
+    if page.kind is PageKind.SMALL:
+        divisor = degrees
+    else:
+        divisor = np.asarray([page.total_degree], dtype=np.int64)
+    return (degrees, page.vids(), divisor, page.adj_vids, page.adj_pids,
+            page.adj_weights)
+
+
+def topology_from_rows(rec_counts, edge_counts, rows):
+    """:meth:`GraphDatabase.topology_arrays` from consecutive row runs in
+    page order (each a :func:`page_rows` tuple), one concatenation per
+    field.  A weight-less run among weighted ones contributes unit
+    weights, mirroring the per-page kernels' fallback."""
+    columns = list(zip(*rows)) if rows else [()] * 6
+
+    def _concat(parts, dtype):
+        if not parts:
+            return np.empty(0, dtype=dtype)
+        return np.concatenate(parts).astype(dtype, copy=False)
+
+    weights = columns[5]
+    return {
+        "rec_counts": rec_counts,
+        "edge_counts": edge_counts,
+        "degrees": _concat(columns[0], np.int64),
+        "rec_vids": _concat(columns[1], np.int64),
+        "rec_divisor": _concat(columns[2], np.int64),
+        "adj_vids": _concat(columns[3], np.int64),
+        "adj_pids": _concat(columns[4], np.int64),
+        "adj_weights": _concat([
+            np.ones(len(vids), dtype=np.float32) if part is None else part
+            for vids, part in zip(columns[3], weights)
+        ], np.float32) if any(w is not None for w in weights) else None,
+    }
+
+
 class GraphDatabase:
     """A slotted-page graph database (see :mod:`repro.format.builder`)."""
 
@@ -125,58 +167,24 @@ class GraphDatabase:
         kernels' fallback).
 
         This generic body walks :meth:`page`, asking :meth:`prefetch`
-        for a pool-sized chunk ahead (so an overlay's base store still
-        decodes in bulk); a store that can hand out the arrays without
-        building pages overrides it.
+        for a pool-sized chunk ahead (so a file-backed store's fallback
+        still decodes in bulk); a store that can hand out the arrays
+        without building pages overrides it, and so does the dynamic
+        overlay, which splices them.
         """
         num_pages = self.num_pages
         chunk = self.prefetch_chunk
-        deg_parts, vid_parts, div_parts = [], [], []
-        avid_parts, apid_parts, weight_parts = [], [], []
+        rows = []
         rec_counts = np.zeros(num_pages, dtype=np.int64)
         edge_counts = np.zeros(num_pages, dtype=np.int64)
-        any_weights = False
         for pid in range(num_pages):
             if pid % chunk == 0:
                 self.prefetch(range(pid, min(pid + chunk, num_pages)))
             page = self.page(pid)
-            degrees = page.degrees()
-            deg_parts.append(degrees)
-            vid_parts.append(page.vids())
-            if page.kind is PageKind.SMALL:
-                div_parts.append(degrees)
-            else:
-                div_parts.append(np.asarray([page.total_degree],
-                                            dtype=np.int64))
-            avid_parts.append(page.adj_vids)
-            apid_parts.append(page.adj_pids)
-            if page.adj_weights is not None:
-                any_weights = True
-                weight_parts.append(page.adj_weights)
-            else:
-                weight_parts.append(None)
+            rows.append(page_rows(page))
             rec_counts[pid] = page.num_records
             edge_counts[pid] = page.num_edges
-
-        def _concat(parts, dtype):
-            if not parts:
-                return np.empty(0, dtype=dtype)
-            return np.concatenate(parts).astype(dtype, copy=False)
-
-        return {
-            "rec_counts": rec_counts,
-            "edge_counts": edge_counts,
-            "degrees": _concat(deg_parts, np.int64),
-            "rec_vids": _concat(vid_parts, np.int64),
-            "rec_divisor": _concat(div_parts, np.int64),
-            "adj_vids": _concat(avid_parts, np.int64),
-            "adj_pids": _concat(apid_parts, np.int64),
-            "adj_weights": _concat([
-                part if part is not None
-                else np.ones(int(edge_counts[pid]), dtype=np.float32)
-                for pid, part in enumerate(weight_parts)
-            ], np.float32) if any_weights else None,
-        }
+        return topology_from_rows(rec_counts, edge_counts, rows)
 
     # ------------------------------------------------------------------
     # Cross-query shared cache (service layer)

@@ -1,7 +1,8 @@
-"""Delta-page overlay, crash recovery, compaction, and the rebuild
-equivalence property: a base database plus ``repro.dynamic`` batches
-must be indistinguishable (to every kernel) from building the final
-graph from scratch."""
+"""Delta-page overlay, crash recovery, compaction, and one property:
+every retained version's spliced topology arrays equal the per-page
+walk, and a base database plus ``repro.dynamic`` batches must be
+indistinguishable (to every kernel) from building the final graph from
+scratch."""
 
 import os
 import tempfile
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from repro.core import BFSKernel, GTSEngine, PageRankKernel, WCCKernel
 from repro.dynamic import (
     DynamicGraphDatabase,
+    Snapshot,
     UpdateBatch,
     WriteAheadLog,
     compact,
@@ -22,7 +24,7 @@ from repro.dynamic import (
     open_dynamic_database,
 )
 from repro.errors import UpdateError
-from repro.format import PageFormatConfig, build_database
+from repro.format import GraphDatabase, PageFormatConfig, build_database
 from repro.format.io import save_database
 from repro.graphgen import Graph, generate_rmat
 from repro.hardware.specs import scaled_workstation
@@ -34,27 +36,12 @@ def _line_db(small_config, num_vertices=6):
     return build_database(graph, small_config)
 
 
-def _rebuild_reference(db, config):
-    """Build a from-scratch database over the dynamic DB's graph."""
-    return build_database(materialise_graph(db), config)
-
-
 def _run_all(db, machine):
     engine = GTSEngine(db, machine)
     bfs = engine.run(BFSKernel(start_vertex=0))
     pr = engine.run(PageRankKernel(iterations=5))
     wcc = engine.run(WCCKernel())
     return bfs.values["level"], pr.values["rank"], wcc.values["component"]
-
-
-def assert_equivalent(dyn_db, machine, config):
-    """Kernel results on the overlay == results on a clean rebuild."""
-    ref_db = _rebuild_reference(dyn_db, config)
-    got_bfs, got_pr, got_wcc = _run_all(dyn_db, machine)
-    want_bfs, want_pr, want_wcc = _run_all(ref_db, machine)
-    np.testing.assert_array_equal(got_bfs, want_bfs)
-    np.testing.assert_allclose(got_pr, want_pr, rtol=1e-10, atol=1e-12)
-    np.testing.assert_array_equal(got_wcc, want_wcc)
 
 
 class TestOverlaySemantics:
@@ -130,29 +117,6 @@ class TestOverlaySemantics:
         assert 0 in db.effective_neighbors(6 + count - 1)
         db.validate()
 
-    def test_edge_to_new_vertex_in_same_batch(self, small_config):
-        db = DynamicGraphDatabase(_line_db(small_config))
-        # Vertex 6 only exists once the 'v' op in this batch lands; the
-        # trial validator must account for it.
-        db.apply(UpdateBatch().add_vertices(1).insert_edge(0, 6))
-        assert 6 in db.effective_neighbors(0)
-        db.validate()
-
-    def test_large_page_vertex_overlay(self, small_config):
-        # Degree >> max_slot_number forces a large-page run for the hub.
-        hub_deg = small_config.max_slot_number * 3
-        sources = np.concatenate([np.zeros(hub_deg, dtype=np.int64), [1]])
-        targets = np.concatenate([(np.arange(hub_deg) % 50) + 1, [2]])
-        graph = Graph.from_edges(51, sources, targets)
-        db = DynamicGraphDatabase(build_database(graph, small_config))
-        assert any(not db.is_small(pid) for pid in range(db.num_pages))
-
-        db.apply(UpdateBatch().insert_edge(0, 50))
-        assert 50 in db.effective_neighbors(0)
-        db.apply(UpdateBatch().delete_edge(0, 1))
-        assert 1 not in db.effective_neighbors(0)
-        db.validate()
-
     def test_weighted_insert(self, weighted_config):
         vids = np.arange(3)
         graph = Graph.from_edges(
@@ -186,21 +150,6 @@ class TestOverlaySemantics:
 
 
 class TestEngineIntegration:
-    def test_equivalence_after_mixed_batches(self, rmat_db, small_config,
-                                             machine):
-        db = DynamicGraphDatabase(rmat_db)
-        rng = np.random.default_rng(7)
-        n = db.num_vertices
-        batch = UpdateBatch()
-        for _ in range(40):
-            batch.insert_edge(int(rng.integers(n)), int(rng.integers(n)))
-        victims = [v for v in range(n) if db.out_degrees[v] > 0][:15]
-        for v in victims:
-            batch.delete_edge(v, int(db.effective_neighbors(v)[0]))
-        batch.add_vertices(3).insert_edge(n, 0).insert_edge(0, n + 2)
-        db.apply(batch)
-        assert_equivalent(db, machine, small_config)
-
     def test_engine_reindexes_after_mutation(self, rmat_db, machine):
         """One engine observes results from both before and after apply."""
         db = DynamicGraphDatabase(rmat_db)
@@ -218,21 +167,6 @@ class TestEngineIntegration:
         assert len(after) == db.num_vertices
         if len(labels) > 1:
             assert after[a] == after[b]
-
-    def test_pagerank_with_deletes_on_rmat(self, rmat_db, small_config,
-                                           machine):
-        db = DynamicGraphDatabase(rmat_db)
-        batch = UpdateBatch()
-        hub = int(np.argmax(db.out_degrees))
-        # delete_edge removes every parallel copy, so dedupe targets.
-        for dst in np.unique(db.effective_neighbors(hub))[:5]:
-            batch.delete_edge(hub, int(dst))
-        db.apply(batch)
-        ref = _rebuild_reference(db, small_config)
-        got = GTSEngine(db, machine).run(PageRankKernel(iterations=5))
-        want = GTSEngine(ref, machine).run(PageRankKernel(iterations=5))
-        np.testing.assert_allclose(
-            got.values["rank"], want.values["rank"], rtol=1e-10)
 
 
 class TestCrashRecovery:
@@ -448,57 +382,121 @@ class TestObservability:
 
 
 # ---------------------------------------------------------------------------
-# Property: base + random batches == from-scratch rebuild, including
-# through a simulated crash (WAL replay) and a compaction.
+# Property: on every retained version the spliced topology arrays equal
+# the per-page walk, and base + batches equal a from-scratch rebuild.
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=12, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), crash=st.booleans())
-def test_property_batches_equal_rebuild(seed, crash):
-    rng = np.random.default_rng(seed)
-    config = PageFormatConfig(2, 2, 2048)
-    machine = scaled_workstation(num_gpus=1, num_ssds=1)
+class _Walked(Snapshot):
+    """A view of one version whose plan comes from the per-page walk."""
 
-    graph = generate_rmat(7, edge_factor=8, seed=int(rng.integers(1 << 30)))
-    base = build_database(graph, config)
+    def topology_arrays(self):
+        return GraphDatabase.topology_arrays(self)
+
+
+def _assert_splice_equals_walk(view):
+    got, want = view.topology_arrays(), GraphDatabase.topology_arrays(view)
+    assert got.keys() == want.keys()
+    for name, array in want.items():
+        assert (got[name] is None) == (array is None), name
+        if array is not None:
+            assert got[name].dtype == array.dtype, name
+            np.testing.assert_array_equal(got[name], array, err_msg=name)
+
+
+def _batch(db, ops):
+    """A valid batch from drawn ``(op, source, pick)`` triples: ``v``
+    adds vertices (edges may name them at once), ``-`` deletes an
+    existing edge once; source 0 is the large-page hub."""
+    batch, n, deleted = UpdateBatch(), db.num_vertices, set()
+    for op, src, pick in ops:
+        src %= n
+        if op == "v":
+            batch.add_vertices(1 + pick % 3)
+            n += 1 + pick % 3
+        elif op == "+":
+            batch.insert_edge(src, pick % n)
+        elif src < db.num_vertices:
+            targets = db.effective_neighbors(src)
+            edge = (src, int(targets[pick % len(targets)])) \
+                if len(targets) else None
+            if edge is not None and edge not in deleted:
+                batch.delete_edge(*edge)
+                deleted.add(edge)
+    return batch
+
+
+_STEP = st.one_of(
+    st.lists(st.tuples(st.sampled_from("++-v"), st.integers(0, 80),
+                       st.integers(0, 10 ** 6)), min_size=1, max_size=8),
+    st.sampled_from(["read", "pin", "release", "compact", "reopen"]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(steps=st.lists(_STEP, min_size=1, max_size=10),
+       weighted=st.booleans(), pooled=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_property_batches_equal_rebuild(steps, weighted, pooled, seed):
+    """Every retained version's spliced arrays equal the walk's, dtype
+    for dtype (and so do BFS / PageRank values and simulated times), and
+    the overlay equals a from-scratch rebuild — across versions never
+    queried, old pins read after newer commits, compaction, and a
+    reopen that replays the WAL."""
+    config = PageFormatConfig(2, 2, 2048, weight_bytes=4 if weighted else 0)
+    machine = scaled_workstation(num_gpus=1, num_ssds=1)
+    graph = generate_rmat(6, edge_factor=8, seed=seed)
+    hub = np.arange(1200) % graph.num_vertices  # vertex 0: large pages
+    graph = Graph.from_edges(
+        graph.num_vertices,
+        np.concatenate([np.repeat(np.arange(graph.num_vertices),
+                                  graph.out_degrees()), 0 * hub]),
+        np.concatenate([graph.targets, hub]))
+    if weighted:
+        graph = graph.with_random_weights(seed=seed)
 
     with tempfile.TemporaryDirectory() as tmp:
         prefix = os.path.join(tmp, "prop")
-        save_database(base, prefix)
-        db = open_dynamic_database(prefix)
+        save_database(build_database(graph, config), prefix)
 
-        for _ in range(int(rng.integers(1, 4))):
-            batch = UpdateBatch()
-            n = db.num_vertices
-            for _ in range(int(rng.integers(1, 12))):
-                batch.insert_edge(int(rng.integers(n)), int(rng.integers(n)))
-            # Delete a real edge when one exists.
-            for v in rng.permutation(n)[:3]:
-                nbrs = db.effective_neighbors(int(v))
-                if len(nbrs):
-                    batch.delete_edge(int(v), int(nbrs[0]))
-                    break
-            if rng.random() < 0.3:
-                extra = int(rng.integers(1, 3))
-                batch.add_vertices(extra).insert_edge(
-                    int(rng.integers(n)), n)
-            db.apply(batch)
+        def reopen():
+            return open_dynamic_database(prefix,
+                                         pool_pages=4 if pooled else None)
 
-        if crash:
-            db = open_dynamic_database(prefix)  # replay from the WAL
+        db, pins = reopen(), []
+        for step in steps:
+            if isinstance(step, list):
+                db.apply(_batch(db, step))
+            elif step == "read":
+                db.topology_arrays()
+            elif step == "pin":
+                pins.append(db.pin())
+            elif step == "release" and pins:
+                pins.pop(0).release()
+            elif step == "compact":
+                compact(db, save_prefix=prefix if seed % 2 else None)
+            elif step == "reopen":
+                for snap in pins:
+                    snap.release()
+                db, pins = reopen(), []
+            for view in pins + [db]:
+                _assert_splice_equals_walk(view)
 
-        ref = build_database(materialise_graph(db), config)
+        pins.append(db.pin())
+        for snap in (pins[0], pins[-1]):  # the oldest pin and the head
+            walked = _Walked(db, snap._state, pinned=False)
+            for make in (lambda: BFSKernel(start_vertex=0),
+                         lambda: PageRankKernel(iterations=3)):
+                got = GTSEngine(snap, machine).run(make())
+                want = GTSEngine(walked, machine).run(make())
+                assert got.elapsed_seconds == want.elapsed_seconds
+                for key in want.values:
+                    np.testing.assert_array_equal(got.values[key],
+                                                  want.values[key])
         got = _run_all(db, machine)
-        want = _run_all(ref, machine)
+        want = _run_all(build_database(materialise_graph(db), config),
+                        machine)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_allclose(got[1], want[1], rtol=1e-10, atol=1e-12)
         np.testing.assert_array_equal(got[2], want[2])
-
-        # And the equivalence must survive folding deltas into the base.
-        compact(db, save_prefix=prefix)
-        folded = _run_all(db, machine)
-        np.testing.assert_array_equal(folded[0], want[0])
-        np.testing.assert_allclose(folded[1], want[1], rtol=1e-10,
-                                   atol=1e-12)
-        np.testing.assert_array_equal(folded[2], want[2])
         db.validate()
+        for snap in pins:
+            snap.release()

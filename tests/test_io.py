@@ -388,10 +388,10 @@ class TestFileBackedDatabase:
 
 class TestEnginePagePool:
     """The engine must see identical results through a page pool small
-    enough to force evictions, and surface the pool's hit rate.  What
-    reads the pool is the plan build over a dynamic overlay carrying
-    deltas (it merges base pages); a bare store hands the plan its
-    flat arrays and pools nothing."""
+    enough to force evictions, and surface the pool's hit rate.  Plan
+    builds read no page (an overlay splices merged pages its commits
+    built); the pool's readers are an overlay's writer and a faulted
+    scan, whose plan build parses page by page."""
 
     def _open(self, rmat_db, tmp_path, pool_pages):
         prefix = str(tmp_path / "pooled")
@@ -399,51 +399,51 @@ class TestEnginePagePool:
         os.remove(prefix + ".plan")  # plan builds decode pages
         return FileBackedDatabase(prefix, pool_pages=pool_pages)
 
-    def _overlay(self, base, edges=((0, 1), (2, 3))):
-        from repro.dynamic import DynamicGraphDatabase, UpdateBatch
-        overlay = DynamicGraphDatabase(base)
-        batch = UpdateBatch()
-        for u, v in edges:
-            batch.insert_edge(u, v)
-        overlay.apply(batch)
-        return overlay
+    def _faulted_engine(self, db, machine):
+        from repro.core import GTSEngine
+        from repro.faults import FaultPlan
+        return GTSEngine(db, machine,
+                         faults=FaultPlan(host_corrupt_reads={0: 1}))
 
     def test_results_identical_under_eviction_pressure(self, rmat_db,
                                                        machine, tmp_path):
         from repro.core import BFSKernel, GTSEngine, PageRankKernel
-        from repro.dynamic import UpdateBatch
+        from repro.dynamic import DynamicGraphDatabase, UpdateBatch
 
-        # A pool far smaller than the database forces constant eviction
-        # during every plan build; each commit forces a rebuild.
+        # Each batch's sources span twice the pool's pages, so the
+        # writer's prefetch, validation and refresh evict constantly.
         pool_pages = max(2, rmat_db.num_pages // 8)
         lazy = self._open(rmat_db, tmp_path, pool_pages)
         start = int(np.argmax(rmat_db.out_degrees))
-        overlays = [self._overlay(rmat_db), self._overlay(lazy)]
-        eager_engine, lazy_engine = (GTSEngine(overlay, machine)
-                                     for overlay in overlays)
+        sources = [entry.start_vid for entry in rmat_db.directory
+                   if entry.kind == "SP"][::3][:2 * pool_pages]
+        touched = {int(rmat_db.vertex_page[v]) for v in sources}
+        overlays = [DynamicGraphDatabase(base) for base in (rmat_db, lazy)]
+        engines = [GTSEngine(overlay, machine) for overlay in overlays]
         for kernel_factory in (lambda: BFSKernel(start_vertex=start),
                                lambda: PageRankKernel(iterations=4)):
-            want = eager_engine.run(kernel_factory())
-            got = lazy_engine.run(kernel_factory())
+            batch = UpdateBatch()
+            for source in sources:
+                batch.insert_edge(int(source), start)
+            for overlay in overlays:
+                overlay.apply(batch)
+            want, got = (engine.run(kernel_factory()) for engine in engines)
             for key in want.values:
                 np.testing.assert_array_equal(got.values[key],
                                               want.values[key])
             assert got.elapsed_seconds == want.elapsed_seconds
-            for overlay in overlays:
-                overlay.apply(UpdateBatch().insert_edge(start, 5))
-
+            assert got.pool_hits == got.pool_misses == 0  # parsed no page
         # Eviction really happened: the pool stayed at capacity and
         # pages were re-read after being dropped.
-        assert lazy.resident_pages() <= pool_pages
-        assert lazy.pool_misses > lazy.num_pages
+        assert lazy.resident_pages() <= pool_pages < len(touched)
+        assert lazy.pool_misses > len(touched)
 
     def test_run_result_reports_pool_hit_rate(self, rmat_db, machine,
                                               tmp_path):
-        from repro.core import GTSEngine, KCoreKernel
+        from repro.core import KCoreKernel
 
         lazy = self._open(rmat_db, tmp_path, pool_pages=16)
-        result = GTSEngine(self._overlay(lazy), machine).run(
-            KCoreKernel(k=2))
+        result = self._faulted_engine(lazy, machine).run(KCoreKernel(k=2))
         assert result.pool_hits + result.pool_misses > 0
         assert 0.0 <= result.pool_hit_rate <= 1.0
         assert "page-pool hit rate" in result.summary()
@@ -452,17 +452,18 @@ class TestEnginePagePool:
         assert payload["pool_misses"] == result.pool_misses
 
     def test_counters_are_per_run_deltas(self, rmat_db, machine, tmp_path):
-        from repro.core import GTSEngine, KCoreKernel
+        from repro.core import KCoreKernel
 
         lazy = self._open(rmat_db, tmp_path, pool_pages=16)
-        engine = GTSEngine(self._overlay(lazy), machine)
+        engine = self._faulted_engine(lazy, machine)
         first = engine.run(KCoreKernel(k=2))
         second = engine.run(KCoreKernel(k=2))
-        # Each RunResult carries only its own run's pool traffic, not
-        # the database's cumulative counters.
-        assert second.pool_hits + second.pool_misses < (
-            lazy.pool_hits + lazy.pool_misses)
+        # Each RunResult carries only its own run's pool traffic: the
+        # second run reuses the first one's plan and reads nothing.
         assert first.pool_misses > 0
+        assert second.pool_hits == second.pool_misses == 0
+        assert lazy.pool_hits + lazy.pool_misses == (
+            first.pool_hits + first.pool_misses)
 
     def test_batched_run_touches_no_pool(self, rmat_db, machine, tmp_path):
         from repro.core import GTSEngine, PageRankKernel

@@ -156,19 +156,20 @@ class TestConcurrentEquivalence:
         """Acceptance gate: the shared cache's hit rate is strictly
         above the per-run-rebuild baseline (capacity 0: identical code
         path, accounting only, every probe a miss).  What reads pages
-        is the plan build over an overlay carrying deltas — one per
-        commit — and every rebuild after the first finds the base
-        pages it merges already decoded."""
+        is the writer, whose batches span twice the pool; a post-commit
+        query's plan build reads none."""
         def run(shared_cache_pages):
             service = GraphService(max_in_flight=4,
                                    shared_cache_pages=shared_cache_pages)
-            service.add_database(
-                "g", db=DynamicGraphDatabase(FileBackedDatabase(
-                    db_prefix, pool_pages=POOL_PAGES)))
+            base = FileBackedDatabase(db_prefix, pool_pages=POOL_PAGES)
+            service.add_database("g", db=DynamicGraphDatabase(base))
             for start in (0, 3, 17, 29):
-                service.update("g", UpdateBatch().insert_edge(
-                    start, start + 1, 1.0))
-                service.query("g", "bfs", params={"start": start})
+                batch = UpdateBatch()
+                for entry in base.directory[:2 * POOL_PAGES]:
+                    batch.insert_edge(entry.start_vid, start, 1.0)
+                service.update("g", batch)
+                result = service.query("g", "bfs", params={"start": start})
+                assert result.shared_hits == result.shared_misses == 0
             stats = service.stats()["databases"]["g"]["shared_cache"]
             service.drain()
             return stats

@@ -569,8 +569,9 @@ class TestHTTPPropagation:
     def test_post_commit_rebuild_is_filed_under_setup(self, db_prefix,
                                                       tmp_path):
         """A commit, then a query, over HTTP: the ring record reads
-        from the handler down to the page decode of the plan rebuild,
-        and the rebuild sits in ``setup`` — not in the first round."""
+        from the handler down to the plan rebuild, which sits in
+        ``setup`` — not in the first round — and splices the
+        pre-commit plan's arrays without decoding a page."""
         prefix = str(tmp_path / "live")
         save_database(load_database(db_prefix), prefix)
         ring_dir = str(tmp_path / "ring")
@@ -594,9 +595,8 @@ class TestHTTPPropagation:
         get = check_engine_span(phases[4], body["num_rounds"])
         (build,) = get["children"]
         assert build["name"] == "core.plan.build"
-        scan = {c["name"]: c for c in build["children"]}["scan"]
-        assert any(c["name"] == "format.io.page"
-                   for c in scan.get("children", []))
+        assert [c["name"] for c in build["children"]] == ["scan"]
+        assert "format.io.page" not in json.dumps(build)
 
     def test_trace_deferred_at_submit_outlives_a_finished_query(self,
                                                                served):
