@@ -366,11 +366,6 @@ def build_parser():
                        help="queries allowed to wait beyond the "
                             "in-flight set; more are rejected with "
                             "HTTP 429")
-    serve.add_argument("--shared-cache-pages", type=int, default=None,
-                       metavar="N",
-                       help="cross-query shared page cache capacity "
-                            "per database (default: unbounded; 0 "
-                            "disables caching but keeps accounting)")
     serve.add_argument("--pool-pages", type=int, default=256,
                        help="per-database decoded-page pool for --db "
                             "prefixes")
@@ -921,7 +916,6 @@ def _command_serve(args):
             log_stream=log_stream)
     service = GraphService(max_in_flight=args.max_in_flight,
                            max_queue=args.max_queue,
-                           shared_cache_pages=args.shared_cache_pages,
                            telemetry=telemetry)
     if telemetry is not None:
         print("telemetry on: slow-ms %.0f, sample-every %d%s%s"
@@ -1018,12 +1012,10 @@ def _command_query(args):
         print(json.dumps(result, indent=2, sort_keys=True))
     else:
         print("%s on %s [%s]: %.6f s simulated, %d rounds, "
-              "%d pages streamed, shared-cache hit rate %.1f%% "
-              "(query %s)"
+              "%d pages streamed (query %s)"
               % (result["algorithm"], result["dataset"],
                  result["strategy"], result["elapsed_seconds"],
                  result["num_rounds"], result["pages_streamed"],
-                 100.0 * result["shared_hit_rate"],
                  result["query_id"]))
     return 0
 

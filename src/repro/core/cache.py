@@ -1,5 +1,4 @@
-"""Page caches: the per-run GPU ``cachedPIDMap`` and the cross-query
-shared host cache.
+"""The per-run GPU page cache, ``cachedPIDMap``.
 
 After WABuf / RABuf / SPBuf / LPBuf are allocated, leftover device memory
 caches topology pages so BFS-like algorithms that revisit pages across
@@ -17,29 +16,15 @@ policy is pluggable here:
 * ``"pin"`` — first-streamed pages stay resident (scan-resistant: a
   level-synchronous sweep in ascending page order floods LRU/FIFO).
 
-Two cache classes live here, on opposite sides of the simulation/host
-split:
-
-* :class:`PageCache` is the **simulated** per-GPU cache.  Its hit/miss
-  decisions depend only on the probe order and the policy, never on
-  wall-clock or on other runs — which is exactly what makes engine runs
-  deterministic.  Every run builds fresh instances.
-* :class:`SharedPageCache` is the **host-side** cross-query cache the
-  service layer (:mod:`repro.service`) keeps alive between queries: a
-  thread-safe LRU of *decoded page objects* keyed by
-  ``(page_id, topology_version)``.  It sits behind
-  :meth:`repro.format.io.FileBackedDatabase.page` — a warm query skips
-  the disk read and the byte-level parse, not any simulated work — so
-  sharing it across queries changes host wall-clock and the shared
-  hit-rate counters *only*.  Simulated timings and algorithm outputs of
-  a warm run stay bit-identical to a cold one-shot run; that
-  determinism contract is what lets the service hand one cache to
-  thousands of concurrent queries.
+:class:`PageCache` is *simulated*: its hit/miss decisions depend only on
+the probe order and the policy, never on wall-clock or on other runs —
+which is exactly what makes engine runs deterministic.  Every run builds
+fresh instances.  The one host-side page cache is the file store's pool
+(:class:`~repro.format.io.FileBackedDatabase`).
 """
 
 from collections import OrderedDict
 
-from repro.concurrency import InstrumentedLock
 from repro.errors import ConfigurationError
 
 _POLICIES = ("lru", "fifo", "clock", "pin")
@@ -212,134 +197,3 @@ class PageCache:
         if total_pages <= 0:
             return 0.0
         return min(1.0, capacity_pages / total_pages)
-
-
-class SharedPageCache:
-    """A thread-safe cross-query cache of decoded host pages.
-
-    One instance serves every query the service runs against a
-    database: :meth:`repro.format.io.FileBackedDatabase.page` probes it
-    after its (small) per-database pool misses and before it touches the
-    pages file, and populates it after a verified parse.  Entries are
-    keyed ``(page_id, topology_version)`` so a dynamic-update batch or a
-    compaction never serves stale topology — old-version entries age
-    out of the LRU naturally.
-
-    Determinism contract
-    --------------------
-    The shared cache lives strictly on the *host* side of the
-    simulation/host split: it stores decoded, immutable page objects
-    and is never consulted by the simulated machine (the per-GPU
-    :class:`PageCache`, the MM buffer and the storage channels replay
-    their decisions from probe order alone).  A query served warm from
-    this cache therefore books bit-identical simulated times and
-    produces bit-identical outputs to its cold one-shot equivalent —
-    only ``hits``/``misses`` here and the host wall-clock move.  Pages
-    are inserted only after checksum verification succeeds, so an
-    injected (or real) corrupt read can never poison the shared state.
-
-    Interaction with the mapped page store: this cache must never
-    double-cache mmap *views* — an entry aliasing the
-    file mapping would pin the mapping alive through the LRU and turn
-    into a dangling view once the database handle is closed.  The
-    invariant is upheld at decode time, not here: the bulk decoder
-    (:func:`repro.format.page.decode_pages`) materialises every output
-    array fresh (nothing aliases the buffer it decodes from) and every
-    page split off a chunk owns its arrays, so what the mapped read
-    path inserts is
-    the same self-contained page object the copy fallback produces, safe to
-    outlive :meth:`~repro.format.io.FileBackedDatabase.close` and
-    serving warm queries without touching the mapping at all.
-
-    ``capacity_pages=None`` means unbounded (the service default for
-    databases that fit host memory); ``0`` disables caching but keeps
-    the accounting, which gives benchmarks a per-run-rebuild baseline
-    with identical code paths.
-    """
-
-    def __init__(self, capacity_pages=None):
-        if capacity_pages is not None and capacity_pages < 0:
-            raise ConfigurationError(
-                "shared cache capacity cannot be negative")
-        self.capacity_pages = capacity_pages
-        self._pages = OrderedDict()   # (pid, version) -> page object
-        self._lock = InstrumentedLock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.insertions = 0
-
-    def __len__(self):
-        return len(self._pages)
-
-    def get(self, page_id, version):
-        """The decoded page for ``(page_id, version)``, or ``None``."""
-        key = (page_id, version)
-        with self._lock:
-            page = self._pages.get(key)
-            if page is not None:
-                self._pages.move_to_end(key)
-                self.hits += 1
-                return page
-            self.misses += 1
-            return None
-
-    def put(self, page_id, version, page):
-        """Insert a verified decoded page; evicts LRU entries past
-        capacity.  Idempotent for concurrent inserters."""
-        if self.capacity_pages == 0:
-            return
-        key = (page_id, version)
-        with self._lock:
-            if key in self._pages:
-                self._pages.move_to_end(key)
-                return
-            self._pages[key] = page
-            self.insertions += 1
-            if self.capacity_pages is not None:
-                while len(self._pages) > self.capacity_pages:
-                    self._pages.popitem(last=False)
-                    self.evictions += 1
-
-    def hit_rate(self):
-        """Cross-query hit rate (exact: counters mutate under the lock)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def contention(self):
-        """Lock-contention counters for the service stats endpoint."""
-        return self._lock.stats()
-
-    def stats(self):
-        """JSON-ready snapshot of the cache counters."""
-        return {
-            "resident_pages": len(self._pages),
-            "capacity_pages": self.capacity_pages,
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate(),
-            "insertions": self.insertions,
-            "evictions": self.evictions,
-            "lock": self.contention(),
-        }
-
-    def drop_version(self, version):
-        """Evict every entry cached under ``version``.
-
-        The MVCC reclamation path calls this when a topology version
-        (or a retired file-backed base after an in-place compaction)
-        loses its last pin: the entries can never be probed again, so
-        aging them out of the LRU would only waste capacity.  Returns
-        the number of entries dropped.
-        """
-        with self._lock:
-            stale = [key for key in self._pages if key[1] == version]
-            for key in stale:
-                del self._pages[key]
-            self.evictions += len(stale)
-            return len(stale)
-
-    def clear(self):
-        """Drop every entry (keeps counters; used by tests and drains)."""
-        with self._lock:
-            self._pages.clear()

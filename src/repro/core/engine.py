@@ -45,6 +45,13 @@ from repro.faults import FaultInjector, FaultPlan, RetryPolicy
 from repro.hardware.machine import MachineRuntime
 from repro.spans import count, span
 
+#: The file store's counters a run reports as deltas: real file I/O,
+#: the host page pool, the mapped store and verified re-reads.  A
+#: resident database has none of them (all read as 0).
+_STORE_COUNTERS = ("host_bytes_read", "host_reads", "host_adjacent_reads",
+                   "pool_hits", "pool_misses", "mmap_hits", "mmap_misses",
+                   "integrity_retries")
+
 
 class GTSEngine:
     """Run graph-algorithm kernels by streaming topology to GPUs.
@@ -106,13 +113,6 @@ class GTSEngine:
         across engines (the service keys one per database so every
         query reuses one plan build per topology version); ``None``
         gives this engine a private cache, as before.
-    shared_cache:
-        Optional :class:`~repro.core.cache.SharedPageCache` attached to
-        the database for the duration of each run (and detached after,
-        unless the database already carries one).  Strictly host-side:
-        warm hits skip disk reads and parses, while simulated timings
-        and outputs stay bit-identical to uncached runs; the run books
-        its ``shared_hits`` / ``shared_misses`` deltas into the result.
     """
 
     def __init__(self, db, machine, strategy="performance", num_streams=16,
@@ -120,7 +120,7 @@ class GTSEngine:
                  enable_caching=True, cache_bytes=None, cache_policy="lru",
                  mm_buffer_bytes=None, tracing=False,
                  validate_simulation=False, faults=None, fault_seed=None,
-                 retry_policy=None, plan_cache=None, shared_cache=None):
+                 retry_policy=None, plan_cache=None):
         if num_streams < 1:
             raise ConfigurationError("need at least one stream")
         if faults is not None and not isinstance(faults, FaultPlan):
@@ -142,7 +142,6 @@ class GTSEngine:
         self.mm_buffer_bytes = mm_buffer_bytes
         self.validate_simulation = validate_simulation
         self.tracing = tracing or validate_simulation
-        self.shared_cache = shared_cache
         self._plan_cache = (plan_cache if plan_cache is not None
                             else RoundPlanCache())
         self._index_topology()
@@ -188,16 +187,6 @@ class GTSEngine:
         large = take_ranges(firsts[runs], lengths[runs])
         named[firsts] = False
         return np.flatnonzero(named), large
-
-    @staticmethod
-    def _integrity_retries(db):
-        """Host-read integrity retries seen so far by ``db`` (and its
-        base database, for dynamic overlays)."""
-        total = getattr(db, "integrity_retries", 0)
-        base = getattr(db, "_base", None)
-        if base is not None:
-            total += getattr(base, "integrity_retries", 0)
-        return total
 
     def _round_order(self, pids_round, runtime, dead_gpus):
         """A round's :class:`RoundOrder`: the strategy's per-page GPU
@@ -323,10 +312,7 @@ class GTSEngine:
 
         ``query_id`` tags the result (and the service's traces and
         metrics) with the caller's identifier; ``None`` leaves the
-        one-shot behaviour unchanged.  When the engine was built with a
-        ``shared_cache``, it is attached to the database for this run
-        and detached after — unless the database already carries one
-        (the service attaches it persistently), which is left alone.
+        one-shot behaviour unchanged.
 
         ``deadline`` (absolute ``time.perf_counter()`` seconds) arms a
         cooperative cancellation check between execution rounds: the
@@ -343,15 +329,6 @@ class GTSEngine:
         """
         injector = None
         attached = []
-        shared_attached = []
-        if self.shared_cache is not None:
-            for candidate in (self.db, getattr(self.db, "_base", None)):
-                if (candidate is not None
-                        and hasattr(candidate, "attach_shared_cache")
-                        and getattr(candidate, "shared_cache",
-                                    None) is None):
-                    candidate.attach_shared_cache(self.shared_cache)
-                    shared_attached.append(candidate)
         if self.faults is not None and self.faults.active:
             injector = FaultInjector(self.faults, seed=self.fault_seed,
                                      retry=self.retry_policy)
@@ -368,70 +345,28 @@ class GTSEngine:
         finally:
             for candidate in attached:
                 candidate.detach_fault_injector()
-            for candidate in shared_attached:
-                candidate.detach_shared_cache()
 
     @staticmethod
-    def _host_io_counters(db):
-        """Real file-I/O counters seen so far by ``db`` (and its base
-        database, for dynamic overlays): bytes read, reads issued,
-        adjacent-read opportunities."""
-        totals = [0, 0, 0]
-        for candidate in (db, getattr(db, "_base", None)):
-            if candidate is None:
-                continue
-            totals[0] += getattr(candidate, "host_bytes_read", 0)
-            totals[1] += getattr(candidate, "host_reads", 0)
-            totals[2] += getattr(candidate, "host_adjacent_reads", 0)
-        return totals
-
-    @staticmethod
-    def _mmap_counters(db):
-        """Zero-copy store counters seen so far by ``db`` (and its base
-        database, for dynamic overlays)."""
-        hits = misses = 0
-        for candidate in (db, getattr(db, "_base", None)):
-            if candidate is not None:
-                hits += getattr(candidate, "mmap_hits", 0)
-                misses += getattr(candidate, "mmap_misses", 0)
-        return hits, misses
-
-    @staticmethod
-    def _shared_cache_of(db, fallback=None):
-        """The shared page cache a run reads its counters from: the
-        database's attached one (the service case), the base database's
-        (dynamic overlays), or the engine's own ``fallback``."""
-        shared = getattr(db, "shared_cache", None)
-        if shared is None:
-            base = getattr(db, "_base", None)
-            if base is not None:
-                shared = getattr(base, "shared_cache", None)
-        return shared if shared is not None else fallback
+    def _store_counters(store):
+        """``store``'s :data:`_STORE_COUNTERS` so far, by name."""
+        return {name: getattr(store, name, 0) for name in _STORE_COUNTERS}
 
     def _run(self, kernel, dataset_name, injector, query_id=None,
              deadline=None, timeout_ms=None):
         wall_start = _time.perf_counter()
         db = self.db
+        # The file store whose counters the run reports: ``db`` itself,
+        # or the base under a dynamic overlay or snapshot (an overlay
+        # holds none of the counters; it only proxies the pool's).
+        store = getattr(db, "_base", db)
         with span("setup"):
-            host_io_start = self._host_io_counters(db)
+            store_start = self._store_counters(store)
             # A mutated topology (dynamic updates, compaction)
             # invalidates the page-layout index built at construction
             # time.
             version = getattr(db, "topology_version", 0)
             if version != self._db_topology_version:
                 self._index_topology()
-            pool_hits_start = getattr(db, "pool_hits", 0)
-            pool_misses_start = getattr(db, "pool_misses", 0)
-            mmap_hits_start, mmap_misses_start = self._mmap_counters(db)
-            integrity_retries_start = self._integrity_retries(db)
-            # Shared-cache deltas are exact for serial runs; under the
-            # service's concurrency they attribute the whole interval's
-            # traffic to this run (the cache is one ledger for all
-            # queries).
-            shared = self._shared_cache_of(db, self.shared_cache)
-            shared_hits_start = shared.hits if shared is not None else 0
-            shared_misses_start = (shared.misses if shared is not None
-                                   else 0)
             topology = db.topology_bytes()
             recorder = None
             if self.tracing:
@@ -585,12 +520,13 @@ class GTSEngine:
 
         with span("finalize"):
             values = kernel.results(state)
+            io = {name: value - store_start[name] for name, value
+                  in self._store_counters(store).items()}
             fault_stats = None
             if injector is not None:
                 fault_stats = injector.stats()
                 fault_stats["dead_gpus"] = sorted(dead_gpus)
-                fault_stats["integrity_retries"] = (
-                    self._integrity_retries(db) - integrity_retries_start)
+                fault_stats["integrity_retries"] = io["integrity_retries"]
                 if runtime.storage is not None:
                     fault_stats["fetch_retries"] = list(
                         runtime.storage.fetch_retries)
@@ -606,14 +542,12 @@ class GTSEngine:
                     render_gpu_timeline(gpu, 0.0, runtime.now)
                     for gpu in runtime.gpus)
         wall = _time.perf_counter() - wall_start
-        io_now = self._host_io_counters(db)
-        count("io.file_bytes_read", io_now[0] - host_io_start[0])
-        count("io.file_reads", io_now[1] - host_io_start[1])
-        count("io.file_adjacent_reads", io_now[2] - host_io_start[2])
+        count("io.file_bytes_read", io["host_bytes_read"])
+        count("io.file_reads", io["host_reads"])
+        count("io.file_adjacent_reads", io["host_adjacent_reads"])
         if runtime.storage is not None:
             count("io.sim_pages_fetched", runtime.storage.pages_fetched)
             count("io.sim_bytes_read", runtime.storage.bytes_read)
-        mmap_hits_now, mmap_misses_now = self._mmap_counters(db)
         return RunResult(
             algorithm=kernel.name,
             dataset=dataset_name or db.name,
@@ -630,14 +564,10 @@ class GTSEngine:
             cache_misses=sum(c.misses for c in caches),
             mm_buffer_hits=runtime.mm_buffer.hits,
             mm_buffer_misses=runtime.mm_buffer.misses,
-            pool_hits=getattr(db, "pool_hits", 0) - pool_hits_start,
-            pool_misses=getattr(db, "pool_misses", 0) - pool_misses_start,
-            shared_hits=(shared.hits - shared_hits_start
-                         if shared is not None else 0),
-            shared_misses=(shared.misses - shared_misses_start
-                           if shared is not None else 0),
-            mmap_hits=mmap_hits_now - mmap_hits_start,
-            mmap_misses=mmap_misses_now - mmap_misses_start,
+            pool_hits=io["pool_hits"],
+            pool_misses=io["pool_misses"],
+            mmap_hits=io["mmap_hits"],
+            mmap_misses=io["mmap_misses"],
             transfer_busy_seconds=sum(
                 g.copy_engine.busy_time for g in runtime.gpus),
             kernel_busy_seconds=sum(

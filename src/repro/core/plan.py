@@ -523,7 +523,7 @@ class RoundPlanCache:
     via ``GTSEngine(plan_cache=...)``), so :meth:`get` is thread-safe: a
     build holds the cache lock, concurrent warm getters take a lock-free
     fast path on an already-built plan, and ``contended``/``hits``/
-    ``builds`` feed the service's shared-cache accounting.
+    ``builds`` feed the service's ``/stats`` plan-cache accounting.
 
     MVCC makes the cache multi-version: queries pinned at an older
     snapshot run side by side with queries on the post-update head, so

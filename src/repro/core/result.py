@@ -57,11 +57,7 @@ class RunResult:
     #: for eager in-memory databases).
     pool_hits: int = 0
     pool_misses: int = 0
-    #: Cross-query shared-cache traffic observed during this run (zero
-    #: unless a :class:`~repro.core.cache.SharedPageCache` was attached;
-    #: a hit means a disk read *and* a byte-level parse were skipped).
-    #: Exact for serial runs; under concurrent service queries the
-    #: interval attributes the whole shared ledger's movement.
+    #: Always 0 (there is no second host page cache); the ledger sums them.
     shared_hits: int = 0
     shared_misses: int = 0
     #: Mapped page-store traffic (file-backed databases only): a hit
@@ -140,12 +136,6 @@ class RunResult:
     def pool_hit_rate(self):
         total = self.pool_hits + self.pool_misses
         return self.pool_hits / total if total else 0.0
-
-    @property
-    def shared_hit_rate(self):
-        """Cross-query shared-cache hit rate seen during this run."""
-        total = self.shared_hits + self.shared_misses
-        return self.shared_hits / total if total else 0.0
 
     @property
     def mmap_hit_rate(self):
@@ -230,7 +220,6 @@ class RunResult:
             "pool_hit_rate": self.pool_hit_rate,
             "shared_hits": self.shared_hits,
             "shared_misses": self.shared_misses,
-            "shared_hit_rate": self.shared_hit_rate,
             "mmap_hits": self.mmap_hits,
             "mmap_misses": self.mmap_misses,
             "mmap_hit_rate": self.mmap_hit_rate,

@@ -324,8 +324,8 @@ class DynamicGraphDatabase(GraphDatabase):
             return page
         # Untouched base pages are never memoised here: parking them in
         # this unbounded dict would shadow the base handle's bounded
-        # page pool (and any attached cross-query shared cache), so only
-        # overlay-merged pages stay resident on the wrapper.
+        # page pool, so only overlay-merged pages stay resident on the
+        # wrapper.
         base_page = self._base.page(page_id)
         page = self._merge_base(page_id, base_page)
         if page is not base_page:
@@ -861,7 +861,7 @@ class DynamicGraphDatabase(GraphDatabase):
 
     def _retire_bases_locked(self):
         """Close retired (pre-compaction) bases once no retained state
-        serves from them, and evict their shared-cache entries."""
+        serves from them."""
         if not self._retired_bases:
             return
         live = {id(self._base)}
@@ -871,9 +871,6 @@ class DynamicGraphDatabase(GraphDatabase):
             if id(base) in live:
                 still_referenced.append(base)
                 continue
-            shared = getattr(base, "shared_cache", None)
-            if shared is not None and hasattr(shared, "drop_version"):
-                shared.drop_version(getattr(base, "topology_version", 0))
             if self._owns_base:
                 close = getattr(base, "close", None)
                 if close is not None:
@@ -958,14 +955,6 @@ class DynamicGraphDatabase(GraphDatabase):
         """
         old_base = self._base
         new_head = self.topology_version + 1
-        # The folded base gets the new head as its cache-version tag so
-        # (page_id, version) keys in a shared cache can never collide
-        # with entries of the base it replaces.
-        if getattr(new_base, "topology_version", 0) != new_head:
-            new_base.topology_version = new_head
-        shared = getattr(old_base, "shared_cache", None)
-        if shared is not None and hasattr(new_base, "attach_shared_cache"):
-            new_base.attach_shared_cache(shared)
         self._adopt_base(new_base)
         self.pages = [None] * new_base.num_pages
         self.directory = list(new_base.directory)
@@ -1043,9 +1032,8 @@ class Snapshot(GraphDatabase):
     and by :meth:`DynamicGraphDatabase.snapshot` (unpinned, for one-off
     reads).  It is a full :class:`~repro.format.database.GraphDatabase`:
     the engine runs whole queries against it exactly as against the
-    head, and its ``topology_version`` is the pinned version, so every
-    version-keyed cache in the stack (shared page cache, round-plan
-    cache) serves versions side by side.
+    head, and its ``topology_version`` is the pinned version, so the
+    version-keyed round-plan cache serves versions side by side.
 
     The view holds *references* into the owner's frozen
     :class:`_VersionState` — construction copies nothing but a

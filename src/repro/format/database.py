@@ -99,11 +99,6 @@ class GraphDatabase:
             [e.page_id for e in directory if e.kind == "SP"], dtype=np.int64)
         self._large_page_ids = np.array(
             [e.page_id for e in directory if e.kind == "LP"], dtype=np.int64)
-        #: Optional :class:`~repro.core.cache.SharedPageCache` attached
-        #: by the service (or ``GTSEngine(shared_cache=...)``); consulted
-        #: only by the file-backed loader's miss path, so eager
-        #: databases carry the attribute but never touch it.
-        self.shared_cache = None
 
     # ------------------------------------------------------------------
     # Page access
@@ -185,22 +180,6 @@ class GraphDatabase:
             rec_counts[pid] = page.num_records
             edge_counts[pid] = page.num_edges
         return topology_from_rows(rec_counts, edge_counts, rows)
-
-    # ------------------------------------------------------------------
-    # Cross-query shared cache (service layer)
-    # ------------------------------------------------------------------
-    def attach_shared_cache(self, cache):
-        """Attach a :class:`~repro.core.cache.SharedPageCache`.
-
-        Idempotent; the cache outlives any single run.  Eager databases
-        accept the attachment for API symmetry but never consult it
-        (their pages are already decoded and resident).
-        """
-        self.shared_cache = cache
-
-    def detach_shared_cache(self):
-        """Detach the shared cache (runs fall back to their own I/O)."""
-        self.shared_cache = None
 
     # ------------------------------------------------------------------
     # Storage accounting

@@ -635,11 +635,8 @@ class FileBackedDatabase(GraphDatabase):
     service layer can run many queries against one handle.  Page parses
     happen *outside* the pool lock — two threads missing on the same
     page at worst parse it twice, and the second inserter adopts the
-    first's resident instance.  When a
-    :class:`~repro.core.cache.SharedPageCache` is attached
-    (``self.shared_cache``), pool misses consult it before touching the
-    pages file and populate it after a checksum-verified parse, so warm
-    queries skip the disk read and the byte-level decode entirely.
+    first's resident instance.  The pool is the one host-side page
+    cache: a miss goes straight to a checksum-verified parse.
 
     The read path: the pages file is memory-mapped read-only once at
     open, and pages decode in *chunks* straight from a NumPy view over
@@ -653,8 +650,8 @@ class FileBackedDatabase(GraphDatabase):
     bitmap), before any byte of it is interpreted, and that first touch
     books the host-I/O counters — later touches are zero-copy
     ``mmap_hits``.  Decoded arrays are fresh (nothing aliases the
-    mapping), so the shared cache never holds mapped views and pages
-    and plans outlive :meth:`close`.
+    mapping), so the pool never holds mapped views and pages and plans
+    outlive :meth:`close`.
 
     A chunk goes back to page-by-page parsing on two conditions the
     store observes itself: a fault injector is attached (injected
@@ -752,7 +749,7 @@ class FileBackedDatabase(GraphDatabase):
     def close(self):
         """Release the mapping and the file descriptor (idempotent).
 
-        Pages already decoded (pool, shared cache, plan arrays) hold
+        Pages already decoded (pool, plan arrays) hold
         only materialised arrays, so they stay valid after close; a
         parse attempted afterwards raises :class:`FormatError`.
         """
@@ -808,25 +805,12 @@ class FileBackedDatabase(GraphDatabase):
                 self.pool_hits += 1
                 return page
             self.pool_misses += 1
-        # Pool miss: consult the cross-query shared cache (if the
-        # service attached one) before paying the disk read and the
-        # parse.  It stores only checksum-verified decoded pages keyed
-        # by topology version, so a warm hit is exactly the object a
-        # fresh parse would produce.
-        shared = self.shared_cache
-        page = shared.get(page_id, self.topology_version) \
-            if shared is not None else None
-        if page is None:
-            # The span sits on the parse path only; pool and
-            # shared-cache hits stay dict probes no matter what.
-            with span("format.io.page"):
-                page = self._parse_page(page_id)
-            if shared is not None:
-                # Only verified parses reach this line (_parse_page
-                # raises on persistent checksum mismatch), so injected
-                # or real corruption can never poison the shared cache;
-                # and the decoded arrays never alias the mapping.
-                shared.put(page_id, self.topology_version, page)
+        # The span sits on the parse path only; pool hits stay dict
+        # probes no matter what.  Only verified parses return
+        # (_parse_page raises on persistent checksum mismatch), so
+        # corruption never reaches the pool.
+        with span("format.io.page"):
+            page = self._parse_page(page_id)
         return self._pool_insert(page_id, page)
 
     def _pool_insert(self, page_id, page):
@@ -848,16 +832,16 @@ class FileBackedDatabase(GraphDatabase):
     def prefetch(self, page_ids):
         """Warm the pool with ``page_ids`` ahead of per-page use.
 
-        Pages (deduplicated, in request order) that miss both the pool
-        and the shared cache are decoded together through the chunk
-        path — one checksum pass over their mapped regions, one
-        vectorized decode, then split into page objects — so a run of
-        misses costs one NumPy pass instead of one parse per page.
-        First-touch verification, fault injection and retry semantics
-        are those of :meth:`page` (a chunk the mapping cannot serve is
-        parsed page by page), and the pool hit/miss and shared-cache
-        accounting per page matches what per-page :meth:`page` calls
-        would record.  Returns the number of pages actually read.
+        Pages (deduplicated, in request order) that miss the pool are
+        decoded together through the chunk path — one checksum pass
+        over their mapped regions, one vectorized decode, then split
+        into page objects — so a run of misses costs one NumPy pass
+        instead of one parse per page.  First-touch verification, fault
+        injection and retry semantics are those of :meth:`page` (a
+        chunk the mapping cannot serve is parsed page by page), and the
+        pool hit/miss accounting per page matches what per-page
+        :meth:`page` calls would record.  Returns the number of pages
+        actually read.
         """
         pending = []
         with self._pool_lock:
@@ -871,23 +855,13 @@ class FileBackedDatabase(GraphDatabase):
                 else:
                     self.pool_misses += 1
                     pending.append(pid)
-        shared = self.shared_cache
-        disk = []
-        for pid in dict.fromkeys(pending):
-            page = shared.get(pid, self.topology_version) \
-                if shared is not None else None
-            if page is not None:
-                self._pool_insert(pid, page)
-            else:
-                disk.append(pid)
+        disk = list(dict.fromkeys(pending))
         if not disk:
             return 0
         # Same span as :meth:`page`: it covers reads and decodes only,
-        # never the pool/shared-cache dict probes above.
+        # never the pool's dict probes above.
         with span("format.io.page"):
             for page in self._parse_pages(disk):
-                if shared is not None:
-                    shared.put(page.page_id, self.topology_version, page)
                 self._pool_insert(page.page_id, page)
         return len(disk)
 

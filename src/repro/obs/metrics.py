@@ -258,13 +258,6 @@ def collect_run_metrics(result, registry=None, host_profile=None):
                          "host page-pool misses (file-backed DB)"
                          ).inc(result.pool_misses)
         registry.gauge("pool.hit_rate").set(result.pool_hit_rate)
-    if result.shared_hits or result.shared_misses:
-        registry.counter("shared_cache.hits",
-                         "cross-query shared-cache hits (disk read + "
-                         "parse skipped)").inc(result.shared_hits)
-        registry.counter("shared_cache.misses").inc(result.shared_misses)
-        registry.gauge("shared_cache.hit_rate").set(
-            result.shared_hit_rate)
     if result.query_id is not None:
         registry.meta.setdefault("query_id", result.query_id)
 
@@ -413,14 +406,7 @@ def collect_service_metrics(stats, registry=None):
                            "query wall-clock latency").set(value)
     for name, db_stats in sorted((stats.get("databases") or {}).items()):
         prefix = "service.db.%s" % name
-        shared = db_stats.get("shared_cache") or {}
         registry.counter(prefix + ".queries").inc(db_stats["queries"])
-        registry.counter(prefix + ".shared_hits").inc(
-            shared.get("hits", 0))
-        registry.counter(prefix + ".shared_misses").inc(
-            shared.get("misses", 0))
-        registry.gauge(prefix + ".shared_hit_rate").set(
-            shared.get("hit_rate", 0.0))
         plan = db_stats.get("plan_cache") or {}
         registry.counter(prefix + ".plan_hits").inc(plan.get("hits", 0))
         registry.counter(prefix + ".plan_builds").inc(

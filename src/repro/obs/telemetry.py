@@ -814,13 +814,6 @@ def service_metric_families(stats):
         _sample(db_counter("gts_db_exclusive_queries_total",
                            "fault-isolated exclusive queries"),
                 db.get("exclusive_queries"), **label)
-        shared = db.get("shared_cache") or {}
-        _sample(db_counter("gts_db_shared_cache_hits_total"),
-                shared.get("hits"), **label)
-        _sample(db_counter("gts_db_shared_cache_misses_total"),
-                shared.get("misses"), **label)
-        _sample(db_gauge("gts_db_shared_cache_hit_rate"),
-                shared.get("hit_rate"), **label)
         plan = db.get("plan_cache") or {}
         _sample(db_counter("gts_db_plan_cache_hits_total"),
                 plan.get("hits"), **label)

@@ -1,8 +1,8 @@
 """repro.service: a multi-tenant graph query service.
 
 A long-lived process serving many concurrent graph queries over shared
-database handles, with the host-side caches (shared page cache, round
-plan cache, file pools) kept warm *across* queries —
+database handles, with the host-side caches (round plan cache, file
+page pools) kept warm *across* queries —
 see :mod:`repro.service.service` for the core, ARCHITECTURE.md §11 for
 the design, and ``python -m repro serve`` for the CLI front end.
 

@@ -1,18 +1,16 @@
 """The multi-tenant graph query service core.
 
 :class:`GraphService` is a long-lived object that owns open database
-handles and runs many queries against them concurrently, sharing the
-host-side caches that PRs 1-6 rebuilt per run:
+handles and runs many queries against them concurrently, sharing two
+host-side caches per database (host wall-clock only; simulated timings
+and outputs stay bit-identical to a cold one-shot run):
 
-* one :class:`~repro.core.cache.SharedPageCache` per database — decoded
-  pages survive across queries, so a warm query skips the disk read and
-  the byte-level parse (host wall-clock only; simulated timings and
-  outputs stay bit-identical to a cold one-shot run);
-* one :class:`~repro.core.plan.RoundPlanCache` per database — the
-  flat-array plan every round reads is built once per topology version
-  instead of once per engine;
-* (for file-backed handles) the database's own page pool, which the
-  :mod:`repro.concurrency` locks made safe to share.
+* one :class:`~repro.core.plan.RoundPlanCache` — the flat-array plan
+  every round reads is built once per topology version instead of once
+  per engine;
+* (for file-backed handles) the database's own page pool, the one host
+  page cache, which the :mod:`repro.concurrency` locks made safe to
+  share.
 
 Admission control keeps the service honest under load: at most
 ``max_in_flight`` queries execute at once on a thread pool, at most
@@ -55,7 +53,6 @@ from repro.core import (
     SSSPKernel,
     WCCKernel,
 )
-from repro.core.cache import SharedPageCache
 from repro.core.plan import RoundPlanCache
 from repro.errors import (
     AdmissionError,
@@ -157,15 +154,12 @@ class QueryRequest:
 class _ServedDatabase:
     """A database handle plus the caches every query on it shares."""
 
-    __slots__ = ("name", "db", "shared_cache", "plan_cache", "gate",
-                 "queries", "owns_db", "writer_lock", "updates", "prefix")
+    __slots__ = ("name", "db", "plan_cache", "gate", "queries", "owns_db",
+                 "writer_lock", "updates", "prefix")
 
-    def __init__(self, name, db, shared_cache_pages=None, owns_db=False,
-                 prefix=None):
+    def __init__(self, name, db, owns_db=False, prefix=None):
         self.name = name
         self.db = db
-        self.shared_cache = SharedPageCache(
-            capacity_pages=shared_cache_pages)
         self.plan_cache = RoundPlanCache()
         self.gate = ReadWriteGate()
         self.queries = 0
@@ -181,13 +175,6 @@ class _ServedDatabase:
         # as readers, so fault-injecting queries still run alone.
         self.writer_lock = InstrumentedLock()
         self.updates = 0
-        # Attach to the handle *and* its base (dynamic overlays keep
-        # their file-backed pages on ``_base``, whose miss path is what
-        # consults the shared cache).
-        for candidate in (db, getattr(db, "_base", None)):
-            if candidate is not None and hasattr(candidate,
-                                                 "attach_shared_cache"):
-                candidate.attach_shared_cache(self.shared_cache)
 
     def stats(self):
         """JSON-ready per-database cache/lock statistics."""
@@ -199,7 +186,6 @@ class _ServedDatabase:
             "pages": db.num_pages,
             "topology_version": getattr(db, "topology_version", 0),
             "queries": self.queries,
-            "shared_cache": self.shared_cache.stats(),
             "plan_cache": self.plan_cache.stats(),
             "exclusive_queries": self.gate.exclusive_acquisitions,
             "gate": self.gate.stats(),
@@ -228,10 +214,6 @@ class GraphService:
         Queries allowed to wait beyond the in-flight set; a submit
         that would exceed ``max_in_flight + max_queue`` total raises
         :class:`~repro.errors.AdmissionError` instead of queueing.
-    shared_cache_pages:
-        Per-database :class:`~repro.core.cache.SharedPageCache`
-        capacity; ``None`` (default) is unbounded, ``0`` disables
-        caching but keeps the accounting (the benchmark baseline).
     telemetry:
         Request telemetry (:mod:`repro.obs.telemetry`): ``None``
         (default) disables it entirely — the request path then
@@ -244,8 +226,7 @@ class GraphService:
         slow-query ring.
     """
 
-    def __init__(self, max_in_flight=8, max_queue=64,
-                 shared_cache_pages=None, telemetry=None):
+    def __init__(self, max_in_flight=8, max_queue=64, telemetry=None):
         if max_in_flight < 1:
             raise ConfigurationError(
                 "service needs at least one in-flight slot")
@@ -253,7 +234,6 @@ class GraphService:
             raise ConfigurationError("queue capacity cannot be negative")
         self.max_in_flight = max_in_flight
         self.max_queue = max_queue
-        self.shared_cache_pages = shared_cache_pages
         self._databases = {}
         self._db_lock = InstrumentedLock()
         self._executor = ThreadPoolExecutor(
@@ -304,8 +284,9 @@ class GraphService:
         from ``<prefix>.plan`` when it matches, through the WAL-aware
         dynamic opener) under ``name``.
 
-        The handle gets its own shared page cache, plan cache and
-        read/write gate; re-registering a name raises
+        The handle gets its own plan cache and read/write gate (a
+        file-backed handle brings its page pool, sized by
+        ``pool_pages``); re-registering a name raises
         :class:`~repro.errors.ServiceError`.  Returns the handle.
         """
         if (db is None) == (prefix is None):
@@ -320,28 +301,24 @@ class GraphService:
                 raise ServiceError(
                     "database %r is already being served" % name)
             self._databases[name] = _ServedDatabase(
-                name, db, shared_cache_pages=self.shared_cache_pages,
-                owns_db=owns_db, prefix=prefix)
+                name, db, owns_db=owns_db, prefix=prefix)
         return db
 
     def remove_database(self, name):
         """Stop serving ``name``: wait for the engines running on it to
-        drain (the handle's gate, taken exclusively), then detach the
-        shared cache and close the file store if the service opened it.
+        drain (the handle's gate, taken exclusively), then close the
+        file store if the service opened it.
         A query that reaches the gate afterwards fails with the closed
         store's typed :class:`~repro.errors.FormatError`."""
         with self._db_lock:
             entry = self._databases.pop(name, None)
         if entry is None:
             raise ServiceError("unknown database %r" % name)
-        candidates = [c for c in (entry.db, getattr(entry.db, "_base", None))
-                      if c is not None]
         entry.gate.acquire_write()
         try:
-            for candidate in candidates:
-                if hasattr(candidate, "detach_shared_cache"):
-                    candidate.detach_shared_cache()
-                if entry.owns_db and hasattr(candidate, "close"):
+            for candidate in (entry.db, getattr(entry.db, "_base", None)):
+                if (entry.owns_db and candidate is not None
+                        and hasattr(candidate, "close")):
                     candidate.close()
         finally:
             entry.gate.release_write()

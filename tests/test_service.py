@@ -1,8 +1,8 @@
 """Service-layer tests: the determinism contract under concurrency.
 
 The load-bearing property: N worker threads running mixed algorithms
-against ONE shared database handle (shared page cache, shared plan
-cache, shared reduce indexes, shared file pool) must produce results
+against ONE shared database handle (shared plan cache, shared reduce
+indexes, shared file page pool) must produce results
 bit-identical — outputs AND simulated timings — to serial one-shot
 ``GTSEngine.run()`` calls against a private cold handle.  Everything
 else here (admission control, graceful drain, typed rejections, the
@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.core import GTSEngine
-from repro.dynamic import DynamicGraphDatabase, UpdateBatch
 from repro.errors import (
     AdmissionError,
     ConfigurationError,
@@ -40,8 +39,8 @@ from repro.service import (
 )
 from repro.units import KB
 
-#: Small pool so the shared cache (not the per-database pool) carries
-#: cross-query reuse; every workload below fits the test graph.
+#: Small pool, so queries share a page store that evicts and parses
+#: again; every workload below fits the test graph.
 POOL_PAGES = 8
 
 #: (algorithm, params, options) — mixed read workloads, both
@@ -150,35 +149,6 @@ class TestConcurrentEquivalence:
         plans = service.stats()["databases"]["g"]["plan_cache"]
         assert (plans["builds"], plans["hits"]) == (1, 1)
         service.drain()
-
-    def test_shared_cache_beats_per_run_rebuild_baseline(self,
-                                                         db_prefix):
-        """Acceptance gate: the shared cache's hit rate is strictly
-        above the per-run-rebuild baseline (capacity 0: identical code
-        path, accounting only, every probe a miss).  What reads pages
-        is the writer, whose batches span twice the pool; a post-commit
-        query's plan build reads none."""
-        def run(shared_cache_pages):
-            service = GraphService(max_in_flight=4,
-                                   shared_cache_pages=shared_cache_pages)
-            base = FileBackedDatabase(db_prefix, pool_pages=POOL_PAGES)
-            service.add_database("g", db=DynamicGraphDatabase(base))
-            for start in (0, 3, 17, 29):
-                batch = UpdateBatch()
-                for entry in base.directory[:2 * POOL_PAGES]:
-                    batch.insert_edge(entry.start_vid, start, 1.0)
-                service.update("g", batch)
-                result = service.query("g", "bfs", params={"start": start})
-                assert result.shared_hits == result.shared_misses == 0
-            stats = service.stats()["databases"]["g"]["shared_cache"]
-            service.drain()
-            return stats
-
-        baseline = run(0)
-        shared = run(None)
-        assert baseline["hit_rate"] == 0.0
-        assert shared["hit_rate"] > baseline["hit_rate"]
-        assert shared["hits"] > 0
 
 
 class TestAdmissionControl:
@@ -370,8 +340,8 @@ class TestFaultIsolation:
             self, db_prefix, references):
         """A query whose plan corrupts host reads takes the gate
         exclusively, recovers via checksum re-reads, and the pages it
-        touched enter the shared cache only in verified form — the
-        next (warm) query is still bit-identical to the reference."""
+        touched enter the page pool only in verified form — the next
+        (warm) query is still bit-identical to the reference."""
         service = GraphService(max_in_flight=4)
         service.add_database(
             "g", db=FileBackedDatabase(db_prefix,
@@ -385,8 +355,8 @@ class TestFaultIsolation:
         _assert_matches_reference(faulted, references[1])
         entry_stats = service.stats()["databases"]["g"]
         assert entry_stats["exclusive_queries"] == 1
-        # Warm follow-up reads through the shared cache and still
-        # matches the cold reference exactly.
+        # Warm follow-up reads through the page pool and still matches
+        # the cold reference exactly.
         warm = service.query("g", algorithm, params=params,
                              options=options)
         _assert_matches_reference(warm, references[1])
@@ -478,7 +448,6 @@ class TestObservability:
             assert result.query_id is not None
             payload = result.to_dict()
             assert payload["query_id"] == result.query_id
-            assert "shared_hit_rate" in payload
         stats = service.stats()
         latency = stats["latency_seconds"]
         assert latency["p50"] is not None
@@ -488,7 +457,7 @@ class TestObservability:
         json.dumps(stats)  # snapshot must be JSON-clean
         registry = collect_service_metrics(service)
         assert registry["service.completed"].snapshot() == 3
-        assert "service.db.g.shared_hits" in registry
+        assert "service.db.g.plan_hits" in registry
         assert registry["service.latency_p50_seconds"].snapshot() \
             == latency["p50"]
         service.drain()
