@@ -4,10 +4,10 @@ Delta overlays keep updates cheap, but they are not free at read time —
 every overlaid page pays a merge, tombstones waste base slots, and the
 WAL grows without bound.  Once the accumulated delta bytes exceed a
 threshold, :func:`compact` materialises the *effective* graph from the
-merged pages, rebuilds a pristine slotted-page database with the
-original :func:`~repro.format.builder.build_database` (same
-:class:`~repro.format.config.PageFormatConfig`), and swaps it in as the
-new base.  The WAL is truncated afterwards: its batches are now part of
+head's spliced topology arrays, rebuilds a pristine slotted-page
+database with the original :func:`~repro.format.builder.build_database`
+(same :class:`~repro.format.config.PageFormatConfig`), and swaps it in
+as the new base.  The WAL is truncated afterwards: its batches are now part of
 the base pages.
 
 Crash ordering matters when the database lives on disk, and WAL replay
@@ -80,36 +80,15 @@ class CompactionReport:
 def materialise_graph(db):
     """The database's *effective* edge list as an immutable CSR graph.
 
-    Walks the page directory through the serving path, so tombstones,
-    delta adjacency and extension pages are all reflected.  Works on any
+    Read off its flat topology arrays — for an overlay, the spliced
+    arrays of its head — so tombstones, delta adjacency and extension
+    pages are all reflected, edges in page order.  Works on any
     :class:`~repro.format.database.GraphDatabase`, dynamic or not.
     """
-    sources, targets, weights = [], [], []
-    for entry in db.directory:
-        page = db.page(entry.page_id)
-        if entry.kind == "SP":
-            degrees = np.diff(page.adj_indptr)
-            vids = np.arange(page.start_vid,
-                             page.start_vid + page.num_records,
-                             dtype=np.int64)
-            sources.append(np.repeat(vids, degrees))
-        else:
-            sources.append(np.full(page.num_edges, page.vid,
-                                   dtype=np.int64))
-        targets.append(page.adj_vids)
-        if page.adj_weights is not None:
-            weights.append(page.adj_weights)
-    all_sources = (np.concatenate(sources) if sources
-                   else np.empty(0, dtype=np.int64))
-    all_targets = (np.concatenate(targets) if targets
-                   else np.empty(0, dtype=np.int64))
-    all_weights = np.concatenate(weights) if weights else None
-    if all_weights is not None and len(all_weights) != len(all_targets):
-        # Mixed weighted/unweighted pages cannot round-trip faithfully;
-        # drop the partial weights rather than misalign them.
-        all_weights = None
-    return Graph.from_edges(db.num_vertices, all_sources, all_targets,
-                            weights=all_weights)
+    arrays = db.topology_arrays()
+    return Graph.from_edges(
+        db.num_vertices, np.repeat(arrays["rec_vids"], arrays["degrees"]),
+        arrays["adj_vids"], weights=arrays["adj_weights"])
 
 
 def compact(db, save_prefix=None):

@@ -258,7 +258,7 @@ class DynamicGraphDatabase(GraphDatabase):
         self.snapshots_pinned_total = 0
         self._adopt_base(base)
         super().__init__(
-            pages=[None] * base.num_pages,
+            topology=None,
             directory=list(base.directory),
             rvt=RecordVertexTable(base.rvt.start_vids.copy(),
                                   base.rvt.lp_ranges.copy()),
@@ -331,9 +331,6 @@ class DynamicGraphDatabase(GraphDatabase):
         if page is not base_page:
             self._merged[page_id] = page
         return page
-
-    def is_small(self, page_id):
-        return self.directory[page_id].kind == "SP"
 
     # The base pool's counters surface through the dynamic wrapper so the
     # engine's page-pool accounting keeps working over mutated databases.
@@ -723,7 +720,6 @@ class DynamicGraphDatabase(GraphDatabase):
                 self.directory.append(PageDirectoryEntry(
                     page_id=pid, kind="SP", start_vid=vid,
                     num_records=0, num_edges=0, used_bytes=0))
-                self.pages.append(None)
                 new_start_vids.append(vid)
                 self._open_ext = pid
                 entry = self.directory[pid]
@@ -956,7 +952,6 @@ class DynamicGraphDatabase(GraphDatabase):
         old_base = self._base
         new_head = self.topology_version + 1
         self._adopt_base(new_base)
-        self.pages = [None] * new_base.num_pages
         self.directory = list(new_base.directory)
         self.rvt = RecordVertexTable(new_base.rvt.start_vids.copy(),
                                      new_base.rvt.lp_ranges.copy())
@@ -984,34 +979,13 @@ class DynamicGraphDatabase(GraphDatabase):
                                   epoch=self.base_epoch)
 
     # ------------------------------------------------------------------
-    # Validation (overrides the base's pages-list walk)
+    # Validation
     # ------------------------------------------------------------------
     def validate(self):
-        """Check overlay invariants through the serving path."""
-        covered = 0
-        total_edges = 0
-        for entry in self.directory:
-            page = self.page(entry.page_id)
-            if entry.kind == "SP":
-                covered += entry.num_records
-            elif page.chunk_index == 0:
-                covered += 1
-            if entry.num_edges != page.num_edges:
-                raise FormatError(
-                    "directory says %d edges in page %d, merged page "
-                    "holds %d" % (entry.num_edges, entry.page_id,
-                                  page.num_edges))
-            total_edges += page.num_edges
-            translated = self.rvt.translate(page.adj_pids, page.adj_slots)
-            if not np.array_equal(translated, page.adj_vids):
-                raise FormatError(
-                    "RVT translation mismatch in page %d" % entry.page_id)
-        if covered != self.num_vertices:
-            raise FormatError("pages cover %d vertices, expected %d"
-                              % (covered, self.num_vertices))
-        if total_edges != self.num_edges:
-            raise FormatError("pages hold %d edges, expected %d"
-                              % (total_edges, self.num_edges))
+        """Check this version's spliced arrays against its directory
+        and vertex pages (:meth:`GraphDatabase._check_topology`), and
+        its degree sum against its edge count."""
+        self._check_topology(self.topology_arrays())
         if int(self.out_degrees.sum()) != self.num_edges:
             raise FormatError("degree sum disagrees with edge count")
         return True
@@ -1036,8 +1010,7 @@ class Snapshot(GraphDatabase):
     version-keyed round-plan cache serves versions side by side.
 
     The view holds *references* into the owner's frozen
-    :class:`_VersionState` — construction copies nothing but a
-    page-count-sized placeholder list.
+    :class:`_VersionState` — construction copies nothing.
     """
 
     # Page merging is identical to the head's — same overlay attribute
@@ -1051,7 +1024,6 @@ class Snapshot(GraphDatabase):
     _physical_ids = DynamicGraphDatabase._physical_ids
     _base_targets = DynamicGraphDatabase._base_targets
     effective_neighbors = DynamicGraphDatabase.effective_neighbors
-    is_small = DynamicGraphDatabase.is_small
     validate = DynamicGraphDatabase.validate
     pool_hits = DynamicGraphDatabase.pool_hits
     pool_misses = DynamicGraphDatabase.pool_misses
@@ -1069,7 +1041,7 @@ class Snapshot(GraphDatabase):
         self._merged = state.merged
         self._lp_runs = state.lp_runs
         super().__init__(
-            pages=[None] * state.num_pages,
+            topology=None,
             directory=state.directory,
             rvt=state.rvt,
             config=owner.config,

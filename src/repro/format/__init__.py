@@ -16,9 +16,11 @@ Public entry points:
   paper's Table 2.
 * :func:`~repro.format.builder.build_database` — turn an edge list into a
   :class:`~repro.format.database.GraphDatabase` of slotted pages.
-* :class:`~repro.format.database.GraphDatabase` — the built page store with
-  its RVT and statistics (``num_small_pages`` / ``num_large_pages`` feed the
-  paper's Table 3).
+* :class:`~repro.format.database.GraphDatabase` — the built store: the
+  pages' contents as flat page-major arrays (a ``SmallPage`` /
+  ``LargePage`` is a view over slices of them), with its RVT and
+  statistics (``num_small_pages`` / ``num_large_pages`` feed the paper's
+  Table 3).
 """
 
 from repro.format.config import PageFormatConfig, SIX_BYTE_CONFIGS

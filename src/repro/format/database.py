@@ -2,7 +2,10 @@
 
 This is what the GTS engine streams from.  It owns:
 
-* the pages themselves (``SmallPage`` / ``LargePage`` objects),
+* the topology, as the flat page-major arrays of
+  :meth:`GraphDatabase.topology_arrays` — its one resident form;
+  :meth:`GraphDatabase.page` is a ``SmallPage`` / ``LargePage`` whose
+  arrays are slices of them,
 * a page directory (sizes and kinds, for storage accounting),
 * the RVT (record-ID → vertex-ID mapping, kept in main memory),
 * per-vertex metadata the kernels need (total out-degree; the page a
@@ -17,7 +20,7 @@ import dataclasses
 import numpy as np
 
 from repro.errors import FormatError
-from repro.format.page import PageKind
+from repro.format.page import LargePage, PageKind, SmallPage
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,11 +78,17 @@ def topology_from_rows(rec_counts, edge_counts, rows):
 
 
 class GraphDatabase:
-    """A slotted-page graph database (see :mod:`repro.format.builder`)."""
+    """A slotted-page graph database (see :mod:`repro.format.builder`).
 
-    def __init__(self, pages, directory, rvt, config, num_vertices,
+    ``topology`` is the dict :meth:`topology_arrays` returns; a subclass
+    that serves its topology some other way passes ``None`` and
+    overrides :meth:`topology_arrays` and :meth:`page`.
+    """
+
+    def __init__(self, topology, directory, rvt, config, num_vertices,
                  num_edges, out_degrees, vertex_page, name=None):
-        self.pages = pages
+        self._topology = topology
+        self._row_starts = None
         self.directory = directory
         self.rvt = rvt
         self.config = config
@@ -105,7 +114,7 @@ class GraphDatabase:
     # ------------------------------------------------------------------
     @property
     def num_pages(self):
-        return len(self.pages)
+        return len(self.directory)
 
     @property
     def num_small_pages(self):
@@ -124,12 +133,34 @@ class GraphDatabase:
         return self._large_page_ids
 
     def page(self, page_id):
-        if page_id < 0 or page_id >= len(self.pages):
+        """Page ``page_id`` as a view: a ``SmallPage`` / ``LargePage``
+        over slices of :meth:`topology_arrays`, its ``ADJ_OFF`` column
+        re-derived through the RVT (a large vertex sits at slot 0 of
+        its first page)."""
+        if page_id < 0 or page_id >= self.num_pages:
             raise FormatError("unknown page ID %d" % page_id)
-        return self.pages[page_id]
-
-    def is_small(self, page_id):
-        return self.pages[page_id].kind is PageKind.SMALL
+        arrays = self.topology_arrays()
+        if self._row_starts is None:
+            self._row_starts = tuple(
+                np.concatenate(([0], np.cumsum(arrays[name])))
+                for name in ("rec_counts", "edge_counts"))
+        rec_at, edge_at = self._row_starts
+        recs = slice(rec_at[page_id], rec_at[page_id + 1])
+        edges = slice(edge_at[page_id], edge_at[page_id + 1])
+        adj_vids = arrays["adj_vids"][edges]
+        adj_pids = arrays["adj_pids"][edges]
+        adj_slots = adj_vids - self.rvt.start_vids[adj_pids]
+        weights = arrays["adj_weights"]
+        weights = None if weights is None else weights[edges]
+        start_vid = int(self.rvt.start_vids[page_id])
+        chunk = int(self.rvt.lp_ranges[page_id])
+        if chunk < 0:
+            indptr = np.concatenate(([0], np.cumsum(arrays["degrees"][recs])))
+            return SmallPage(page_id, start_vid, indptr, adj_pids, adj_slots,
+                             adj_vids, self.config, adj_weights=weights)
+        return LargePage(page_id, start_vid, chunk, adj_pids, adj_slots,
+                         adj_vids, self.config, adj_weights=weights,
+                         total_degree=int(arrays["rec_divisor"][recs][0]))
 
     def page_for_vertex(self, vid):
         """Page ID containing ``vid`` — seeds BFS's initial ``nextPIDSet``."""
@@ -141,45 +172,20 @@ class GraphDatabase:
         warming — stores that decode lazily override this."""
         return 0
 
-    @property
-    def prefetch_chunk(self):
-        """How many pages a page scan should :meth:`prefetch` ahead of
-        its :meth:`page` calls: bounded by the page pool (when there is
-        one), so a warm-ahead never evicts its own pages."""
-        return max(1, min(64, getattr(self, "pool_capacity", 64)))
-
     def topology_arrays(self):
         """The whole topology as flat page-major arrays — what a
-        :class:`~repro.core.plan.PagePlan` is built from.
+        :class:`~repro.core.plan.PagePlan` is built from, and what this
+        database stores.
 
         Per page: ``rec_counts`` and ``edge_counts``.  Per record, pages
         concatenated in page-ID order: ``degrees``, ``rec_vids`` and
         ``rec_divisor`` (the PageRank divisor: the record's degree on a
         small page, the vertex's *total* degree on a large-page chunk).
         Per edge: ``adj_vids``, ``adj_pids`` and ``adj_weights``
-        (``None`` when no page carries weights; a weight-less page among
-        weighted ones contributes unit weights, mirroring the per-page
-        kernels' fallback).
-
-        This generic body walks :meth:`page`, asking :meth:`prefetch`
-        for a pool-sized chunk ahead (so a file-backed store's fallback
-        still decodes in bulk); a store that can hand out the arrays
-        without building pages overrides it, and so does the dynamic
-        overlay, which splices them.
+        (``None`` without ``weight_bytes``).  The arrays are shared, not
+        copied: callers must not write to them.
         """
-        num_pages = self.num_pages
-        chunk = self.prefetch_chunk
-        rows = []
-        rec_counts = np.zeros(num_pages, dtype=np.int64)
-        edge_counts = np.zeros(num_pages, dtype=np.int64)
-        for pid in range(num_pages):
-            if pid % chunk == 0:
-                self.prefetch(range(pid, min(pid + chunk, num_pages)))
-            page = self.page(pid)
-            rows.append(page_rows(page))
-            rec_counts[pid] = page.num_records
-            edge_counts[pid] = page.num_edges
-        return topology_from_rows(rec_counts, edge_counts, rows)
+        return self._topology
 
     # ------------------------------------------------------------------
     # Storage accounting
@@ -212,37 +218,47 @@ class GraphDatabase:
     # Consistency checking (used by tests and the builder's callers)
     # ------------------------------------------------------------------
     def validate(self):
-        """Check structural invariants; raises :class:`FormatError` on bugs.
+        """Check structural invariants; raises :class:`FormatError` on bugs
+        (see :meth:`_check_topology`)."""
+        self._check_topology(self.topology_arrays())
+        return True
 
-        Invariants: directory matches pages; VID coverage is exact and
-        consecutive; every adjacency physical ID translates through the RVT
-        to the pre-materialised logical VID; edge counts add up.
+    def _check_topology(self, arrays):
+        """Check flat topology ``arrays`` against this database's metadata.
+
+        The arrays agree with the directory (records and edges per
+        page); the records cover VIDs ``0 .. num_vertices - 1`` in page
+        order, a large-page run's vertex once; the edges number
+        ``num_edges``; and every adjacency entry's physical page is the
+        page its logical neighbour is addressed under.
         """
-        if len(self.directory) != len(self.pages):
-            raise FormatError("directory and page list lengths differ")
-        covered = 0
-        total_edges = 0
-        for entry, page in zip(self.directory, self.pages):
-            if entry.page_id != page.page_id:
-                raise FormatError("directory out of order")
-            if entry.kind == "SP":
-                covered += entry.num_records
-            elif entry.kind == "LP" and page.chunk_index == 0:
-                covered += 1
-            total_edges += page.num_edges
-            translated = self.rvt.translate(page.adj_pids, page.adj_slots)
-            if not np.array_equal(translated, page.adj_vids):
-                raise FormatError(
-                    "RVT translation mismatch in page %d" % page.page_id)
-        if covered != self.num_vertices:
+        directory = self.directory
+        dir_records = np.array(
+            [1 if e.kind == "LP" else e.num_records for e in directory],
+            dtype=np.int64)
+        dir_edges = np.array([e.num_edges for e in directory],
+                             dtype=np.int64)
+        rec_counts, edge_counts = arrays["rec_counts"], arrays["edge_counts"]
+        if not (np.array_equal(rec_counts, dir_records)
+                and np.array_equal(edge_counts, dir_edges)):
+            raise FormatError("topology arrays disagree with the directory")
+        rec_page = np.repeat(np.arange(len(rec_counts)), rec_counts)
+        covered = arrays["rec_vids"][self.rvt.lp_ranges[rec_page] <= 0]
+        if not np.array_equal(covered, np.arange(self.num_vertices)):
             raise FormatError(
-                "pages cover %d vertices, expected %d"
-                % (covered, self.num_vertices))
-        if total_edges != self.num_edges:
+                "pages cover %d vertices, expected VIDs 0..%d in order"
+                % (len(covered), self.num_vertices - 1))
+        adj_vids = arrays["adj_vids"]
+        if not (len(adj_vids) == int(edge_counts.sum()) == self.num_edges):
             raise FormatError(
                 "pages hold %d edges, expected %d"
-                % (total_edges, self.num_edges))
-        return True
+                % (len(adj_vids), self.num_edges))
+        if len(adj_vids) and (int(adj_vids.min()) < 0
+                              or int(adj_vids.max()) >= self.num_vertices):
+            raise FormatError("adjacency names a vertex outside the graph")
+        if not np.array_equal(self.vertex_page[adj_vids], arrays["adj_pids"]):
+            raise FormatError(
+                "adjacency physical IDs disagree with their vertices' pages")
 
     def statistics(self):
         """Summary dict used by the Table 3 bench and examples."""

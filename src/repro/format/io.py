@@ -1,18 +1,18 @@
 """Persist slotted-page databases to disk and load them back.
 
 GTS stores its slotted pages on SSDs; this module gives the reproduction
-the same durable artefact: :func:`save_database` writes every page in its
-exact byte layout into one pages file plus a JSON metadata sidecar, and
-:func:`load_database` reconstructs a fully usable
-:class:`~repro.format.database.GraphDatabase` (pages are parsed from
-their serialized bytes and re-linked through the RVT, exercising the real
+the same durable artefact: :func:`save_database` encodes a database's
+flat topology arrays, page by page in their exact byte layout, into one
+pages file plus a JSON metadata sidecar, and :func:`load_database`
+decodes every page back into the arrays of a fully usable
+:class:`~repro.format.database.GraphDatabase` (logical neighbour IDs
+re-derived from the physical ones through the RVT, exercising the real
 decode path end to end).
 
-For graphs whose decoded pages should not all live in Python memory at
-once, :class:`FileBackedDatabase` opens the same files *lazily*: pages
-are parsed on demand and kept in a bounded LRU pool, so the engine's
-page requests hit the real storage file exactly the way GTS's MMBuf
-misses hit the SSD.
+For graphs whose topology should not be decoded up front,
+:class:`FileBackedDatabase` opens the same files *lazily*: its plan
+arrays come from the ``.plan`` sidecar or one decode of the mapped
+pages, and single pages are parsed on demand into a bounded LRU pool.
 
 Layout on disk::
 
@@ -67,15 +67,13 @@ import numpy as np
 from repro.concurrency import InstrumentedLock
 from repro.errors import ConfigurationError, FormatError, IntegrityError
 from repro.format.config import PageFormatConfig
-from repro.format.database import GraphDatabase, PageDirectoryEntry
-from repro.format.page import (
-    LargePage,
-    PageKind,
-    SmallPage,
-    decode_pages,
-    encode_pages,
-    page_columns,
+from repro.format.database import (
+    GraphDatabase,
+    PageDirectoryEntry,
+    page_rows,
+    topology_from_rows,
 )
+from repro.format.page import LargePage, SmallPage, decode_pages, encode_pages
 from repro.format.rvt import RecordVertexTable
 from repro.spans import span
 
@@ -156,26 +154,20 @@ def _directory_columns(records):
         for key in _DIRECTORY_FIELDS}
 
 
-def _topology_fields(rvt, first_pid, rec_counts, columns, lp_pids,
-                     lp_totals):
-    """The :meth:`GraphDatabase.topology_arrays` of the consecutive pages
-    from ``first_pid`` on (``rec_counts`` holds one slot count each),
-    given their :func:`~repro.format.page.decode_pages` ``columns``.
-
-    One body for both producers: :func:`save_database` streams it per
-    encode chunk into the ``.plan`` sidecar, and the decode fallback of
-    :meth:`FileBackedDatabase.topology_arrays` calls it once for the
-    whole store.  ``lp_pids`` and ``lp_totals`` are the store's
-    large pages and their vertices' total degrees: a large page's one
-    record divides by the vertex's degree across its whole run of large
-    pages, not by this page's share.
+def _topology_fields(rvt, rec_counts, columns, lp_pids, lp_totals):
+    """The :meth:`GraphDatabase.topology_arrays` of a whole store
+    (``rec_counts`` holds every page's slot count), given its pages'
+    :func:`~repro.format.page.decode_pages` ``columns``.  ``lp_pids``
+    and ``lp_totals`` are the store's large pages and their vertices'
+    total degrees: a large page's one record divides by the vertex's
+    degree across its whole run of large pages, not by this page's
+    share.
     """
     rec_vids, degrees, adj_pids, adj_slots, adj_weights = columns
     rec_starts = np.cumsum(rec_counts) - rec_counts
     edge_ends = np.concatenate(([0], np.cumsum(degrees)))
     rec_divisor = degrees.copy()
-    inside = (lp_pids >= first_pid) & (lp_pids < first_pid + len(rec_counts))
-    rec_divisor[rec_starts[lp_pids[inside] - first_pid]] = lp_totals[inside]
+    rec_divisor[rec_starts[lp_pids]] = lp_totals
     return {
         "rec_counts": rec_counts,
         "edge_counts": (edge_ends[rec_starts + rec_counts]
@@ -189,69 +181,42 @@ def _topology_fields(rvt, first_pid, rec_counts, columns, lp_pids,
     }
 
 
-class _PlanWriter:
-    """Streams the ``.plan`` sidecar into an open binary file.
-
-    Every field's region is placed up front from its declared length, so
-    chunks land in place (a seek, a write) and extend the field's CRC32
-    as they arrive; :meth:`finish` checks every region is full and then
-    writes the framed header at the file's start.  CRC32s are fixed-width
-    hex, so the header's length is known before any CRC is.
-    """
-
-    def __init__(self, handle, scalars, lengths):
-        self._handle = handle
-        self._scalars = scalars
-        self._fields, self._at, self._end = {}, {}, {}
-        offset = 0
-        for name, length in lengths.items():
-            dtype = _PLAN_DTYPES.get(name, "<i8")
-            self._fields[name] = {"dtype": dtype, "length": length,
-                                  "offset": offset, "crc32": 0}
-            self._at[name] = offset
-            self._end[name] = offset + length * np.dtype(dtype).itemsize
-            offset = _align(self._end[name])
-        self._base = _align(_PLAN_PREFIX.size + len(self._header(0)))
-
-    def _header(self, meta_crc):
-        return json.dumps({
-            "fields": {name: dict(field, crc32="%08x" % field["crc32"])
-                       for name, field in self._fields.items()},
-            "meta_crc32": "%08x" % meta_crc,
-            "scalars": self._scalars,
-        }, sort_keys=True).encode("ascii")
-
-    def write(self, name, values):
-        """Append ``values`` to field ``name``'s region."""
-        field = self._fields[name]
-        data = np.ascontiguousarray(values, dtype=field["dtype"])
-        self._handle.seek(self._base + self._at[name])
-        self._handle.write(data)
-        field["crc32"] = zlib.crc32(data, field["crc32"])
-        self._at[name] += data.nbytes
-
-    def finish(self, meta_crc):
-        """Write the header binding the regions to ``meta_crc``."""
-        if self._at != self._end:
-            raise FormatError("%s: pages disagree with their directory"
-                              % self._handle.name)
-        header = self._header(meta_crc)
-        self._handle.seek(0)
-        self._handle.write(_PLAN_PREFIX.pack(
-            _PLAN_MAGIC, len(header), zlib.crc32(header)) + header)
+def _write_plan(handle, scalars, regions, meta_crc):
+    """Write the ``.plan`` sidecar into the open binary ``handle``: the
+    framed header binding it to ``.meta.json`` bytes of CRC32
+    ``meta_crc``, then each of ``regions`` (name -> values, in order)
+    as one aligned, CRC32-checked region."""
+    fields, blobs, offset = {}, [], 0
+    for name, values in regions.items():
+        dtype = _PLAN_DTYPES.get(name, "<i8")
+        data = np.ascontiguousarray(values, dtype=dtype)
+        fields[name] = {"crc32": "%08x" % zlib.crc32(data), "dtype": dtype,
+                        "length": len(data), "offset": offset}
+        blobs.append((offset, data))
+        offset = _align(offset + data.nbytes)
+    header = json.dumps({"fields": fields, "meta_crc32": "%08x" % meta_crc,
+                         "scalars": scalars}, sort_keys=True).encode("ascii")
+    base = _align(_PLAN_PREFIX.size + len(header))
+    handle.write(_PLAN_PREFIX.pack(_PLAN_MAGIC, len(header),
+                                   zlib.crc32(header)) + header)
+    written = _PLAN_PREFIX.size + len(header)
+    for at, data in blobs:
+        handle.write(bytes(base + at - written))
+        handle.write(data)
+        written = base + at + data.nbytes
 
 
 def save_database(db, prefix, wal_epoch=None):
     """Write ``db`` under ``<prefix>.meta.json`` / ``.pages`` / ``.plan``.
 
     Returns the ``.meta.json`` and ``.pages`` paths.  Pages are
-    serialized a chunk at a time — :func:`~repro.format.page.encode_pages`
-    lays up to ``_ENCODE_CHUNK_BYTES`` of pages into one buffer in a
-    vectorized pass, each page region of it is checksummed, and the
-    chunk is written once — so compaction and the CLI, which save
-    through here, pay no per-edge Python work.  The same chunk's columns
-    feed the ``.plan`` sidecar's flat arrays (see the module docstring),
-    so the sidecar costs no second walk over the pages.  Any field that
+    serialized a chunk at a time from slices of ``db.topology_arrays()``
+    — :func:`~repro.format.page.encode_pages` lays up to
+    ``_ENCODE_CHUNK_BYTES`` of pages into one buffer in a vectorized
+    pass, each page region of it is checksummed, and the chunk is
+    written once — so compaction and the CLI, which save through here,
+    pay no per-edge Python work.  The ``.plan`` sidecar (see the module
+    docstring) is written straight from the same arrays.  Any field that
     does not fit its configured width, or a page whose contents overflow
     ``page_size``, raises :class:`~repro.errors.FormatError`.
 
@@ -283,8 +248,12 @@ def save_database(db, prefix, wal_epoch=None):
     config = db.config
     if wal_epoch is None:
         wal_epoch = getattr(db, "wal_epoch", 0)
-    lp_total_degrees = {page.page_id: page.total_degree
-                        for page in db.pages if page.kind.value == "LP"}
+    arrays = db.topology_arrays()
+    num_pages = db.num_pages
+    rec_at = np.concatenate(([0], np.cumsum(arrays["rec_counts"])))
+    edge_at = np.concatenate(([0], np.cumsum(arrays["edge_counts"])))
+    lp_pids = np.asarray(db.large_page_ids(), dtype=np.int64)
+    lp_totals = arrays["rec_divisor"][rec_at[lp_pids]]
     metadata = {
         "version": FORMAT_VERSION,
         "wal_epoch": wal_epoch,
@@ -318,78 +287,65 @@ def save_database(db, prefix, wal_epoch=None):
         "out_degrees": db.out_degrees.tolist(),
         "vertex_page": db.vertex_page.tolist(),
         "lp_total_degrees": {
-            str(pid): total for pid, total in lp_total_degrees.items()},
+            str(pid): total
+            for pid, total in zip(lp_pids.tolist(), lp_totals.tolist())},
         # Physical layout contract for the pages file.  Readers validate
         # this before memory-mapping: a stride or endianness mismatch
         # must surface as a typed IntegrityError, never a garbled parse
         # of a file whose geometry the loader guessed wrong.
         "pages_layout": {
             "stride": config.page_size,
-            "count": len(db.pages),
+            "count": num_pages,
             "checksum": "crc32",
             "endianness": "little",
         },
     }
-    # The sidecar's columns known before any page is encoded; the
-    # topology regions are sized off the directory and filled per chunk.
-    known = _directory_columns(metadata["directory"])
-    known.update(
-        rvt_start_vids=db.rvt.start_vids, rvt_lp_ranges=db.rvt.lp_ranges,
-        out_degrees=db.out_degrees, vertex_page=db.vertex_page,
-        lp_pids=np.fromiter(lp_total_degrees, dtype=np.int64),
-        lp_total_degrees=np.fromiter(lp_total_degrees.values(),
-                                     dtype=np.int64))
-    num_pages = len(db.pages)
-    num_records = int(np.where(known["dir_kind"], 1,
-                               known["dir_num_records"]).sum())
-    num_edges = int(known["dir_num_edges"].sum())
-    lengths = {name: len(values) for name, values in known.items()}
-    lengths.update(page_checksums=num_pages, rec_counts=num_pages,
-                   edge_counts=num_pages, degrees=num_records,
-                   rec_vids=num_records, rec_divisor=num_records,
-                   adj_vids=num_edges, adj_pids=num_edges)
-    if config.weight_bytes and num_pages:
-        # Absent without weights, as the decode path returns None.
-        lengths["adj_weights"] = num_edges
     page_size = config.page_size
     per_chunk = max(1, _ENCODE_CHUNK_BYTES // page_size)
+    weights = arrays["adj_weights"]
     checksums = []
     temps = [pages_path + ".tmp", meta_path + ".tmp", plan_path + ".tmp"]
     try:
-        with open(temps[0], "wb") as handle, \
-                open(temps[2], "wb") as plan_handle:
-            plan = _PlanWriter(
-                plan_handle, {key: metadata[key] for key in _PLAN_SCALARS},
-                lengths)
-            for name, values in known.items():
-                plan.write(name, values)
+        with open(temps[0], "wb") as handle:
             for lo in range(0, num_pages, per_chunk):
-                pages = db.pages[lo:lo + per_chunk]
-                *decoded, rec_counts = page_columns(pages, config)
+                hi = min(lo + per_chunk, num_pages)
+                recs = slice(rec_at[lo], rec_at[hi])
+                edges = slice(edge_at[lo], edge_at[hi])
+                adj_vids = arrays["adj_vids"][edges]
+                adj_pids = arrays["adj_pids"][edges]
                 chunk = memoryview(encode_pages(
-                    *decoded, rec_counts, config,
-                    page_ids=[page.page_id for page in pages]))
+                    arrays["rec_vids"][recs], arrays["degrees"][recs],
+                    adj_pids, adj_vids - db.rvt.start_vids[adj_pids],
+                    None if weights is None else weights[edges],
+                    arrays["rec_counts"][lo:hi], config,
+                    page_ids=range(lo, hi)))
                 checksums.extend(
                     zlib.crc32(chunk[base:base + page_size])
                     for base in range(0, len(chunk), page_size))
                 handle.write(chunk)
-                fields = _topology_fields(
-                    db.rvt, lo, rec_counts, decoded,
-                    known["lp_pids"], known["lp_total_degrees"])
-                for name, values in fields.items():
-                    if values is not None:
-                        plan.write(name, values)
-            # Index i is the checksum of page i (page IDs are dense, so
-            # the directory index and the page ID coincide).
-            metadata["page_checksums"] = checksums
-            plan.write("page_checksums", checksums)
-            # One ``dumps``: the C encoder.  ``json.dump`` would stream
-            # the same bytes through the pure-Python ``_iterencode``.
-            meta_bytes = json.dumps(metadata).encode("ascii")
-            plan.finish(zlib.crc32(meta_bytes))
-            for out in (handle, plan_handle):
-                out.flush()
-                os.fsync(out.fileno())
+            handle.flush()
+            os.fsync(handle.fileno())
+        # Index i is the checksum of page i (page IDs are dense, so the
+        # directory index and the page ID coincide).
+        metadata["page_checksums"] = checksums
+        # One ``dumps``: the C encoder.  ``json.dump`` would stream the
+        # same bytes through the pure-Python ``_iterencode``.
+        meta_bytes = json.dumps(metadata).encode("ascii")
+        regions = _directory_columns(metadata["directory"])
+        regions.update(
+            rvt_start_vids=db.rvt.start_vids, rvt_lp_ranges=db.rvt.lp_ranges,
+            out_degrees=db.out_degrees, vertex_page=db.vertex_page,
+            lp_pids=lp_pids, lp_total_degrees=lp_totals,
+            page_checksums=checksums)
+        regions.update((name, arrays[name]) for name in _PLAN_TOPOLOGY)
+        if not (config.weight_bytes and num_pages):
+            # Absent without weights, as the decode path returns None.
+            del regions["adj_weights"]
+        with open(temps[2], "wb") as handle:
+            _write_plan(handle, {key: metadata[key] for key in _PLAN_SCALARS},
+                        regions, zlib.crc32(meta_bytes))
+            handle.flush()
+            os.fsync(handle.fileno())
         with open(temps[1], "wb") as handle:
             handle.write(meta_bytes)
             handle.flush()
@@ -461,23 +417,24 @@ def _verify_page_bytes(data, page_id, expected_crc, source):
 def load_database(prefix):
     """Load a database previously written by :func:`save_database`.
 
-    The resident :class:`GraphDatabase` is derived from the one page
-    store: open a :class:`FileBackedDatabase`, decode every page through
-    its verified chunk path (a chunk of regions is checksummed, then
-    decoded in one vectorized pass), close it, validate.  The three
-    steps report as ``load_meta`` / ``load_pages`` / ``load_validate``
-    spans (:mod:`repro.spans`).
+    The resident :class:`GraphDatabase` holds the arrays decoded from
+    the one page store: open a :class:`FileBackedDatabase`, decode every
+    page through its verified chunk path (a chunk of regions is
+    checksummed, then decoded in one vectorized pass — never read from
+    the ``.plan`` sidecar), close it, validate.  The three steps report
+    as ``load_meta`` / ``load_pages`` / ``load_validate`` spans
+    (:mod:`repro.spans`).
     """
     with span("load_meta"):
         store = FileBackedDatabase(prefix, pool_pages=1)
     with span("load_pages"):
         try:
-            pages = list(store._parse_pages(range(store.num_pages)))
+            topology = store._decoded_arrays()
         finally:
             store.close()
 
     db = GraphDatabase(
-        pages=pages,
+        topology=topology,
         directory=store.directory,
         rvt=store.rvt,
         config=store.config,
@@ -642,10 +599,9 @@ class FileBackedDatabase(GraphDatabase):
     open, and pages decode in *chunks* straight from a NumPy view over
     the mapping — one vectorized
     :func:`~repro.format.page.decode_pages` pass per chunk, whether the
-    caller wants page objects (:meth:`page`, :meth:`prefetch`,
-    :func:`load_database`, :meth:`validate`) or, without a usable
-    sidecar, the flat arrays a plan is built from
-    (:meth:`topology_arrays`).  Each page-sized region is
+    caller wants page objects (:meth:`page`, :meth:`prefetch`) or the
+    flat arrays (:func:`load_database`, :meth:`validate`, and a plan
+    built without a usable sidecar).  Each page-sized region is
     checksum-verified exactly once, on first touch (the ``_verified``
     bitmap), before any byte of it is interpreted, and that first touch
     books the host-I/O counters — later touches are zero-copy
@@ -679,7 +635,7 @@ class FileBackedDatabase(GraphDatabase):
             else columns["dir_" + field].tolist()
             for field in _DIRECTORY_FIELDS)))
         super().__init__(
-            pages=[None] * len(directory),
+            topology=None,
             directory=directory,
             rvt=rvt,
             config=config,
@@ -708,9 +664,6 @@ class FileBackedDatabase(GraphDatabase):
         _validate_pages_layout(columns, config, len(directory),
                                prefix + ".meta.json")
         self._pool_pages = pool_pages
-        #: Public pool capacity; bounds :attr:`prefetch_chunk` so a
-        #: warm-ahead never evicts its own pages.
-        self.pool_capacity = pool_pages
         self._pool = OrderedDict()
         self.pool_hits = 0
         self.pool_misses = 0
@@ -1042,9 +995,6 @@ class FileBackedDatabase(GraphDatabase):
         page.adj_vids = self.rvt.translate(page.adj_pids, page.adj_slots)
         return page
 
-    def is_small(self, page_id):
-        return self.directory[page_id].kind == "SP"
-
     def topology_arrays(self):
         """The flat arrays of :meth:`GraphDatabase.topology_arrays`.
 
@@ -1053,31 +1003,37 @@ class FileBackedDatabase(GraphDatabase):
         region CRC32-checked, returned as views of that buffer — no page
         decodes and no page region is booked.  Otherwise — no sidecar,
         a fault injector attached (fault semantics stay those of the
-        page reads), or a region that fails its CRC32 — decoded chunk by
-        chunk off the mapping.  Either way no page object is built, the
-        pool is not touched, and nothing aliases a mapping, so a plan
-        outlives :meth:`close`.  A chunk the mapping cannot serve
-        (fault injector attached, damaged region) sends the scan to the
-        generic per-page body, whose :meth:`prefetch` / :meth:`page`
-        calls take the copy fallback.
+        page reads), or a region that fails its CRC32 — the arrays of
+        :meth:`_decoded_arrays`.  Either way nothing aliases a mapping,
+        so a plan outlives :meth:`close`.
         """
         if self._fd is None:
             raise FormatError("%s: store is closed" % self._pages_path)
         topology = self._plan_topology
+        if topology is None or self.fault_injector is not None:
+            return self._decoded_arrays()
         # Same span as :meth:`page` and :meth:`prefetch`: the store's
         # host reads, whichever file serves them.
         with span("format.io.page"):
-            read = (_read_regions(topology[0].fileno(), *topology[1:])
-                    if topology is not None and self.fault_injector is None
-                    else None)
-            if read is not None:
-                arrays, nbytes = read
-                with self._io_lock:
-                    self.host_bytes_read += nbytes
-                    self.host_reads += 1
-                arrays.setdefault("adj_weights", None)
-                return arrays
-            chunks = []
+            read = _read_regions(topology[0].fileno(), *topology[1:])
+        if read is None:
+            return self._decoded_arrays()
+        arrays, nbytes = read
+        with self._io_lock:
+            self.host_bytes_read += nbytes
+            self.host_reads += 1
+        arrays.setdefault("adj_weights", None)
+        return arrays
+
+    def _decoded_arrays(self):
+        """The flat topology arrays decoded from every verified page,
+        chunk by chunk off the mapping; no page object is built and the
+        pool is not touched.  A chunk the mapping cannot serve (fault
+        injector attached, damaged region) sends the scan to
+        :meth:`_walk_pages`, whose copy-fallback parses recover or raise
+        :class:`IntegrityError`."""
+        chunks = []
+        with span("format.io.page"):
             for lo in range(0, self.num_pages, _CHUNK_PAGES):
                 decoded = self._decode_chunk(
                     range(lo, min(lo + _CHUNK_PAGES, self.num_pages)))
@@ -1086,33 +1042,34 @@ class FileBackedDatabase(GraphDatabase):
                     break
                 chunks.append(decoded)
         if not chunks:
-            return super().topology_arrays()
+            return self._walk_pages()
         return _topology_fields(
-            self.rvt, 0, self._dir_records,
+            self.rvt, self._dir_records,
             [np.concatenate(parts) for parts in list(zip(*chunks))[:4]]
             + [np.concatenate([c[4] for c in chunks])
                if self.config.weight_bytes else None],
             self._lp_pids, self._lp_totals)
 
+    def _walk_pages(self):
+        """The flat topology arrays walked through :meth:`page`, a
+        pool-sized chunk :meth:`prefetch`-ed ahead (so a warm-ahead never
+        evicts its own pages): the copy fallback's scan."""
+        num_pages = self.num_pages
+        chunk = min(_CHUNK_PAGES, self._pool_pages)
+        rows = []
+        edge_counts = np.zeros(num_pages, dtype=np.int64)
+        for pid in range(num_pages):
+            if pid % chunk == 0:
+                self.prefetch(range(pid, min(pid + chunk, num_pages)))
+            page = self.page(pid)
+            rows.append(page_rows(page))
+            edge_counts[pid] = page.num_edges
+        return topology_from_rows(self._dir_records, edge_counts, rows)
+
     def validate(self):
-        """Validate through the lazy loader (every page decodes once,
-        a chunk at a time; nothing is kept)."""
-        covered = 0
-        total_edges = 0
-        for page in self._parse_pages(range(self.num_pages)):
-            if page.kind is PageKind.SMALL:
-                covered += page.num_records
-            elif page.chunk_index == 0:
-                covered += 1
-            total_edges += page.num_edges
-        if covered != self.num_vertices:
-            raise FormatError(
-                "pages cover %d vertices, expected %d"
-                % (covered, self.num_vertices))
-        if total_edges != self.num_edges:
-            raise FormatError(
-                "pages hold %d edges, expected %d"
-                % (total_edges, self.num_edges))
+        """Validate the arrays decoded from every verified page (see
+        :meth:`GraphDatabase._check_topology`); nothing is kept."""
+        self._check_topology(self._decoded_arrays())
         return True
 
     def resident_pages(self):

@@ -215,32 +215,21 @@ def encode_pages(rec_vids, degrees, adj_pids, adj_slots, adj_weights,
     return buf
 
 
-def page_columns(pages, config):
-    """The :func:`encode_pages` arguments for a non-empty list of page
-    objects, small and large mixed freely: the five arrays exactly as
-    :func:`decode_pages` reads them back from the encoded bytes (``int64``
-    columns; ``float32`` weights, zeros for a page without weights,
-    ``None`` without ``weight_bytes``), then the pages' slot counts."""
-    weights = np.concatenate([
-        page.adj_weights if page.adj_weights is not None
-        else np.zeros(page.num_edges, dtype=np.float32)
-        for page in pages]).astype(np.float32, copy=False) \
-        if config.weight_bytes else None
-    return tuple(
-        np.concatenate(parts).astype(np.int64, copy=False) for parts in (
-            [page.vids() for page in pages],
-            [page.degrees() for page in pages],
-            [page.adj_pids for page in pages],
-            [page.adj_slots for page in pages])
-    ) + (weights, np.asarray([page.num_records for page in pages],
-                             dtype=np.int64))
-
-
 def encode_page_objects(pages, config):
     """:func:`encode_pages` over a non-empty list of page objects, small
     and large mixed freely; a page without weights stores zeros."""
-    return encode_pages(*page_columns(pages, config), config,
-                        page_ids=[page.page_id for page in pages])
+    weights = np.concatenate([
+        page.adj_weights if page.adj_weights is not None
+        else np.zeros(page.num_edges, dtype=np.float32)
+        for page in pages]) if config.weight_bytes else None
+    return encode_pages(
+        *(np.concatenate(parts) for parts in (
+            [page.vids() for page in pages],
+            [page.degrees() for page in pages],
+            [page.adj_pids for page in pages],
+            [page.adj_slots for page in pages])),
+        weights, [page.num_records for page in pages], config,
+        page_ids=[page.page_id for page in pages])
 
 
 class SmallPage:

@@ -17,45 +17,32 @@ class TestPlacementInvariants:
         assert rmat_db.validate()
 
     def test_every_vertex_covered_exactly_once(self, rmat_db):
-        seen = set()
-        for page in rmat_db.pages:
-            if page.kind is PageKind.SMALL:
-                for vid in page.vids():
-                    assert vid not in seen
-                    seen.add(int(vid))
-            elif page.chunk_index == 0:
-                assert page.vid not in seen
-                seen.add(int(page.vid))
-        assert seen == set(range(rmat_db.num_vertices))
+        """Records hold VIDs in order, a large-page run's vertex once."""
+        arrays = rmat_db.topology_arrays()
+        first = rmat_db.rvt.lp_ranges[np.repeat(
+            np.arange(rmat_db.num_pages), arrays["rec_counts"])] <= 0
+        assert np.array_equal(arrays["rec_vids"][first],
+                              np.arange(rmat_db.num_vertices))
 
     def test_every_edge_stored_once(self, rmat_graph, rmat_db):
-        total = sum(page.num_edges for page in rmat_db.pages)
-        assert total == rmat_graph.num_edges
+        arrays = rmat_db.topology_arrays()
+        assert int(arrays["edge_counts"].sum()) == rmat_graph.num_edges
+        assert len(arrays["adj_vids"]) == rmat_graph.num_edges
 
     def test_vids_consecutive_within_pages(self, rmat_db):
-        for page in rmat_db.pages:
-            vids = page.vids()
+        for pid in range(rmat_db.num_pages):
+            vids = rmat_db.page(pid).vids()
             assert np.array_equal(vids,
                                   np.arange(vids[0], vids[0] + len(vids)))
 
     def test_pages_respect_capacity(self, rmat_db):
-        for page in rmat_db.pages:
-            assert page.used_bytes() <= rmat_db.config.page_size
+        for entry in rmat_db.directory:
+            assert entry.used_bytes == rmat_db.page(entry.page_id).used_bytes()
+            assert entry.used_bytes <= rmat_db.config.page_size
 
     def test_adjacency_preserved(self, rmat_graph, rmat_db):
-        """The database's adjacency equals the source CSR, vertex by
-        vertex (large-page chunks concatenate in order)."""
-        rebuilt = {}
-        for page in rmat_db.pages:
-            if page.kind is PageKind.SMALL:
-                for i, vid in enumerate(page.vids()):
-                    lo, hi = page.adj_indptr[i], page.adj_indptr[i + 1]
-                    rebuilt.setdefault(int(vid), []).extend(
-                        page.adj_vids[lo:hi])
-            else:
-                rebuilt.setdefault(int(page.vid), []).extend(page.adj_vids)
-        for v in range(rmat_graph.num_vertices):
-            assert rebuilt.get(v, []) == list(rmat_graph.neighbors(v))
+        """The arrays are the source CSR, large-page chunks in order."""
+        _assert_arrays_are_csr(rmat_db, rmat_graph)
 
 
 class TestLargePages:
@@ -63,23 +50,21 @@ class TestLargePages:
         star = generate_star(4000)
         db = build_database(star, small_config)
         assert db.num_large_pages >= 2
-        large_vids = {page.vid for page in db.pages
-                      if page.kind is PageKind.LARGE}
+        large_vids = {db.page(pid).vid for pid in db.large_page_ids()}
         assert large_vids == {0}
 
     def test_large_page_chunks_are_consecutive(self, small_config):
         star = generate_star(4000, center=100)
         db = build_database(star, small_config)
-        lp_ids = [page.page_id for page in db.pages
+        lp_ids = [page.page_id for page in map(db.page, range(db.num_pages))
                   if page.kind is PageKind.LARGE]
         assert lp_ids == list(range(lp_ids[0], lp_ids[0] + len(lp_ids)))
 
     def test_total_degree_recorded_on_every_chunk(self, small_config):
         star = generate_star(4000)
         db = build_database(star, small_config)
-        for page in db.pages:
-            if page.kind is PageKind.LARGE:
-                assert page.total_degree == 3999
+        for pid in db.large_page_ids():
+            assert db.page(pid).total_degree == 3999
 
     def test_large_vertex_addressed_through_first_chunk(self, small_config):
         """Edges pointing at a large vertex use (first LP, slot 0)."""
@@ -107,7 +92,7 @@ class TestLargePages:
     def test_rvt_lp_range_marks_chunk_positions(self, small_config):
         star = generate_star(4000)
         db = build_database(star, small_config)
-        for page in db.pages:
+        for page in map(db.page, range(db.num_pages)):
             if page.kind is PageKind.LARGE:
                 assert db.rvt.lp_ranges[page.page_id] == page.chunk_index
             else:
@@ -116,16 +101,14 @@ class TestLargePages:
 
 class TestWeightedBuild:
     def test_weights_stored(self, weighted_graph, weighted_db):
-        total = sum(
-            float(page.adj_weights.sum()) for page in weighted_db.pages
-            if page.adj_weights is not None and page.num_edges)
-        assert total == pytest.approx(
-            float(weighted_graph.weights.sum()), rel=1e-5)
+        assert np.array_equal(weighted_db.topology_arrays()["adj_weights"],
+                              weighted_graph.weights)
 
     def test_unweighted_config_drops_weights(self, weighted_graph,
                                              small_config):
         db = build_database(weighted_graph, small_config)
-        assert all(page.adj_weights is None for page in db.pages)
+        assert db.topology_arrays()["adj_weights"] is None
+        assert db.page(0).adj_weights is None
 
 
 class TestDatabaseAccounting:
@@ -189,13 +172,13 @@ def test_builder_round_trip_property(data):
     config = PageFormatConfig(2, 2, 1 * KB)
     db = build_database(graph, config)
     db.validate()
-    rebuilt = {}
-    for page in db.pages:
-        if page.kind is PageKind.SMALL:
-            for i, vid in enumerate(page.vids()):
-                lo, hi = page.adj_indptr[i], page.adj_indptr[i + 1]
-                rebuilt.setdefault(int(vid), []).extend(page.adj_vids[lo:hi])
-        else:
-            rebuilt.setdefault(int(page.vid), []).extend(page.adj_vids)
-    for v in range(num_vertices):
-        assert rebuilt.get(v, []) == list(graph.neighbors(v))
+    _assert_arrays_are_csr(db, graph)
+
+
+def _assert_arrays_are_csr(db, graph):
+    """``db``'s arrays are ``graph``'s edges, in CSR order."""
+    arrays = db.topology_arrays()
+    assert np.array_equal(arrays["adj_vids"], graph.targets)
+    assert np.array_equal(
+        np.repeat(arrays["rec_vids"], arrays["degrees"]),
+        np.repeat(np.arange(graph.num_vertices), graph.out_degrees()))

@@ -26,7 +26,7 @@ from repro.dynamic import (DynamicGraphDatabase, UpdateBatch,
                            open_dynamic_database)
 from repro.errors import DeviceLostError
 from repro.faults import FaultPlan
-from repro.format import GraphDatabase, build_database
+from repro.format import build_database
 from repro.format.io import FileBackedDatabase, load_database, save_database
 from repro.graphgen import Graph
 from repro.obs import collect_run_metrics
@@ -182,7 +182,7 @@ def _assert_reopens_verified(prefix, from_sidecar):
     page decode's either way."""
     store = FileBackedDatabase(prefix)
     assert (store._plan_topology is not None) == from_sidecar
-    want = GraphDatabase.topology_arrays(load_database(prefix))
+    want = load_database(prefix).topology_arrays()
     for name, array in store.topology_arrays().items():
         np.testing.assert_array_equal(array, want[name], err_msg=name)
     store.close()

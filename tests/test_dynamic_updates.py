@@ -24,7 +24,8 @@ from repro.dynamic import (
     open_dynamic_database,
 )
 from repro.errors import UpdateError
-from repro.format import GraphDatabase, PageFormatConfig, build_database
+from repro.format import PageFormatConfig, build_database
+from repro.format.database import page_rows, topology_from_rows
 from repro.format.io import save_database
 from repro.graphgen import Graph, generate_rmat
 from repro.hardware.specs import scaled_workstation
@@ -386,15 +387,22 @@ class TestObservability:
 # the per-page walk, and base + batches equal a from-scratch rebuild.
 # ---------------------------------------------------------------------------
 
+def _walk(db):
+    """``db``'s topology arrays walked page by page through ``page()``."""
+    rows = [page_rows(db.page(pid)) for pid in range(db.num_pages)]
+    return topology_from_rows(
+        *(np.array([len(row[i]) for row in rows], dtype=np.int64)
+          for i in (0, 3)), rows)
+
+
 class _Walked(Snapshot):
     """A view of one version whose plan comes from the per-page walk."""
 
-    def topology_arrays(self):
-        return GraphDatabase.topology_arrays(self)
+    topology_arrays = _walk
 
 
 def _assert_splice_equals_walk(view):
-    got, want = view.topology_arrays(), GraphDatabase.topology_arrays(view)
+    got, want = view.topology_arrays(), _walk(view)
     assert got.keys() == want.keys()
     for name, array in want.items():
         assert (got[name] is None) == (array is None), name

@@ -331,8 +331,8 @@ class TestChecksums:
             metadata = json.load(handle)
         checksums = metadata["page_checksums"]
         assert len(checksums) == rmat_db.num_pages
-        for page in rmat_db.pages[:8]:
-            assert checksums[page.page_id] == zlib.crc32(page.to_bytes())
+        for pid in range(8):
+            assert checksums[pid] == zlib.crc32(rmat_db.page(pid).to_bytes())
 
     def test_corruption_surfaces_as_integrity_error(self, rmat_db,
                                                     tmp_path):

@@ -154,7 +154,8 @@ class TestSaveDatabase:
         per-byte reference encoding back to back, CRC for CRC."""
         prefix = str(tmp_path / "db")
         meta_path, _ = save_database(weighted_db, prefix)
-        blobs = [reference_page_bytes(page) for page in weighted_db.pages]
+        blobs = [reference_page_bytes(weighted_db.page(pid))
+                 for pid in range(weighted_db.num_pages)]
         assert _file_bytes(prefix)[0] == b"".join(blobs)
         with open(meta_path) as handle:
             checksums = json.load(handle)["page_checksums"]
@@ -221,17 +222,16 @@ class TestDatabasePersistence:
         prefix = str(tmp_path / "db")
         save_database(rmat_db, prefix)
         loaded = load_database(prefix)
-        for original, restored in zip(rmat_db.pages, loaded.pages):
-            assert np.array_equal(original.adj_vids, restored.adj_vids)
+        for pid in range(rmat_db.num_pages):
+            assert np.array_equal(rmat_db.page(pid).adj_vids,
+                                  loaded.page(pid).adj_vids)
 
     def test_round_trip_preserves_weights(self, weighted_db, tmp_path):
         prefix = str(tmp_path / "db")
         save_database(weighted_db, prefix)
         loaded = load_database(prefix)
-        for original, restored in zip(weighted_db.pages, loaded.pages):
-            if original.adj_weights is not None:
-                assert np.allclose(original.adj_weights,
-                                   restored.adj_weights)
+        assert np.array_equal(weighted_db.topology_arrays()["adj_weights"],
+                              loaded.topology_arrays()["adj_weights"])
 
     def test_loaded_database_runs_algorithms(self, rmat_graph, rmat_db,
                                              machine, tmp_path):

@@ -25,7 +25,7 @@ from repro.errors import IntegrityError
 from repro.faults import FaultInjector, FaultPlan
 from repro.format import PageFormatConfig, build_database
 from repro.format.io import FileBackedDatabase, load_database, save_database
-from repro.graphgen import Graph
+from repro.graphgen import Graph, generate_rmat
 from repro.hardware.specs import scaled_workstation
 from repro.units import KB
 
@@ -93,16 +93,16 @@ def test_mmap_pages_match_eager_load(data, tmp_path_factory):
     pages = [mapped.page(pid) for pid in range(mapped.num_pages)]
     fallback = _open_fallback(prefix, pool_pages=4)
     for pid in range(eager.num_pages):
-        _assert_pages_equal(db.pages[pid], pages[pid])
+        _assert_pages_equal(db.page(pid), pages[pid])
         _assert_pages_equal(fallback.page(pid), pages[pid])
-        _assert_pages_equal(eager.pages[pid], pages[pid])
+        _assert_pages_equal(eager.page(pid), pages[pid])
     assert mapped.mmap_misses == mapped.num_pages  # first touches
     assert fallback.mmap_hits == 0
     fallback.close()
     mapped.close()
     # Materialised arrays must outlive the mapping.
     for pid in range(eager.num_pages):
-        _assert_pages_equal(eager.pages[pid], pages[pid])
+        _assert_pages_equal(eager.page(pid), pages[pid])
 
 
 @settings(max_examples=10, deadline=None)
@@ -287,7 +287,7 @@ def _assert_reads_clean(store, db, read_path):
     if read_path == "prefetch":
         assert store.prefetch(range(store.num_pages)) == store.num_pages
     for pid in range(store.num_pages):
-        _assert_pages_equal(db.pages[pid], store.page(pid))
+        _assert_pages_equal(db.page(pid), store.page(pid))
 
 
 def test_injected_corruption_recovers_through_copy_path(tmp_path):
@@ -333,7 +333,7 @@ def test_persistent_damage_raises_never_decodes(tmp_path):
         assert not mapped._verified[middle]
         # Undamaged pages keep working through the same handle.
         for pid in (middle - 1, middle + 1):
-            _assert_pages_equal(db.pages[pid], mapped.page(pid))
+            _assert_pages_equal(db.page(pid), mapped.page(pid))
         assert os.path.getsize(prefix + ".pages") == \
             mapped.num_pages * page_size
         mapped.close()
@@ -393,10 +393,8 @@ def test_all_kernels_bit_identical_on_every_store_path(tmp_path):
     dynamic overlay on each — equal the resident baseline's on the
     database that was saved; an overlay carrying deltas (a different
     graph) agrees with the resident database built from the same
-    mutated graph."""
-    from repro.dynamic import (DynamicGraphDatabase, UpdateBatch,
-                               open_dynamic_database)
-
+    mutated graph.  Also for a weighted format built from an unweighted
+    graph, whose pages store unit weights."""
     rng = np.random.default_rng(11)
     num_vertices = 96
     graph = Graph.from_edges(
@@ -404,11 +402,21 @@ def test_all_kernels_bit_identical_on_every_store_path(tmp_path):
         rng.integers(0, num_vertices, size=500),
         rng.integers(0, num_vertices, size=500)
     ).symmetrised().with_random_weights(seed=11)
-    db = build_database(graph, PageFormatConfig(2, 2, 1 * KB,
-                                                weight_bytes=4))
-    prefix = str(tmp_path / "db")
+    _assert_every_store_path(
+        str(tmp_path / "weighted"), graph,
+        PageFormatConfig(2, 2, 1 * KB, weight_bytes=4), start=3)
+    _assert_every_store_path(
+        str(tmp_path / "unit"), generate_rmat(9, edge_factor=8, seed=3),
+        PageFormatConfig(4, 2, 2048, weight_bytes=4), start=0)
+
+
+def _assert_every_store_path(prefix, graph, config, start):
+    from repro.dynamic import (DynamicGraphDatabase, UpdateBatch,
+                               open_dynamic_database)
+
+    db = build_database(graph, config)
     save_database(db, prefix)
-    kernels = {name: (lambda make=make: make(3, num_vertices))
+    kernels = {name: (lambda make=make: make(start, graph.num_vertices))
                for name, make in KERNELS.items()}
 
     def overlay(pool_pages, fallback=False):
@@ -421,7 +429,7 @@ def test_all_kernels_bit_identical_on_every_store_path(tmp_path):
         batch = UpdateBatch()
         for u, v in ((3, 90), (90, 3), (7, 7), (40, 41)):
             batch.insert_edge(u, v, 2.5)
-        return batch.delete_edge(3, int(graph.neighbors(3)[0]))
+        return batch.delete_edge(start, int(graph.neighbors(start)[0]))
 
     def overlay_with_deltas():
         dyn = DynamicGraphDatabase(
