@@ -49,16 +49,10 @@ from repro.bench.harness import (
     format_cell,
     run_or_oom,
 )
-from repro.core import (
-    BCKernel,
-    BFSKernel,
-    GTSEngine,
-    PageRankKernel,
-    SSSPKernel,
-    WCCKernel,
-)
+from repro.core import GTSEngine
+from repro.core.algorithms import ALGORITHMS, make_kernel
 from repro.core.cache import PageCache
-from repro.errors import CapacityError
+from repro.errors import CapacityError, ConfigurationError
 from repro.format import SIX_BYTE_CONFIGS, PageFormatConfig, build_database
 from repro.graphgen import generate_rmat
 from repro.hardware.specs import (
@@ -71,6 +65,9 @@ from repro.units import KB, MB, format_bytes
 #: Default iteration count for PageRank experiments (the paper uses 10).
 PAGERANK_ITERATIONS = 10
 
+#: The algorithms a BFS-or-PageRank figure accepts.
+BFS_OR_PAGERANK = ("BFS", "PageRank")
+
 
 # ----------------------------------------------------------------------
 # Shared constructors
@@ -80,12 +77,12 @@ def _machine(num_gpus=2, num_ssds=2, storage_spec=SSD_SPEC):
                               storage_spec=storage_spec)
 
 
-def _gts_run(kernel, name, weighted=False, symmetrised=False,
-             machine=None, strategy=None, dataset=None, **engine_kwargs):
+def _gts_run(kernel, name, symmetrised=False, machine=None, strategy=None,
+             dataset=None, **engine_kwargs):
     """Run GTS on a registry dataset with the paper's strategy policy:
     Strategy-P while WA fits one GPU, Strategy-S otherwise."""
     db = dataset if dataset is not None else dataset_database(
-        name, weighted=weighted, symmetrised=symmetrised)
+        name, symmetrised=symmetrised)
     machine = machine or _machine()
     if strategy is not None:
         engine = GTSEngine(db, machine, strategy=strategy, **engine_kwargs)
@@ -123,49 +120,51 @@ def _gpu_engines():
             TotemEngine(**kwargs)]
 
 
+def _key(label):
+    """The registry key of the kernel named ``label`` (``BFS`` ->
+    ``bfs``), the spelling of the paper's tables."""
+    return {row.factory({}, 0).name: key
+            for key, row in ALGORITHMS.items()}[label]
+
+
+def _label(algorithm, allowed):
+    """Which of the labels ``allowed`` ``algorithm`` names, as a label or
+    as a registry key: ``bfs`` and ``BFS`` both read ``BFS``."""
+    for label in allowed:
+        if algorithm in (label, _key(label)):
+            return label
+    raise ConfigurationError("this experiment runs %s, not %r"
+                             % (" / ".join(allowed), algorithm))
+
+
+def _kernel(algorithm, db):
+    """A figure cell's kernel: PageRank runs the paper's iterations."""
+    return make_kernel(_key(algorithm),
+                       {"iterations": PAGERANK_ITERATIONS}, db)
+
+
 def _baseline_run(engine, algorithm, name, **params):
-    graph_kwargs = {}
-    if algorithm == "SSSP":
-        graph_kwargs["weighted"] = True
-    if algorithm == "CC":
-        graph_kwargs["symmetrised"] = True
-    graph = dataset_graph(name, **graph_kwargs)
-    method = getattr(engine, {
-        "BFS": "run_bfs",
-        "PageRank": "run_pagerank",
-        "SSSP": "run_sssp",
-        "CC": "run_cc",
-        "BC": "run_bc",
-    }[algorithm])
-    if algorithm in ("BFS", "SSSP"):
+    key = _key(algorithm)
+    row = ALGORITHMS[key]
+    graph = dataset_graph(name, weighted=row.weighted,
+                          symmetrised=row.symmetric)
+    # A baseline engine names its entry points after the registry keys.
+    method = getattr(engine, "run_" + key)
+    if key in ("bfs", "sssp"):
         params.setdefault("start_vertex", default_start_vertex(graph))
-    if algorithm == "BC":
+    if key == "bc":
         params.setdefault("sources", (default_start_vertex(graph),))
     return run_or_oom(method, graph, dataset_name=name, **params)
 
 
-def _gts_algorithm_run(algorithm, name, iterations=None, **engine_kwargs):
-    graph_kwargs = {}
-    if algorithm in ("BFS", "SSSP", "BC"):
-        graph = dataset_graph(name, weighted=(algorithm == "SSSP"))
-        start = default_start_vertex(graph)
-    if algorithm == "BFS":
-        kernel = BFSKernel(start_vertex=start)
-    elif algorithm == "PageRank":
-        kernel = PageRankKernel(
-            iterations=iterations or PAGERANK_ITERATIONS)
-    elif algorithm == "SSSP":
-        kernel = SSSPKernel(start_vertex=start)
-        graph_kwargs["weighted"] = True
-    elif algorithm == "CC":
-        kernel = WCCKernel()
-        graph_kwargs["symmetrised"] = True
-    elif algorithm == "BC":
-        kernel = BCKernel(sources=(start,))
-    else:
-        raise ValueError("unknown algorithm %r" % (algorithm,))
-    return run_or_oom(_gts_run, kernel, name, **graph_kwargs,
-                      **engine_kwargs)
+def _gts_algorithm_run(algorithm, name, iterations=PAGERANK_ITERATIONS,
+                       **engine_kwargs):
+    key = _key(algorithm)
+    row = ALGORITHMS[key]
+    db = dataset_database(name, weighted=row.weighted,
+                          symmetrised=row.symmetric)
+    kernel = make_kernel(key, {"iterations": iterations}, db)
+    return run_or_oom(_gts_run, kernel, name, dataset=db, **engine_kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -237,17 +236,17 @@ def table3_dataset_statistics(names=None):
 def table4_wa_sizes(names=None):
     """Table 4: WA sizes versus topology size per algorithm (scaled)."""
     names = names or ["rmat28", "rmat29", "rmat30", "rmat31", "rmat32"]
-    kernels = [("BFS", BFSKernel()), ("PageRank", PageRankKernel()),
-               ("SSSP", SSSPKernel()), ("CC", WCCKernel())]
+    kernels = [ALGORITHMS[name].factory({}, 0)
+               for name in ("bfs", "pagerank", "sssp", "cc")]
     table = ExperimentTable(
         "Table 4: topology vs WA sizes (1/8192 scale)",
-        ["topology"] + [label for label, _ in kernels],
+        ["topology"] + [kernel.name for kernel in kernels],
         caption="Ratios of WA to topology match the paper (1.7%-10%): "
                 "the byte-per-vertex widths are the paper's.")
     for name in names:
         db = dataset_database(name)
         cells = [format_bytes(db.topology_bytes())]
-        for _, kernel in kernels:
+        for kernel in kernels:
             cells.append(format_bytes(kernel.wa_bytes(db.num_vertices)))
         table.add_row(name, cells)
     return table
@@ -358,7 +357,6 @@ def figure4_timelines(name="rmat27", num_streams=16):
     computationally intensive, whereas BFS is not".
     """
     from repro.hardware.trace import timeline_density
-    graph = dataset_graph(name)
     table = ExperimentTable(
         "Figure 4: stream timelines (%s, %d streams)"
         % (name, num_streams),
@@ -395,6 +393,7 @@ FIGURE6_DATASETS = ["twitter", "uk2007", "yahooweb", "rmat28", "rmat29",
 def figure6_distributed(algorithm="BFS", datasets=None):
     """Figure 6: GTS vs GraphX / Giraph / PowerGraph / Naiad."""
     datasets = datasets or FIGURE6_DATASETS
+    algorithm = _label(algorithm, BFS_OR_PAGERANK)
     suffix = (" (PageRank x%d)" % PAGERANK_ITERATIONS
               if algorithm == "PageRank" else " (BFS)")
     return _comparison_figure(
@@ -412,6 +411,7 @@ FIGURE7_DATASETS = ["twitter", "uk2007", "yahooweb", "rmat27", "rmat28",
 def figure7_cpu(algorithm="BFS", datasets=None):
     """Figure 7: GTS vs MTGL / Galois / Ligra / Ligra+."""
     datasets = datasets or FIGURE7_DATASETS
+    algorithm = _label(algorithm, BFS_OR_PAGERANK)
     suffix = (" (PageRank x%d)" % PAGERANK_ITERATIONS
               if algorithm == "PageRank" else " (BFS)")
     return _comparison_figure(
@@ -424,6 +424,7 @@ def figure7_cpu(algorithm="BFS", datasets=None):
 def figure8_gpu(algorithm="BFS", datasets=None):
     """Figure 8: GTS vs MapGraph / CuSha / TOTEM."""
     datasets = datasets or FIGURE7_DATASETS
+    algorithm = _label(algorithm, BFS_OR_PAGERANK)
     suffix = (" (PageRank x%d)" % PAGERANK_ITERATIONS
               if algorithm == "PageRank" else " (BFS)")
     return _comparison_figure(
@@ -438,12 +439,9 @@ def figure8_gpu(algorithm="BFS", datasets=None):
 # ----------------------------------------------------------------------
 def figure9_strategies(algorithm="BFS", name="rmat30"):
     """Figure 9: Strategy-P vs Strategy-S across storage types."""
+    algorithm = _label(algorithm, BFS_OR_PAGERANK)
     db = dataset_database(name)
-    graph = dataset_graph(name)
-    if algorithm == "BFS":
-        kernel = BFSKernel(start_vertex=default_start_vertex(graph))
-    else:
-        kernel = PageRankKernel(iterations=PAGERANK_ITERATIONS)
+    kernel = _kernel(algorithm, db)
     storage_settings = [
         ("in-memory", dict(num_ssds=2, storage_spec=SSD_SPEC), None),
         ("2 SSDs", dict(num_ssds=2, storage_spec=SSD_SPEC), 0.2),
@@ -477,20 +475,17 @@ def figure10_streams(algorithm="BFS", names=None,
                      stream_counts=(1, 2, 4, 8, 16, 32)):
     """Figure 10: elapsed time versus the number of GPU streams."""
     names = names or ["rmat26", "rmat27", "rmat28", "rmat29"]
+    algorithm = _label(algorithm, BFS_OR_PAGERANK)
     table = ExperimentTable(
         "Figure 10: number of streams sweep (%s)" % algorithm,
         ["%d streams" % k for k in stream_counts],
         caption="Monotone improvement through 32 streams, as in the "
                 "paper.")
     for name in names:
-        graph = dataset_graph(name)
+        db = dataset_database(name)
         cells = []
         for streams in stream_counts:
-            if algorithm == "BFS":
-                kernel = BFSKernel(default_start_vertex(graph))
-            else:
-                kernel = PageRankKernel(iterations=PAGERANK_ITERATIONS)
-            outcome = run_or_oom(_gts_run, kernel, name,
+            outcome = run_or_oom(_gts_run, _kernel(algorithm, db), name,
                                  num_streams=streams)
             cells.append(format_cell(outcome))
         table.add_row(name, cells)
@@ -517,12 +512,12 @@ def figure11_cache(names=None, cache_sizes=FIGURE11_CACHE_SIZES):
         caption="Hit rate grows with cache size and shrinks with "
                 "topology size, tracking the paper's B/(S+L) estimate.")
     for name in names:
-        graph = dataset_graph(name)
+        db = dataset_database(name)
         elapsed_cells = []
         hit_cells = []
         for size in cache_sizes:
-            kernel = BFSKernel(default_start_vertex(graph))
-            outcome = run_or_oom(_gts_run, kernel, name, cache_bytes=size)
+            outcome = run_or_oom(_gts_run, make_kernel("bfs", {}, db),
+                                 name, cache_bytes=size)
             elapsed_cells.append(format_cell(outcome))
             if isinstance(outcome, str):
                 hit_cells.append(outcome)
@@ -538,6 +533,7 @@ def figure11_cache(names=None, cache_sizes=FIGURE11_CACHE_SIZES):
 # ----------------------------------------------------------------------
 def figure13_algorithms(part="SSSP"):
     """Figure 13: SSSP and CC vs all engines; BC vs TOTEM."""
+    part = _label(part, ("SSSP", "CC", "BC"))
     if part in ("SSSP", "CC"):
         datasets = ["twitter", "rmat28"]
         def engines():
@@ -546,16 +542,14 @@ def figure13_algorithms(part="SSSP"):
             "Figure 13: %s comparison" % part, engines, datasets, part,
             caption="GTS significantly outperforms the distributed "
                     "engines and TOTEM for %s, as in the paper." % part)
-    if part == "BC":
-        datasets = ["twitter", "rmat27", "rmat28"]
-        def engines():
-            return [_gpu_engines()[-1]]
-        return _comparison_figure(
-            "Figure 13: BC comparison (single source)", engines, datasets,
-            "BC",
-            caption="Paper compares TOTEM and GTS only (single-node "
-                    "mode); one Brandes source from the busiest vertex.")
-    raise ValueError("part must be SSSP, CC or BC")
+    datasets = ["twitter", "rmat27", "rmat28"]
+    def engines():
+        return [_gpu_engines()[-1]]
+    return _comparison_figure(
+        "Figure 13: BC comparison (single source)", engines, datasets,
+        "BC",
+        caption="Paper compares TOTEM and GTS only (single-node "
+                "mode); one Brandes source from the busiest vertex.")
 
 
 # ----------------------------------------------------------------------
@@ -564,6 +558,7 @@ def figure13_algorithms(part="SSSP"):
 def figure14_micro(algorithm="BFS", densities=(4, 8, 16, 32),
                    rmat_scale=15, seed=28):
     """Figure 14: vertex-/edge-centric/hybrid across graph density."""
+    algorithm = _label(algorithm, BFS_OR_PAGERANK)
     table = ExperimentTable(
         "Figure 14: micro-level techniques vs density (%s, RMAT28 scale)"
         % algorithm,
@@ -578,13 +573,9 @@ def figure14_micro(algorithm="BFS", densities=(4, 8, 16, 32),
         db = build_database(graph, spec.format_config(),
                             name="rmat%d-1:%d" % (rmat_scale, density))
         for technique in cells_by_technique:
-            if algorithm == "BFS":
-                kernel = BFSKernel(default_start_vertex(graph))
-            else:
-                kernel = PageRankKernel(iterations=PAGERANK_ITERATIONS)
             outcome = run_or_oom(
-                _gts_run, kernel, db.name, dataset=db, machine=machine,
-                micro_technique=technique)
+                _gts_run, _kernel(algorithm, db), db.name, dataset=db,
+                machine=machine, micro_technique=technique)
             cells_by_technique[technique].append(format_cell(outcome))
     for technique, cells in cells_by_technique.items():
         table.add_row("%s-centric" % technique if technique != "hybrid"
@@ -605,8 +596,7 @@ def ablation_caching(names=None):
     for label, enabled in (("cache on", True), ("cache off", False)):
         cells = []
         for name in names:
-            graph = dataset_graph(name)
-            kernel = BFSKernel(default_start_vertex(graph))
+            kernel = make_kernel("bfs", {}, dataset_database(name))
             outcome = run_or_oom(_gts_run, kernel, name,
                                  enable_caching=enabled)
             cells.append(format_cell(outcome))
@@ -621,22 +611,19 @@ def ablation_gpu_scaling(name="rmat29", gpu_counts=(1, 2, 4),
     Section 4's claim: Strategy-P speeds up with added GPUs, Strategy-S
     stays flat (it buys capacity, not speed).
     """
+    algorithm = _label(algorithm, BFS_OR_PAGERANK)
     table = ExperimentTable(
         "Ablation: GPU-count scaling (%s, %s)" % (algorithm, name),
         ["%d GPU(s)" % n for n in gpu_counts],
         caption="Strategy-P divides the page stream; Strategy-S "
                 "replicates it.")
-    graph = dataset_graph(name)
+    db = dataset_database(name)
     for strategy in ("performance", "scalability"):
         cells = []
         for gpus in gpu_counts:
             machine = _machine(num_gpus=gpus)
-            if algorithm == "BFS":
-                kernel = BFSKernel(default_start_vertex(graph))
-            else:
-                kernel = PageRankKernel(iterations=PAGERANK_ITERATIONS)
-            outcome = run_or_oom(_gts_run, kernel, name, machine=machine,
-                                 strategy=strategy)
+            outcome = run_or_oom(_gts_run, _kernel(algorithm, db), name,
+                                 machine=machine, strategy=strategy)
             cells.append(format_cell(outcome))
         table.add_row("Strategy-%s" % strategy[0].upper(), cells)
     return table
@@ -651,8 +638,8 @@ def ablation_ssd_scaling(name="rmat30", ssd_counts=(1, 2, 4),
     run is I/O-bound.  The main-memory buffer is capped at 20 % so
     storage stays on the critical path.
     """
+    algorithm = _label(algorithm, BFS_OR_PAGERANK)
     db = dataset_database(name)
-    graph = dataset_graph(name)
     table = ExperimentTable(
         "Ablation: SSD-count scaling (%s, %s)" % (algorithm, name),
         ["%d SSD(s)" % n for n in ssd_counts],
@@ -661,12 +648,8 @@ def ablation_ssd_scaling(name="rmat30", ssd_counts=(1, 2, 4),
     cells = []
     for ssds in ssd_counts:
         machine = _machine(num_ssds=ssds)
-        if algorithm == "BFS":
-            kernel = BFSKernel(default_start_vertex(graph))
-        else:
-            kernel = PageRankKernel(iterations=PAGERANK_ITERATIONS)
         outcome = run_or_oom(
-            _gts_run, kernel, name, machine=machine,
+            _gts_run, _kernel(algorithm, db), name, machine=machine,
             mm_buffer_bytes=int(0.2 * db.topology_bytes()))
         cells.append(format_cell(outcome))
     table.add_row("GTS", cells)
@@ -681,20 +664,16 @@ def ablation_buffering(name="rmat31", fractions=(0.05, 0.2, 0.5, 1.0),
     arithmetic to "the page buffering mechanism"; this sweep quantifies
     it.
     """
+    algorithm = _label(algorithm, BFS_OR_PAGERANK)
     db = dataset_database(name)
     table = ExperimentTable(
         "Ablation: main-memory buffer size (%s, %s)" % (algorithm, name),
         ["%d%% of graph" % round(100 * f) for f in fractions],
         caption="Larger buffers intercept more repeat SSD reads.")
-    graph = dataset_graph(name)
     cells = []
     for fraction in fractions:
-        if algorithm == "BFS":
-            kernel = BFSKernel(default_start_vertex(graph))
-        else:
-            kernel = PageRankKernel(iterations=PAGERANK_ITERATIONS)
         outcome = run_or_oom(
-            _gts_run, kernel, name,
+            _gts_run, _kernel(algorithm, db), name,
             mm_buffer_bytes=int(fraction * db.topology_bytes()))
         cells.append(format_cell(outcome))
     table.add_row("GTS", cells)
@@ -710,7 +689,6 @@ def ablation_cache_policies(name="rmat27", cache_pages=(16, 64, 256)):
     below the BFS working set.
     """
     db = dataset_database(name)
-    graph = dataset_graph(name)
     table = ExperimentTable(
         "Ablation: cache replacement policies (BFS, %s)" % name,
         ["%d pages" % pages for pages in cache_pages],
@@ -719,9 +697,8 @@ def ablation_cache_policies(name="rmat27", cache_pages=(16, 64, 256)):
     for policy in ("lru", "fifo", "clock", "pin"):
         cells = []
         for pages in cache_pages:
-            kernel = BFSKernel(default_start_vertex(graph))
             outcome = _gts_run(
-                kernel, name,
+                make_kernel("bfs", {}, db), name,
                 cache_bytes=pages * db.config.page_size,
                 cache_policy=policy)
             cells.append("%s (%.0f%%)" % (
@@ -786,12 +763,10 @@ def naive_hit_rate_check(names=None, cache_pages=(8, 32, 128)):
         + ["%d pages (naive)" % b for b in cache_pages])
     for name in names:
         db = dataset_database(name)
-        graph = dataset_graph(name)
         measured = []
         naive = []
         for pages in cache_pages:
-            kernel = BFSKernel(default_start_vertex(graph))
-            outcome = _gts_run(kernel, name,
+            outcome = _gts_run(make_kernel("bfs", {}, db), name,
                                cache_bytes=pages * db.config.page_size)
             measured.append("%.1f%%" % (100 * outcome.cache_hit_rate))
             naive.append("%.1f%%" % (100 * PageCache.naive_hit_rate(
@@ -819,15 +794,12 @@ def cost_model_drift_report(names=None, algorithms=("BFS", "PageRank"),
         caption="Signed drift (positive = DES slower than the model); "
                 "cache off, %d streams." % num_streams)
     for algorithm in algorithms:
+        algorithm = _label(algorithm, BFS_OR_PAGERANK)
         cells = []
         for name in names:
-            graph = dataset_graph(name)
             db = dataset_database(name)
             machine = _machine()
-            if algorithm == "BFS":
-                kernel = BFSKernel(default_start_vertex(graph))
-            else:
-                kernel = PageRankKernel(iterations=PAGERANK_ITERATIONS)
+            kernel = _kernel(algorithm, db)
             engine = GTSEngine(db, machine, num_streams=num_streams,
                                enable_caching=False)
             result = engine.run(kernel, dataset_name=name)

@@ -63,22 +63,13 @@ import sys
 import numpy as np
 
 from repro.bench import experiments
-from repro.bench.datasets import (
-    DATASETS,
-    dataset_database,
-    dataset_graph,
-    default_start_vertex,
-)
-from repro.core import (
-    BCKernel,
-    BFSKernel,
-    DegreeKernel,
-    GTSEngine,
-    KCoreKernel,
-    PageRankKernel,
-    RWRKernel,
-    SSSPKernel,
-    WCCKernel,
+from repro.bench.datasets import DATASETS, dataset_database
+from repro.core import GTSEngine
+from repro.core.algorithms import (
+    ALGORITHMS,
+    PARAMETERS,
+    check_topology,
+    make_kernel,
 )
 from repro.core.optimizer import recommend_configuration
 from repro.errors import ConfigurationError, GTSError
@@ -88,40 +79,27 @@ from repro.hardware.specs import scaled_workstation
 from repro.spans import activate, span
 from repro.units import KB
 
-#: CLI algorithm name -> (kernel factory, needs weighted db, needs
-#: symmetrised db).  Factories take (args, start_vertex).
-ALGORITHMS = {
-    "bfs": (lambda args, start: BFSKernel(start), False, False),
-    "pagerank": (lambda args, start: PageRankKernel(
-        iterations=args.iterations), False, False),
-    "sssp": (lambda args, start: SSSPKernel(start), True, False),
-    "cc": (lambda args, start: WCCKernel(), False, True),
-    "bc": (lambda args, start: BCKernel(sources=(start,)), False, False),
-    "rwr": (lambda args, start: RWRKernel(
-        query_vertex=start, iterations=args.iterations), False, False),
-    "degree": (lambda args, start: DegreeKernel(), False, False),
-    "kcore": (lambda args, start: KCoreKernel(k=args.k), False, True),
-}
 
 #: Experiment IDs for the ``bench`` subcommand.
 EXPERIMENTS = {
-    "table1": lambda args: experiments.table1_transfer_kernel_ratios(),
-    "table2": lambda args: experiments.table2_id_configurations(),
-    "table3": lambda args: experiments.table3_dataset_statistics(),
-    "table4": lambda args: experiments.table4_wa_sizes(),
-    "table5": lambda args: experiments.table5_totem_partitions(),
-    "fig6": lambda args: experiments.figure6_distributed(args.algorithm),
-    "fig7": lambda args: experiments.figure7_cpu(args.algorithm),
-    "fig8": lambda args: experiments.figure8_gpu(args.algorithm),
-    "fig9": lambda args: experiments.figure9_strategies(args.algorithm),
-    "fig10": lambda args: experiments.figure10_streams(args.algorithm),
-    "fig11": lambda args: experiments.figure11_cache(),
-    "fig13": lambda args: experiments.figure13_algorithms(
-        args.algorithm if args.algorithm in ("SSSP", "CC", "BC")
-        else "SSSP"),
-    "fig14": lambda args: experiments.figure14_micro(args.algorithm),
-    "drift": lambda args: experiments.cost_model_drift_report(),
+    "table1": experiments.table1_transfer_kernel_ratios,
+    "table2": experiments.table2_id_configurations,
+    "table3": experiments.table3_dataset_statistics,
+    "table4": experiments.table4_wa_sizes,
+    "table5": experiments.table5_totem_partitions,
+    "fig6": experiments.figure6_distributed,
+    "fig7": experiments.figure7_cpu,
+    "fig8": experiments.figure8_gpu,
+    "fig9": experiments.figure9_strategies,
+    "fig10": experiments.figure10_streams,
+    "fig11": experiments.figure11_cache,
+    "fig13": experiments.figure13_algorithms,
+    "fig14": experiments.figure14_micro,
+    "drift": experiments.cost_model_drift_report,
 }
+
+#: The experiments whose first argument ``bench --algorithm`` sets.
+TAKES_ALGORITHM = ("fig6", "fig7", "fig8", "fig9", "fig10", "fig13", "fig14")
 
 
 def build_parser():
@@ -130,6 +108,16 @@ def build_parser():
         prog="repro",
         description="GTS (SIGMOD 2016) reproduction command line")
     commands = parser.add_subparsers(dest="command", required=True)
+
+    def add_algorithm_arguments(sub, default="bfs", parameters=PARAMETERS):
+        sub.add_argument("--algorithm", choices=sorted(ALGORITHMS),
+                         default=default)
+        helps = {"start": "start/query vertex (default: busiest vertex)",
+                 "iterations": "PageRank / RWR iterations",
+                 "k": "k for k-core"}
+        for key in parameters:
+            sub.add_argument("--" + key, type=int, default=PARAMETERS[key],
+                             help=helps[key])
 
     def add_run_arguments(sub):
         source = sub.add_mutually_exclusive_group(required=True)
@@ -145,13 +133,7 @@ def build_parser():
                                  "is used as-is, so it must already be "
                                  "weighted/symmetrised if the algorithm "
                                  "needs that)")
-        sub.add_argument("--algorithm", choices=sorted(ALGORITHMS),
-                         default="bfs")
-        sub.add_argument("--start", type=int, default=None,
-                         help="start/query vertex (default: busiest "
-                              "vertex)")
-        sub.add_argument("--iterations", type=int, default=10)
-        sub.add_argument("--k", type=int, default=2, help="k for k-core")
+        add_algorithm_arguments(sub)
         sub.add_argument("--strategy",
                          choices=("performance", "scalability"),
                          default="performance")
@@ -213,18 +195,17 @@ def build_parser():
         "recommend", help="cost-based configuration advice")
     recommend.add_argument("--dataset", choices=sorted(DATASETS),
                            required=True)
-    recommend.add_argument("--algorithm",
-                           choices=("bfs", "pagerank", "sssp", "cc"),
-                           default="pagerank")
-    recommend.add_argument("--iterations", type=int, default=10)
+    add_algorithm_arguments(recommend, default="pagerank",
+                            parameters=("iterations",))
     recommend.add_argument("--gpus", type=int, default=2)
 
     bench = commands.add_parser("bench",
                                 help="regenerate a paper table/figure")
     bench.add_argument("--experiment", choices=sorted(EXPERIMENTS),
                        required=True)
-    bench.add_argument("--algorithm", default="BFS",
-                       help="BFS / PageRank (SSSP / CC / BC for fig13)")
+    bench.add_argument("--algorithm", default=None,
+                       help="BFS / PageRank (SSSP / CC / BC for fig13), "
+                            "as a kernel label or a run name (bfs)")
 
     update = commands.add_parser(
         "update",
@@ -405,13 +386,7 @@ def build_parser():
                        help="service base URL")
     query.add_argument("--database", required=True,
                        help="served database name")
-    query.add_argument("--algorithm", choices=sorted(ALGORITHMS),
-                       default="bfs")
-    query.add_argument("--start", type=int, default=None,
-                       help="start/query vertex (default: the "
-                            "service picks the busiest vertex)")
-    query.add_argument("--iterations", type=int, default=10)
-    query.add_argument("--k", type=int, default=2, help="k for k-core")
+    add_algorithm_arguments(query)
     query.add_argument("--strategy",
                        choices=("performance", "scalability"),
                        default=None)
@@ -439,40 +414,30 @@ def build_parser():
 
 
 def _load_database(args):
-    weighted = ALGORITHMS[args.algorithm][1]
-    symmetrised = ALGORITHMS[args.algorithm][2]
+    row = ALGORITHMS[args.algorithm]
     if getattr(args, "db", None):
-        # A saved topology is used exactly as built — it cannot be
-        # re-weighted or symmetrised here, so check it satisfies the
-        # algorithm's requirements instead of silently mis-running.
         from repro.dynamic import open_dynamic_database
         db = open_dynamic_database(args.db)
-        if weighted and db.config.weight_bytes == 0:
-            raise ConfigurationError(
-                "algorithm %r needs edge weights, but the database "
-                "saved at %r was built without them (weight_bytes=0); "
-                "rebuild it from a weighted edge list"
-                % (args.algorithm, args.db))
-        if symmetrised:
-            print("warning: %s expects a symmetrised graph; the saved "
-                  "topology at %r is used as-is (directed edges stay "
-                  "directed)" % (args.algorithm, args.db),
-                  file=sys.stderr)
-        return None, db, args.db
+        warning = check_topology(args.algorithm, db,
+                                 "the database saved at %r" % args.db)
+        if warning:
+            print("warning: " + warning, file=sys.stderr)
+        return db, args.db
     if args.dataset:
-        graph = dataset_graph(args.dataset, weighted=weighted,
-                              symmetrised=symmetrised)
-        db = dataset_database(args.dataset, weighted=weighted,
-                              symmetrised=symmetrised)
-        return graph, db, args.dataset
+        return dataset_database(args.dataset, weighted=row.weighted,
+                                symmetrised=row.symmetric), args.dataset
     graph = read_edge_list(args.edges)
-    if symmetrised:
+    if row.symmetric:
         graph = graph.symmetrised()
     config = PageFormatConfig(
         page_id_bytes=2, slot_bytes=2, page_size=args.page_size,
-        weight_bytes=4 if (weighted and graph.weights is not None) else 0)
-    db = build_database(graph, config, name=args.edges)
-    return graph, db, args.edges
+        weight_bytes=4 if (row.weighted and graph.weights is not None)
+        else 0)
+    return build_database(graph, config, name=args.edges), args.edges
+
+
+def _parameters(args):
+    return {key: getattr(args, key) for key in PARAMETERS}
 
 
 def _wants_host_profile(args):
@@ -495,16 +460,8 @@ def _execute_run(args, tracing=False):
         profiler = HostProfiler()
     with activate(profiler):
         with span("load"):
-            graph, db, name = _load_database(args)
-        if args.start is not None:
-            start = args.start
-        elif graph is not None:
-            start = default_start_vertex(graph)
-        else:
-            # No Graph object for --db sources; seed from the busiest
-            # vertex.
-            start = int(np.argmax(db.out_degrees))
-        kernel = ALGORITHMS[args.algorithm][0](args, start)
+            db, name = _load_database(args)
+        kernel = make_kernel(args.algorithm, _parameters(args), db)
         machine = scaled_workstation(num_gpus=args.gpus,
                                      num_ssds=args.ssds)
         faults = None
@@ -622,16 +579,11 @@ def _command_datasets(args):
 
 
 def _command_recommend(args):
-    kernels = {
-        "bfs": BFSKernel(0),
-        "pagerank": PageRankKernel(iterations=args.iterations),
-        "sssp": SSSPKernel(0),
-        "cc": WCCKernel(),
-    }
-    kernel = kernels[args.algorithm]
     db = dataset_database(args.dataset)
+    kernel = make_kernel(args.algorithm, {"iterations": args.iterations},
+                         db)
     machine = scaled_workstation(num_gpus=args.gpus)
-    rounds = args.iterations if args.algorithm in ("pagerank",) else 1
+    rounds = getattr(kernel, "iterations", 1)
     recommendation = recommend_configuration(db, machine, kernel,
                                              rounds=rounds)
     print(recommendation.describe())
@@ -982,9 +934,6 @@ def _command_query(args):
     from repro.service import ServiceClient
     client = ServiceClient(args.url, timeout=args.timeout,
                            retries=args.retries)
-    params = {"iterations": args.iterations, "k": args.k}
-    if args.start is not None:
-        params["start"] = args.start
     options = {}
     if args.strategy:
         options["strategy"] = args.strategy
@@ -996,7 +945,8 @@ def _command_query(args):
         options["timeout_ms"] = args.timeout_ms
     try:
         result = client.query(args.database, args.algorithm,
-                              params=params, options=options or None,
+                              params=_parameters(args),
+                              options=options or None,
                               query_id=args.query_id,
                               include_values=args.include_values)
     except AdmissionError as error:
@@ -1021,7 +971,14 @@ def _command_query(args):
 
 
 def _command_bench(args):
-    outcome = EXPERIMENTS[args.experiment](args)
+    arguments = []
+    if args.algorithm is not None:
+        if args.experiment not in TAKES_ALGORITHM:
+            raise ConfigurationError(
+                "experiment %r takes no --algorithm (those that do: %s)"
+                % (args.experiment, ", ".join(TAKES_ALGORITHM)))
+        arguments.append(args.algorithm)
+    outcome = EXPERIMENTS[args.experiment](*arguments)
     tables = outcome if isinstance(outcome, tuple) else (outcome,)
     for table in tables:
         print(table.render())

@@ -11,6 +11,7 @@ This package is the paper's primary contribution:
   replicate the page stream), Section 4.
 * :mod:`~repro.core.kernels` — the graph algorithms, each as a pair of
   GPU kernels (small-page and large-page variants, Appendix B).
+* :mod:`~repro.core.algorithms` — the one table naming those kernels.
 * :mod:`~repro.core.micro` — micro-level parallelisation models
   (vertex-centric, edge-centric/VWC, hybrid), Section 6.2.
 * :mod:`~repro.core.cost_model` — the analytic cost models of Section 5.

@@ -13,14 +13,10 @@ concurrency property test in ``tests/test_service.py`` holds the
 service to exactly that.
 """
 
+from repro.core.algorithms import ALGORITHMS
 from repro.service.client import ServiceClient
 from repro.service.http import ServiceRequestHandler, make_server
-from repro.service.service import (
-    ALGORITHMS,
-    ENGINE_OPTIONS,
-    GraphService,
-    QueryRequest,
-)
+from repro.service.service import ENGINE_OPTIONS, GraphService, QueryRequest
 
 __all__ = [
     "ALGORITHMS",

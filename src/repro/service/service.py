@@ -37,21 +37,15 @@ option; the engine checks the deadline between rounds and raises
 import itertools
 import threading
 import time as _time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
 from repro.concurrency import InstrumentedLock, ReadWriteGate
-from repro.core import (
-    BCKernel,
-    BFSKernel,
-    DegreeKernel,
-    GTSEngine,
-    KCoreKernel,
-    PageRankKernel,
-    RWRKernel,
-    SSSPKernel,
-    WCCKernel,
+from repro.core import GTSEngine
+from repro.core.algorithms import (
+    check_parameters,
+    check_topology,
+    make_kernel,
 )
 from repro.core.plan import RoundPlanCache
 from repro.errors import (
@@ -64,23 +58,6 @@ from repro.errors import (
 from repro.hardware.specs import scaled_workstation
 from repro.obs.metrics import quantile
 from repro.spans import activate, span
-
-#: Service algorithm name -> (kernel factory, needs weighted db).
-#: Factories take (params dict, start vertex); parameters default the
-#: same way the CLI's one-shot ``run`` command does.
-ALGORITHMS = {
-    "bfs": (lambda p, start: BFSKernel(start), False),
-    "pagerank": (lambda p, start: PageRankKernel(
-        iterations=int(p.get("iterations", 10))), False),
-    "sssp": (lambda p, start: SSSPKernel(start), True),
-    "cc": (lambda p, start: WCCKernel(), False),
-    "bc": (lambda p, start: BCKernel(sources=(start,)), False),
-    "rwr": (lambda p, start: RWRKernel(
-        query_vertex=start, iterations=int(p.get("iterations", 10))),
-        False),
-    "degree": (lambda p, start: DegreeKernel(), False),
-    "kcore": (lambda p, start: KCoreKernel(k=int(p.get("k", 2))), False),
-}
 
 #: Engine knobs a query request may override, with service defaults.
 ENGINE_OPTIONS = {
@@ -490,21 +467,14 @@ class GraphService:
         return out
 
     def _validate(self, request, entry):
-        spec = ALGORITHMS.get(request.algorithm)
-        if spec is None:
-            raise ServiceError(
-                "unknown algorithm %r (valid: %s)"
-                % (request.algorithm, ", ".join(sorted(ALGORITHMS))))
-        if spec[1] and entry.db.config.weight_bytes == 0:
-            raise ServiceError(
-                "algorithm %r needs edge weights, but database %r was "
-                "built without them" % (request.algorithm, entry.name))
-        start = request.params.get("start")
-        if start is not None and not (
-                0 <= int(start) < entry.db.num_vertices):
-            raise ServiceError(
-                "start vertex %r outside database %r (%d vertices)"
-                % (start, entry.name, entry.db.num_vertices))
+        try:
+            warning = check_topology(request.algorithm, entry.db,
+                                     "database %r" % entry.name)
+            check_parameters(request.params, entry.db.num_vertices)
+        except ConfigurationError as error:
+            raise ServiceError(str(error)) from error
+        if warning:
+            warnings.warn(warning, stacklevel=3)
         timeout_ms = request.options.get("timeout_ms")
         if timeout_ms is not None and not (
                 isinstance(timeout_ms, (int, float))
@@ -614,11 +584,7 @@ class GraphService:
                 snapshot = entry.db.pin()
         try:
             view = snapshot if snapshot is not None else entry.db
-            start = request.params.get("start")
-            start = (int(start) if start is not None
-                     else int(np.argmax(view.out_degrees)))
-            kernel = ALGORITHMS[request.algorithm][0](request.params,
-                                                      start)
+            kernel = make_kernel(request.algorithm, request.params, view)
             engine = self._build_engine(
                 request, entry, db=view,
                 tracing=trace is not None and trace.sampled)

@@ -191,9 +191,22 @@ class TestBenchCommand:
         assert "80.00 GB" in capsys.readouterr().out
 
     def test_fig14(self, capsys):
+        # A run name reads as its kernel label: BFS's table, not
+        # PageRank's under a "bfs" title.
         assert main(["bench", "--experiment", "fig14",
-                     "--algorithm", "BFS"]) == 0
-        assert "vertex-centric" in capsys.readouterr().out
+                     "--algorithm", "bfs"]) == 0
+        output = capsys.readouterr().out
+        assert "vertex-centric" in output
+        assert "(BFS, RMAT28 scale)" in output
+
+    @pytest.mark.parametrize("experiment, algorithm", [
+        ("fig7", "bogus"), ("fig9", "sssp"), ("fig13", "BFS"),
+        ("fig11", "bogus")])
+    def test_unknown_or_unsupported_algorithm_is_an_error(
+            self, experiment, algorithm, capsys):
+        assert main(["bench", "--experiment", experiment,
+                     "--algorithm", algorithm]) == 1
+        assert "error:" in capsys.readouterr().err
 
 
 class TestObsAnalyzeCommand:

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core import GTSEngine
+from repro.core.algorithms import make_kernel
 from repro.errors import (
     AdmissionError,
     ConfigurationError,
@@ -31,7 +32,6 @@ from repro.graphgen import generate_rmat
 from repro.hardware.specs import scaled_workstation
 from repro.obs import collect_service_metrics
 from repro.service import (
-    ALGORITHMS,
     GraphService,
     QueryRequest,
     ServiceClient,
@@ -74,11 +74,7 @@ def _one_shot(prefix, algorithm, params, options):
     db = FileBackedDatabase(prefix, pool_pages=POOL_PAGES)
     machine = scaled_workstation(num_gpus=2, num_ssds=2)
     engine = GTSEngine(db, machine, **options)
-    start = params.get("start")
-    start = (int(start) if start is not None
-             else int(np.argmax(db.out_degrees)))
-    kernel = ALGORITHMS[algorithm][0](params, start)
-    return engine.run(kernel, dataset_name="g")
+    return engine.run(make_kernel(algorithm, params, db), dataset_name="g")
 
 
 @pytest.fixture(scope="module")
@@ -281,8 +277,10 @@ class TestRequestValidation:
         service.add_database(
             "g", db=FileBackedDatabase(db_prefix,
                                        pool_pages=POOL_PAGES))
-        with pytest.raises(ServiceError):
-            service.submit(QueryRequest("g", "mincut"))
+        # A kernel label is the paper tables' spelling, not a name here.
+        for algorithm in ("mincut", "BFS"):
+            with pytest.raises(ServiceError):
+                service.submit(QueryRequest("g", algorithm))
         service.drain()
 
     def test_weighted_algorithm_on_unweighted_db(self):
@@ -293,6 +291,9 @@ class TestRequestValidation:
         with pytest.raises(ServiceError):
             service.submit(QueryRequest("plain", "sssp",
                                         params={"start": 0}))
+        # A symmetric algorithm runs on the stored topology, warned.
+        with pytest.warns(UserWarning, match="used as-is"):
+            service.query("plain", "cc")
         service.drain()
 
     def test_bad_start_vertex_and_options(self, db_prefix):
@@ -300,9 +301,12 @@ class TestRequestValidation:
         service.add_database(
             "g", db=FileBackedDatabase(db_prefix,
                                        pool_pages=POOL_PAGES))
-        with pytest.raises(ServiceError):
-            service.submit(QueryRequest("g", "bfs",
-                                        params={"start": 10 ** 9}))
+        # Out of range, or not an integer: a bool, a float, a string.
+        for params in ({"start": 10 ** 9}, {"start": "abc"},
+                       {"start": 1.7}, {"start": True},
+                       {"iterations": "x"}, {"k": "2"}):
+            with pytest.raises(ServiceError):
+                service.submit(QueryRequest("g", "bfs", params=params))
         # Never-known and removed knobs alike are unknown options.
         for options in ({"warp_speed": True}, {"backend": "process"},
                         {"backend_workers": 2}, {"execution": "paged"},
@@ -417,11 +421,13 @@ class TestHTTP:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 400
-        for removed in ({"backend": "process"}, {"execution": "paged"}):
+        for bad in ({"options": {"backend": "process"}},
+                    {"options": {"execution": "paged"}},
+                    {"params": {"start": "abc"}}):
             request = urllib.request.Request(
                 base + "/query",
-                data=json.dumps({"database": "g", "algorithm": "bfs",
-                                 "options": removed}).encode(),
+                data=json.dumps(dict(database="g", algorithm="bfs",
+                                     **bad)).encode(),
                 headers={"Content-Type": "application/json"})
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request)
