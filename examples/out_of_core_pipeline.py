@@ -68,7 +68,7 @@ def main():
     print("\nvs the prior out-of-core engines (simulated seconds):")
     for engine in (XStreamEngine(time_scale=SCALE),
                    GraphChiEngine(time_scale=SCALE)):
-        baseline = engine.run_bfs(loaded, start)
+        baseline = engine.run("bfs", loaded, {"start": start})
         print("  %-9s %10s  (%.1fx GTS; %d full-graph supersteps)"
               % (engine.name,
                  format_seconds(baseline.elapsed_seconds),

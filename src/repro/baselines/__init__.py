@@ -10,6 +10,11 @@
   (Figure 7).
 * :mod:`~repro.baselines.gpu` — TOTEM (the hybrid CPU+GPU partitioned
   engine), CuSha and MapGraph (GPU-memory-only engines) (Figure 8).
+* :mod:`~repro.baselines.outofcore` — X-Stream and GraphChi, the
+  out-of-core streaming engines (Section 8).
+
+Every engine runs through :meth:`~repro.baselines.base.Baseline.run`:
+``engine.run("bfs", graph, {"start": v})``, keyed by the algorithm table.
 
 All baselines run the real algorithm on the real (scaled) graph; only
 *time* is simulated, from measured per-superstep work volumes fed through
@@ -19,6 +24,7 @@ real data-structure footprints, which is what produces the paper's
 """
 
 from repro.baselines import reference
+from repro.baselines.base import Baseline
 from repro.baselines.distributed import (
     DistributedEngine,
     GiraphEngine,
@@ -26,7 +32,6 @@ from repro.baselines.distributed import (
     PowerGraphEngine,
     NaiadEngine,
     ClusterSpec,
-    paper_cluster,
 )
 from repro.baselines.cpu import (
     CPUEngine,
@@ -35,7 +40,6 @@ from repro.baselines.cpu import (
     LigraEngine,
     LigraPlusEngine,
     CPUHostSpec,
-    paper_cpu_host,
 )
 from repro.baselines.gpu import (
     TotemEngine,
@@ -46,20 +50,19 @@ from repro.baselines.outofcore import GraphChiEngine, XStreamEngine
 
 __all__ = [
     "reference",
+    "Baseline",
     "DistributedEngine",
     "GiraphEngine",
     "GraphXEngine",
     "PowerGraphEngine",
     "NaiadEngine",
     "ClusterSpec",
-    "paper_cluster",
     "CPUEngine",
     "MTGLEngine",
     "GaloisEngine",
     "LigraEngine",
     "LigraPlusEngine",
     "CPUHostSpec",
-    "paper_cpu_host",
     "TotemEngine",
     "CuShaEngine",
     "MapGraphEngine",

@@ -210,20 +210,23 @@ def trace_bc(graph, sources=(0,)):
     return BSPRun(values={"centrality": centrality}, supersteps=supersteps)
 
 
-#: Algorithm registry: name -> trace function.
+#: Algorithm-table key -> trace factory, in the table's
+#: ``(graph, params, start)`` shape.
 TRACERS = {
-    "BFS": trace_bfs,
-    "PageRank": trace_pagerank,
-    "SSSP": trace_sssp,
-    "CC": trace_wcc,
-    "BC": trace_bc,
+    "bfs": lambda graph, params, start: trace_bfs(graph, start),
+    "pagerank": lambda graph, params, start: trace_pagerank(
+        graph, params["iterations"]),
+    "sssp": lambda graph, params, start: trace_sssp(graph, start),
+    "cc": lambda graph, params, start: trace_wcc(graph),
+    "bc": lambda graph, params, start: trace_bc(graph, (start,)),
 }
 
 _TRACE_CACHE = weakref.WeakKeyDictionary()
 
 
-def cached_trace(graph, algorithm, **params):
-    """Run (or reuse) an algorithm trace for ``graph``.
+def cached_trace(graph, key, params):
+    """Run (or reuse) the trace of table key ``key`` for ``graph``;
+    ``params`` are resolved (``start`` is a vertex).
 
     Every baseline engine executes the same algorithm on the same graph;
     caching the trace per graph object means a Figure 6-style sweep runs
@@ -231,7 +234,7 @@ def cached_trace(graph, algorithm, **params):
     weak-keyed so dropping the graph frees its traces.
     """
     per_graph = _TRACE_CACHE.setdefault(graph, {})
-    key = (algorithm, tuple(sorted(params.items())))
-    if key not in per_graph:
-        per_graph[key] = TRACERS[algorithm](graph, **params)
-    return per_graph[key]
+    cache_key = (key, tuple(sorted(params.items())))
+    if cache_key not in per_graph:
+        per_graph[cache_key] = TRACERS[key](graph, params, params["start"])
+    return per_graph[cache_key]

@@ -20,11 +20,8 @@ and do not emulate the crashes; EXPERIMENTS.md records the difference.
 """
 
 import dataclasses
-import time as _time
 
-from repro.baselines import bsp
-from repro.core.result import RunResult
-from repro.errors import OutOfMemoryError
+from repro.baselines.base import Baseline
 from repro.units import GB
 
 #: Effective CPU cycles per edge per algorithm for a well-tuned
@@ -61,17 +58,7 @@ class CPUHostSpec:
             name="%s (1/%d scale)" % (self.name, factor))
 
 
-def paper_cpu_host():
-    """The workstation CPU side exactly as Section 7.1 describes it."""
-    return CPUHostSpec()
-
-
-def scaled_cpu_host(factor=8192):
-    """The CPU host with memory scaled down by ``factor`` (2^13 default)."""
-    return CPUHostSpec().scaled(factor)
-
-
-class CPUEngine:
+class CPUEngine(Baseline):
     """Base class for the shared-memory CPU baselines."""
 
     name = "abstract"
@@ -85,64 +72,25 @@ class CPUEngine:
     round_seconds = 2e-3
 
     def __init__(self, host=None, time_scale=1.0):
-        self.host = host or paper_cpu_host()
+        self.host = host or CPUHostSpec()
         self.time_scale = time_scale
+        self.num_streams = self.host.num_threads
 
-    def memory_footprint(self, graph):
+    def footprint(self, graph, kernel, trace):
         return (graph.num_edges * self.bytes_per_edge
                 + graph.num_vertices * self.bytes_per_vertex)
 
-    def check_memory(self, graph):
-        required = self.memory_footprint(graph)
-        if required > self.host.main_memory:
-            raise OutOfMemoryError(
-                "%s needs %d bytes but main memory is %d bytes"
-                % (self.name, required, self.host.main_memory),
-                required_bytes=required,
-                available_bytes=self.host.main_memory)
+    def capacity(self):
+        return self.host.main_memory
 
-    def _run(self, algorithm, graph, bsp_run, dataset_name):
-        wall_start = _time.perf_counter()
-        self.check_memory(graph)
-        cycles = CPU_ALGORITHM_CYCLES[algorithm] * self.compute_factor
+    def elapsed(self, graph, kernel, trace, dataset_name):
+        cycles = CPU_ALGORITHM_CYCLES[kernel.name] * self.compute_factor
         elapsed = 0.0
-        for trace in bsp_run.supersteps:
-            elapsed += (trace.edges_processed * cycles
+        for step in trace.supersteps:
+            elapsed += (step.edges_processed * cycles
                         / self.host.compute_hz)
             elapsed += self.round_seconds / self.time_scale
-        return RunResult(
-            algorithm=algorithm,
-            dataset=dataset_name or "graph",
-            values=bsp_run.values,
-            elapsed_seconds=elapsed,
-            wall_seconds=_time.perf_counter() - wall_start,
-            num_rounds=bsp_run.num_supersteps,
-            rounds=[],
-            edges_traversed=bsp_run.total_edges(),
-            num_gpus=0,
-            num_streams=self.host.num_threads,
-            strategy="",
-            engine=self.name,
-        )
-
-    def run_bfs(self, graph, start_vertex=0, dataset_name=None):
-        return self._run("BFS", graph,
-                         bsp.cached_trace(graph, 'BFS', start_vertex=start_vertex), dataset_name)
-
-    def run_pagerank(self, graph, iterations=10, dataset_name=None):
-        return self._run("PageRank", graph,
-                         bsp.cached_trace(graph, 'PageRank', iterations=iterations), dataset_name)
-
-    def run_sssp(self, graph, start_vertex=0, dataset_name=None):
-        return self._run("SSSP", graph,
-                         bsp.cached_trace(graph, 'SSSP', start_vertex=start_vertex), dataset_name)
-
-    def run_cc(self, graph, dataset_name=None):
-        return self._run("CC", graph, bsp.cached_trace(graph, 'CC'), dataset_name)
-
-    def run_bc(self, graph, sources=(0,), dataset_name=None):
-        return self._run("BC", graph,
-                         bsp.cached_trace(graph, 'BC', sources=sources), dataset_name)
+        return elapsed
 
 
 class MTGLEngine(CPUEngine):

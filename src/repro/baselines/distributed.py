@@ -28,12 +28,9 @@ per-system orderings, not the absolute seconds (see EXPERIMENTS.md).
 """
 
 import dataclasses
-import time as _time
 
-from repro.baselines import bsp
+from repro.baselines.base import Baseline
 from repro.baselines.cpu import CPU_ALGORITHM_CYCLES
-from repro.core.result import RunResult
-from repro.errors import OutOfMemoryError
 from repro.units import GB, gbps_to_bytes_per_sec
 
 
@@ -69,17 +66,7 @@ class ClusterSpec:
             name="%s (1/%d scale)" % (self.name, factor))
 
 
-def paper_cluster():
-    """The cluster exactly as Section 7.1 describes it."""
-    return ClusterSpec()
-
-
-def scaled_cluster(factor=8192):
-    """The cluster with memory scaled down by ``factor`` (2^13 default)."""
-    return ClusterSpec().scaled(factor)
-
-
-class DistributedEngine:
+class DistributedEngine(Baseline):
     """Base class: BSP cost model over a superstep trace.
 
     Subclasses override the class attributes; the paper-scale barrier
@@ -103,7 +90,7 @@ class DistributedEngine:
     message_buffer_bytes = 8
 
     def __init__(self, cluster=None, time_scale=1.0):
-        self.cluster = cluster or paper_cluster()
+        self.cluster = cluster or ClusterSpec()
         self.time_scale = time_scale
 
     # ------------------------------------------------------------------
@@ -119,20 +106,13 @@ class DistributedEngine:
         return 0.0
 
     # ------------------------------------------------------------------
-    def memory_footprint(self, graph, run):
-        """Peak cluster memory this engine needs for ``graph``."""
+    def footprint(self, graph, kernel, trace):
         return (graph.num_edges * self.bytes_per_edge
                 + graph.num_vertices * self.bytes_per_vertex
-                + run.peak_messages() * self.message_buffer_bytes)
+                + trace.peak_messages() * self.message_buffer_bytes)
 
-    def check_memory(self, graph, run):
-        required = self.memory_footprint(graph, run)
-        available = self.cluster.total_memory
-        if required > available:
-            raise OutOfMemoryError(
-                "%s needs %d bytes on a cluster with %d bytes of memory"
-                % (self.name, required, available),
-                required_bytes=required, available_bytes=available)
+    def capacity(self):
+        return self.cluster.total_memory
 
     def superstep_seconds(self, trace, graph, cycles_per_edge):
         cluster = self.cluster
@@ -145,50 +125,10 @@ class DistributedEngine:
         return compute + comm + barrier + self.extra_superstep_seconds(
             trace, graph)
 
-    # ------------------------------------------------------------------
-    def _run(self, algorithm, graph, bsp_run, dataset_name):
-        wall_start = _time.perf_counter()
-        self.check_memory(graph, bsp_run)
-        cycles = CPU_ALGORITHM_CYCLES[algorithm]
-        elapsed = sum(
-            self.superstep_seconds(trace, graph, cycles)
-            for trace in bsp_run.supersteps)
-        return RunResult(
-            algorithm=algorithm,
-            dataset=dataset_name or "graph",
-            values=bsp_run.values,
-            elapsed_seconds=elapsed,
-            wall_seconds=_time.perf_counter() - wall_start,
-            num_rounds=bsp_run.num_supersteps,
-            rounds=[],
-            edges_traversed=bsp_run.total_edges(),
-            num_gpus=0,
-            num_streams=0,
-            strategy="",
-            engine=self.name,
-        )
-
-    # ------------------------------------------------------------------
-    # Public algorithm entry points
-    # ------------------------------------------------------------------
-    def run_bfs(self, graph, start_vertex=0, dataset_name=None):
-        return self._run("BFS", graph,
-                         bsp.cached_trace(graph, 'BFS', start_vertex=start_vertex), dataset_name)
-
-    def run_pagerank(self, graph, iterations=10, dataset_name=None):
-        return self._run("PageRank", graph,
-                         bsp.cached_trace(graph, 'PageRank', iterations=iterations), dataset_name)
-
-    def run_sssp(self, graph, start_vertex=0, dataset_name=None):
-        return self._run("SSSP", graph,
-                         bsp.cached_trace(graph, 'SSSP', start_vertex=start_vertex), dataset_name)
-
-    def run_cc(self, graph, dataset_name=None):
-        return self._run("CC", graph, bsp.cached_trace(graph, 'CC'), dataset_name)
-
-    def run_bc(self, graph, sources=(0,), dataset_name=None):
-        return self._run("BC", graph,
-                         bsp.cached_trace(graph, 'BC', sources=sources), dataset_name)
+    def elapsed(self, graph, kernel, trace, dataset_name):
+        cycles = CPU_ALGORITHM_CYCLES[kernel.name]
+        return sum(self.superstep_seconds(step, graph, cycles)
+                   for step in trace.supersteps)
 
 
 class GiraphEngine(DistributedEngine):

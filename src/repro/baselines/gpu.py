@@ -16,34 +16,14 @@
   Twitter.
 
 All three execute the real algorithm via the shared BSP traces; memory
-footprints use each system's published format overheads.
+footprints use each system's published format overheads.  GPU work is
+priced at the GTS kernel's own ``cycles_per_lane_step``, so the GPU
+baselines and GTS price identical work identically.
 """
 
-import time as _time
-
-from repro.baselines import bsp
-from repro.baselines.cpu import CPU_ALGORITHM_CYCLES, paper_cpu_host
-from repro.core.kernels import (
-    BCKernel,
-    BFSKernel,
-    PageRankKernel,
-    SSSPKernel,
-    WCCKernel,
-)
-from repro.core.result import RunResult
-from repro.errors import OutOfMemoryError
+from repro.baselines.base import Baseline
+from repro.baselines.cpu import CPU_ALGORITHM_CYCLES, CPUHostSpec
 from repro.hardware.specs import GPUSpec, PCIeSpec
-
-
-#: Effective GPU cycles per edge, taken from the GTS kernels so the GPU
-#: baselines and GTS price identical work identically.
-GPU_ALGORITHM_CYCLES = {
-    "BFS": BFSKernel.cycles_per_lane_step,
-    "PageRank": PageRankKernel.cycles_per_lane_step,
-    "SSSP": SSSPKernel.cycles_per_lane_step,
-    "CC": WCCKernel.cycles_per_lane_step,
-    "BC": BCKernel.cycles_per_lane_step,
-}
 
 #: The paper's Table 5 (Appendix C): TOTEM's recommended GPU:CPU split
 #: as the fraction of the graph processed by GPUs, keyed by
@@ -63,60 +43,21 @@ TOTEM_PARTITION_TABLE = {
 }
 
 
-class _GPUBaselineBase:
+class _GPUBaselineBase(Baseline):
     """Shared wiring: host CPUs, GPU list, PCI-E, and time scaling."""
 
     def __init__(self, host=None, gpus=None, pcie=None, time_scale=1.0):
-        self.host = host or paper_cpu_host()
+        self.host = host or CPUHostSpec()
         self.gpus = list(gpus) if gpus is not None else [GPUSpec(), GPUSpec()]
         self.pcie = pcie or PCIeSpec()
         self.time_scale = time_scale
-
-    @property
-    def num_gpus(self):
-        return len(self.gpus)
+        self.num_gpus = len(self.gpus)
 
     def total_gpu_memory(self):
         return sum(g.device_memory for g in self.gpus)
 
     def total_gpu_hz(self):
         return sum(g.effective_hz for g in self.gpus)
-
-    def _result(self, algorithm, bsp_run, elapsed, dataset_name, wall_start):
-        return RunResult(
-            algorithm=algorithm,
-            dataset=dataset_name or "graph",
-            values=bsp_run.values,
-            elapsed_seconds=elapsed,
-            wall_seconds=_time.perf_counter() - wall_start,
-            num_rounds=bsp_run.num_supersteps,
-            rounds=[],
-            edges_traversed=bsp_run.total_edges(),
-            num_gpus=self.num_gpus,
-            num_streams=0,
-            strategy="",
-            engine=self.name,
-        )
-
-    # Public algorithm entry points shared by all three engines.
-    def run_bfs(self, graph, start_vertex=0, dataset_name=None):
-        return self._run("BFS", graph,
-                         bsp.cached_trace(graph, 'BFS', start_vertex=start_vertex), dataset_name)
-
-    def run_pagerank(self, graph, iterations=10, dataset_name=None):
-        return self._run("PageRank", graph,
-                         bsp.cached_trace(graph, 'PageRank', iterations=iterations), dataset_name)
-
-    def run_sssp(self, graph, start_vertex=0, dataset_name=None):
-        return self._run("SSSP", graph,
-                         bsp.cached_trace(graph, 'SSSP', start_vertex=start_vertex), dataset_name)
-
-    def run_cc(self, graph, dataset_name=None):
-        return self._run("CC", graph, bsp.cached_trace(graph, 'CC'), dataset_name)
-
-    def run_bc(self, graph, sources=(0,), dataset_name=None):
-        return self._run("BC", graph,
-                         bsp.cached_trace(graph, 'BC', sources=sources), dataset_name)
 
 
 class TotemEngine(_GPUBaselineBase):
@@ -157,43 +98,37 @@ class TotemEngine(_GPUBaselineBase):
         need = graph.num_edges * self.gpu_bytes_per_edge
         return min(0.95, budget / need) if need else 0.95
 
-    def check_memory(self, graph):
-        required = (graph.num_edges * self.host_bytes_per_edge
-                    + graph.num_vertices * self.host_bytes_per_vertex)
-        if required > self.host.main_memory:
-            raise OutOfMemoryError(
-                "TOTEM needs a contiguous %d-byte in-memory graph but main "
-                "memory is %d bytes" % (required, self.host.main_memory),
-                required_bytes=required,
-                available_bytes=self.host.main_memory)
+    def footprint(self, graph, kernel, trace):
+        return (graph.num_edges * self.host_bytes_per_edge
+                + graph.num_vertices * self.host_bytes_per_vertex)
 
-    def _run(self, algorithm, graph, bsp_run, dataset_name):
-        wall_start = _time.perf_counter()
-        self.check_memory(graph)
-        fraction = self.resolve_partition(graph, algorithm, dataset_name)
-        gpu_cycles = GPU_ALGORITHM_CYCLES[algorithm]
-        cpu_cycles = CPU_ALGORITHM_CYCLES[algorithm]
+    def capacity(self):
+        return self.host.main_memory
+
+    def elapsed(self, graph, kernel, trace, dataset_name):
+        fraction = self.resolve_partition(graph, kernel.name, dataset_name)
+        gpu_cycles = kernel.cycles_per_lane_step
+        cpu_cycles = CPU_ALGORITHM_CYCLES[kernel.name]
         elapsed = 0.0
-        for trace in bsp_run.supersteps:
+        for step in trace.supersteps:
             # TOTEM's GPU side is topology-driven: it scans its whole
             # partition every superstep (no frontier compaction on the
             # GPU), which is why GTS beats it soundly on BFS-like
             # algorithms while staying comparable on PageRank.
             gpu_time = (fraction * graph.num_edges * gpu_cycles
                         / self.total_gpu_hz())
-            cpu_time = ((1.0 - fraction) * trace.edges_processed * cpu_cycles
+            cpu_time = ((1.0 - fraction) * step.edges_processed * cpu_cycles
                         / self.host.compute_hz)
             # Boundary exchange: messages crossing the random edge cut.
             cut_fraction = 2.0 * fraction * (1.0 - fraction)
-            boundary = trace.messages * cut_fraction
+            boundary = step.messages * cut_fraction
             comm = (boundary * self.boundary_message_bytes
                     / self.pcie.chunk_bandwidth
                     + boundary * self.boundary_message_cycles
                     / self.host.compute_hz)
             elapsed += (max(gpu_time, cpu_time) + comm
                         + self.superstep_seconds / self.time_scale)
-        return self._result(algorithm, bsp_run, elapsed, dataset_name,
-                            wall_start)
+        return elapsed
 
 
 class _DeviceMemoryOnlyEngine(_GPUBaselineBase):
@@ -207,32 +142,23 @@ class _DeviceMemoryOnlyEngine(_GPUBaselineBase):
     compute_factor = 1.0
     round_seconds = 1e-3
 
-    def footprint(self, graph, algorithm):
-        traversal = algorithm in ("BFS", "SSSP", "BC")
+    def footprint(self, graph, kernel, trace):
+        traversal = kernel.name in ("BFS", "SSSP", "BC")
         per_edge = (self.bytes_per_edge_traversal if traversal
                     else self.bytes_per_edge_iterative)
         return (graph.num_edges * per_edge
                 + graph.num_vertices * self.bytes_per_vertex)
 
-    def check_memory(self, graph, algorithm):
-        required = self.footprint(graph, algorithm)
-        available = self.total_gpu_memory()
-        if required > available:
-            raise OutOfMemoryError(
-                "%s needs %d bytes of GPU memory but only %d is available"
-                % (self.name, required, available),
-                required_bytes=required, available_bytes=available)
+    def capacity(self):
+        return self.total_gpu_memory()
 
-    def _run(self, algorithm, graph, bsp_run, dataset_name):
-        wall_start = _time.perf_counter()
-        self.check_memory(graph, algorithm)
-        cycles = GPU_ALGORITHM_CYCLES[algorithm] * self.compute_factor
+    def elapsed(self, graph, kernel, trace, dataset_name):
+        cycles = kernel.cycles_per_lane_step * self.compute_factor
         elapsed = 0.0
-        for trace in bsp_run.supersteps:
-            elapsed += trace.edges_processed * cycles / self.total_gpu_hz()
+        for step in trace.supersteps:
+            elapsed += step.edges_processed * cycles / self.total_gpu_hz()
             elapsed += self.round_seconds / self.time_scale
-        return self._result(algorithm, bsp_run, elapsed, dataset_name,
-                            wall_start)
+        return elapsed
 
 
 class CuShaEngine(_DeviceMemoryOnlyEngine):

@@ -24,16 +24,12 @@ overlaps compute with I/O, GraphChi serialises load / compute / write
 per shard.
 """
 
-import time as _time
-
-from repro.baselines import bsp
-from repro.baselines.cpu import CPU_ALGORITHM_CYCLES, paper_cpu_host
-from repro.core.result import RunResult
-from repro.errors import OutOfMemoryError
+from repro.baselines.base import Baseline
+from repro.baselines.cpu import CPU_ALGORITHM_CYCLES, CPUHostSpec
 from repro.hardware.specs import SSD_SPEC
 
 
-class _OutOfCoreEngine:
+class _OutOfCoreEngine(Baseline):
     """Shared wiring for the disk-streaming engines."""
 
     name = "abstract"
@@ -44,7 +40,7 @@ class _OutOfCoreEngine:
 
     def __init__(self, host=None, storage=SSD_SPEC, num_disks=1,
                  time_scale=1.0):
-        self.host = host or paper_cpu_host()
+        self.host = host or CPUHostSpec()
         self.storage = storage
         self.num_disks = num_disks
         self.time_scale = time_scale
@@ -52,57 +48,15 @@ class _OutOfCoreEngine:
     def storage_bandwidth(self):
         return self.num_disks * self.storage.read_bandwidth
 
-    def check_memory(self, graph):
-        required = graph.num_vertices * self.vertex_bytes
-        if required > self.host.main_memory:
-            raise OutOfMemoryError(
-                "%s needs %d bytes of vertex state but main memory is %d"
-                % (self.name, required, self.host.main_memory),
-                required_bytes=required,
-                available_bytes=self.host.main_memory)
+    def footprint(self, graph, kernel, trace):
+        return graph.num_vertices * self.vertex_bytes
 
-    def _run(self, algorithm, graph, bsp_run, dataset_name):
-        wall_start = _time.perf_counter()
-        self.check_memory(graph)
-        elapsed = sum(
-            self.superstep_seconds(trace, graph, algorithm)
-            for trace in bsp_run.supersteps)
-        return RunResult(
-            algorithm=algorithm,
-            dataset=dataset_name or "graph",
-            values=bsp_run.values,
-            elapsed_seconds=elapsed,
-            wall_seconds=_time.perf_counter() - wall_start,
-            num_rounds=bsp_run.num_supersteps,
-            rounds=[],
-            edges_traversed=bsp_run.total_edges(),
-            num_gpus=0,
-            num_streams=0,
-            strategy="",
-            engine=self.name,
-        )
+    def capacity(self):
+        return self.host.main_memory
 
-    def run_bfs(self, graph, start_vertex=0, dataset_name=None):
-        return self._run(
-            "BFS", graph,
-            bsp.cached_trace(graph, "BFS", start_vertex=start_vertex),
-            dataset_name)
-
-    def run_pagerank(self, graph, iterations=10, dataset_name=None):
-        return self._run(
-            "PageRank", graph,
-            bsp.cached_trace(graph, "PageRank", iterations=iterations),
-            dataset_name)
-
-    def run_sssp(self, graph, start_vertex=0, dataset_name=None):
-        return self._run(
-            "SSSP", graph,
-            bsp.cached_trace(graph, "SSSP", start_vertex=start_vertex),
-            dataset_name)
-
-    def run_cc(self, graph, dataset_name=None):
-        return self._run("CC", graph, bsp.cached_trace(graph, "CC"),
-                         dataset_name)
+    def elapsed(self, graph, kernel, trace, dataset_name):
+        return sum(self.superstep_seconds(step, graph, kernel.name)
+                   for step in trace.supersteps)
 
 
 class XStreamEngine(_OutOfCoreEngine):

@@ -15,26 +15,10 @@ import dataclasses
 
 import numpy as np
 
-from repro.baselines.cpu import (
-    GaloisEngine,
-    LigraEngine,
-    LigraPlusEngine,
-    MTGLEngine,
-    scaled_cpu_host,
-)
-from repro.baselines.distributed import (
-    GiraphEngine,
-    GraphXEngine,
-    NaiadEngine,
-    PowerGraphEngine,
-    scaled_cluster,
-)
-from repro.baselines.gpu import (
-    CuShaEngine,
-    MapGraphEngine,
-    TotemEngine,
-    TOTEM_PARTITION_TABLE,
-)
+from repro.baselines.cpu import ALL_CPU_ENGINES, CPUHostSpec
+from repro.baselines.distributed import ALL_DISTRIBUTED_ENGINES, ClusterSpec
+from repro.baselines.gpu import ALL_GPU_ENGINES, TOTEM_PARTITION_TABLE
+from repro.baselines.outofcore import GraphChiEngine, XStreamEngine
 from repro.bench.datasets import (
     SCALE_FACTOR,
     dataset_database,
@@ -98,26 +82,23 @@ def _gts_run(kernel, name, symmetrised=False, machine=None, strategy=None,
 
 
 def _distributed_engines():
-    cluster = scaled_cluster(SCALE_FACTOR)
+    cluster = ClusterSpec().scaled(SCALE_FACTOR)
     return [Engine(cluster, time_scale=SCALE_FACTOR)
-            for Engine in (GraphXEngine, GiraphEngine,
-                           PowerGraphEngine, NaiadEngine)]
+            for Engine in ALL_DISTRIBUTED_ENGINES]
 
 
 def _cpu_engines():
-    host = scaled_cpu_host(SCALE_FACTOR)
+    host = CPUHostSpec().scaled(SCALE_FACTOR)
     return [Engine(host, time_scale=SCALE_FACTOR)
-            for Engine in (MTGLEngine, GaloisEngine,
-                           LigraEngine, LigraPlusEngine)]
+            for Engine in ALL_CPU_ENGINES]
 
 
 def _gpu_engines():
-    host = scaled_cpu_host(SCALE_FACTOR)
+    host = CPUHostSpec().scaled(SCALE_FACTOR)
     machine = _machine()
-    kwargs = dict(host=host, gpus=list(machine.gpus), pcie=machine.pcie,
-                  time_scale=SCALE_FACTOR)
-    return [MapGraphEngine(**kwargs), CuShaEngine(**kwargs),
-            TotemEngine(**kwargs)]
+    return [Engine(host=host, gpus=list(machine.gpus), pcie=machine.pcie,
+                   time_scale=SCALE_FACTOR)
+            for Engine in ALL_GPU_ENGINES]
 
 
 def _key(label):
@@ -143,18 +124,15 @@ def _kernel(algorithm, db):
                        {"iterations": PAGERANK_ITERATIONS}, db)
 
 
-def _baseline_run(engine, algorithm, name, **params):
+def _baseline_run(engine, algorithm, name):
+    """A figure cell's baseline run: traversals start at the busiest
+    vertex, PageRank runs the paper's iterations."""
     key = _key(algorithm)
     row = ALGORITHMS[key]
     graph = dataset_graph(name, weighted=row.weighted,
                           symmetrised=row.symmetric)
-    # A baseline engine names its entry points after the registry keys.
-    method = getattr(engine, "run_" + key)
-    if key in ("bfs", "sssp"):
-        params.setdefault("start_vertex", default_start_vertex(graph))
-    if key == "bc":
-        params.setdefault("sources", (default_start_vertex(graph),))
-    return run_or_oom(method, graph, dataset_name=name, **params)
+    return run_or_oom(engine.run, key, graph,
+                      {"iterations": PAGERANK_ITERATIONS}, dataset_name=name)
 
 
 def _gts_algorithm_run(algorithm, name, iterations=PAGERANK_ITERATIONS,
@@ -281,20 +259,16 @@ def table5_totem_partitions():
 # ----------------------------------------------------------------------
 # Figures 6-8: engine comparisons
 # ----------------------------------------------------------------------
-def _comparison_figure(title, engines_factory, datasets, algorithm,
-                       caption, include_gts=True, **params):
+def _comparison_figure(title, engines_factory, datasets, algorithm, caption):
     from repro.bench.charts import chart_from_results
     outcomes = {}
     for engine in engines_factory():
         outcomes[engine.name] = {
-            name: _baseline_run(engine, algorithm, name, **params)
+            name: _baseline_run(engine, algorithm, name)
             for name in datasets
         }
-    if include_gts:
-        outcomes["GTS"] = {
-            name: _gts_algorithm_run(algorithm, name, **params)
-            for name in datasets
-        }
+    outcomes["GTS"] = {name: _gts_algorithm_run(algorithm, name)
+                       for name in datasets}
     table = ExperimentTable(title, datasets, caption=caption)
     for name, per_dataset in outcomes.items():
         table.add_row(name, [format_cell(per_dataset[dataset])
@@ -316,14 +290,11 @@ def section8_streaming(algorithm="BFS",
     GraphChi is worse still (no I/O-compute overlap).  GTS streams only
     the frontier's pages.
     """
-    from repro.baselines.outofcore import GraphChiEngine, XStreamEngine
-    host = scaled_cpu_host(SCALE_FACTOR)
-    engines = [
-        XStreamEngine(host=host, storage=SSD_SPEC, num_disks=2,
-                      time_scale=SCALE_FACTOR),
-        GraphChiEngine(host=host, storage=SSD_SPEC, num_disks=2,
-                       time_scale=SCALE_FACTOR),
-    ]
+    algorithm = _label(algorithm, BFS_OR_PAGERANK)
+    host = CPUHostSpec().scaled(SCALE_FACTOR)
+    engines = [Engine(host=host, storage=SSD_SPEC, num_disks=2,
+                      time_scale=SCALE_FACTOR)
+               for Engine in (XStreamEngine, GraphChiEngine)]
     table = ExperimentTable(
         "Section 8: out-of-core streaming engines (%s)" % algorithm,
         list(datasets),

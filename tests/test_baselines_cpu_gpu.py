@@ -10,8 +10,6 @@ from repro.baselines.cpu import (
     LigraEngine,
     LigraPlusEngine,
     MTGLEngine,
-    paper_cpu_host,
-    scaled_cpu_host,
 )
 from repro.baselines.gpu import (
     CuShaEngine,
@@ -19,6 +17,7 @@ from repro.baselines.gpu import (
     TOTEM_PARTITION_TABLE,
     TotemEngine,
 )
+from repro.core.kernels import BFSKernel, PageRankKernel
 from repro.errors import OutOfMemoryError
 from repro.graphgen import generate_rmat
 from repro.hardware.specs import GPUSpec
@@ -34,12 +33,12 @@ def graph():
 
 class TestCPUHost:
     def test_paper_shape(self):
-        host = paper_cpu_host()
+        host = CPUHostSpec()
         assert host.num_threads == 16
         assert host.main_memory == 128 * GB
 
     def test_scaled(self):
-        host = scaled_cpu_host(1024)
+        host = CPUHostSpec().scaled(1024)
         assert host.main_memory == 128 * GB // 1024
         assert host.num_threads == 16
 
@@ -47,40 +46,42 @@ class TestCPUHost:
 class TestCPUEngines:
     @pytest.mark.parametrize("engine_cls", CPU_ENGINES)
     def test_bfs_values_exact(self, engine_cls, graph):
-        result = engine_cls().run_bfs(graph, 0)
+        result = engine_cls().run("bfs", graph, {"start": 0})
         assert np.array_equal(result.values["level"],
                               reference.bfs_levels(graph, 0))
 
     @pytest.mark.parametrize("engine_cls", CPU_ENGINES)
     def test_pagerank_values_exact(self, engine_cls, graph):
-        result = engine_cls().run_pagerank(graph, iterations=3)
+        result = engine_cls().run("pagerank", graph, {"iterations": 3})
         assert np.allclose(result.values["rank"],
                            reference.pagerank(graph, iterations=3))
 
     def test_mtgl_is_slowest(self, graph):
-        times = {cls.name: cls().run_pagerank(graph, 5).elapsed_seconds
+        times = {cls.name: cls().run("pagerank", graph,
+                                     {"iterations": 5}).elapsed_seconds
                  for cls in CPU_ENGINES}
         assert times["MTGL"] == max(times.values())
 
     def test_ligra_beats_galois(self, graph):
-        start = int(np.argmax(graph.out_degrees()))
-        assert (LigraEngine().run_bfs(graph, start).elapsed_seconds
-                < GaloisEngine().run_bfs(graph, start).elapsed_seconds)
+        start = {"start": int(np.argmax(graph.out_degrees()))}
+        assert (LigraEngine().run("bfs", graph, start).elapsed_seconds
+                < GaloisEngine().run("bfs", graph, start).elapsed_seconds)
 
     def test_ligra_plus_needs_less_memory(self, graph):
-        assert (LigraPlusEngine().memory_footprint(graph)
-                < LigraEngine().memory_footprint(graph))
+        bfs = BFSKernel(0)
+        assert (LigraPlusEngine().footprint(graph, bfs, None)
+                < LigraEngine().footprint(graph, bfs, None))
 
     def test_oom_on_tiny_host(self, graph):
         host = CPUHostSpec(main_memory=1024)
         with pytest.raises(OutOfMemoryError):
-            LigraEngine(host).run_bfs(graph, 0)
+            LigraEngine(host).run("bfs", graph, {"start": 0})
 
     def test_cc_and_sssp_supported(self, graph):
         weighted = graph.with_random_weights(seed=2)
         engine = GaloisEngine()
-        cc = engine.run_cc(graph)
-        sssp = engine.run_sssp(weighted, 0)
+        cc = engine.run("cc", graph)
+        sssp = engine.run("sssp", weighted, {"start": 0})
         assert np.array_equal(
             cc.values["component"],
             reference.weakly_connected_components(graph))
@@ -91,7 +92,7 @@ class TestCPUEngines:
 
 class TestTotem:
     def test_values_exact(self, graph):
-        result = TotemEngine().run_bfs(graph, 0)
+        result = TotemEngine().run("bfs", graph, {"start": 0})
         assert np.array_equal(result.values["level"],
                               reference.bfs_levels(graph, 0))
 
@@ -120,33 +121,35 @@ class TestTotem:
     def test_needs_contiguous_main_memory(self, graph):
         host = CPUHostSpec(main_memory=1024)
         with pytest.raises(OutOfMemoryError):
-            TotemEngine(host=host).run_bfs(graph, 0)
+            TotemEngine(host=host).run("bfs", graph, {"start": 0})
 
     def test_bigger_gpu_fraction_is_faster_for_pagerank(self, graph):
-        slow = TotemEngine(partition_ratio=0.1).run_pagerank(graph, 5)
-        fast = TotemEngine(partition_ratio=0.9).run_pagerank(graph, 5)
+        five = {"iterations": 5}
+        slow = TotemEngine(partition_ratio=0.1).run("pagerank", graph, five)
+        fast = TotemEngine(partition_ratio=0.9).run("pagerank", graph, five)
         assert fast.elapsed_seconds < slow.elapsed_seconds
 
 
 class TestDeviceMemoryOnlyEngines:
     def test_cusha_values_exact(self, graph):
-        result = CuShaEngine().run_bfs(graph, 0)
+        result = CuShaEngine().run("bfs", graph, {"start": 0})
         assert np.array_equal(result.values["level"],
                               reference.bfs_levels(graph, 0))
 
     def test_cusha_pagerank_needs_more_memory_than_bfs(self, graph):
         engine = CuShaEngine()
-        assert (engine.footprint(graph, "PageRank")
-                > engine.footprint(graph, "BFS"))
+        assert (engine.footprint(graph, PageRankKernel(), None)
+                > engine.footprint(graph, BFSKernel(0), None))
 
     def test_cusha_oom_when_graph_exceeds_device(self, graph):
         engine = CuShaEngine(gpus=[GPUSpec(device_memory=1024)])
         with pytest.raises(OutOfMemoryError):
-            engine.run_bfs(graph, 0)
+            engine.run("bfs", graph, {"start": 0})
 
     def test_mapgraph_less_space_efficient_than_cusha(self, graph):
-        assert (MapGraphEngine().footprint(graph, "BFS")
-                > CuShaEngine().footprint(graph, "BFS"))
+        bfs = BFSKernel(0)
+        assert (MapGraphEngine().footprint(graph, bfs, None)
+                > CuShaEngine().footprint(graph, bfs, None))
 
     def test_two_gpus_double_capacity(self, graph):
         one = CuShaEngine(gpus=[GPUSpec()])

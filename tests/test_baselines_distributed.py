@@ -3,16 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.baselines import reference
+from repro.baselines import bsp, reference
 from repro.baselines.distributed import (
     ClusterSpec,
     GiraphEngine,
     GraphXEngine,
     NaiadEngine,
     PowerGraphEngine,
-    paper_cluster,
-    scaled_cluster,
 )
+from repro.core.kernels import BFSKernel, PageRankKernel
 from repro.errors import OutOfMemoryError
 from repro.graphgen import generate_rmat
 from repro.units import GB
@@ -25,7 +24,7 @@ def graph():
 
 @pytest.fixture(scope="module")
 def cluster():
-    return paper_cluster()
+    return ClusterSpec()
 
 
 ALL_ENGINES = [GraphXEngine, GiraphEngine, PowerGraphEngine, NaiadEngine]
@@ -38,7 +37,7 @@ class TestClusterSpec:
         assert cluster.total_memory == 30 * 64 * GB
 
     def test_scaled_divides_memory_only(self):
-        scaled = scaled_cluster(1024)
+        scaled = ClusterSpec().scaled(1024)
         assert scaled.memory_per_machine == 64 * GB // 1024
         assert scaled.total_cores == 480
         assert scaled.network_bandwidth == ClusterSpec().network_bandwidth
@@ -47,31 +46,31 @@ class TestClusterSpec:
 class TestCorrectness:
     @pytest.mark.parametrize("engine_cls", ALL_ENGINES)
     def test_bfs_values_exact(self, engine_cls, graph, cluster):
-        result = engine_cls(cluster).run_bfs(graph, 0)
+        result = engine_cls(cluster).run("bfs", graph, {"start": 0})
         assert np.array_equal(result.values["level"],
                               reference.bfs_levels(graph, 0))
 
     @pytest.mark.parametrize("engine_cls", ALL_ENGINES)
     def test_pagerank_values_exact(self, engine_cls, graph, cluster):
-        result = engine_cls(cluster).run_pagerank(graph, iterations=4)
+        result = engine_cls(cluster).run("pagerank", graph, {"iterations": 4})
         assert np.allclose(result.values["rank"],
                            reference.pagerank(graph, iterations=4))
 
     def test_sssp_values_exact(self, graph, cluster):
         weighted = graph.with_random_weights(seed=1)
-        result = PowerGraphEngine(cluster).run_sssp(weighted, 0)
+        result = PowerGraphEngine(cluster).run("sssp", weighted, {"start": 0})
         assert np.allclose(result.values["distance"],
                            reference.sssp_distances(weighted, 0),
                            rtol=1e-5, equal_nan=True)
 
     def test_cc_values_exact(self, graph, cluster):
-        result = GiraphEngine(cluster).run_cc(graph)
+        result = GiraphEngine(cluster).run("cc", graph)
         assert np.array_equal(
             result.values["component"],
             reference.weakly_connected_components(graph))
 
     def test_bc_values_exact(self, graph, cluster):
-        result = NaiadEngine(cluster).run_bc(graph, sources=(0,))
+        result = NaiadEngine(cluster).run("bc", graph, {"start": 0})
         assert np.allclose(
             result.values["centrality"],
             reference.betweenness_centrality(graph, (0,)), atol=1e-9)
@@ -79,8 +78,8 @@ class TestCorrectness:
 
 class TestTimingModel:
     def test_result_metadata(self, graph, cluster):
-        result = PowerGraphEngine(cluster).run_bfs(
-            graph, 0, dataset_name="toy")
+        result = PowerGraphEngine(cluster).run(
+            "bfs", graph, {"start": 0}, dataset_name="toy")
         assert result.engine == "PowerGraph"
         assert result.dataset == "toy"
         assert result.elapsed_seconds > 0
@@ -88,15 +87,17 @@ class TestTimingModel:
 
     def test_more_iterations_cost_more(self, graph, cluster):
         engine = GraphXEngine(cluster)
-        short = engine.run_pagerank(graph, iterations=2).elapsed_seconds
-        long = engine.run_pagerank(graph, iterations=8).elapsed_seconds
+        short = engine.run("pagerank", graph,
+                           {"iterations": 2}).elapsed_seconds
+        long = engine.run("pagerank", graph,
+                          {"iterations": 8}).elapsed_seconds
         assert long > 3 * short
 
     def test_time_scale_divides_barriers(self, graph):
-        plain = GiraphEngine(paper_cluster(), time_scale=1.0)
-        scaled = GiraphEngine(paper_cluster(), time_scale=1000.0)
-        assert (scaled.run_bfs(graph, 0).elapsed_seconds
-                < plain.run_bfs(graph, 0).elapsed_seconds)
+        plain = GiraphEngine(ClusterSpec(), time_scale=1.0)
+        scaled = GiraphEngine(ClusterSpec(), time_scale=1000.0)
+        assert (scaled.run("bfs", graph, {"start": 0}).elapsed_seconds
+                < plain.run("bfs", graph, {"start": 0}).elapsed_seconds)
 
     def test_powergraph_reduces_wire_messages(self, graph, cluster):
         """The vertex-cut never sends more than raw Pregel messages."""
@@ -112,9 +113,9 @@ class TestTimingModel:
         constants."""
         big = generate_rmat(13, edge_factor=16, seed=5)
         times = {
-            cls.name: cls(scaled_cluster(8192),
-                          time_scale=8192).run_pagerank(
-                big, iterations=5).elapsed_seconds
+            cls.name: cls(ClusterSpec().scaled(8192),
+                          time_scale=8192).run(
+                "pagerank", big, {"iterations": 5}).elapsed_seconds
             for cls in ALL_ENGINES
         }
         assert times["Giraph"] == max(times.values())
@@ -129,7 +130,7 @@ class TestMemoryLadder:
     def test_oom_raised_with_sizes(self, graph):
         cluster = self._tiny_cluster(30 * 1024)
         with pytest.raises(OutOfMemoryError) as exc:
-            NaiadEngine(cluster).run_bfs(graph, 0)
+            NaiadEngine(cluster).run("bfs", graph, {"start": 0})
         assert exc.value.required_bytes > exc.value.available_bytes
 
     def test_naiad_dies_first(self, graph):
@@ -137,18 +138,18 @@ class TestMemoryLadder:
         'worst scalability')."""
         footprints = {}
         for cls in ALL_ENGINES:
-            engine = cls(paper_cluster())
-            run = __import__("repro.baselines.bsp", fromlist=["bsp"]) \
-                .cached_trace(graph, "BFS", start_vertex=0)
-            footprints[cls.name] = engine.memory_footprint(graph, run)
+            engine = cls(ClusterSpec())
+            run = bsp.cached_trace(graph, "bfs", {"start": 0})
+            footprints[cls.name] = engine.footprint(graph, BFSKernel(0), run)
         assert footprints["Naiad"] == max(footprints.values())
 
     def test_memory_scales_with_graph(self, cluster):
         small = generate_rmat(7, edge_factor=8, seed=1)
         large = generate_rmat(9, edge_factor=8, seed=1)
         engine = GiraphEngine(cluster)
-        from repro.baselines.bsp import cached_trace
-        small_run = cached_trace(small, "PageRank", iterations=1)
-        large_run = cached_trace(large, "PageRank", iterations=1)
-        assert (engine.memory_footprint(large, large_run)
-                > 3 * engine.memory_footprint(small, small_run))
+        one = {"start": 0, "iterations": 1}
+        small_run = bsp.cached_trace(small, "pagerank", one)
+        large_run = bsp.cached_trace(large, "pagerank", one)
+        pagerank = PageRankKernel(iterations=1)
+        assert (engine.footprint(large, pagerank, large_run)
+                > 3 * engine.footprint(small, pagerank, small_run))

@@ -106,17 +106,18 @@ class TestBCTrace:
 
 class TestTraceCache:
     def test_identical_calls_share_a_trace(self, graph):
-        a = bsp.cached_trace(graph, "BFS", start_vertex=0)
-        b = bsp.cached_trace(graph, "BFS", start_vertex=0)
+        a = bsp.cached_trace(graph, "bfs", {"start": 0})
+        b = bsp.cached_trace(graph, "bfs", {"start": 0})
         assert a is b
 
     def test_different_params_differ(self, graph):
-        a = bsp.cached_trace(graph, "BFS", start_vertex=0)
-        b = bsp.cached_trace(graph, "BFS", start_vertex=1)
+        a = bsp.cached_trace(graph, "bfs", {"start": 0})
+        b = bsp.cached_trace(graph, "bfs", {"start": 1})
         assert a is not b
 
     def test_different_graphs_differ(self, graph):
         other = generate_rmat(7, edge_factor=4, seed=2)
-        a = bsp.cached_trace(graph, "PageRank", iterations=2)
-        b = bsp.cached_trace(other, "PageRank", iterations=2)
+        params = {"start": 0, "iterations": 2}
+        a = bsp.cached_trace(graph, "pagerank", params)
+        b = bsp.cached_trace(other, "pagerank", params)
         assert a is not b

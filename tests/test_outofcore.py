@@ -20,13 +20,13 @@ def graph():
 class TestCorrectness:
     @pytest.mark.parametrize("engine_cls", [XStreamEngine, GraphChiEngine])
     def test_bfs_values_exact(self, engine_cls, graph):
-        result = engine_cls().run_bfs(graph, 0)
+        result = engine_cls().run("bfs", graph, {"start": 0})
         assert np.array_equal(result.values["level"],
                               reference.bfs_levels(graph, 0))
 
     @pytest.mark.parametrize("engine_cls", [XStreamEngine, GraphChiEngine])
     def test_pagerank_values_exact(self, engine_cls, graph):
-        result = engine_cls().run_pagerank(graph, iterations=3)
+        result = engine_cls().run("pagerank", graph, {"iterations": 3})
         assert np.allclose(result.values["rank"],
                            reference.pagerank(graph, iterations=3))
 
@@ -34,10 +34,10 @@ class TestCorrectness:
         engine = XStreamEngine()
         weighted = graph.with_random_weights(seed=1)
         assert np.array_equal(
-            engine.run_cc(graph).values["component"],
+            engine.run("cc", graph).values["component"],
             reference.weakly_connected_components(graph))
         assert np.allclose(
-            engine.run_sssp(weighted, 0).values["distance"],
+            engine.run("sssp", weighted, {"start": 0}).values["distance"],
             reference.sssp_distances(weighted, 0), rtol=1e-5,
             equal_nan=True)
 
@@ -50,39 +50,41 @@ class TestSection8Claims:
         deep = generate_ring(shallow.num_edges // 2, hops=2)
         assert deep.num_edges == shallow.num_edges
         engine = XStreamEngine()
-        start = int(np.argmax(shallow.out_degrees()))
-        shallow_time = engine.run_bfs(shallow, start).elapsed_seconds
-        deep_time = engine.run_bfs(deep, 0).elapsed_seconds
-        shallow_depth = engine.run_bfs(shallow, start).num_rounds
-        deep_depth = engine.run_bfs(deep, 0).num_rounds
+        start = {"start": int(np.argmax(shallow.out_degrees()))}
+        shallow_time = engine.run("bfs", shallow, start).elapsed_seconds
+        deep_time = engine.run("bfs", deep, {"start": 0}).elapsed_seconds
+        shallow_depth = engine.run("bfs", shallow, start).num_rounds
+        deep_depth = engine.run("bfs", deep, {"start": 0}).num_rounds
         assert deep_depth > 10 * shallow_depth
         assert deep_time > 10 * shallow_time
 
     def test_graphchi_slower_than_xstream(self, graph):
         """'GraphChi ... shows a worse performance than X-Stream.'"""
-        assert (GraphChiEngine().run_bfs(graph, 0).elapsed_seconds
-                > XStreamEngine().run_bfs(graph, 0).elapsed_seconds)
-        assert (GraphChiEngine().run_pagerank(graph, 5).elapsed_seconds
-                > XStreamEngine().run_pagerank(graph, 5).elapsed_seconds)
+        for key in ("bfs", "pagerank"):
+            params = {"start": 0, "iterations": 5}
+            assert (GraphChiEngine().run(key, graph, params).elapsed_seconds
+                    > XStreamEngine().run(key, graph, params).elapsed_seconds)
 
     def test_full_scan_per_level_even_with_tiny_frontier(self):
         """X-Stream's per-level cost is flat in frontier size."""
         ring = generate_ring(512)
         engine = XStreamEngine()
-        result = engine.run_bfs(ring, 0)
+        result = engine.run("bfs", ring, {"start": 0})
         per_level = result.elapsed_seconds / result.num_rounds
         scan_floor = (ring.num_edges * engine.edge_bytes
                       / engine.storage_bandwidth())
         assert per_level >= scan_floor
 
     def test_more_disks_speed_up_streaming(self, graph):
-        one = XStreamEngine(num_disks=1).run_pagerank(graph, 5)
-        two = XStreamEngine(num_disks=2).run_pagerank(graph, 5)
+        five = {"iterations": 5}
+        one = XStreamEngine(num_disks=1).run("pagerank", graph, five)
+        two = XStreamEngine(num_disks=2).run("pagerank", graph, five)
         assert two.elapsed_seconds < one.elapsed_seconds
 
     def test_hdd_much_slower_than_ssd(self, graph):
-        ssd = XStreamEngine(storage=SSD_SPEC).run_pagerank(graph, 5)
-        hdd = XStreamEngine(storage=HDD_SPEC).run_pagerank(graph, 5)
+        five = {"iterations": 5}
+        ssd = XStreamEngine(storage=SSD_SPEC).run("pagerank", graph, five)
+        hdd = XStreamEngine(storage=HDD_SPEC).run("pagerank", graph, five)
         assert hdd.elapsed_seconds > 5 * ssd.elapsed_seconds
 
 
@@ -90,13 +92,13 @@ class TestMemoryModel:
     def test_vertex_state_must_fit(self, graph):
         host = CPUHostSpec(main_memory=1024)
         with pytest.raises(OutOfMemoryError):
-            XStreamEngine(host=host).run_bfs(graph, 0)
+            XStreamEngine(host=host).run("bfs", graph, {"start": 0})
 
     def test_edges_need_not_fit(self, graph):
         """Out-of-core engines only need vertex state resident."""
         host = CPUHostSpec(
             main_memory=graph.num_vertices * 64 + 4096)
-        result = XStreamEngine(host=host).run_bfs(graph, 0)
+        result = XStreamEngine(host=host).run("bfs", graph, {"start": 0})
         assert result.num_rounds > 0
 
     def test_graphchi_shard_count_grows_with_graph(self):

@@ -10,13 +10,10 @@ bounded (seconds each).
 import numpy as np
 import pytest
 
-from repro.baselines.cpu import LigraEngine, MTGLEngine, scaled_cpu_host
+from repro.baselines.cpu import CPUHostSpec, LigraEngine, MTGLEngine
 from repro.baselines.distributed import (
-    GiraphEngine,
-    GraphXEngine,
-    NaiadEngine,
-    PowerGraphEngine,
-    scaled_cluster,
+    ALL_DISTRIBUTED_ENGINES,
+    ClusterSpec,
 )
 from repro.baselines.gpu import CuShaEngine, MapGraphEngine, TotemEngine
 from repro.baselines.outofcore import GraphChiEngine, XStreamEngine
@@ -46,16 +43,16 @@ def twitter_start(twitter):
 
 
 def _cluster_engine(cls):
-    return cls(scaled_cluster(SCALE_FACTOR), time_scale=SCALE_FACTOR)
+    return cls(ClusterSpec().scaled(SCALE_FACTOR), time_scale=SCALE_FACTOR)
 
 
 def _host_engine(cls):
-    return cls(scaled_cpu_host(SCALE_FACTOR), time_scale=SCALE_FACTOR)
+    return cls(CPUHostSpec().scaled(SCALE_FACTOR), time_scale=SCALE_FACTOR)
 
 
 def _gpu_engine(cls, **kwargs):
     machine = scaled_workstation()
-    return cls(host=scaled_cpu_host(SCALE_FACTOR),
+    return cls(host=CPUHostSpec().scaled(SCALE_FACTOR),
                gpus=list(machine.gpus), pcie=machine.pcie,
                time_scale=SCALE_FACTOR, **kwargs)
 
@@ -66,27 +63,25 @@ class TestFigure6Claims:
     def test_gts_beats_every_distributed_engine_on_pagerank(
             self, twitter):
         gts = _gts_algorithm_run("PageRank", "twitter").elapsed_seconds
-        for cls in (GraphXEngine, GiraphEngine, PowerGraphEngine,
-                    NaiadEngine):
-            baseline = _cluster_engine(cls).run_pagerank(
-                twitter, 10).elapsed_seconds
+        for cls in ALL_DISTRIBUTED_ENGINES:
+            baseline = _cluster_engine(cls).run(
+                "pagerank", twitter, {"iterations": 10}).elapsed_seconds
             assert gts < baseline, cls.__name__
 
     def test_gts_beats_every_distributed_engine_on_twitter_bfs(
             self, twitter, twitter_start):
         gts = _gts_algorithm_run("BFS", "twitter").elapsed_seconds
-        for cls in (GraphXEngine, GiraphEngine, PowerGraphEngine,
-                    NaiadEngine):
-            baseline = _cluster_engine(cls).run_bfs(
-                twitter, twitter_start).elapsed_seconds
+        for cls in ALL_DISTRIBUTED_ENGINES:
+            baseline = _cluster_engine(cls).run(
+                "bfs", twitter, {"start": twitter_start}).elapsed_seconds
             assert gts < baseline, cls.__name__
 
     def test_only_gts_reaches_rmat32(self):
         graph = dataset_graph("rmat32")
-        for cls in (GraphXEngine, GiraphEngine, PowerGraphEngine,
-                    NaiadEngine):
+        for cls in ALL_DISTRIBUTED_ENGINES:
             with pytest.raises(OutOfMemoryError):
-                _cluster_engine(cls).run_pagerank(graph, 1)
+                _cluster_engine(cls).run("pagerank", graph,
+                                         {"iterations": 1})
         result = _gts_algorithm_run("PageRank", "rmat32", iterations=1)
         assert result.elapsed_seconds > 0
 
@@ -112,21 +107,21 @@ class TestFigure7Claims:
 
     def test_cpu_engines_win_small_bfs(self, twitter, twitter_start):
         gts = _gts_algorithm_run("BFS", "twitter").elapsed_seconds
-        ligra = _host_engine(LigraEngine).run_bfs(
-            twitter, twitter_start).elapsed_seconds
+        ligra = _host_engine(LigraEngine).run(
+            "bfs", twitter, {"start": twitter_start}).elapsed_seconds
         assert ligra < gts
 
     def test_gts_wins_pagerank(self, twitter):
         gts = _gts_algorithm_run("PageRank", "twitter").elapsed_seconds
-        ligra = _host_engine(LigraEngine).run_pagerank(
-            twitter, 10).elapsed_seconds
+        ligra = _host_engine(LigraEngine).run(
+            "pagerank", twitter, {"iterations": 10}).elapsed_seconds
         assert gts < ligra
 
     def test_cpu_engines_oom_on_yahooweb(self):
         graph = dataset_graph("yahooweb")
         for cls in (MTGLEngine, LigraEngine):
             with pytest.raises(OutOfMemoryError):
-                _host_engine(cls).run_bfs(graph, 0)
+                _host_engine(cls).run("bfs", graph, {"start": 0})
 
 
 class TestFigure8Claims:
@@ -134,54 +129,59 @@ class TestFigure8Claims:
 
     def test_mapgraph_cannot_hold_twitter(self, twitter):
         with pytest.raises(OutOfMemoryError):
-            _gpu_engine(MapGraphEngine).run_bfs(twitter, 0)
+            _gpu_engine(MapGraphEngine).run("bfs", twitter, {"start": 0})
 
     def test_cusha_holds_twitter_bfs_only(self, twitter, twitter_start):
         engine = _gpu_engine(CuShaEngine)
-        assert engine.run_bfs(twitter, twitter_start).elapsed_seconds > 0
+        assert engine.run("bfs", twitter,
+                          {"start": twitter_start}).elapsed_seconds > 0
         with pytest.raises(OutOfMemoryError):
-            engine.run_pagerank(twitter, 10)
+            engine.run("pagerank", twitter, {"iterations": 10})
         with pytest.raises(OutOfMemoryError):
-            _gpu_engine(CuShaEngine).run_bfs(dataset_graph("rmat27"), 0)
+            _gpu_engine(CuShaEngine).run("bfs", dataset_graph("rmat27"),
+                                         {"start": 0})
 
     def test_totem_wins_small_pagerank_loses_bfs(self, twitter,
                                                  twitter_start):
         totem = _gpu_engine(TotemEngine)
         gts_pr = _gts_algorithm_run("PageRank", "twitter").elapsed_seconds
         gts_bfs = _gts_algorithm_run("BFS", "twitter").elapsed_seconds
-        totem_pr = totem.run_pagerank(
-            twitter, 10, dataset_name="twitter").elapsed_seconds
-        totem_bfs = totem.run_bfs(
-            twitter, twitter_start, dataset_name="twitter").elapsed_seconds
+        totem_pr = totem.run("pagerank", twitter, {"iterations": 10},
+                             dataset_name="twitter").elapsed_seconds
+        totem_bfs = totem.run("bfs", twitter, {"start": twitter_start},
+                              dataset_name="twitter").elapsed_seconds
         assert totem_pr < gts_pr
         assert gts_bfs < totem_bfs
 
     def test_totem_loses_large_pagerank(self):
         graph = dataset_graph("rmat29")
         gts = _gts_algorithm_run("PageRank", "rmat29").elapsed_seconds
-        totem = _gpu_engine(TotemEngine).run_pagerank(
-            graph, 10, dataset_name="rmat29").elapsed_seconds
+        totem = _gpu_engine(TotemEngine).run(
+            "pagerank", graph, {"iterations": 10},
+            dataset_name="rmat29").elapsed_seconds
         assert gts < totem
 
     def test_totem_oom_beyond_main_memory(self):
         graph = dataset_graph("rmat30")
         with pytest.raises(OutOfMemoryError):
-            _gpu_engine(TotemEngine).run_pagerank(graph, 1)
+            _gpu_engine(TotemEngine).run("pagerank", graph,
+                                         {"iterations": 1})
 
 
 class TestSection8Claims:
     def test_gts_beats_streaming_engines(self, twitter, twitter_start):
         kwargs = dict(time_scale=SCALE_FACTOR,
-                      host=scaled_cpu_host(SCALE_FACTOR), num_disks=2)
+                      host=CPUHostSpec().scaled(SCALE_FACTOR), num_disks=2)
         db = dataset_database("twitter")
         gts = _gts_run(
             BFSKernel(twitter_start), "twitter",
             mm_buffer_bytes=int(0.2 * db.topology_bytes())
         ).elapsed_seconds
-        xstream = XStreamEngine(**kwargs).run_bfs(
-            twitter, twitter_start).elapsed_seconds
-        graphchi = GraphChiEngine(**kwargs).run_bfs(
-            twitter, twitter_start).elapsed_seconds
+        start = {"start": twitter_start}
+        xstream = XStreamEngine(**kwargs).run(
+            "bfs", twitter, start).elapsed_seconds
+        graphchi = GraphChiEngine(**kwargs).run(
+            "bfs", twitter, start).elapsed_seconds
         assert gts < xstream < graphchi
 
 
