@@ -4,11 +4,12 @@ The build runs in two passes, because adjacency lists store *physical* IDs
 and a vertex's physical location must be known before any page that
 references it can be laid out:
 
-1. **Placement** — walk vertices in VID order and assign each to either the
-   current small page (if its record and slot fit, and the page has slot
-   numbers left) or to a run of large pages (if the record alone exceeds a
-   page).  VIDs stay consecutive within every page, which is what makes the
-   RVT's ``START_VID + ADJ_OFF`` translation work.
+1. **Placement** — walk pages in VID order: a small page takes the longest
+   run of vertices whose records and slots fit and that its slot numbers
+   can address (one ``searchsorted`` over cumulative vertex bytes gives
+   every run's end), and a vertex whose record alone exceeds a page gets
+   a run of large pages.  VIDs stay consecutive within every page, which
+   is what makes the RVT's ``START_VID + ADJ_OFF`` translation work.
 2. **Topology** — pages hold vertices in VID order, so the flat page-major
    arrays of :meth:`~repro.format.database.GraphDatabase.topology_arrays`
    follow from the CSR in a few array expressions: the adjacency is
@@ -37,36 +38,42 @@ def _plan_placement(graph, config):
     slot count.
     """
     degrees = graph.out_degrees()
-    vertex_pid = np.zeros(graph.num_vertices, dtype=np.int64)
-    start_vids, lp_ranges, num_records = [], [], []
+    num_vertices = graph.num_vertices
+    # Record plus slot bytes of the vertices before each VID.
+    cum = np.concatenate(([0], np.cumsum(config.vertex_bytes(degrees))))
+    # A small page opened at ``v`` ends before the first vertex whose bytes
+    # overflow it (a large vertex always does) or when its slot numbers
+    # run out.  A large vertex overflows a page alone, so its end is itself.
+    ends = np.minimum(
+        np.searchsorted(cum, cum[:-1] + config.page_size, "right") - 1,
+        np.arange(num_vertices) + config.max_slot_number).tolist()
     lp_capacity = config.large_page_capacity()
-    page_budget = config.page_size
-    room = -1  # bytes left in the open small page; -1 when none is open
-
-    # Record plus slot bytes of every vertex, as one array expression.
-    for v, need in enumerate(config.vertex_bytes(degrees).tolist()):
-        if need > page_budget:
-            # Large vertex: close the open SP, emit a run of LPs.
+    start_vids, lp_ranges, num_records = [], [], []
+    v = 0
+    while v < num_vertices:
+        end = ends[v]
+        if end == v:
+            # Large vertex: a run of LPs.
             num_chunks = -(-int(degrees[v]) // lp_capacity)  # ceil division
-            vertex_pid[v] = len(start_vids)
             start_vids += [v] * num_chunks
             lp_ranges += range(num_chunks)
             num_records += [1] * num_chunks
-            room = -1
-            continue
-        if need > room or num_records[-1] >= config.max_slot_number:
+            v += 1
+        else:
             start_vids.append(v)
             lp_ranges.append(-1)
-            num_records.append(0)
-            room = page_budget
-        vertex_pid[v] = len(start_vids) - 1  # the page being filled
-        num_records[-1] += 1
-        room -= need
+            num_records.append(end - v)
+            v = end
 
     if len(start_vids) > config.max_page_id:
         raise FormatError(
             "graph needs %d pages but (p=%d) addresses only %d"
             % (len(start_vids), config.page_id_bytes, config.max_page_id))
+    # A vertex is addressed through its small page or its run's first LP:
+    # those pages, in order, hold every vertex once.
+    first = np.asarray(lp_ranges, dtype=np.int64) <= 0
+    vertex_pid = np.repeat(np.flatnonzero(first),
+                           np.asarray(num_records, dtype=np.int64)[first])
     return vertex_pid, start_vids, lp_ranges, num_records
 
 

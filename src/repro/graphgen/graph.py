@@ -11,6 +11,22 @@ import numpy as np
 from repro.errors import FormatError
 
 
+def _edge_order(num_vertices, sources, targets):
+    """The stable order that sorts edges by ``(source, target)``.
+
+    It equals ``np.lexsort((targets, sources))``, computed as an LSD radix
+    over 16-bit digits (NumPy radix-sorts 16-bit keys): target digits
+    first, then source digits, each pass stable, so ties keep input order.
+    """
+    order = np.arange(len(sources))
+    bits = max(int(num_vertices) - 1, 0).bit_length()
+    for key in (targets, sources):
+        for shift in range(0, bits, 16):
+            digit = ((key[order] >> shift) & 0xFFFF).astype(np.uint16)
+            order = order[np.argsort(digit, kind="stable")]
+    return order
+
+
 class Graph:
     """A directed graph in compressed-sparse-row form.
 
@@ -62,7 +78,7 @@ class Graph:
             raise FormatError("sources and targets must have equal length")
         if len(sources) and (sources.min() < 0 or sources.max() >= num_vertices):
             raise FormatError("source vertex ID out of range")
-        order = np.lexsort((targets, sources))
+        order = _edge_order(num_vertices, sources, targets)
         sources = sources[order]
         targets = targets[order]
         if weights is not None:

@@ -14,6 +14,8 @@ def generate_erdos_renyi(num_vertices, avg_degree, seed=0):
     """
     if num_vertices <= 0:
         raise ConfigurationError("num_vertices must be positive")
+    if avg_degree < 0:
+        raise ConfigurationError("avg_degree must be nonnegative")
     rng = np.random.default_rng(seed)
     num_edges = int(num_vertices * avg_degree)
     sources = rng.integers(0, num_vertices, size=num_edges, dtype=np.int64)

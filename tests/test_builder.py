@@ -6,10 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import FormatError
 from repro.format import PageFormatConfig, build_database
+from repro.format.builder import _plan_placement
 from repro.format.page import PageKind
 from repro.graphgen import Graph, generate_erdos_renyi, generate_rmat
 from repro.graphgen.random_graphs import generate_star
 from repro.units import KB
+
+from .reference_pages import reference_placement
 
 
 class TestPlacementInvariants:
@@ -158,18 +161,42 @@ class TestAddressingLimits:
             build_database(graph, config)
 
 
-@settings(max_examples=20, deadline=None)
+#: Page formats and the fewest vertices each graph has under them.
+PLACEMENT_FORMATS = [
+    (PageFormatConfig(2, 2, 1 * KB), 2),
+    # 256 records of <= 23 B fit in 6 KB, and six large vertices leave a
+    # run of over 256 small ones: the slot cap binds.
+    (PageFormatConfig(2, 1, 8 * KB), 7 * 257),
+    (PageFormatConfig(2, 2, 256), 2),  # tiny pages, long large-page runs
+    (PageFormatConfig(4, 2, 2 * KB, weight_bytes=4), 2),
+]
+
+
+@settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_builder_round_trip_property(data):
-    """Property: build + re-extract adjacency == source graph."""
-    num_vertices = data.draw(st.integers(2, 200))
-    num_edges = data.draw(st.integers(0, 500))
-    rng_seed = data.draw(st.integers(0, 1000))
-    rng = np.random.default_rng(rng_seed)
-    sources = rng.integers(0, num_vertices, size=num_edges)
-    targets = rng.integers(0, num_vertices, size=num_edges)
+    """Property: placement equals the per-vertex walk of
+    ``reference_placement``, and build + re-extract adjacency == source
+    graph.  Large vertices sit first, last, back to back or anywhere."""
+    config, fewest = data.draw(st.sampled_from(PLACEMENT_FORMATS))
+    num_vertices = data.draw(st.integers(fewest, fewest + 700))
+    rng = np.random.default_rng(data.draw(st.integers(0, 1000)))
+    degrees = (rng.integers(0, 4, size=num_vertices)
+               * rng.integers(0, 2, size=num_vertices))
+    last = num_vertices - 1
+    hubs = data.draw(st.lists(
+        st.sampled_from([0, 1, last - 1, last]) | st.integers(0, last),
+        max_size=6))
+    lp_capacity = config.large_page_capacity()
+    degrees[hubs] = rng.integers(lp_capacity + 1, 4 * lp_capacity,
+                                 size=len(hubs))
+    sources = np.repeat(np.arange(num_vertices), degrees)
+    targets = rng.integers(0, num_vertices, size=len(sources))
     graph = Graph.from_edges(num_vertices, sources, targets)
-    config = PageFormatConfig(2, 2, 1 * KB)
+    got = _plan_placement(graph, config)
+    want = reference_placement(graph, config)
+    assert np.array_equal(got[0], want[0]) and got[0].dtype == want[0].dtype
+    assert got[1:] == want[1:]
     db = build_database(graph, config)
     db.validate()
     _assert_arrays_are_csr(db, graph)

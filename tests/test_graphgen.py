@@ -1,5 +1,7 @@
 """Tests for the graph generators (R-MAT, random, real-graph stand-ins)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,28 @@ class TestRMAT:
     def test_negative_scale_rejected(self):
         with pytest.raises(ConfigurationError):
             generate_rmat(-1)
+
+    def test_negative_edge_factor_rejected(self):
+        with pytest.raises(ConfigurationError):
+            generate_rmat(4, edge_factor=-1)
+
+    @pytest.mark.parametrize("scale, pinned", [
+        (14, "10c601fe380dfd3b736e3ee37af2c764"
+             "f2567cdcac9f38f3af47d5520f5e2d91"),
+        (15, "aa8cca4c6cdffd538f96f859074a6ff0"
+             "51df0be8a057e467366cf59bb240d094"),
+    ])
+    def test_ledger_graphs_are_pinned(self, scale, pinned):
+        """The benchmark ledger's graphs stay bit for bit what every
+        recorded number was measured on: per array, its dtype name then
+        its bytes."""
+        graph = generate_rmat(scale, edge_factor=16,
+                              seed=7).with_random_weights(seed=7)
+        digest = hashlib.sha256()
+        for array in (graph.indptr, graph.targets, graph.weights):
+            digest.update(str(array.dtype).encode())
+            digest.update(array.tobytes())
+        assert digest.hexdigest() == pinned
 
     def test_degree_distribution_is_skewed(self):
         """R-MAT's defining property: max degree far above the mean."""
@@ -96,6 +120,10 @@ class TestRandomGraphs:
     def test_erdos_renyi_rejects_empty(self):
         with pytest.raises(ConfigurationError):
             generate_erdos_renyi(0, 4)
+
+    def test_erdos_renyi_rejects_negative_degree(self):
+        with pytest.raises(ConfigurationError):
+            generate_erdos_renyi(10, avg_degree=-1)
 
     def test_ring_has_full_diameter(self):
         graph = generate_ring(32)
