@@ -162,9 +162,8 @@ class GTSEngine:
         """
         db = self.db
         self._db_topology_version = getattr(db, "topology_version", 0)
-        self._max_records = max((e.num_records for e in db.directory),
-                                default=0)
-        lp = np.asarray(db.large_page_ids(), dtype=np.int64)
+        self._max_records = db.directory.max_records()
+        lp = db.large_page_ids()
         # A run occupies consecutive pids with chunk indexes 0..k, so
         # its first page is the one whose LP_RANGE is 0, and with ``lp``
         # ascending the next first (or the end) closes the run.

@@ -63,7 +63,7 @@ def _device_feasible(db, machine, kernel, strategy_name, num_streams):
     strategy = make_strategy(strategy_name)
     wa_total = kernel.wa_bytes(db.num_vertices)
     wa_gpu = strategy.wa_gpu_bytes(wa_total, machine.num_gpus)
-    max_records = max((e.num_records for e in db.directory), default=0)
+    max_records = db.directory.max_records()
     ra_buf = num_streams * max_records * kernel.ra_bytes_per_vertex
     sp_buf = num_streams * db.config.page_size if db.num_small_pages else 0
     lp_buf = num_streams * db.config.page_size if db.num_large_pages else 0

@@ -440,12 +440,8 @@ class PagePlan:
             #: Directory record counts size each page's RA subvector
             #: (Section 3.4: one value per record, a large page's single
             #: vertex included) off the directory, not the served page.
-            self.dir_records = np.asarray(
-                [entry.num_records for entry in db.directory],
-                dtype=np.int64)
-            self._full_order = np.concatenate(
-                [np.asarray(db.small_page_ids(), dtype=np.int64),
-                 np.asarray(db.large_page_ids(), dtype=np.int64)])
+            self.dir_records = db.directory.num_records
+            self._full_order = np.concatenate(db.directory.page_ids())
 
             # The page scan is the database's: flat page-major arrays,
             # read through page() by resident and overlay databases and

@@ -40,17 +40,12 @@ class Strategy:
     #: partitioned WA (Strategy-S) dies with its chunk.
     wa_replicated = False
 
-    def assign(self, page_id, num_gpus):
-        """GPU indices that must receive page ``page_id`` (the paper's
-        ``h(j)``: one index for Strategy-P, all of them for Strategy-S)."""
-        raise NotImplementedError
-
     def assign_batch(self, page_ids, num_gpus):
-        """Per-page GPU assignments for a whole round (a list aligned
-        with ``page_ids``).  The default delegates to :meth:`assign`;
-        the built-in strategies override it with vectorized versions for
-        the engine's round dispatch."""
-        return [self.assign(int(pid), num_gpus) for pid in page_ids]
+        """For each of a round's ``page_ids``, the tuple of GPU indices
+        that must receive it (the paper's ``h(j)``: one index for
+        Strategy-P, all of them for Strategy-S), as a list aligned with
+        ``page_ids``."""
+        raise NotImplementedError
 
     def wa_gpu_bytes(self, wa_total_bytes, num_gpus):
         """WA bytes each GPU must hold resident."""
@@ -76,9 +71,6 @@ class PerformanceStrategy(Strategy):
 
     name = "performance"
     wa_replicated = True
-
-    def assign(self, page_id, num_gpus):
-        return (page_id % num_gpus,)
 
     def assign_batch(self, page_ids, num_gpus):
         # One ``%`` over the round; every page of a GPU shares its tuple.
@@ -129,9 +121,6 @@ class ScalabilityStrategy(Strategy):
     """Strategy-S: partition WA, replicate the page stream."""
 
     name = "scalability"
-
-    def assign(self, page_id, num_gpus):
-        return tuple(range(num_gpus))
 
     def assign_batch(self, page_ids, num_gpus):
         replicate = tuple(range(num_gpus))

@@ -70,7 +70,6 @@ from repro.dynamic.wal import WriteAheadLog
 from repro.errors import FormatError, UpdateError, WALError
 from repro.format.database import (
     GraphDatabase,
-    PageDirectoryEntry,
     page_rows,
     topology_from_rows,
 )
@@ -259,7 +258,7 @@ class DynamicGraphDatabase(GraphDatabase):
         self._adopt_base(base)
         super().__init__(
             topology=None,
-            directory=list(base.directory),
+            directory=base.directory,
             rvt=RecordVertexTable(base.rvt.start_vids.copy(),
                                   base.rvt.lp_ranges.copy()),
             config=base.config,
@@ -288,14 +287,12 @@ class DynamicGraphDatabase(GraphDatabase):
 
     @staticmethod
     def _index_lp_runs(base):
-        """vid -> sorted array of the vertex's large-page run PIDs."""
-        runs = {}
-        lp_ranges = base.rvt.lp_ranges
-        for pid in base.large_page_ids():
-            vid = int(base.rvt.start_vids[pid])
-            runs.setdefault(vid, []).append(int(pid))
-        return {vid: np.asarray(sorted(pids), dtype=np.int64)
-                for vid, pids in runs.items()}
+        """vid -> sorted array of the vertex's large-page run PIDs: a
+        run is consecutive pages whose ``LP_RANGE`` counts up from 0."""
+        lp = np.flatnonzero(base.rvt.lp_ranges >= 0)
+        firsts = np.flatnonzero(base.rvt.lp_ranges[lp] == 0)
+        return dict(zip(base.rvt.start_vids[lp[firsts]].tolist(),
+                        np.split(lp, firsts[1:])))
 
     # ------------------------------------------------------------------
     # Page serving (the engine's view)
@@ -448,16 +445,17 @@ class DynamicGraphDatabase(GraphDatabase):
 
     def _extension_page(self, pid):
         """Synthesize the slotted page of post-build vertices."""
-        entry = self.directory[pid]
+        start_vid = int(self.directory.start_vid[pid])
         counts, targets, weights = [], [], []
-        for vid in range(entry.start_vid, entry.start_vid + entry.num_records):
+        for vid in range(start_vid,
+                         start_vid + int(self.directory.num_records[pid])):
             extras = self._extras.get(vid, ((), ()))
             counts.append(len(extras[0]))
             targets.extend(extras[0])
             weights.extend(extras[1])
         et = np.asarray(targets, dtype=np.int64)
         ep, es = self._physical_ids(et)
-        return SmallPage(pid, entry.start_vid,
+        return SmallPage(pid, start_vid,
                          np.concatenate(([0], np.cumsum(counts))), ep, es, et,
                          self.config,
                          adj_weights=(np.asarray(weights, dtype=np.float32)
@@ -560,11 +558,12 @@ class DynamicGraphDatabase(GraphDatabase):
         replaced, never edited, when a batch mutates them.
         ``_lp_runs``, ``rvt`` and ``vertex_page`` are exempt — mutation
         only ever *rebinds* them (``np.concatenate``), never edits in
-        place."""
+        place; the directory's columns are copied, as commits write
+        their rows."""
         self._extras = dict(self._extras)
         self._dead = dict(self._dead)
         self._merged = dict(self._merged)
-        self.directory = list(self.directory)
+        self.directory = self.directory.copy()
         self.out_degrees = self.out_degrees.copy()
 
     def _freeze_state(self, parent=None, dirtied=()):
@@ -635,7 +634,6 @@ class DynamicGraphDatabase(GraphDatabase):
         affected = set()
         report = ApplyReport(lsn=None,
                              affected_pids=np.empty(0, dtype=np.int64))
-        pages_added = False
         for op in batch.ops:
             if op[0] == OP_INSERT:
                 self._do_insert(op[1], op[2], op[3], affected)
@@ -644,13 +642,11 @@ class DynamicGraphDatabase(GraphDatabase):
                 report.deleted_edges += self._do_delete(
                     op[1], op[2], affected)
             else:
-                pages_added |= self._do_add_vertices(op[1], affected)
+                self._do_add_vertices(op[1], affected)
                 report.added_vertices += op[1]
         self.inserted_edges += report.inserted_edges
         self.deleted_edges += report.deleted_edges
         self.added_vertices += report.added_vertices
-        if pages_added:
-            self._refresh_page_index()
         self._refresh_pages(affected)
         report.affected_pids = np.asarray(sorted(affected), dtype=np.int64)
         return report
@@ -703,57 +699,43 @@ class DynamicGraphDatabase(GraphDatabase):
         return max(1, min(self.config.max_slot_number, by_bytes))
 
     def _do_add_vertices(self, count, affected):
-        # Accumulate per-vertex state in lists and concatenate once at
-        # the end — per-vertex np.append/RVT rebuilds would make large
-        # vertex batches quadratic.
-        pages_added = False
+        """Fill the open extension page, then open new ones of
+        ``_ext_capacity`` records (the last may be partial): the
+        directory, RVT, vertex pages and degrees each grow once."""
         capacity = self._ext_capacity()
-        new_start_vids = []
-        new_vertex_pages = []
-        vid = self.num_vertices
-        remaining = count
-        while remaining:
-            entry = (self.directory[self._open_ext]
-                     if self._open_ext is not None else None)
-            if entry is None or entry.num_records >= capacity:
-                pid = len(self.directory)
-                self.directory.append(PageDirectoryEntry(
-                    page_id=pid, kind="SP", start_vid=vid,
-                    num_records=0, num_edges=0, used_bytes=0))
-                new_start_vids.append(vid)
-                self._open_ext = pid
-                entry = self.directory[pid]
-                pages_added = True
-            take = min(remaining, capacity - entry.num_records)
-            pid = self._open_ext
-            self.directory[pid] = dataclasses.replace(
-                entry, num_records=entry.num_records + take)
-            new_vertex_pages.append(
-                np.full(take, pid, dtype=np.int64))
-            affected.add(pid)
-            vid += take
-            remaining -= take
+        first, end = self.num_vertices, self.num_vertices + count
+        vertex_pages = [self.vertex_page]
+        if self._open_ext is not None:
+            fill = min(count, capacity
+                       - int(self.directory.num_records[self._open_ext]))
+            if fill:
+                self.directory.num_records[self._open_ext] += fill
+                affected.add(self._open_ext)
+                vertex_pages.append(np.full(fill, self._open_ext))
+                first += fill
+        starts = np.arange(first, end, capacity)
+        sizes = np.diff(np.append(starts, end))
+        pids = np.arange(len(starts)) + len(self.directory)
         self.vertex_page = np.concatenate(
-            [self.vertex_page] + new_vertex_pages)
-        if new_start_vids:
+            vertex_pages + [np.repeat(pids, sizes)])
+        if len(starts):
+            self.directory = self.directory.extended(starts, sizes)
+            self._open_ext = int(pids[-1])
+            affected.update(pids.tolist())
             self.rvt = RecordVertexTable(
-                np.concatenate([
-                    self.rvt.start_vids,
-                    np.asarray(new_start_vids,
-                               dtype=self.rvt.start_vids.dtype)]),
-                np.concatenate([
-                    self.rvt.lp_ranges,
-                    np.full(len(new_start_vids), -1,
-                            dtype=self.rvt.lp_ranges.dtype)]))
-        self.num_vertices += count
+                np.concatenate([self.rvt.start_vids, starts]),
+                np.concatenate([self.rvt.lp_ranges,
+                                np.full(len(starts), -1, dtype=np.int64)]))
+        self.num_vertices = end
         self.delta_bytes += count * self.config.slot_entry_bytes
         self.out_degrees = np.concatenate(
             [self.out_degrees, np.zeros(count, dtype=np.int64)])
-        return pages_added
 
     def _refresh_pages(self, pids):
         """Re-materialise updated pages and sync their directory rows —
         the per-PID merged-page cache invalidation the engine sees."""
+        pids = list(pids)
+        sizes = []
         for pid in pids:
             if pid < self._base_pages:
                 base_page = self._base.page(pid)
@@ -761,19 +743,13 @@ class DynamicGraphDatabase(GraphDatabase):
             else:
                 base_page, page = None, self._extension_page(pid)
             self._merged[pid] = page
-            self.directory[pid] = dataclasses.replace(
-                self.directory[pid], num_edges=page.num_edges,
-                used_bytes=page.used_bytes())
+            sizes.append((page.num_edges, page.used_bytes()))
             if page is not base_page:
                 self._overlaid_pids.add(pid)
-
-    def _refresh_page_index(self):
-        self._small_page_ids = np.asarray(
-            [e.page_id for e in self.directory if e.kind == "SP"],
-            dtype=np.int64)
-        self._large_page_ids = np.asarray(
-            [e.page_id for e in self.directory if e.kind == "LP"],
-            dtype=np.int64)
+        if pids:
+            num_edges, used_bytes = zip(*sizes)
+            self.directory.num_edges[pids] = num_edges
+            self.directory.used_bytes[pids] = used_bytes
 
     # ------------------------------------------------------------------
     # MVCC: pinning, version resolution, reclamation
@@ -952,14 +928,13 @@ class DynamicGraphDatabase(GraphDatabase):
         old_base = self._base
         new_head = self.topology_version + 1
         self._adopt_base(new_base)
-        self.directory = list(new_base.directory)
+        self.directory = new_base.directory
         self.rvt = RecordVertexTable(new_base.rvt.start_vids.copy(),
                                      new_base.rvt.lp_ranges.copy())
         self.num_vertices = new_base.num_vertices
         self.num_edges = new_base.num_edges
         self.out_degrees = new_base.out_degrees.copy()
         self.vertex_page = new_base.vertex_page.copy()
-        self._refresh_page_index()
         self.compactions += 1
         self.compaction_folded_bytes += folded_bytes
         with self._version_lock:

@@ -24,7 +24,7 @@ in Figure 1 (``SP0`` holds v0–v2, then ``LP1``/``LP2`` hold v3's list).
 import numpy as np
 
 from repro.errors import FormatError
-from repro.format.database import GraphDatabase, PageDirectoryEntry
+from repro.format.database import GraphDatabase, PageDirectory
 from repro.format.page import _ranges
 from repro.format.rvt import RecordVertexTable
 
@@ -114,11 +114,9 @@ def build_database(graph, config, name=None):
                            minlength=num_pages).astype(np.int64)
 
     edge_counts = page_sums(degrees)
-    directory = list(map(
-        PageDirectoryEntry, range(num_pages),
-        np.where(rvt.lp_ranges < 0, "SP", "LP").tolist(), start_vids,
-        num_records, edge_counts.tolist(),
-        page_sums(config.vertex_bytes(degrees)).tolist()))
+    directory = PageDirectory(rvt.lp_ranges >= 0, rvt.start_vids, rec_counts,
+                              edge_counts,
+                              page_sums(config.vertex_bytes(degrees)))
     weights = None
     if config.weight_bytes:
         weights = (np.ones(graph.num_edges, dtype=np.float32)

@@ -6,7 +6,8 @@ This is what the GTS engine streams from.  It owns:
   :meth:`GraphDatabase.topology_arrays` — its one resident form;
   :meth:`GraphDatabase.page` is a ``SmallPage`` / ``LargePage`` whose
   arrays are slices of them,
-* a page directory (sizes and kinds, for storage accounting),
+* a page directory: per page ID, its kind and its sizes, as the
+  columns of a :class:`PageDirectory`,
 * the RVT (record-ID → vertex-ID mapping, kept in main memory),
 * per-vertex metadata the kernels need (total out-degree; the page a
   vertex lives in, which seeds ``nextPIDSet`` for BFS-like algorithms).
@@ -15,24 +16,74 @@ The ``num_small_pages`` / ``num_large_pages`` statistics are the #SP / #LP
 columns of the paper's Table 3.
 """
 
-import dataclasses
-
 import numpy as np
 
 from repro.errors import FormatError
 from repro.format.page import LargePage, PageKind, SmallPage
 
 
-@dataclasses.dataclass(frozen=True)
-class PageDirectoryEntry:
-    """Directory row describing one page without holding its data."""
+class PageDirectory:
+    """The page directory as fixed-width columns indexed by page ID,
+    like the paper's directory and RVT beside the slotted pages: the
+    ``is_large`` mask (``bool``) and the ``int64`` ``start_vid``,
+    ``num_records`` (slots; 1 on a large page), ``num_edges`` and
+    ``used_bytes`` (payload bytes, padding excluded).
 
-    page_id: int
-    kind: str              # "SP" or "LP"
-    start_vid: int
-    num_records: int
-    num_edges: int
-    used_bytes: int
+    Every producer fills it with arrays — the builder, a store's
+    sidecar or JSON metadata, the overlay's copy-on-write head — and no
+    reader builds a per-page object.  ``is_large`` is never written in
+    place (adding pages makes a new directory), so the page-ID split
+    derived from it is computed once per directory.
+    """
+
+    def __init__(self, is_large, start_vid, num_records, num_edges,
+                 used_bytes):
+        self.is_large = np.asarray(is_large, dtype=bool)
+        self.start_vid = np.asarray(start_vid, dtype=np.int64)
+        self.num_records = np.asarray(num_records, dtype=np.int64)
+        self.num_edges = np.asarray(num_edges, dtype=np.int64)
+        self.used_bytes = np.asarray(used_bytes, dtype=np.int64)
+        self._page_ids = None
+
+    def __len__(self):
+        return len(self.is_large)
+
+    def columns(self):
+        """The five columns, in constructor order."""
+        return (self.is_large, self.start_vid, self.num_records,
+                self.num_edges, self.used_bytes)
+
+    def page_ids(self):
+        """``(small, large)``: the ascending ``int64`` IDs of the small
+        and of the large pages (``flatnonzero`` of the mask)."""
+        ids = self._page_ids
+        if ids is None:
+            ids = (np.flatnonzero(~self.is_large),
+                   np.flatnonzero(self.is_large))
+            self._page_ids = ids
+        return ids
+
+    def max_records(self):
+        """The largest page's slot count (it sizes RABuf); 0 when empty."""
+        return int(self.num_records.max()) if len(self) else 0
+
+    def copy(self):
+        """A directory whose columns may be written without touching
+        this one's (the overlay's copy-on-write step)."""
+        copy = PageDirectory(*(column.copy() for column in self.columns()))
+        copy._page_ids = self._page_ids
+        return copy
+
+    def extended(self, start_vid, num_records):
+        """This directory plus edgeless small pages starting at VIDs
+        ``start_vid`` with ``num_records`` slots each."""
+        empty = np.zeros(len(start_vid), dtype=np.int64)
+        return PageDirectory(
+            np.concatenate((self.is_large, empty.astype(bool))),
+            np.concatenate((self.start_vid, start_vid)),
+            np.concatenate((self.num_records, num_records)),
+            np.concatenate((self.num_edges, empty)),
+            np.concatenate((self.used_bytes, empty)))
 
 
 def page_rows(page):
@@ -80,7 +131,8 @@ def topology_from_rows(rec_counts, edge_counts, rows):
 class GraphDatabase:
     """A slotted-page graph database (see :mod:`repro.format.builder`).
 
-    ``topology`` is the dict :meth:`topology_arrays` returns; a subclass
+    ``directory`` is a :class:`PageDirectory`.  ``topology`` is the
+    dict :meth:`topology_arrays` returns; a subclass
     that serves its topology some other way passes ``None`` and
     overrides :meth:`topology_arrays` and :meth:`page`.
     """
@@ -104,10 +156,6 @@ class GraphDatabase:
         #: compaction); engines compare it against the value seen at
         #: construction to invalidate page-derived indexes.
         self.topology_version = 0
-        self._small_page_ids = np.array(
-            [e.page_id for e in directory if e.kind == "SP"], dtype=np.int64)
-        self._large_page_ids = np.array(
-            [e.page_id for e in directory if e.kind == "LP"], dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Page access
@@ -119,18 +167,18 @@ class GraphDatabase:
     @property
     def num_small_pages(self):
         """#SP — the paper's Table 3 statistic."""
-        return len(self._small_page_ids)
+        return len(self.small_page_ids())
 
     @property
     def num_large_pages(self):
         """#LP — the paper's Table 3 statistic."""
-        return len(self._large_page_ids)
+        return len(self.large_page_ids())
 
     def small_page_ids(self):
-        return self._small_page_ids
+        return self.directory.page_ids()[0]
 
     def large_page_ids(self):
-        return self._large_page_ids
+        return self.directory.page_ids()[1]
 
     def page(self, page_id):
         """Page ``page_id`` as a view: a ``SmallPage`` / ``LargePage``
@@ -200,7 +248,7 @@ class GraphDatabase:
 
     def used_bytes(self):
         """Sum of actually-used bytes across pages (excludes padding)."""
-        return sum(entry.used_bytes for entry in self.directory)
+        return int(self.directory.used_bytes.sum())
 
     def fill_factor(self):
         """Used bytes over allocated bytes; a builder-quality metric."""
@@ -233,14 +281,10 @@ class GraphDatabase:
         page its logical neighbour is addressed under.
         """
         directory = self.directory
-        dir_records = np.array(
-            [1 if e.kind == "LP" else e.num_records for e in directory],
-            dtype=np.int64)
-        dir_edges = np.array([e.num_edges for e in directory],
-                             dtype=np.int64)
         rec_counts, edge_counts = arrays["rec_counts"], arrays["edge_counts"]
-        if not (np.array_equal(rec_counts, dir_records)
-                and np.array_equal(edge_counts, dir_edges)):
+        if not (np.array_equal(rec_counts, np.where(directory.is_large, 1,
+                                                    directory.num_records))
+                and np.array_equal(edge_counts, directory.num_edges)):
             raise FormatError("topology arrays disagree with the directory")
         rec_page = np.repeat(np.arange(len(rec_counts)), rec_counts)
         covered = arrays["rec_vids"][self.rvt.lp_ranges[rec_page] <= 0]

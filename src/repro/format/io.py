@@ -69,7 +69,7 @@ from repro.errors import ConfigurationError, FormatError, IntegrityError
 from repro.format.config import PageFormatConfig
 from repro.format.database import (
     GraphDatabase,
-    PageDirectoryEntry,
+    PageDirectory,
     page_rows,
     topology_from_rows,
 )
@@ -104,8 +104,9 @@ _PLAN_ALIGN = 64
 _PLAN_SCALARS = ("version", "name", "num_vertices", "num_edges", "config",
                  "wal_epoch", "pages_layout")
 
-#: :class:`~repro.format.database.PageDirectoryEntry` fields; column
-#: ``"dir_" + field`` of the metadata (``kind``: 1 for a large page).
+#: A ``.meta.json`` directory row's keys; column ``"dir_" + key`` of
+#: the metadata (``kind``: 1 for a large page).  Past the page ID, the
+#: :class:`~repro.format.database.PageDirectory` columns in order.
 _DIRECTORY_FIELDS = ("page_id", "kind", "start_vid", "num_records",
                      "num_edges", "used_bytes")
 
@@ -143,15 +144,6 @@ def _fsync_directory(path):
 
 def _align(offset):
     return -(-offset // _PLAN_ALIGN) * _PLAN_ALIGN
-
-
-def _directory_columns(records):
-    """Directory rows (dicts of :data:`_DIRECTORY_FIELDS`) as ``int64``
-    metadata columns."""
-    return {"dir_" + key: np.array(
-        [record[key] == "LP" if key == "kind" else record[key]
-         for record in records], dtype=np.int64)
-        for key in _DIRECTORY_FIELDS}
 
 
 def _topology_fields(rvt, rec_counts, columns, lp_pids, lp_totals):
@@ -252,7 +244,7 @@ def save_database(db, prefix, wal_epoch=None):
     num_pages = db.num_pages
     rec_at = np.concatenate(([0], np.cumsum(arrays["rec_counts"])))
     edge_at = np.concatenate(([0], np.cumsum(arrays["edge_counts"])))
-    lp_pids = np.asarray(db.large_page_ids(), dtype=np.int64)
+    lp_pids = db.large_page_ids()
     lp_totals = arrays["rec_divisor"][rec_at[lp_pids]]
     metadata = {
         "version": FORMAT_VERSION,
@@ -270,15 +262,11 @@ def save_database(db, prefix, wal_epoch=None):
             "weight_bytes": config.weight_bytes,
         },
         "directory": [
-            {
-                "page_id": entry.page_id,
-                "kind": entry.kind,
-                "start_vid": entry.start_vid,
-                "num_records": entry.num_records,
-                "num_edges": entry.num_edges,
-                "used_bytes": entry.used_bytes,
-            }
-            for entry in db.directory
+            {"page_id": pid, "kind": "LP" if large else "SP",
+             "start_vid": start, "num_records": records,
+             "num_edges": edges, "used_bytes": used}
+            for pid, (large, start, records, edges, used) in enumerate(zip(
+                *(column.tolist() for column in db.directory.columns())))
         ],
         "rvt": {
             "start_vids": db.rvt.start_vids.tolist(),
@@ -331,7 +319,8 @@ def save_database(db, prefix, wal_epoch=None):
         # One ``dumps``: the C encoder.  ``json.dump`` would stream the
         # same bytes through the pure-Python ``_iterencode``.
         meta_bytes = json.dumps(metadata).encode("ascii")
-        regions = _directory_columns(metadata["directory"])
+        regions = dict(zip(("dir_" + key for key in _DIRECTORY_FIELDS),
+                           (np.arange(num_pages), *db.directory.columns())))
         regions.update(
             rvt_start_vids=db.rvt.start_vids, rvt_lp_ranges=db.rvt.lp_ranges,
             out_degrees=db.out_degrees, vertex_page=db.vertex_page,
@@ -549,7 +538,10 @@ def _json_columns(raw, meta_path):
                                       dtype=np.int64),
             page_checksums=(None if checksums is None
                             else np.asarray(checksums, dtype=np.uint32)),
-            **_directory_columns(metadata["directory"]))
+            **{"dir_" + key: np.array(
+                [row[key] == "LP" if key == "kind" else row[key]
+                 for row in metadata["directory"]], dtype=np.int64)
+               for key in _DIRECTORY_FIELDS})
         return columns
     except (ArithmeticError, AttributeError, KeyError, TypeError,
             ValueError) as error:
@@ -629,11 +621,8 @@ class FileBackedDatabase(GraphDatabase):
         config = PageFormatConfig(**columns["config"])
         rvt = RecordVertexTable(columns["rvt_start_vids"],
                                 columns["rvt_lp_ranges"])
-        kinds = columns["dir_kind"].astype(bool)
-        directory = list(map(PageDirectoryEntry, *(
-            np.where(kinds, "LP", "SP").tolist() if field == "kind"
-            else columns["dir_" + field].tolist()
-            for field in _DIRECTORY_FIELDS)))
+        directory = PageDirectory(columns["dir_kind"].astype(bool), *(
+            columns["dir_" + key] for key in _DIRECTORY_FIELDS[2:]))
         super().__init__(
             topology=None,
             directory=directory,
@@ -652,13 +641,12 @@ class FileBackedDatabase(GraphDatabase):
             raise FormatError(
                 "%s: expected %d bytes of pages, found %d"
                 % (self._pages_path, expected, actual))
-        #: Large pages and their vertices' total degrees.
+        #: Large pages, ascending, and their vertices' total degrees.
         self._lp_pids = columns["lp_pids"]
         self._lp_totals = columns["lp_total_degrees"]
-        self._lp_total_degrees = dict(zip(self._lp_pids.tolist(),
-                                          self._lp_totals.tolist()))
         #: Slots to decode per page (a large page holds exactly one).
-        self._dir_records = np.where(kinds, 1, columns["dir_num_records"])
+        self._dir_records = np.where(directory.is_large, 1,
+                                     directory.num_records)
         self._page_checksums = _checksums_from_metadata(
             columns, prefix + ".meta.json")
         _validate_pages_layout(columns, config, len(directory),
@@ -909,7 +897,7 @@ class FileBackedDatabase(GraphDatabase):
             # frees them whatever happened to the rest of its chunk.
             weights = (None if adj_weights is None
                        else adj_weights[edges].copy())
-            if self.directory[pid].kind == "SP":
+            if not self.directory.is_large[pid]:
                 page = SmallPage(
                     pid, start_vid, edge_ends[rec_lo:rec_hi + 1] - edge_lo,
                     adj_pids[edges].copy(), adj_slots[edges].copy(),
@@ -921,10 +909,14 @@ class FileBackedDatabase(GraphDatabase):
                     adj_pids[edges].copy(), adj_slots[edges].copy(),
                     adj_vids[edges].copy(), self.config,
                     adj_weights=weights,
-                    total_degree=self._lp_total_degrees.get(pid))
+                    total_degree=self._total_degree(pid))
             pages.append(page)
             rec_lo = rec_hi
         return pages
+
+    def _total_degree(self, page_id):
+        """The total degree of large page ``page_id``'s vertex."""
+        return int(self._lp_totals[np.searchsorted(self._lp_pids, page_id)])
 
     def _parse_pages(self, page_ids):
         """Yield the decoded page for each of ``page_ids`` (distinct),
@@ -983,15 +975,14 @@ class FileBackedDatabase(GraphDatabase):
                         self.integrity_retries += 1
                     data = self._read_page_bytes(page_id)
         # The copy path decodes with the per-byte reference parsers.
-        if self.directory[page_id].kind == "SP":
+        if not self.directory.is_large[page_id]:
             page = SmallPage.from_bytes(
-                data, page_id, self.directory[page_id].num_records,
+                data, page_id, int(self.directory.num_records[page_id]),
                 self.config)
         else:
             page = LargePage.from_bytes(
                 data, page_id, int(self.rvt.lp_ranges[page_id]),
-                self.config,
-                total_degree=self._lp_total_degrees.get(page_id))
+                self.config, total_degree=self._total_degree(page_id))
         page.adj_vids = self.rvt.translate(page.adj_pids, page.adj_slots)
         return page
 

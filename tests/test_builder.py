@@ -8,7 +8,7 @@ from repro.errors import FormatError
 from repro.format import PageFormatConfig, build_database
 from repro.format.builder import _plan_placement
 from repro.format.page import PageKind
-from repro.graphgen import Graph, generate_erdos_renyi, generate_rmat
+from repro.graphgen import Graph, generate_erdos_renyi
 from repro.graphgen.random_graphs import generate_star
 from repro.units import KB
 
@@ -37,11 +37,6 @@ class TestPlacementInvariants:
             vids = rmat_db.page(pid).vids()
             assert np.array_equal(vids,
                                   np.arange(vids[0], vids[0] + len(vids)))
-
-    def test_pages_respect_capacity(self, rmat_db):
-        for entry in rmat_db.directory:
-            assert entry.used_bytes == rmat_db.page(entry.page_id).used_bytes()
-            assert entry.used_bytes <= rmat_db.config.page_size
 
     def test_adjacency_preserved(self, rmat_graph, rmat_db):
         """The arrays are the source CSR, large-page chunks in order."""
@@ -137,18 +132,8 @@ class TestDatabaseAccounting:
         assert stats["num_lp"] == rmat_db.num_large_pages
         assert stats["vertices"] == rmat_db.num_vertices
 
-    def test_ra_subvector_bytes(self, rmat_db):
-        """An RA subvector covers a page's VIDs: one for a large page."""
-        db = rmat_db
-        for pid in map(int, (db.small_page_ids()[0], db.large_page_ids()[0])):
-            assert db.directory[pid].num_records == len(db.page(pid).vids())
-
     def test_attribute_vector_bytes(self, rmat_db):
         assert rmat_db.attribute_vector_bytes(4) == 4 * rmat_db.num_vertices
-
-    def test_small_and_large_ids_partition_pages(self, rmat_db):
-        ids = set(rmat_db.small_page_ids()) | set(rmat_db.large_page_ids())
-        assert ids == set(range(rmat_db.num_pages))
 
 
 class TestAddressingLimits:

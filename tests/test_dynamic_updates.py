@@ -110,9 +110,9 @@ class TestOverlaySemantics:
         assert db.num_extension_pages == 4
         # Every new vertex resolves through vertex_page/RVT.
         for vid in (6, 6 + capacity, 6 + count - 1):
-            entry = db.directory[db.page_for_vertex(vid)]
-            assert entry.start_vid <= vid < (entry.start_vid
-                                             + entry.num_records)
+            pid = db.page_for_vertex(vid)
+            start = db.directory.start_vid[pid]
+            assert start <= vid < start + db.directory.num_records[pid]
         assert len(db.effective_neighbors(6 + count - 1)) == 0
         db.apply(UpdateBatch().insert_edge(6 + count - 1, 0))
         assert 0 in db.effective_neighbors(6 + count - 1)

@@ -532,8 +532,8 @@ class TestPlanArrays:
         plan = PagePlan(db)
         first = plan.copy_bytes(4)
         assert plan.copy_bytes(4) is first
-        expected = np.asarray([db.page_bytes(pid) + entry.num_records * 4
-                               for pid, entry in enumerate(db.directory)])
+        expected = np.asarray([db.page_bytes(pid) + records * 4 for pid, records
+                               in enumerate(db.directory.num_records)])
         np.testing.assert_array_equal(first, expected)
 
 

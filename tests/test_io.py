@@ -9,9 +9,12 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.dynamic import DynamicGraphDatabase, UpdateBatch
 from repro.errors import FormatError
 from repro.format import PageFormatConfig, build_database
+from repro.format.database import PageDirectory
 from repro.format import io as format_io
 from repro.format.io import FileBackedDatabase, load_database, save_database
 from repro.graphgen import Graph, generate_rmat
@@ -301,8 +304,8 @@ class TestFileBackedDatabase:
     def test_sidecar_open_equals_the_decode_open(self, tmp_path):
         """A store opened from the ``.plan`` sidecar equals the same
         store opened by parsing the JSON and decoding pages, field for
-        field and dtype for dtype (directory entries hold Python ints,
-        large-page total degrees are keyed by int), and so do the flat
+        field and dtype for dtype (directory columns included), and so
+        do the flat
         arrays its plans are built from — served by one host read of
         the sidecar's own bytes that books no page region."""
         prefix = str(tmp_path / "db")
@@ -386,6 +389,91 @@ class TestFileBackedDatabase:
         assert lazy.page(0) is resident
 
 
+#: Page formats for the directory property: roomy and tiny pages, a
+#: one-byte slot number, and weights.
+DIRECTORY_FORMATS = [
+    PageFormatConfig(2, 2, 1024),
+    PageFormatConfig(2, 2, 256),
+    PageFormatConfig(2, 1, 512),
+    PageFormatConfig(4, 2, 2048, weight_bytes=4),
+]
+
+
+def _directory_of_pages(db):
+    """The directory rebuilt row by row from ``db``'s served pages."""
+    pages = [db.page(pid) for pid in range(db.num_pages)]
+    return PageDirectory(*zip(*(
+        (page.kind.value == "LP", page.start_vid, len(page.vids()),
+         page.num_edges, page.used_bytes()) for page in pages)))
+
+
+def _assert_directory(want, db):
+    """``db``'s directory columns and page IDs equal ``want``'s columns
+    and ``flatnonzero`` of its mask, value and dtype."""
+    for expected, got in zip(
+            want.columns() + (np.flatnonzero(~want.is_large),
+                              np.flatnonzero(want.is_large)),
+            db.directory.columns() + (db.small_page_ids(),
+                                      db.large_page_ids())):
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_directory_columns_agree_across_producers(data, tmp_path_factory):
+    """Property: one page directory, whoever produced it.  The builder's
+    rows describe its pages (each within ``page_size``), and a sidecar
+    open, a JSON open (sidecar deleted) and ``load_database`` give the
+    same columns.  An overlay's rows describe its served pages after
+    insert and add-vertex commits, while a snapshot pinned before them
+    keeps the base's; its large-page runs are the per-page walk's."""
+    config = data.draw(st.sampled_from(DIRECTORY_FORMATS))
+    num_vertices = data.draw(st.integers(2, 300))
+    rng = np.random.default_rng(data.draw(st.integers(0, 10 ** 6)))
+    degrees = rng.integers(0, 6, size=num_vertices)
+    hubs = rng.integers(0, num_vertices, size=data.draw(st.integers(0, 3)))
+    degrees[hubs] = rng.integers(1, 3 * config.large_page_capacity(),
+                                 size=len(hubs))
+    graph = Graph.from_edges(
+        num_vertices, np.repeat(np.arange(num_vertices), degrees),
+        rng.integers(0, num_vertices, size=int(degrees.sum())))
+    db = build_database(graph, config)
+    _assert_directory(_directory_of_pages(db), db)
+    assert (db.directory.used_bytes <= config.page_size).all()
+
+    prefix = str(tmp_path_factory.mktemp("directory") / "db")
+    save_database(db, prefix)
+    sidecar = FileBackedDatabase(prefix)
+    stores = [sidecar, load_database(prefix)]
+    os.remove(prefix + ".plan")
+    stores.append(FileBackedDatabase(prefix))
+    for store in stores:
+        _assert_directory(db.directory, store)
+
+    runs = {}
+    for pid in db.large_page_ids().tolist():
+        runs.setdefault(int(db.rvt.start_vids[pid]), []).append(pid)
+    overlay = DynamicGraphDatabase(sidecar)
+    assert list(overlay._lp_runs) == list(runs)
+    for vid, run in overlay._lp_runs.items():
+        assert run.dtype == np.int64 and run.tolist() == runs[vid]
+    before = overlay.pin()
+    batch = UpdateBatch()
+    for src, dst in rng.integers(0, num_vertices, size=(6, 2)).tolist():
+        batch.insert_edge(src, dst)
+    overlay.apply(batch)
+    added = data.draw(st.integers(1, 2 * overlay._ext_capacity()))
+    overlay.apply(UpdateBatch().add_vertices(added)
+                  .insert_edge(num_vertices + added - 1, 0).add_vertices(2))
+    overlay.validate()
+    _assert_directory(_directory_of_pages(overlay), overlay)
+    _assert_directory(db.directory, before)
+    before.release()
+    sidecar.close()
+    stores[2].close()
+
+
 class TestEnginePagePool:
     """The engine must see identical results through a page pool small
     enough to force evictions, and surface the pool's hit rate.  Plan
@@ -415,8 +503,8 @@ class TestEnginePagePool:
         pool_pages = max(2, rmat_db.num_pages // 8)
         lazy = self._open(rmat_db, tmp_path, pool_pages)
         start = int(np.argmax(rmat_db.out_degrees))
-        sources = [entry.start_vid for entry in rmat_db.directory
-                   if entry.kind == "SP"][::3][:2 * pool_pages]
+        sources = rmat_db.directory.start_vid[
+            rmat_db.small_page_ids()][::3][:2 * pool_pages].tolist()
         touched = {int(rmat_db.vertex_page[v]) for v in sources}
         overlays = [DynamicGraphDatabase(base) for base in (rmat_db, lazy)]
         engines = [GTSEngine(overlay, machine) for overlay in overlays]

@@ -77,7 +77,7 @@ class TestRecommendation:
         wa = kernel.wa_bytes(rmat_db.num_vertices)
         # Device memory sized so the full WA plus the single-stream
         # buffers overflow, but half the WA (Strategy-S on 2 GPUs) fits.
-        max_records = max(e.num_records for e in rmat_db.directory)
+        max_records = int(rmat_db.directory.num_records.max())
         buffers = (max_records * kernel.ra_bytes_per_vertex
                    + 2 * rmat_db.config.page_size)
         gpu = GPUSpec(device_memory=wa // 2 + buffers + 64)

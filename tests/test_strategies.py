@@ -21,30 +21,30 @@ def _runtime():
 class TestAssignment:
     def test_performance_partitions_pages(self):
         strategy = PerformanceStrategy()
-        assert strategy.assign(0, 2) == (0,)
-        assert strategy.assign(1, 2) == (1,)
-        assert strategy.assign(2, 2) == (0,)
+        assert strategy.assign_batch([0, 1, 2], 2) == [(0,), (1,), (0,)]
 
     def test_performance_balances_load(self):
         strategy = PerformanceStrategy()
         counts = [0, 0, 0]
-        for pid in range(99):
-            counts[strategy.assign(pid, 3)[0]] += 1
+        for (gpu,) in strategy.assign_batch(range(99), 3):
+            counts[gpu] += 1
         assert counts == [33, 33, 33]
 
     def test_scalability_replicates_pages(self):
         strategy = ScalabilityStrategy()
-        assert strategy.assign(5, 3) == (0, 1, 2)
-
+        assert strategy.assign_batch([5], 3) == [(0, 1, 2)]
 
     @pytest.mark.parametrize("strategy", [PerformanceStrategy(),
                                           ScalabilityStrategy()])
     @pytest.mark.parametrize("num_gpus", [1, 2, 3])
     def test_assign_batch_is_assign_per_page(self, strategy, num_gpus):
-        """The vectorized round assignment is the per-page ``h(j)``,
-        tuple for tuple, for arrays and lists alike."""
+        """The round assignment is the per-page ``h(j)`` (``j mod N``
+        for Strategy-P, every GPU for Strategy-S), tuple for tuple, for
+        arrays and lists alike."""
         page_ids = np.asarray([7, 0, 3, 3, 12, 5], dtype=np.int64)
-        want = [strategy.assign(int(pid), num_gpus) for pid in page_ids]
+        want = [(int(pid) % num_gpus,)
+                if isinstance(strategy, PerformanceStrategy)
+                else tuple(range(num_gpus)) for pid in page_ids]
         assert strategy.assign_batch(page_ids, num_gpus) == want
         assert strategy.assign_batch(page_ids.tolist(), num_gpus) == want
         assert strategy.assign_batch(page_ids[:0], num_gpus) == []
