@@ -32,7 +32,7 @@ import time as _time
 
 import numpy as np
 
-from repro.core.cache import PageCache
+from repro.core.cache import PageCache, check_policy
 from repro.core.kernels.base import ALL_PAGES, KernelContext
 from repro.core.micro import MicroTechnique
 from repro.core.plan import RoundPlanCache, page_mask, take_ranges
@@ -123,6 +123,12 @@ class GTSEngine:
                  retry_policy=None, plan_cache=None):
         if num_streams < 1:
             raise ConfigurationError("need at least one stream")
+        check_policy(cache_policy)
+        for name, value in (("cache_bytes", cache_bytes),
+                            ("mm_buffer_bytes", mm_buffer_bytes)):
+            if value is not None and value < 0:
+                raise ConfigurationError("%s cannot be negative (got %r)"
+                                         % (name, value))
         if faults is not None and not isinstance(faults, FaultPlan):
             faults = FaultPlan.from_dict(faults)
         if retry_policy is not None and not isinstance(retry_policy,
@@ -186,29 +192,6 @@ class GTSEngine:
         large = take_ranges(firsts[runs], lengths[runs])
         named[firsts] = False
         return np.flatnonzero(named), large
-
-    def _round_order(self, pids_round, runtime, dead_gpus):
-        """A round's :class:`RoundOrder`: the strategy's per-page GPU
-        assignments, with dead GPUs' pages redistributed to survivors
-        (Strategy-P degradation)."""
-        assignments = self.strategy.assign_batch(pids_round,
-                                                 runtime.num_gpus)
-        if not dead_gpus:
-            return RoundOrder(pids_round, assignments, runtime.num_gpus)
-        survivors = [g for g in range(runtime.num_gpus)
-                     if g not in dead_gpus]
-        cache = {}
-        remapped = []
-        for gpus in assignments:
-            out = cache.get(gpus)
-            if out is None:
-                out = tuple(dict.fromkeys(
-                    g if g not in dead_gpus
-                    else survivors[g % len(survivors)]
-                    for g in gpus))
-                cache[gpus] = out
-            remapped.append(out)
-        return RoundOrder(pids_round, remapped, runtime.num_gpus)
 
     def _absorb_gpu_losses(self, runtime, injector, dead_gpus, recorder):
         """Handle GPUs whose scheduled loss time has passed.
@@ -403,7 +386,7 @@ class GTSEngine:
             # 9-10).
             preloaded = False
             if topology <= runtime.mm_buffer.capacity_bytes:
-                runtime.mm_buffer.preload(range(db.num_pages))
+                runtime.mm_buffer.preload(np.arange(db.num_pages))
                 preloaded = True
 
             # Step 1: copy WA chunks to the GPUs.
@@ -458,18 +441,17 @@ class GTSEngine:
                         full_order = None
                 pids_round = np.concatenate([small, large])
                 # SPs first, then LPs (reduces kernel switching,
-                # Section 3.2).
-                if len(pids_round) == plan_arrays.num_pages:
-                    # Full-scan rounds dispatch the same SP-first page
-                    # sequence every time; its assignment and per-GPU
-                    # split are computed once.
-                    if full_order is None:
-                        full_order = self._round_order(
-                            pids_round, runtime, dead_gpus)
+                # Section 3.2).  Full-scan rounds dispatch the same
+                # SP-first page sequence every time, so its routing is
+                # computed once.
+                full_scan = len(pids_round) == plan_arrays.num_pages
+                if full_scan and full_order is not None:
                     order = full_order
                 else:
-                    order = self._round_order(pids_round, runtime,
-                                              dead_gpus)
+                    order = RoundOrder(pids_round, self.strategy.assign_batch(
+                        pids_round, runtime.num_gpus, dead_gpus))
+                    if full_scan:
+                        full_order = order
                 with span("core.plan.gather"):
                     batch = plan_arrays.round_batch(pids_round)
                 with span("core.kernels.batch"):

@@ -40,11 +40,13 @@ class Strategy:
     #: partitioned WA (Strategy-S) dies with its chunk.
     wa_replicated = False
 
-    def assign_batch(self, page_ids, num_gpus):
-        """For each of a round's ``page_ids``, the tuple of GPU indices
-        that must receive it (the paper's ``h(j)``: one index for
-        Strategy-P, all of them for Strategy-S), as a list aligned with
-        ``page_ids``."""
+    def assign_batch(self, page_ids, num_gpus, dead_gpus=()):
+        """Route a round (the paper's ``h(j)``): for each GPU, the
+        ascending positions in ``page_ids`` of the pages it receives,
+        as one int64 array per GPU.  Strategy-P gives each page to one
+        GPU, Strategy-S gives every page to every GPU.  ``dead_gpus``
+        names lost devices whose share goes to survivors; only a
+        replicated-WA strategy survives a loss, so only it reads it."""
         raise NotImplementedError
 
     def wa_gpu_bytes(self, wa_total_bytes, num_gpus):
@@ -72,11 +74,15 @@ class PerformanceStrategy(Strategy):
     name = "performance"
     wa_replicated = True
 
-    def assign_batch(self, page_ids, num_gpus):
-        # One ``%`` over the round; every page of a GPU shares its tuple.
-        singles = [(gpu,) for gpu in range(num_gpus)]
-        owners = np.asarray(page_ids, dtype=np.int64) % num_gpus
-        return [singles[gpu] for gpu in owners.tolist()]
+    def assign_batch(self, page_ids, num_gpus, dead_gpus=()):
+        # Dead GPU ``g``'s pages go to survivor ``g % len(survivors)``.
+        remap = np.arange(num_gpus)
+        if dead_gpus:
+            dead = np.asarray(sorted(dead_gpus), dtype=np.int64)
+            survivors = np.setdiff1d(remap, dead)
+            remap[dead] = survivors[dead % len(survivors)]
+        owners = remap[np.asarray(page_ids, dtype=np.int64) % num_gpus]
+        return [np.flatnonzero(owners == gpu) for gpu in range(num_gpus)]
 
     def wa_gpu_bytes(self, wa_total_bytes, num_gpus):
         return wa_total_bytes
@@ -122,9 +128,8 @@ class ScalabilityStrategy(Strategy):
 
     name = "scalability"
 
-    def assign_batch(self, page_ids, num_gpus):
-        replicate = tuple(range(num_gpus))
-        return [replicate] * len(page_ids)
+    def assign_batch(self, page_ids, num_gpus, dead_gpus=()):
+        return [np.arange(len(page_ids))] * num_gpus
 
     def wa_gpu_bytes(self, wa_total_bytes, num_gpus):
         return -(-wa_total_bytes // num_gpus)  # ceil division

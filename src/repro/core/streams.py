@@ -9,7 +9,6 @@ exactly that booking logic, so the engine's round loop stays about
 """
 
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -19,27 +18,19 @@ from repro.errors import (ConfigurationError, RetryExhaustedError,
 
 class RoundOrder:
     """One round's dispatch order: ``page_ids`` (duplicate-free, in
-    dispatch order) and the strategy's per-page GPU tuples, split per
-    GPU on first use.  The engine keeps the full-scan order for a whole
-    run, so every full-scan round after the first reuses the split."""
+    dispatch order) and ``per_gpu``, the strategy's routing: each GPU's
+    ascending positions in the round, one index array per GPU.  The
+    engine keeps the full-scan order for a whole run, so every
+    full-scan round after the first reuses its per-GPU page IDs."""
 
-    def __init__(self, page_ids, assignments, num_gpus):
+    def __init__(self, page_ids, per_gpu):
         self.page_ids = np.asarray(page_ids, dtype=np.int64)
-        self.assignments = assignments
-        self.num_gpus = num_gpus
+        self.per_gpu = per_gpu
 
     @cached_property
-    def per_gpu(self):
-        """``(indices, pids)``: each GPU's positions in the round (an
-        index array) and page IDs (a list), in dispatch order."""
-        gpus = np.fromiter(chain.from_iterable(self.assignments),
-                           dtype=np.int64)
-        positions = np.repeat(
-            np.arange(len(self.assignments)),
-            np.fromiter(map(len, self.assignments), dtype=np.int64,
-                        count=len(self.assignments)))
-        indices = [positions[gpus == g] for g in range(self.num_gpus)]
-        return indices, [self.page_ids[seq].tolist() for seq in indices]
+    def gpu_pids(self):
+        """Each GPU's page IDs, in dispatch order."""
+        return [self.page_ids[seq] for seq in self.per_gpu]
 
 
 def _fold(start, durations):
@@ -202,24 +193,22 @@ class StreamScheduler:
         earliest = [max(round_start, wa_ready[g])
                     for g in range(runtime.num_gpus)]
         page_ids = order.page_ids
-        indices, gpu_pids = order.per_gpu
-        hit_lists = [
-            cache.resolve_round(pids, ts=early, assume_distinct=True)
-            for cache, pids, early in zip(caches, gpu_pids, earliest)
-        ]
+        indices = order.per_gpu
+        hit_masks = [cache.resolve_round(pids, ts=early)
+                     for cache, pids, early in zip(caches, order.gpu_pids,
+                                                   earliest)]
         steps_arr = np.asarray(lane_steps, dtype=np.float64)
         bytes_arr = np.asarray(copy_bytes, dtype=np.float64)
         injector = self.fault_injector
-        if (injector is not None
-                and injector.round_faulted(page_ids, order.assignments)):
+        if injector is not None and injector.round_faulted(page_ids,
+                                                           indices):
             injector.note_fallback()
             if runtime.recorder is not None:
                 runtime.recorder.instant(
                     "fallback", "engine", "rounds", round_start,
                     round=stats.round_index)
             self._book_round_per_call(
-                page_ids.tolist(), order.assignments,
-                [seq.tolist() for seq in indices], hit_lists,
+                page_ids.tolist(), indices, hit_masks,
                 bytes_arr.astype(np.int64).tolist(), steps_arr.tolist(),
                 cycles_per_lane_step, earliest, wa_ready, round_start,
                 stats)
@@ -231,10 +220,9 @@ class StreamScheduler:
         if len(page_ids) and (steps_arr * cycles_per_lane_step).min() < 0:
             raise SimulationError("negative kernel duration in round %d"
                                   % stats.round_index)
-        miss_masks = [~np.asarray(hits, dtype=bool) for hits in hit_lists]
         missed = np.zeros(len(page_ids), dtype=bool)
-        for seq, miss in zip(indices, miss_masks):
-            missed[seq[miss]] = True
+        for seq, hits in zip(indices, hit_masks):
+            missed[seq[~hits]] = True
         ready_at = np.zeros(len(page_ids), dtype=np.float64)
         if missed.any():
             # First cache miss on any GPU, in page order: exactly the
@@ -243,43 +231,47 @@ class StreamScheduler:
                 page_ids[missed], round_start)
             stats.pages_from_buffer += from_buffer
             stats.pages_from_storage += from_storage
-        self._book_round(indices, hit_lists, miss_masks, bytes_arr,
-                         steps_arr, cycles_per_lane_step, earliest,
-                         wa_ready, ready_at, stats)
+        self._book_round(indices, hit_masks, bytes_arr, steps_arr,
+                         cycles_per_lane_step, earliest, wa_ready,
+                         ready_at, stats)
 
-    def _book_round_per_call(self, pids, assignments, sequences, hit_lists,
-                             copy_bytes, lane_steps, cycles_per_lane_step,
-                             earliest, wa_ready, round_start, stats):
-        """A faulted round: page-major, GPU inner, one public dispatch
-        call per booking, a page made ready when its first miss is
-        reached (once per round: Strategy-S's second GPU copies it from
-        MMBuf)."""
-        hits = [dict(zip(seq, hit_list))
-                for seq, hit_list in zip(sequences, hit_lists)]
+    def _book_round_per_call(self, pids, indices, hit_masks, copy_bytes,
+                             lane_steps, cycles_per_lane_step, earliest,
+                             wa_ready, round_start, stats):
+        """A faulted round: page-major, GPU ascending, one public
+        dispatch call per booking, a page made ready when its first
+        miss is reached (once per round: Strategy-S's second GPU copies
+        it from MMBuf)."""
+        positions = np.concatenate(indices)
+        gpus = np.repeat(np.arange(len(indices)), list(map(len, indices)))
+        hits = np.concatenate(hit_masks)
+        page_major = np.argsort(positions, kind="stable")
         ready_memo = {}
-        for j, pid in enumerate(pids):
-            for g in assignments[j]:
-                if hits[g][j]:
-                    stats.pages_from_cache += 1
-                    self.dispatch_cached(
-                        g, earliest[g], lane_steps[j],
-                        cycles_per_lane_step, page_id=pid)
-                    continue
-                ready = ready_memo.get(pid)
-                if ready is None:
-                    (ready,), from_buffer, from_storage = (
-                        self.runtime.page_ready([pid], round_start))
-                    stats.pages_from_buffer += from_buffer
-                    stats.pages_from_storage += from_storage
-                    ready_memo[pid] = ready = float(ready)
-                stats.bytes_streamed += copy_bytes[j]
-                self.dispatch_streamed(
-                    g, max(ready, wa_ready[g]), copy_bytes[j],
-                    lane_steps[j], cycles_per_lane_step, page_id=pid)
+        for j, g, hit in zip(positions[page_major].tolist(),
+                             gpus[page_major].tolist(),
+                             hits[page_major].tolist()):
+            pid = pids[j]
+            if hit:
+                stats.pages_from_cache += 1
+                self.dispatch_cached(
+                    g, earliest[g], lane_steps[j],
+                    cycles_per_lane_step, page_id=pid)
+                continue
+            ready = ready_memo.get(pid)
+            if ready is None:
+                (ready,), from_buffer, from_storage = (
+                    self.runtime.page_ready([pid], round_start))
+                stats.pages_from_buffer += from_buffer
+                stats.pages_from_storage += from_storage
+                ready_memo[pid] = ready = float(ready)
+            stats.bytes_streamed += copy_bytes[j]
+            self.dispatch_streamed(
+                g, max(ready, wa_ready[g]), copy_bytes[j],
+                lane_steps[j], cycles_per_lane_step, page_id=pid)
 
-    def _book_round(self, indices, hit_lists, miss_masks, bytes_arr,
-                    steps_arr, cycles_per_lane_step, earliest, wa_ready,
-                    ready_at, stats):
+    def _book_round(self, indices, hit_masks, bytes_arr, steps_arr,
+                    cycles_per_lane_step, earliest, wa_ready, ready_at,
+                    stats):
         """GPU-major booking of a round whose missed pages are already
         main-memory ready (at ``ready_at[j]``).
 
@@ -308,12 +300,12 @@ class StreamScheduler:
         pcie = runtime.pcie
         traced = runtime.tracing or runtime.recorder is not None
         ct_all = pcie.latency + bytes_arr / pcie.stream_bandwidth
-        for gpu, seq, hits, miss, early, wa in zip(
-                runtime.gpus, indices, hit_lists, miss_masks, earliest,
-                wa_ready):
+        for gpu, seq, hit_mask, early, wa in zip(
+                runtime.gpus, indices, hit_masks, earliest, wa_ready):
             m = len(seq)
             if not m:
                 continue
+            hits, miss = hit_mask.tolist(), ~hit_mask
             spec = gpu.spec
             work = steps_arr[seq] * cycles_per_lane_step
             sd = (spec.kernel_launch_overhead

@@ -113,13 +113,14 @@ class FaultInjector:
         """Scope subsequent draws to engine round ``round_index``."""
         self._round = int(round_index)
 
-    def round_faulted(self, pids, assignments):
+    def round_faulted(self, pids, per_gpu):
         """Would any probabilistic fault fire in the current round?
 
-        ``pids`` / ``assignments`` are the round's page IDs and per-page
-        GPU tuples.  Evaluates the exact draws the injection points
-        would, at attempt 0, so a ``False`` here guarantees the round's
-        dispatch is fault-free and safe to book in bulk.
+        ``pids`` are the round's page IDs and ``per_gpu`` each GPU's
+        positions in them (:attr:`~repro.core.streams.RoundOrder.per_gpu`).
+        Evaluates the exact draws the injection points would, at attempt
+        0, so a ``False`` here guarantees the round's dispatch is
+        fault-free and safe to book in bulk.
         """
         plan = self.plan
         if not plan.any_rates:
@@ -137,12 +138,8 @@ class FaultInjector:
                  < plan.ssd_corrupt_rate).any()):
             return True
         if plan.copy_error_rate or plan.stall_rate:
-            per_gpu = {}
-            for pid, gpus in zip(pids.tolist(), assignments):
-                for g in gpus:
-                    per_gpu.setdefault(g, []).append(pid)
-            for g, gpu_pids in per_gpu.items():
-                gpu_pids = np.asarray(gpu_pids, dtype=np.int64)
+            for g, seq in enumerate(per_gpu):
+                gpu_pids = pids[seq]
                 if plan.copy_error_rate and bool(
                         (self._uniform(SITE_COPY, r, g, 0,
                                        vector=gpu_pids)

@@ -166,7 +166,7 @@ class MachineRuntime:
         if len(missed):
             ready[~resident] = self.storage.fetch_many(
                 missed, self.page_bytes, round_start)
-            self.mm_buffer.preload(missed.tolist())
+            self.mm_buffer.preload(missed)
         return ready, len(page_ids) - len(missed), len(missed)
 
     def barrier(self):

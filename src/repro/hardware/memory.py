@@ -17,15 +17,14 @@ iteration that the paper's arithmetic implies.  Because nothing is ever
 evicted, admitting one page never changes whether another is resident.
 """
 
-import itertools
-
 import numpy as np
 
 from repro.errors import ConfigurationError
 
 
 class MainMemoryBuffer:
-    """Page buffer of a fixed byte capacity (see module docstring)."""
+    """Page buffer of a fixed byte capacity (see module docstring): a
+    residency bitmap over page IDs plus the resident count."""
 
     def __init__(self, capacity_bytes, page_bytes, recorder=None):
         if page_bytes <= 0:
@@ -33,7 +32,8 @@ class MainMemoryBuffer:
         self.capacity_bytes = capacity_bytes
         self.page_bytes = page_bytes
         self.capacity_pages = max(0, int(capacity_bytes // page_bytes))
-        self._pages = {}  # page_id -> None, in admission order
+        self._resident = np.zeros(0, dtype=bool)
+        self._count = 0
         #: Optional TraceRecorder; probes with a known simulated time
         #: become ``mm_buffer_hit`` / ``mm_buffer_miss`` instants.
         self.recorder = recorder
@@ -41,10 +41,18 @@ class MainMemoryBuffer:
         self.misses = 0
 
     def __contains__(self, page_id):
-        return page_id in self._pages
+        return page_id < len(self._resident) and bool(
+            self._resident[page_id])
 
     def __len__(self):
-        return len(self._pages)
+        return self._count
+
+    def _cover(self, page_ids):
+        """Grow the bitmap to cover every one of ``page_ids``."""
+        top = int(page_ids.max()) + 1
+        if top > len(self._resident):
+            self._resident = np.concatenate(
+                [self._resident, np.zeros(top - len(self._resident), bool)])
 
     def lookup(self, page_id, ts=None):
         """Check residency and update the hit/miss counters.
@@ -52,67 +60,45 @@ class MainMemoryBuffer:
         ``ts`` is the simulated time of the probe; when tracing is on it
         timestamps the emitted hit/miss instant.
         """
-        if page_id in self._pages:
-            self.hits += 1
-            if self.recorder is not None and ts is not None:
-                self.recorder.instant("mm_buffer_hit", "host", "mm buffer",
-                                      ts, page=page_id)
-            return True
-        self.misses += 1
-        if self.recorder is not None and ts is not None:
-            self.recorder.instant("mm_buffer_miss", "host", "mm buffer",
-                                  ts, page=page_id)
-        return False
+        return bool(self.lookup_many(np.array([page_id]), ts)[0])
 
     def lookup_many(self, page_ids, ts=None):
-        """:meth:`lookup` over an int64 array of page ids; returns their
-        residency as a boolean array.
-
-        With no recorder asking for the per-page instants this is one
-        bitmap probe instead of a Python-level lookup per page.
-        """
-        if self.recorder is not None:
-            return np.fromiter(
-                (self.lookup(pid, ts) for pid in page_ids.tolist()),
-                dtype=bool, count=len(page_ids))
-        if not (self._pages and len(page_ids)):
-            self.misses += len(page_ids)
-            return np.zeros(len(page_ids), dtype=bool)
-        pages = np.fromiter(self._pages, dtype=np.int64,
-                            count=len(self._pages))
-        bitmap = np.zeros(max(pages.max(), page_ids.max()) + 1, dtype=bool)
-        bitmap[pages] = True
-        resident = bitmap[page_ids]
+        """:meth:`lookup` over an int64 array of page ids (one bitmap
+        gather); returns their residency as a boolean array."""
+        if not len(page_ids):
+            return np.zeros(0, dtype=bool)
+        self._cover(page_ids)
+        resident = self._resident[page_ids]
         hits = int(np.count_nonzero(resident))
         self.hits += hits
         self.misses += len(page_ids) - hits
+        if self.recorder is not None and ts is not None:
+            for page_id, hit in zip(page_ids.tolist(), resident.tolist()):
+                self.recorder.instant(
+                    "mm_buffer_hit" if hit else "mm_buffer_miss", "host",
+                    "mm buffer", ts, page=page_id)
         return resident
 
     def admit(self, page_id):
         """Insert a fetched page; a full buffer lets it pass through."""
-        if len(self._pages) < self.capacity_pages:
-            self._pages[page_id] = None
+        self.preload([page_id])
 
     def preload(self, page_ids):
-        """Bulk-load pages (the ``|G| < MMBuf`` full-load path).
-
-        Loads as many pages as fit; returns the number admitted.
-        """
-        if not self._pages:
-            # Nothing resident to probe: the first ``capacity_pages``
-            # distinct ids, in arrival order, in one insert (the engine
-            # pays this at the start of every run).
-            self._pages = dict.fromkeys(itertools.islice(
-                dict.fromkeys(page_ids), self.capacity_pages))
-            return len(self._pages)
-        admitted = 0
-        for page_id in page_ids:
-            if len(self._pages) >= self.capacity_pages:
-                break
-            if page_id not in self._pages:
-                self._pages[page_id] = None
-                admitted += 1
-        return admitted
+        """Bulk-load pages (the ``|G| < MMBuf`` full-load path): the
+        first distinct ids not yet resident, in arrival order, as many
+        as fit.  Returns the number admitted."""
+        if not isinstance(page_ids, np.ndarray):
+            page_ids = np.fromiter(page_ids, dtype=np.int64)
+        room = self.capacity_pages - self._count
+        if room <= 0 or not len(page_ids):
+            return 0
+        self._cover(page_ids)
+        fresh = page_ids[~self._resident[page_ids]]
+        _, first = np.unique(fresh, return_index=True)
+        admitted = fresh[np.sort(first)[:room]]
+        self._resident[admitted] = True
+        self._count += len(admitted)
+        return len(admitted)
 
     def hit_rate(self):
         total = self.hits + self.misses
@@ -120,7 +106,7 @@ class MainMemoryBuffer:
 
     def resident_bytes(self):
         """Bytes currently buffered (a gauge for the metrics registry)."""
-        return len(self._pages) * self.page_bytes
+        return self._count * self.page_bytes
 
     def reset_counters(self):
         self.hits = 0

@@ -1,9 +1,90 @@
 """Tests for the GPU page cache (cachedPIDMap, Section 3.3)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.cache import PageCache
+from repro.core.cache import PageCache, _earlier_smaller
 from repro.errors import ConfigurationError
+from repro.obs.events import TraceRecorder
+
+
+def _replay(cache, page_ids, ts):
+    """The reference: one :meth:`PageCache.lookup` per page, and an
+    :meth:`PageCache.admit` after each miss."""
+    hits = []
+    for page_id in page_ids:
+        hit = cache.lookup(page_id, ts=ts)
+        if not hit:
+            cache.admit(page_id, ts=ts)
+        hits.append(hit)
+    return hits
+
+
+def _distinct(pages):
+    return list(dict.fromkeys(pages))
+
+
+class TestResolveRound:
+    @pytest.mark.parametrize("policy", ["lru", "fifo", "clock", "pin"])
+    @settings(max_examples=100, deadline=None)
+    @given(capacity=st.sampled_from([0, 1, 3, 8, 24]),
+           prefill=st.lists(st.integers(0, 19), max_size=24),
+           rounds=st.lists(st.lists(st.integers(0, 19), unique=True),
+                           max_size=6),
+           repeat=st.booleans(), traced=st.booleans())
+    def test_bulk_round_is_the_page_replay(self, policy, capacity,
+                                           prefill, rounds, repeat,
+                                           traced):
+        """A bulk ``resolve_round`` leaves the hits, counters, resident
+        order and (traced) instants of the page-by-page replay, for
+        every policy; capacity 0, 1, small and above the 20 page IDs;
+        a state pre-filled by admits; distinct rounds in any order (and,
+        with ``repeat``, one round that probes a page twice).  LRU is
+        also held to its definition (the ``C`` most recently used
+        distinct pages) and pin to its own (the first ``C`` ever
+        probed)."""
+        if repeat and rounds and rounds[0]:
+            rounds[0] = rounds[0] + rounds[0][:1]
+        bulk, replay = (PageCache(capacity, policy=policy, gpu_index=0,
+                                  recorder=TraceRecorder() if traced
+                                  else None) for _ in range(2))
+        for page_id in prefill:
+            bulk.admit(page_id, ts=0.0)
+            replay.admit(page_id, ts=0.0)
+        # LRU: distinct pages, most recent first; pin: first seen first.
+        history = _distinct(prefill[::-1] if policy == "lru" else prefill)
+        for ts, round_ids in enumerate(rounds, start=1):
+            hits = bulk.resolve_round(round_ids, ts=float(ts))
+            assert hits.tolist() == _replay(replay, round_ids, float(ts))
+            assert (bulk.hits, bulk.misses, bulk.page_ids()) == (
+                replay.hits, replay.misses, replay.page_ids())
+            assert len(bulk) <= capacity
+            if policy == "lru":
+                for page_id, hit in zip(round_ids, hits.tolist()):
+                    assert hit == (page_id in history[:capacity])
+                    history = _distinct([page_id] + history)
+                assert bulk.page_ids() == history[:capacity][::-1]
+            elif policy == "pin":
+                for page_id, hit in zip(round_ids, hits.tolist()):
+                    assert hit == (page_id in history[:capacity])
+                    history = _distinct(history + [page_id])
+                assert bulk.page_ids() == history[:capacity]
+        if traced:
+            assert list(bulk.recorder) == list(replay.recorder)
+
+
+    @given(depth=st.lists(st.integers(0, 30), unique=True))
+    def test_earlier_smaller_counts(self, depth):
+        """The LRU count, run by run, against its definition; None past
+        eight decreasing runs."""
+        counted = _earlier_smaller(np.asarray(depth, dtype=np.int64))
+        if sum(a < b for a, b in zip(depth, depth[1:])) >= 8:
+            assert counted is None
+        else:
+            assert counted.tolist() == [sum(d < g for d in depth[:i])
+                                        for i, g in enumerate(depth)]
 
 
 class TestLookup:
@@ -26,12 +107,6 @@ class TestLookup:
     def test_hit_rate_empty(self):
         assert PageCache(4).hit_rate() == 0.0
 
-    def test_zero_capacity_always_misses(self):
-        cache = PageCache(0)
-        cache.admit(1)
-        assert not cache.lookup(1)
-        assert len(cache) == 0
-
 
 class TestLRUReplacement:
     def test_evicts_least_recently_used(self):
@@ -43,33 +118,12 @@ class TestLRUReplacement:
         assert 1 not in cache
         assert 2 in cache and 3 in cache
 
-    def test_lookup_refreshes(self):
-        cache = PageCache(2)
-        cache.admit(1)
-        cache.admit(2)
-        cache.lookup(1)
-        cache.admit(3)
-        assert 1 in cache
-        assert 2 not in cache
-
     def test_readmit_is_noop(self):
         cache = PageCache(2)
         cache.admit(1)
         cache.admit(2)
         assert cache.admit(1) is None
         assert len(cache) == 2
-
-    def test_capacity_never_exceeded(self):
-        cache = PageCache(3)
-        for pid in range(10):
-            cache.admit(pid)
-        assert len(cache) == 3
-
-    def test_page_ids_snapshot(self):
-        cache = PageCache(3)
-        for pid in (5, 6, 7):
-            cache.admit(pid)
-        assert sorted(cache.page_ids()) == [5, 6, 7]
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -208,3 +208,13 @@ class TestValidation:
     def test_micro_technique_validated(self, rmat_db, machine):
         with pytest.raises(ConfigurationError):
             GTSEngine(rmat_db, machine, micro_technique="psychic")
+
+    @pytest.mark.parametrize("option", [
+        {"cache_policy": "LRU"}, {"cache_bytes": -1},
+        {"mm_buffer_bytes": -5}], ids=["policy", "cache", "buffer"])
+    def test_cache_and_buffer_options_validated(self, rmat_db, machine,
+                                                option):
+        """Rejected when the engine is built, before any run sizes a
+        device buffer with them."""
+        with pytest.raises(ConfigurationError):
+            GTSEngine(rmat_db, machine, **option)

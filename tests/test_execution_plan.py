@@ -619,19 +619,23 @@ class TestLargePageRunIndex:
         assert small.dtype == large.dtype == np.int64
 
 
-def _per_call_round(scheduler, pids, assignments, copy_bytes, lane_steps,
+def _per_call_round(scheduler, pids, per_gpu, copy_bytes, lane_steps,
                     cycles, caches, wa_ready, start, stats):
     """The reference ``dispatch_round`` (same arguments) must equal:
     page-major, GPU inner, one public dispatch call per booking, a page
     made ready from the scalar buffer / storage primitives when its
-    first miss is reached."""
+    first miss is reached, and each GPU's cache probed and filled one
+    page at a time."""
     runtime = scheduler.runtime
     ready = {}
     for j, pid in enumerate(pids):
         nbytes, steps = int(copy_bytes[j]), float(lane_steps[j])
-        for g in assignments[j]:
+        for g in [g for g, seq in enumerate(per_gpu) if j in seq]:
             early = max(start, wa_ready[g])
-            if caches[g].resolve_round([pid], ts=early)[0]:
+            hit = caches[g].lookup(pid, ts=early)
+            if not hit:
+                caches[g].admit(pid, ts=early)
+            if hit:
                 stats.pages_from_cache += 1
                 scheduler.dispatch_cached(g, early, steps, cycles)
                 continue
@@ -652,7 +656,7 @@ class TestBookingLoop:
     NUM_PAGES = 40
 
     def _machine_run(self, num_ssds, buffer_pages, tracing, num_streams=3,
-                     policy="lru"):
+                     policy="lru", capacity=5):
         recorder = TraceRecorder() if tracing else None
         runtime = MachineRuntime(
             scaled_workstation(num_gpus=2, num_ssds=num_ssds),
@@ -661,7 +665,7 @@ class TestBookingLoop:
             recorder=recorder)
         if not num_ssds:
             runtime.mm_buffer.preload(range(self.NUM_PAGES))
-        caches = [PageCache(5, policy=policy, recorder=recorder,
+        caches = [PageCache(capacity, policy=policy, recorder=recorder,
                             gpu_index=g) for g in range(2)]
         return runtime, StreamScheduler(runtime), caches
 
@@ -675,7 +679,7 @@ class TestBookingLoop:
             [(g.kernel_invocations, g.kernel_busy_time,
               g.kernel_stream_time, g.bytes_received)
              for g in runtime.gpus],
-            [(c.hits, c.misses, list(c._pages)) for c in caches],
+            [(c.hits, c.misses, c.page_ids()) for c in caches],
             (runtime.mm_buffer.hits, runtime.mm_buffer.misses),
             # Stable: each lane keeps its order, lanes may interleave.
             sorted(runtime.recorder or (), key=lambda event: event.lane),
@@ -690,18 +694,19 @@ class TestBookingLoop:
            buffer_pages=st.integers(0, NUM_PAGES), tracing=st.booleans(),
            num_streams=st.sampled_from([1, 3, 16]),
            head_start=st.integers(1, 20), flood=st.booleans(),
-           policy=st.sampled_from(["lru", "fifo"]))
+           policy=st.sampled_from(["lru", "fifo", "clock", "pin"]),
+           capacity=st.sampled_from([0, 1, 5, 24]))
     def test_dispatch_round_equals_the_per_call_loop(
             self, rounds, strategy, num_ssds, buffer_pages, tracing,
-            num_streams, head_start, flood, policy):
-        """Random rounds — Strategy-P / -S assignments, cache hits from
-        repeated pages, in-memory and SSD machines, the buffer empty,
-        filling and full, 1 / 3 / 16 streams entered at a dispatch count
-        off their multiple, and (``flood``) two all-miss full scans
-        longer than twice the streams, the second taking the cache's
-        flooding shortcut when untraced — leave every timeline, counter,
-        resident set, ``RoundStats`` and (traced) per-lane event
-        sequence exactly where the per-call reference leaves them."""
+            num_streams, head_start, flood, policy, capacity):
+        """Random rounds — Strategy-P / -S routing, cache hits from
+        repeated pages under every policy and capacity, in-memory and
+        SSD machines, the buffer empty, filling and full, 1 / 3 / 16
+        streams entered at a dispatch count off their multiple, and
+        (``flood``) two all-miss full scans longer than twice the
+        streams — leave every timeline, counter, resident set,
+        ``RoundStats`` and (traced) per-lane event sequence exactly
+        where the per-call reference leaves them."""
         if not num_ssds:
             buffer_pages = self.NUM_PAGES
         rounds = rounds + [list(range(self.NUM_PAGES))] * (2 * flood)
@@ -712,7 +717,8 @@ class TestBookingLoop:
         states = []
         for per_call in (False, True):
             runtime, scheduler, caches = self._machine_run(
-                num_ssds, buffer_pages, tracing, num_streams, policy)
+                num_ssds, buffer_pages, tracing, num_streams, policy,
+                capacity)
             for g in range(2):
                 for _ in range(head_start):
                     scheduler.dispatch_cached(g, 0.0, 10.0, 24.0)
@@ -723,7 +729,7 @@ class TestBookingLoop:
                 if per_call:
                     _per_call_round(scheduler, pids, *args)
                 else:
-                    scheduler.dispatch_round(RoundOrder(pids, args[0], 2),
+                    scheduler.dispatch_round(RoundOrder(pids, args[0]),
                                              *args[1:])
                 if round_stats.round_index % 2:  # else slots carry over
                     runtime.barrier()
@@ -739,7 +745,8 @@ class TestBookingLoop:
         """The typed errors of ``dispatch_streamed`` / ``Resource.book``
         (negative bytes, duration, start), checked once per round."""
         runtime, scheduler, caches = self._machine_run(2, 0, False)
-        args = dict(order=RoundOrder(np.arange(2), [(0,), (1,)], 2),
+        args = dict(order=RoundOrder(np.arange(2), [np.arange(1),
+                                                    np.arange(1, 2)]),
                     copy_bytes=[8, 8], lane_steps=[1.0, 1.0],
                     cycles_per_lane_step=24.0, caches=caches,
                     wa_ready=[0.0, 0.0], round_start=0.0,

@@ -144,31 +144,31 @@ class TestFaultInjector:
                          ssd_corrupt_rate=0.01, copy_error_rate=0.01,
                          stall_rate=0.02)
         pids = np.arange(8)
-        assignments = [(int(pid) % 2,) for pid in pids]
+        per_gpu = [np.arange(0, 8, 2), np.arange(1, 8, 2)]
         probe = FaultInjector(plan)
         verdicts = {}
         for r in range(40):
             probe.begin_round(r)
-            verdicts[r] = probe.round_faulted(pids, assignments)
+            verdicts[r] = probe.round_faulted(pids, per_gpu)
         assert any(verdicts.values()) and not all(verdicts.values())
         for r, faulted in verdicts.items():
             if faulted:
                 continue
             check = FaultInjector(plan)
             check.begin_round(r)
-            for pid, gpus in zip(pids, assignments):
-                assert check.ssd_read_outcome(int(pid), 0) is READ_OK
-                for g in gpus:
-                    assert not check.copy_fault(g, int(pid), 0)
-                    assert check.stall_seconds(g, int(pid)) == 0.0
+            for pid in pids.tolist():
+                assert check.ssd_read_outcome(pid, 0) is READ_OK
+                assert not check.copy_fault(pid % 2, pid, 0)
+                assert check.stall_seconds(pid % 2, pid) == 0.0
             assert check.faults_injected == 0
 
     def test_empty_round_never_faults(self):
         injector = FaultInjector(RATED_PLAN)
         injector.begin_round(0)
-        assert not injector.round_faulted(np.empty(0, dtype=np.int64), [])
-        assert not FaultInjector(FaultPlan()).round_faulted([1, 2], [(0,),
-                                                                     (0,)])
+        assert not injector.round_faulted(np.empty(0, dtype=np.int64),
+                                          [np.empty(0, dtype=np.int64)])
+        assert not FaultInjector(FaultPlan()).round_faulted(
+            [1, 2], [np.arange(2)])
 
     def test_device_loss_schedules(self):
         plan = FaultPlan(gpu_loss={1: 0.5}, ssd_loss={0: 0.25})

@@ -1,7 +1,11 @@
 """Tests for Strategy-P / Strategy-S page assignment and synchronisation."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.strategies import (
     PerformanceStrategy,
@@ -20,34 +24,49 @@ def _runtime():
 
 class TestAssignment:
     def test_performance_partitions_pages(self):
-        strategy = PerformanceStrategy()
-        assert strategy.assign_batch([0, 1, 2], 2) == [(0,), (1,), (0,)]
+        per_gpu = PerformanceStrategy().assign_batch([0, 1, 2], 2)
+        assert [seq.tolist() for seq in per_gpu] == [[0, 2], [1]]
 
     def test_performance_balances_load(self):
-        strategy = PerformanceStrategy()
-        counts = [0, 0, 0]
-        for (gpu,) in strategy.assign_batch(range(99), 3):
-            counts[gpu] += 1
-        assert counts == [33, 33, 33]
+        per_gpu = PerformanceStrategy().assign_batch(range(99), 3)
+        assert [len(seq) for seq in per_gpu] == [33, 33, 33]
 
     def test_scalability_replicates_pages(self):
-        strategy = ScalabilityStrategy()
-        assert strategy.assign_batch([5], 3) == [(0, 1, 2)]
+        per_gpu = ScalabilityStrategy().assign_batch([5], 3)
+        assert [seq.tolist() for seq in per_gpu] == [[0], [0], [0]]
 
     @pytest.mark.parametrize("strategy", [PerformanceStrategy(),
                                           ScalabilityStrategy()])
     @pytest.mark.parametrize("num_gpus", [1, 2, 3])
-    def test_assign_batch_is_assign_per_page(self, strategy, num_gpus):
-        """The round assignment is the per-page ``h(j)`` (``j mod N``
-        for Strategy-P, every GPU for Strategy-S), tuple for tuple, for
-        arrays and lists alike."""
-        page_ids = np.asarray([7, 0, 3, 3, 12, 5], dtype=np.int64)
-        want = [(int(pid) % num_gpus,)
-                if isinstance(strategy, PerformanceStrategy)
-                else tuple(range(num_gpus)) for pid in page_ids]
-        assert strategy.assign_batch(page_ids, num_gpus) == want
-        assert strategy.assign_batch(page_ids.tolist(), num_gpus) == want
-        assert strategy.assign_batch(page_ids[:0], num_gpus) == []
+    @settings(max_examples=40, deadline=None)
+    @given(page_ids=st.lists(st.integers(0, 500), unique=True))
+    def test_assign_batch_is_assign_per_page(self, strategy, num_gpus,
+                                             page_ids):
+        """Each GPU's ascending positions are exactly the pages whose
+        per-page ``h(j)`` names it: ``j mod N`` for Strategy-P, under
+        every set of dead GPUs a dead GPU ``g``'s pages going to
+        survivor ``g mod |survivors|``, and every GPU for Strategy-S
+        (which a GPU loss ends, so it is given no dead ones); arrays and
+        lists alike."""
+        dead_sets = [()]
+        if strategy.wa_replicated:
+            dead_sets = [dead for size in range(num_gpus)
+                         for dead in combinations(range(num_gpus), size)]
+        for dead in dead_sets:
+            survivors = [g for g in range(num_gpus) if g not in dead]
+            want = [tuple(range(num_gpus)) if not strategy.wa_replicated
+                    else (survivors[pid % num_gpus % len(survivors)]
+                          if pid % num_gpus in dead else pid % num_gpus,)
+                    for pid in page_ids]
+            for ids in (np.asarray(page_ids, dtype=np.int64), page_ids):
+                per_gpu = strategy.assign_batch(ids, num_gpus, set(dead))
+                assert len(per_gpu) == num_gpus
+                for seq in per_gpu:
+                    assert seq.dtype == np.int64
+                    assert (np.diff(seq) > 0).all()
+                assert [tuple(g for g, seq in enumerate(per_gpu)
+                              if j in seq)
+                        for j in range(len(page_ids))] == want
 
 
 class TestWASizing:
