@@ -100,13 +100,17 @@ def wal_compaction_lifecycle():
     import os
     import tempfile
 
+    with tempfile.TemporaryDirectory(prefix="gts-bench-wal-") as tmp:
+        return _wal_compaction_lifecycle(os.path.join(tmp, "bench.wal"))
+
+
+def _wal_compaction_lifecycle(wal_path):
     from repro.obs import collect_dynamic_metrics
 
     config = PageFormatConfig(2, 2, 2 * KB)
     graph = generate_rmat(SCALE - 2, edge_factor=8, seed=17)
     base = build_database(graph, config)
-    tmp = tempfile.mkdtemp(prefix="gts-bench-wal-")
-    wal = WriteAheadLog(os.path.join(tmp, "bench.wal"), fsync=False)
+    wal = WriteAheadLog(wal_path, fsync=False)
     db = DynamicGraphDatabase(base, wal=wal)
 
     table = ExperimentTable(

@@ -30,7 +30,13 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.micro import MicroTechnique, segment_lane_steps
+from repro.core.micro import (
+    WARP_SIZE,
+    MicroTechnique,
+    segment_lane_steps,
+    segment_vertex_centric_lane_steps,
+)
+from repro.core.plan import segment_sum
 
 #: Sentinel round plan meaning "stream every page" (Algorithm 1's
 #: ``ALL_PAGES`` constant for PageRank-like algorithms).
@@ -67,15 +73,41 @@ class BatchWork:
     next_pids: Optional[np.ndarray] = None
 
 
-def frontier_batch_work(frontier, ctx, next_pids=None):
-    """:class:`BatchWork` of a round that walked only the edges of
-    ``frontier`` (what ``batch.advance(active)`` returned; a filtered
-    view charges the same: every advanced edge was inspected)."""
-    batch, active = frontier.batch, frontier.active
+def frontier_batch_work(batch, rows, ctx, next_pids=None):
+    """:class:`BatchWork` of a round that walked the edges of the
+    ``batch`` records ``rows`` (the ascending batch indices
+    ``batch.advance(active).rows``; a filtered view charges the same, as
+    every advanced edge was inspected).
+
+    Counted from the active rows, not from every record: each page's
+    rows are one run of ``rows`` (one ``searchsorted`` of the page
+    bounds), so edges, active counts and edge-centric warp steps are
+    per-run integer sums, and lane steps are ``32 * warps + 32 *
+    ceil(records / 32)`` bit for bit as
+    :func:`~repro.core.micro.segment_edge_centric_lane_steps` gives them
+    (integer-valued float64 below 2^53 sums exactly in any order).  A
+    vertex-centric warp's maximum needs the record layout, so those lane
+    steps (and the hybrid's choice) still come from the record mask.
+    """
+    degrees = batch.degrees[rows]
+    bounds = np.searchsorted(rows, batch.rec_indptr)
+    technique = ctx.micro_technique
+    lane_steps = None
+    if technique is not MicroTechnique.VERTEX_CENTRIC:
+        warps = segment_sum((degrees + WARP_SIZE - 1) // WARP_SIZE, bounds)
+        lane_steps = (WARP_SIZE * warps.astype(np.float64) + WARP_SIZE
+                      * np.ceil(batch.records_per_page() / WARP_SIZE))
+    if technique is not MicroTechnique.EDGE_CENTRIC:
+        active = np.zeros(batch.num_records, dtype=bool)
+        active[rows] = True
+        vertex = segment_vertex_centric_lane_steps(
+            batch.degrees, batch.rec_indptr, active)
+        lane_steps = (vertex if lane_steps is None
+                      else np.minimum(lane_steps, vertex))
     return BatchWork(
-        lane_steps=ctx.segment_lane_steps(batch, active),
-        edges_traversed=batch.active_edges_per_page(active),
-        active_vertices=batch.segment_sum(active),
+        lane_steps=lane_steps,
+        edges_traversed=segment_sum(degrees, bounds),
+        active_vertices=np.diff(bounds),
         next_pids=next_pids,
     )
 
@@ -99,28 +131,25 @@ class KernelContext:
         self.db = db
         self.micro_technique = MicroTechnique.parse(micro_technique)
 
-    def segment_lane_steps(self, batch, active_mask=None):
-        """Per-page lane-steps for a whole :class:`RoundBatch`.
+    def segment_lane_steps(self, batch):
+        """Per-page lane-steps of a full scan of a :class:`RoundBatch`.
 
-        Full-scan rounds (no active mask) memoise the result on the
-        batch per technique: lane-steps depend only on the batch's
-        immutable degrees and record layout, so PageRank/WCC-style
-        kernels recompute them zero times after the first round.
+        Memoised on the batch per technique: lane-steps depend only on
+        the batch's immutable degrees and record layout, so
+        PageRank/WCC-style kernels recompute them zero times after the
+        first round.  A traversal round counts its own from its rows
+        (:func:`frontier_batch_work`).
         """
-        if active_mask is None:
-            memo = getattr(batch, "_lane_steps_memo", None)
-            if memo is None:
-                memo = {}
-                batch._lane_steps_memo = memo
-            steps = memo.get(self.micro_technique)
-            if steps is None:
-                steps = segment_lane_steps(
-                    self.micro_technique, batch.degrees, batch.rec_indptr)
-                memo[self.micro_technique] = steps
-            return steps
-        return segment_lane_steps(
-            self.micro_technique, batch.degrees, batch.rec_indptr,
-            active_mask)
+        memo = getattr(batch, "_lane_steps_memo", None)
+        if memo is None:
+            memo = {}
+            batch._lane_steps_memo = memo
+        steps = memo.get(self.micro_technique)
+        if steps is None:
+            steps = segment_lane_steps(
+                self.micro_technique, batch.degrees, batch.rec_indptr)
+            memo[self.micro_technique] = steps
+        return steps
 
 
 class Kernel:
@@ -174,9 +203,11 @@ class Kernel:
 
         A frontier-walking body is ``batch.advance(active)`` plus the
         :class:`~repro.core.plan.Frontier` operators — ``filter(mask)``
-        before gathering what only the survivors need,
+        before gathering what only the survivors need (and reading its
+        own per-edge arrays at the survivors by the view's ``keep``),
         ``from_sources(vector)`` for a per-source read, ``pages()`` for
-        ``next_pids`` — and returns :func:`frontier_batch_work`; a full
+        ``next_pids`` — and returns :func:`frontier_batch_work` of the
+        advanced view's ``rows``; a full
         scan reduces a per-record vector along the batch's edges
         (:meth:`~repro.core.plan.RoundBatch.reduce_into`) and returns
         :func:`full_scan_batch_work`.

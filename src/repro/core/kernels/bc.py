@@ -158,7 +158,7 @@ class BCKernel(Kernel):
             # edge (page-major) order.
             np.add.at(state.sigma, counted.targets,
                       counted.from_sources(state.sigma))
-            return frontier_batch_work(frontier, ctx,
+            return frontier_batch_work(batch, frontier.rows, ctx,
                                        next_pids=fresh.pages())
         active = state.level[batch.rec_vids] == state.backward_level
         frontier = batch.advance(active)
@@ -167,12 +167,12 @@ class BCKernel(Kernel):
         sources = downstream.sources
         targets = downstream.targets
         ratio = np.zeros(len(targets))
-        valid = state.sigma[targets] > 0
-        ratio[valid] = (state.sigma[sources[valid]]
-                        / state.sigma[targets[valid]])
+        target_sigma = state.sigma[targets]
+        valid = np.flatnonzero(target_sigma > 0)
+        ratio[valid] = state.sigma[sources[valid]] / target_sigma[valid]
         # Reads delta one level down, writes this level: disjoint.
         # Summed per source record in edge order; large-page chunks
         # contribute commutative partial sums.
         np.add.at(state.delta, sources,
                   ratio * (1.0 + state.delta[targets]))
-        return frontier_batch_work(frontier, ctx)
+        return frontier_batch_work(batch, frontier.rows, ctx)

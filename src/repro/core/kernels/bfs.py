@@ -9,7 +9,6 @@ vertex (Table 4: 8 GB for RMAT32's 4 G vertices).
 import numpy as np
 
 from repro.core.kernels.base import (
-    ALL_PAGES,
     Kernel,
     RoundPlan,
     frontier_batch_work,
@@ -79,4 +78,5 @@ class BFSKernel(Kernel):
         fresh = frontier.filter(
             state.level[frontier.targets] == UNVISITED)
         state.level[fresh.targets] = state.cur_level + 1
-        return frontier_batch_work(frontier, ctx, next_pids=fresh.pages())
+        return frontier_batch_work(batch, frontier.rows, ctx,
+                                   next_pids=fresh.pages())

@@ -80,5 +80,5 @@ class CrossEdgesKernel(Kernel):
         state.total_cross += int(crossing.sum())
         state.total_edges += batch.num_edges
         state.cross_count += np.bincount(
-            sources[crossing], minlength=len(state.cross_count))
+            sources[np.flatnonzero(crossing)], minlength=len(state.cross_count))
         return full_scan_batch_work(batch, ctx)

@@ -160,4 +160,4 @@ class EgonetKernel(InducedSubgraphKernel):
         active = batch.rec_vids == state.ego
         frontier = batch.advance(active)
         state.member[frontier.targets] = True
-        return frontier_batch_work(frontier, ctx)
+        return frontier_batch_work(batch, frontier.rows, ctx)

@@ -35,7 +35,7 @@ class _KCoreState:
         self.removed = np.zeros(db.num_vertices, dtype=bool)
         # Peel everything already under k in round 0.
         self.frontier = self.degree < k
-        self.removed[self.frontier] = True
+        self.removed |= self.frontier
         self.round_index = 0
         self.frontier_pids = self._pages_of(np.flatnonzero(self.frontier))
 
@@ -69,7 +69,7 @@ class KCoreKernel(Kernel):
     def finish_round(self, state, merged_next_pids):
         state.round_index += 1
         newly_below = (~state.removed) & (state.degree < state.k)
-        state.removed[newly_below] = True
+        state.removed |= newly_below
         state.frontier = newly_below
         state.frontier_pids = state._pages_of(np.flatnonzero(newly_below))
 
@@ -84,4 +84,4 @@ class KCoreKernel(Kernel):
         # Removed vertices release one degree unit per incident edge;
         # duplicate targets require the unbuffered decrement.
         np.add.at(state.degree, frontier.targets, -1)
-        return frontier_batch_work(frontier, ctx)
+        return frontier_batch_work(batch, frontier.rows, ctx)

@@ -86,8 +86,9 @@ class SSSPKernel(Kernel):
         # its small page, or the first of its large pages — which is
         # the page ID adjacency entries (hence next_pids) carry.
         if len(merged_next_pids):
-            improved_pages = page_mask(state.db.vertex_page[improved],
-                                       state.db.num_pages)
+            improved_pages = page_mask(
+                state.db.vertex_page[np.flatnonzero(improved)],
+                state.db.num_pages)
             merged_next_pids = merged_next_pids[
                 improved_pages[merged_next_pids]]
         state.frontier_pids = merged_next_pids
@@ -109,6 +110,7 @@ class SSSPKernel(Kernel):
         # names the same physical page for it.
         better = candidates < state.dist[targets]
         relaxed = frontier.filter(better)
-        np.minimum.at(state.dist, relaxed.targets, candidates[better])
-        return frontier_batch_work(frontier, ctx,
+        np.minimum.at(state.dist, relaxed.targets,
+                      candidates[relaxed.keep])
+        return frontier_batch_work(batch, frontier.rows, ctx,
                                    next_pids=relaxed.pages())

@@ -21,7 +21,9 @@ read:
 * :class:`Frontier` — what :meth:`RoundBatch.advance` hands a frontier
   kernel: the active records' edges alone, as one more lazy view, with
   the traversal step's operators (``filter`` / ``from_sources`` /
-  ``pages``).
+  ``pages``).  A frontier is an index set: its active rows, its edges'
+  plan-wide indices and, once filtered, the kept positions — no
+  operator selects with a boolean mask.
 * :func:`page_mask` / :func:`page_set` — ``nextPIDSet`` as a page
   *bitmap*: kernels, the engine's barrier merge and its large-page-run
   expansion all name page sets through it, so no round sorts an
@@ -61,6 +63,9 @@ def take_ranges(starts, counts):
         return np.empty(0, dtype=np.int64)
     ends = np.cumsum(counts)
     offsets = np.repeat(starts - (ends - counts), counts)
+    # Out of place on purpose: with ``offsets +=`` glibc's mmap
+    # threshold never settled, and each cold full scan in a fresh
+    # process paid ~4 000 more page faults (~10 % of its answer time).
     return offsets + np.arange(total, dtype=np.int64)
 
 
@@ -283,7 +288,7 @@ class RoundBatch:
         over a per-record frontier mask) as one lazy :class:`Frontier`.
 
         Only the record-proportional part is computed here — the active
-        records' plan-wide rows, their degrees and their edges' plan-wide
+        records' batch rows, their degrees and their edges' plan-wide
         indices; every per-edge field is gathered straight off the plan's
         flat arrays the first time the kernel reads it, so the work is
         proportional to the frontier's edges *and* to what the kernel's
@@ -291,26 +296,21 @@ class RoundBatch:
         """
         plan = self._plan
         rows = np.flatnonzero(active)
-        if self._rec_sel is not None:
-            rows = self._rec_sel[rows]
-        degrees = plan.degrees[rows]
-        return Frontier(self, active, rows, degrees,
-                        take_ranges(plan.rec_edge_start[rows], degrees))
-
-    def active_edges_per_page(self, active):
-        """Per-page count of the edges :meth:`advance` returns, from the
-        record space alone."""
-        return self.segment_sum(np.where(active, self.degrees, 0))
+        plan_rows = rows if self._rec_sel is None else self._rec_sel[rows]
+        degrees = plan.degrees[plan_rows]
+        return Frontier(self, rows, degrees,
+                        take_ranges(plan.rec_edge_start[plan_rows], degrees))
 
 
 class Frontier:
     """The edges leaving one round's active records: a lazy view.
 
     ``batch.advance(active)`` builds it.  ``rows`` / ``degrees`` are the
-    active records' plan-wide indices and degrees, ``edges`` the
-    plan-wide index of every edge in the view, in page-major record
-    order.  The per-edge fields are gathered on first read and memoised,
-    like the batch's own spaces, so a kernel pays for what it reads:
+    active records' ascending batch indices (what the round's work is
+    counted from) and degrees, ``edges`` the plan-wide index of every
+    edge in the view, in page-major record order.  The per-edge fields
+    are gathered on first read and memoised, like the batch's own
+    spaces, so a kernel pays for what it reads:
 
     * ``targets`` / ``target_pids`` / ``weights`` (``None`` on an
       unweighted plan) — bit for bit ``adj_vids[m]``, ``adj_pids[m]``,
@@ -321,29 +321,31 @@ class Frontier:
     Three operators (Gunrock's advance / **filter** split, on one view):
 
     * :meth:`filter` narrows the view to the edges a mask keeps by
-      compressing the edge index once; later gathers cost the survivors
-      only.  Filter *before* reading a field the round needs only for
-      the survivors (BFS never gathers a visited target's page id).
+      *position*: ``keep = np.flatnonzero(mask)`` (``int64``, ascending,
+      so the edges stay page-major), and a kernel reads its own per-edge
+      arrays at the survivors by the same ``keep``.  On a random mask a
+      boolean copy ``x[mask]`` costs several times ``flatnonzero`` plus
+      gathers (docs/ARCHITECTURE.md section 9 has the numbers).  Filter
+      *before* reading a field the round needs only for the survivors
+      (BFS never gathers a visited target's page id).
     * :meth:`from_sources` reads a per-vertex vector at every edge's
       source by gathering per *record* and repeating by degree.
-    * :meth:`pages` names the pages the (masked) edges point into —
-      the round's ``nextPIDSet`` — through a ``num_pages`` bitmap
-      instead of a sort over an edge-length array.
+    * :meth:`pages` names the pages the edges point into — the round's
+      ``nextPIDSet`` — through a ``num_pages`` bitmap instead of a sort
+      over an edge-length array.
     """
 
-    def __init__(self, batch, active, rows, degrees, edges, parent=None,
-                 keep=None):
+    def __init__(self, batch, rows, degrees, edges, parent=None, keep=None):
         self.batch = batch
         self._plan = batch._plan
-        #: Per-record mask over the batch this view advanced from.
-        self.active = active
         self.rows = rows
         self.degrees = degrees
         self.edges = edges
-        # A filtered view reads its sources off its parent's, under the
-        # mask; every other field it gathers through ``edges``.
+        #: ``None`` on an advanced view; on a filtered one, the positions
+        #: of its edges in ``parent``'s.  Its sources are read off the
+        #: parent's by them, every other field through ``edges``.
+        self.keep = keep
         self._parent = parent
-        self._keep = keep
 
     @functools.cached_property
     def targets(self):
@@ -360,12 +362,12 @@ class Frontier:
 
     @functools.cached_property
     def _row_vids(self):
-        return self._plan.rec_vids[self.rows]
+        return self.batch.rec_vids[self.rows]
 
     @functools.cached_property
     def sources(self):
         if self._parent is not None:
-            return self._parent.sources[self._keep]
+            return self._parent.sources[self.keep]
         return np.repeat(self._row_vids, self.degrees)
 
     def from_sources(self, vector):
@@ -375,17 +377,17 @@ class Frontier:
         return np.repeat(vector[self._row_vids], self.degrees)
 
     def filter(self, mask):
-        """The view over the edges ``mask`` keeps (every field of the
-        result is that field of this view ``[mask]``)."""
-        return Frontier(self.batch, self.active, self.rows, self.degrees,
-                        self.edges[mask], parent=self, keep=mask)
+        """The view over the edges ``mask`` keeps: every field of the
+        result is that field of this view ``[mask]``, gathered by
+        ``keep = np.flatnonzero(mask)``."""
+        keep = np.flatnonzero(mask)
+        return Frontier(self.batch, self.rows, self.degrees,
+                        self.edges[keep], parent=self, keep=keep)
 
-    def pages(self, mask=None):
-        """Sorted unique ``int64`` ids of the pages the edges (under
-        ``mask``) point into: exactly ``np.unique(target_pids[mask])``."""
-        pids = self.target_pids
-        return page_set(pids if mask is None else pids[mask],
-                        self._plan.num_pages)
+    def pages(self):
+        """Sorted unique ``int64`` ids of the pages the edges point into:
+        exactly ``np.unique(target_pids)``."""
+        return page_set(self.target_pids, self._plan.num_pages)
 
 
 def page_mask(pids, num_pages):

@@ -24,7 +24,7 @@ with all its caching, scheduling and observability intact.
 
 import numpy as np
 
-from repro.core.kernels.base import BatchWork, Kernel, RoundPlan
+from repro.core.kernels.base import Kernel, RoundPlan, frontier_batch_work
 from repro.core.kernels.bfs import UNVISITED
 from repro.errors import ConfigurationError, UpdateError
 
@@ -118,7 +118,7 @@ class _IncrementalRelaxKernel(Kernel):
 
     def process_batch(self, batch, state, ctx):
         values = state.values
-        active = np.zeros(batch.num_records, dtype=bool)
+        rows = [np.empty(0, dtype=np.int64)]
         next_pages = np.zeros(state.db.num_pages, dtype=bool)
         bounds = batch.rec_indptr.tolist()
         for k, page in enumerate(batch.one_page_batches()):
@@ -127,21 +127,18 @@ class _IncrementalRelaxKernel(Kernel):
                            & self._can_relax(values[vids]))
             if not page_active.any():
                 continue
-            active[bounds[k]:bounds[k + 1]] = page_active
             frontier = page.advance(page_active)
+            rows.append(bounds[k] + frontier.rows)
             candidates = self._candidates(frontier.from_sources(values))
-            better = candidates < values[frontier.targets]
-            improved = frontier.filter(better)
-            np.minimum.at(values, improved.targets, candidates[better])
+            improved = frontier.filter(
+                candidates < values[frontier.targets])
+            np.minimum.at(values, improved.targets,
+                          candidates[improved.keep])
             state.next_pending[improved.targets] = True
             next_pages[improved.target_pids] = True
-        # The round's work is accounted once, from the per-page masks.
-        return BatchWork(
-            lane_steps=ctx.segment_lane_steps(batch, active),
-            edges_traversed=batch.active_edges_per_page(active),
-            active_vertices=batch.segment_sum(active),
-            next_pids=np.flatnonzero(next_pages),
-        )
+        # The round's work is accounted once, from every page's rows.
+        return frontier_batch_work(batch, np.concatenate(rows), ctx,
+                                   next_pids=np.flatnonzero(next_pages))
 
 
 class IncrementalBFSKernel(_IncrementalRelaxKernel):
@@ -163,8 +160,8 @@ class IncrementalBFSKernel(_IncrementalRelaxKernel):
 
     def _initial_values(self, db):
         values = np.full(db.num_vertices, self._INF, dtype=np.int64)
-        reached = self.prior != UNVISITED
-        values[:len(self.prior)][reached] = self.prior[reached]
+        reached = np.flatnonzero(self.prior != UNVISITED)
+        values[reached] = self.prior[reached]
         return values
 
     def _candidates(self, source_values):
@@ -176,7 +173,7 @@ class IncrementalBFSKernel(_IncrementalRelaxKernel):
 
     def results(self, state):
         level = np.full(state.db.num_vertices, UNVISITED, dtype=np.int32)
-        reached = state.values < self._INF
+        reached = np.flatnonzero(state.values < self._INF)
         level[reached] = state.values[reached].astype(np.int32)
         return {"level": level}
 

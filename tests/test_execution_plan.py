@@ -9,6 +9,7 @@ CLI.
 
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -26,13 +27,9 @@ from repro.core import (
 )
 from repro.core.cache import PageCache
 from repro.core.kernels import Kernel, KernelContext
-from repro.core.plan import (
-    PagePlan,
-    RoundBatch,
-    RoundPlanCache,
-    segment_sum,
-    take_ranges,
-)
+from repro.core.kernels.base import frontier_batch_work
+from repro.core.micro import MicroTechnique, segment_lane_steps
+from repro.core.plan import PagePlan, RoundBatch, RoundPlanCache
 from repro.core.result import RoundStats
 from repro.core.strategies import make_strategy
 from repro.core.streams import RoundOrder, StreamScheduler
@@ -158,6 +155,28 @@ def _assert_pages_match(batch, full):
                                           err_msg=str((pid, name)))
 
 
+def _prefix(counts):
+    return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+
+
+def _record_plan(page_degrees):
+    """The record-space arrays a :class:`RoundBatch` and ``advance``
+    read, for pages given as lists of record degrees (``[]`` is an
+    empty page, ``[d]`` with ``d > 32`` a large page's one record)."""
+    degrees = np.asarray([d for page in page_degrees for d in page],
+                         dtype=np.int64)
+    rec_counts = np.asarray([len(page) for page in page_degrees],
+                            dtype=np.int64)
+    edge_counts = np.asarray([sum(page) for page in page_degrees],
+                             dtype=np.int64)
+    return types.SimpleNamespace(
+        num_pages=len(page_degrees), degrees=degrees,
+        rec_vids=np.arange(len(degrees), dtype=np.int64),
+        rec_counts=rec_counts, rec_indptr=_prefix(rec_counts),
+        edge_counts=edge_counts, edge_indptr=_prefix(edge_counts),
+        rec_edge_start=_prefix(degrees)[:-1])
+
+
 def _sp_first(db, pids):
     """``pids`` in the engine's dispatch order: small pages, then large."""
     pids = np.unique(np.asarray(pids, dtype=np.int64))
@@ -240,8 +259,9 @@ class TestPlanArrays:
     def test_advance_equals_masked_edge_space(self, any_db, frontier):
         """Every lazy field of the ``Frontier`` is what the mask-expand
         idiom read — ``active[edge_rec]`` over the page-wide edge space
-        — without building that space; ``filter(m)`` is every field
-        ``[m]``; ``from_sources(v)`` is ``v[sources]`` bit for bit."""
+        — without building that space; ``filter(m)`` keeps the ``int64``
+        positions ``flatnonzero(m)`` and is every field ``[m]``, nested
+        or not; ``from_sources(v)`` is ``v[sources]`` bit for bit."""
         plan = PagePlan(any_db)
         rng = np.random.default_rng(2)
         subset = _sp_first(any_db, rng.choice(
@@ -262,11 +282,17 @@ class TestPlanArrays:
                                    batch.records_per_page())
             got = batch.advance(active)
             assert not set(FRONTIER_FIELDS) & set(vars(got))
-            got_per_page = batch.active_edges_per_page(active)
             keep = rng.random(len(got.edges)) < 0.4
             kept = got.filter(keep)
+            again = rng.random(len(kept.edges)) < 0.5
+            nested = kept.filter(again)
             for name in rng.permutation(FRONTIER_FIELDS):
                 getattr(kept, name), getattr(got, name)
+            assert got.keep is None
+            for view, mask in ((kept, keep), (nested, again)):
+                assert view.keep.dtype == np.int64
+                np.testing.assert_array_equal(view.keep,
+                                              np.flatnonzero(mask))
             if len(pids) < plan.num_pages:
                 assert not set(LAZY_FIELDS) & set(vars(batch))
             m = active[batch.edge_rec]
@@ -283,28 +309,25 @@ class TestPlanArrays:
                     assert getattr(kept, name) is None
                     continue
                 for view, expect in ((got, want_array),
-                                     (kept, want_array[keep])):
+                                     (kept, want_array[keep]),
+                                     (nested, want_array[keep][again])):
                     assert getattr(view, name).dtype == expect.dtype, name
                     np.testing.assert_array_equal(getattr(view, name),
                                                   expect, err_msg=name)
             for vector in vectors:
-                for view in (got, kept, kept.filter(
-                        rng.random(len(kept.edges)) < 0.5)):
+                for view in (got, kept, nested):
                     read = view.from_sources(vector)
                     assert read.dtype == vector.dtype
                     assert (read.tobytes()
                             == vector[view.sources].tobytes())
-            want_per_page = batch.edge_segment_sum(m)
-            assert got_per_page.dtype == want_per_page.dtype
-            np.testing.assert_array_equal(got_per_page, want_per_page)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_frontier_pages_equal_unique_of_masked_target_pids(
             self, lp_plan, data):
-        """``pages(mask)`` is ``np.unique(target_pids[mask])`` — same
-        values, same order, same dtype — for empty, all-duplicate and
-        large-page ids alike."""
+        """``filter(mask).pages()`` is ``np.unique(target_pids[mask])`` —
+        same values, same order, same dtype — for empty, all-duplicate
+        and large-page ids alike."""
         db, plan = lp_plan
         is_large = db.rvt.lp_ranges >= 0
         pids = _sp_first(db, data.draw(st.lists(
@@ -326,11 +349,52 @@ class TestPlanArrays:
             mask = is_large[frontier.target_pids]
         want = np.unique(frontier.target_pids if mask is None
                          else frontier.target_pids[mask])
-        for got in (frontier.pages(mask),
-                    (frontier if mask is None
-                     else frontier.filter(mask)).pages()):
-            assert got.dtype == want.dtype == np.int64
-            np.testing.assert_array_equal(got, want)
+        got = (frontier if mask is None
+               else frontier.filter(mask)).pages()
+        assert got.dtype == want.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_row_work_is_the_segment_reductions(self, data):
+        """``frontier_batch_work`` counts from ``advance``'s active rows
+        what three segment reductions over every record counted: lane
+        steps (``segment_lane_steps`` of the mask, every technique),
+        edges (``edge_segment_sum(active[edge_rec])``) and active records
+        (``segment_sum(active)``) — dtype and bytes — over empty pages,
+        zero-degree records, large pages and no-, all- and some-active
+        masks, in pid order and gathered."""
+        pages = data.draw(st.lists(st.one_of(
+            st.lists(st.integers(0, 70), max_size=70),
+            st.integers(33, 400).map(lambda degree: [degree])),
+            min_size=1, max_size=8))
+        plan = _record_plan(pages)
+        pids = np.asarray(data.draw(st.one_of(
+            st.just(list(range(len(pages)))),
+            st.lists(st.integers(0, len(pages) - 1), unique=True))),
+            dtype=np.int64)
+        batch = RoundBatch(plan, pids)
+        shape = data.draw(st.sampled_from(["none", "all", "random"]))
+        if shape == "random":
+            active = np.asarray(data.draw(st.lists(
+                st.booleans(), min_size=batch.num_records,
+                max_size=batch.num_records)), dtype=bool)
+        else:
+            active = np.full(batch.num_records, shape == "all")
+        rows = batch.advance(active).rows
+        for technique in MicroTechnique:
+            work = frontier_batch_work(batch, rows,
+                                       KernelContext(None, technique))
+            want = (segment_lane_steps(technique, batch.degrees,
+                                       batch.rec_indptr, active),
+                    batch.edge_segment_sum(active[batch.edge_rec]),
+                    batch.segment_sum(active))
+            got = (work.lane_steps, work.edges_traversed,
+                   work.active_vertices)
+            for name, g, w in zip(("lane_steps", "edges", "active"),
+                                  got, want):
+                assert g.dtype == w.dtype, (technique, name)
+                assert g.tobytes() == w.tobytes(), (technique, name)
 
     def test_frontier_kernel_gathers_no_edge_or_scatter_space(self,
                                                               any_db,
@@ -518,15 +582,6 @@ class TestPlanArrays:
                                           page.adj_vids)
             offset += page.num_records
         assert batch.num_records == offset
-
-    def test_take_ranges_and_segment_sum(self):
-        np.testing.assert_array_equal(
-            take_ranges([5, 0], [3, 2]), [5, 6, 7, 0, 1])
-        assert len(take_ranges([], [])) == 0
-        np.testing.assert_array_equal(
-            segment_sum(np.asarray([1, 2, 3, 4]),
-                        np.asarray([0, 2, 2, 4])),
-            [3, 0, 7])
 
     def test_copy_bytes_cached_per_ra_width(self, db):
         plan = PagePlan(db)
