@@ -1,12 +1,13 @@
 """Zero-fault overhead gate for the fault-injection hooks.
 
-PR 4 threaded fault-injection hooks through the storage array, the
-stream scheduler and the engine's round loop.  This script verifies the
-hooks are pay-for-use: with **no** :class:`~repro.faults.FaultPlan`
-installed the engine must run the same 10-iteration PageRank within a
-small tolerance of the wall-clock baseline: the ``dormant`` figure of
-the checked-in ``BENCH_faults.json``, a full run of this script on the
-same host.
+Fault injection hooks into the storage array, the engine's round loop
+and the stream scheduler, whose one booking loop books a round's drawn
+copy errors and stalls the way it books a clean round.  This script
+verifies the hooks are pay-for-use: with **no**
+:class:`~repro.faults.FaultPlan` installed the engine must run the
+same 10-iteration PageRank within a small tolerance of the wall-clock
+baseline: the ``dormant`` figure of the checked-in
+``BENCH_faults.json``, a full run of this script on the same host.
 
 Two configurations are measured with one protocol (one engine per mode,
 1 cold + N warm runs, best-of-warm headline):
@@ -16,8 +17,9 @@ Two configurations are measured with one protocol (one engine per mode,
   ``--tolerance`` (default 3%) of the baseline's best.
 * ``inert-plan`` — an *active* plan whose only entry is a device loss
   scheduled far beyond the end of the run: an injector is attached,
-  storage reads are booked per call and every per-round loss check
-  runs, but no fault ever fires.  Reported for information (this is
+  storage reads are booked per call, every round asks the injector for
+  its fault arrays (a plan without rates has none) and every per-round
+  loss check runs, but no fault ever fires.  Reported for information (this is
   the price of arming the injector, not of carrying the hooks) and
   checked for bit-identical output against ``dormant``.
 

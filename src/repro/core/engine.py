@@ -99,8 +99,9 @@ class GTSEngine:
         time but leave algorithm outputs bit-identical to the
         fault-free run; unrecoverable ones raise a typed
         :class:`~repro.errors.GTSError` subclass — never a wrong
-        answer.  A round a fault fires in is *booked* per call (where
-        injection, retry and backoff live); its compute is the same
+        answer.  A round's faults are drawn as arrays and booked by
+        the same loop as a clean round (retry and backoff on the copy
+        engine, stalls before the kernel); its compute is the same
         ``process_batch``.
     fault_seed:
         Overrides the plan's seed (the CLI's ``--fault-seed``), letting
@@ -463,9 +464,8 @@ class GTSEngine:
                 total_edges += round_edges
                 if next_pages is not None and work.next_pids is not None:
                     next_pages[work.next_pids] = True
-                # The scheduler books the round: per call, with
-                # injection and retry, if a fault fires in it; in bulk
-                # otherwise.
+                # The scheduler books the round in bulk, with any faults
+                # the injector draws for it.
                 with span("core.streams.booking"):
                     scheduler.dispatch_round(
                         order, copy_bytes_all[pids_round], work.lane_steps,

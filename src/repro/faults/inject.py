@@ -9,11 +9,12 @@ tests rely on:
 * **Determinism** — the same plan + seed faults the same operations in
   the same order, every run, on every platform (no RNG stream to drift
   when call order changes).
-* **Probe-ability** — the scheduler can ask *"will any fault fire in
-  this round?"* (:meth:`FaultInjector.round_faulted`) before committing
-  to its inlined bulk booking, and the answer is guaranteed to agree
-  with what the per-call injection points would actually do, because
-  both evaluate the identical hash on the identical key.
+* **Drawing ahead** — the scheduler draws a whole round's copy-attempt
+  counts and stalls as arrays (:meth:`FaultInjector.draw_round`)
+  before booking it, and they are guaranteed to be what the scalar
+  injection points (:meth:`FaultInjector.copy_fault`,
+  :meth:`FaultInjector.stall_seconds`) would decide page by page,
+  because both evaluate the identical hash on the identical key.
 
 The injector also carries the run's fault bookkeeping (what fired, what
 was retried, how much simulated backoff was charged), which the engine
@@ -113,43 +114,63 @@ class FaultInjector:
         """Scope subsequent draws to engine round ``round_index``."""
         self._round = int(round_index)
 
-    def round_faulted(self, pids, per_gpu):
-        """Would any probabilistic fault fire in the current round?
+    def draw_round(self, pids, per_gpu, hit_masks):
+        """The current round's copy and stall faults as arrays, drawn
+        before it is booked; ``None`` when no fault fires in it.
 
-        ``pids`` are the round's page IDs and ``per_gpu`` each GPU's
-        positions in them (:attr:`~repro.core.streams.RoundOrder.per_gpu`).
-        Evaluates the exact draws the injection points would, at attempt
-        0, so a ``False`` here guarantees the round's dispatch is
-        fault-free and safe to book in bulk.
+        ``pids`` are the round's page IDs, ``per_gpu`` each GPU's
+        positions in them (:attr:`~repro.core.streams.RoundOrder.per_gpu`)
+        and ``hit_masks`` each GPU's cache hits there.  A fault fires in
+        the round when an attempt-0 draw does: the storage draws over
+        every routed page, each GPU's copy and stall draws over its
+        routed pages, hits included; such a round is counted in
+        ``fallback_rounds``.  Each GPU then gets ``(fails, stalls)``,
+        aligned with its positions: a missed page's leading failed copy
+        attempts (``retry.max_attempts`` when the copy exhausts them, 0
+        for a hit) and each page's stall seconds before its kernel.
+        These are :meth:`copy_fault` / :meth:`stall_seconds`'s draws,
+        counted as they count them.
         """
         plan = self.plan
-        if not plan.any_rates:
-            return False
-        pids = np.asarray(pids, dtype=np.int64)
-        if not len(pids):
-            return False
+        if not plan.any_rates or not len(pids):
+            return None
         r = self._round
-        if plan.ssd_transient_rate and bool(
-                (self._uniform(SITE_SSD_TRANSIENT, r, 0, vector=pids)
-                 < plan.ssd_transient_rate).any()):
-            return True
-        if plan.ssd_corrupt_rate and bool(
-                (self._uniform(SITE_SSD_CORRUPT, r, 0, vector=pids)
-                 < plan.ssd_corrupt_rate).any()):
-            return True
-        if plan.copy_error_rate or plan.stall_rate:
-            for g, seq in enumerate(per_gpu):
-                gpu_pids = pids[seq]
-                if plan.copy_error_rate and bool(
-                        (self._uniform(SITE_COPY, r, g, 0,
-                                       vector=gpu_pids)
-                         < plan.copy_error_rate).any()):
-                    return True
-                if plan.stall_rate and bool(
-                        (self._uniform(SITE_STALL, r, g, vector=gpu_pids)
-                         < plan.stall_rate).any()):
-                    return True
-        return False
+        fired = any(rate and bool((self._uniform(site, r, 0, vector=pids)
+                                   < rate).any())
+                    for site, rate in (
+                        (SITE_SSD_TRANSIENT, plan.ssd_transient_rate),
+                        (SITE_SSD_CORRUPT, plan.ssd_corrupt_rate)))
+        draws, num_stalls = [], 0
+        for g, (seq, hits) in enumerate(zip(per_gpu, hit_masks)):
+            gpu_pids = pids[seq]
+            fails = np.zeros(len(seq), dtype=np.int64)
+            stalls = np.zeros(len(seq), dtype=np.float64)
+            if plan.copy_error_rate:
+                failing = (self._uniform(SITE_COPY, r, g, 0, vector=gpu_pids)
+                           < plan.copy_error_rate)
+                fired = fired or bool(failing.any())
+                failing &= ~hits
+                for attempt in range(1, self.retry.max_attempts + 1):
+                    fails += failing
+                    if attempt == self.retry.max_attempts or not failing.any():
+                        break
+                    failing[failing] = self._uniform(
+                        SITE_COPY, r, g, attempt,
+                        vector=gpu_pids[failing]) < plan.copy_error_rate
+            if plan.stall_rate:
+                stalled = (self._uniform(SITE_STALL, r, g, vector=gpu_pids)
+                           < plan.stall_rate)
+                num_stalls += int(np.count_nonzero(stalled))
+                stalls[stalled] = plan.stall_seconds
+            draws.append((fails, stalls))
+        if not (fired or num_stalls):
+            return None
+        self.fallback_rounds += 1
+        self.copy_faults += sum(int(fails.sum()) for fails, _ in draws)
+        self.stream_stalls += num_stalls
+        for _ in range(num_stalls):
+            self.stall_seconds_injected += plan.stall_seconds
+        return draws
 
     # ------------------------------------------------------------------
     # Injection points
@@ -237,11 +258,6 @@ class FaultInjector:
         """Record one retry and the simulated backoff it charged."""
         self.retries += 1
         self.backoff_seconds += backoff
-
-    def note_fallback(self):
-        """Record one round booked per call because a fault fires in
-        it."""
-        self.fallback_rounds += 1
 
     def note_device_lost(self):
         """Record one whole-device loss the run absorbed."""

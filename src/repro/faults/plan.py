@@ -13,7 +13,7 @@ fault                      injection point                         recovery
 ========================  ======================================  ============
 ``ssd_transient_rate``     ``StorageArray.fetch``                  retry + backoff on the SSD channel
 ``ssd_corrupt_rate``       ``StorageArray.fetch``                  checksum-verified re-fetch
-``copy_error_rate``        ``StreamScheduler.dispatch_streamed``   retry + backoff on the copy engine
+``copy_error_rate``        ``StreamScheduler.dispatch_round``      retry + backoff on the copy engine
 ``stall_rate``             stream dispatch (cached or streamed)    none needed — kernel delayed ``stall_seconds``
 ``gpu_loss``               engine round boundary                   Strategy-P: drain + redistribute; Strategy-S: :class:`~repro.errors.DeviceLostError`
 ``ssd_loss``               ``StorageArray.fetch``                  none — :class:`~repro.errors.DeviceLostError`
@@ -21,8 +21,9 @@ fault                      injection point                         recovery
 ========================  ======================================  ============
 
 The four rate faults fire inside a round's booking: the scheduler
-probes the round (:meth:`~repro.faults.FaultInjector.round_faulted`)
-and books it per call when one will, counting it in
+draws the round's copy and stall faults as arrays
+(:meth:`~repro.faults.FaultInjector.draw_round`) and its one booking
+loop absorbs them, counting a round any of the four fires in in
 ``fault_stats["fallback_rounds"]`` — for every kernel; the round's
 compute is never degraded.  ``host_corrupt_reads`` fires where a host
 read happens, which is the page-plan build and nowhere in a round: a

@@ -282,7 +282,7 @@ def collect_run_metrics(result, registry=None, host_profile=None):
                          "host reads re-read after checksum mismatch"
                          ).inc(fs.get("integrity_retries", 0))
         registry.counter("faults.fallback_rounds",
-                         "rounds booked per call because a fault fires"
+                         "rounds a fault fires in"
                          ).inc(fs.get("fallback_rounds", 0))
         registry.counter("faults.devices_lost").inc(
             fs.get("devices_lost", 0))

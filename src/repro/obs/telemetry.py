@@ -9,7 +9,7 @@ observes a *request* as it crosses the whole service path.  A
 pinning), ``gate_acquire`` (the database's
 :class:`~repro.concurrency.ReadWriteGate`), ``engine`` (the actual run),
 ``service.http.serialize`` (``RunResult.to_dict``) and ``serialize``
-(JSON encoding and the socket write) — correlated end to end by the
+(JSON encoding of the response) — correlated end to end by the
 request's ``query_id``.  The spans live on the request's own
 :class:`~repro.obs.host.HostProfiler`, which the worker thread makes
 its active recorder around ``engine.run``: the ``engine`` span's

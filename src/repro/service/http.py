@@ -37,7 +37,7 @@ With telemetry enabled, successful query responses carry an
 ``X-Query-Id`` correlation header, the handler *defers* trace
 completion so the response-rendering time lands in the request's
 ``service.http.serialize`` (``RunResult.to_dict``) and ``serialize``
-(JSON encoding + socket write) spans, and 504 bodies include the
+(JSON encoding) spans, and 504 bodies include the
 ``query_id`` so a timed-out request can be matched to its tail-captured
 trace in the slow-query ring.
 """
@@ -74,9 +74,12 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             BaseHTTPRequestHandler.log_message(self, format, *args)
 
     def _send_json(self, status, payload, extra_headers=None):
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        self._send(status, _encode(payload), extra_headers)
+
+    def _send(self, status, body, extra_headers=None,
+              content_type="application/json"):
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for key, value in (extra_headers or {}).items():
             self.send_header(key, value)
@@ -93,12 +96,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             self._send_json(200, service.stats())
         elif self.path == "/metrics":
             from repro.obs.exporters import PROMETHEUS_CONTENT_TYPE
-            body = service.metrics_text().encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", PROMETHEUS_CONTENT_TYPE)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self._send(200, service.metrics_text().encode("utf-8"),
+                       content_type=PROMETHEUS_CONTENT_TYPE)
         else:
             self._send_json(404, {"error": "unknown path %r" % self.path})
 
@@ -130,9 +129,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             else:
                 request = QueryRequest.from_dict(payload)
                 # Take over completion so the serialize span (measured
-                # around _send_json below) lands inside the trace —
-                # claimed at submit, or a query quicker than this
-                # thread's next time slice completes its trace first.
+                # around the JSON encoding below) lands inside the
+                # trace — claimed at submit, or a query quicker than
+                # this thread's next time slice completes its trace
+                # first.
                 future = service.submit(request,
                                         defer_trace=tm is not None)
                 if tm is not None:
@@ -179,15 +179,17 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             failure = (500, {"error": str(error),
                              "type": type(error).__name__})
         else:
+            # The trace completes before the response is written, as on
+            # the error path: a client holding its answer reads the
+            # request in /stats, /metrics and the tail-capture ring.
             try:
                 with activate(recorder), span("serialize"):
-                    self._send_json(200, response, extra_headers=headers)
+                    body = _encode(response)
             finally:
                 self._complete(tm, trace)
+            self._send(200, body, headers)
             return
-        # An error has no serialize span to wait for, and a client that
-        # holds its answer may read the tail-capture ring at once: the
-        # record is written before the response.
+        # An error has no serialize span to wait for.
         self._complete(tm, trace)
         self._send_json(*failure)
 
@@ -212,6 +214,11 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         return service.update(payload["database"], payload["batch"],
                               compact_threshold=payload.get(
                                   "compact_threshold"))
+
+
+def _encode(payload):
+    """A JSON response body."""
+    return json.dumps(payload, sort_keys=True).encode("utf-8")
 
 
 def make_server(service, host="127.0.0.1", port=0, verbose=False):

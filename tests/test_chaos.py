@@ -93,9 +93,9 @@ class TestBatchedDegradation:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_faulted_rounds_fall_back_to_paged(self, rmat_db, machine,
                                                seed):
-        """Only the *booking* of a faulted round degrades (to the
-        per-call loop, where injection and retry live); its compute is
-        the same ``process_batch``."""
+        """A faulted round costs only simulated time: the one booking
+        loop books its drawn retries and stalls, and its compute is the
+        same ``process_batch``."""
         clean = _run(rmat_db, machine, PageRankKernel(iterations=3))
         faulted = _run(rmat_db, machine, PageRankKernel(iterations=3),
                        faults=RECOVERABLE, fault_seed=seed, tracing=True)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.streams import StreamScheduler
+from repro.core.cache import PageCache
+from repro.core.result import RoundStats
+from repro.core.streams import RoundOrder, StreamScheduler
 from repro.errors import ConfigurationError
 from repro.graphgen import Graph, generate_erdos_renyi, generate_rmat
 from repro.graphgen.degree import (
@@ -98,54 +100,65 @@ class TestSummary:
 
 
 class TestStreamScheduler:
+    """``dispatch_round`` on hand-sized rounds; ``test_execution_plan``'s
+    property pins it to the per-call oracle."""
+
     def _scheduler(self, num_streams=2):
         runtime = MachineRuntime(paper_workstation(),
                                  num_streams=num_streams,
-                                 page_bytes=1 * MB)
+                                 page_bytes=1 * MB, tracing=True)
         return StreamScheduler(runtime), runtime
+
+    @staticmethod
+    def _round(scheduler, per_gpu, copy_bytes=1 * MB, cached=False,
+               round_start=0.0):
+        """Book one round: ``per_gpu[g]`` pages on GPU ``g``, every one
+        a cache hit (``cached``) or streamed from main memory."""
+        pids = np.arange(sum(per_gpu))
+        bounds = np.cumsum([0] + list(per_gpu))
+        caches = [PageCache(len(pids)) for _ in per_gpu]
+        for cache in caches:
+            for pid in pids.tolist() if cached else ():
+                cache.admit(pid)
+        scheduler.runtime.mm_buffer.preload(pids)
+        scheduler.dispatch_round(
+            RoundOrder(pids, [np.arange(a, b)
+                              for a, b in zip(bounds, bounds[1:])]),
+            np.full(len(pids), copy_bytes), np.full(len(pids), 1e6), 24.0,
+            caches, [0.0] * len(per_gpu), round_start, RoundStats(0, "r"))
 
     def test_round_robin_assignment(self):
         scheduler, runtime = self._scheduler(num_streams=2)
-        for _ in range(4):
-            scheduler.dispatch_cached(0, 0.0, 1e6, 24.0)
+        self._round(scheduler, [4, 0], cached=True)
         slots = runtime.gpus[0].streams.slots
         assert slots[0].num_activities == 2
         assert slots[1].num_activities == 2
 
     def test_per_gpu_counters(self):
-        scheduler, _ = self._scheduler()
-        scheduler.dispatch_cached(0, 0.0, 1e3, 24.0)
-        scheduler.dispatch_cached(1, 0.0, 1e3, 24.0)
-        scheduler.dispatch_cached(1, 0.0, 1e3, 24.0)
-        assert scheduler.dispatched_pages(0) == 1
-        assert scheduler.dispatched_pages(1) == 2
-        assert scheduler.dispatched_pages() == 3
+        scheduler, runtime = self._scheduler()
+        self._round(scheduler, [1, 2], cached=True)
+        assert [gpu.kernel_invocations for gpu in runtime.gpus] == [1, 2]
 
     def test_streamed_copy_precedes_kernel(self):
-        scheduler, _ = self._scheduler()
-        copy_end, kernel_end = scheduler.dispatch_streamed(
-            0, ready_time=1.0, copy_bytes=6 * 1024 ** 3,
-            lane_steps=1e6, cycles_per_lane_step=24.0)
-        assert copy_end > 1.0
-        assert kernel_end > copy_end
+        scheduler, runtime = self._scheduler()
+        self._round(scheduler, [1, 0], copy_bytes=6 * 1024 ** 3,
+                    round_start=1.0)
+        gpu = runtime.gpus[0]
+        (copy_start, copy_end), = gpu.copy_engine.events
+        (kernel_start, kernel_end), = gpu.streams.slots[0].events
+        assert copy_start == 1.0 < copy_end <= kernel_start < kernel_end
 
     def test_copies_serialize_on_copy_engine(self):
         scheduler, runtime = self._scheduler(num_streams=4)
-        ends = [scheduler.dispatch_streamed(0, 0.0, 6 * 1024 ** 3,
-                                            1.0, 1.0)[0]
-                for _ in range(3)]
+        self._round(scheduler, [3, 0], copy_bytes=6 * 1024 ** 3)
+        ends = [end for _, end in runtime.gpus[0].copy_engine.events]
         # Each 1 GB-per-second-class copy waits for the previous one.
         assert ends[1] > ends[0]
         assert ends[2] > ends[1]
         assert runtime.gpus[0].copy_engine.num_activities == 3
 
-    def test_negative_bytes_rejected(self):
-        scheduler, _ = self._scheduler()
-        with pytest.raises(ConfigurationError):
-            scheduler.dispatch_streamed(0, 0.0, -1, 1.0, 1.0)
-
     def test_cached_dispatch_skips_copy_engine(self):
         scheduler, runtime = self._scheduler()
-        scheduler.dispatch_cached(0, 0.0, 1e6, 24.0)
+        self._round(scheduler, [1, 0], cached=True)
         assert runtime.gpus[0].copy_engine.num_activities == 0
         assert runtime.gpus[0].kernel_invocations == 1

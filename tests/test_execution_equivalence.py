@@ -307,6 +307,10 @@ def test_every_kernel_has_one_body_and_the_core_reads_no_page():
         "_book_round_paged_order|per_page_fetch|bulk_ready|force_generic"
         "|_merge_round_io|_make_fetch|io_merge|fetch_range|ranged_fetches"
         "|adjacent_fetches"
+        # One booking loop: faults reach it as arrays.
+        "|_book_round_per_call|dispatch_cached|dispatch_streamed"
+        r"|_book_copy_faulted|def _stall\b|_next_slot|round_faulted"
+        "|note_fallback"
         # One host-clock recorder, reached through repro.spans only.
         "|tracemalloc|track_memory|net_alloc_bytes|max_samples_per_phase"
         "|round_observer|round_marks|observe_round|host_profiler"
@@ -326,36 +330,39 @@ def test_every_kernel_has_one_body_and_the_core_reads_no_page():
 
 
 def test_traced_runs_agree_with_untraced(monkeypatch):
-    """Every unfaulted round takes the one booking loop, whatever is
-    watching: a traced, host-profiled, validated or injector-armed run
-    makes no per-call booking and reads the bare run's clock; a run
-    with faults books per call in its fallback rounds only."""
+    """Every round takes the one booking loop, whatever is watching: a
+    traced, host-profiled, validated or injector-armed run books each
+    round once with no fault arrays and reads the bare run's clock; a
+    run with faults hands the loop fault arrays in exactly the rounds
+    it counts in ``fallback_rounds``."""
     graph = Graph.from_edges(
         50,
         np.random.default_rng(5).integers(0, 50, size=300),
         np.random.default_rng(6).integers(0, 50, size=300))
     db = build_database(graph, PageFormatConfig(2, 2, 1 * KB))
     machine = scaled_workstation(num_gpus=2, num_ssds=2)
-    calls = []
-    for name in ("dispatch_cached", "dispatch_streamed"):
-        def spy(self, *args, _booked=getattr(StreamScheduler, name), **kw):
-            calls.append(self)
-            return _booked(self, *args, **kw)
-        monkeypatch.setattr(StreamScheduler, name, spy)
+    faulted_rounds = []
+
+    def spy(self, *args, _booked=StreamScheduler._book_round):
+        faulted_rounds.append(args[-1] is not None)
+        return _booked(self, *args)
+    monkeypatch.setattr(StreamScheduler, "_book_round", spy)
 
     def run(recorder=None, **options):
-        del calls[:]
+        del faulted_rounds[:]
         with activate(recorder):
-            return GTSEngine(db, machine, mm_buffer_bytes=8 * KB,
-                             **options).run(PageRankKernel(iterations=3))
+            result = GTSEngine(db, machine, mm_buffer_bytes=8 * KB,
+                               **options).run(PageRankKernel(iterations=3))
+        assert len(faulted_rounds) == result.num_rounds
+        return result
 
     plain = run()
-    assert not calls
+    assert not any(faulted_rounds)
     for options in ({"tracing": True}, {"recorder": HostProfiler()},
                     {"validate_simulation": True},
                     {"faults": FaultPlan(stall_rate=1e-12)}):
         watched = run(**options)
-        assert not calls, options
+        assert not any(faulted_rounds), options
         assert repr(watched.elapsed_seconds) == repr(plain.elapsed_seconds)
         np.testing.assert_array_equal(watched.values["rank"],
                                       plain.values["rank"])
@@ -363,5 +370,4 @@ def test_traced_runs_agree_with_untraced(monkeypatch):
     faulted = run(faults=RECOVERABLE, fault_seed=0)
     fallbacks = faulted.fault_stats["fallback_rounds"]
     assert 0 < fallbacks < faulted.num_rounds
-    # Strategy-P books each page of a full-scan round on one GPU.
-    assert len(calls) == db.num_pages * fallbacks
+    assert sum(faulted_rounds) == fallbacks

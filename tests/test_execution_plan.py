@@ -33,7 +33,9 @@ from repro.core.plan import PagePlan, RoundBatch, RoundPlanCache
 from repro.core.result import RoundStats
 from repro.core.strategies import make_strategy
 from repro.core.streams import RoundOrder, StreamScheduler
-from repro.errors import ConfigurationError, ServiceError, SimulationError
+from repro.errors import (ConfigurationError, RetryExhaustedError,
+                          ServiceError, SimulationError)
+from repro.faults import FaultInjector, FaultPlan, RetryPolicy
 from repro.format import PageFormatConfig, build_database
 from repro.graphgen import Graph, generate_rmat
 from repro.hardware.machine import MachineRuntime
@@ -42,6 +44,8 @@ from repro.obs.events import TraceRecorder
 from repro.obs.host import HostProfiler
 from repro.service import QueryRequest
 from repro.spans import activate
+
+from . import reference_booking
 
 
 @pytest.fixture
@@ -674,44 +678,21 @@ class TestLargePageRunIndex:
         assert small.dtype == large.dtype == np.int64
 
 
-def _per_call_round(scheduler, pids, per_gpu, copy_bytes, lane_steps,
-                    cycles, caches, wa_ready, start, stats):
-    """The reference ``dispatch_round`` (same arguments) must equal:
-    page-major, GPU inner, one public dispatch call per booking, a page
-    made ready from the scalar buffer / storage primitives when its
-    first miss is reached, and each GPU's cache probed and filled one
-    page at a time."""
-    runtime = scheduler.runtime
-    ready = {}
-    for j, pid in enumerate(pids):
-        nbytes, steps = int(copy_bytes[j]), float(lane_steps[j])
-        for g in [g for g, seq in enumerate(per_gpu) if j in seq]:
-            early = max(start, wa_ready[g])
-            hit = caches[g].lookup(pid, ts=early)
-            if not hit:
-                caches[g].admit(pid, ts=early)
-            if hit:
-                stats.pages_from_cache += 1
-                scheduler.dispatch_cached(g, early, steps, cycles)
-                continue
-            if pid not in ready and runtime.mm_buffer.lookup(pid, ts=start):
-                stats.pages_from_buffer += 1
-                ready[pid] = start
-            elif pid not in ready:
-                stats.pages_from_storage += 1
-                ready[pid] = runtime.storage.fetch(
-                    pid, runtime.page_bytes, start)[1]
-                runtime.mm_buffer.admit(pid)
-            stats.bytes_streamed += nbytes
-            scheduler.dispatch_streamed(g, max(ready[pid], wa_ready[g]),
-                                        nbytes, steps, cycles)
-
-
 class TestBookingLoop:
     NUM_PAGES = 40
+    #: Fault plans: none, recoverable, heavy, and one whose copies and
+    #: storage reads exhaust a two-attempt retry budget.
+    PLANS = [None,
+             FaultPlan(ssd_transient_rate=0.05, ssd_corrupt_rate=0.05,
+                       copy_error_rate=0.05, stall_rate=0.1,
+                       stall_seconds=2e-4),
+             FaultPlan(copy_error_rate=0.4, stall_rate=0.5,
+                       stall_seconds=0.0, ssd_transient_rate=0.2),
+             FaultPlan(copy_error_rate=0.3, ssd_corrupt_rate=0.2,
+                       stall_rate=0.2, retry=RetryPolicy(max_attempts=2))]
 
     def _machine_run(self, num_ssds, buffer_pages, tracing, num_streams=3,
-                     policy="lru", capacity=5):
+                     policy="lru", capacity=5, plan=None, seed=0):
         recorder = TraceRecorder() if tracing else None
         runtime = MachineRuntime(
             scaled_workstation(num_gpus=2, num_ssds=num_ssds),
@@ -722,10 +703,13 @@ class TestBookingLoop:
             runtime.mm_buffer.preload(range(self.NUM_PAGES))
         caches = [PageCache(capacity, policy=policy, recorder=recorder,
                             gpu_index=g) for g in range(2)]
-        return runtime, StreamScheduler(runtime), caches
+        injector = plan and FaultInjector(plan, seed=seed)
+        if runtime.storage is not None:
+            runtime.storage.fault_injector = injector
+        return runtime, StreamScheduler(runtime, injector), caches
 
     @staticmethod
-    def _state(runtime, caches, stats):
+    def _state(runtime, caches, stats, injector):
         resources = [r for gpu in runtime.gpus for r in (
             gpu.copy_engine, gpu.compute, *gpu.streams.slots)]
         resources += runtime.storage.channels if runtime.storage else []
@@ -738,9 +722,9 @@ class TestBookingLoop:
             (runtime.mm_buffer.hits, runtime.mm_buffer.misses),
             # Stable: each lane keeps its order, lanes may interleave.
             sorted(runtime.recorder or (), key=lambda event: event.lane),
-            runtime.now, stats)
+            runtime.now, stats, injector and injector.stats())
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(rounds=st.lists(st.lists(st.integers(0, NUM_PAGES - 1),
                                     unique=True, min_size=1),
                            min_size=1, max_size=4),
@@ -750,18 +734,20 @@ class TestBookingLoop:
            num_streams=st.sampled_from([1, 3, 16]),
            head_start=st.integers(1, 20), flood=st.booleans(),
            policy=st.sampled_from(["lru", "fifo", "clock", "pin"]),
-           capacity=st.sampled_from([0, 1, 5, 24]))
+           capacity=st.sampled_from([0, 1, 5, 24]),
+           plan=st.sampled_from(PLANS), seed=st.integers(0, 99))
     def test_dispatch_round_equals_the_per_call_loop(
             self, rounds, strategy, num_ssds, buffer_pages, tracing,
-            num_streams, head_start, flood, policy, capacity):
+            num_streams, head_start, flood, policy, capacity, plan, seed):
         """Random rounds — Strategy-P / -S routing, cache hits from
         repeated pages under every policy and capacity, in-memory and
         SSD machines, the buffer empty, filling and full, 1 / 3 / 16
-        streams entered at a dispatch count off their multiple, and
+        streams entered at a dispatch count off their multiple,
         (``flood``) two all-miss full scans longer than twice the
-        streams — leave every timeline, counter, resident set,
-        ``RoundStats`` and (traced) per-lane event sequence exactly
-        where the per-call reference leaves them."""
+        streams, and no, recoverable, heavy or exhausting faults —
+        leave every timeline, counter, resident set, ``RoundStats``,
+        injector count and (traced) per-lane event sequence exactly
+        where the per-call oracle leaves them, or raise its error."""
         if not num_ssds:
             buffer_pages = self.NUM_PAGES
         rounds = rounds + [list(range(self.NUM_PAGES))] * (2 * flood)
@@ -769,27 +755,37 @@ class TestBookingLoop:
         work = [(make_strategy(strategy).assign_batch(pids, 2),
                  rng.integers(0, 4096, size=len(pids)),
                  rng.random(len(pids)) * 1e5) for pids in rounds]
-        states = []
+        outcomes = []
         for per_call in (False, True):
             runtime, scheduler, caches = self._machine_run(
                 num_ssds, buffer_pages, tracing, num_streams, policy,
-                capacity)
+                capacity, plan, seed)
+            injector = scheduler.fault_injector
             for g in range(2):
                 for _ in range(head_start):
-                    scheduler.dispatch_cached(g, 0.0, 10.0, 24.0)
+                    reference_booking.dispatch_cached(scheduler, g, 0.0,
+                                                      10.0, 24.0)
             stats = [RoundStats(index, "r") for index in range(len(rounds))]
-            for pids, round_work, round_stats in zip(rounds, work, stats):
-                args = round_work + (24.0, caches, [0.0, 1e-5],
-                                     runtime.now, round_stats)
-                if per_call:
-                    _per_call_round(scheduler, pids, *args)
-                else:
-                    scheduler.dispatch_round(RoundOrder(pids, args[0]),
-                                             *args[1:])
-                if round_stats.round_index % 2:  # else slots carry over
-                    runtime.barrier()
-            states.append(self._state(runtime, caches, stats))
-        assert states[0] == states[1]
+            try:
+                for pids, round_work, round_stats in zip(rounds, work,
+                                                         stats):
+                    if injector is not None:
+                        injector.begin_round(round_stats.round_index)
+                    args = (RoundOrder(pids, round_work[0]),) + round_work[
+                        1:] + (24.0, caches, [0.0, 1e-5], runtime.now,
+                               round_stats)
+                    if per_call:
+                        reference_booking.book_round(scheduler, *args)
+                    else:
+                        scheduler.dispatch_round(*args)
+                    if round_stats.round_index % 2:  # else slots carry over
+                        runtime.barrier()
+            except RetryExhaustedError as error:
+                outcomes.append((str(error), error.site, error.attempts,
+                                 error.page_id))
+                continue
+            outcomes.append(self._state(runtime, caches, stats, injector))
+        assert outcomes[0] == outcomes[1]
 
     @pytest.mark.parametrize("bad, error", [
         ({"copy_bytes": [8, -1]}, ConfigurationError),
@@ -797,8 +793,9 @@ class TestBookingLoop:
         ({"round_start": -1.0}, SimulationError)])
     def test_round_is_validated_like_the_per_call_methods(self, bad,
                                                           error):
-        """The typed errors of ``dispatch_streamed`` / ``Resource.book``
-        (negative bytes, duration, start), checked once per round."""
+        """The oracle's typed errors (``dispatch_streamed``'s and
+        ``Resource.book``'s: negative bytes, duration, start), checked
+        once per round."""
         runtime, scheduler, caches = self._machine_run(2, 0, False)
         args = dict(order=RoundOrder(np.arange(2), [np.arange(1),
                                                     np.arange(1, 2)]),

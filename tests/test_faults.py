@@ -16,6 +16,8 @@ from repro.faults import (DEFAULT_RETRY_POLICY, FaultInjector, FaultPlan,
 from repro.format.io import FileBackedDatabase, load_database, save_database
 from repro.hardware.storage import StorageArray
 
+from .reference_booking import round_faulted
+
 
 class TestRetryPolicy:
     def test_backoff_grows_exponentially_and_caps(self):
@@ -139,36 +141,52 @@ class TestFaultInjector:
         assert per_seed[0] != per_seed[1]
 
     def test_probe_agrees_with_injection_points(self):
-        """A clean probe guarantees every per-page draw is clean."""
+        """``draw_round`` fires exactly when an attempt-0 scalar draw
+        does, and its arrays and counts are the scalar injection points'
+        page by page: leading failed copy attempts of each missed page,
+        each page's stall."""
         plan = FaultPlan(seed=7, ssd_transient_rate=0.01,
-                         ssd_corrupt_rate=0.01, copy_error_rate=0.01,
-                         stall_rate=0.02)
+                         ssd_corrupt_rate=0.01, copy_error_rate=0.1,
+                         stall_rate=0.02, retry=RetryPolicy(max_attempts=3))
         pids = np.arange(8)
         per_gpu = [np.arange(0, 8, 2), np.arange(1, 8, 2)]
-        probe = FaultInjector(plan)
-        verdicts = {}
-        for r in range(40):
-            probe.begin_round(r)
-            verdicts[r] = probe.round_faulted(pids, per_gpu)
-        assert any(verdicts.values()) and not all(verdicts.values())
-        for r, faulted in verdicts.items():
-            if faulted:
+        hit_masks = [np.array([True, False, False, True])] * 2
+        verdicts, retried = [], 0
+        for r in range(100):
+            draw = FaultInjector(plan)
+            draw.begin_round(r)
+            faults = draw.draw_round(pids, per_gpu, hit_masks)
+            verdicts.append(faults is not None)
+            assert verdicts[-1] == round_faulted(draw, pids, per_gpu)
+            if faults is None:
+                assert draw.faults_injected == 0
                 continue
             check = FaultInjector(plan)
             check.begin_round(r)
-            for pid in pids.tolist():
-                assert check.ssd_read_outcome(pid, 0) is READ_OK
-                assert not check.copy_fault(pid % 2, pid, 0)
-                assert check.stall_seconds(pid % 2, pid) == 0.0
-            assert check.faults_injected == 0
+            for g, (seq, hits, (fails, stalls)) in enumerate(
+                    zip(per_gpu, hit_masks, faults)):
+                for pid, hit, tries, stall in zip(
+                        pids[seq].tolist(), hits.tolist(), fails.tolist(),
+                        stalls.tolist()):
+                    failed = 0
+                    while (not hit and failed < 3
+                           and check.copy_fault(g, pid, failed)):
+                        failed += 1
+                    assert tries == failed
+                    retried += tries > 1
+                    assert stall == check.stall_seconds(g, pid)
+            assert draw.stats() == dict(check.stats(), fallback_rounds=1)
+        assert any(verdicts) and not all(verdicts) and retried
 
     def test_empty_round_never_faults(self):
         injector = FaultInjector(RATED_PLAN)
         injector.begin_round(0)
-        assert not injector.round_faulted(np.empty(0, dtype=np.int64),
-                                          [np.empty(0, dtype=np.int64)])
-        assert not FaultInjector(FaultPlan()).round_faulted(
-            [1, 2], [np.arange(2)])
+        empty = np.empty(0, dtype=np.int64)
+        assert injector.draw_round(empty, [empty],
+                                   [np.empty(0, dtype=bool)]) is None
+        assert FaultInjector(FaultPlan()).draw_round(
+            np.array([1, 2]), [np.arange(2)], [np.zeros(2, bool)]) is None
+        assert injector.fallback_rounds == 0
 
     def test_device_loss_schedules(self):
         plan = FaultPlan(gpu_loss={1: 0.5}, ssd_loss={0: 0.25})
@@ -190,13 +208,12 @@ class TestFaultInjector:
     def test_stats_snapshot(self):
         injector = FaultInjector(RATED_PLAN)
         injector.note_retry(1e-3)
-        injector.note_fallback()
         injector.note_device_lost()
         stats = injector.stats()
         assert stats["seed"] == 11
         assert stats["retries"] == 1
         assert stats["backoff_seconds"] == pytest.approx(1e-3)
-        assert stats["fallback_rounds"] == 1
+        assert stats["fallback_rounds"] == 0
         assert stats["devices_lost"] == 1
 
 
@@ -436,12 +453,11 @@ class TestFaultAccounting:
     @pytest.mark.parametrize("kernel_name", ["pagerank", "bfs", "kcore"])
     def test_host_corruption_fires_in_the_plan_build_only(
             self, rmat_db, machine, tmp_path, kernel_name):
-        """A faulted round is booked per call but reads nothing: the
-        host reads (and their corruption) happen where the plan is
-        built.  Cold plan cache: 3 faults, 3 verified re-reads.  Warm
-        shared plan: none, ``faults_injected`` lower by exactly that
-        count — everything else, values and simulated time included,
-        identical."""
+        """A faulted round reads nothing: the host reads (and their
+        corruption) happen where the plan is built.  Cold plan cache: 3
+        faults, 3 verified re-reads.  Warm shared plan: none,
+        ``faults_injected`` lower by exactly that count — everything
+        else, values and simulated time included, identical."""
         from repro import core
         make = {"pagerank": lambda: core.PageRankKernel(iterations=3),
                 "bfs": lambda: core.BFSKernel(start_vertex=0),
@@ -467,9 +483,9 @@ class TestFaultAccounting:
         assert warm["values"] == cold["values"]
 
     def test_fallback_rounds_count_every_kernel(self, rmat_db, machine):
-        """``fallback_rounds`` is "rounds booked per call because a
-        fault fires in them" for every kernel, the incremental relaxers
-        included, and equals the ``fallback`` instants of the trace."""
+        """``fallback_rounds`` is "rounds a fault fires in" for every
+        kernel, the incremental relaxers included, and equals the
+        ``fallback`` instants of the trace."""
         from repro.core import BFSKernel, GTSEngine
         from repro.dynamic import (DynamicGraphDatabase, UpdateBatch,
                                    incremental_bfs)

@@ -21,6 +21,7 @@ import io
 import json
 import os
 import threading
+import time
 import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -619,7 +620,17 @@ class TestHTTPPropagation:
         assert sorted(r["query_id"] for r in load_ring(ring_dir)) == [
             "d1", "d2"]
 
-    def test_metrics_endpoint(self, served):
+    def test_metrics_endpoint(self, served, monkeypatch):
+        """A scrape after a response counts that request: the trace
+        completes before the response is written (a slow completion
+        would lose the race otherwise)."""
+        complete = telemetry_module.ServiceTelemetry.complete
+
+        def slow_complete(self, *args, **kwargs):
+            time.sleep(0.05)
+            return complete(self, *args, **kwargs)
+        monkeypatch.setattr(telemetry_module.ServiceTelemetry, "complete",
+                            slow_complete)
         service, base, _ = served
         self.post(base, {"database": "g", "algorithm": "bfs",
                          "params": {"start": 0}})
