@@ -31,9 +31,9 @@ from repro.errors import ConfigurationError
 
 _POLICIES = ("lru", "fifo", "clock", "pin")
 
-#: Past this many decreasing depth runs an LRU round is replayed page
-#: by page: the run count costs one sort per run, the replay one dict
-#: operation per probe.
+#: Up to this many decreasing depth runs an LRU round counts run by run
+#: (one sort per run); past it, by a merge sort over the runs (one sort
+#: per ``log2`` of the run count).
 _MAX_DEPTH_RUNS = 8
 
 
@@ -106,8 +106,9 @@ class PageCache:
         resident order and trace instants are identical to interleaved
         :meth:`lookup` / :meth:`admit` calls.  An untraced LRU or pin
         round of distinct pages is decided in arrays
-        (:meth:`_resolve_arrays`); FIFO, clock, a traced cache and a
-        round with repeats replay page by page.
+        (:meth:`_resolve_arrays`), however its depths interleave; FIFO,
+        clock, a traced cache and a round with repeats replay page by
+        page.
         """
         page_ids = np.asarray(page_ids, dtype=np.int64)
         if self.recorder is None and self.policy in ("lru", "pin"):
@@ -126,7 +127,8 @@ class PageCache:
 
     def _resolve_arrays(self, page_ids):
         """:meth:`resolve_round` for an untraced LRU or pin cache, or
-        None when the round must be replayed page by page.
+        None when the round probes a page twice (it is then replayed
+        page by page).
 
         A probe can only hit a page resident when the round starts
         (the probes are distinct).  Under pin that is the whole rule,
@@ -164,8 +166,6 @@ class PageCache:
         else:
             depth = size - 1 - position[probes]
             earlier = _earlier_smaller(depth)
-            if earlier is None:
-                return None
             hits[probes[probes + depth - earlier < capacity]] = True
             untouched = np.ones(size, dtype=bool)
             untouched[position[probes]] = False
@@ -259,19 +259,45 @@ class PageCache:
 
 
 def _earlier_smaller(depth):
-    """For each entry of ``depth`` (distinct values), how many earlier
-    entries are smaller; None past :data:`_MAX_DEPTH_RUNS` runs.
+    """For each entry of ``depth`` (distinct non-negative values), how
+    many earlier entries are smaller.
 
     Inside a maximal decreasing run no earlier entry of the same run is
-    smaller, so each run after the first needs one ``searchsorted``
-    against the sorted entries before it.
+    smaller.  Up to :data:`_MAX_DEPTH_RUNS` runs, each run after the
+    first needs one ``searchsorted`` against the sorted entries before
+    it.  Past that, a natural merge sort counts in ``O(k)`` memory: the
+    runs, reversed, are the first sorted blocks, and each pass merges
+    block pairs with one stable sort of the ``pair * span + value``
+    keys, where every right-block entry counts the left-block entries
+    it lands past.
     """
+    k = len(depth)
     starts = np.flatnonzero(np.diff(depth) > 0) + 1
-    if len(starts) >= _MAX_DEPTH_RUNS:
-        return None
-    earlier = np.zeros(len(depth), dtype=np.int64)
-    for start, end in zip(starts.tolist(),
-                          starts[1:].tolist() + [len(depth)]):
-        earlier[start:end] = np.searchsorted(np.sort(depth[:start]),
-                                             depth[start:end])
+    earlier = np.zeros(k, dtype=np.int64)
+    if len(starts) < _MAX_DEPTH_RUNS:
+        for start, end in zip(starts.tolist(),
+                              starts[1:].tolist() + [k]):
+            earlier[start:end] = np.searchsorted(np.sort(depth[:start]),
+                                                 depth[start:end])
+        return earlier
+    bounds = np.concatenate([[0], starts, [k]])
+    position = np.arange(k)
+    block = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    # order[p]: the entry at position p, each block in ascending order.
+    order = bounds[block] + bounds[block + 1] - 1 - position
+    span = int(depth.max()) + 1
+    while len(bounds) > 2:
+        lengths = np.diff(bounds)
+        pair = block >> 1
+        # Each pair's keys are two ascending runs: a stable sort merges
+        # them, and a right-block entry lands past its smaller
+        # left-block entries.
+        merge = np.argsort(pair * span + depth[order], kind="stable")
+        destination = np.empty_like(merge)
+        destination[merge] = position
+        earlier[order] += (block & 1) * (
+            destination - position + lengths[block - 1])
+        order = order[merge]
+        block = pair
+        bounds = np.append(bounds[:-1:2], k)
     return earlier

@@ -9,8 +9,12 @@ rounds.  For each source the kernel runs two page-streamed phases:
 2. **backward** — Brandes' dependency accumulation, one round per level
    from the deepest back to the source: for each edge ``(v, t)`` with
    ``lv[t] == lv[v] + 1``, ``delta[v] += sigma[v] / sigma[t] * (1 + delta[t])``.
-   The pages visited per level were recorded during the forward phase, so
-   the backward sweep streams only relevant pages too.
+   The forward round at level ``l`` records its pages, its work and its
+   shortest-path DAG edges into level ``l + 1`` (Brandes' stack ``S``
+   as arrays).  Levels are final once the forward sweep ends, so the
+   backward round at ``l`` streams the same pages with the same active
+   records: its edges are that record, in the same order, and its work
+   the same.  Its body reads the record and touches no batch field.
 
 The reported centrality is the raw Brandes sum over the configured
 sources (no rescaling); the reference implementation uses the same
@@ -20,6 +24,8 @@ WA is three vectors (level, sigma, delta ≈ 10 bytes/vertex at paper
 widths) — the heaviest WA of the implemented algorithms, which is why the
 paper runs BC in single-node mode only (Appendix D).
 """
+
+import dataclasses
 
 import numpy as np
 
@@ -56,6 +62,9 @@ class _BCState:
         #: pids_at_level[l] — pages holding level-l vertices, recorded on
         #: the way down and replayed on the way up.
         self.pids_at_level = {0: self.frontier_pids}
+        #: dag[l] — the forward round at level l's work and the sources
+        #: / targets of its edges into level l + 1, in edge order.
+        self.dag = {}
         self.phase = "forward"
         self.backward_level = None
 
@@ -143,36 +152,28 @@ class BCKernel(Kernel):
         if state.phase == "forward":
             active = state.level[batch.rec_vids] == state.cur_level
             frontier = batch.advance(active)
-            targets = frontier.targets
             # No vertex holds level ``cur_level + 1`` before this round,
-            # so "fresh" is judged against the round-start levels and
-            # "counted" is every frontier edge into a fresh vertex: each
-            # contributes its source's sigma (path counting).
-            fresh = frontier.filter(state.level[targets] == UNVISITED)
-            state.level[fresh.targets] = state.cur_level + 1
-            counted = frontier.filter(
-                state.level[targets] == state.cur_level + 1)
-            # Sources sit at ``cur_level`` and counted targets one level
-            # down, so the sigma read and written are disjoint;
-            # duplicate targets need the unbuffered add, which runs in
-            # edge (page-major) order.
-            np.add.at(state.sigma, counted.targets,
-                      counted.from_sources(state.sigma))
-            return frontier_batch_work(batch, frontier.rows, ctx,
-                                       next_pids=fresh.pages())
-        active = state.level[batch.rec_vids] == state.backward_level
-        frontier = batch.advance(active)
-        downstream = frontier.filter(
-            state.level[frontier.targets] == state.backward_level + 1)
-        sources = downstream.sources
-        targets = downstream.targets
-        ratio = np.zeros(len(targets))
-        target_sigma = state.sigma[targets]
-        valid = np.flatnonzero(target_sigma > 0)
-        ratio[valid] = state.sigma[sources[valid]] / target_sigma[valid]
-        # Reads delta one level down, writes this level: disjoint.
-        # Summed per source record in edge order; large-page chunks
-        # contribute commutative partial sums.
-        np.add.at(state.delta, sources,
-                  ratio * (1.0 + state.delta[targets]))
-        return frontier_batch_work(batch, frontier.rows, ctx)
+            # so the edges into fresh vertices are the DAG edges into
+            # the next level: each contributes its source's sigma (path
+            # counting).
+            fresh = frontier.filter(
+                state.level[frontier.targets] == UNVISITED)
+            targets = fresh.targets
+            state.level[targets] = state.cur_level + 1
+            # Sources sit at ``cur_level`` and targets one level down,
+            # so the sigma read and written are disjoint; duplicate
+            # targets need the unbuffered add, which runs in edge
+            # (page-major) order.
+            sources = fresh.sources
+            np.add.at(state.sigma, targets, state.sigma[sources])
+            work = frontier_batch_work(batch, frontier.rows, ctx)
+            state.dag[state.cur_level] = (work, sources, targets)
+            return dataclasses.replace(work, next_pids=fresh.pages())
+        work, sources, targets = state.dag.pop(state.backward_level)
+        # A DAG target's sigma is at least its parent's, which is at
+        # least 1.  Reads delta one level down, writes this level:
+        # disjoint.  Summed per source record in edge order; large-page
+        # chunks contribute commutative partial sums.
+        np.add.at(state.delta, sources, state.sigma[sources]
+                  / state.sigma[targets] * (1.0 + state.delta[targets]))
+        return work

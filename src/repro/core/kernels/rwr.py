@@ -35,6 +35,8 @@ class RWRKernel(PageRankKernel):
     def __init__(self, query_vertex=0, iterations=10, restart=0.15):
         if not 0.0 <= restart <= 1.0:
             raise ConfigurationError("restart must be in [0, 1]")
+        if query_vertex < 0:
+            raise ConfigurationError("query vertex must be nonnegative")
         super().__init__(iterations=iterations, damping=1.0 - restart)
         self.query_vertex = query_vertex
         self.restart = restart

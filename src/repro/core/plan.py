@@ -79,16 +79,16 @@ class RoundBatch:
     """One round's pages as flat page-major arrays: a lazy view over
     ``(plan, pids)``.
 
-    The batch has two spaces and one index.  Only the record space is
-    gathered up front; everything else is built on first read and
-    memoised on the instance, so a kernel pays for what its body reads
-    and nothing else:
+    The batch has two spaces and one index.  Nothing is gathered up
+    front: every field is built on first read and memoised on the
+    instance, so a kernel pays for what its body reads and nothing else
+    (a backward BC round reads its forward round's record and gathers
+    nothing):
 
     * **record space** — ``rec_indptr`` (len pages+1) delimits each
-      page's records; ``degrees`` / ``rec_vids`` are per record.  Every
-      kernel needs these for its lane steps.  ``rec_divisor`` (the
+      page's records; ``degrees`` / ``rec_vids`` / ``rec_divisor`` (the
       PageRank divisor: the record's degree for SP records, the
-      vertex's *total* degree for LP chunks) is lazy.
+      vertex's *total* degree for LP chunks) are per record.
     * **edge space** — ``edge_indptr`` (len pages+1) delimits each
       page's adjacency entries; ``edge_rec`` maps every edge to its
       record index *within the batch*; ``adj_vids`` / ``adj_pids`` /
@@ -112,29 +112,27 @@ class RoundBatch:
     def __init__(self, plan, pids):
         self._plan = plan
         self.pids = pids
-        # Plan-wide record index of each batch record; None when the
-        # batch *is* the plan (every page, in pid order).
-        self._rec_sel = None
-        if len(pids) != plan.num_pages or not np.array_equal(
-                pids, np.arange(plan.num_pages, dtype=np.int64)):
-            self._rec_sel = take_ranges(plan.rec_indptr[pids],
-                                        plan.rec_counts[pids])
-        self.rec_indptr = self._page_indptr(plan.rec_indptr, plan.rec_counts)
-        self.degrees = self._records(plan.degrees)
-        self.rec_vids = self._records(plan.rec_vids)
+        #: The batch *is* the plan (every page, in pid order): every
+        #: field is the plan's own array.
+        self._whole = len(pids) == plan.num_pages and np.array_equal(
+            pids, np.arange(plan.num_pages, dtype=np.int64))
 
     # -- gathers -------------------------------------------------------
     def _page_indptr(self, indptr, counts):
-        return indptr if self._rec_sel is None else _indptr(
-            counts[self.pids])
+        return indptr if self._whole else _indptr(counts[self.pids])
 
     def _records(self, per_record):
-        return (per_record if self._rec_sel is None
-                else per_record[self._rec_sel])
+        return per_record if self._whole else per_record[self._rec_sel]
 
     def _edges(self, per_edge):
-        return (per_edge if self._rec_sel is None
-                else per_edge[self._edge_sel])
+        return per_edge if self._whole else per_edge[self._edge_sel]
+
+    @functools.cached_property
+    def _rec_sel(self):
+        """Plan-wide record index of each batch record."""
+        plan = self._plan
+        return take_ranges(plan.rec_indptr[self.pids],
+                           plan.rec_counts[self.pids])
 
     @functools.cached_property
     def _edge_sel(self):
@@ -142,7 +140,20 @@ class RoundBatch:
         return take_ranges(plan.edge_indptr[self.pids],
                            plan.edge_counts[self.pids])
 
-    # -- record space (lazy part) --------------------------------------
+    # -- record space --------------------------------------------------
+    @functools.cached_property
+    def rec_indptr(self):
+        return self._page_indptr(self._plan.rec_indptr,
+                                 self._plan.rec_counts)
+
+    @functools.cached_property
+    def degrees(self):
+        return self._records(self._plan.degrees)
+
+    @functools.cached_property
+    def rec_vids(self):
+        return self._records(self._plan.rec_vids)
+
     @functools.cached_property
     def rec_divisor(self):
         return self._records(self._plan.rec_divisor)
@@ -296,7 +307,7 @@ class RoundBatch:
         """
         plan = self._plan
         rows = np.flatnonzero(active)
-        plan_rows = rows if self._rec_sel is None else self._rec_sel[rows]
+        plan_rows = rows if self._whole else self._rec_sel[rows]
         degrees = plan.degrees[plan_rows]
         return Frontier(self, rows, degrees,
                         take_ranges(plan.rec_edge_start[plan_rows], degrees))

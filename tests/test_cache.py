@@ -45,6 +45,27 @@ class TestResolveRound:
         also held to its definition (the ``C`` most recently used
         distinct pages) and pin to its own (the first ``C`` ever
         probed)."""
+        self._check_bulk_round(policy, capacity, prefill, rounds,
+                               repeat, traced)
+
+    @settings(max_examples=60, deadline=None)
+    @given(capacity=st.integers(16, 256),
+           prefill=st.lists(st.integers(0, 299), min_size=16,
+                            max_size=300),
+           rounds=st.lists(st.lists(st.integers(0, 299), unique=True,
+                                    min_size=40, max_size=120),
+                           min_size=1, max_size=4))
+    def test_many_run_lru_round_is_the_page_replay(self, capacity,
+                                                   prefill, rounds):
+        """The same, for untraced LRU rounds long enough to interleave
+        their resident depths past eight decreasing runs (the merge
+        count)."""
+        self._check_bulk_round("lru", capacity, prefill, rounds,
+                               repeat=False, traced=False)
+
+    @staticmethod
+    def _check_bulk_round(policy, capacity, prefill, rounds, repeat,
+                          traced):
         if repeat and rounds and rounds[0]:
             rounds[0] = rounds[0] + rounds[0][:1]
         bulk, replay = (PageCache(capacity, policy=policy, gpu_index=0,
@@ -74,17 +95,14 @@ class TestResolveRound:
         if traced:
             assert list(bulk.recorder) == list(replay.recorder)
 
-
-    @given(depth=st.lists(st.integers(0, 30), unique=True))
+    @settings(deadline=None)
+    @given(depth=st.lists(st.integers(0, 255), unique=True, max_size=200))
     def test_earlier_smaller_counts(self, depth):
-        """The LRU count, run by run, against its definition; None past
-        eight decreasing runs."""
+        """The LRU count against its definition, run by run below eight
+        decreasing runs and by the merge count past them."""
         counted = _earlier_smaller(np.asarray(depth, dtype=np.int64))
-        if sum(a < b for a, b in zip(depth, depth[1:])) >= 8:
-            assert counted is None
-        else:
-            assert counted.tolist() == [sum(d < g for d in depth[:i])
-                                        for i, g in enumerate(depth)]
+        assert counted.tolist() == [sum(d < g for d in depth[:i])
+                                    for i, g in enumerate(depth)]
 
 
 class TestLookup:

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import BFSKernel, GTSEngine, PageRankKernel
+from repro.core import BCKernel, BFSKernel, GTSEngine, PageRankKernel
 from repro.dynamic import (DynamicGraphDatabase, UpdateBatch,
                            open_dynamic_database)
 from repro.errors import DeviceLostError
@@ -57,7 +57,8 @@ class TestRecoverableFaults:
     @pytest.mark.parametrize("make_kernel", [
         lambda: PageRankKernel(iterations=3),
         lambda: BFSKernel(start_vertex=0),
-    ], ids=["pagerank", "bfs"])
+        lambda: BCKernel(sources=(0,)),
+    ], ids=["pagerank", "bfs", "bc"])
     def test_bit_identical_results_only_slower(self, rmat_db, machine,
                                                seed, make_kernel):
         clean = _run(rmat_db, machine, make_kernel())
@@ -117,6 +118,22 @@ class TestDeviceLoss:
         _assert_same_values(faulted, clean)
         assert faulted.fault_stats["dead_gpus"] == [1]
         assert faulted.fault_stats["devices_lost"] == 1
+
+    def test_bc_survives_a_gpu_lost_in_its_forward_sweep(self, rmat_db,
+                                                         machine):
+        """The backward sweep reads what the forward sweep recorded on
+        two GPUs, on the one left."""
+        clean = _run(rmat_db, machine, BCKernel(sources=(0,)),
+                     strategy="performance")
+        forward = [stats for stats in clean.rounds
+                   if "forward" in stats.description]
+        assert len(forward) > 2
+        faulted = _run(rmat_db, machine, BCKernel(sources=(0,)),
+                       strategy="performance",
+                       faults=FaultPlan(gpu_loss={1: forward[1].start_time}))
+        _assert_same_values(faulted, clean)
+        assert faulted.fault_stats["dead_gpus"] == [1]
+        assert faulted.elapsed_seconds != clean.elapsed_seconds
 
     def test_scalability_strategy_cannot_survive_gpu_loss(self, rmat_db,
                                                           machine):

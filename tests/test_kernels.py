@@ -7,6 +7,8 @@ implementation on the CSR graph.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import reference
 from repro.core import (
@@ -19,11 +21,16 @@ from repro.core import (
     SSSPKernel,
     WCCKernel,
 )
+from repro.core.kernels import bc
+from repro.core.plan import Frontier, RoundBatch
 from repro.errors import ConfigurationError
 from repro.format import PageFormatConfig, build_database
 from repro.graphgen import generate_rmat
 from repro.graphgen.random_graphs import generate_ring, generate_star
+from repro.hardware.specs import scaled_workstation
 from repro.units import KB
+
+from .reference_bc import ReferenceBCKernel
 
 
 def _run(db, machine, kernel, **kwargs):
@@ -170,33 +177,77 @@ class TestWCC:
 
 
 class TestBC:
-    def test_matches_reference_single_source(self, rmat_graph, rmat_db,
-                                             machine):
+    @settings(max_examples=30, deadline=None)
+    @given(scale=st.integers(5, 8), seed=st.integers(0, 10 ** 6),
+           symmetrised=st.booleans(),
+           picks=st.lists(st.integers(0, 255), min_size=1, max_size=3),
+           repeat=st.booleans(),
+           strategy=st.sampled_from(["performance", "scalability"]),
+           num_gpus=st.sampled_from([1, 2]), traced=st.booleans())
+    def test_dag_record_is_the_rebuilt_dag(self, scale, seed, symmetrised,
+                                           picks, repeat, strategy,
+                                           num_gpus, traced):
+        """Recording the DAG on the way down leaves every value (dtype
+        and bytes), the simulated clock, every round's statistics and
+        (traced) every trace event where the body that rebuilt it on
+        the way back leaves them: R-MAT stores on 512-byte pages (large
+        pages routine), directed or symmetrised, 1-3 sources, one of
+        them possibly repeated."""
+        graph = generate_rmat(scale, edge_factor=8, seed=seed)
+        if symmetrised:
+            graph = graph.symmetrised()
+        db = build_database(graph, PageFormatConfig(2, 2, 512))
+        sources = tuple(p % graph.num_vertices for p in picks)
+        if repeat:
+            sources += sources[:1]
+        machine = scaled_workstation(num_gpus=num_gpus, num_ssds=2)
+        new, old = (GTSEngine(db, machine, strategy=strategy,
+                              tracing=traced).run(kernel(sources=sources))
+                    for kernel in (BCKernel, ReferenceBCKernel))
+        assert new.values.keys() == old.values.keys()
+        for key, value in old.values.items():
+            assert new.values[key].dtype == value.dtype
+            assert new.values[key].tobytes() == value.tobytes()
+        assert new.elapsed_seconds == old.elapsed_seconds
+        assert new.rounds == old.rounds
+        if traced:
+            assert list(new.trace) == list(old.trace)
+
+    def test_backward_rounds_read_the_forward_record(self, rmat_graph,
+                                                     rmat_db, machine,
+                                                     monkeypatch):
+        """A backward round advances, filters and counts nothing, and
+        its batch gathers nothing: it reads what its forward round
+        recorded."""
+        phase, calls = [], []
+
+        def spy(owner, name):
+            real = getattr(owner, name)
+
+            def called(*args, **kwargs):
+                calls.append((phase[-1], name))
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, called)
+
+        spy(RoundBatch, "advance")
+        spy(Frontier, "filter")
+        spy(bc, "frontier_batch_work")
+
+        class Spied(BCKernel):
+            def process_batch(self, batch, state, ctx):
+                phase.append(state.phase)
+                work = super().process_batch(batch, state, ctx)
+                if state.phase == "backward":
+                    assert not vars(batch).keys() - {"_plan", "pids",
+                                                     "_whole"}
+                return work
+
         start = int(np.argmax(rmat_graph.out_degrees()))
-        result = _run(rmat_db, machine, BCKernel(sources=(start,)))
-        expected = reference.betweenness_centrality(rmat_graph, (start,))
-        assert np.allclose(result.values["centrality"], expected,
-                           rtol=1e-9, atol=1e-9)
-
-    def test_matches_reference_multi_source(self, rmat_graph, rmat_db,
-                                            machine):
-        degrees = rmat_graph.out_degrees()
-        sources = tuple(int(v) for v in np.argsort(degrees)[-3:])
-        result = _run(rmat_db, machine, BCKernel(sources=sources))
-        expected = reference.betweenness_centrality(rmat_graph, sources)
-        assert np.allclose(result.values["centrality"], expected,
-                           rtol=1e-9, atol=1e-9)
-
-    def test_diamond_path_counting(self, diamond_graph, machine,
-                                   small_config):
-        """0 -> {1,2} -> 3: each middle vertex carries half the paths."""
-        db = build_database(diamond_graph, small_config)
-        result = _run(db, machine, BCKernel(sources=(0,)))
-        centrality = result.values["centrality"]
-        assert centrality[1] == pytest.approx(0.5)
-        assert centrality[2] == pytest.approx(0.5)
-        assert centrality[0] == 0.0
-        assert centrality[3] == 0.0
+        _run(rmat_db, machine, Spied(sources=(start, start)))
+        assert phase.count("backward") > 2
+        assert {name for _, name in calls} == {
+            "advance", "filter", "frontier_batch_work"}
+        assert all(seen == "forward" for seen, _ in calls)
 
     def test_needs_a_source(self):
         with pytest.raises(ConfigurationError):
@@ -226,6 +277,11 @@ class TestRWR:
             RWRKernel(iterations=0)
         with pytest.raises(ConfigurationError):
             RWRKernel(restart=2.0)
+
+    def test_negative_query_vertex_rejected(self):
+        """Not a walk from the last vertex, as index -1 would read."""
+        with pytest.raises(ConfigurationError):
+            RWRKernel(query_vertex=-1)
 
 
 class TestDegree:
