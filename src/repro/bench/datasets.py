@@ -153,9 +153,3 @@ def default_start_vertex(graph):
     the busiest vertex instead (recorded in EXPERIMENTS.md).
     """
     return int(np.argmax(graph.out_degrees()))
-
-
-def clear_caches():
-    """Drop cached graphs/databases (tests use this to bound memory)."""
-    _GRAPH_CACHE.clear()
-    _DB_CACHE.clear()

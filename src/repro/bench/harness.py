@@ -32,26 +32,6 @@ def run_or_oom(func, *args, **kwargs):
         return OOM
 
 
-def persist_run_metrics(result, results_dir, filename="metrics.jsonl",
-                        extra_meta=None):
-    """Append one metrics record for a finished run to a JSONL log.
-
-    Benches call this after each run so ``results_dir`` accumulates a
-    machine-readable trajectory (one JSON object per line) alongside the
-    rendered tables; returns the log path.  ``extra_meta`` merges into
-    the record's ``meta`` block (e.g. the experiment ID).
-    """
-    from repro.obs import collect_run_metrics
-
-    registry = collect_run_metrics(result)
-    if extra_meta:
-        registry.meta.update(extra_meta)
-    os.makedirs(results_dir, exist_ok=True)
-    path = os.path.join(results_dir, filename)
-    registry.append_jsonl(path)
-    return path
-
-
 def format_cell(outcome, rescale=1.0):
     """Render one table cell: a time, an O.O.M. marker, or raw text."""
     if isinstance(outcome, str):

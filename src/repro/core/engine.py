@@ -35,7 +35,7 @@ import numpy as np
 from repro.core.cache import PageCache, check_policy
 from repro.core.kernels.base import ALL_PAGES, KernelContext
 from repro.core.micro import MicroTechnique
-from repro.core.plan import RoundPlanCache, page_mask, take_ranges
+from repro.core.plan import RoundPlanCache
 from repro.core.result import RoundStats, RunResult
 from repro.core.strategies import make_strategy
 from repro.core.streams import RoundOrder, StreamScheduler
@@ -55,6 +55,11 @@ _STORE_COUNTERS = ("host_bytes_read", "host_reads", "host_adjacent_reads",
 
 class GTSEngine:
     """Run graph-algorithm kernels by streaming topology to GPUs.
+
+    A run reads its database's :class:`~repro.core.plan.PagePlan` of the
+    topology version it serves
+    (:meth:`~repro.format.database.GraphDatabase.page_plan`): built by
+    the first run on that version and shared by every engine after it.
 
     Parameters
     ----------
@@ -109,11 +114,6 @@ class GTSEngine:
     retry_policy:
         Overrides the plan's :class:`~repro.faults.RetryPolicy` for
         transient-fault recovery.
-    plan_cache:
-        Optional :class:`~repro.core.plan.RoundPlanCache` to share
-        across engines (the service keys one per database so every
-        query reuses one plan build per topology version); ``None``
-        gives this engine a private cache, as before.
     """
 
     def __init__(self, db, machine, strategy="performance", num_streams=16,
@@ -121,7 +121,7 @@ class GTSEngine:
                  enable_caching=True, cache_bytes=None, cache_policy="lru",
                  mm_buffer_bytes=None, tracing=False,
                  validate_simulation=False, faults=None, fault_seed=None,
-                 retry_policy=None, plan_cache=None):
+                 retry_policy=None):
         if num_streams < 1:
             raise ConfigurationError("need at least one stream")
         check_policy(cache_policy)
@@ -149,51 +149,10 @@ class GTSEngine:
         self.mm_buffer_bytes = mm_buffer_bytes
         self.validate_simulation = validate_simulation
         self.tracing = tracing or validate_simulation
-        self._plan_cache = (plan_cache if plan_cache is not None
-                            else RoundPlanCache())
-        self._index_topology()
 
     # ------------------------------------------------------------------
     # Setup helpers
     # ------------------------------------------------------------------
-    def _index_topology(self):
-        """Derive, once per topology version, what every run reads of
-        the page layout: the largest page's record count (it sizes
-        RABuf) and every large vertex's page run as ``(firsts,
-        lengths)``: the run's first page ID, ascending, and its page
-        count.
-
-        Adjacency entries always address a large vertex through its first
-        large page (slot 0); streaming that vertex requires the whole
-        consecutive run, which the RVT's LP_RANGE column delimits.
-        """
-        db = self.db
-        self._db_topology_version = getattr(db, "topology_version", 0)
-        self._max_records = db.directory.max_records()
-        lp = db.large_page_ids()
-        # A run occupies consecutive pids with chunk indexes 0..k, so
-        # its first page is the one whose LP_RANGE is 0, and with ``lp``
-        # ascending the next first (or the end) closes the run.
-        starts = np.flatnonzero(db.rvt.lp_ranges[lp] == 0)
-        self._lp_runs = lp[starts], np.diff(np.append(starts, len(lp)))
-
-    def _expand_pids(self, pids):
-        """Normalise a round's page set: dedupe, expand LP runs, and
-        split into (small, large) in the SP-first order the paper uses to
-        avoid kernel switching.  The set goes through the page bitmap —
-        no sort, whatever order or multiplicity ``pids`` arrives in."""
-        pids = np.asarray(pids, dtype=np.int64)
-        # Name a large page by its run's first page, whichever chunk
-        # was asked for; small pages name themselves.
-        named = page_mask(
-            pids - np.maximum(self.db.rvt.lp_ranges[pids], 0),
-            self.db.num_pages)
-        firsts, lengths = self._lp_runs
-        runs = named[firsts]
-        large = take_ranges(firsts[runs], lengths[runs])
-        named[firsts] = False
-        return np.flatnonzero(named), large
-
     def _absorb_gpu_losses(self, runtime, injector, dead_gpus, recorder):
         """Handle GPUs whose scheduled loss time has passed.
 
@@ -244,14 +203,15 @@ class GTSEngine:
                    max(self.db.page_bytes(),
                        int(topology * self.machine.buffer_fraction)))
 
-    def _allocate_device_buffers(self, runtime, kernel):
-        """Size and allocate WABuf/RABuf/SPBuf/LPBuf per GPU; whatever
-        device memory remains becomes the page cache.  Raises the
-        paper's O.O.M. when WA cannot fit."""
+    def _allocate_device_buffers(self, runtime, kernel, max_records):
+        """Size and allocate WABuf/RABuf/SPBuf/LPBuf per GPU (RABuf by
+        the largest page's ``max_records``); whatever device memory
+        remains becomes the page cache.  Raises the paper's O.O.M. when
+        WA cannot fit."""
         db = self.db
         wa_total = kernel.wa_bytes(db.num_vertices)
         wa_gpu = self.strategy.wa_gpu_bytes(wa_total, runtime.num_gpus)
-        ra_buf = (self.num_streams * self._max_records
+        ra_buf = (self.num_streams * max_records
                   * kernel.ra_bytes_per_vertex)
         sp_buf = (self.num_streams * db.config.page_size
                   if db.num_small_pages else 0)
@@ -344,12 +304,6 @@ class GTSEngine:
         store = getattr(db, "_base", db)
         with span("setup"):
             store_start = self._store_counters(store)
-            # A mutated topology (dynamic updates, compaction)
-            # invalidates the page-layout index built at construction
-            # time.
-            version = getattr(db, "topology_version", 0)
-            if version != self._db_topology_version:
-                self._index_topology()
             topology = db.topology_bytes()
             recorder = None
             if self.tracing:
@@ -371,15 +325,15 @@ class GTSEngine:
                     required_bytes=topology,
                     available_bytes=runtime.mm_buffer.capacity_bytes)
 
-            wa_total, caches = self._allocate_device_buffers(runtime,
-                                                             kernel)
+            # The database's plan of this topology version, built by
+            # the first run on it (one pass over the pages, no sort);
+            # every round gathers flat array views from it.
+            with span("core.plan.get"):
+                plan_arrays = RoundPlanCache.get(db)
+            wa_total, caches = self._allocate_device_buffers(
+                runtime, kernel, plan_arrays.max_records)
             state = kernel.init_state(db)
             ctx = KernelContext(db, self.micro_technique)
-
-            # Built once per topology version (one pass over the pages,
-            # no sort); every round gathers flat array views from it.
-            with span("core.plan.get"):
-                plan_arrays = self._plan_cache.get(db)
             copy_bytes_all = plan_arrays.copy_bytes(
                 kernel.ra_bytes_per_vertex)
 
@@ -424,7 +378,7 @@ class GTSEngine:
                     small = db.small_page_ids()
                     large = db.large_page_ids()
                 else:
-                    small, large = self._expand_pids(plan.pids)
+                    small, large = plan_arrays.expand_pids(plan.pids)
                 stats = RoundStats(round_index=round_index,
                                    description=plan.description,
                                    start_time=runtime.now)

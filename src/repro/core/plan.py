@@ -28,9 +28,11 @@ read:
   *bitmap*: kernels, the engine's barrier merge and its large-page-run
   expansion all name page sets through it, so no round sorts an
   edge-length array to learn which pages come next.
-* :class:`RoundPlanCache` — keyed by the database's
-  ``topology_version`` so dynamic updates (WAL batches, compaction)
-  invalidate the plan and the next run rebuilds it.
+* :class:`PlanMemo` — where a topology version keeps its plan: every
+  database handle memoises the plan of the version it serves (a dynamic
+  database memoises one per retained version, and reclaiming the
+  version frees it), built once under one lock per database, so every
+  engine on that version reads one plan and one reduce index.
 
 Everything here is *derived* data: the plan never mutates kernel state
 and holds only the flat arrays its database hands it
@@ -43,8 +45,6 @@ sorted edges, and its batch sorts them.
 """
 
 import functools
-import itertools
-import threading
 import weakref
 
 import numpy as np
@@ -439,9 +439,12 @@ def segment_sum(values, indptr, dtype=np.int64):
 class PagePlan:
     """Flat page-major arrays for one topology snapshot of a database.
 
-    Built from ``db.topology_arrays()`` alone — this constructor reads
-    no page, warms no pool and sorts nothing.  The arrays never alias a
-    store's mapping, so a plan outlives the handle it was built from.
+    Built from ``db.topology_arrays()``, its directory and its RVT —
+    this constructor reads no page, warms no pool and sorts nothing.
+    The arrays never alias a store's mapping, so a plan outlives the
+    handle it was built from.  A database builds it through
+    :meth:`~repro.format.database.GraphDatabase.page_plan`, once per
+    topology version.
     """
 
     def __init__(self, db):
@@ -472,6 +475,19 @@ class PagePlan:
             self.adj_vids = arrays["adj_vids"]
             self.adj_pids = arrays["adj_pids"]
             self.adj_weights = arrays["adj_weights"]
+        #: What a run reads of the page layout besides the arrays: the
+        #: largest page's record count (it sizes RABuf), each page's
+        #: LP_RANGE, and every large vertex's page run as ``(firsts,
+        #: lengths)`` — the run's first page ID, ascending, and its page
+        #: count.  A run occupies consecutive pids with chunk indexes
+        #: 0..k, so its first page is the one whose LP_RANGE is 0, and
+        #: with the large pages ascending the next first (or the end)
+        #: closes the run.
+        self.max_records = db.directory.max_records()
+        self.lp_ranges = db.rvt.lp_ranges
+        lp = db.large_page_ids()
+        starts = np.flatnonzero(self.lp_ranges[lp] == 0)
+        self.lp_runs = lp[starts], np.diff(np.append(starts, len(lp)))
         self._full_batch = None
         self._copy_bytes = {}
         # Memoisation guard: concurrent queries share one plan, and the
@@ -491,6 +507,26 @@ class PagePlan:
                               + self.dir_records * ra_bytes_per_vertex)
                     self._copy_bytes[ra_bytes_per_vertex] = cached
         return cached
+
+    def expand_pids(self, pids):
+        """Normalise a round's page set: dedupe, expand LP runs, and
+        split into ``(small, large)`` in the SP-first order the paper
+        uses to avoid kernel switching.  The set goes through the page
+        bitmap — no sort, whatever order or multiplicity ``pids``
+        arrives in.
+
+        Adjacency entries address a large vertex through its first large
+        page (slot 0); streaming that vertex requires the whole run."""
+        pids = np.asarray(pids, dtype=np.int64)
+        # Name a large page by its run's first page, whichever chunk
+        # was asked for; small pages name themselves.
+        named = page_mask(pids - np.maximum(self.lp_ranges[pids], 0),
+                          self.num_pages)
+        firsts, lengths = self.lp_runs
+        runs = named[firsts]
+        large = take_ranges(firsts[runs], lengths[runs])
+        named[firsts] = False
+        return np.flatnonzero(named), large
 
     def round_batch(self, pids):
         """The batch for one round's page set (SP-first order).
@@ -524,95 +560,43 @@ class PagePlan:
         return batch
 
 
-class RoundPlanCache:
-    """Cache of :class:`PagePlan` keyed by the topology version.
+class PlanMemo:
+    """One database's plan builds: the lock a build holds and their count.
 
-    Historically one engine owned one cache; the service layer now
-    shares a single instance across every query on a database (injected
-    via ``GTSEngine(plan_cache=...)``), so :meth:`get` is thread-safe: a
-    build holds the cache lock, concurrent warm getters take a lock-free
-    fast path on an already-built plan, and ``contended``/``hits``/
-    ``builds`` feed the service's ``/stats`` plan-cache accounting.
-
-    MVCC makes the cache multi-version: queries pinned at an older
-    snapshot run side by side with queries on the post-update head, so
-    the cache keeps up to ``max_plans`` versions at once (evicting the
-    oldest-inserted beyond that) instead of thrashing on every
-    alternation.  Plans are immutable after build, so a plan for a
-    reclaimed version is merely dead weight until evicted — never
-    wrong.
+    A topology version keeps its plan on whatever holds that version's
+    state — the database handle itself, or a dynamic database's
+    version — in a ``_plan`` attribute; one database's versions share
+    this lock and count.  A warm read takes no lock: the plan is
+    published whole and never changes afterwards.
     """
 
-    def __init__(self, max_plans=4):
-        self._plans = {}            # topology_version -> PagePlan
-        self._order = []            # insertion order, oldest first
-        self._lock = InstrumentedLock()
-        self.max_plans = max(1, int(max_plans))
+    def __init__(self):
+        self.lock = InstrumentedLock()
         self.builds = 0
-        # The hit count must be exact without making warm getters take a
-        # lock: ``next()`` on an ``itertools.count`` is one atomic step.
-        # Reading a count also draws a ticket, so reads are tallied
-        # (under their own lock) and subtracted.
-        self._hit_tickets = itertools.count()
-        self._hit_reads = 0
-        self._hit_read_lock = threading.Lock()
 
-    @property
-    def hits(self):
-        """Exact number of :meth:`get` calls served an already-built
-        plan."""
-        with self._hit_read_lock:
-            reads = self._hit_reads
-            self._hit_reads = reads + 1
-            return next(self._hit_tickets) - reads
-
-    @property
-    def contended(self):
-        """Lock acquisitions that had to wait (build-vs-build races)."""
-        return self._lock.contended
-
-    def get(self, db):
-        """The plan for ``db``'s current topology (built on miss).
-
-        The fast path reads the per-version dict without taking the
-        lock — dict probes are atomic under the GIL, entries are
-        assigned whole, and plans are immutable-after-build — so warm
-        concurrent queries never serialise here, and every one of them
-        is counted (see :attr:`hits`).
-        """
-        version = getattr(db, "topology_version", 0)
-        plan = self._plans.get(version)
-        if plan is not None:
-            next(self._hit_tickets)
-            return plan
-        with self._lock:
-            plan = self._plans.get(version)
-            if plan is not None:
-                next(self._hit_tickets)
-                return plan
-            with span("core.plan.build"):
-                plan = PagePlan(db)
-            self._plans[version] = plan
-            self._order.append(version)
-            while len(self._order) > self.max_plans:
-                self._plans.pop(self._order.pop(0), None)
-            self.builds += 1
+    def plan(self, holder, db):
+        """``holder._plan``, built from ``db`` on first use."""
+        plan = holder._plan
+        if plan is None:
+            with self.lock:
+                plan = holder._plan
+                if plan is None:
+                    with span("core.plan.build"):
+                        plan = PagePlan(db)
+                    holder._plan = plan
+                    self.builds += 1
         return plan
 
     def stats(self):
-        """JSON-ready counter snapshot for the service stats endpoint."""
-        hits = self.hits
-        total = hits + self.builds
-        return {
-            "hits": hits,
-            "builds": self.builds,
-            "hit_rate": hits / total if total else 0.0,
-            "cached_plans": len(self._plans),
-            "lock": self._lock.stats(),
-        }
+        """The service's ``/stats`` ``plan_cache`` block."""
+        return {"builds": self.builds, "lock": self.lock.stats()}
 
-    def invalidate(self):
-        """Drop every cached plan (the next :meth:`get` rebuilds)."""
-        with self._lock:
-            self._plans = {}
-            self._order = []
+
+class RoundPlanCache:
+    """The name the ledger's ``core.plan.get`` span wraps; ROADMAP item
+    4's ``benchmark`` issue moves that span to ``page_plan`` and deletes
+    this class."""
+
+    @staticmethod
+    def get(db):
+        return db.page_plan()

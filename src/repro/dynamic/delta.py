@@ -108,13 +108,17 @@ class _VersionState:
     ``source`` holds the arrays of the nearest ancestor that built them
     (``None``: the base's) and ``dirty`` the pages refreshed since that
     source.  A build splices only those pages' rows into ``source``.
+
+    ``_plan`` is the version's :class:`~repro.core.plan.PagePlan`, built
+    by the first snapshot that asks for it (:meth:`Snapshot.page_plan`)
+    and dropped when the version is reclaimed.
     """
 
     __slots__ = ("version", "base", "base_pages", "base_vertices",
                  "extras", "dead", "merged", "lp_runs", "directory",
                  "num_pages", "rvt", "vertex_page", "out_degrees",
                  "num_vertices", "num_edges", "arrays", "source", "dirty",
-                 "_server")
+                 "_server", "_plan")
 
     def __init__(self, version, base, base_pages, base_vertices, extras,
                  dead, merged, lp_runs, directory, num_pages, rvt,
@@ -139,6 +143,7 @@ class _VersionState:
         self.source = source
         self.dirty = dirty
         self._server = None
+        self._plan = None
 
     def server(self, owner):
         """A memoised unpinned :class:`Snapshot` serving this state
@@ -347,6 +352,14 @@ class DynamicGraphDatabase(GraphDatabase):
         with self._version_lock:
             state = self._versions[self.topology_version]
         return state.topology_arrays()
+
+    def page_plan(self):
+        """The head version's plan, which its snapshots share (see
+        :meth:`Snapshot.page_plan`); this handle keeps none of its
+        own."""
+        with self._version_lock:
+            state = self._versions[self.topology_version]
+        return state.server(self).page_plan()
 
     def _merge_base(self, pid, base_page):
         """The overlay-merged view of a base page (``base_page`` itself
@@ -821,7 +834,11 @@ class DynamicGraphDatabase(GraphDatabase):
         if not dead:
             return 0
         for v in dead:
-            del self._versions[v]
+            # Free the version's plan now: a released snapshot may still
+            # hold the state, and the state and its memoised server
+            # snapshot are a cycle only the cyclic collector would break.
+            state = self._versions.pop(v)
+            state._plan = state._server = None
         self.reclaimed_versions += len(dead)
         self._retire_bases_locked()
         if self.recorder is not None:
@@ -981,8 +998,8 @@ class Snapshot(GraphDatabase):
     and by :meth:`DynamicGraphDatabase.snapshot` (unpinned, for one-off
     reads).  It is a full :class:`~repro.format.database.GraphDatabase`:
     the engine runs whole queries against it exactly as against the
-    head, and its ``topology_version`` is the pinned version, so the
-    version-keyed round-plan cache serves versions side by side.
+    head, and its ``topology_version`` is the pinned version, whose
+    plan every snapshot of it shares.
 
     The view holds *references* into the owner's frozen
     :class:`_VersionState` — construction copies nothing.
@@ -1027,6 +1044,7 @@ class Snapshot(GraphDatabase):
             name=owner.name,
         )
         self.topology_version = state.version
+        self.plan_memo = owner.plan_memo
 
     @property
     def version(self):
@@ -1035,6 +1053,12 @@ class Snapshot(GraphDatabase):
 
     def topology_arrays(self):
         return self._state.topology_arrays()
+
+    def page_plan(self):
+        """This version's plan, memoised on its :class:`_VersionState`:
+        every snapshot of the version shares one, built under the
+        owner's lock and freed when the version is reclaimed."""
+        return self.plan_memo.plan(self._state, self)
 
     @property
     def released(self):

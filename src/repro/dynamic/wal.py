@@ -243,10 +243,6 @@ class WriteAheadLog:
                 os.fsync(handle.fileno())
         os.replace(tmp, self.path)
 
-    def size_bytes(self):
-        """Current on-disk size of the log."""
-        return os.path.getsize(self.path)
-
     def _instant(self, name, **args):
         if self.recorder is not None:
             self.recorder.instant(name, "host", "wal",

@@ -18,6 +18,7 @@ columns of the paper's Table 3.
 
 import numpy as np
 
+from repro.core.plan import PlanMemo
 from repro.errors import FormatError
 from repro.format.page import LargePage, PageKind, SmallPage
 
@@ -153,9 +154,12 @@ class GraphDatabase:
         self.name = name or "graph"
         #: Monotone counter bumped whenever the topology mutates (the
         #: dynamic layer increments it per applied batch and per
-        #: compaction); engines compare it against the value seen at
-        #: construction to invalidate page-derived indexes.
+        #: compaction); each version has its own plan.
         self.topology_version = 0
+        #: This topology's plan (see :meth:`page_plan`), and the lock
+        #: and count of the handle's plan builds.
+        self._plan = None
+        self.plan_memo = PlanMemo()
 
     # ------------------------------------------------------------------
     # Page access
@@ -209,6 +213,12 @@ class GraphDatabase:
         return LargePage(page_id, start_vid, chunk, adj_pids, adj_slots,
                          adj_vids, self.config, adj_weights=weights,
                          total_degree=int(arrays["rec_divisor"][recs][0]))
+
+    def page_plan(self):
+        """This topology's :class:`~repro.core.plan.PagePlan`: built on
+        first use, then kept for the life of the handle and shared by
+        every engine that runs on it."""
+        return self.plan_memo.plan(self, self)
 
     def page_for_vertex(self, vid):
         """Page ID containing ``vid`` — seeds BFS's initial ``nextPIDSet``."""

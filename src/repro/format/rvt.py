@@ -42,7 +42,3 @@ class RecordVertexTable:
     def is_large(self, page_id):
         """True when ``page_id`` is a large page (``LP_RANGE`` >= 0)."""
         return bool(self.lp_ranges[page_id] >= 0)
-
-    def memory_bytes(self, start_vid_bytes=6, lp_range_bytes=4):
-        """Main-memory footprint of the table at the paper's field widths."""
-        return len(self) * (start_vid_bytes + lp_range_bytes)

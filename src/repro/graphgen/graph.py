@@ -118,12 +118,6 @@ class Graph:
         """Out-neighbours of vertex ``v`` (a view into ``targets``)."""
         return self.targets[self.indptr[v]:self.indptr[v + 1]]
 
-    def edge_weights(self, v):
-        """Weights of ``v``'s out-edges, or None for unweighted graphs."""
-        if self.weights is None:
-            return None
-        return self.weights[self.indptr[v]:self.indptr[v + 1]]
-
     def max_degree(self):
         degrees = self.out_degrees()
         return int(degrees.max()) if len(degrees) else 0

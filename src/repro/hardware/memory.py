@@ -103,11 +103,3 @@ class MainMemoryBuffer:
     def hit_rate(self):
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def resident_bytes(self):
-        """Bytes currently buffered (a gauge for the metrics registry)."""
-        return self._count * self.page_bytes
-
-    def reset_counters(self):
-        self.hits = 0
-        self.misses = 0

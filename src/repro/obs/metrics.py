@@ -408,7 +408,6 @@ def collect_service_metrics(stats, registry=None):
         prefix = "service.db.%s" % name
         registry.counter(prefix + ".queries").inc(db_stats["queries"])
         plan = db_stats.get("plan_cache") or {}
-        registry.counter(prefix + ".plan_hits").inc(plan.get("hits", 0))
         registry.counter(prefix + ".plan_builds").inc(
             plan.get("builds", 0))
         registry.counter(prefix + ".exclusive_queries").inc(

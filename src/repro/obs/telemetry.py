@@ -815,8 +815,6 @@ def service_metric_families(stats):
                            "fault-isolated exclusive queries"),
                 db.get("exclusive_queries"), **label)
         plan = db.get("plan_cache") or {}
-        _sample(db_counter("gts_db_plan_cache_hits_total"),
-                plan.get("hits"), **label)
         _sample(db_counter("gts_db_plan_cache_builds_total"),
                 plan.get("builds"), **label)
         gate = db.get("gate") or {}

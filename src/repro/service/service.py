@@ -5,9 +5,10 @@ handles and runs many queries against them concurrently, sharing two
 host-side caches per database (host wall-clock only; simulated timings
 and outputs stay bit-identical to a cold one-shot run):
 
-* one :class:`~repro.core.plan.RoundPlanCache` — the flat-array plan
-  every round reads is built once per topology version instead of once
-  per engine;
+* the database's own plan of each topology version
+  (:meth:`~repro.format.database.GraphDatabase.page_plan`) — the
+  flat-array plan every round reads is built once per version instead
+  of once per engine;
 * (for file-backed handles) the database's own page pool, the one host
   page cache, which the :mod:`repro.concurrency` locks made safe to
   share.
@@ -47,7 +48,6 @@ from repro.core.algorithms import (
     check_topology,
     make_kernel,
 )
-from repro.core.plan import RoundPlanCache
 from repro.errors import (
     AdmissionError,
     ConfigurationError,
@@ -129,15 +129,15 @@ class QueryRequest:
 
 
 class _ServedDatabase:
-    """A database handle plus the caches every query on it shares."""
+    """A database handle plus the gate and counters of the queries on
+    it."""
 
-    __slots__ = ("name", "db", "plan_cache", "gate", "queries", "owns_db",
+    __slots__ = ("name", "db", "gate", "queries", "owns_db",
                  "writer_lock", "updates", "prefix")
 
     def __init__(self, name, db, owns_db=False, prefix=None):
         self.name = name
         self.db = db
-        self.plan_cache = RoundPlanCache()
         self.gate = ReadWriteGate()
         self.queries = 0
         #: True when the service opened the database itself (via
@@ -163,7 +163,7 @@ class _ServedDatabase:
             "pages": db.num_pages,
             "topology_version": getattr(db, "topology_version", 0),
             "queries": self.queries,
-            "plan_cache": self.plan_cache.stats(),
+            "plan_cache": db.plan_memo.stats(),
             "exclusive_queries": self.gate.exclusive_acquisitions,
             "gate": self.gate.stats(),
             "updates": self.updates,
@@ -261,8 +261,8 @@ class GraphService:
         from ``<prefix>.plan`` when it matches, through the WAL-aware
         dynamic opener) under ``name``.
 
-        The handle gets its own plan cache and read/write gate (a
-        file-backed handle brings its page pool, sized by
+        The handle gets its own read/write gate (it brings its own
+        plans, and a file-backed handle its page pool, sized by
         ``pool_pages``); re-registering a name raises
         :class:`~repro.errors.ServiceError`.  Returns the handle.
         """
@@ -497,8 +497,7 @@ class GraphService:
             enable_caching=options["enable_caching"],
             cache_policy=options["cache_policy"],
             faults=request.faults,
-            fault_seed=request.fault_seed,
-            plan_cache=entry.plan_cache)
+            fault_seed=request.fault_seed)
 
     def _execute(self, request, entry, deadline=None, timeout_ms=None,
                  trace=None):

@@ -1,15 +1,15 @@
 """Unit tests for the vectorized execution plan and its satellites.
 
 Covers the :mod:`repro.core.plan` arrays (batch gathering, the batch's
-reduce index and segment reduce, the topology-version plan cache), the
+reduce index and segment reduce, one plan per topology version), the
 steady-state cache shortcut, the vectorized large-page-run index, and
 the rejection of the removed ``execution`` knob on the engine and the
 CLI.
 """
 
-import sys
-import threading
+import gc
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -29,10 +29,11 @@ from repro.core.cache import PageCache
 from repro.core.kernels import Kernel, KernelContext
 from repro.core.kernels.base import frontier_batch_work
 from repro.core.micro import MicroTechnique, segment_lane_steps
-from repro.core.plan import PagePlan, RoundBatch, RoundPlanCache
+from repro.core.plan import PagePlan, RoundBatch
 from repro.core.result import RoundStats
 from repro.core.strategies import make_strategy
 from repro.core.streams import RoundOrder, StreamScheduler
+from repro.dynamic import DynamicGraphDatabase, UpdateBatch
 from repro.errors import (ConfigurationError, RetryExhaustedError,
                           ServiceError, SimulationError)
 from repro.faults import FaultInjector, FaultPlan, RetryPolicy
@@ -42,7 +43,7 @@ from repro.hardware.machine import MachineRuntime
 from repro.hardware.specs import scaled_workstation
 from repro.obs.events import TraceRecorder
 from repro.obs.host import HostProfiler
-from repro.service import QueryRequest
+from repro.service import GraphService, QueryRequest
 from repro.spans import activate
 
 from . import reference_booking
@@ -527,8 +528,7 @@ class TestPlanArrays:
                 return _sort(keys, *args, **kwargs)
             monkeypatch.setattr(np, name, watched)
         start = int(np.argmax(lp_db.out_degrees))
-        cache = RoundPlanCache()
-        engine = GTSEngine(lp_db, machine, plan_cache=cache)
+        engine = GTSEngine(lp_db, machine)
         hp = HostProfiler()
         with activate(hp):
             for kernel in (BFSKernel(start_vertex=start),
@@ -537,11 +537,11 @@ class TestPlanArrays:
         assert max(sorted_lengths) < lp_db.num_edges
         assert not any("_reduce_index" in vars(batch) for batch in batches)
         assert hp.calls("scatter") == 0
-        assert {name for name, value in vars(cache.get(lp_db)).items()
+        assert {name for name, value in vars(lp_db.page_plan()).items()
                 if isinstance(value, np.ndarray)} == set(
             lp_db.topology_arrays()) | {"rec_indptr", "edge_indptr",
                                         "rec_edge_start", "dir_records",
-                                        "_full_order"}
+                                        "_full_order", "lp_ranges"}
         batches.clear()
         hp = HostProfiler()
         with activate(hp):
@@ -555,9 +555,6 @@ class TestPlanArrays:
         plan; were both references strong, every dropped plan (one per
         commit under live updates) would sit in memory until a
         collection — measured as 4x peak RSS on the service workload."""
-        import gc
-        import weakref
-
         plan = PagePlan(db)
         plan.full_batch()._reduce_index
         dropped = weakref.ref(plan)
@@ -596,78 +593,79 @@ class TestPlanArrays:
         np.testing.assert_array_equal(first, expected)
 
 
-class TestRoundPlanCache:
-    def test_rebuilds_on_topology_version_bump(self, db):
-        cache = RoundPlanCache()
-        first = cache.get(db)
-        assert cache.get(db) is first
-        assert (cache.builds, cache.hits) == (1, 1)
-        db.topology_version += 1
-        second = cache.get(db)
-        assert second is not first
-        assert second.topology_version == db.topology_version
-        assert cache.builds == 2
+class TestPlanPerVersion:
+    def test_one_plan_and_reduce_index_per_version(self, db, machine,
+                                                   monkeypatch):
+        """Fresh engines, pinned snapshots of one version and concurrent
+        service queries read one plan and one reduce index per (database,
+        version); a commit builds the next version's once."""
+        plans, batches = [], []
+        for cls, seen in ((PagePlan, plans), (RoundBatch, batches)):
+            monkeypatch.setattr(cls, "__init__", lambda obj, *args, _seen=seen,
+                                _init=cls.__init__: _seen.append(obj)
+                                or _init(obj, *args))
+        live = DynamicGraphDatabase(db)
+        pinned = [live.pin() for _ in range(3)]
+        for database in [live] * 3 + pinned:
+            GTSEngine(database, machine).run(PageRankKernel(iterations=3))
+        live.apply(UpdateBatch().insert_edge(0, 1))
+        for snapshot in pinned:
+            GTSEngine(snapshot, machine).run(PageRankKernel(iterations=3))
+            snapshot.release()
+        service = GraphService(max_in_flight=4)
+        service.add_database("g", db=live)
+        futures = [service.submit({"database": "g", "algorithm": "pagerank",
+                                   "params": {"iterations": 3}})
+                   for _ in range(8)]
+        assert {f.result(timeout=60).snapshot_version for f in futures} == {1}
+        assert service.stats()["databases"]["g"]["plan_cache"]["builds"] == 2
+        service.drain()
+        assert [plan.topology_version for plan in plans] == [0, 1]
+        assert sum("_reduce_index" in vars(b) for b in batches) == 2
 
-    def test_invalidate_forces_rebuild(self, db):
-        cache = RoundPlanCache()
-        first = cache.get(db)
-        cache.invalidate()
-        assert cache.get(db) is not first
-
-    def test_hit_count_is_exact_under_threads(self, db):
-        """Warm getters take no lock, and still none of their hits is
-        lost: ``N`` threads x ``M`` gets on a built plan count ``N*M``."""
-        cache = RoundPlanCache()
-        plan = cache.get(db)
-        num_threads, gets = 8, 2000
-        barrier = threading.Barrier(num_threads)
-        strays = []
-
-        def reader():
-            barrier.wait(timeout=30)
-            for _ in range(gets):
-                if cache.get(db) is not plan:
-                    strays.append(1)
-
-        threads = [threading.Thread(target=reader)
-                   for _ in range(num_threads)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
+    def test_reclaimed_version_frees_its_plan_at_once(self, db):
+        """The commit or release that reclaims a version drops its plan
+        (reduce index included) with no collection, though a released
+        snapshot and the version's server snapshot still refer to it."""
+        live = DynamicGraphDatabase(db)
+        gc.disable()
         try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
+            pinned = live.pin()
+            pinned.page_plan().full_batch()._reduce_index
+            v0 = weakref.ref(live.page_plan())
+            assert v0() is pinned.page_plan()
+            live.apply(UpdateBatch().insert_edge(0, 1))
+            assert v0() is not None
+            pinned.release()
+            assert v0() is None
+            v1 = weakref.ref(live.page_plan())
+            server = weakref.ref(live.snapshot())
+            live.apply(UpdateBatch().insert_edge(0, 2))
+            assert v1() is None and server() is None
         finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not strays
-        assert cache.builds == 1
-        assert cache.hits == num_threads * gets
-        assert cache.hits == num_threads * gets  # reading is not a hit
-        assert cache.stats()["hits"] == num_threads * gets
+            gc.enable()
 
 
 class TestLargePageRunIndex:
-    def test_matches_bruteforce(self, machine):
+    def test_matches_bruteforce(self):
         # Heavy-tailed RMAT with a small page size yields many LP runs.
         graph = generate_rmat(9, edge_factor=12, seed=4)
         db = build_database(graph, PageFormatConfig(2, 2, 512))
-        engine = GTSEngine(db, machine)
+        plan = PagePlan(db)
         lp = np.asarray(db.large_page_ids(), dtype=np.int64)
         assert len(lp) > 0
         expected = {}
         for pid in lp.tolist():
             first = pid - int(db.rvt.lp_ranges[pid])
             expected.setdefault(first, []).append(pid)
-        firsts, lengths = engine._lp_runs
+        firsts, lengths = plan.lp_runs
         assert firsts.tolist() == sorted(expected)
         assert lengths.tolist() == [len(expected[f]) for f in sorted(expected)]
         # Any chunk of a run names the whole run; duplicates and order
         # in the request do not matter.
         rng = np.random.default_rng(0)
         asked = rng.choice(db.num_pages, size=db.num_pages // 3)
-        small, large = engine._expand_pids(asked)
+        small, large = plan.expand_pids(asked)
         want_large = sorted({p for pid in asked.tolist()
                              if db.rvt.lp_ranges[pid] >= 0
                              for p in expected[

@@ -454,8 +454,9 @@ class TestFaultAccounting:
     def test_host_corruption_fires_in_the_plan_build_only(
             self, rmat_db, machine, tmp_path, kernel_name):
         """A faulted round reads nothing: the host reads (and their
-        corruption) happen where the plan is built.  Cold plan cache: 3
-        faults, 3 verified re-reads.  Warm shared plan: none,
+        corruption) happen where the plan is built.  The handle's first
+        run builds it: 3 faults, 3 verified re-reads.  The second reads
+        the handle's plan: none,
         ``faults_injected`` lower by exactly that count — everything
         else, values and simulated time included, identical."""
         from repro import core

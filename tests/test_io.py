@@ -313,8 +313,8 @@ class TestFileBackedDatabase:
         warm = FileBackedDatabase(prefix)
         os.remove(prefix + ".plan")
         cold = FileBackedDatabase(prefix)
-        skip = {"_plan_topology", "_pool_lock", "_io_lock", "_fd",
-                "_mmap", "_mmap_view"}
+        skip = {"_plan_topology", "_pool_lock", "_io_lock", "plan_memo",
+                "_fd", "_mmap", "_mmap_view"}
         assert warm._plan_topology is not None
         assert cold._plan_topology is None
         _assert_same(*({key: value for key, value in vars(store).items()

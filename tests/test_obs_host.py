@@ -21,7 +21,7 @@ import pytest
 import repro.obs.host as host_module
 import repro.spans as spans_module
 from repro.core import BFSKernel, GTSEngine, PageRankKernel
-from repro.core.plan import PagePlan, RoundPlanCache
+from repro.core.plan import PagePlan
 from repro.errors import ConfigurationError, DeadlineError
 from repro.format import build_database
 from repro.format.io import FileBackedDatabase, load_database, save_database
@@ -154,7 +154,7 @@ class TestHostProfiler:
                 lambda: load_database(str(tmp_path / "g"),
                                       host_profiler=hp),
                 lambda: PagePlan(rmat_db, host_profiler=hp),
-                lambda: RoundPlanCache().get(rmat_db, host_profiler=hp)):
+                lambda: GTSEngine(rmat_db, machine, plan_cache=None)):
             with pytest.raises(TypeError):
                 call()
         assert not hasattr(hp, "phase")
@@ -192,8 +192,10 @@ class TestEngineIntegration:
         assert not hasattr(result, "host_profile")
         assert hp.finish().phases == []
 
-    def test_profiled_run_has_phase_tree(self, rmat_db, machine):
-        result, profile = recorded(GTSEngine(rmat_db, machine),
+    def test_profiled_run_has_phase_tree(self, rmat_graph, small_config,
+                                         machine):
+        fresh = build_database(rmat_graph, small_config)  # builds a plan
+        result, profile = recorded(GTSEngine(fresh, machine),
                                    PageRankKernel(iterations=3))
         paths = {p.path for p in profile.phases}
         assert {RUN, RUN + "/setup", RUN + "/setup/core.plan.get",
@@ -262,11 +264,10 @@ class TestEngineIntegration:
 
     def test_recorder_belongs_to_its_thread(self, rmat_db, machine,
                                             tmp_path):
-        """Two threads decode the same file-backed handle for their own
-        plans; only one records, and it hears only itself."""
+        """Two threads decode one store for their own plans (each run on
+        a fresh handle); only one records, and it hears only itself."""
         prefix = str(tmp_path / "g")
         save_database(rmat_db, prefix)
-        db = FileBackedDatabase(prefix, pool_pages=8)
         hp = HostProfiler()
         barrier = threading.Barrier(2, timeout=30)
         done = []
@@ -275,8 +276,9 @@ class TestEngineIntegration:
             with activate(recorder):
                 barrier.wait()
                 for _ in range(3):
-                    GTSEngine(db, machine,
-                              plan_cache=RoundPlanCache()).run(BFSKernel(0))
+                    db = FileBackedDatabase(prefix, pool_pages=8)
+                    GTSEngine(db, machine).run(BFSKernel(0))
+                    db.close()
             done.append(recorder)
 
         threads = [threading.Thread(target=worker, args=(recorder,))
@@ -285,7 +287,6 @@ class TestEngineIntegration:
             thread.start()
         for thread in threads:
             thread.join(timeout=60)
-        db.close()
         assert len(done) == 2 and hp.depth == 0
         profile = hp.finish()
         assert profile.phase(RUN).count == 3

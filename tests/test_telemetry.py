@@ -409,7 +409,7 @@ class TestPrometheusRendering:
     def frozen_stats(self, reorder=False):
         db = {"vertices": 10, "edges": 20, "pages": 4,
               "topology_version": 1, "queries": 5,
-              "plan_cache": {"hits": 4, "builds": 1},
+              "plan_cache": {"builds": 1},
               "exclusive_queries": 0, "updates": 2,
               "gate": {"writers_waiting": 0, "readers_active": 0,
                        "writer_wait_seconds": 0.25,
