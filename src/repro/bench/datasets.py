@@ -96,6 +96,8 @@ DATASETS = {spec.name: spec for spec in (
 )}
 
 _GRAPH_CACHE = {}
+#: The one database (with its plan and reduce index) that
+#: :func:`dataset_database` keeps: experiments sweep dataset-major.
 _DB_CACHE = {}
 
 
@@ -135,14 +137,14 @@ def dataset_graph(name, weighted=False, symmetrised=False):
 def dataset_database(name, weighted=False, symmetrised=False):
     """The slotted-page database for a registry dataset (cached)."""
     key = (name, weighted, symmetrised)
-    if key in _DB_CACHE:
-        return _DB_CACHE[key]
-    spec = dataset_spec(name)
-    graph = dataset_graph(name, weighted=weighted, symmetrised=symmetrised)
-    db = build_database(graph, spec.format_config(weighted=weighted),
-                        name=name)
-    _DB_CACHE[key] = db
-    return db
+    if key not in _DB_CACHE:
+        _DB_CACHE.clear()  # before the next one is built
+        spec = dataset_spec(name)
+        graph = dataset_graph(name, weighted=weighted,
+                              symmetrised=symmetrised)
+        _DB_CACHE[key] = build_database(
+            graph, spec.format_config(weighted=weighted), name=name)
+    return _DB_CACHE[key]
 
 
 def default_start_vertex(graph):

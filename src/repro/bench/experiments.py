@@ -327,7 +327,6 @@ def figure4_timelines(name="rmat27", num_streams=16):
     PageRank is denser than that for BFS since PageRank is
     computationally intensive, whereas BFS is not".
     """
-    from repro.hardware.trace import timeline_density
     table = ExperimentTable(
         "Figure 4: stream timelines (%s, %d streams)"
         % (name, num_streams),
@@ -453,13 +452,11 @@ def figure10_streams(algorithm="BFS", names=None,
         caption="Monotone improvement through 32 streams, as in the "
                 "paper.")
     for name in names:
-        db = dataset_database(name)
-        cells = []
-        for streams in stream_counts:
-            outcome = run_or_oom(_gts_run, _kernel(algorithm, db), name,
-                                 num_streams=streams)
-            cells.append(format_cell(outcome))
-        table.add_row(name, cells)
+        # No reference to a dataset outlives its row, so the next one is
+        # built after the last is freed (``dataset_database`` keeps one).
+        table.add_row(name, [format_cell(run_or_oom(
+            _gts_run, _kernel(algorithm, dataset_database(name)), name,
+            num_streams=streams)) for streams in stream_counts])
     return table
 
 

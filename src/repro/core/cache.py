@@ -36,6 +36,10 @@ _POLICIES = ("lru", "fifo", "clock", "pin")
 #: per ``log2`` of the run count).
 _MAX_DEPTH_RUNS = 8
 
+#: Trace row names by :meth:`PageCache._record_round`'s codes.
+_ROW_NAMES = np.array(["cache_hit", "cache_miss", "cache_evict",
+                       "cache_admit"])
+
 
 def check_policy(policy):
     """Raise :class:`~repro.errors.ConfigurationError` unless
@@ -83,16 +87,16 @@ class PageCache:
         ``ts`` is the simulated time of the probe, used only to
         timestamp trace instants when a recorder is attached.
         """
-        pages = self._open()
-        hit = self._lookup(pages, page_id, ts)
-        self._close(pages)
+        pages, rows = self._open(), []
+        hit = self._lookup(pages, page_id, rows)
+        self._close(pages, rows, ts)
         return hit
 
     def admit(self, page_id, ts=None):
         """Cache a page just streamed in; returns the evicted victim."""
-        pages = self._open()
-        victim = self._admit(pages, page_id, ts)
-        self._close(pages)
+        pages, rows = self._open(), []
+        victim = self._admit(pages, page_id, rows)
+        self._close(pages, rows, ts)
         return victim
 
     def resolve_round(self, page_ids, ts=None):
@@ -104,31 +108,30 @@ class PageCache:
         loop free of cache bookkeeping.  Returns a boolean hit array
         aligned with ``page_ids`` (non-negative page IDs); counters,
         resident order and trace instants are identical to interleaved
-        :meth:`lookup` / :meth:`admit` calls.  An untraced LRU or pin
-        round of distinct pages is decided in arrays
-        (:meth:`_resolve_arrays`), however its depths interleave; FIFO,
-        clock, a traced cache and a round with repeats replay page by
-        page.
+        :meth:`lookup` / :meth:`admit` calls.  An LRU or pin round of
+        distinct pages is decided in arrays (:meth:`_resolve_arrays`),
+        however its depths interleave and whether or not it is traced;
+        FIFO, clock and a round with repeats replay page by page.
         """
         page_ids = np.asarray(page_ids, dtype=np.int64)
-        if self.recorder is None and self.policy in ("lru", "pin"):
-            hits = self._resolve_arrays(page_ids)
+        if self.policy in ("lru", "pin"):
+            hits = self._resolve_arrays(page_ids, ts)
             if hits is not None:
                 return hits
-        pages = self._open()
+        pages, rows = self._open(), []
         hits = np.zeros(len(page_ids), dtype=bool)
         for i, page_id in enumerate(page_ids.tolist()):
-            if self._lookup(pages, page_id, ts):
+            if self._lookup(pages, page_id, rows):
                 hits[i] = True
             else:
-                self._admit(pages, page_id, ts)
-        self._close(pages)
+                self._admit(pages, page_id, rows)
+        self._close(pages, rows, ts)
         return hits
 
-    def _resolve_arrays(self, page_ids):
-        """:meth:`resolve_round` for an untraced LRU or pin cache, or
-        None when the round probes a page twice (it is then replayed
-        page by page).
+    def _resolve_arrays(self, page_ids, ts):
+        """:meth:`resolve_round` for an LRU or pin cache, or None when
+        the round probes a page twice (it is then replayed page by
+        page).
 
         A probe can only hit a page resident when the round starts
         (the probes are distinct).  Under pin that is the whole rule,
@@ -138,9 +141,10 @@ class PageCache:
         the MRU page) hits iff fewer than ``C`` distinct pages were used
         since: the ``i`` earlier probes, plus the ``G`` pages above it
         that no earlier probe touched, i.e. ``i + G - #{earlier probes
-        of residents with depth < G} < C``.  The new resident set is
-        the untouched residents, in order, then the round's probes,
-        keeping the last ``C``.
+        of residents with depth < G} < C``.  Every miss is admitted; the
+        residents no probe hits (one whose probe misses was evicted
+        before it), then the probes, keeping the last ``C``, are the new
+        resident set, and the ones cut off the victims, in order.
         """
         capacity = self.capacity_pages
         resident = self._resident
@@ -161,21 +165,49 @@ class PageCache:
         hits = np.zeros(k, dtype=bool)
         if self.policy == "pin":
             hits[probes] = True
-            admitted = page_ids[~hits][:capacity - size]
-            self._resident = np.concatenate([resident, admitted])
+            admitted = np.flatnonzero(~hits)[:capacity - size]
+            victims = page_ids[:0]
+            self._resident = np.concatenate([resident, page_ids[admitted]])
         else:
             depth = size - 1 - position[probes]
             earlier = _earlier_smaller(depth)
-            hits[probes[probes + depth - earlier < capacity]] = True
-            untouched = np.ones(size, dtype=bool)
-            untouched[position[probes]] = False
-            order = np.concatenate([resident[untouched], page_ids])
-            self._resident = order[max(0, len(order) - capacity):]
+            hit_probes = probes[probes + depth - earlier < capacity]
+            hits[hit_probes] = True
+            admitted = np.flatnonzero(~hits)[:k if capacity else 0]
+            kept = np.ones(size, dtype=bool)
+            kept[position[hit_probes]] = False
+            order = np.concatenate([resident[kept], page_ids])
+            cut = max(0, len(order) - capacity)
+            victims = order[:cut if capacity else 0]
+            self._resident = order[cut:]
         self._referenced = np.zeros(len(self._resident), dtype=bool)
         hit_count = int(np.count_nonzero(hits))
         self.hits += hit_count
         self.misses += k - hit_count
+        if self.recorder is not None and ts is not None:
+            self._record_round(page_ids, hits, admitted, victims, ts)
         return hits
+
+    def _record_round(self, page_ids, hits, admitted, victims, ts):
+        """Record an array-decided round as its replay would: per probe
+        a hit, or a miss, the victim it evicts (the last ``len(victims)``
+        admissions evict) and its admission (when admitted)."""
+        keep = np.zeros((len(page_ids), 3), dtype=bool)
+        keep[:, 0] = True
+        keep[admitted[len(admitted) - len(victims):], 1] = True
+        keep[admitted, 2] = True
+        codes = np.tile([0, 2, 3], (len(page_ids), 1))
+        codes[:, 0] = ~hits
+        pages = np.repeat(page_ids[:, None], 3, axis=1)
+        pages[keep[:, 1], 1] = victims
+        self._record(_ROW_NAMES[codes[keep]], pages[keep], ts)
+
+    def _record(self, names, page_ids, ts):
+        """One block of probe/admission instants at ``ts``."""
+        if self.recorder is not None and ts is not None:
+            self.recorder.block(self.lane, "page cache", names,
+                                [ts] * len(page_ids), page=page_ids,
+                                policy=self.policy)
 
     def _open(self):
         """The resident set as an ``OrderedDict`` (page -> referenced
@@ -183,26 +215,30 @@ class PageCache:
         return OrderedDict(zip(self._resident.tolist(),
                                self._referenced.tolist()))
 
-    def _close(self, pages):
+    def _close(self, pages, rows, ts):
+        """Keep a replay's resident set; record its (name, page) rows."""
         self._resident = np.fromiter(pages, dtype=np.int64,
                                      count=len(pages))
         self._referenced = np.fromiter(pages.values(), dtype=bool,
                                        count=len(pages))
+        if rows:
+            names, page_ids = zip(*rows)
+            self._record(names, page_ids, ts)
 
-    def _lookup(self, pages, page_id, ts):
+    def _lookup(self, pages, page_id, rows):
         if self.capacity_pages and page_id in pages:
             if self.policy == "lru":
                 pages.move_to_end(page_id)
             elif self.policy == "clock":
                 pages[page_id] = True  # referenced bit
             self.hits += 1
-            self._instant("cache_hit", page_id, ts)
+            rows.append(("cache_hit", page_id))
             return True
         self.misses += 1
-        self._instant("cache_miss", page_id, ts)
+        rows.append(("cache_miss", page_id))
         return False
 
-    def _admit(self, pages, page_id, ts):
+    def _admit(self, pages, page_id, rows):
         if self.capacity_pages == 0:
             return None
         if page_id in pages:
@@ -214,15 +250,10 @@ class PageCache:
             if self.policy == "pin":
                 return None  # resident set is stable once full
             victim = self._evict(pages)
-            self._instant("cache_evict", victim, ts)
+            rows.append(("cache_evict", victim))
         pages[page_id] = False
-        self._instant("cache_admit", page_id, ts)
+        rows.append(("cache_admit", page_id))
         return victim
-
-    def _instant(self, name, page_id, ts):
-        if self.recorder is not None and ts is not None:
-            self.recorder.instant(name, self.lane, "page cache", ts,
-                                  page=page_id, policy=self.policy)
 
     def _evict(self, pages):
         if self.policy == "clock":

@@ -28,6 +28,7 @@ the GPU's copy engine; kernels run concurrently on up to
 round-robin as in Figure 3.
 """
 
+import functools
 import time as _time
 
 import numpy as np
@@ -91,8 +92,9 @@ class GTSEngine:
         policy — the whole graph when it fits in main memory, otherwise
         ``buffer_fraction`` (20 %) of the graph size.
     tracing:
-        Record every copy and kernel interval and attach a Figure
-        4-style ASCII stream timeline to the result.
+        Record the run, which takes the untraced path, in a columnar
+        :class:`~repro.obs.events.TraceRecorder` (``result.trace``);
+        ``result.timeline`` renders Figure 4 from it on first read.
     validate_simulation:
         Audit the finished schedule against the DES invariants (no
         resource overlap, accounting, concurrency caps); implies
@@ -313,7 +315,7 @@ class GTSEngine:
                 self.machine, num_streams=self.num_streams,
                 page_bytes=db.config.page_size,
                 mm_buffer_bytes=self._mm_buffer_capacity(),
-                tracing=self.tracing, recorder=recorder)
+                recorder=recorder)
             if runtime.storage is not None:
                 runtime.storage.check_fits(topology)
                 runtime.storage.fault_injector = injector
@@ -470,12 +472,12 @@ class GTSEngine:
             if self.validate_simulation:
                 from repro.hardware.validation import check_runtime
                 check_runtime(runtime)
-            timeline = None
-            if self.tracing:
-                from repro.hardware.trace import render_gpu_timeline
-                timeline = "\n\n".join(
-                    render_gpu_timeline(gpu, 0.0, runtime.now)
-                    for gpu in runtime.gpus)
+            render_timeline = None
+            if recorder is not None:
+                from repro.hardware import trace
+                render_timeline = functools.partial(
+                    trace.render_timeline, recorder, runtime.gpus, 0.0,
+                    runtime.now)
         wall = _time.perf_counter() - wall_start
         count("io.file_bytes_read", io["host_bytes_read"])
         count("io.file_reads", io["host_reads"])
@@ -517,7 +519,7 @@ class GTSEngine:
             strategy=self.strategy.name,
             cache_policy=self.cache_policy,
             notes="preloaded" if preloaded else "cold storage",
-            timeline=timeline,
+            render_timeline=render_timeline,
             trace=recorder,
             fault_stats=fault_stats,
             query_id=query_id,

@@ -1,7 +1,8 @@
 """Run results: algorithm output plus simulated performance counters."""
 
 import dataclasses
-from typing import Dict, List, Optional
+import functools
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -79,9 +80,9 @@ class RunResult:
     cache_policy: str = "lru"
     engine: str = "GTS"
     notes: Optional[str] = None
-    #: Figure 4-style ASCII stream timeline (populated when the engine
-    #: runs with ``tracing=True``).
-    timeline: Optional[str] = None
+    #: Renders :attr:`timeline` from :attr:`trace` (traced runs only).
+    render_timeline: Optional[Callable[[], str]] = dataclasses.field(
+        default=None, repr=False, compare=False)
     #: Structured event stream (a :class:`repro.obs.events.TraceRecorder`)
     #: when the engine ran with ``tracing=True``; feed it to
     #: :func:`repro.obs.write_chrome_trace` for a Perfetto-loadable file.
@@ -98,6 +99,12 @@ class RunResult:
     #: MVCC path this is the version pinned at submit time — concurrent
     #: update batches bump the head but never this run's view.
     snapshot_version: int = 0
+
+    @functools.cached_property
+    def timeline(self):
+        """Figure 4-style ASCII stream timeline of a traced run, rendered
+        on first read; None when the run was not traced."""
+        return self.render_timeline and self.render_timeline()
 
     def analyze(self):
         """Trace analytics for this run: lane occupancy, the

@@ -41,15 +41,6 @@ def _fold(start, durations):
     return float(np.add.accumulate(np.append(start, durations))[-1])
 
 
-def _trace(resource, recorder, name, lane, track, start, end, **args):
-    """One traced activity: ``resource``'s event, when it keeps events,
-    and the recorder's interval, when there is one."""
-    if resource is not None and resource.events is not None:
-        resource.events.append((start, end))
-    if recorder is not None:
-        recorder.interval(name, lane, track, start, end, **args)
-
-
 class StreamScheduler:
     """Books per-page transfer and kernel activities on one machine run.
 
@@ -195,19 +186,19 @@ class StreamScheduler:
         slot's new value, which page ``i + n`` reads.
 
         The loop pauses before a faulted page (``faults[g]`` is the
-        GPU's ``(fails, stalls)``) and before every page of a traced
-        run.  The pause books the page's copy — each failed attempt and
-        its backoff first, both on the copy engine — adds its stall to
-        ``k`` and records its trace; the page then enters the loop as a
-        hit whose slot reads ``k`` (``k >= earliest``, so the loop keeps
-        it).  A clean round never pauses.  Durations are precomputed with
-        ``GPUSpec``'s elementwise arithmetic; busy times are
-        :func:`_fold` sums and counts are integer sums.
+        GPU's ``(fails, stalls)``), and only there.  The pause books the
+        page's copy — each failed attempt and its backoff first, both on
+        the copy engine — adds its stall to ``k`` and keeps the page's
+        copy-engine rows; the page then enters the loop as a hit whose
+        slot reads ``k`` (``k >= earliest``, so the loop keeps it).  A
+        clean round never pauses.  The loop appends every page's ``k``,
+        from which a traced run records the round (:meth:`_record`).
+        Durations are precomputed with ``GPUSpec``'s elementwise
+        arithmetic; busy times are :func:`_fold` sums and counts are
+        integer sums.
         """
         runtime = self.runtime
         pcie = runtime.pcie
-        recorder = runtime.recorder
-        traced = runtime.tracing or recorder is not None
         ct_all = pcie.latency + bytes_arr / pcie.stream_bandwidth
         backoffs = []
         if faults is not None:
@@ -226,7 +217,8 @@ class StreamScheduler:
                   + work / (spec.effective_hz * spec.single_stream_fraction))
             dd = work / spec.effective_hz
             ct = ct_all[seq]
-            rt = np.maximum(ready_at[seq], wa).tolist()
+            rt = np.maximum(ready_at[seq], wa)
+            rts = rt.tolist()
             ce, comp = gpu.copy_engine, gpu.compute
             slots = gpu.streams.slots
             n = len(slots)
@@ -234,24 +226,21 @@ class StreamScheduler:
             rotated = slots[first:] + slots[:first]
             window = [slot.available_at for slot in rotated]
             append = window.append
+            kernel_starts = []
+            started = kernel_starts.append
             copy_end = ce.available_at
             comp_at = comp.available_at
             cts, sds = ct.tolist(), sd.tolist()
             # ``window`` and ``hits`` are read lazily: page i appends
             # entry i + n, and a pause rewrites entry i before page i.
-            pages = zip(window, hits, rt, cts, dd.tolist(), sds)
-            paused = []
+            pages = zip(window, hits, rts, cts, dd.tolist(), sds)
+            paused, pauses = [], []  # pauses: (position, copy end, rows)
             if faults is not None:
                 fails, stalls = faults[g]
                 paused = np.flatnonzero(fails | (stalls > 0)).tolist()
                 fails, stalls = fails.tolist(), stalls.tolist()
-            if traced:
-                paused = range(m)
-            if paused:
-                pids, sizes, steps = (
-                    order.gpu_pids[g].tolist(),
-                    bytes_arr[seq].astype(np.int64).tolist(),
-                    steps_arr[seq].tolist())
+                pids = order.gpu_pids[g].tolist()
+                sizes = bytes_arr[seq].astype(np.int64).tolist()
             paused = iter(paused)
             done, i = 0, next(paused, None)
             while True:
@@ -264,43 +253,44 @@ class StreamScheduler:
                         if copy_end > k:
                             k = copy_end
                         copy_end = k = k + c
+                    started(k)
                     comp_at = (k if k > comp_at else comp_at) + d
                     k += s
                     append(comp_at if comp_at > k else k)
                 if i is None:
                     break
-                # Untraced, ``_trace`` records nothing.
-                k, c, pid = window[i], cts[i], pids[i]
-                tries, stall = ((fails[i], stalls[i]) if faults is not None
-                                else (0, 0.0))
+                k, c, pid, tries, stall = (window[i], cts[i], pids[i],
+                                           fails[i], stalls[i])
+                rows = []  # the page's copy-engine rows
                 if hits[i]:
                     k = early if early > k else k
                 else:
-                    if rt[i] > k:
-                        k = rt[i]
+                    if rts[i] > k:
+                        k = rts[i]
                     if copy_end > k:
                         k = copy_end
                     for attempt, b in enumerate(backoffs[:tries]):
-                        _trace(ce, recorder, "fault", gpu.lane, "copy engine",
-                               k, k + c, page=pid, kind="copy_error",
-                               attempt=attempt)
-                        _trace(ce, recorder, "retry", gpu.lane, "copy engine",
-                               k + c, k + c + b, page=pid, backoff=b)
+                        rows += [("fault", k, k + c, dict(
+                                     page=pid, kind="copy_error",
+                                     attempt=attempt)),
+                                 ("retry", k + c, k + c + b, dict(
+                                     page=pid, backoff=b))]
                         k = k + c + b
-                    _trace(ce, recorder, "h2d_copy", gpu.lane, "copy engine",
-                           k, k + c, bytes=sizes[i],
-                           **({} if faults is None else {"attempt": tries}))
+                    rows.append(("h2d_copy", k, k + c, dict(
+                        bytes=sizes[i], attempt=tries)))
                     copy_end = k = k + c
                 if stall:
-                    _trace(None, recorder, "fault", gpu.lane, "copy engine",
-                           k, k + stall, page=pid, kind="stream_stall")
+                    rows.append(("fault", k, k + stall, dict(
+                        page=pid, kind="stream_stall")))
                     k += stall
-                slot = rotated[i % n]
-                _trace(slot, recorder, "kernel", gpu.lane,
-                       slot.name.split(":")[-1], k, k + sds[i],
-                       lane_steps=steps[i])
+                pauses.append((i, copy_end, rows))
                 window[i], hits[i] = k, True
                 done, i = i, next(paused, None)
+            if runtime.recorder is not None:
+                self._record(gpu, first, np.array(kernel_starts), sd,
+                             steps_arr[seq], np.maximum(rt, window[:m]),
+                             miss, pauses, ce.available_at, bytes_arr[seq],
+                             None if faults is None else 0)
             ce.available_at = copy_end
             comp.available_at = comp_at
             for i in range(m, m + n):
@@ -334,3 +324,29 @@ class StreamScheduler:
             stats.bytes_streamed += nbytes
             stats.pages_from_cache += m - num_missed
             self._dispatch_count[gpu.index] += m
+
+    def _record(self, gpu, first, kernel_starts, sd, steps, ready, miss,
+                pauses, copy_end, copy_bytes, attempt):
+        """Record a GPU's booked round: its kernels ``[k, k + sd]``, each
+        on its stream's lane; on the copy engine, in page order, a clean
+        miss's copy ``[max(ready, slot, last copy end), k]`` or a
+        pause's rows."""
+        recorder, lane = self.runtime.recorder, gpu.lane
+        m, n = len(kernel_starts), gpu.num_streams
+        slots = np.array([slot.name.split(":")[-1]
+                          for slot in gpu.streams.slots])
+        recorder.block(lane, slots[(first + np.arange(m)) % n], "kernel",
+                       kernel_starts, kernel_starts + sd, lane_steps=steps)
+        tag = {} if attempt is None else {"attempt": attempt}
+        lo = 0
+        for i, paused_end, rows in pauses + [(m, None, [])]:
+            clean = lo + np.flatnonzero(miss[lo:i])
+            if len(clean):
+                ends = kernel_starts[clean]
+                recorder.block(lane, "copy engine", "h2d_copy", np.maximum(
+                    ready[clean], np.append(copy_end, ends[:-1])), ends,
+                    bytes=copy_bytes[clean].astype(np.int64), **tag)
+            for name, start, end, args in rows:
+                recorder.interval(name, lane, "copy engine", start, end,
+                                  **args)
+            copy_end, lo = paused_end, i + 1

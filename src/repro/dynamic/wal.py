@@ -138,7 +138,7 @@ class WriteAheadLog:
         lsn = self.records_appended
         self.records_appended += 1
         self.bytes_appended += len(record)
-        self._instant("wal_append", lsn=lsn, bytes=len(record))
+        self._record("wal_append", lsn=lsn, bytes=len(record))
         return lsn
 
     # ------------------------------------------------------------------
@@ -171,7 +171,7 @@ class WriteAheadLog:
             report.truncated = True
             self.torn_tail_truncations += 1
         self.replays += 1
-        self._instant("wal_replay", batches=report.num_batches,
+        self._record("wal_replay", batches=report.num_batches,
                       torn_bytes=report.torn_bytes)
         return report
 
@@ -230,7 +230,7 @@ class WriteAheadLog:
         if epoch is not None:
             self.epoch = epoch
         self._write_header(self.epoch)
-        self._instant("wal_reset", epoch=self.epoch)
+        self._record("wal_reset", epoch=self.epoch)
 
     def _write_header(self, epoch):
         """Atomically (re)write the file as just a header: temp +
@@ -243,7 +243,7 @@ class WriteAheadLog:
                 os.fsync(handle.fileno())
         os.replace(tmp, self.path)
 
-    def _instant(self, name, **args):
+    def _record(self, name, **args):
         if self.recorder is not None:
             self.recorder.instant(name, "host", "wal",
                                   0.0, path=self.path, **args)

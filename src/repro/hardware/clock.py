@@ -17,20 +17,15 @@ class Resource:
 
     Activities booked on the resource run one after another; an activity
     asked to start at ``earliest`` begins at
-    ``max(earliest, available_at)``.
-
-    With ``tracing`` enabled every booked activity is recorded as a
-    ``(start, end)`` interval in :attr:`events`, which is what the
-    Figure 4-style timeline renderer consumes.
+    ``max(earliest, available_at)``; a traced run keeps the intervals
+    in its :class:`~repro.obs.events.TraceRecorder`.
     """
 
-    def __init__(self, name, tracing=False):
+    def __init__(self, name):
         self.name = name
         self.available_at = 0.0
         self.busy_time = 0.0
         self.num_activities = 0
-        self.tracing = tracing
-        self.events = [] if tracing else None
 
     def book(self, earliest, duration):
         """Book an activity; returns ``(start, end)`` simulated times."""
@@ -45,8 +40,6 @@ class Resource:
         self.available_at = end
         self.busy_time += duration
         self.num_activities += 1
-        if self.tracing:
-            self.events.append((start, end))
         return start, end
 
     def utilisation(self, horizon):
@@ -59,8 +52,6 @@ class Resource:
         self.available_at = 0.0
         self.busy_time = 0.0
         self.num_activities = 0
-        if self.tracing:
-            self.events = []
 
     def __repr__(self):
         return "Resource(%s, available_at=%.6f)" % (self.name, self.available_at)
@@ -75,11 +66,11 @@ class SlotPool:
     assigns pages to streams round-robin as in Figure 3.
     """
 
-    def __init__(self, name, num_slots, tracing=False):
+    def __init__(self, name, num_slots):
         if num_slots < 1:
             raise SimulationError("slot pool needs at least one slot")
         self.name = name
-        self.slots = [Resource("%s[%d]" % (name, i), tracing=tracing)
+        self.slots = [Resource("%s[%d]" % (name, i))
                       for i in range(num_slots)]
 
     @property

@@ -15,27 +15,21 @@ from repro.hardware.storage import StorageArray
 
 
 class GPURuntime:
-    """Mutable per-run state of one GPU.
+    """Mutable per-run state of one GPU: the copy engine, stream slots
+    and compute capacity a :class:`~repro.core.streams.StreamScheduler`
+    books."""
 
-    ``recorder`` (a :class:`~repro.obs.events.TraceRecorder`) receives a
-    structured ``kernel`` event for every invocation booked here; it is
-    ``None`` on untraced runs, so the hot path pays one identity check.
-    """
-
-    def __init__(self, index, spec, num_streams, tracing=False,
-                 recorder=None):
+    def __init__(self, index, spec, num_streams):
         self.index = index
         self.spec = spec
-        self.recorder = recorder
         self.lane = "gpu%d" % index
         effective_streams = min(num_streams, spec.max_concurrent_streams)
         #: Host-to-device copies serialize on the copy engine (Section 3.2:
         #: transfer operations cannot overlap each other, only kernels).
-        self.copy_engine = Resource("gpu%d:copy" % index, tracing=tracing)
+        self.copy_engine = Resource("gpu%d:copy" % index)
         #: Each stream serializes its own (copy, kernel) sequence; kernels
         #: in different streams overlap.
-        self.streams = SlotPool("gpu%d:stream" % index, effective_streams,
-                                tracing=tracing)
+        self.streams = SlotPool("gpu%d:stream" % index, effective_streams)
         #: Aggregate compute capacity: however many kernels overlap, total
         #: device throughput cannot exceed ``effective_hz``.
         self.compute = Resource("gpu%d:compute" % index)
@@ -73,33 +67,6 @@ class GPURuntime:
     def free_device_memory(self):
         return self.spec.device_memory - self.allocated_bytes
 
-    def book_kernel(self, slot, earliest, lane_steps, cycles_per_lane_step):
-        """Book one kernel invocation; returns its completion time.
-
-        The kernel is constrained twice: by its *stream* (serial within a
-        stream, at the single-stream underutilised rate) and by the GPU's
-        *aggregate compute capacity* (concurrent kernels cannot exceed the
-        device's total throughput).  The completion time is the later of
-        the two, and both timelines advance to it.
-        """
-        stream_duration = self.spec.kernel_stream_time(
-            lane_steps, cycles_per_lane_step)
-        device_duration = self.spec.kernel_device_time(
-            lane_steps, cycles_per_lane_step)
-        _, capacity_end = self.compute.book(earliest, device_duration)
-        stream_start, stream_end = slot.book(earliest, stream_duration)
-        end = max(capacity_end, stream_end)
-        slot.available_at = end
-        self.kernel_stream_time += stream_duration
-        if self.recorder is not None:
-            # The emitted interval mirrors the stream-slot booking
-            # exactly, so the ASCII renderer (which reads slot.events)
-            # and the Chrome trace agree on busy fractions.
-            self.recorder.interval(
-                "kernel", self.lane, slot.name.split(":")[-1],
-                stream_start, stream_end, lane_steps=lane_steps)
-        return end
-
     def done_at(self):
         """Time when this GPU's queued work has fully drained."""
         return max(self.copy_engine.available_at, self.streams.all_done_at())
@@ -117,17 +84,15 @@ class MachineRuntime:
     """All mutable simulation state for one engine run."""
 
     def __init__(self, spec, num_streams=16, page_bytes=None,
-                 mm_buffer_bytes=None, tracing=False, recorder=None):
+                 mm_buffer_bytes=None, recorder=None):
         if num_streams < 1:
             raise ConfigurationError("need at least one stream")
         self.spec = spec
         self.pcie = spec.pcie
-        self.tracing = tracing
         #: Structured-event sink shared by every component of this run
         #: (None unless the engine was built with tracing on).
         self.recorder = recorder
-        self.gpus = [GPURuntime(i, gpu_spec, num_streams, tracing=tracing,
-                                recorder=recorder)
+        self.gpus = [GPURuntime(i, gpu_spec, num_streams)
                      for i, gpu_spec in enumerate(spec.gpus)]
         self.storage = (StorageArray(spec.storages, recorder=recorder)
                         if spec.storages else None)

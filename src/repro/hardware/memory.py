@@ -54,17 +54,10 @@ class MainMemoryBuffer:
             self._resident = np.concatenate(
                 [self._resident, np.zeros(top - len(self._resident), bool)])
 
-    def lookup(self, page_id, ts=None):
-        """Check residency and update the hit/miss counters.
-
-        ``ts`` is the simulated time of the probe; when tracing is on it
-        timestamps the emitted hit/miss instant.
-        """
-        return bool(self.lookup_many(np.array([page_id]), ts)[0])
-
     def lookup_many(self, page_ids, ts=None):
-        """:meth:`lookup` over an int64 array of page ids (one bitmap
-        gather); returns their residency as a boolean array."""
+        """The residency of an int64 array of page ids (one bitmap
+        gather), counted as hits and misses; ``ts``, the probe's
+        simulated time, stamps a traced probe's hit/miss instants."""
         if not len(page_ids):
             return np.zeros(0, dtype=bool)
         self._cover(page_ids)
@@ -73,15 +66,11 @@ class MainMemoryBuffer:
         self.hits += hits
         self.misses += len(page_ids) - hits
         if self.recorder is not None and ts is not None:
-            for page_id, hit in zip(page_ids.tolist(), resident.tolist()):
-                self.recorder.instant(
-                    "mm_buffer_hit" if hit else "mm_buffer_miss", "host",
-                    "mm buffer", ts, page=page_id)
+            self.recorder.block(
+                "host", "mm buffer",
+                np.where(resident, "mm_buffer_hit", "mm_buffer_miss"),
+                np.full(len(page_ids), ts), page=page_ids)
         return resident
-
-    def admit(self, page_id):
-        """Insert a fetched page; a full buffer lets it pass through."""
-        self.preload([page_id])
 
     def preload(self, page_ids):
         """Bulk-load pages (the ``|G| < MMBuf`` full-load path): the

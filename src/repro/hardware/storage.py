@@ -97,14 +97,13 @@ class StorageArray:
         """:meth:`fetch` for each of ``page_ids`` (an int64 array) in
         order; returns their end times as a float64 array.
 
-        A recorder, a fault injector or a custom hash function needs the
-        per-page call.  Without them each channel books its pages back
-        to back, ``end_i = max(earliest, end_{i-1}) + duration`` with a
-        constant duration, which ``np.add.accumulate`` reproduces with
-        the exact floating-point fold of the per-call loop.
+        A fault injector or a custom hash function needs the per-page
+        call.  Without them each channel books its pages back to back,
+        ``end_i = max(earliest, end_{i-1}) + duration`` with a constant
+        duration, which ``np.add.accumulate`` reproduces with the exact
+        floating-point fold of the per-call loop.
         """
-        if (self.recorder is not None or self.fault_injector is not None
-                or not self.default_striping):
+        if self.fault_injector is not None or not self.default_striping:
             return np.array([self.fetch(pid, num_bytes, earliest)[1]
                              for pid in page_ids.tolist()],
                             dtype=np.float64)
@@ -122,9 +121,14 @@ class StorageArray:
             chain = np.full(count + 1, self.specs[device].read_time(
                 num_bytes), dtype=np.float64)
             chain[0] = max(earliest, channel.available_at)
-            device_ends = np.add.accumulate(chain)[1:]
-            ends[selected] = device_ends
-            channel.available_at = float(device_ends[-1])
+            edges = np.add.accumulate(chain)  # each start is the last end
+            ends[selected] = edges[1:]
+            channel.available_at = float(edges[-1])
+            if self.recorder is not None:
+                self.recorder.block(
+                    "storage", self.specs[device].name, "ssd_fetch",
+                    edges[:-1], edges[1:], page=page_ids[selected],
+                    bytes=num_bytes)
             chain[0] = channel.busy_time
             channel.busy_time = float(np.add.accumulate(chain)[-1])
             channel.num_activities += count

@@ -2,10 +2,10 @@
 
 The paper profiles its streams and shows, per GPU stream, short transfer
 bars and long kernel bars ("the timeline for PageRank is denser than
-that for BFS since PageRank is computationally intensive").  With
-tracing enabled on a :class:`~repro.hardware.machine.MachineRuntime`,
-every copy-engine and stream-slot booking is recorded; this module
-renders those interval lists as a character Gantt chart:
+that for BFS since PageRank is computationally intensive").  A traced
+run records every copy-engine and stream-slot booking in its
+:class:`~repro.obs.events.TraceRecorder`; this module renders a GPU's
+lanes of it as a character Gantt chart:
 
 * ``=`` — kernel execution on a stream,
 * ``#`` — a host-to-device copy on the copy engine,
@@ -15,6 +15,7 @@ renders those interval lists as a character Gantt chart:
 import math
 
 from repro.errors import ConfigurationError
+from repro.obs.events import PHASE_COMPLETE
 from repro.units import format_seconds
 
 
@@ -51,30 +52,36 @@ def busy_fraction(events, t0, t1):
     return max(0.0, covered) / (t1 - t0)
 
 
-def render_gpu_timeline(gpu, t0, t1, width=72, max_streams=16):
-    """Figure 4-style view of one GPU's copy engine and streams."""
-    if gpu.copy_engine.events is None:
+def gpu_lanes(recorder, gpu):
+    """``gpu``'s copy engine and stream slots as ``(resource, thread,
+    intervals)``: each one's interval rows in ``recorder`` but the
+    ``stream_stall`` faults, which book no copy-engine time."""
+    booked = {}
+    for e in recorder.select(process=gpu.lane):
+        if (e.phase == PHASE_COMPLETE
+                and (e.args or {}).get("kind") != "stream_stall"):
+            booked.setdefault(e.thread, []).append((e.start, e.end))
+    resources = [gpu.copy_engine] + gpu.streams.slots
+    threads = ["copy engine"] + [r.name.split(":")[-1]
+                                 for r in gpu.streams.slots]
+    return [(r, t, booked.get(t, [])) for r, t in zip(resources, threads)]
+
+
+def render_timeline(recorder, gpus, t0, t1, width=72, max_streams=16):
+    """Figure 4-style view of each GPU's copy engine and streams, read
+    from ``recorder``; one blank-line separated block per GPU."""
+    if recorder is None:
         raise ConfigurationError(
-            "tracing was not enabled on this runtime "
-            "(pass tracing=True to MachineRuntime / the engine)")
-    lines = []
-    lines.append("GPU %d timeline over %s  ('#'=copy, '='=kernel)"
-                 % (gpu.index, format_seconds(t1 - t0)))
-    copy_lane = render_lane(gpu.copy_engine.events, t0, t1, width,
-                            mark="#")
-    lines.append("  copy engine  |%s| %4.0f%%"
-                 % (copy_lane,
-                    100 * busy_fraction(gpu.copy_engine.events, t0, t1)))
-    for slot in gpu.streams.slots[:max_streams]:
-        lane = render_lane(slot.events, t0, t1, width)
-        lines.append("  %-12s |%s| %4.0f%%"
-                     % (slot.name.split(":")[-1], lane,
-                        100 * busy_fraction(slot.events, t0, t1)))
-    return "\n".join(lines)
-
-
-def timeline_density(gpu, t0, t1):
-    """Mean stream busy-fraction — the paper's "denser" quantification."""
-    fractions = [busy_fraction(slot.events, t0, t1)
-                 for slot in gpu.streams.slots]
-    return sum(fractions) / len(fractions) if fractions else 0.0
+            "no trace was recorded (run the engine with tracing=True)")
+    blocks = []
+    for gpu in gpus:
+        lines = ["GPU %d timeline over %s  ('#'=copy, '='=kernel)"
+                 % (gpu.index, format_seconds(t1 - t0))]
+        for resource, thread, intervals in gpu_lanes(recorder, gpu)[
+                :max_streams + 1]:
+            mark = "#" if resource is gpu.copy_engine else "="
+            lines.append("  %-12s |%s| %4.0f%%" % (
+                thread, render_lane(intervals, t0, t1, width, mark),
+                100 * busy_fraction(intervals, t0, t1)))
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks)

@@ -42,9 +42,10 @@ Three layers over one event stream:
   tail-capture, and the Prometheus ``/metrics`` family builders.
 
 Observability is pay-for-use: with ``tracing=False`` nothing is
-recorded and the dispatch hot path takes no measurable overhead; the
-same holds for a thread with no active host recorder and an
-untelemetered service.
+recorded, and a traced run takes the untraced path and appends what its
+arrays hold as columnar blocks (events are built when read); the same
+holds for a thread with no active host recorder and an untelemetered
+service.
 """
 
 from repro.obs.analyze import (

@@ -4,10 +4,10 @@ The discrete-event machine already *books* every activity on a resource
 timeline (:mod:`repro.hardware.clock`); this module gives those bookings
 an identity.  A :class:`TraceRecorder` threaded through the engine, the
 stream scheduler, the page caches, the main-memory buffer and the
-storage array captures each activity as a :class:`TraceEvent` with a
-semantic name, a category, and a *resource lane* — the (process, thread)
-pair the Chrome trace-event format uses to draw swimlanes, mapped here
-onto the simulated hardware:
+storage array captures each activity as a row (a :class:`TraceEvent`
+when read) with a semantic name, a category, and a *resource lane* —
+the (process, thread) pair the Chrome trace-event format uses to draw
+swimlanes, mapped here onto the simulated hardware:
 
 =================  ==========================  =======================
 process            thread                      events
@@ -21,15 +21,19 @@ process            thread                      events
 ``storage``        ``<device name>``           ``ssd_fetch``
 =================  ==========================  =======================
 
-Interval events on a single lane never overlap, because every interval
-mirrors a booking on a serialized :class:`~repro.hardware.clock.Resource`
-(the tests assert this).  Recording is pay-for-use: components hold
-``recorder=None`` by default and guard every emission, so untraced runs
-take no measurable overhead.
+Interval events on one lane never overlap, but for a ``fault`` row of
+kind ``stream_stall``: it sits on the copy-engine lane and books no
+copy-engine time (it delays a kernel), so it can overlap the next copy.
+Every other interval mirrors a booking on a serialized
+:class:`~repro.hardware.clock.Resource`, and
+:func:`repro.hardware.validation.check_gpu` audits those.  A traced run
+takes the untraced path and appends what its arrays hold, one block per
+round per lane (or per GPU, for its streams' kernels; see
+:meth:`TraceRecorder.block`).
 """
 
-import dataclasses
-from typing import Dict, Optional, Tuple
+from itertools import repeat
+from typing import Dict, NamedTuple, Optional, Tuple
 
 # ---------------------------------------------------------------------------
 # Event taxonomy (names are stable identifiers; exporters rely on them).
@@ -89,8 +93,7 @@ PHASE_COMPLETE = "X"
 PHASE_INSTANT = "i"
 
 
-@dataclasses.dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One structured event on the simulated timeline.
 
     ``start`` and ``duration`` are simulated seconds; instants carry a
@@ -116,47 +119,55 @@ class TraceEvent:
 
 
 class TraceRecorder:
-    """Collects :class:`TraceEvent` objects from one engine run.
+    """Collects one engine run's trace as columnar blocks (see
+    :meth:`block`), after any already built ``events`` it is given;
+    :attr:`events` builds the :class:`TraceEvent` objects, for the
+    exporters (:mod:`repro.obs.exporters`), on first read."""
 
-    The recorder is append-only during a run; exporters
-    (:mod:`repro.obs.exporters`) turn the finished stream into Chrome
-    trace JSON or the Figure 4-style ASCII view.
-    """
-
-    def __init__(self):
-        self.events = []
-        self._lanes = {}  # (process, thread) -> insertion index
+    def __init__(self, events=()):
+        self._blocks = []  # (process, thread, name, starts, ends, args)
+        self._events = list(events)  # + those of _blocks[:_built]
+        self._built = 0
+        self._rows = len(self._events)
 
     def __len__(self):
-        return len(self.events)
+        return self._rows
 
     def __iter__(self):
         return iter(self.events)
 
+    @property
+    def events(self):
+        """Every row as a :class:`TraceEvent`, in append order."""
+        for block in self._blocks[self._built:]:
+            self._events += _block_events(*block)
+            self._built += 1
+        return self._events
+
     # -- emission ----------------------------------------------------------
+    def block(self, process, thread, name, starts, ends=None, **args):
+        """Append rows to ``process``'s lanes: intervals ``[starts[i],
+        ends[i]]``, or instants at ``starts[i]`` when ``ends`` is None.
+        ``thread``, ``name`` and each args keyword are one value per row
+        (a list, tuple or array) or one value for every row."""
+        if len(starts):
+            self._blocks.append((process, thread, name, starts, ends, args))
+            self._rows += len(starts)
+
     def interval(self, name, process, thread, start, end, **args):
         """Record a complete event spanning ``[start, end]``."""
-        self._emit(TraceEvent(
-            name=name, category=CATEGORIES.get(name, "misc"),
-            phase=PHASE_COMPLETE, start=start,
-            duration=max(0.0, end - start),
-            process=process, thread=thread, args=args or None))
+        self.block(process, thread, name, [start], [end],
+                   **{key: [value] for key, value in args.items()})
 
     def instant(self, name, process, thread, ts, **args):
         """Record a zero-duration instant event at ``ts``."""
-        self._emit(TraceEvent(
-            name=name, category=CATEGORIES.get(name, "misc"),
-            phase=PHASE_INSTANT, start=ts, duration=0.0,
-            process=process, thread=thread, args=args or None))
-
-    def _emit(self, event):
-        self._lanes.setdefault(event.lane, len(self._lanes))
-        self.events.append(event)
+        self.block(process, thread, name, [ts],
+                   **{key: [value] for key, value in args.items()})
 
     # -- queries -----------------------------------------------------------
     def lanes(self):
         """All (process, thread) lanes in first-appearance order."""
-        return sorted(self._lanes, key=self._lanes.__getitem__)
+        return list(dict.fromkeys(e.lane for e in self.events))
 
     def select(self, name=None, category=None, process=None, thread=None):
         """Events filtered by any combination of fields."""
@@ -184,3 +195,25 @@ class TraceRecorder:
         for event in self.events:
             out[event.name] = out.get(event.name, 0) + 1
         return out
+
+
+def _column(values, n):
+    """A block column as a list: its rows, or one value ``n`` times."""
+    return (values.tolist() if getattr(values, "ndim", 0) else list(values)
+            if isinstance(values, (list, tuple)) else [values] * n)
+
+
+def _block_events(process, thread, name, starts, ends, args):
+    starts = _column(starts, 0)
+    n = len(starts)
+    names = _column(name, n)
+    durations = repeat(0.0) if ends is None else [
+        max(0.0, end - start) for start, end in zip(starts,
+                                                    _column(ends, n))]
+    rows = [dict(zip(args, row)) for row in zip(
+        *(_column(column, n) for column in args.values()))]
+    return list(map(TraceEvent._make, zip(
+        names, map(CATEGORIES.get, names, repeat("misc")),
+        repeat(PHASE_INSTANT if ends is None else PHASE_COMPLETE), starts,
+        durations, repeat(process), _column(thread, n),
+        rows or repeat(None))))

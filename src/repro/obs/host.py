@@ -375,13 +375,7 @@ def merge_host_lanes(recorder, profile) -> TraceRecorder:
     view: simulated seconds and host seconds are different quantities
     that merely render side by side.
     """
-    merged = TraceRecorder()
-    if recorder is not None:
-        for event in recorder:
-            merged._emit(event)
-    for event in profile.trace_events():
-        merged._emit(event)
-    return merged
+    return TraceRecorder(list(recorder or ()) + profile.trace_events())
 
 
 def host_chrome_trace(profile, recorder=None, time_scale=MICROSECONDS):

@@ -2,9 +2,9 @@
 
 ``book_round`` books a round the way Algorithm 1 (lines 17-26) reads:
 page-major, GPU ascending, one ``Resource.book`` /
-``GPURuntime.book_kernel`` call per activity, each GPU's cache probed
-and filled one page at a time, a page made ready from the scalar buffer
-and storage primitives when its first miss is reached, and every fault
+:func:`book_kernel` call per activity, each GPU's cache probed
+and filled one page at a time, a page made ready from the buffer and
+the storage, one page at a time, when its first miss is reached, and every fault
 decided at the injector's scalar injection points (``copy_fault``,
 ``stall_seconds`` and the storage's ``ssd_read_outcome``).  The tests
 require ``StreamScheduler.dispatch_round``'s bulk booking to leave every
@@ -14,8 +14,37 @@ Each function takes the :class:`~repro.core.streams.StreamScheduler`
 whose runtime, injector and per-GPU dispatch counts it books on.
 """
 
+import numpy as np
+
 from repro.errors import ConfigurationError, RetryExhaustedError
 from repro.faults import FaultInjector
+
+
+def book_kernel(gpu, slot, earliest, lane_steps, cycles_per_lane_step,
+                recorder=None):
+    """Book one kernel invocation on ``gpu``; returns its completion
+    time.
+
+    The kernel is constrained twice: by its *stream* (serial within a
+    stream, at the single-stream underutilised rate) and by the GPU's
+    *aggregate compute capacity* (concurrent kernels cannot exceed the
+    device's total throughput).  The completion time is the later of
+    the two, and both timelines advance to it.  ``recorder`` gets the
+    stream-slot booking as a ``kernel`` interval.
+    """
+    stream_duration = gpu.spec.kernel_stream_time(
+        lane_steps, cycles_per_lane_step)
+    device_duration = gpu.spec.kernel_device_time(
+        lane_steps, cycles_per_lane_step)
+    _, capacity_end = gpu.compute.book(earliest, device_duration)
+    stream_start, stream_end = slot.book(earliest, stream_duration)
+    end = max(capacity_end, stream_end)
+    slot.available_at = end
+    gpu.kernel_stream_time += stream_duration
+    if recorder is not None:
+        recorder.interval("kernel", gpu.lane, slot.name.split(":")[-1],
+                          stream_start, stream_end, lane_steps=lane_steps)
+    return end
 
 
 def next_slot(scheduler, gpu):
@@ -34,7 +63,8 @@ def dispatch_cached(scheduler, gpu_index, earliest, lane_steps,
     start = max(earliest, slot.available_at)
     if page_id is not None:
         start += _stall(scheduler, gpu, page_id, start)
-    return gpu.book_kernel(slot, start, lane_steps, cycles_per_lane_step)
+    return book_kernel(gpu, slot, start, lane_steps, cycles_per_lane_step,
+                       scheduler.runtime.recorder)
 
 
 def dispatch_streamed(scheduler, gpu_index, ready_time, copy_bytes,
@@ -82,8 +112,8 @@ def dispatch_streamed(scheduler, gpu_index, ready_time, copy_bytes,
     kernel_earliest = copy_end
     if page_id is not None:
         kernel_earliest += _stall(scheduler, gpu, page_id, copy_end)
-    kernel_end = gpu.book_kernel(slot, kernel_earliest, lane_steps,
-                                 cycles_per_lane_step)
+    kernel_end = book_kernel(gpu, slot, kernel_earliest, lane_steps,
+                             cycles_per_lane_step, recorder)
     return copy_end, kernel_end
 
 
@@ -137,15 +167,15 @@ def book_round(scheduler, order, copy_bytes, lane_steps,
                 dispatch_cached(scheduler, g, early, steps,
                                 cycles_per_lane_step, page_id=page)
                 continue
-            if pid not in ready and runtime.mm_buffer.lookup(
-                    pid, ts=round_start):
+            if pid not in ready and runtime.mm_buffer.lookup_many(
+                    np.array([pid]), ts=round_start)[0]:
                 stats.pages_from_buffer += 1
                 ready[pid] = round_start
             elif pid not in ready:
                 stats.pages_from_storage += 1
                 ready[pid] = runtime.storage.fetch(
                     pid, runtime.page_bytes, round_start)[1]
-                runtime.mm_buffer.admit(pid)
+                runtime.mm_buffer.preload([pid])
             stats.bytes_streamed += nbytes
             dispatch_streamed(scheduler, g, max(ready[pid], wa_ready[g]),
                               nbytes, steps, cycles_per_lane_step,

@@ -54,14 +54,15 @@ class TestResolveRound:
                             max_size=300),
            rounds=st.lists(st.lists(st.integers(0, 299), unique=True,
                                     min_size=40, max_size=120),
-                           min_size=1, max_size=4))
+                           min_size=1, max_size=4), traced=st.booleans())
     def test_many_run_lru_round_is_the_page_replay(self, capacity,
-                                                   prefill, rounds):
-        """The same, for untraced LRU rounds long enough to interleave
-        their resident depths past eight decreasing runs (the merge
-        count)."""
+                                                   prefill, rounds,
+                                                   traced):
+        """The same, traced or not, for LRU rounds long enough to
+        interleave their resident depths past eight decreasing runs
+        (the merge count)."""
         self._check_bulk_round("lru", capacity, prefill, rounds,
-                               repeat=False, traced=False)
+                               repeat=False, traced=traced)
 
     @staticmethod
     def _check_bulk_round(policy, capacity, prefill, rounds, repeat,

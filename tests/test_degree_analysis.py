@@ -17,6 +17,8 @@ from repro.graphgen.degree import (
 from repro.graphgen.random_graphs import generate_ring, generate_star
 from repro.hardware.machine import MachineRuntime
 from repro.hardware.specs import paper_workstation
+from repro.hardware.trace import gpu_lanes
+from repro.obs.events import TraceRecorder
 from repro.units import MB
 
 
@@ -106,7 +108,8 @@ class TestStreamScheduler:
     def _scheduler(self, num_streams=2):
         runtime = MachineRuntime(paper_workstation(),
                                  num_streams=num_streams,
-                                 page_bytes=1 * MB, tracing=True)
+                                 page_bytes=1 * MB,
+                                 recorder=TraceRecorder())
         return StreamScheduler(runtime), runtime
 
     @staticmethod
@@ -144,14 +147,17 @@ class TestStreamScheduler:
         self._round(scheduler, [1, 0], copy_bytes=6 * 1024 ** 3,
                     round_start=1.0)
         gpu = runtime.gpus[0]
-        (copy_start, copy_end), = gpu.copy_engine.events
-        (kernel_start, kernel_end), = gpu.streams.slots[0].events
+        copies, kernels = [intervals for _, _, intervals in gpu_lanes(
+            runtime.recorder, gpu)[:2]]
+        (copy_start, copy_end), = copies
+        (kernel_start, kernel_end), = kernels
         assert copy_start == 1.0 < copy_end <= kernel_start < kernel_end
 
     def test_copies_serialize_on_copy_engine(self):
         scheduler, runtime = self._scheduler(num_streams=4)
         self._round(scheduler, [3, 0], copy_bytes=6 * 1024 ** 3)
-        ends = [end for _, end in runtime.gpus[0].copy_engine.events]
+        ends = [end for _, end in gpu_lanes(runtime.recorder,
+                                            runtime.gpus[0])[0][2]]
         # Each 1 GB-per-second-class copy waits for the previous one.
         assert ends[1] > ends[0]
         assert ends[2] > ends[1]

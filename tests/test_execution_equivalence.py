@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 import repro.core
 from repro.baselines import reference
 from repro.core import GTSEngine, PageRankKernel
+from repro.core.cache import PageCache
 from repro.core.plan import PagePlan
 from repro.core.streams import StreamScheduler
 from repro.faults import FaultInjector, FaultPlan
@@ -275,8 +276,9 @@ def test_every_kernel_has_one_body_and_the_core_reads_no_page():
     service algorithm, each entry of the table above — defines
     ``process_batch`` and carries no page kernel; no module under
     ``repro.core`` calls ``.page(`` or reaches into the buffer's or the
-    storage array's state; and no module anywhere names a deleted
-    booking variant."""
+    storage array's state; no module anywhere names a deleted booking
+    variant or a second trace store; and no hardware component takes a
+    ``tracing`` knob."""
     import repro.core.kernels as kernels
     from repro.dynamic import incremental
     from repro.service import ALGORITHMS
@@ -314,9 +316,13 @@ def test_every_kernel_has_one_body_and_the_core_reads_no_page():
         # One host-clock recorder, reached through repro.spans only.
         "|tracemalloc|track_memory|net_alloc_bytes|max_samples_per_phase"
         "|round_observer|round_marks|observe_round|host_profiler"
-        r"|hp is not None|hp\.push|hp\.pop")
+        r"|hp is not None|hp\.push|hp\.pop"
+        # One trace store: the recorder; no traced fork below it.
+        r"|Resource\.events|def _trace\b|_instant\(|timeline_density"
+        r"|(Resource|SlotPool|GPURuntime|MachineRuntime)\([^)]*tracing=")
     core_only = re.compile(
         r"\.page\(|mm_buffer\._pages|storage\.channels|storage\._hash")
+    hardware_knob = re.compile(r"def \w+\([^)]*\btracing\b|\.tracing\b")
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
         path = importlib.import_module(info.name).__file__
         with open(path) as handle:
@@ -325,6 +331,9 @@ def test_every_kernel_has_one_body_and_the_core_reads_no_page():
         if (info.name.startswith("repro.core.")
                 and os.path.basename(path) != "__init__.py"):
             assert not core_only.search(source), info.name
+        if info.name.startswith("repro.hardware."):
+            # A hardware component takes a recorder or nothing.
+            assert not hardware_knob.search(source), info.name
     assert "fetch" not in inspect.signature(
         StreamScheduler.dispatch_round).parameters
 
@@ -334,7 +343,8 @@ def test_traced_runs_agree_with_untraced(monkeypatch):
     traced, host-profiled, validated or injector-armed run books each
     round once with no fault arrays and reads the bare run's clock; a
     run with faults hands the loop fault arrays in exactly the rounds
-    it counts in ``fallback_rounds``."""
+    it counts in ``fallback_rounds``.  No watched run replays its LRU
+    cache page by page."""
     graph = Graph.from_edges(
         50,
         np.random.default_rng(5).integers(0, 50, size=300),
@@ -343,13 +353,20 @@ def test_traced_runs_agree_with_untraced(monkeypatch):
     machine = scaled_workstation(num_gpus=2, num_ssds=2)
     faulted_rounds = []
 
+    replays = []
+
     def spy(self, *args, _booked=StreamScheduler._book_round):
         faulted_rounds.append(args[-1] is not None)
         return _booked(self, *args)
     monkeypatch.setattr(StreamScheduler, "_book_round", spy)
 
+    def replay(self, _open=PageCache._open):
+        replays.append(self.policy)
+        return _open(self)
+    monkeypatch.setattr(PageCache, "_open", replay)
+
     def run(recorder=None, **options):
-        del faulted_rounds[:]
+        del faulted_rounds[:], replays[:]
         with activate(recorder):
             result = GTSEngine(db, machine, mm_buffer_bytes=8 * KB,
                                **options).run(PageRankKernel(iterations=3))
@@ -363,6 +380,9 @@ def test_traced_runs_agree_with_untraced(monkeypatch):
                     {"faults": FaultPlan(stall_rate=1e-12)}):
         watched = run(**options)
         assert not any(faulted_rounds), options
+        # An LRU round of distinct pages is decided in arrays, traced
+        # or not: no probe is replayed page by page.
+        assert replays == [], options
         assert repr(watched.elapsed_seconds) == repr(plain.elapsed_seconds)
         np.testing.assert_array_equal(watched.values["rank"],
                                       plain.values["rank"])

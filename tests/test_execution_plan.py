@@ -695,8 +695,7 @@ class TestBookingLoop:
         runtime = MachineRuntime(
             scaled_workstation(num_gpus=2, num_ssds=num_ssds),
             num_streams=num_streams, page_bytes=1024,
-            mm_buffer_bytes=buffer_pages * 1024, tracing=tracing,
-            recorder=recorder)
+            mm_buffer_bytes=buffer_pages * 1024, recorder=recorder)
         if not num_ssds:
             runtime.mm_buffer.preload(range(self.NUM_PAGES))
         caches = [PageCache(capacity, policy=policy, recorder=recorder,

@@ -15,6 +15,8 @@ from repro.hardware.specs import SSD_SPEC, GPUSpec, paper_workstation
 from repro.hardware.storage import StorageArray
 from repro.units import GB, KB, MB
 
+from .reference_booking import book_kernel
+
 
 class TestStorageArray:
     def test_mod_striping_default(self):
@@ -73,17 +75,17 @@ class TestMainMemoryBuffer:
 
     def test_lookup_miss_then_hit(self):
         buffer = MainMemoryBuffer(10 * KB, 2 * KB)
-        assert not buffer.lookup(3)
-        buffer.admit(3)
-        assert buffer.lookup(3)
+        assert not buffer.lookup_many(np.array([3]))[0]
+        buffer.preload([3])
+        assert buffer.lookup_many(np.array([3]))[0]
         assert buffer.hits == 1
         assert buffer.misses == 1
 
     def test_pin_policy_keeps_first_pages(self):
         buffer = MainMemoryBuffer(4 * KB, 2 * KB)
-        buffer.admit(0)
-        buffer.admit(1)
-        buffer.admit(2)  # no space: passes through
+        buffer.preload([0])
+        buffer.preload([1])
+        buffer.preload([2])  # no space: passes through
         assert 0 in buffer
         assert 1 in buffer
         assert 2 not in buffer
@@ -113,7 +115,7 @@ class TestMainMemoryBuffer:
                 if len(buffer) >= buffer.capacity_pages:
                     break
                 if page_id not in buffer:
-                    buffer.admit(page_id)
+                    buffer.preload([page_id])
                     admitted += 1
             return admitted
 
@@ -133,14 +135,14 @@ class TestMainMemoryBuffer:
 
     def test_zero_capacity_never_stores(self):
         buffer = MainMemoryBuffer(0, 2 * KB)
-        buffer.admit(0)
-        assert not buffer.lookup(0)
+        buffer.preload([0])
+        assert not buffer.lookup_many(np.array([0]))[0]
 
     def test_hit_rate(self):
         buffer = MainMemoryBuffer(4 * KB, 2 * KB)
-        buffer.admit(0)
-        buffer.lookup(0)
-        buffer.lookup(1)
+        buffer.preload([0])
+        buffer.lookup_many(np.array([0]))[0]
+        buffer.lookup_many(np.array([1]))[0]
         assert buffer.hit_rate() == 0.5
 
     def test_page_size_must_be_positive(self):
@@ -182,8 +184,8 @@ class TestMachineRuntime:
         runtime = self._runtime(num_streams=2)
         gpu = runtime.gpus[0]
         slot = gpu.streams.slots[0]
-        end = gpu.book_kernel(slot, 0.0, lane_steps=1e9,
-                              cycles_per_lane_step=24.0)
+        end = book_kernel(gpu, slot, 0.0, lane_steps=1e9,
+                          cycles_per_lane_step=24.0)
         assert slot.available_at == end
         assert gpu.kernel_invocations == 1
         assert gpu.kernel_busy_time > 0
@@ -195,14 +197,14 @@ class TestMachineRuntime:
         gpu = runtime.gpus[0]
         steps = 1e9
         device_time = gpu.spec.kernel_device_time(steps, 24.0)
-        end0 = gpu.book_kernel(gpu.streams.slots[0], 0.0, steps, 24.0)
-        end1 = gpu.book_kernel(gpu.streams.slots[1], 0.0, steps, 24.0)
+        end0 = book_kernel(gpu, gpu.streams.slots[0], 0.0, steps, 24.0)
+        end1 = book_kernel(gpu, gpu.streams.slots[1], 0.0, steps, 24.0)
         assert max(end0, end1) >= 2 * device_time
 
     def test_barrier_advances_now(self):
         runtime = self._runtime()
         gpu = runtime.gpus[0]
-        gpu.book_kernel(gpu.streams.slots[0], 0.0, 1e9, 24.0)
+        book_kernel(gpu, gpu.streams.slots[0], 0.0, 1e9, 24.0)
         runtime.barrier()
         assert runtime.now >= gpu.done_at()
 

@@ -11,10 +11,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines import reference
 from repro.core import BFSKernel, GTSEngine, PageRankKernel, WCCKernel
+from repro.faults import FaultPlan, RetryPolicy
 from repro.format import PageFormatConfig, build_database
 from repro.graphgen import Graph
 from repro.hardware.specs import scaled_workstation
 from repro.units import KB
+
+
+#: Recoverable copy errors and stalls, frequent enough to fire on the
+#: few pages a small graph streams; twelve attempts keep a copy from
+#: exhausting them (p = 0.3 ** 12 per copy).
+_STALLS_AND_COPY_ERRORS = FaultPlan(copy_error_rate=0.3, stall_rate=0.5,
+                                    stall_seconds=2e-4,
+                                    retry=RetryPolicy(max_attempts=12))
 
 
 def _random_graph(data, max_vertices=120, max_edges=400):
@@ -115,7 +124,9 @@ def test_page_sizes_do_not_change_results(data):
 def test_every_random_schedule_passes_des_validation(data):
     """Property: any engine run under any configuration produces a
     schedule satisfying the DES invariants (no resource overlap, busy
-    accounting, concurrency caps)."""
+    accounting, concurrency caps) — with or without a recoverable fault
+    plan, whose copy errors, retries and stream stalls the audit reads
+    off the copy-engine lanes."""
     graph = _random_graph(data, max_vertices=80, max_edges=250)
     config = PageFormatConfig(2, 2, 1 * KB)
     db = build_database(graph, config)
@@ -127,6 +138,8 @@ def test_every_random_schedule_passes_des_validation(data):
                                             "scalability"])),
         num_streams=data.draw(st.sampled_from([1, 3, 16])),
         enable_caching=data.draw(st.booleans()),
+        faults=data.draw(st.sampled_from([None, _STALLS_AND_COPY_ERRORS])),
+        fault_seed=data.draw(st.integers(0, 99)),
         validate_simulation=True)
     kernel = data.draw(st.sampled_from([
         BFSKernel(0), PageRankKernel(iterations=2), WCCKernel()]))

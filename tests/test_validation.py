@@ -12,57 +12,57 @@ from repro.hardware.validation import (
     check_runtime,
 )
 from repro.hardware.clock import Resource
+from repro.obs.events import TraceRecorder
 from repro.units import MB
+
+from .reference_booking import book_kernel
 
 
 class TestCheckResource:
     def test_valid_schedule_passes(self):
-        resource = Resource("r", tracing=True)
-        resource.book(0.0, 1.0)
-        resource.book(5.0, 2.0)
-        assert check_resource(resource) == 2
+        resource = Resource("r")
+        intervals = [resource.book(0.0, 1.0), resource.book(5.0, 2.0)]
+        assert check_resource(resource, intervals) == 2
 
     def test_untraced_resource_rejected(self):
         with pytest.raises(SimulationError):
-            check_resource(Resource("r"))
+            check_resource(Resource("r"), None)
 
     def test_overlap_detected(self):
-        resource = Resource("r", tracing=True)
-        resource.events = [(0.0, 2.0), (1.0, 3.0)]
+        resource = Resource("r")
         resource.busy_time = 4.0
         with pytest.raises(SimulationError, match="overlap"):
-            check_resource(resource)
+            check_resource(resource, [(0.0, 2.0), (1.0, 3.0)])
 
     def test_negative_start_detected(self):
-        resource = Resource("r", tracing=True)
-        resource.events = [(-1.0, 1.0)]
+        resource = Resource("r")
         resource.busy_time = 2.0
         with pytest.raises(SimulationError, match="before time zero"):
-            check_resource(resource)
+            check_resource(resource, [(-1.0, 1.0)])
 
     def test_accounting_mismatch_detected(self):
-        resource = Resource("r", tracing=True)
-        resource.events = [(0.0, 1.0)]
+        resource = Resource("r")
         resource.busy_time = 99.0
         with pytest.raises(SimulationError, match="busy_time"):
-            check_resource(resource)
+            check_resource(resource, [(0.0, 1.0)])
 
     def test_horizon_enforced(self):
-        resource = Resource("r", tracing=True)
-        resource.book(0.0, 10.0)
+        resource = Resource("r")
+        intervals = [resource.book(0.0, 10.0)]
         with pytest.raises(SimulationError, match="after the clock"):
-            check_resource(resource, horizon=5.0)
+            check_resource(resource, intervals, horizon=5.0)
 
 
 class TestCheckGPU:
     def test_real_bookings_pass(self):
         runtime = MachineRuntime(paper_workstation(), num_streams=4,
-                                 page_bytes=1 * MB, tracing=True)
+                                 page_bytes=1 * MB,
+                                 recorder=TraceRecorder())
         gpu = runtime.gpus[0]
         for i in range(8):
             slot = gpu.streams.slots[i % 4]
-            gpu.book_kernel(slot, 0.0, 1e8, 24.0)
-        assert check_gpu(gpu) > 0
+            book_kernel(gpu, slot, 0.0, 1e8, 24.0, runtime.recorder)
+        assert check_gpu(gpu, runtime.recorder) == 8
 
 
 class TestEngineValidation:
