@@ -17,7 +17,9 @@ read:
   :meth:`RoundBatch.reduce_into` sorts the batch's edges once into
   ``(page, target)`` segments, then runs one ``reduceat`` over the
   multi-edge segments + one ``ufunc.at`` over the entire round; the
-  cached full batch keeps that index for every later round.
+  cached full batch keeps that index (a :class:`ReduceIndex`) for every
+  later round, and a later topology version's full batch splices its
+  own from it, re-sorting only the pages the commits dirtied.
 * :class:`Frontier` — what :meth:`RoundBatch.advance` hands a frontier
   kernel: the active records' edges alone, as one more lazy view, with
   the traversal step's operators (``filter`` / ``from_sources`` /
@@ -97,8 +99,9 @@ class RoundBatch:
     * **reduce index** — the batch's ``(page, target vertex)``
       *segments*, from one stable sort of its own edges, so a
       segment-wise reduction followed by a page-major combine
-      accumulates every target page by page.  Only :meth:`reduce_into`
-      reads it, and builds it on its first call.
+      accumulates every target page by page (:class:`ReduceIndex`).
+      Only :meth:`reduce_into` reads it, and builds it on its first
+      call.
 
     A batch covering every page in pid order takes the plan's own
     arrays without a copy.
@@ -185,59 +188,18 @@ class RoundBatch:
     # -- reduce index --------------------------------------------------
     @functools.cached_property
     def _reduce_index(self):
-        """``(seg_targets, seg_src, multi_rec, multi_starts)``.
-
-        One stable sort of the batch's edges by ``(position of the page
-        in the batch, target)`` orders each page's edges exactly as the
-        page's own stable target argsort does, pages in batch order; its
-        ``(page, target)`` runs are the segments.  The two keys are
-        folded into one int64 (``position * V + target``) when that
-        cannot overflow, and sorted as a pair otherwise.
-
-        ``seg_targets`` is each segment's target VID.  A one-edge
-        segment's source is its edge's record, the ``k``-th multi-edge
-        segment's is ``num_records + k``, reduced over ``multi_rec`` at
-        ``multi_starts``.  Sorted edges are mapped to records only at
-        segment starts and inside multi-edge segments, never as a whole
-        sorted edge-length record map, and every edge-length temporary
-        is freed as soon as it has been read, to keep the build's peak
-        memory low."""
+        """The batch's :class:`ReduceIndex`: sorted from scratch, or, on
+        a plan's full batch handed an ancestor version's index, spliced
+        from it (:meth:`ReduceIndex.splice`)."""
         with span("scatter"):
-            targets = self._edges(self._plan.adj_vids)
-            counts = self.edges_per_page()
-            num_vertices = max(self._plan.num_vertices, 1)
-            # ``change`` marks the first edge of every segment.
-            change = np.ones(len(targets), dtype=bool)
-            if self.num_pages < (1 << 62) // num_vertices:
-                key = np.repeat(np.arange(
-                    self.num_pages, dtype=np.int64) * num_vertices, counts)
-                key += targets
-                order = np.argsort(key, kind="stable")
-                key = key[order]
-                np.not_equal(key[1:], key[:-1], out=change[1:])
-                del key
-            else:
-                pages = np.repeat(
-                    np.arange(self.num_pages, dtype=np.int64), counts)
-                order = np.lexsort((targets, pages))
-                pages, by_target = pages[order], targets[order]
-                change[1:] = ((pages[1:] != pages[:-1])
-                              | (by_target[1:] != by_target[:-1]))
-                del pages, by_target
-            starts = np.flatnonzero(change)
-            del change
-            edges = np.diff(starts, append=len(order))
-            multi = np.flatnonzero(edges > 1)
-            multi_edges = order[take_ranges(starts[multi], edges[multi])]
-            multi_starts = _indptr(edges[multi])[:-1]
-            del edges
-            first = order[starts]
-            del order, starts
-            edge_rec = self.edge_rec
-            seg_src = edge_rec[first]
-            seg_src[multi] = self.num_records + np.arange(len(multi))
-            return (targets[first], seg_src, edge_rec[multi_edges],
-                    multi_starts)
+            plan = self._plan
+            source = None
+            if self is plan._full_batch:
+                source = plan._index_source
+                plan._index_source = None
+            if source is None:
+                return ReduceIndex.build(self)
+            return ReduceIndex.splice(*source, self)
 
     # ------------------------------------------------------------------
     @property
@@ -266,11 +228,10 @@ class RoundBatch:
         the same ``(target, value)`` sequence, page-major: a float ``add``
         accumulates each target page by page, in the batch's order."""
         if self.num_edges:
-            seg_targets, seg_src, multi_rec, multi_starts = (
-                self._reduce_index)
+            index = self._reduce_index
             values = np.concatenate([per_record, ufunc.reduceat(
-                per_record[multi_rec], multi_starts)])
-            ufunc.at(out, seg_targets, values[seg_src])
+                per_record[index.multi_rec], index.multi_starts)])
+            ufunc.at(out, index.seg_targets, values[index.seg_src])
 
     def records_per_page(self):
         return np.diff(self.rec_indptr)
@@ -436,6 +397,169 @@ def segment_sum(values, indptr, dtype=np.int64):
     return out
 
 
+class ReduceIndex:
+    """A batch's reduce index: its edges as ``(page, target vertex)``
+    *segments*, what :meth:`RoundBatch.reduce_into` reads.
+
+    One stable sort of the batch's edges by ``(position of the page in
+    the batch, target)`` orders each page's edges exactly as the page's
+    own stable target argsort does, pages in batch order; its ``(page,
+    target)`` runs are the segments.
+
+    * ``seg_targets`` — each segment's target VID;
+    * ``seg_src`` — a one-edge segment's record (its batch index), the
+      ``k``-th multi-edge segment's ``num_records + k``;
+    * ``multi_rec`` / ``multi_starts`` — the records of the multi-edge
+      segments' edges, in sorted order, and where each segment starts.
+
+    A page's segments depend on that page's rows alone; only the record
+    and multi-edge segment numbers depend on the pages before it.  So
+    the index also keeps, per batch page in batch order, ``pids`` and
+    the ``page_recs`` / ``page_segs`` / ``page_multi`` counts: what
+    :meth:`splice` renumbers a run of unchanged pages by.  Every field
+    is an ``int64`` array.
+    """
+
+    FIELDS = ("seg_targets", "seg_src", "multi_rec", "multi_starts",
+              "pids", "page_recs", "page_segs", "page_multi")
+    __slots__ = FIELDS
+
+    def __init__(self, *fields):
+        for name, value in zip(self.FIELDS, fields):
+            setattr(self, name, value)
+
+    def arrays(self):
+        return [getattr(self, name) for name in self.FIELDS]
+
+    @classmethod
+    def build(cls, batch):
+        """Sort ``batch``'s edges into segments.  The two keys are
+        folded into one int64 (``position * V + target``) when that
+        cannot overflow, and sorted as a pair otherwise.  Sorted edges
+        are mapped to records only at segment starts and inside
+        multi-edge segments, never as a whole sorted edge-length record
+        map, and every edge-length temporary is freed as soon as it has
+        been read, to keep the build's peak memory low."""
+        targets = batch._edges(batch._plan.adj_vids)
+        counts = batch.edges_per_page()
+        num_pages = batch.num_pages
+        num_vertices = max(batch._plan.num_vertices, 1)
+        # ``change`` marks the first edge of every segment.
+        change = np.ones(len(targets), dtype=bool)
+        if num_pages < (1 << 62) // num_vertices:
+            key = np.repeat(np.arange(
+                num_pages, dtype=np.int64) * num_vertices, counts)
+            key += targets
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            np.not_equal(key[1:], key[:-1], out=change[1:])
+            del key
+        else:
+            pages = np.repeat(np.arange(num_pages, dtype=np.int64), counts)
+            order = np.lexsort((targets, pages))
+            pages, by_target = pages[order], targets[order]
+            change[1:] = ((pages[1:] != pages[:-1])
+                          | (by_target[1:] != by_target[:-1]))
+            del pages, by_target
+        starts = np.flatnonzero(change)
+        del change
+        # A page's sorted edges keep its edge range, so its segments are
+        # the starts inside that range.
+        page_segs = np.diff(np.searchsorted(starts, batch.edge_indptr))
+        edges = np.diff(starts, append=len(order))
+        multi = np.flatnonzero(edges > 1)
+        page_multi = np.diff(np.searchsorted(multi, _indptr(page_segs)))
+        multi_edges = order[take_ranges(starts[multi], edges[multi])]
+        multi_starts = _indptr(edges[multi])[:-1]
+        del edges
+        first = order[starts]
+        del order, starts
+        edge_rec = batch.edge_rec
+        seg_src = edge_rec[first]
+        seg_src[multi] = batch.num_records + np.arange(len(multi))
+        return cls(targets[first], seg_src, edge_rec[multi_edges],
+                   multi_starts, batch.pids, batch.records_per_page(),
+                   page_segs, page_multi)
+
+    @classmethod
+    def splice(cls, parent, dirty, batch):
+        """:meth:`build` of ``batch``, given ``parent`` — the index of
+        the same kind of batch (every page, SP-first) at an ancestor
+        version — and ``dirty``, the pages whose rows changed since,
+        pages the ancestor lacked among them.  Only the dirty pages are
+        sorted (:meth:`build` over them alone); every other page's
+        segments are copied from ``parent`` a run at a time, each run's
+        records and multi-edge segments renumbered by the pages now
+        before it."""
+        pids = batch.pids
+        num_pages = batch._plan.num_pages
+        at = np.full(num_pages, -1, dtype=np.int64)
+        at[parent.pids] = np.arange(len(parent.pids))
+        position = at[pids]
+        dirty = np.fromiter(dirty, dtype=np.int64, count=len(dirty))
+        clean = (position >= 0) & ~page_mask(dirty, num_pages)[pids]
+        fresh = cls.build(RoundBatch(batch._plan, pids[~clean]))
+        # Page positions and per-page offsets over both sources at once,
+        # the fresh index's pages after the parent's.
+        position[~clean] = len(parent.pids) + np.arange(
+            len(pids) - np.count_nonzero(clean))
+        sources = (parent, fresh)
+        page_segs, page_multi = (
+            np.concatenate([getattr(index, name) for index in sources])
+            for name in ("page_segs", "page_multi"))
+        recs = [int(index.page_recs.sum()) for index in sources]
+        rec_at = _indptr(np.concatenate([index.page_recs
+                                         for index in sources]))
+        seg_at, multi_at = _indptr(page_segs), _indptr(page_multi)
+        mstarts = np.concatenate([
+            parent.multi_starts, fresh.multi_starts + len(parent.multi_rec),
+            [len(parent.multi_rec) + len(fresh.multi_rec)]])
+        # Maximal runs of pages that sit side by side in one source.
+        first = np.append(0, np.flatnonzero(
+            (clean[1:] != clean[:-1]) | (np.diff(position) != 1)) + 1)
+        last = np.append(first[1:], len(pids))
+        lo, hi = position[first], position[last - 1] + 1
+        from_fresh = ~clean[first]
+        segs = np.stack([seg_at[lo], seg_at[hi]])
+        edges = np.stack([mstarts[multi_at[lo]], mstarts[multi_at[hi]]])
+        segs[:, from_fresh] -= len(parent.seg_targets)
+        edges[:, from_fresh] -= len(parent.multi_rec)
+        parts = ([], [], [])
+        for fresh_run, s0, s1, e0, e1 in zip(from_fresh.tolist(),
+                                              *segs.tolist(),
+                                              *edges.tolist()):
+            index = sources[fresh_run]
+            parts[0].append(index.seg_targets[s0:s1])
+            parts[1].append(index.seg_src[s0:s1])
+            parts[2].append(index.multi_rec[e0:e1])
+        seg_targets, seg_src, multi_rec = map(np.concatenate, parts)
+        # Multi-edge segments are numbered past the records, each
+        # source's own; renumber them in batch order, and shift the
+        # records of every run that moved.
+        counts = segs[1] - segs[0]
+        multi = np.flatnonzero(seg_src >= np.repeat(
+            np.where(from_fresh, recs[1], recs[0]), counts))
+        new_rec_at = _indptr(batch.records_per_page())
+        shifts = (new_rec_at[first] - rec_at[lo]
+                  + np.where(from_fresh, recs[0], 0))
+        seg_ends, edge_ends = _indptr(counts), _indptr(edges[1] - edges[0])
+        for run in np.flatnonzero(shifts).tolist():
+            seg_src[seg_ends[run]:seg_ends[run + 1]] += shifts[run]
+            multi_rec[edge_ends[run]:edge_ends[run + 1]] += shifts[run]
+        seg_src[multi] = new_rec_at[-1] + np.arange(len(multi))
+        taken = take_ranges(multi_at[lo], multi_at[hi] - multi_at[lo])
+        return cls(seg_targets, seg_src, multi_rec,
+                   _indptr(np.diff(mstarts)[taken])[:-1], pids,
+                   np.diff(new_rec_at), page_segs[position],
+                   page_multi[position])
+
+
+def array_bytes(arrays):
+    """Bytes of the distinct arrays among ``arrays`` (an array reached
+    twice counts once)."""
+    return sum({id(array): array.nbytes for array in arrays}.values())
+
+
 class PagePlan:
     """Flat page-major arrays for one topology snapshot of a database.
 
@@ -445,9 +569,14 @@ class PagePlan:
     handle it was built from.  A database builds it through
     :meth:`~repro.format.database.GraphDatabase.page_plan`, once per
     topology version.
+
+    ``index_source`` is ``(index, dirty)``: the full-batch
+    :class:`ReduceIndex` of an ancestor version and the pages dirtied
+    since it, from which the full batch splices its own; the plan drops
+    it once it has.
     """
 
-    def __init__(self, db):
+    def __init__(self, db, index_source=None):
         self.topology_version = getattr(db, "topology_version", 0)
         self.num_pages = db.num_pages
         self.num_vertices = int(db.num_vertices)
@@ -489,6 +618,7 @@ class PagePlan:
         starts = np.flatnonzero(self.lp_ranges[lp] == 0)
         self.lp_runs = lp[starts], np.diff(np.append(starts, len(lp)))
         self._full_batch = None
+        self._index_source = index_source
         self._copy_bytes = {}
         # Memoisation guard: concurrent queries share one plan, and the
         # full-database batch / copy-bytes tables are built lazily on
@@ -547,9 +677,16 @@ class PagePlan:
             with self._memo_lock:
                 batch = self._full_batch
                 if batch is None:
-                    # SP-first dispatch order usually coincides with pid
-                    # order (the builder numbers small pages before
-                    # large ones); the batch then *is* the plan's arrays.
+                    # When SP-first dispatch order is pid order the
+                    # batch *is* the plan's arrays.  Pages follow VID
+                    # order, a large vertex's run included, so that
+                    # holds only when no large vertex precedes a small
+                    # one.  On the ledger's rmat15 (seed 7) store the
+                    # first large-page runs start at pids 4, 7, 10, 14
+                    # and 39 of 3 619: the full batch gathers the record
+                    # fields it reads and, when it sorts its reduce
+                    # index from scratch, ``_edge_sel``, for every
+                    # version (5.3 MB there, 2.7 MB on rmat14).
                     # The plan owns this batch, so the batch sees it
                     # through a proxy: a strong reference would close a
                     # cycle and leave a dropped plan's arrays to the
@@ -558,6 +695,46 @@ class PagePlan:
                                        self._full_order)
                     self._full_batch = batch
         return batch
+
+    def index_lineage(self):
+        """``(index, dirty)`` for a later version to splice its
+        full-batch reduce index from: this plan's own index once built
+        (nothing dirty), else the source it was handed, if any."""
+        # Read before the memo: a build drops the source before it
+        # publishes, so a stale read here only means building afresh.
+        source = self._index_source
+        batch = self._full_batch
+        index = None if batch is None else vars(batch).get("_reduce_index")
+        if index is not None:
+            return index, frozenset()
+        return source
+
+    def held_arrays(self):
+        """Every array this plan keeps alive: its own, ``lp_runs``, the
+        copy-size tables, the full batch's memoised fields (reduce index
+        and per-technique memos included), and an ancestor's index it
+        has yet to splice from."""
+        held = [value for value in vars(self).values()
+                if isinstance(value, np.ndarray)]
+        held += list(self.lp_runs) + list(self._copy_bytes.values())
+        source = self._index_source
+        if source is not None:
+            held += source[0].arrays()
+        batch = self._full_batch
+        for value in () if batch is None else vars(batch).values():
+            if isinstance(value, ReduceIndex):
+                value = value.arrays()
+            elif isinstance(value, dict):  # memos keyed by technique
+                value = list(value.values())
+            else:
+                value = [value]
+            held += [item for item in value if isinstance(item, np.ndarray)]
+        return held
+
+    @property
+    def nbytes(self):
+        """Bytes of :meth:`held_arrays`, each array counted once."""
+        return array_bytes(self.held_arrays())
 
 
 class PlanMemo:
@@ -574,15 +751,16 @@ class PlanMemo:
         self.lock = InstrumentedLock()
         self.builds = 0
 
-    def plan(self, holder, db):
-        """``holder._plan``, built from ``db`` on first use."""
+    def plan(self, holder, db, index_source=None):
+        """``holder._plan``, built from ``db`` (and ``index_source``, see
+        :class:`PagePlan`) on first use."""
         plan = holder._plan
         if plan is None:
             with self.lock:
                 plan = holder._plan
                 if plan is None:
                     with span("core.plan.build"):
-                        plan = PagePlan(db)
+                        plan = PagePlan(db, index_source)
                     holder._plan = plan
                     self.builds += 1
         return plan

@@ -7,20 +7,22 @@ in the order a mutation flows through them:
   mutation (edge inserts/deletes, vertex adds);
 * :mod:`repro.dynamic.wal` — :class:`WriteAheadLog`, checksummed durable
   logging with torn-tail crash recovery;
-* :mod:`repro.dynamic.delta` — :class:`DynamicGraphDatabase`, the delta
-  page/tombstone overlay the engine reads through transparently, plus
-  MVCC snapshot isolation (:class:`Snapshot`, pin/release, version
-  reclamation) so queries run while batches commit;
+* :mod:`repro.dynamic.edgelog` — the edge log a version keeps over its
+  base (inserts, deleted base positions, extension pages) and its row
+  merge, as functions of arrays;
+* :mod:`repro.dynamic.delta` — :class:`DynamicGraphDatabase`, the chain
+  of versions the engine reads transparently, with MVCC snapshot
+  isolation (:class:`Snapshot`, pin/release, version reclamation) so
+  queries run while batches commit;
 * :mod:`repro.dynamic.compact` — folding deltas back into a clean base
   with the original builder;
 * :mod:`repro.dynamic.incremental` — restreaming only dirtied pages
   after insert-only batches via the engine's ``nextPIDSet`` path.
 
-Recovery-time events (stale pre-compaction log discarded, torn tail
-repaired) are reported through the ``repro.dynamic`` structured logger
-(:func:`repro.obs.telemetry.get_logger`) — silent until the process
-installs a sink via :func:`repro.obs.telemetry.configure_logging`, so
-library code never writes ad hoc to stderr.
+Recovery events (a stale log discarded, a torn tail repaired) go to the
+``repro.dynamic`` structured logger
+(:func:`repro.obs.telemetry.get_logger`), silent until a sink is
+installed.
 """
 
 from repro.dynamic.batch import UpdateBatch, parse_batch_file

@@ -1,43 +1,30 @@
-"""Compaction: fold delta pages + WAL back into a clean base database.
+"""Compaction: fold the edge log and the WAL back into a clean base.
 
-Delta overlays keep updates cheap, but they are not free at read time —
-every overlaid page pays a merge, tombstones waste base slots, and the
-WAL grows without bound.  Once the accumulated delta bytes exceed a
-threshold, :func:`compact` materialises the *effective* graph from the
-head's spliced topology arrays, rebuilds a pristine slotted-page
-database with the original :func:`~repro.format.builder.build_database`
-(same :class:`~repro.format.config.PageFormatConfig`), and swaps it in
-as the new base.  The WAL is truncated afterwards: its batches are now part of
-the base pages.
+The log keeps commits cheap, but a version's arrays re-merge every
+dirty page from its base rows and the log, deleted base edges stay in
+the base's pages, and the WAL grows without bound.  Once the delta bytes
+pass a threshold, :func:`compact` materialises the *effective* graph
+from the head's topology arrays, rebuilds a pristine base with the
+original :func:`~repro.format.builder.build_database` (same
+:class:`~repro.format.config.PageFormatConfig`) and swaps it in.
 
-Crash ordering matters when the database lives on disk, and WAL replay
-is **not** idempotent (re-applied inserts duplicate parallel edges;
-re-applied deletes of already-folded edges fail validation), so the
-two steps are sequenced through a *WAL epoch*: compaction bumps the
-epoch, saves the new base (atomically, via
-:func:`~repro.format.io.save_database`'s temp-file + ``os.replace``
-protocol) with the bumped epoch in its metadata, and only then resets
-the WAL, stamping the same epoch into the fresh header.  A crash
-between the two steps leaves a new base whose epoch is ahead of the
-stale log; :func:`~repro.dynamic.delta.open_dynamic_database` sees the
-mismatch and discards the log instead of replaying batches the base
-already contains.  A crash before the save leaves the old base with
-the old-epoch WAL, which replays normally.  Compacting *without* a
-``save_prefix`` leaves the WAL untouched: the on-disk base still
-predates the deltas, so the log's records remain the only durable copy
-of the folded batches.
+Crash ordering: WAL replay is **not** idempotent (re-applied inserts
+duplicate parallel edges; re-applied deletes of folded edges fail
+validation), so a durable compaction bumps the WAL *epoch*, saves the new
+base with it (atomically, via :func:`~repro.format.io.save_database`'s
+temp-file + ``os.replace``), and only then resets the WAL under the same
+epoch.  A crash between the two leaves a base ahead of its log, which
+:func:`~repro.dynamic.delta.open_dynamic_database` discards instead of
+replaying; a crash before the save leaves the old pair, which replays.
+Without a ``save_prefix`` the WAL is kept: the on-disk base still
+predates the log, whose records stay the only durable copy.
 
-Compaction and MVCC: :func:`compact` runs under the database's commit
-lock (writers are excluded; the head it materialises cannot move) but
-never blocks readers — pinned snapshots keep serving their versions
-throughout, and the subsequent :meth:`~repro.dynamic.delta
-.DynamicGraphDatabase.swap_base` reclaims only versions no live query
-pins.  Pins are in-memory, so a crash mid-reclaim degenerates to the
-plain crash-mid-compaction orderings above: recovery replays (or
-epoch-discards) the WAL and owes nothing to the dead process's pins.
+Compaction runs under the database's commit lock but never blocks
+readers: pinned snapshots keep their versions (and their base) until
+released.  Pins are in-memory, so a crash mid-reclaim is one of the
+orderings above.
 """
 
-import contextlib
 import dataclasses
 
 import numpy as np
@@ -81,7 +68,7 @@ def materialise_graph(db):
     """The database's *effective* edge list as an immutable CSR graph.
 
     Read off its flat topology arrays — for an overlay, the spliced
-    arrays of its head — so tombstones, delta adjacency and extension
+    arrays of its head — so deleted and inserted edges and extension
     pages are all reflected, edges in page order.  Works on any
     :class:`~repro.format.database.GraphDatabase`, dynamic or not.
     """
@@ -102,9 +89,7 @@ def compact(db, save_prefix=None):
     """
     # Exclude concurrent writers while the head is materialised and
     # swapped; readers (pinned snapshots) are never blocked.
-    commit_lock = getattr(db, "_commit_lock", None)
-    with (commit_lock if commit_lock is not None
-          else contextlib.nullcontext()):
+    with db._commit_lock:
         folded_bytes = db.delta_bytes
         folded_batches = db.applied_batches
         pages_before = len(db.directory)
@@ -112,13 +97,12 @@ def compact(db, save_prefix=None):
         new_base = build_database(graph, db.config, name=db.name)
         new_epoch = None
         if save_prefix is not None:
-            new_epoch = getattr(db, "base_epoch", 0) + 1
+            new_epoch = db.base_epoch + 1
             new_base.wal_epoch = new_epoch
             save_database(new_base, save_prefix, wal_epoch=new_epoch)
         db.swap_base(new_base, folded_bytes=folded_bytes,
                      new_epoch=new_epoch)
-        pinned = getattr(db, "pinned_versions", None)
-        retained = len(pinned()) if callable(pinned) else 0
+        retained = len(db.pinned_versions())
     return CompactionReport(
         folded_bytes=folded_bytes,
         folded_batches=folded_batches,

@@ -18,7 +18,7 @@ columns of the paper's Table 3.
 
 import numpy as np
 
-from repro.core.plan import PlanMemo
+from repro.core.plan import PlanMemo, array_bytes, take_ranges
 from repro.errors import FormatError
 from repro.format.page import LargePage, PageKind, SmallPage
 
@@ -129,6 +129,30 @@ def topology_from_rows(rec_counts, edge_counts, rows):
     }
 
 
+def select_rows(arrays, pids):
+    """The rows of topology ``arrays`` (a
+    :meth:`GraphDatabase.topology_arrays` dict) for the pages ``pids``,
+    in that order: the same fields, ``rec_counts`` / ``edge_counts``
+    those pages'."""
+    rec_counts = arrays["rec_counts"][pids]
+    edge_counts = arrays["edge_counts"][pids]
+    recs = take_ranges(_starts(arrays["rec_counts"])[pids], rec_counts)
+    edges = take_ranges(_starts(arrays["edge_counts"])[pids], edge_counts)
+    weights = arrays["adj_weights"]
+    return {
+        "rec_counts": rec_counts,
+        "edge_counts": edge_counts,
+        **{name: arrays[name][recs]
+           for name in ("degrees", "rec_vids", "rec_divisor")},
+        **{name: arrays[name][edges] for name in ("adj_vids", "adj_pids")},
+        "adj_weights": None if weights is None else weights[edges],
+    }
+
+
+def _starts(counts):
+    return np.concatenate(([0], np.cumsum(counts)))
+
+
 class GraphDatabase:
     """A slotted-page graph database (see :mod:`repro.format.builder`).
 
@@ -193,9 +217,8 @@ class GraphDatabase:
             raise FormatError("unknown page ID %d" % page_id)
         arrays = self.topology_arrays()
         if self._row_starts is None:
-            self._row_starts = tuple(
-                np.concatenate(([0], np.cumsum(arrays[name])))
-                for name in ("rec_counts", "edge_counts"))
+            self._row_starts = tuple(_starts(arrays[name]) for name
+                                     in ("rec_counts", "edge_counts"))
         rec_at, edge_at = self._row_starts
         recs = slice(rec_at[page_id], rec_at[page_id + 1])
         edges = slice(edge_at[page_id], edge_at[page_id + 1])
@@ -220,15 +243,27 @@ class GraphDatabase:
         every engine that runs on it."""
         return self.plan_memo.plan(self, self)
 
+    def topology_rows(self, pids):
+        """The :meth:`topology_arrays` rows of the pages ``pids``
+        (ascending, distinct), as :func:`select_rows` gives them; a store
+        that decodes lazily reads just those pages."""
+        return select_rows(self.topology_arrays(), pids)
+
+    def memory_stats(self):
+        """Host bytes per topology version this handle keeps (one here:
+        its topology arrays and its plan's) and their sum — the
+        ``/stats`` ``memory`` block."""
+        held = [] if self._topology is None else [
+            array for array in self._topology.values() if array is not None]
+        if self._plan is not None:
+            held += self._plan.held_arrays()
+        nbytes = array_bytes(held)
+        return {"versions": {str(self.topology_version): nbytes},
+                "total_bytes": nbytes}
+
     def page_for_vertex(self, vid):
         """Page ID containing ``vid`` — seeds BFS's initial ``nextPIDSet``."""
         return int(self.vertex_page[vid])
-
-    def prefetch(self, page_ids):
-        """Warm whatever serves :meth:`page` with ``page_ids`` ahead of
-        per-page use; returns the pages read.  Resident pages need no
-        warming — stores that decode lazily override this."""
-        return 0
 
     def topology_arrays(self):
         """The whole topology as flat page-major arrays — what a

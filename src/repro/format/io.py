@@ -147,13 +147,13 @@ def _align(offset):
 
 
 def _topology_fields(rvt, rec_counts, columns, lp_pids, lp_totals):
-    """The :meth:`GraphDatabase.topology_arrays` of a whole store
-    (``rec_counts`` holds every page's slot count), given its pages'
+    """The :meth:`GraphDatabase.topology_arrays` rows of a run of pages
+    (``rec_counts`` holds each one's slot count), given their
     :func:`~repro.format.page.decode_pages` ``columns``.  ``lp_pids``
-    and ``lp_totals`` are the store's large pages and their vertices'
-    total degrees: a large page's one record divides by the vertex's
-    degree across its whole run of large pages, not by this page's
-    share.
+    are the positions of the large ones among them and ``lp_totals``
+    their vertices' total degrees: a large page's one record divides by
+    the vertex's degree across its whole run of large pages, not by this
+    page's share.
     """
     rec_vids, degrees, adj_pids, adj_slots, adj_weights = columns
     rec_starts = np.cumsum(rec_counts) - rec_counts
@@ -1015,6 +1015,25 @@ class FileBackedDatabase(GraphDatabase):
             self.host_reads += 1
         arrays.setdefault("adj_weights", None)
         return arrays
+
+    def topology_rows(self, page_ids):
+        """The rows of ``page_ids`` (ascending, distinct), decoded off
+        the mapping in one chunk — or parsed one by one when the mapping
+        cannot serve it — without touching the pool."""
+        pids = np.asarray(page_ids, dtype=np.int64)
+        with span("format.io.page"):
+            decoded = self._decode_chunk(pids) if len(pids) else None
+            if decoded is None:
+                pages = [self._parse_page(pid) for pid in pids.tolist()]
+                return topology_from_rows(
+                    self._dir_records[pids],
+                    np.asarray([page.num_edges for page in pages],
+                               dtype=np.int64),
+                    [page_rows(page) for page in pages])
+        large = np.flatnonzero(self.directory.is_large[pids])
+        return _topology_fields(
+            self.rvt, self._dir_records[pids], decoded, large,
+            self._lp_totals[np.searchsorted(self._lp_pids, pids[large])])
 
     def _decoded_arrays(self):
         """The flat topology arrays decoded from every verified page,

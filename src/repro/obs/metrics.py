@@ -341,6 +341,9 @@ def collect_dynamic_metrics(db, registry=None):
                    "pages whose served form differs from the base"
                    ).set(stats["delta_pages"])
     registry.gauge("dynamic.extension_pages").set(stats["extension_pages"])
+    registry.gauge("dynamic.log_bytes",
+                   "bytes of the head version's edge log arrays"
+                   ).set(stats["log_bytes"])
     registry.counter("wal.records_appended").inc(
         stats["wal_records_appended"])
     registry.counter("wal.bytes_appended").inc(stats["wal_bytes_appended"])

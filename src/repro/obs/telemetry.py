@@ -183,7 +183,7 @@ class RequestTrace:
     __slots__ = ("query_id", "database", "algorithm", "sampled",
                  "recorder", "end_ns", "attrs", "status", "error_type",
                  "error", "snapshot_version", "simulated_seconds",
-                 "deferred", "chrome", "_completed")
+                 "deferred", "engine_trace", "_completed")
 
     def __init__(self, query_id, database, algorithm, sampled=False):
         self.query_id = query_id
@@ -201,8 +201,10 @@ class RequestTrace:
         #: True once the HTTP layer took over completion (so it can
         #: append the ``serialize`` span before the trace finalizes).
         self.deferred = False
-        #: Chrome trace object of the sampled engine run, if any.
-        self.chrome = None
+        #: The sampled engine run's :class:`~repro.obs.events
+        #: .TraceRecorder`, if any: exported only when a record is
+        #: written (:meth:`to_dict`), never on the request's path.
+        self.engine_trace = None
         self._completed = False
 
     @property
@@ -280,8 +282,9 @@ class RequestTrace:
             record["snapshot_version"] = self.snapshot_version
         if self.simulated_seconds is not None:
             record["simulated_seconds"] = self.simulated_seconds
-        if self.chrome is not None:
-            record["chrome_trace"] = self.chrome
+        if self.engine_trace is not None:
+            from repro.obs.exporters import chrome_trace
+            record["chrome_trace"] = chrome_trace(self.engine_trace)
         return record
 
     def phase_ms(self):
@@ -836,6 +839,11 @@ def service_metric_families(stats):
                     db.get("pool_hits"), **label)
             _sample(db_counter("gts_db_pool_misses_total"),
                     db.get("pool_misses"), **label)
+        versions = (db.get("memory") or {}).get("versions") or {}
+        for version in sorted(versions, key=int):
+            _sample(db_gauge("gts_db_version_bytes",
+                             "host bytes a live topology version keeps"),
+                    versions[version], database=name, version=version)
         mvcc = db.get("mvcc") or {}
         if mvcc:
             _sample(db_gauge("gts_db_mvcc_pinned_snapshots"),

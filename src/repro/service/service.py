@@ -164,6 +164,7 @@ class _ServedDatabase:
             "topology_version": getattr(db, "topology_version", 0),
             "queries": self.queries,
             "plan_cache": db.plan_memo.stats(),
+            "memory": db.memory_stats(),
             "exclusive_queries": self.gate.exclusive_acquisitions,
             "gate": self.gate.stats(),
             "updates": self.updates,
@@ -524,9 +525,8 @@ class GraphService:
                                          timeout_ms, trace)
             if trace is not None:
                 trace.simulated_seconds = result.elapsed_seconds
-                if trace.sampled and result.trace is not None:
-                    from repro.obs.exporters import chrome_trace
-                    trace.chrome = chrome_trace(result.trace)
+                if trace.sampled:
+                    trace.engine_trace = result.trace
             return result
         except DeadlineError as exc:
             status, error = "deadline", exc

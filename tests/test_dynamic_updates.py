@@ -1,8 +1,8 @@
-"""Delta-page overlay, crash recovery, compaction, and one property:
-every retained version's spliced topology arrays equal the per-page
-walk, and a base database plus ``repro.dynamic`` batches must be
-indistinguishable (to every kernel) from building the final graph from
-scratch."""
+"""The live overlay, crash recovery, compaction, and one property:
+every retained version's spliced topology arrays equal an independent
+per-vertex model (``overlay_model.py``), and a base database plus
+``repro.dynamic`` batches must be indistinguishable (to every kernel)
+from building the final graph from scratch."""
 
 import os
 import tempfile
@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.dynamic
 from repro.core import BFSKernel, GTSEngine, PageRankKernel, WCCKernel
+from repro.core.plan import ReduceIndex, RoundBatch
 from repro.dynamic import (
     DynamicGraphDatabase,
     Snapshot,
@@ -23,12 +25,14 @@ from repro.dynamic import (
     materialise_graph,
     open_dynamic_database,
 )
+from repro.dynamic.edgelog import ext_capacity
 from repro.errors import UpdateError
 from repro.format import PageFormatConfig, build_database
-from repro.format.database import page_rows, topology_from_rows
 from repro.format.io import save_database
 from repro.graphgen import Graph, generate_rmat
 from repro.hardware.specs import scaled_workstation
+
+from .overlay_model import OverlayModel
 
 
 def _line_db(small_config, num_vertices=6):
@@ -46,26 +50,6 @@ def _run_all(db, machine):
 
 
 class TestOverlaySemantics:
-    def test_insert_appears_in_page_and_neighbors(self, small_config):
-        db = DynamicGraphDatabase(_line_db(small_config))
-        report = db.apply(UpdateBatch().insert_edge(0, 4))
-        assert report.inserted_edges == 1
-        assert 4 in db.effective_neighbors(0)
-        assert db.num_edges == 6
-        assert db.out_degrees[0] == 2
-        db.validate()
-
-    def test_delete_removes_all_parallel_copies(self, small_config):
-        vids = np.array([0, 0, 1])
-        graph = Graph.from_edges(3, vids, np.array([1, 1, 2]))
-        db = DynamicGraphDatabase(build_database(graph, small_config))
-        report = db.apply(UpdateBatch().delete_edge(0, 1))
-        assert report.deleted_edges == 2
-        assert len(db.effective_neighbors(0)) == 0
-        assert db.out_degrees[0] == 0
-        assert db.num_edges == 1
-        db.validate()
-
     def test_delete_missing_edge_rejected_before_wal(self, small_config, tmp_path):
         wal = WriteAheadLog(str(tmp_path / "log.wal"))
         db = DynamicGraphDatabase(_line_db(small_config), wal=wal)
@@ -82,28 +66,9 @@ class TestOverlaySemantics:
         with pytest.raises(UpdateError):
             db.apply(UpdateBatch().insert_edge(17, 0))
 
-    def test_insert_then_delete_within_batch(self, small_config):
-        db = DynamicGraphDatabase(_line_db(small_config))
-        db.apply(UpdateBatch().insert_edge(0, 3).delete_edge(0, 3))
-        assert 3 not in db.effective_neighbors(0)
-        assert db.num_edges == 5
-        db.validate()
-
-    def test_new_vertices_get_extension_pages(self, small_config):
-        db = DynamicGraphDatabase(_line_db(small_config))
-        before = db.num_pages
-        db.apply(UpdateBatch().add_vertices(2)
-                 .insert_edge(6, 7).insert_edge(5, 6))
-        assert db.num_vertices == 8
-        assert db.num_pages > before
-        assert db.num_extension_pages >= 1
-        assert list(db.effective_neighbors(6)) == [7]
-        assert 6 in db.effective_neighbors(5)
-        db.validate()
-
     def test_bulk_vertex_add_spans_pages(self, small_config):
         db = DynamicGraphDatabase(_line_db(small_config))
-        capacity = db._ext_capacity()
+        capacity = ext_capacity(db.config)
         count = capacity * 3 + 1
         db.apply(UpdateBatch().add_vertices(count))
         assert db.num_vertices == 6 + count
@@ -116,17 +81,6 @@ class TestOverlaySemantics:
         assert len(db.effective_neighbors(6 + count - 1)) == 0
         db.apply(UpdateBatch().insert_edge(6 + count - 1, 0))
         assert 0 in db.effective_neighbors(6 + count - 1)
-        db.validate()
-
-    def test_weighted_insert(self, weighted_config):
-        vids = np.arange(3)
-        graph = Graph.from_edges(
-            4, vids, vids + 1, weights=np.array([1.0, 2.0, 3.0]))
-        db = DynamicGraphDatabase(build_database(graph, weighted_config))
-        db.apply(UpdateBatch().insert_edge(0, 3, weight=9.0))
-        page = db.page(db.vertex_page[0])
-        idx = int(np.where(page.adj_vids == 3)[0][0])
-        assert page.adj_weights[idx] == 9.0
         db.validate()
 
     def test_topology_version_bumps(self, small_config):
@@ -148,6 +102,20 @@ class TestOverlaySemantics:
         assert stats["added_vertices"] == 1
         assert stats["delta_bytes"] > 0
         assert stats["delta_pages"] >= 1
+
+
+def test_the_overlay_builds_no_page():
+    """Commits and splices work in arrays: no module of
+    ``repro.dynamic`` names a page class or reads the base store's page
+    pool."""
+    root = os.path.dirname(repro.dynamic.__file__)
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name)) as handle:
+                text = handle.read()
+            for needle in ("SmallPage", "LargePage", "_base.page(",
+                           "_base.prefetch("):
+                assert needle not in text, (name, needle)
 
 
 class TestEngineIntegration:
@@ -365,6 +333,8 @@ class TestObservability:
         assert snapshot["dynamic.applied_batches"]["value"] == 1
         assert snapshot["dynamic.inserted_edges"]["value"] == 1
         assert snapshot["dynamic.delta_bytes"]["value"] > 0
+        # One logged insert: a source, a target and a float32 weight.
+        assert snapshot["dynamic.log_bytes"]["value"] == 8 + 8 + 4
 
     def test_apply_emits_trace_instants(self, small_config, tmp_path):
         from repro.obs import TraceRecorder
@@ -383,26 +353,22 @@ class TestObservability:
 
 
 # ---------------------------------------------------------------------------
-# Property: on every retained version the spliced topology arrays equal
-# the per-page walk, and base + batches equal a from-scratch rebuild.
+# Property: every retained version's spliced topology arrays equal an
+# independent per-vertex model, and base + batches equal a rebuild.
 # ---------------------------------------------------------------------------
 
-def _walk(db):
-    """``db``'s topology arrays walked page by page through ``page()``."""
-    rows = [page_rows(db.page(pid)) for pid in range(db.num_pages)]
-    return topology_from_rows(
-        *(np.array([len(row[i]) for row in rows], dtype=np.int64)
-          for i in (0, 3)), rows)
+class _Modelled(Snapshot):
+    """A view of one version whose plan is built from the model's arrays."""
+
+    def __init__(self, owner, state, arrays):
+        super().__init__(owner, state, pinned=False)
+        self._arrays = arrays
+
+    def topology_arrays(self):
+        return self._arrays
 
 
-class _Walked(Snapshot):
-    """A view of one version whose plan comes from the per-page walk."""
-
-    topology_arrays = _walk
-
-
-def _assert_splice_equals_walk(view):
-    got, want = view.topology_arrays(), _walk(view)
+def _assert_arrays_equal(got, want):
     assert got.keys() == want.keys()
     for name, array in want.items():
         assert (got[name] is None) == (array is None), name
@@ -411,25 +377,41 @@ def _assert_splice_equals_walk(view):
             np.testing.assert_array_equal(got[name], array, err_msg=name)
 
 
-def _batch(db, ops):
+def _assert_index_equals_rebuild(view):
+    """The version's full-batch reduce index (spliced, when an ancestor
+    built one) is a from-scratch sort's, array for array."""
+    plan = view.page_plan()
+    full = plan.full_batch()
+    got = full._reduce_index
+    want = ReduceIndex.build(RoundBatch(plan, full.pids))
+    for name, a, b in zip(ReduceIndex.FIELDS, got.arrays(), want.arrays()):
+        assert a.dtype == b.dtype == np.int64, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+def _batch(model, ops):
     """A valid batch from drawn ``(op, source, pick)`` triples: ``v``
-    adds vertices (edges may name them at once), ``-`` deletes an
-    existing edge once; source 0 is the large-page hub."""
-    batch, n, deleted = UpdateBatch(), db.num_vertices, set()
+    adds vertices (edges may name them at once), ``-`` deletes an edge
+    the source has at that point of the batch, its own earlier inserts
+    included; source 0 is the large-page hub."""
+    batch, n, local = UpdateBatch(), len(model.vertex_page), {}
     for op, src, pick in ops:
         src %= n
         if op == "v":
             batch.add_vertices(1 + pick % 3)
             n += 1 + pick % 3
-        elif op == "+":
-            batch.insert_edge(src, pick % n)
-        elif src < db.num_vertices:
-            targets = db.effective_neighbors(src)
-            edge = (src, int(targets[pick % len(targets)])) \
-                if len(targets) else None
-            if edge is not None and edge not in deleted:
-                batch.delete_edge(*edge)
-                deleted.add(edge)
+            continue
+        targets = local.setdefault(
+            src, model.neighbors(src) if src < len(model.vertex_page)
+            else [])
+        if op == "+":
+            batch.insert_edge(src, pick % n,
+                              None if pick % 3 else 0.5 + pick % 7)
+            targets.append(pick % n)
+        elif targets:
+            dst = targets[pick % len(targets)]
+            batch.delete_edge(src, dst)
+            local[src] = [t for t in targets if t != dst]
     return batch
 
 
@@ -444,11 +426,13 @@ _STEP = st.one_of(
        weighted=st.booleans(), pooled=st.booleans(),
        seed=st.integers(0, 2 ** 16))
 def test_property_batches_equal_rebuild(steps, weighted, pooled, seed):
-    """Every retained version's spliced arrays equal the walk's, dtype
-    for dtype (and so do BFS / PageRank values and simulated times), and
-    the overlay equals a from-scratch rebuild — across versions never
-    queried, old pins read after newer commits, compaction, and a
-    reopen that replays the WAL."""
+    """Every retained version's spliced arrays equal the model's, dtype
+    for dtype (and so do BFS / PageRank values and simulated times run
+    on either), its full-batch reduce index equals a from-scratch sort,
+    the head's neighbours and counts are the model's, and the overlay
+    equals a from-scratch rebuild — across versions never queried, old
+    pins read after newer commits, compaction, and a reopen that
+    replays the WAL."""
     config = PageFormatConfig(2, 2, 2048, weight_bytes=4 if weighted else 0)
     machine = scaled_workstation(num_gpus=1, num_ssds=1)
     graph = generate_rmat(6, edge_factor=8, seed=seed)
@@ -463,42 +447,67 @@ def test_property_batches_equal_rebuild(steps, weighted, pooled, seed):
 
     with tempfile.TemporaryDirectory() as tmp:
         prefix = os.path.join(tmp, "prop")
-        save_database(build_database(graph, config), prefix)
+        model = OverlayModel(build_database(graph, config))
+        save_database(model.base, prefix)
+        # The on-disk base, and the batches the WAL holds on top of it.
+        disk_base, logged = model.base, []
 
         def reopen():
-            return open_dynamic_database(prefix,
-                                         pool_pages=4 if pooled else None)
+            model = OverlayModel(disk_base)
+            for batch in logged:
+                model.apply(batch)
+            return (open_dynamic_database(
+                prefix, pool_pages=4 if pooled else None), model)
 
-        db, pins = reopen(), []
+        (db, model), pins = reopen(), []
         for step in steps:
             if isinstance(step, list):
-                db.apply(_batch(db, step))
+                batch = _batch(model, step)
+                report = db.apply(batch)
+                assert (report.inserted_edges, report.deleted_edges,
+                        report.added_vertices) == model.apply(batch)
+                logged.append(batch)
+                for src in {op[1] for op in batch.ops if op[0] != "v"}:
+                    assert db.effective_neighbors(src).tolist() \
+                        == model.neighbors(src)
             elif step == "read":
-                db.topology_arrays()
+                for view in [snap for snap, _ in pins] + [db]:
+                    _assert_index_equals_rebuild(view)
             elif step == "pin":
-                pins.append(db.pin())
+                pins.append((db.pin(), model.arrays()))
             elif step == "release" and pins:
-                pins.pop(0).release()
+                pins.pop(0)[0].release()
             elif step == "compact":
-                compact(db, save_prefix=prefix if seed % 2 else None)
+                durable = seed % 2
+                compact(db, save_prefix=prefix if durable else None)
+                model = model.compacted()
+                if durable:
+                    disk_base, logged = model.base, []
             elif step == "reopen":
-                for snap in pins:
+                for snap, _ in pins:
                     snap.release()
-                db, pins = reopen(), []
-            for view in pins + [db]:
-                _assert_splice_equals_walk(view)
+                (db, model), pins = reopen(), []
+            for view, arrays in pins + [(db, model.arrays())]:
+                _assert_arrays_equal(view.topology_arrays(), arrays)
+            np.testing.assert_array_equal(db.out_degrees, [
+                len(model.neighbors(v)) for v in range(db.num_vertices)])
+            assert db.num_edges == int(db.out_degrees.sum())
 
-        pins.append(db.pin())
-        for snap in (pins[0], pins[-1]):  # the oldest pin and the head
-            walked = _Walked(db, snap._state, pinned=False)
+        pins.append((db.pin(), model.arrays()))
+        for snap, arrays in (pins[0], pins[-1]):  # the oldest pin, the head
+            _assert_index_equals_rebuild(snap)
+            modelled = _Modelled(db, snap._state, arrays)
             for make in (lambda: BFSKernel(start_vertex=0),
                          lambda: PageRankKernel(iterations=3)):
                 got = GTSEngine(snap, machine).run(make())
-                want = GTSEngine(walked, machine).run(make())
+                want = GTSEngine(modelled, machine).run(make())
                 assert got.elapsed_seconds == want.elapsed_seconds
                 for key in want.values:
                     np.testing.assert_array_equal(got.values[key],
                                                   want.values[key])
+        assert [db.effective_neighbors(v).tolist()
+                for v in range(db.num_vertices)] == [
+            model.neighbors(v) for v in range(db.num_vertices)]
         got = _run_all(db, machine)
         want = _run_all(build_database(materialise_graph(db), config),
                         machine)
@@ -506,5 +515,5 @@ def test_property_batches_equal_rebuild(steps, weighted, pooled, seed):
         np.testing.assert_allclose(got[1], want[1], rtol=1e-10, atol=1e-12)
         np.testing.assert_array_equal(got[2], want[2])
         db.validate()
-        for snap in pins:
+        for snap, _ in pins:
             snap.release()

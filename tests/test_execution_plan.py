@@ -33,16 +33,18 @@ from repro.core.plan import PagePlan, RoundBatch
 from repro.core.result import RoundStats
 from repro.core.strategies import make_strategy
 from repro.core.streams import RoundOrder, StreamScheduler
-from repro.dynamic import DynamicGraphDatabase, UpdateBatch
+from repro.dynamic import DynamicGraphDatabase, UpdateBatch, compact
 from repro.errors import (ConfigurationError, RetryExhaustedError,
                           ServiceError, SimulationError)
 from repro.faults import FaultInjector, FaultPlan, RetryPolicy
 from repro.format import PageFormatConfig, build_database
+from repro.format.database import GraphDatabase
 from repro.graphgen import Graph, generate_rmat
 from repro.hardware.machine import MachineRuntime
 from repro.hardware.specs import scaled_workstation
 from repro.obs.events import TraceRecorder
 from repro.obs.host import HostProfiler
+from repro.obs.telemetry import service_metric_families
 from repro.service import GraphService, QueryRequest
 from repro.spans import activate
 
@@ -196,7 +198,8 @@ class TestPlanArrays:
         targets, each one-edge segment's record, and each multi-edge
         segment's records in sorted order."""
         batch = _identity_batch(PagePlan(db))
-        seg_targets, seg_src, multi_rec, multi_starts = batch._reduce_index
+        index = batch._reduce_index
+        seg_targets, seg_src, multi_rec, multi_starts = index.arrays()[:4]
         order, targets, starts = _reference_segments(batch)
         np.testing.assert_array_equal(seg_targets, targets)
         sorted_rec = batch.edge_rec[order]
@@ -213,6 +216,14 @@ class TestPlanArrays:
         np.testing.assert_array_equal(
             multi_starts, np.cumsum(edges[multi]) - edges[multi])
         assert 0 < np.count_nonzero(multi) < len(targets)
+        # The per-page counts a splice renumbers runs of pages by.
+        page_of = np.searchsorted(batch.edge_indptr, starts, "right") - 1
+        for got, want in ((index.page_segs, page_of),
+                          (index.page_multi, page_of[multi])):
+            np.testing.assert_array_equal(
+                got, np.bincount(want, minlength=batch.num_pages))
+        np.testing.assert_array_equal(index.page_recs,
+                                      batch.records_per_page())
 
     def test_overflow_fallback_matches_combined_key(self, db):
         """Where ``position * V + target`` could overflow int64 the batch
@@ -222,7 +233,8 @@ class TestPlanArrays:
         fast = RoundBatch(plan, pids)._reduce_index
         plan.num_vertices = 1 << 60
         assert plan.num_pages >= (1 << 62) // plan.num_vertices
-        for got, want in zip(RoundBatch(plan, pids)._reduce_index, fast):
+        for got, want in zip(RoundBatch(plan, pids)._reduce_index.arrays(),
+                             fast.arrays()):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_full_batch_equals_explicit_gather(self, db, lp_db):
@@ -501,7 +513,8 @@ class TestPlanArrays:
             per_record[batch.edge_rec][order], starts))
         batch.reduce_into(ufunc, out, per_record)
         assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
-        seg_targets, _, _, multi_starts = batch._reduce_index
+        index = batch._reduce_index
+        seg_targets, multi_starts = index.seg_targets, index.multi_starts
         multi = np.count_nonzero(np.diff(starts, append=batch.num_edges) > 1)
         assert len(multi_starts) == multi
         np.testing.assert_array_equal(seg_targets, targets)
@@ -593,6 +606,44 @@ class TestPlanArrays:
         np.testing.assert_array_equal(first, expected)
 
 
+def _reachable_bytes(root):
+    """Bytes of the distinct arrays reachable from ``root`` through
+    attributes, slots, dicts and sequences — not through a database
+    handle (the base store, a version's server snapshot) or a weak
+    proxy."""
+    seen, arrays, stack = set(), {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (GraphDatabase,
+                                               *weakref.ProxyTypes)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays[id(obj)] = obj.nbytes
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (tuple, list, set, frozenset)):
+            stack.extend(obj)
+        else:
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            stack.extend(getattr(obj, name, None)
+                         for cls in type(obj).__mro__
+                         for name in getattr(cls, "__slots__", ()))
+    return sum(arrays.values())
+
+
+_MEMORY_STEPS = st.lists(st.sampled_from(
+    ["commit", "commit", "pin", "release", "compact", "scan", "scan pin"]),
+    min_size=1, max_size=12)
+
+
+def _an_edge(live, i):
+    """Some edge of ``live``'s head, picked by ``i``."""
+    src = int(np.flatnonzero(live.out_degrees)[i % np.count_nonzero(
+        live.out_degrees)])
+    return src, int(live.effective_neighbors(src)[0])
+
+
 class TestPlanPerVersion:
     def test_one_plan_and_reduce_index_per_version(self, db, machine,
                                                    monkeypatch):
@@ -644,6 +695,58 @@ class TestPlanPerVersion:
             assert v1() is None and server() is None
         finally:
             gc.enable()
+
+    @settings(max_examples=20, deadline=None)
+    @given(steps=_MEMORY_STEPS)
+    def test_reported_bytes_are_the_live_versions(self, steps):
+        """Over commit / pin / release / compact sequences (with full
+        scans building plans and reduce indexes, spliced or not), the
+        ``memory`` block has one entry per retained version, each the
+        bytes of the arrays that version's state reaches, summing to
+        ``total_bytes`` — one version's worth once every pin is
+        released — and ``/metrics`` exports exactly those entries."""
+        graph = generate_rmat(7, edge_factor=8, seed=5)
+        live = DynamicGraphDatabase(build_database(
+            graph, PageFormatConfig(2, 2, 512)))
+        machine = scaled_workstation(num_gpus=1, num_ssds=1)
+        pins = []
+
+        def check():
+            stats = live.memory_stats()
+            assert stats["versions"] == {
+                str(version): _reachable_bytes(state)
+                for version, state in live._versions.items()}
+            assert stats["total_bytes"] == sum(stats["versions"].values())
+            for version, state in live._versions.items():
+                if state._plan is not None:  # a version holds its plan
+                    assert state._plan.nbytes <= stats["versions"][
+                        str(version)]
+            (family,) = [f for f in service_metric_families(
+                {"databases": {"g": {"memory": stats}}})
+                if f["name"] == "gts_db_version_bytes"]
+            assert sorted(family["samples"], key=str) == sorted(
+                (({"database": "g", "version": v}, n)
+                 for v, n in stats["versions"].items()), key=str)
+            return stats
+
+        for i, step in enumerate(steps):
+            if step == "commit":
+                live.apply(UpdateBatch().insert_edge(i % 128, 7 * i % 128)
+                           .delete_edge(*_an_edge(live, i)))
+            elif step == "pin":
+                pins.append(live.pin())
+            elif step == "release" and pins:
+                pins.pop(0).release()
+            elif step == "compact":
+                compact(live)
+            elif step.startswith("scan"):
+                target = pins[-1] if step == "scan pin" and pins else live
+                GTSEngine(target, machine).run(PageRankKernel(iterations=2))
+            check()
+        for snapshot in pins:
+            snapshot.release()
+        stats = check()
+        assert list(stats["versions"]) == [str(live.topology_version)]
 
 
 class TestLargePageRunIndex:

@@ -187,6 +187,30 @@ class TestSpanTree:
             check_engine_span(children[-1], record["rounds"])
             assert record["rounds"] > 0
 
+    def test_sampled_trace_exports_only_into_a_written_record(
+            self, db_prefix, tmp_path, monkeypatch):
+        """A head-sampled request keeps its engine's trace recorder and
+        renders ``chrome_trace`` only when the ring writes its record:
+        never for a request the ring does not capture, once for one it
+        does — and the record's field is that rendering."""
+        from repro.obs import exporters
+        render, calls = exporters.chrome_trace, []
+        monkeypatch.setattr(exporters, "chrome_trace",
+                            lambda recorder, **kwargs: calls.append(
+                                recorder) or render(recorder, **kwargs))
+        for slow_ms, captured in ((1e9, 0), (0.0, 1)):
+            ring_dir = str(tmp_path / ("ring%d" % captured))
+            service = make_service(db_prefix, telemetry=TelemetryConfig(
+                slow_ms=slow_ms, sample_every=1, ring_dir=ring_dir))
+            service.query("g", "bfs", params={"start": 0})
+            service.drain()
+            records = load_ring(ring_dir)
+            assert len(records) == len(calls) == captured
+        (record,) = records
+        assert record["sampled"]
+        assert record["chrome_trace"] == json.loads(json.dumps(
+            render(calls[0])))
+
     def test_deadline_capture_records_error(self, db_prefix, tmp_path):
         ring_dir = str(tmp_path / "ring")
         service = make_service(db_prefix, telemetry=TelemetryConfig(
@@ -570,7 +594,8 @@ class TestHTTPPropagation:
         """A commit, then a query, over HTTP: the ring record reads
         from the handler down to the plan rebuild, which sits in
         ``setup`` — not in the first round — and splices the
-        pre-commit plan's arrays without decoding a page."""
+        pre-commit plan's arrays, decoding only the page the commit
+        dirtied (one chunk off the mapping)."""
         prefix = str(tmp_path / "live")
         save_database(load_database(db_prefix), prefix)
         ring_dir = str(tmp_path / "ring")
@@ -595,7 +620,7 @@ class TestHTTPPropagation:
         (build,) = get["children"]
         assert build["name"] == "core.plan.build"
         assert [c["name"] for c in build["children"]] == ["scan"]
-        assert "format.io.page" not in json.dumps(build)
+        assert json.dumps(build).count('"format.io.page"') == 1
 
     def test_trace_deferred_at_submit_outlives_a_finished_query(self,
                                                                served):
